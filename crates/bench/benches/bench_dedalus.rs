@@ -52,9 +52,8 @@ fn bench_dedalus(c: &mut Criterion) {
     group.finish();
 
     // Store ablation on the TM simulation: the compiled Theorem 18
-    // program through the delta store + indexed joins vs the seed
-    // clone-per-tick + scan-join loop, at the largest existing length
-    // and one size up.
+    // program through the delta store vs the seed clone-per-tick loop,
+    // at the largest existing length and one size up.
     let mut group = c.benchmark_group("dedalus-tm-store");
     group.sample_size(10);
     let program = rtx_dedalus::compile_tm(&m).unwrap();

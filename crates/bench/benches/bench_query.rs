@@ -1,11 +1,11 @@
-//! Substrate benchmarks: query-language evaluation — the
-//! naive-vs-semi-naive Datalog ablation and the indexed-vs-scan join
-//! ablation introduced with the storage engine refactor.
+//! Substrate benchmarks: query-language evaluation — semi-naive
+//! Datalog transitive closure and FO conjunctive / quantified queries
+//! on chains of growing length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_bench::chain_input;
 use rtx_query::atom;
-use rtx_query::{DatalogQuery, EvalStrategy, FoQuery, Formula, JoinMode, Query};
+use rtx_query::{DatalogQuery, FoQuery, Formula, Query};
 
 fn bench_query(c: &mut Criterion) {
     let program =
@@ -19,38 +19,20 @@ fn bench_query(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("semi-naive", n), &n, |b, _| {
             b.iter(|| semi.eval(&input).unwrap().len())
         });
-        let naive = DatalogQuery::new(program.clone(), "T")
-            .unwrap()
-            .with_strategy(EvalStrategy::Naive);
-        group.bench_with_input(BenchmarkId::new("naive", n), &n, |b, _| {
-            b.iter(|| naive.eval(&input).unwrap().len())
-        });
     }
     group.finish();
 
-    // Indexed vs scan joins on the same semi-naive evaluator, at the
-    // sizes where the access path dominates.
+    // The same evaluator at the sizes where the join access path
+    // dominates.
     let mut group = c.benchmark_group("datalog-tc-joins");
     group.sample_size(10);
     for n in [32usize, 64, 128] {
         let input = chain_input("E", n);
-        let indexed = DatalogQuery::new(program.clone(), "T")
-            .unwrap()
-            .with_join_mode(JoinMode::Indexed);
-        let scan = DatalogQuery::new(program.clone(), "T")
-            .unwrap()
-            .with_join_mode(JoinMode::Scan);
+        let indexed = DatalogQuery::new(program.clone(), "T").unwrap();
         let expect = n * (n + 1) / 2;
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
             b.iter(|| {
                 let out = indexed.eval(&input).unwrap();
-                assert_eq!(out.len(), expect);
-                out.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| {
-                let out = scan.eval(&input).unwrap();
                 assert_eq!(out.len(), expect);
                 out.len()
             })
@@ -92,24 +74,14 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 
     // The two-hop join at scale: the second E atom probes on its bound
-    // first column under the indexed mode vs scanning all n edges per
-    // binding under the seed scan mode.
+    // first column.
     let mut group = c.benchmark_group("two-hop-join");
     group.sample_size(10);
     for n in [64usize, 256] {
         let input = chain_input("E", n);
-        let indexed = conjunctive.clone().with_join_mode(JoinMode::Indexed);
-        let scan = conjunctive.clone().with_join_mode(JoinMode::Scan);
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
             b.iter(|| {
-                let out = indexed.eval(&input).unwrap();
-                assert_eq!(out.len(), n - 1);
-                out.len()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| {
-                let out = scan.eval(&input).unwrap();
+                let out = conjunctive.eval(&input).unwrap();
                 assert_eq!(out.len(), n - 1);
                 out.len()
             })

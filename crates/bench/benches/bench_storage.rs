@@ -1,16 +1,14 @@
-//! Storage-engine microbenchmarks: the adaptive and columnar engines
-//! against the `RTX_STORAGE=btree` oracle on the operations the
-//! relational kernel actually spends time in — bulk construction,
-//! tail inserts with adoption, delta application (run merge), and
-//! membership probes — plus a `storage-adaptive/threshold-sweep`
-//! group that measures insert/remove/probe/scan at relation sizes
-//! straddling the promotion threshold, the empirical basis for the
-//! default `RTX_STORAGE_PROMOTE=256`. All engines are pinned
-//! explicitly with `empty_in`/`from_tuples_in`, so one run records
-//! the ablation whatever the ambient `RTX_STORAGE` is.
+//! Storage-engine microbenchmarks on the operations the relational
+//! kernel actually spends time in — bulk construction, tail inserts
+//! with adoption, delta application (run merge), and membership probes
+//! — plus a `storage-adaptive/threshold-sweep` group that measures
+//! insert/remove/probe/scan at relation sizes straddling the promotion
+//! threshold, the empirical basis for `PROMOTE_LEN = 256`. Bench ids
+//! keep their `-adaptive` suffix so they line up with the recorded
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtx_relational::{Relation, StorageMode, Tuple, Value};
+use rtx_relational::{Relation, Tuple, Value};
 
 /// `n` two-column tuples in a shuffled-but-deterministic order, so
 /// bulk construction pays a real sort and tail inserts land mid-run.
@@ -23,99 +21,65 @@ fn scattered(n: usize) -> Vec<Tuple> {
         .collect()
 }
 
-fn modes() -> [(&'static str, StorageMode); 3] {
-    [
-        ("adaptive", StorageMode::Adaptive),
-        ("columnar", StorageMode::Columnar),
-        ("btree", StorageMode::Btree),
-    ]
-}
-
 fn bench_storage(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage-columnar");
     group.sample_size(10);
     for n in [1024usize, 8192] {
         let tuples = scattered(n);
-        for (label, mode) in modes() {
-            group.bench_with_input(
-                BenchmarkId::new(format!("from-tuples-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        Relation::from_tuples_in(mode, 2, tuples.clone())
-                            .unwrap()
-                            .len()
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("from-tuples-adaptive", n), &n, |b, _| {
+            b.iter(|| Relation::from_tuples(2, tuples.clone()).unwrap().len())
+        });
 
-        // Tail inserts over a sorted base: the columnar engine absorbs
-        // them into its mutable tail, then re-adopts on read.
+        // Tail inserts over a sorted base: the runs regime absorbs them
+        // into its mutable tail, then re-adopts on read.
         let fresh: Vec<Tuple> = (0..n / 8)
             .map(|i| vec![Value::Int(-(i as i64) - 1), Value::Int(i as i64)].into())
             .collect();
-        for (label, mode) in modes() {
-            let base = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(format!("insert-tail-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut r = base.clone();
-                        for t in &fresh {
-                            r.insert(t.clone()).unwrap();
-                        }
-                        // Force the merged view the way a reader would.
-                        assert!(r.iter().count() == n + fresh.len());
-                        r.len()
-                    })
-                },
-            );
-        }
+        let base = Relation::from_tuples(2, tuples.clone()).unwrap();
+        group.bench_with_input(BenchmarkId::new("insert-tail-adaptive", n), &n, |b, _| {
+            b.iter(|| {
+                let mut r = base.clone();
+                for t in &fresh {
+                    r.insert(t.clone()).unwrap();
+                }
+                // Force the merged view the way a reader would.
+                assert!(r.iter().count() == n + fresh.len());
+                r.len()
+            })
+        });
 
-        // Delta application: adds and removes in one batch — the
-        // columnar run-merge path against B-tree set edits.
-        for (label, mode) in modes() {
-            let base = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
-            let mut target = base.clone();
-            for t in &fresh {
-                target.insert(t.clone()).unwrap();
-            }
-            for t in tuples.iter().step_by(16) {
-                target.remove(t);
-            }
-            let delta = target.diff(&base).unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(format!("delta-apply-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut r = base.clone();
-                        r.apply_delta(&delta).unwrap();
-                        assert!(r.iter().count() == target.len());
-                        r.len()
-                    })
-                },
-            );
+        // Delta application: adds and removes in one batch — the run
+        // merge path.
+        let mut target = base.clone();
+        for t in &fresh {
+            target.insert(t.clone()).unwrap();
         }
+        for t in tuples.iter().step_by(16) {
+            target.remove(t);
+        }
+        let delta = target.diff(&base).unwrap();
+        group.bench_with_input(BenchmarkId::new("delta-apply-adaptive", n), &n, |b, _| {
+            b.iter(|| {
+                let mut r = base.clone();
+                r.apply_delta(&delta).unwrap();
+                assert!(r.iter().count() == target.len());
+                r.len()
+            })
+        });
 
         // Point membership over the whole key range: galloping into
-        // sorted runs vs B-tree descent.
-        for (label, mode) in modes() {
-            let rel = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
-            group.bench_with_input(BenchmarkId::new(format!("probe-{label}"), n), &n, |b, _| {
-                b.iter(|| {
-                    let mut hits = 0usize;
-                    for t in tuples.iter().step_by(3) {
-                        if rel.contains(t) {
-                            hits += 1;
-                        }
+        // sorted runs.
+        group.bench_with_input(BenchmarkId::new("probe-adaptive", n), &n, |b, _| {
+            b.iter(|| {
+                let mut hits = 0usize;
+                for t in tuples.iter().step_by(3) {
+                    if base.contains(t) {
+                        hits += 1;
                     }
-                    hits
-                })
-            });
-        }
+                }
+                hits
+            })
+        });
     }
     group.finish();
 }
@@ -125,85 +89,82 @@ fn bench_storage(c: &mut Criterion) {
 /// of a few dozen to a few thousand tuples — at sizes straddling the
 /// promotion threshold (16/64 stay in the small regime under the
 /// default threshold, 256 promotes exactly at the boundary, 1024 runs
-/// promoted). The adaptive engine should track btree below the
-/// threshold and columnar above it.
+/// promoted).
 fn bench_threshold_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage-adaptive");
     group.sample_size(10);
     for n in [16usize, 64, 256, 1024] {
         let tuples = scattered(n);
-        for (label, mode) in modes() {
-            // insert: grow from empty by point inserts (the transducer
-            // round shape), reading nothing.
-            group.bench_with_input(
-                BenchmarkId::new(format!("threshold-sweep-insert-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut r = Relation::empty_in(mode, 2);
-                        for t in &tuples {
-                            r.insert(t.clone()).unwrap();
-                        }
-                        r.len()
-                    })
-                },
-            );
-
-            // remove: drain half of a built relation fact by fact.
-            let base = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
-            group.bench_with_input(
-                BenchmarkId::new(format!("threshold-sweep-remove-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut r = base.clone();
-                        for t in tuples.iter().step_by(2) {
-                            r.remove(t);
-                        }
-                        r.len()
-                    })
-                },
-            );
-
-            // probe: membership over the whole key range, half misses.
-            let probes: Vec<Tuple> = (0..n)
-                .map(|i| {
-                    let a = (i * 7919) % n;
-                    let b = if i % 2 == 0 { i as i64 } else { -1 };
-                    vec![Value::Int(a as i64), Value::Int(b)].into()
+        // insert: grow from empty by point inserts (the transducer
+        // round shape), reading nothing.
+        group.bench_with_input(
+            BenchmarkId::new("threshold-sweep-insert-adaptive", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    let mut r = Relation::empty(2);
+                    for t in &tuples {
+                        r.insert(t.clone()).unwrap();
+                    }
+                    r.len()
                 })
-                .collect();
-            group.bench_with_input(
-                BenchmarkId::new(format!("threshold-sweep-probe-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut hits = 0usize;
-                        for t in &probes {
-                            if base.contains(t) {
-                                hits += 1;
-                            }
-                        }
-                        hits
-                    })
-                },
-            );
+            },
+        );
 
-            // scan: ordered iteration after a point mutation — the
-            // order-demand cost (sort for small, fold for columnar).
-            group.bench_with_input(
-                BenchmarkId::new(format!("threshold-sweep-scan-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut r = base.clone();
-                        r.remove(&tuples[0]);
-                        r.insert(tuples[0].clone()).unwrap();
-                        r.iter().count()
-                    })
-                },
-            );
-        }
+        // remove: drain half of a built relation fact by fact.
+        let base = Relation::from_tuples(2, tuples.clone()).unwrap();
+        group.bench_with_input(
+            BenchmarkId::new("threshold-sweep-remove-adaptive", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    let mut r = base.clone();
+                    for t in tuples.iter().step_by(2) {
+                        r.remove(t);
+                    }
+                    r.len()
+                })
+            },
+        );
+
+        // probe: membership over the whole key range, half misses.
+        let probes: Vec<Tuple> = (0..n)
+            .map(|i| {
+                let a = (i * 7919) % n;
+                let b = if i % 2 == 0 { i as i64 } else { -1 };
+                vec![Value::Int(a as i64), Value::Int(b)].into()
+            })
+            .collect();
+        group.bench_with_input(
+            BenchmarkId::new("threshold-sweep-probe-adaptive", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    let mut hits = 0usize;
+                    for t in &probes {
+                        if base.contains(t) {
+                            hits += 1;
+                        }
+                    }
+                    hits
+                })
+            },
+        );
+
+        // scan: ordered iteration after a point mutation — the
+        // order-demand cost (sort for small, fold for promoted).
+        group.bench_with_input(
+            BenchmarkId::new("threshold-sweep-scan-adaptive", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    let mut r = base.clone();
+                    r.remove(&tuples[0]);
+                    r.insert(tuples[0].clone()).unwrap();
+                    r.iter().count()
+                })
+            },
+        );
 
         // index-memo: repeated column-index probes of an *unchanged*
         // relation — the access pattern of magic-set guard relations,
@@ -211,24 +172,17 @@ fn bench_threshold_sweep(c: &mut Criterion) {
         // mutated. The small regime memoizes the per-call index (and
         // takes no promotion pressure from it), so repeat probes cost
         // a hash lookup, not a rebuild.
-        for (label, mode) in modes() {
-            let base = Relation::from_tuples_in(mode, 2, tuples.clone()).unwrap();
-            let key = tuples[0].clone();
-            group.bench_with_input(
-                BenchmarkId::new(format!("index-memo-{label}"), n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        let mut hits = 0usize;
-                        for _ in 0..64 {
-                            let idx = base.index(&[0]).unwrap();
-                            hits += idx.probe(&key.values()[..1]).len();
-                        }
-                        hits
-                    })
-                },
-            );
-        }
+        let key = tuples[0].clone();
+        group.bench_with_input(BenchmarkId::new("index-memo-adaptive", n), &n, |b, _| {
+            b.iter(|| {
+                let mut hits = 0usize;
+                for _ in 0..64 {
+                    let idx = base.index(&[0]).unwrap();
+                    hits += idx.probe(&key.values()[..1]).len();
+                }
+                hits
+            })
+        });
     }
     group.finish();
 }

@@ -6,14 +6,31 @@
 //! never silently rot without failing tier-1. The slower experiment
 //! binaries are compile-checked by `cargo build`/`cargo bench
 //! --no-run` and documented in `EXPERIMENTS.md`.
+//!
+//! Both experiments publish into the process-global `rtx_obs`
+//! registry, and `exp_trace` reconciles a registry delta against its
+//! own run, so the two tests serialize on [`obs_lock`].
+
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// Serialize tests that publish into or read deltas of the global
+/// metrics registry.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn exp_examples_runs_cleanly() {
+    let _g = obs_lock();
     rtx_bench::experiments::run_examples();
 }
 
 #[test]
 fn exp_trace_captures_and_reconciles() {
+    let _g = obs_lock();
     let (out, trace) = rtx_bench::experiments::trace_grid_flood();
     assert!(out.outcome.quiescent, "the grid flood must quiesce");
     assert!(

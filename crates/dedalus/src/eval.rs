@@ -23,9 +23,7 @@
 use crate::ast::{DRule, DTime, DedalusProgram};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtx_query::{
-    Atom, EvalError, EvalStrategy, JoinMode, Literal, MaintainedFixpoint, Program, Rule, Term, Var,
-};
+use rtx_query::{Atom, EvalError, Literal, MaintainedFixpoint, Program, Rule, Term, Var};
 use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Schema, Value};
 use std::collections::BTreeMap;
 
@@ -239,14 +237,14 @@ fn translate(rule: &DRule, now: u64) -> Result<Rule, EvalError> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreMode {
     /// The seed behavior: clone the carry instance every tick, rebuild
-    /// the inductive/asynchronous programs every tick, and evaluate the
-    /// deductive fixpoint with full-scan joins. Kept as the measurable
-    /// baseline for `bench_dedalus` and as the oracle for the
-    /// delta ≡ clone property tests.
+    /// the inductive/asynchronous programs every tick, and re-derive the
+    /// deductive fixpoint from scratch. Kept as the measurable baseline
+    /// for `bench_dedalus` and as the oracle for the delta ≡ clone
+    /// property tests.
     Cloning,
     /// The delta store: one persistent base instance advanced by
     /// [`Instance::apply_delta`] per tick, per-timing programs cached
-    /// when they don't entangle time, and indexed joins throughout.
+    /// when they don't entangle time.
     #[default]
     Delta,
 }
@@ -339,8 +337,8 @@ impl<'p> DedalusRuntime<'p> {
         Ok(s)
     }
 
-    /// Run the program on a temporal EDB (delta store, indexed joins,
-    /// fixpoint mode resolved from `RTX_DEDALUS_FIXPOINT`).
+    /// Run the program on a temporal EDB (delta store, fixpoint mode
+    /// resolved from `RTX_DEDALUS_FIXPOINT`).
     pub fn run(&self, edb: &TemporalFacts, opts: &DedalusOptions) -> Result<Trace, EvalError> {
         self.run_with(edb, opts, StoreMode::default())
     }
@@ -564,9 +562,8 @@ impl<'p> DedalusRuntime<'p> {
         })
     }
 
-    /// The seed loop, preserved byte-for-byte modulo the explicit scan
-    /// join mode: clone the carry every tick, rebuild the inductive and
-    /// asynchronous programs every tick.
+    /// The seed loop: clone the carry every tick, rebuild the inductive
+    /// and asynchronous programs every tick.
     fn run_cloning(&self, edb: &TemporalFacts, opts: &DedalusOptions) -> Result<Trace, EvalError> {
         let schema = self.schema(edb)?;
         let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -590,17 +587,13 @@ impl<'p> DedalusRuntime<'p> {
 
             // 2. deductive fixpoint
             let db = match &self.cached_deductive {
-                Some(p) => p.eval_with_mode(&base, EvalStrategy::SemiNaive, JoinMode::Scan)?,
-                None => Self::build(self.program, DTime::Same, now)?.eval_with_mode(
-                    &base,
-                    EvalStrategy::SemiNaive,
-                    JoinMode::Scan,
-                )?,
+                Some(p) => p.eval(&base)?,
+                None => Self::build(self.program, DTime::Same, now)?.eval(&base)?,
             };
 
             // 3. inductive rules → carry to now+1
             let inductive = Self::build(self.program, DTime::Next, now)?;
-            let step = inductive.tp_step_with_mode(&db, JoinMode::Scan)?;
+            let step = inductive.tp_step(&db)?;
             let mut next_carry = Instance::empty(schema.clone());
             for f in step.facts() {
                 if self.program.signature().contains(f.rel()) {
@@ -610,7 +603,7 @@ impl<'p> DedalusRuntime<'p> {
 
             // 4. async rules → pending deliveries
             let async_p = Self::build(self.program, DTime::Async, now)?;
-            let astep = async_p.tp_step_with_mode(&db, JoinMode::Scan)?;
+            let astep = async_p.tp_step(&db)?;
             schedule_async(
                 astep
                     .facts()

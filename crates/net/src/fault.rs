@@ -63,6 +63,33 @@ impl SendFate {
     pub fn is_prompt_single(&self) -> bool {
         self.delays.len() == 1 && self.delays[0] == 0
     }
+
+    /// Record this fate of one copy sent `src → dst` in the trace: a
+    /// `net:fault.drop` instant for a drop, a `net:fault.fate` instant
+    /// for a delay or duplication, nothing for prompt delivery. The
+    /// round executors call this at their merge barrier, so every
+    /// executor leaves the same evidence for the same fault plan.
+    pub(crate) fn trace(&self, src: usize, dst: usize) {
+        if !rtx_obs::tracing() || self.is_prompt_single() {
+            return;
+        }
+        let (src, dst) = (src as i64, dst as i64);
+        if self.delays.is_empty() {
+            rtx_obs::trace::instant("net", "fault.drop", &[("node", src), ("dst", dst)]);
+        } else {
+            let max_delay = self.delays.iter().copied().max().unwrap_or(0) as i64;
+            rtx_obs::trace::instant(
+                "net",
+                "fault.fate",
+                &[
+                    ("node", src),
+                    ("dst", dst),
+                    ("copies", self.delays.len() as i64),
+                    ("max_delay", max_delay),
+                ],
+            );
+        }
+    }
 }
 
 /// A node's fault status for one scheduling unit.

@@ -777,30 +777,7 @@ fn drive(
                     Some(fh) => {
                         for (k, f) in res.sent.iter().enumerate() {
                             let fate = fh.on_send(now, idx, d, k, f);
-                            if rtx_obs::tracing() {
-                                match fate.delays.len() {
-                                    0 => trace::instant(
-                                        "net",
-                                        "fault.drop",
-                                        &[("node", idx as i64), ("dst", d as i64)],
-                                    ),
-                                    1 if fate.delays[0] == 0 => {}
-                                    _ => trace::instant(
-                                        "net",
-                                        "fault.fate",
-                                        &[
-                                            ("node", idx as i64),
-                                            ("dst", d as i64),
-                                            ("copies", fate.delays.len() as i64),
-                                            (
-                                                "max_delay",
-                                                fate.delays.iter().copied().max().unwrap_or(0)
-                                                    as i64,
-                                            ),
-                                        ],
-                                    ),
-                                }
-                            }
+                            fate.trace(idx, d);
                             for &delay in &fate.delays {
                                 if delay == 0 {
                                     buffers[d].push(f.clone());

@@ -370,6 +370,7 @@ fn drive_sparse(
                     Some(fh) => {
                         for (k, f) in res.sent.iter().enumerate() {
                             let fate = fh.on_send(now, idx, d, k, f);
+                            fate.trace(idx, d);
                             for &delay in &fate.delays {
                                 if delay == 0 {
                                     buffers[d].push(f.clone());

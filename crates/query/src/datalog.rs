@@ -1,18 +1,18 @@
 //! Datalog, stratified Datalog, and nonrecursive Datalog.
 //!
-//! Implements naive and semi-naive bottom-up evaluation with stratified
-//! negation. The immediate-consequence operator `T_P` is exposed
-//! separately because the paper's Theorem 6(5) builds an oblivious,
-//! inflationary transducer whose insertion queries apply `T_P` once per
-//! heartbeat.
+//! Implements semi-naive bottom-up evaluation with stratified negation,
+//! every rule firing running on the columnar [`Frame`] executor. The
+//! immediate-consequence operator `T_P` is exposed separately because
+//! the paper's Theorem 6(5) builds an oblivious, inflationary
+//! transducer whose insertion queries apply `T_P` once per heartbeat.
 
 use crate::error::EvalError;
 use crate::frame::Frame;
 use crate::incremental::FixpointStats;
-use crate::plan::{self, JoinMode};
+use crate::plan;
 use crate::query::Query;
-use crate::term::{Atom, Bindings, Term, Var};
-use rtx_relational::{Fact, Instance, RelName, Relation, Run, Schema, Tuple};
+use crate::term::{Atom, Term, Var};
+use rtx_relational::{Instance, RelName, Relation, Run, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -46,9 +46,8 @@ pub struct Rule {
     /// Join orders for the positive atoms (index 0: no atom pinned;
     /// index i+1: atom i pinned first, as when atom i joins the
     /// semi-naive delta). A pure function of `body`, computed lazily on
-    /// the first indexed evaluation and cached so the per-firing hot
-    /// path never replans — and so scan-only evaluations (the ablation
-    /// baseline) never pay for planning at all.
+    /// the first evaluation and cached so the per-firing hot path never
+    /// replans.
     plans: std::sync::OnceLock<Vec<Vec<usize>>>,
 }
 
@@ -144,86 +143,22 @@ impl Rule {
         self.body.iter().any(|l| matches!(l, Literal::Neg(_)))
     }
 
-    /// Evaluate the rule against `pos_db` for positive atoms and `neg_db`
-    /// for negated atoms (these differ under stratified semantics only in
-    /// that `neg_db` must already be complete). When `delta` is given as
-    /// `(index, relation)`, the positive atom at `index` is joined against
-    /// that delta relation instead of its `pos_db` relation (semi-naive
-    /// evaluation).
-    fn derive(
-        &self,
-        pos_db: &Instance,
-        neg_db: &Instance,
-        delta: Option<(usize, &Relation)>,
-        mode: JoinMode,
-        out: &mut Vec<Tuple>,
-    ) -> Result<(), EvalError> {
-        let envs = match mode {
-            JoinMode::Scan => self.join_positive_scan(pos_db, delta)?,
-            JoinMode::Indexed => self.join_positive_indexed(pos_db, delta)?,
-        };
-        if envs.is_empty() {
-            // A rule with no positive atoms still yields one empty
-            // binding; an empty vector here means some join failed.
-            return Ok(());
-        }
-        // filters
-        'env: for env in envs {
-            for l in &self.body {
-                match l {
-                    Literal::Pos(_) => {}
-                    Literal::Neg(a) => {
-                        let rel = neg_db.relation(&a.pred)?;
-                        let t = a.instantiate(&env).ok_or_else(|| EvalError::Unsafe {
-                            reason: format!("negated atom {a} unbound"),
-                        })?;
-                        if rel.contains(&t) {
-                            continue 'env;
-                        }
-                    }
-                    Literal::Diseq(x, y) => {
-                        let (vx, vy) = (x.resolve(&env), y.resolve(&env));
-                        match (vx, vy) {
-                            (Some(a), Some(b)) if a != b => {}
-                            (Some(_), Some(_)) => continue 'env,
-                            _ => {
-                                return Err(EvalError::Unsafe {
-                                    reason: "nonequality over unbound variable".into(),
-                                })
-                            }
-                        }
-                    }
-                }
-            }
-            let t = self
-                .head
-                .instantiate(&env)
-                .ok_or_else(|| EvalError::Unsafe {
-                    reason: "head unbound".into(),
-                })?;
-            out.push(t);
-        }
-        Ok(())
-    }
-
-    /// Columnar rule firing: the whole body — joins, stratified-negation
-    /// and nonequality filters, head projection — evaluated directly
-    /// over sorted runs via [`Frame`], returning the derived head facts
-    /// as a sorted, deduplicated [`Run`]. Returns `Ok(None)` when some
-    /// source relation is not columnar, in which case the caller must
-    /// take the generic [`Rule::derive`] path (that is exactly what the
-    /// `RTX_STORAGE=btree` oracle forces).
-    ///
-    /// `mode` keeps its meaning: `Scan` joins in original literal order
-    /// scanning every run row per binding; `Indexed` joins in planned
-    /// order probing run views on the bound columns.
+    /// One rule firing: the whole body — joins, stratified-negation and
+    /// nonequality filters, head projection — evaluated directly over
+    /// sorted runs via [`Frame`], returning the derived head facts as a
+    /// sorted, deduplicated [`Run`]. Positive atoms are read from
+    /// `pos_db` and negated atoms from `neg_db` (under stratified
+    /// semantics these differ only in that `neg_db` must already be
+    /// complete). When `delta` is given as `(index, relation)`, the
+    /// positive atom at `index` is joined against that delta relation
+    /// instead of its `pos_db` relation (semi-naive evaluation). Atoms
+    /// join in planned order, probing run views on the bound columns.
     fn derive_run(
         &self,
         pos_db: &Instance,
         neg_db: &Instance,
         delta: Option<(usize, &Relation)>,
-        mode: JoinMode,
-    ) -> Result<Option<Run>, EvalError> {
+    ) -> Result<Run, EvalError> {
         let atoms: Vec<&Atom> = self
             .body
             .iter()
@@ -254,36 +189,23 @@ impl Rule {
             };
             match src {
                 // Some atom's relation is empty: the conjunction is empty.
-                None => return Ok(Some(Run::empty(head_arity))),
-                Some(rel) => match rel.columnar_run() {
-                    None => return Ok(None),
-                    Some(run) => runs.push(run),
-                },
+                None => return Ok(Run::empty(head_arity)),
+                Some(rel) => runs.push(rel.columnar_run()),
             }
         }
         let mut neg_runs: Vec<Option<Arc<Run>>> = Vec::new();
         for l in &self.body {
             if let Literal::Neg(a) = l {
-                match plan::lookup(neg_db, a)? {
-                    None => neg_runs.push(None), // empty: filters nothing
-                    Some(rel) => match rel.columnar_run() {
-                        None => return Ok(None),
-                        Some(run) => neg_runs.push(Some(run)),
-                    },
-                }
+                // An empty negated relation filters nothing.
+                neg_runs.push(plan::lookup(neg_db, a)?.map(Relation::columnar_run));
             }
         }
 
-        let indexed = mode == JoinMode::Indexed;
-        let order: Vec<usize> = match mode {
-            JoinMode::Scan => (0..atoms.len()).collect(),
-            JoinMode::Indexed => self.plan(delta.map(|(i, _)| i)).to_vec(),
-        };
         let mut frame = Frame::unit();
-        for &i in &order {
-            frame = frame.join_atom(atoms[i], &runs[i], indexed);
+        for &i in self.plan(delta.map(|(i, _)| i)) {
+            frame = frame.join_atom(atoms[i], &runs[i]);
             if frame.is_empty() {
-                return Ok(Some(Run::empty(head_arity)));
+                return Ok(Run::empty(head_arity));
             }
         }
         let mut negs = neg_runs.iter();
@@ -299,124 +221,10 @@ impl Rule {
                 Literal::Diseq(x, y) => frame.retain_diseq(x, y)?,
             }
             if frame.is_empty() {
-                return Ok(Some(Run::empty(head_arity)));
+                return Ok(Run::empty(head_arity));
             }
         }
-        frame.project(&self.head.terms).map(Some)
-    }
-
-    /// One rule firing as a sorted run of head facts: the columnar
-    /// executor when every source is columnar, else the generic path
-    /// with its output sorted into a run.
-    fn derive_to_run(
-        &self,
-        pos_db: &Instance,
-        neg_db: &Instance,
-        delta: Option<(usize, &Relation)>,
-        mode: JoinMode,
-    ) -> Result<Run, EvalError> {
-        if let Some(run) = self.derive_run(pos_db, neg_db, delta, mode)? {
-            return Ok(run);
-        }
-        let mut tuples = Vec::new();
-        self.derive(pos_db, neg_db, delta, mode, &mut tuples)?;
-        tuples.sort_unstable();
-        tuples.dedup();
-        Ok(Run::from_sorted(self.head.arity(), tuples.iter()))
-    }
-
-    /// The seed join loop: original literal order, full-scan joins,
-    /// owned relation lookups. Kept verbatim as the `JoinMode::Scan`
-    /// baseline the benches and property tests measure against.
-    fn join_positive_scan(
-        &self,
-        pos_db: &Instance,
-        delta: Option<(usize, &Relation)>,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        let mut envs: Vec<Bindings> = vec![Bindings::new()];
-        let mut pos_index = 0usize;
-        for l in &self.body {
-            if let Literal::Pos(a) = l {
-                let owned;
-                let rel = match delta {
-                    Some((i, d)) if i == pos_index => d,
-                    _ => {
-                        owned = pos_db.relation(&a.pred)?;
-                        &owned
-                    }
-                };
-                if rel.arity() != a.arity() {
-                    return Err(EvalError::Rel(rtx_relational::RelError::ArityMismatch {
-                        rel: a.pred.clone(),
-                        expected: rel.arity(),
-                        found: a.arity(),
-                    }));
-                }
-                envs = a.join(rel, &envs);
-                if envs.is_empty() {
-                    return Ok(envs);
-                }
-                pos_index += 1;
-            }
-        }
-        Ok(envs)
-    }
-
-    /// The planned join loop: literals reordered by bound-variable
-    /// coverage (the delta atom, if any, pinned first), relations
-    /// borrowed so their cached indexes persist across firings, and
-    /// each step probing an index on the already-bound columns.
-    fn join_positive_indexed(
-        &self,
-        pos_db: &Instance,
-        delta: Option<(usize, &Relation)>,
-    ) -> Result<Vec<Bindings>, EvalError> {
-        let atoms: Vec<&Atom> = self
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Pos(a) => Some(a),
-                _ => None,
-            })
-            .collect();
-        if atoms.is_empty() {
-            return Ok(vec![Bindings::new()]);
-        }
-        let mut sources: Vec<Option<&Relation>> = Vec::with_capacity(atoms.len());
-        for (i, a) in atoms.iter().enumerate() {
-            let src = match delta {
-                Some((d, rel)) if d == i => {
-                    if rel.arity() != a.arity() {
-                        return Err(EvalError::Rel(rtx_relational::RelError::ArityMismatch {
-                            rel: a.pred.clone(),
-                            expected: rel.arity(),
-                            found: a.arity(),
-                        }));
-                    }
-                    if rel.is_empty() {
-                        None
-                    } else {
-                        Some(rel)
-                    }
-                }
-                _ => plan::lookup(pos_db, a)?,
-            };
-            sources.push(src);
-        }
-        if sources.iter().any(Option::is_none) {
-            // Some atom's relation is empty: the conjunction is empty.
-            return Ok(Vec::new());
-        }
-        let order = self.plan(delta.map(|(i, _)| i));
-        let mut envs: Vec<Bindings> = vec![Bindings::new()];
-        for &i in order {
-            let rel = sources[i].expect("checked non-empty above");
-            envs = atoms[i].join_indexed(rel, &envs);
-            if envs.is_empty() {
-                return Ok(envs);
-            }
-        }
-        Ok(envs)
+        frame.project(&self.head.terms)
     }
 
     fn count_pos(&self) -> usize {
@@ -451,15 +259,6 @@ impl fmt::Debug for Rule {
         }
         Ok(())
     }
-}
-
-/// Evaluation strategy for fixpoint computation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvalStrategy {
-    /// Re-derive everything each round.
-    Naive,
-    /// Join each rule against the per-round delta (default).
-    SemiNaive,
 }
 
 /// Disjoint sorted runs in decreasing size order — the fixpoint
@@ -733,24 +532,7 @@ impl Program {
     /// used as seeds — the distributed constructions store accumulated
     /// IDB facts in transducer memory between heartbeats.
     pub fn eval(&self, db: &Instance) -> Result<Instance, EvalError> {
-        self.eval_with(db, EvalStrategy::SemiNaive)
-    }
-
-    /// Evaluate with an explicit strategy (naive kept for the ablation
-    /// benchmark).
-    pub fn eval_with(&self, db: &Instance, strategy: EvalStrategy) -> Result<Instance, EvalError> {
-        self.eval_with_mode(db, strategy, JoinMode::default())
-    }
-
-    /// Evaluate with explicit strategy *and* join mode (the scan mode is
-    /// the measurable baseline for the indexed-join ablation).
-    pub fn eval_with_mode(
-        &self,
-        db: &Instance,
-        strategy: EvalStrategy,
-        mode: JoinMode,
-    ) -> Result<Instance, EvalError> {
-        Ok(self.eval_counted(db, strategy, mode)?.0)
+        Ok(self.eval_with_stats(db)?.0)
     }
 
     /// Evaluate like [`Program::eval`], also returning a
@@ -761,15 +543,6 @@ impl Program {
     /// suite and `exp_magic` prove a demand-driven evaluation derived
     /// strictly less than full materialization.
     pub fn eval_with_stats(&self, db: &Instance) -> Result<(Instance, FixpointStats), EvalError> {
-        self.eval_counted(db, EvalStrategy::SemiNaive, JoinMode::default())
-    }
-
-    fn eval_counted(
-        &self,
-        db: &Instance,
-        strategy: EvalStrategy,
-        mode: JoinMode,
-    ) -> Result<(Instance, FixpointStats), EvalError> {
         // Seed the fixpoint with the database re-housed under the
         // working schema — a structural copy, not a fact-by-fact
         // rebuild (this runs once per Dedalus tick).
@@ -793,24 +566,7 @@ impl Program {
                 &[("stratum", si as i64), ("rules", rules.len() as i64)],
             );
             let mut tally = StratumTally::default();
-            // The run-based fixpoint loops dedup and fold derived
-            // facts with galloping run merges; the btree engine keeps
-            // the original fact-at-a-time loops as the oracle.
-            let columnar = total.mode().uses_runs();
-            match (strategy, columnar) {
-                (EvalStrategy::Naive, true) => {
-                    self.run_naive_runs(&rules, &mut total, mode, &mut tally)?
-                }
-                (EvalStrategy::Naive, false) => {
-                    self.run_naive(&rules, &mut total, mode, &mut tally)?
-                }
-                (EvalStrategy::SemiNaive, true) => {
-                    self.run_seminaive_runs(&rules, stratum, &mut total, mode, &mut tally)?
-                }
-                (EvalStrategy::SemiNaive, false) => {
-                    self.run_seminaive(&rules, stratum, &mut total, mode, &mut tally)?
-                }
-            }
+            self.run_seminaive(&rules, stratum, &mut total, &mut tally)?;
             if rtx_obs::tracing() {
                 rtx_obs::event!(
                     "query",
@@ -840,148 +596,11 @@ impl Program {
             .all(|(name, arity)| db.schema().arity(name) == Some(arity))
     }
 
-    fn run_naive(
-        &self,
-        rules: &[&Rule],
-        total: &mut Instance,
-        mode: JoinMode,
-        tally: &mut StratumTally,
-    ) -> Result<(), EvalError> {
-        loop {
-            let mut derived = Vec::new();
-            for r in rules {
-                let mut tuples = Vec::new();
-                r.derive(total, total, None, mode, &mut tuples)?;
-                for t in tuples {
-                    derived.push((r.head.pred.clone(), t));
-                }
-            }
-            tally.considered += derived.len() as u64;
-            let mut changed = false;
-            for (p, t) in derived {
-                if total.insert_fact(Fact::new(p, t))? {
-                    tally.derived += 1;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return Ok(());
-            }
-        }
-    }
-
-    fn run_seminaive(
-        &self,
-        rules: &[&Rule],
-        stratum: &BTreeSet<RelName>,
-        total: &mut Instance,
-        mode: JoinMode,
-        tally: &mut StratumTally,
-    ) -> Result<(), EvalError> {
-        // Per-round deltas are first-class relations keyed by predicate,
-        // not whole instances: each rule joins one atom directly against
-        // its (small) delta relation.
-        let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
-        let push =
-            |map: &mut BTreeMap<RelName, Relation>, pred: &RelName, arity: usize, t: Tuple| {
-                map.entry(pred.clone())
-                    .or_insert_with(|| Relation::empty(arity))
-                    .insert(t)
-                    .expect("head tuple arity matches head predicate")
-            };
-        // Round 0: full evaluation (covers rules without stratum-IDB in
-        // the body, and seeds the delta).
-        for r in rules {
-            let mut tuples = Vec::new();
-            r.derive(total, total, None, mode, &mut tuples)?;
-            tally.considered += tuples.len() as u64;
-            for t in tuples {
-                if !total.contains_fact(&Fact::new(r.head.pred.clone(), t.clone())) {
-                    push(&mut delta, &r.head.pred, r.head.arity(), t);
-                }
-            }
-        }
-        while !delta.is_empty() {
-            for (p, rel) in &delta {
-                for t in rel.iter() {
-                    if total.insert_fact(Fact::new(p.clone(), t.clone()))? {
-                        tally.derived += 1;
-                    }
-                }
-            }
-            let mut next: BTreeMap<RelName, Relation> = BTreeMap::new();
-            for r in rules {
-                for i in 0..r.count_pos() {
-                    let pred = r.pos_pred(i).expect("index within positive atoms");
-                    if !stratum.contains(pred) {
-                        continue;
-                    }
-                    let Some(drel) = delta.get(pred) else {
-                        continue; // nothing new for this atom this round
-                    };
-                    let mut tuples = Vec::new();
-                    r.derive(total, total, Some((i, drel)), mode, &mut tuples)?;
-                    tally.considered += tuples.len() as u64;
-                    for t in tuples {
-                        let f = Fact::new(r.head.pred.clone(), t.clone());
-                        let fresh = !total.contains_fact(&f)
-                            && next.get(&r.head.pred).is_none_or(|rel| !rel.contains(&t));
-                        if fresh {
-                            push(&mut next, &r.head.pred, r.head.arity(), t);
-                        }
-                    }
-                }
-            }
-            delta = next;
-        }
-        Ok(())
-    }
-
     /// Derived facts of one firing not already in `total`'s relation.
     fn fresh_against(total: &Instance, pred: &RelName, derived: Run) -> Run {
         match total.relation_ref(pred) {
             None => derived,
-            Some(rel) => match rel.columnar_run() {
-                Some(t) => derived.difference(&t),
-                None => {
-                    // Mixed-mode instance: fall back to per-row checks.
-                    let keep: Vec<Tuple> = derived
-                        .rows()
-                        .iter()
-                        .filter(|t| !rel.contains(t))
-                        .cloned()
-                        .collect();
-                    Run::from_sorted(derived.arity(), keep.iter())
-                }
-            },
-        }
-    }
-
-    /// Naive fixpoint over runs: each round derives every rule into a
-    /// run and folds the union into `total` with run merges.
-    fn run_naive_runs(
-        &self,
-        rules: &[&Rule],
-        total: &mut Instance,
-        mode: JoinMode,
-        tally: &mut StratumTally,
-    ) -> Result<(), EvalError> {
-        loop {
-            let mut derived: Vec<(&RelName, Run)> = Vec::with_capacity(rules.len());
-            for r in rules {
-                let run = r.derive_to_run(total, total, None, mode)?;
-                tally.considered += run.len() as u64;
-                derived.push((&r.head.pred, run));
-            }
-            let mut changed = false;
-            for (p, run) in derived {
-                let grown = total.absorb_run(p, &run)?;
-                tally.derived += grown as u64;
-                changed |= grown > 0;
-            }
-            if !changed {
-                return Ok(());
-            }
+            Some(rel) => derived.difference(&rel.columnar_run()),
         }
     }
 
@@ -993,12 +612,11 @@ impl Program {
     /// end). Linear-recursive programs like transitive closure never
     /// re-read the recursive predicate outside the delta position, so
     /// they skip the O(|total|) per-round rebuild entirely.
-    fn run_seminaive_runs(
+    fn run_seminaive(
         &self,
         rules: &[&Rule],
         stratum: &BTreeSet<RelName>,
         total: &mut Instance,
-        mode: JoinMode,
         tally: &mut StratumTally,
     ) -> Result<(), EvalError> {
         let push = |map: &mut BTreeMap<RelName, Relation>, pred: &RelName, fresh: &Run| {
@@ -1032,7 +650,7 @@ impl Program {
         // the body, and seeds the delta).
         let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
         for r in rules {
-            let derived = r.derive_to_run(total, total, None, mode)?;
+            let derived = r.derive_run(total, total, None)?;
             tally.considered += derived.len() as u64;
             let fresh = fresh_of(total, &pending, &r.head.pred, derived);
             tally.derived += fresh.len() as u64;
@@ -1063,7 +681,7 @@ impl Program {
                             }
                         }
                     }
-                    let derived = r.derive_to_run(total, total, Some((i, drel)), mode)?;
+                    let derived = r.derive_run(total, total, Some((i, drel)))?;
                     tally.considered += derived.len() as u64;
                     if derived.is_empty() {
                         continue;
@@ -1090,12 +708,11 @@ impl Program {
     /// Negation is evaluated against `db` as given — callers are
     /// responsible for only using `T_P` with semipositive programs (the
     /// paper's Theorem 6(5) uses pure Datalog, with no negation at all).
+    ///
+    /// Under [`rtx_obs::counting`] the step adds to the same
+    /// `query.considered` / `query.derived` counters as [`Program::eval`]:
+    /// the facts the firings produce, and the distinct facts returned.
     pub fn tp_step(&self, db: &Instance) -> Result<Instance, EvalError> {
-        self.tp_step_with_mode(db, JoinMode::default())
-    }
-
-    /// [`Program::tp_step`] with an explicit join mode.
-    pub fn tp_step_with_mode(&self, db: &Instance, mode: JoinMode) -> Result<Instance, EvalError> {
         // Fast path: when the database schema already covers the
         // program signature, evaluate against `db` directly instead of
         // materializing a widened copy (this runs twice per Dedalus
@@ -1109,19 +726,15 @@ impl Program {
             (&widened_owned, schema)
         };
         let mut out = Instance::empty(schema);
-        if widened.mode().uses_runs() {
-            for r in &self.rules {
-                let run = r.derive_to_run(widened, widened, None, mode)?;
-                out.absorb_run(&r.head.pred, &run)?;
-            }
-        } else {
-            for r in &self.rules {
-                let mut tuples = Vec::new();
-                r.derive(widened, widened, None, mode, &mut tuples)?;
-                for t in tuples {
-                    out.insert_fact(Fact::new(r.head.pred.clone(), t))?;
-                }
-            }
+        let (mut considered, mut derived) = (0u64, 0u64);
+        for r in &self.rules {
+            let run = r.derive_run(widened, widened, None)?;
+            considered += run.len() as u64;
+            derived += out.absorb_run(&r.head.pred, &run)? as u64;
+        }
+        if rtx_obs::counting() {
+            rtx_obs::registry::add("query.considered", considered);
+            rtx_obs::registry::add("query.derived", derived);
         }
         Ok(out)
     }
@@ -1146,8 +759,6 @@ pub struct DatalogQuery {
     program: Program,
     output: RelName,
     arity: usize,
-    strategy: EvalStrategy,
-    join_mode: JoinMode,
 }
 
 impl DatalogQuery {
@@ -1163,21 +774,7 @@ impl DatalogQuery {
             program,
             output,
             arity,
-            strategy: EvalStrategy::SemiNaive,
-            join_mode: JoinMode::default(),
         })
-    }
-
-    /// Select an evaluation strategy (ablation hook).
-    pub fn with_strategy(mut self, strategy: EvalStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Select a join mode (ablation hook; defaults to indexed).
-    pub fn with_join_mode(mut self, mode: JoinMode) -> Self {
-        self.join_mode = mode;
-        self
     }
 
     /// The underlying program.
@@ -1197,9 +794,7 @@ impl Query for DatalogQuery {
     }
 
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
-        let result = self
-            .program
-            .eval_with_mode(db, self.strategy, self.join_mode)?;
+        let result = self.program.eval(db)?;
         Ok(result.relation(&self.output)?)
     }
 
@@ -1330,21 +925,6 @@ mod tests {
         let q = DatalogQuery::new(tc_program(), "T").unwrap();
         let out = q.eval(&db).unwrap();
         assert_eq!(out.len(), 4); // all pairs over {1,2}
-    }
-
-    #[test]
-    fn naive_equals_seminaive() {
-        let db = edges(&[(1, 2), (2, 3), (3, 1), (3, 5), (5, 6)]);
-        let semi = DatalogQuery::new(tc_program(), "T")
-            .unwrap()
-            .eval(&db)
-            .unwrap();
-        let naive = DatalogQuery::new(tc_program(), "T")
-            .unwrap()
-            .with_strategy(EvalStrategy::Naive)
-            .eval(&db)
-            .unwrap();
-        assert_eq!(semi, naive);
     }
 
     #[test]

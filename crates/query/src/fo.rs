@@ -14,7 +14,6 @@
 //! conjunctive) fast, while still supporting full FO.
 
 use crate::error::EvalError;
-use crate::plan::JoinMode;
 use crate::query::Query;
 use crate::term::{Atom, Bindings, Term, Var};
 use rtx_relational::{Instance, RelName, Relation, Tuple, Value};
@@ -336,7 +335,6 @@ impl fmt::Display for Formula {
 pub struct FoQuery {
     head: Vec<Var>,
     formula: Formula,
-    join_mode: JoinMode,
 }
 
 impl FoQuery {
@@ -355,23 +353,12 @@ impl FoQuery {
                 });
             }
         }
-        Ok(FoQuery {
-            head,
-            formula,
-            join_mode: JoinMode::default(),
-        })
+        Ok(FoQuery { head, formula })
     }
 
     /// A boolean (nullary) query; the formula must be a sentence.
     pub fn sentence(formula: Formula) -> Result<Self, EvalError> {
         FoQuery::new(Vec::<Var>::new(), formula)
-    }
-
-    /// Select a join mode for the generator phase (ablation hook;
-    /// defaults to indexed).
-    pub fn with_join_mode(mut self, mode: JoinMode) -> Self {
-        self.join_mode = mode;
-        self
     }
 
     /// The head variables.
@@ -475,15 +462,11 @@ impl Query for FoQuery {
                 let Some(rel) = crate::plan::lookup(db, a)? else {
                     return Ok(Relation::empty(self.head.len()));
                 };
-                match rel.columnar_run() {
-                    None => break 'frame, // btree source: generic path
-                    Some(run) => runs.push(run),
-                }
+                runs.push(rel.columnar_run());
             }
-            let indexed = self.join_mode == JoinMode::Indexed;
             let mut frame = crate::frame::Frame::unit();
             for (a, run) in generators.iter().zip(&runs) {
-                frame = frame.join_atom(a, run, indexed);
+                frame = frame.join_atom(a, run);
                 if frame.is_empty() {
                     return Ok(Relation::empty(self.head.len()));
                 }
@@ -500,10 +483,7 @@ impl Query for FoQuery {
             let Some(rel) = crate::plan::lookup(db, a)? else {
                 return Ok(Relation::empty(self.head.len()));
             };
-            envs = match self.join_mode {
-                JoinMode::Scan => a.join(rel, &envs),
-                JoinMode::Indexed => a.join_indexed(rel, &envs),
-            };
+            envs = a.join_indexed(rel, &envs);
             if envs.is_empty() {
                 return Ok(Relation::empty(self.head.len()));
             }
@@ -868,9 +848,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert!(out.contains(&tuple![1, 3]));
         assert!(out.contains(&tuple![1, 4]));
-        // and with the scan mode (the results must not depend on it)
-        let scan = q.with_join_mode(JoinMode::Scan).eval(&db).unwrap();
-        assert_eq!(out, scan);
     }
 
     #[test]

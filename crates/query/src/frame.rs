@@ -4,25 +4,24 @@
 //! A [`Frame`] is the columnar counterpart of a `Vec<Bindings>`: one
 //! flat `Vec<Vid>` per bound variable, all the same length. Joining an
 //! atom appends matching rows by copying packed `u32` ids — no
-//! `Bindings` clone, no `Tuple` materialization, no tree insert —
-//! either by scanning the relation's run (the seed-order scan mode) or
-//! by probing a run view for the row range matching the bound columns
-//! (the indexed mode). Head projection gathers variable columns into a
-//! fresh [`Run`], so a rule firing goes from stored runs to a derived
-//! run without ever leaving the interned-id domain.
+//! `Bindings` clone, no `Tuple` materialization, no tree insert — by
+//! probing a run view for the row range matching the bound columns (or
+//! scanning the run, when it is tiny or nothing is bound). Head
+//! projection gathers variable columns into a fresh [`Run`], so a rule
+//! firing goes from stored runs to a derived run without ever leaving
+//! the interned-id domain.
 //!
-//! The executor only runs when every source relation is columnar;
-//! engines fall back to the generic `Bindings` path otherwise (which is
-//! exactly what `RTX_STORAGE=btree` forces, keeping the btree engine a
-//! full-pipeline oracle).
+//! Every relation hands out its sorted run
+//! (`rtx_relational::Relation::columnar_run`), so the Datalog, FO and
+//! incremental engines all run their joins here.
 
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
 use rtx_relational::{Run, Tuple, Value, Vid};
 use std::sync::Arc;
 
-/// Relations this small are joined by scan even in indexed mode — same
-/// policy as `Atom::join_indexed`.
+/// Relations this small are joined by scan rather than a view probe —
+/// same policy as `Atom::join_indexed`.
 const SCAN_THRESHOLD: usize = 16;
 
 /// How one atom position relates to the frame being joined.
@@ -99,12 +98,12 @@ impl Frame {
 
     /// Join the atom against `run`, appending fresh-variable columns.
     ///
-    /// `indexed` selects the access path: a cached run view probed on
-    /// the constant/bound columns, or a full scan of the run per
-    /// binding (the seed baseline). Both enumerate candidate rows in
-    /// run (scan) order, so the output row order — and therefore
-    /// everything downstream — is identical.
-    pub(crate) fn join_atom(&self, atom: &Atom, run: &Arc<Run>, indexed: bool) -> Frame {
+    /// The access path is a cached run view probed on the
+    /// constant/bound columns, or a full scan of the run per binding
+    /// when no column is bound or the run is tiny. Both enumerate
+    /// candidate rows in run (scan) order, so the output row order —
+    /// and therefore everything downstream — is the same either way.
+    pub(crate) fn join_atom(&self, atom: &Atom, run: &Arc<Run>) -> Frame {
         let (slots, fresh) = self.slots(atom);
         // First unconstrained atom against a unit frame: the result is
         // the run's columns verbatim — copy them wholesale.
@@ -127,7 +126,7 @@ impl Frame {
             .filter(|(_, s)| matches!(s, Slot::Const(_) | Slot::Bound(_)))
             .map(|(p, _)| p)
             .collect();
-        let use_probe = indexed && !key_cols.is_empty() && run.len() > SCAN_THRESHOLD;
+        let use_probe = !key_cols.is_empty() && run.len() > SCAN_THRESHOLD;
         let view = use_probe.then(|| run.view(&key_cols));
         let mut key: Vec<Vid> = Vec::with_capacity(key_cols.len());
 
@@ -173,10 +172,7 @@ impl Frame {
                             _ => unreachable!("key columns are const or bound"),
                         });
                     }
-                    let hits = view
-                        .probe_rows(&key)
-                        .expect("columnar runs build view indexes");
-                    for ri in hits {
+                    for ri in view.probe_rows(&key) {
                         if verify(fi, ri, true) {
                             emit(&mut out_cols, fi, ri);
                             out_rows += 1;
@@ -352,17 +348,13 @@ mod tests {
 
     fn run_of(tuples: &[Tuple]) -> Arc<Run> {
         let arity = tuples.first().map(|t| t.arity()).unwrap_or(0);
-        Relation::from_tuples_in(
-            rtx_relational::StorageMode::Columnar,
-            arity,
-            tuples.iter().cloned(),
-        )
-        .unwrap()
-        .columnar_run()
-        .unwrap()
+        Relation::from_tuples(arity, tuples.iter().cloned())
+            .unwrap()
+            .columnar_run()
     }
 
-    /// The generic-path answer for the same join, as an oracle.
+    /// The `Bindings` answer for the same join, as an oracle: scanning
+    /// joins (`Atom::join`) or index-probing ones (`Atom::join_indexed`).
     fn generic_join(atoms: &[Atom], runs: &[Arc<Run>], indexed: bool) -> Vec<Bindings> {
         let mut envs = vec![Bindings::new()];
         for (a, r) in atoms.iter().zip(runs) {
@@ -376,10 +368,10 @@ mod tests {
         envs
     }
 
-    fn frame_join(atoms: &[Atom], runs: &[Arc<Run>], indexed: bool) -> Frame {
+    fn frame_join(atoms: &[Atom], runs: &[Arc<Run>]) -> Frame {
         let mut f = Frame::unit();
         for (a, r) in atoms.iter().zip(runs) {
-            f = f.join_atom(a, r, indexed);
+            f = f.join_atom(a, r);
         }
         f
     }
@@ -389,8 +381,8 @@ mod tests {
         let e = run_of(&(0..40i64).map(|i| tuple![i, i + 1]).collect::<Vec<_>>());
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
         let runs = [Arc::clone(&e), e];
+        let f = frame_join(&atoms, &runs);
         for indexed in [false, true] {
-            let f = frame_join(&atoms, &runs, indexed);
             let envs = generic_join(&atoms, &runs, indexed);
             assert_eq!(f.rows(), envs.len());
             let head = [Term::var("X"), Term::var("Z")];
@@ -409,17 +401,21 @@ mod tests {
 
     #[test]
     fn constants_and_repeated_vars() {
-        let r = run_of(&[
+        let rows = [
             tuple![1, 1, 2],
             tuple![1, 2, 2],
             tuple![1, 2, 3],
             tuple![2, 2, 2],
-        ]);
-        // R(1, X, X): constant first column, repeated fresh variable.
+        ];
+        // R(1, X, X): constant first column, repeated fresh variable —
+        // on a tiny run (scanned) and one past the scan threshold
+        // (probed).
+        let mut big: Vec<Tuple> = rows.to_vec();
+        big.extend((0..2 * SCAN_THRESHOLD as i64).map(|i| tuple![9, i, i + 1]));
         let a = atom!("R"; 1, @"X", @"X");
-        for indexed in [false, true] {
-            let f = Frame::unit().join_atom(&a, &r, indexed);
-            assert_eq!(f.rows(), 1, "indexed={indexed}");
+        for run in [run_of(&rows), run_of(&big)] {
+            let f = Frame::unit().join_atom(&a, &run);
+            assert_eq!(f.rows(), 1, "run of {}", run.len());
             assert_eq!(f.tuple_at(&[Term::var("X")], 0), tuple![2]);
         }
     }
@@ -430,10 +426,13 @@ mod tests {
         let s = run_of(&(0..5i64).map(|i| tuple![i, i * 10]).collect::<Vec<_>>());
         let atoms = [atom!("S"; @"A", @"B"), atom!("E"; @"A", @"C")];
         let runs = [s, e];
-        let scan = frame_join(&atoms, &runs, false);
-        let probe = frame_join(&atoms, &runs, true);
+        let probe = frame_join(&atoms, &runs);
+        let scan = generic_join(&atoms, &runs, false);
         let head = [Term::var("A"), Term::var("B"), Term::var("C")];
-        let a: Vec<Tuple> = (0..scan.rows()).map(|r| scan.tuple_at(&head, r)).collect();
+        let a: Vec<Tuple> = scan
+            .iter()
+            .map(|e| head.iter().map(|t| t.resolve(e).unwrap()).collect())
+            .collect();
         let b: Vec<Tuple> = (0..probe.rows())
             .map(|r| probe.tuple_at(&head, r))
             .collect();
@@ -445,7 +444,7 @@ mod tests {
     fn filters_and_projection() {
         let e = run_of(&[tuple![1, 1], tuple![1, 2], tuple![2, 3], tuple![3, 3]]);
         let s = run_of(&[tuple![2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e, true);
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e);
         // X ≠ Y drops (1,1) and (3,3)
         f.retain_diseq(&Term::var("X"), &Term::var("Y")).unwrap();
         assert_eq!(f.rows(), 2);
@@ -466,7 +465,7 @@ mod tests {
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
         let mut f = Frame::unit();
         for a in &atoms {
-            f = f.join_atom(a, &e, true);
+            f = f.join_atom(a, &e);
         }
         let counts = f.project_counts(&[Term::var("X"), Term::var("Z")]).unwrap();
         assert_eq!(counts, vec![(tuple![1, 4], 2)]);
@@ -480,7 +479,7 @@ mod tests {
     #[test]
     fn unbound_filter_vars_error() {
         let e = run_of(&[tuple![1, 2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e, true);
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e);
         assert!(f.retain_diseq(&Term::var("X"), &Term::var("Q")).is_err());
         assert!(f.retain_not_in(&atom!("S"; @"Q"), &e).is_err());
         assert!(f.project(&[Term::var("Q")]).is_err());

@@ -983,7 +983,7 @@ fn positive_atoms(rule: &Rule) -> Vec<&Atom> {
 }
 
 /// Check a complete binding against the rule's negated atoms and
-/// nonequalities (mirrors the filters of `Rule::derive`).
+/// nonequalities (the filters [`frame_count`] applies column-wise).
 fn passes_filters(rule: &Rule, env: &Bindings, neg_db: &Instance) -> Result<bool, EvalError> {
     for l in rule.body() {
         match l {
@@ -1008,31 +1008,6 @@ fn passes_filters(rule: &Rule, env: &Bindings, neg_db: &Instance) -> Result<bool
         }
     }
     Ok(true)
-}
-
-/// Accumulate the head-tuple counts of the surviving bindings.
-fn collect_heads(
-    rule: &Rule,
-    envs: &[Bindings],
-    neg_db: &Instance,
-    out: &mut HeadCounts,
-) -> Result<(), EvalError> {
-    for env in envs {
-        if !passes_filters(rule, env, neg_db)? {
-            continue;
-        }
-        let t = rule
-            .head()
-            .instantiate(env)
-            .ok_or_else(|| EvalError::Unsafe {
-                reason: "head unbound".into(),
-            })?;
-        *out.entry(rule.head().pred.clone())
-            .or_default()
-            .entry(t)
-            .or_insert(0) += 1;
-    }
-    Ok(())
 }
 
 /// Build support counts from scratch for the heads of `rules` over
@@ -1070,37 +1045,22 @@ fn recount_into(
 /// Count every firing of `rule` over `db` (initialization / rebuild).
 fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Result<(), EvalError> {
     let atoms = positive_atoms(rule);
-    let mut envs = vec![Bindings::new()];
-    if !atoms.is_empty() {
-        let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-        for a in &atoms {
-            match db.relation_ref(&a.pred) {
-                Some(r) if !r.is_empty() => srcs.push(r),
-                _ => return Ok(()), // some body relation is empty
-            }
-        }
-        if frame_count(rule, &atoms, &srcs, None, db, out)? {
-            return Ok(());
-        }
-        for &k in &plan_order(&atoms, None) {
-            envs = atoms[k].join_indexed(srcs[k], &envs);
-            if envs.is_empty() {
-                return Ok(());
-            }
+    let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
+    for a in &atoms {
+        match db.relation_ref(&a.pred) {
+            Some(r) if !r.is_empty() => srcs.push(r),
+            _ => return Ok(()), // some body relation is empty
         }
     }
-    collect_heads(rule, &envs, db, out)
+    frame_count(rule, &atoms, &srcs, None, db, out)
 }
 
-/// Columnar fast path shared by [`expansion`] and
+/// The firing counter shared by [`expansion`] and
 /// [`count_rule_firings`]: join the positive atoms directly over their
 /// sorted runs with the [`Frame`] executor (probing run ranges, never
 /// materializing a `Tuple` or `Bindings` per candidate), apply the
 /// rule's negation / nonequality filters column-wise, and count the
-/// surviving firings per head tuple. Returns `Ok(false)` when any
-/// source (or negated relation) is not columnar — the caller falls
-/// back to the generic `Bindings` path, which is exactly what the
-/// `RTX_STORAGE=btree` oracle forces.
+/// surviving firings per head tuple.
 fn frame_count(
     rule: &Rule,
     atoms: &[&Atom],
@@ -1108,34 +1068,30 @@ fn frame_count(
     pinned: Option<usize>,
     neg_db: &Instance,
     out: &mut HeadCounts,
-) -> Result<bool, EvalError> {
-    let mut runs: Vec<Arc<Run>> = Vec::with_capacity(srcs.len());
-    for r in srcs {
-        match r.columnar_run() {
-            Some(run) => runs.push(run),
-            None => return Ok(false),
-        }
-    }
-    // Negated relations must be columnar too (a missing one filters
-    // nothing, modeled as an empty run so unbound-variable errors stay
-    // identical to the generic path).
-    let mut negs: Vec<(&Atom, Arc<Run>)> = Vec::new();
-    for l in rule.body() {
-        if let Literal::Neg(a) = l {
-            match neg_db.relation_ref(&a.pred) {
-                None => negs.push((a, Arc::new(Run::empty(a.terms.len())))),
-                Some(rel) => match rel.columnar_run() {
-                    Some(run) => negs.push((a, run)),
-                    None => return Ok(false),
-                },
-            }
-        }
-    }
+) -> Result<(), EvalError> {
+    let runs: Vec<Arc<Run>> = srcs.iter().map(|r| r.columnar_run()).collect();
+    // A missing negated relation filters nothing, modeled as an empty
+    // run so unbound-variable errors are raised all the same.
+    let negs: Vec<(&Atom, Arc<Run>)> = rule
+        .body()
+        .iter()
+        .filter_map(|l| match l {
+            Literal::Neg(a) => Some(a),
+            _ => None,
+        })
+        .map(|a| {
+            let run = match neg_db.relation_ref(&a.pred) {
+                None => Arc::new(Run::empty(a.terms.len())),
+                Some(rel) => rel.columnar_run(),
+            };
+            (a, run)
+        })
+        .collect();
     let mut frame = Frame::unit();
     for &k in &plan_order(atoms, pinned) {
-        frame = frame.join_atom(atoms[k], &runs[k], true);
+        frame = frame.join_atom(atoms[k], &runs[k]);
         if frame.is_empty() {
-            return Ok(true);
+            return Ok(());
         }
     }
     for l in rule.body() {
@@ -1147,14 +1103,14 @@ fn frame_count(
         frame.retain_not_in(a, run)?;
     }
     if frame.is_empty() {
-        return Ok(true);
+        return Ok(());
     }
     let head = rule.head();
     let slot = out.entry(head.pred.clone()).or_default();
     for (t, k) in frame.project_counts(&head.terms)? {
         *slot.entry(t).or_insert(0) += k;
     }
-    Ok(true)
+    Ok(())
 }
 
 /// The mixed semi-naive expansion for one elementary step of predicate
@@ -1230,20 +1186,7 @@ fn expansion(
             if dead {
                 continue;
             }
-            if frame_count(rule, &atoms, &srcs, Some(i), total, out)? {
-                continue;
-            }
-            let mut envs = vec![Bindings::new()];
-            for &k in &plan_order(&atoms, Some(i)) {
-                envs = atoms[k].join_indexed(srcs[k], &envs);
-                if envs.is_empty() {
-                    break;
-                }
-            }
-            if envs.is_empty() {
-                continue;
-            }
-            collect_heads(rule, &envs, total, out)?;
+            frame_count(rule, &atoms, &srcs, Some(i), total, out)?;
         }
     }
     Ok(())

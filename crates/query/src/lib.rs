@@ -7,7 +7,7 @@
 //!   default transducer language);
 //! * [`cq`] — conjunctive queries and UCQ¬ (Proposition 7,
 //!   Corollary 14(3));
-//! * [`datalog`] — Datalog with stratified negation, naive and semi-naive
+//! * [`datalog`] — Datalog with stratified negation, semi-naive
 //!   bottom-up evaluation, plus the immediate-consequence operator `T_P`
 //!   (Theorem 6(5));
 //! * [`while_lang`] — the *while* language (Lemma 5(3), Theorem 6(3,4));
@@ -40,13 +40,12 @@ pub mod while_lang;
 
 pub use combinator::{GatedQuery, UnionQuery};
 pub use cq::{CqBuilder, CqRule, UcqQuery};
-pub use datalog::{DatalogQuery, EvalStrategy, Literal, Program, Rule, TpQuery};
+pub use datalog::{DatalogQuery, Literal, Program, Rule, TpQuery};
 pub use error::EvalError;
 pub use fo::{FoQuery, Formula};
 pub use incremental::{FixpointStats, MaintainedFixpoint};
 pub use magic::{MagicQuery, QueryMode};
 pub use native::NativeQuery;
-pub use plan::JoinMode;
 pub use query::{CopyQuery, EmptyQuery, Query, QueryRef};
 pub use term::{Atom, Bindings, Term, Var};
 pub use view::ViewQuery;

@@ -223,7 +223,7 @@ impl MagicQuery {
             .filter(|t| self.pattern.match_tuple(t, &env).is_some())
             .cloned()
             .collect();
-        Ok(Relation::from_tuples_in(rel.mode(), rel.arity(), matching)?)
+        Ok(Relation::from_tuples(rel.arity(), matching)?)
     }
 
     /// A [`MaintainedFixpoint`] over the (rewritten) program,

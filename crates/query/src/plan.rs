@@ -1,7 +1,7 @@
-//! Join planning: literal ordering and the scan/indexed join ablation.
+//! Join planning: literal ordering and relation lookup.
 //!
 //! Every rule-based engine in this crate evaluates a conjunction of
-//! atoms left to right, threading a growing set of [`Bindings`]. Two
+//! atoms left to right, threading a growing set of bindings. Two
 //! choices dominate the cost of that loop:
 //!
 //! * **order** — later atoms should have as many columns as possible
@@ -9,25 +9,13 @@
 //! * **access path** — a bound-column probe against a cached secondary
 //!   [`rtx_relational::Index`] instead of a full scan.
 //!
-//! [`JoinMode::Indexed`] (the default) applies both; [`JoinMode::Scan`]
-//! preserves the original literal order and full-scan joins, kept as the
-//! measurable baseline for `bench_query`/`bench_dedalus` and as the
-//! oracle for the indexed ≡ scan property tests.
+//! [`plan_order`] chooses the order; the executors (the columnar
+//! `Frame` and `Atom::join_indexed`) always probe on the bound columns.
 
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, Relation};
 use std::collections::BTreeSet;
-
-/// How positive atoms are joined against their relations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum JoinMode {
-    /// Original literal order, full-relation scans (the seed behavior).
-    Scan,
-    /// Planned literal order, bound-column index probes.
-    #[default]
-    Indexed,
-}
 
 /// Order positive atoms greedily by bound-variable coverage.
 ///

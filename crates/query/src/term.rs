@@ -332,8 +332,8 @@ impl Atom {
         if envs.is_empty() || rel.is_empty() {
             return Vec::new();
         }
-        // For tiny relations a scan beats building (or even probing) a
-        // hash index; the cutover only changes the access path, never
+        // For tiny relations a scan beats building (or even probing) an
+        // index view; the cutover only changes the access path, never
         // the result.
         const SCAN_THRESHOLD: usize = 16;
         if rel.len() <= SCAN_THRESHOLD {

@@ -3,19 +3,15 @@
 //! An [`Index`] lets a join probe exactly the tuples matching the
 //! columns already bound instead of scanning the whole relation.
 //! Indexes are immutable snapshots; [`crate::Relation`] builds them
-//! lazily and caches them (per column subset, per storage generation),
-//! so holders of an `Arc<Index>` always see a consistent picture of the
+//! lazily and caches them (per column subset, per run generation), so
+//! holders of an `Arc<Index>` always see a consistent picture of the
 //! relation at build time.
 //!
-//! Two physical forms exist behind the one probe API:
-//!
-//! * **hash** — the classic side table grouping tuples by key values,
-//!   built for BTree-stored relations;
-//! * **view** — for columnar relations, a view into the sorted run:
-//!   when the key columns are a prefix of the column order the sorted
-//!   run *is* the index (a probe is a per-column binary search yielding
-//!   a contiguous row range, no side structure at all); otherwise the
-//!   view is a row-index permutation sorted by the key columns.
+//! An index is a view into a sorted run: when the key columns are a
+//! prefix of the column order the sorted run *is* the index (a probe is
+//! a per-column binary search yielding a contiguous row range, no side
+//! structure at all); otherwise the view is a row-index permutation
+//! sorted by the key columns.
 //!
 //! Either way a probe enumerates exactly the subsequence of a full scan
 //! that matches on the key columns — callers can switch between
@@ -26,12 +22,10 @@ use crate::intern::Vid;
 use crate::runs::RunData;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 enum Kind {
-    Hash(HashMap<Box<[Value]>, Vec<Tuple>>),
     Prefix(Arc<RunData>),
     Perm {
         data: Arc<RunData>,
@@ -42,31 +36,13 @@ enum Kind {
 /// An index on a subset of a relation's columns.
 ///
 /// Within each key group the tuples keep the relation's deterministic
-/// (sorted) iteration order, whatever the physical form.
+/// (sorted) iteration order, whatever the view's form.
 pub struct Index {
     cols: Box<[usize]>,
     kind: Kind,
 }
 
 impl Index {
-    /// Build a hash index on `cols` from tuples in relation iteration
-    /// order (the BTree storage path).
-    ///
-    /// Callers must have validated that every column is below the
-    /// relation arity; [`crate::Relation::index`] does.
-    pub(crate) fn build<'a>(cols: &[usize], tuples: impl Iterator<Item = &'a Tuple>) -> Self {
-        let cols: Box<[usize]> = cols.into();
-        let mut groups: HashMap<Box<[Value]>, Vec<Tuple>> = HashMap::new();
-        for t in tuples {
-            let key: Box<[Value]> = cols.iter().map(|&c| t.values()[c]).collect();
-            groups.entry(key).or_default().push(t.clone());
-        }
-        Index {
-            cols,
-            kind: Kind::Hash(groups),
-        }
-    }
-
     /// A prefix view: `cols == [0, 1, …, k-1]`, the run's own sort
     /// order is the index.
     pub(crate) fn view_prefix(cols: &[usize], data: Arc<RunData>) -> Self {
@@ -95,9 +71,6 @@ impl Index {
     pub fn probe(&self, key: &[Value]) -> ProbeHits<'_> {
         debug_assert_eq!(key.len(), self.cols.len());
         match &self.kind {
-            Kind::Hash(groups) => {
-                ProbeHits::Slice(groups.get(key).map(Vec::as_slice).unwrap_or(&[]))
-            }
             Kind::Prefix(data) => {
                 let k: Vec<Vid> = key.iter().map(Vid::from_value).collect();
                 let range = data.prefix_range(&k);
@@ -126,14 +99,12 @@ impl Index {
     }
 
     /// The matching *row indices* of the underlying run for an
-    /// interned key — the zero-materialization probe used by columnar
-    /// join executors. Returns `None` for hash indexes (the BTree
-    /// storage path), which have no run to index into.
-    pub fn probe_rows(&self, key: &[Vid]) -> Option<RowHits<'_>> {
+    /// interned key — the zero-materialization probe used by the
+    /// columnar join executor.
+    pub fn probe_rows(&self, key: &[Vid]) -> RowHits<'_> {
         debug_assert_eq!(key.len(), self.cols.len());
         match &self.kind {
-            Kind::Hash(_) => None,
-            Kind::Prefix(data) => Some(RowHits::Range(data.prefix_range(key))),
+            Kind::Prefix(data) => RowHits::Range(data.prefix_range(key)),
             Kind::Perm { data, perm } => {
                 let cmp = |r: u32| -> Ordering {
                     for (i, &c) in self.cols.iter().enumerate() {
@@ -146,7 +117,7 @@ impl Index {
                 };
                 let lo = perm.partition_point(|&r| cmp(r) == Ordering::Less);
                 let hi = perm[lo..].partition_point(|&r| cmp(r) == Ordering::Equal) + lo;
-                Some(RowHits::Rows(&perm[lo..hi]))
+                RowHits::Rows(&perm[lo..hi])
             }
         }
     }
@@ -154,7 +125,6 @@ impl Index {
     /// Number of distinct keys.
     pub fn key_count(&self) -> usize {
         match &self.kind {
-            Kind::Hash(groups) => groups.len(),
             Kind::Prefix(data) => {
                 let mut n = 0;
                 let mut prev: Option<usize> = None;
@@ -195,7 +165,6 @@ impl Index {
 impl fmt::Debug for Index {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let form = match &self.kind {
-            Kind::Hash(_) => "hash",
             Kind::Prefix(_) => "prefix-view",
             Kind::Perm { .. } => "perm-view",
         };
@@ -250,7 +219,7 @@ impl Iterator for RowHits<'_> {
 /// the relation's deterministic order.
 #[derive(Clone, Copy)]
 pub enum ProbeHits<'a> {
-    /// A contiguous slice of tuples (hash group or prefix-view range).
+    /// A contiguous slice of tuples (a prefix-view range).
     Slice(&'a [Tuple]),
     /// A permuted subset of a run's rows (general-column view).
     Perm {
@@ -334,12 +303,20 @@ impl<'a> ExactSizeIterator for ProbeIter<'a> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::Run;
     use crate::tuple;
+    use std::collections::BTreeSet;
+
+    /// A run over `tuples` (sorted and deduplicated first).
+    fn run_of(arity: usize, tuples: &[Tuple]) -> Run {
+        let set: BTreeSet<&Tuple> = tuples.iter().collect();
+        Run::from_sorted(arity, set.into_iter())
+    }
 
     #[test]
     fn build_and_probe() {
-        let tuples = [tuple![1, 2], tuple![1, 3], tuple![2, 3]];
-        let idx = Index::build(&[0], tuples.iter());
+        let run = run_of(2, &[tuple![1, 2], tuple![1, 3], tuple![2, 3]]);
+        let idx = run.view(&[0]);
         assert_eq!(idx.cols(), &[0]);
         assert_eq!(idx.key_count(), 2);
         assert_eq!(idx.probe(&[Value::int(1)]).len(), 2);
@@ -349,26 +326,28 @@ mod tests {
 
     #[test]
     fn probe_preserves_scan_order() {
-        let tuples = [tuple![1, 1], tuple![1, 2], tuple![1, 3]];
-        let idx = Index::build(&[0], tuples.iter());
+        let run = run_of(2, &[tuple![2, 1], tuple![1, 3], tuple![3, 1], tuple![1, 1]]);
+        // a permutation view: matches come out in run (scan) order
+        let idx = run.view(&[1]);
         assert_eq!(
             idx.probe(&[Value::int(1)]).to_vec(),
-            vec![tuple![1, 1], tuple![1, 2], tuple![1, 3]]
+            vec![tuple![1, 1], tuple![2, 1], tuple![3, 1]]
         );
+        let rows: Vec<usize> = idx.probe_rows(&[Vid::from_value(&Value::int(1))]).collect();
+        assert_eq!(rows, vec![0, 2, 3]);
     }
 
     #[test]
     fn multi_column_keys() {
-        let tuples = [tuple![1, 2, 3], tuple![1, 2, 4], tuple![1, 9, 3]];
-        let idx = Index::build(&[0, 1], tuples.iter());
+        let run = run_of(3, &[tuple![1, 2, 3], tuple![1, 2, 4], tuple![1, 9, 3]]);
+        let idx = run.view(&[0, 1]);
         assert_eq!(idx.probe(&[Value::int(1), Value::int(2)]).len(), 2);
         assert_eq!(idx.probe(&[Value::int(1), Value::int(9)]).len(), 1);
     }
 
     #[test]
     fn view_probes_match_hash_probes() {
-        use crate::runs::Run;
-        use std::collections::BTreeSet;
+        // Every view form against a filter over the tuple set.
         let set: BTreeSet<Tuple> = [
             tuple![1, 2, "x"],
             tuple![1, 3, "x"],
@@ -388,16 +367,15 @@ mod tests {
             vec![0, 1, 2],
         ] {
             let view = run.view(&cols);
-            let hash = Index::build(&cols, set.iter());
+            let key_of =
+                |t: &Tuple| -> Vec<Value> { cols.iter().map(|&c| t.values()[c]).collect() };
             for t in &set {
-                let key: Vec<Value> = cols.iter().map(|&c| t.values()[c]).collect();
-                assert_eq!(
-                    view.probe(&key).to_vec(),
-                    hash.probe(&key).to_vec(),
-                    "cols {cols:?} key {key:?}"
-                );
+                let key = key_of(t);
+                let want: Vec<Tuple> = set.iter().filter(|u| key_of(u) == key).cloned().collect();
+                assert_eq!(view.probe(&key).to_vec(), want, "cols {cols:?} key {key:?}");
             }
-            assert_eq!(view.key_count(), hash.key_count(), "cols {cols:?}");
+            let keys: BTreeSet<Vec<Value>> = set.iter().map(key_of).collect();
+            assert_eq!(view.key_count(), keys.len(), "cols {cols:?}");
             // A key matching nothing.
             let miss: Vec<Value> = cols.iter().map(|_| Value::int(99)).collect();
             assert!(view.probe(&miss).is_empty());

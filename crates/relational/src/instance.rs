@@ -4,7 +4,7 @@
 use crate::delta::InstanceDelta;
 use crate::error::RelError;
 use crate::fact::{Fact, RelName};
-use crate::relation::{Relation, StorageMode};
+use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -16,38 +16,18 @@ use std::fmt;
 /// schema: looking up a declared-but-unpopulated relation yields the empty
 /// relation of the right arity, and inserting an undeclared or ill-sized
 /// fact is an error.
-///
-/// An instance remembers the [`StorageMode`] it was built in and uses it
-/// for every relation it creates internally; the mode is an evaluation
-/// detail and never takes part in equality.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Instance {
     schema: Schema,
     relations: BTreeMap<RelName, Relation>,
-    mode: StorageMode,
 }
-
-impl PartialEq for Instance {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.relations == other.relations
-    }
-}
-
-impl Eq for Instance {}
 
 impl Instance {
-    /// The empty instance of a schema, in the process default storage
-    /// mode.
+    /// The empty instance of a schema.
     pub fn empty(schema: Schema) -> Self {
-        Instance::empty_in(StorageMode::global(), schema)
-    }
-
-    /// The empty instance of a schema in an explicit storage mode.
-    pub fn empty_in(mode: StorageMode, schema: Schema) -> Self {
         Instance {
             schema,
             relations: BTreeMap::new(),
-            mode,
         }
     }
 
@@ -56,25 +36,11 @@ impl Instance {
         schema: Schema,
         facts: impl IntoIterator<Item = Fact>,
     ) -> Result<Self, RelError> {
-        Instance::from_facts_in(StorageMode::global(), schema, facts)
-    }
-
-    /// Build an instance from facts in an explicit storage mode.
-    pub fn from_facts_in(
-        mode: StorageMode,
-        schema: Schema,
-        facts: impl IntoIterator<Item = Fact>,
-    ) -> Result<Self, RelError> {
-        let mut i = Instance::empty_in(mode, schema);
+        let mut i = Instance::empty(schema);
         for f in facts {
             i.insert_fact(f)?;
         }
         Ok(i)
-    }
-
-    /// The storage mode this instance creates relations in.
-    pub fn mode(&self) -> StorageMode {
-        self.mode
     }
 
     /// The schema.
@@ -90,7 +56,7 @@ impl Instance {
         match self.relations.get(name) {
             Some(r) => Ok(r.clone()),
             None => match self.schema.arity(name) {
-                Some(a) => Ok(Relation::empty_in(self.mode, a)),
+                Some(a) => Ok(Relation::empty(a)),
                 None => Err(RelError::UnknownRelation { rel: name.clone() }),
             },
         }
@@ -107,10 +73,9 @@ impl Instance {
         self.schema.check_fact(&fact)?;
         let (rel, tuple) = fact.into_parts();
         let arity = tuple.arity();
-        let mode = self.mode;
         self.relations
             .entry(rel)
-            .or_insert_with(|| Relation::empty_in(mode, arity))
+            .or_insert_with(|| Relation::empty(arity))
             .insert(tuple)
     }
 
@@ -135,19 +100,19 @@ impl Instance {
         if rel.is_empty() {
             self.relations.remove(&name);
         } else {
-            // Keep the instance storage-homogeneous: query outputs
-            // arrive as plain columnar runs whatever the instance
-            // mode; re-house them. Under the adaptive engine this is
-            // the bulk-rebuild point where a shrunken relation
-            // re-enters the small regime.
-            self.relations.insert(name, rel.into_mode(self.mode));
+            // The bulk-rebuild point where a query output (landed as a
+            // sorted run) or a shrunken relation re-enters the small
+            // regime at or below the hysteresis floor.
+            let mut rel = rel;
+            rel.post_rebuild();
+            self.relations.insert(name, rel);
         }
         Ok(())
     }
 
     /// Snapshot the storage counters of every populated relation, in
     /// name order — promotion/fold/probe observability for the
-    /// adaptive engine (see [`crate::runs::StorageStats`]). Printed by
+    /// storage engine (see [`crate::runs::StorageStats`]). Printed by
     /// `exp_examples` under `RTX_STORAGE_STATS=1`.
     pub fn storage_stats(&self) -> Vec<(RelName, crate::runs::StorageStats)> {
         self.relations
@@ -157,8 +122,8 @@ impl Instance {
     }
 
     /// Union a sorted run of tuples into the relation `name` in place
-    /// (columnar relations merge runs, btree relations insert row by
-    /// row). Returns the number of facts actually added.
+    /// (see [`Relation::absorb_run`]). Returns the number of facts
+    /// actually added.
     pub fn absorb_run(
         &mut self,
         name: &RelName,
@@ -178,10 +143,9 @@ impl Instance {
         if run.is_empty() {
             return Ok(0);
         }
-        let mode = self.mode;
         self.relations
             .entry(name.clone())
-            .or_insert_with(|| Relation::empty_in(mode, run.arity()))
+            .or_insert_with(|| Relation::empty(run.arity()))
             .absorb_run(run)
     }
 
@@ -234,7 +198,7 @@ impl Instance {
     /// their tuples.
     pub fn union(&self, other: &Instance) -> Result<Instance, RelError> {
         let schema = self.schema.union_compatible(&other.schema)?;
-        let mut out = Instance::empty_in(self.mode, schema);
+        let mut out = Instance::empty(schema);
         for f in self.facts().chain(other.facts()) {
             out.insert_fact(f)?;
         }
@@ -250,7 +214,7 @@ impl Instance {
     /// this instance's schema (used e.g. to split a transducer state into
     /// its input / memory parts).
     pub fn restrict(&self, target: &Schema) -> Result<Instance, RelError> {
-        let mut out = Instance::empty_in(self.mode, target.clone());
+        let mut out = Instance::empty(target.clone());
         for (name, arity) in target.iter() {
             match self.schema.arity(name) {
                 None => return Err(RelError::UnknownRelation { rel: name.clone() }),
@@ -286,9 +250,10 @@ impl Instance {
                 None => return Err(RelError::UnknownRelation { rel: name.clone() }),
             }
         }
-        let mut out = Instance::empty_in(self.mode, wider);
-        out.relations = self.relations.clone();
-        Ok(out)
+        Ok(Instance {
+            schema: wider,
+            relations: self.relations.clone(),
+        })
     }
 
     /// The delta turning `from` into `self`, as facts to add and remove.
@@ -375,7 +340,7 @@ impl Instance {
     /// of **dom**; callers wanting a genuine isomorphism should pass an
     /// injective map (see [`crate::iso::Iso`]).
     pub fn map_values(&self, mut h: impl FnMut(&Value) -> Value) -> Instance {
-        let mut out = Instance::empty_in(self.mode, self.schema.clone());
+        let mut out = Instance::empty(self.schema.clone());
         for (name, rel) in &self.relations {
             let mapped = rel.map_values(&mut h);
             out.relations.insert(name.clone(), mapped);

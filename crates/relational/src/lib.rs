@@ -7,16 +7,13 @@
 //! checks).
 //!
 //! Values are interned process-wide ([`intern`]: inline small ints,
-//! shared symbol/big-int tables, `u32` [`Vid`]s), and relations run on
-//! one of three storage engines (see [`StorageMode`]): the default
-//! **adaptive** engine — small relations in a flat unsorted log,
-//! promoted to sorted runs on growth or order demand — the
-//! **columnar** engine (`RTX_STORAGE=columnar`) — flat sorted runs of
-//! value ids with galloping merge set algebra ([`runs`]) — and the
-//! original **B-tree** engine (`RTX_STORAGE=btree`), kept as the
-//! equivalence oracle and ablation baseline. All three iterate in the
-//! same deterministic sorted order, which the network simulator relies
-//! on for reproducible runs.
+//! shared symbol/big-int tables, `u32` [`Vid`]s), and every relation
+//! runs on one storage engine: small relations live in a flat unsorted
+//! log and promote to flat sorted runs of value ids with galloping
+//! merge set algebra ([`runs`]) on growth past [`PROMOTE_LEN`] or on
+//! order demand above the [`REENTRY_LEN`] hysteresis floor. Both
+//! regimes iterate in the same deterministic sorted order, which the
+//! network simulator relies on for reproducible runs.
 //!
 //! Terminology follows Section 2 of *Ameloot, Neven, Van den Bussche,
 //! "Relational transducers for declarative networking"* (PODS 2011).
@@ -46,7 +43,7 @@ pub use instance::Instance;
 pub use intern::{Symbol, Vid};
 pub use iso::Iso;
 pub use multiset::FactMultiset;
-pub use relation::{adaptive_promote_len, adaptive_reentry_len, Relation, StorageMode};
+pub use relation::{Relation, PROMOTE_LEN, REENTRY_LEN};
 pub use runs::{Run, SmallTail, StorageStats};
 pub use schema::Schema;
 pub use value::Value;

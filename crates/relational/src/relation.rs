@@ -1,35 +1,30 @@
 //! Finite relations: ordered sets of tuples of a fixed arity.
 //!
-//! Three physical storage engines live behind the one `Relation` API:
+//! One storage engine backs every `Relation`, in two regimes:
 //!
-//! * **adaptive** (the default): relations stay in a flat *unsorted*
-//!   append log with tombstones ([`SmallTail`]) while they are small —
-//!   inserts, removes, and membership are O(tail) linear probes with
-//!   zero sort/fold cost, exactly the shape of the round executors'
-//!   tiny per-node relations — and **promote** to sorted columnar runs
-//!   when they outgrow [`adaptive_promote_len`], when a consumer
-//!   demands order while they sit above the hysteresis floor
-//!   ([`adaptive_reentry_len`], a quarter of the promotion threshold),
-//!   or when a bulk run absorption carries them past the floor.
-//!   Promotion is one-way per growth episode; bulk rebuilds (delta
-//!   application, [`crate::Instance::set_relation`]) re-enter the
-//!   small regime only at or below the floor — keeping the folded run
-//!   as the pre-built sorted cache — so churn-heavy workloads never
-//!   flap;
-//! * **columnar** (`RTX_STORAGE=columnar`): an immutable sorted
-//!   [`Run`] of flat `Vec<Vid>` columns plus small sorted add/delete
-//!   *tails*; reads that need the full sorted view fold the tails into
-//!   a fresh run once (cached until the next mutation), set algebra
-//!   and delta application are galloping merge walks over runs, and
-//!   indexes are permutation/range views into the run;
-//! * **btree** (`RTX_STORAGE=btree`): the original `BTreeSet<Tuple>`
-//!   representation, kept as the equivalence oracle and measurable
-//!   ablation.
+//! * **small**: a flat *unsorted* append log with tombstones
+//!   ([`SmallTail`]). Inserts, removes, and membership are O(tail)
+//!   linear probes with zero sort/fold cost, exactly the shape of the
+//!   round executors' tiny per-node relations;
+//! * **runs**: an immutable sorted [`Run`] of flat `Vec<Vid>` columns
+//!   plus small sorted add/delete *tails*. Reads that need the full
+//!   sorted view fold the tails into a fresh run once (cached until the
+//!   next mutation), set algebra and delta application are galloping
+//!   merge walks over runs, and indexes are permutation/range views
+//!   into the run.
 //!
-//! All engines present identical *values*: same iteration order, same
-//! equality, same `Ord` — `tests/storage.rs` holds them to that under
-//! randomized schedules. Mixed-mode comparisons are supported (an
-//! adaptive relation can equal a btree one).
+//! A relation **promotes** from the small regime to runs when it
+//! reaches [`PROMOTE_LEN`] tuples, when a consumer demands order while
+//! it sits above the hysteresis floor [`REENTRY_LEN`] (a quarter of the
+//! promotion threshold), or when a bulk run absorption carries it past
+//! the floor. Promotion is one-way per growth episode; bulk rebuilds
+//! (delta application, [`crate::Instance::set_relation`]) re-enter the
+//! small regime only at or below the floor — keeping the folded run as
+//! the pre-built sorted cache — so churn-heavy workloads never flap.
+//!
+//! Both regimes present identical *values*: same iteration order, same
+//! equality, same `Ord` — `tests/storage.rs` holds them to a
+//! `BTreeSet<Tuple>` model under randomized schedules.
 
 use crate::delta::RelationDelta;
 use crate::error::RelError;
@@ -37,143 +32,47 @@ use crate::fact::Tuple;
 use crate::index::Index;
 use crate::runs::{Run, SmallTail, StatCells, StorageStats};
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
-/// Which physical storage engine a [`Relation`] uses.
-///
-/// The process-wide default is [`StorageMode::Adaptive`], overridable
-/// with `RTX_STORAGE=columnar` (always-sorted runs) or
-/// `RTX_STORAGE=btree` (the original oracle engine); individual
-/// relations and instances can be built in an explicit mode with the
-/// `*_in` constructors, e.g. for in-process equivalence testing.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StorageMode {
-    /// Ordered-set storage: `BTreeSet<Tuple>` + cached hash indexes.
-    Btree,
-    /// Sorted columnar runs of interned ids + index views.
-    Columnar,
-    /// Per-relation adaptive storage: small relations live in a flat
-    /// unsorted log ([`SmallTail`]) and promote to sorted columnar
-    /// runs when they outgrow [`adaptive_promote_len`] or a consumer
-    /// demands order above the [`adaptive_reentry_len`] hysteresis
-    /// floor.
-    Adaptive,
-}
+/// The live-tuple count at which a small relation promotes to sorted
+/// runs. The `storage-adaptive/threshold-sweep` bench group justifies
+/// the value empirically.
+pub const PROMOTE_LEN: usize = 256;
 
-impl StorageMode {
-    /// Parse a mode name (`"btree"` / `"columnar"` / `"adaptive"`).
-    pub fn parse(s: &str) -> Option<StorageMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "btree" => Some(StorageMode::Btree),
-            "columnar" | "col" => Some(StorageMode::Columnar),
-            "adaptive" | "auto" => Some(StorageMode::Adaptive),
-            _ => None,
-        }
-    }
+/// The hysteresis floor: a quarter of [`PROMOTE_LEN`]. Order demands on
+/// relations at or below this size never trigger promotion, and bulk
+/// rebuilds re-enter the small regime only at or below it — a promoted
+/// relation is never demoted above the floor, so promote/demote cycles
+/// cannot flap.
+pub const REENTRY_LEN: usize = PROMOTE_LEN / 4;
 
-    /// The process-wide default mode: `RTX_STORAGE` if set and valid,
-    /// else [`StorageMode::Adaptive`]. Read once and cached.
-    pub fn global() -> StorageMode {
-        static MODE: OnceLock<StorageMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            rtx_core::env::parse_choice(
-                "RTX_STORAGE",
-                "btree|columnar|adaptive",
-                StorageMode::parse,
-            )
-            .unwrap_or(StorageMode::Adaptive)
-        })
-    }
-
-    /// Can relations of this mode hand out sorted runs
-    /// ([`Relation::columnar_run`] is always `Some`)? True for both
-    /// [`StorageMode::Columnar`] and [`StorageMode::Adaptive`] — the
-    /// run-based query executors branch on this.
-    pub fn uses_runs(self) -> bool {
-        !matches!(self, StorageMode::Btree)
-    }
-}
-
-/// The live-tuple count at which an adaptive small relation promotes
-/// to sorted columnar runs. Defaults to 256, overridable with
-/// `RTX_STORAGE_PROMOTE` (clamped to ≥ 4; read once). The
-/// `storage-adaptive/threshold-sweep` bench group justifies the
-/// default empirically.
-pub fn adaptive_promote_len() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        rtx_core::env::parse_u64("RTX_STORAGE_PROMOTE")
-            .map(|v| (v as usize).max(4))
-            .unwrap_or(256)
-    })
-}
-
-/// The hysteresis floor of the adaptive engine: a quarter of
-/// [`adaptive_promote_len`]. Order demands on relations at or below
-/// this size never trigger promotion, and bulk rebuilds re-enter the
-/// small regime only at or below it — a promoted relation is never
-/// demoted above the floor, so promote/demote cycles cannot flap.
-pub fn adaptive_reentry_len() -> usize {
-    adaptive_promote_len() / 4
-}
-
-/// Lazily built secondary hash indexes for the btree engine, keyed by
-/// indexed column subset.
-///
-/// The cache never influences a relation's value: it is skipped by
-/// `Clone`/`Eq`/`Ord` and dropped whenever the tuple set mutates. (The
-/// columnar engine needs no such cache — its index views hang off the
-/// run itself, one lock-free chain per run generation. The adaptive
-/// small regime rebuilds indexes from the log on demand; at its scale
-/// a build is cheaper than cache bookkeeping.)
-#[derive(Default)]
-struct IndexCache(RwLock<BTreeMap<Box<[usize]>, Arc<Index>>>);
-
-impl IndexCache {
-    fn clear(&mut self) {
-        // `&mut self` guarantees exclusivity; no lock needed.
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-}
-
-/// Columnar store: an immutable sorted base run plus small mutable
-/// tails, folded together on demand.
+/// Run store: an immutable sorted base run plus small mutable tails,
+/// folded together on demand.
 ///
 /// Invariants: `adds ∩ base = ∅` and `dels ⊆ base` (so `adds` and
 /// `dels` are disjoint and `len = base − dels + adds` exactly); the
 /// `merged` cache, when set, is exactly `(base ∖ dels) ∪ adds` — any
 /// mutation first *adopts* a set `merged` as the new base (advancing
 /// the run generation) and always leaves `merged` unset.
-///
-/// `adaptive` marks a store the adaptive engine promoted (or built
-/// above the small threshold): it reports [`StorageMode::Adaptive`]
-/// from [`Relation::mode`] and may demote back to the small regime on
-/// a bulk rebuild that lands at or below [`adaptive_reentry_len`].
 #[derive(Clone)]
 struct ColStore {
     base: Arc<Run>,
     adds: BTreeSet<Tuple>,
     dels: BTreeSet<Tuple>,
     merged: OnceLock<Arc<Run>>,
-    adaptive: bool,
     stats: StatCells,
 }
 
 impl ColStore {
-    fn from_run(run: Run) -> ColStore {
-        ColStore::new(Arc::new(run), false)
-    }
-
-    fn new(base: Arc<Run>, adaptive: bool) -> ColStore {
+    fn new(base: Arc<Run>, stats: StatCells) -> ColStore {
         ColStore {
             base,
             adds: BTreeSet::new(),
             dels: BTreeSet::new(),
             merged: OnceLock::new(),
-            adaptive,
-            stats: StatCells::default(),
+            stats,
         }
     }
 
@@ -214,7 +113,7 @@ impl ColStore {
     }
 
     /// Replace the contents with a freshly built run (bulk rebuild),
-    /// keeping the adaptive flag and counters.
+    /// keeping the counters.
     fn replace_base(&mut self, run: Run) {
         self.base = Arc::new(run);
         self.adds.clear();
@@ -227,58 +126,57 @@ impl ColStore {
     }
 }
 
+#[derive(Clone)]
 enum Store {
-    Btree {
-        tuples: BTreeSet<Tuple>,
-        cache: IndexCache,
-    },
     Col(ColStore),
     Small(SmallTail),
 }
 
+impl Store {
+    /// The store for sorted, duplicate-free tuples: the small regime at
+    /// or below the hysteresis floor, runs above it.
+    fn from_sorted(arity: usize, tuples: Vec<Tuple>) -> Store {
+        if tuples.len() <= REENTRY_LEN {
+            Store::Small(SmallTail::from_sorted(arity, tuples))
+        } else {
+            Store::Col(ColStore::new(
+                Arc::new(Run::from_sorted(arity, tuples.iter())),
+                StatCells::default(),
+            ))
+        }
+    }
+
+    /// The store for a run an operation produced: the small regime at
+    /// or below the floor — keeping the run as the pre-built sorted
+    /// cache so a downstream ordered read costs no re-sort — runs above.
+    fn from_result_run(run: Run) -> Store {
+        if run.len() <= REENTRY_LEN {
+            Store::Small(SmallTail::from_run(Arc::new(run), StatCells::default()))
+        } else {
+            Store::Col(ColStore::new(Arc::new(run), StatCells::default()))
+        }
+    }
+}
+
 /// A finite `k`-ary relation on **dom**.
 ///
-/// Iteration order is deterministic (sorted) whatever the storage
-/// engine — the whole simulator relies on runs being pure functions of
-/// their inputs. Joins can additionally request a cached secondary
-/// [`Index`] on any column subset via [`Relation::index`].
+/// Iteration order is deterministic (sorted) in either regime — the
+/// whole simulator relies on runs being pure functions of their inputs.
+/// Joins can additionally request a cached secondary [`Index`] on any
+/// column subset via [`Relation::index`].
+#[derive(Clone)]
 pub struct Relation {
     arity: usize,
     store: Store,
 }
 
-/// Build an adaptive-mode store from sorted, duplicate-free tuples:
-/// the small regime at or below the hysteresis floor, a promoted run
-/// above it.
-fn adaptive_store_from_sorted(arity: usize, tuples: Vec<Tuple>) -> Store {
-    if tuples.len() <= adaptive_reentry_len() {
-        Store::Small(SmallTail::from_sorted(arity, tuples))
-    } else {
-        Store::Col(ColStore::new(
-            Arc::new(Run::from_sorted(arity, tuples.iter())),
-            true,
-        ))
-    }
-}
-
 impl Relation {
-    /// The empty relation of the given arity, in the process default
-    /// storage mode.
+    /// The empty relation of the given arity.
     pub fn empty(arity: usize) -> Self {
-        Relation::empty_in(StorageMode::global(), arity)
-    }
-
-    /// The empty relation of the given arity in an explicit mode.
-    pub fn empty_in(mode: StorageMode, arity: usize) -> Self {
-        let store = match mode {
-            StorageMode::Btree => Store::Btree {
-                tuples: BTreeSet::new(),
-                cache: IndexCache::default(),
-            },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(Run::empty(arity))),
-            StorageMode::Adaptive => Store::Small(SmallTail::new(arity)),
-        };
-        Relation { arity, store }
+        Relation {
+            arity,
+            store: Store::Small(SmallTail::new(arity)),
+        }
     }
 
     /// Build from tuples, validating arity.
@@ -286,46 +184,24 @@ impl Relation {
         arity: usize,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self, RelError> {
-        Relation::from_tuples_in(StorageMode::global(), arity, tuples)
-    }
-
-    /// Build from tuples in an explicit mode, validating arity.
-    pub fn from_tuples_in(
-        mode: StorageMode,
-        arity: usize,
-        tuples: impl IntoIterator<Item = Tuple>,
-    ) -> Result<Self, RelError> {
-        match mode {
-            StorageMode::Btree => {
-                let mut r = Relation::empty_in(mode, arity);
-                for t in tuples {
-                    r.insert(t)?;
-                }
-                Ok(r)
+        // Sort + dedup once, then build the store directly — no
+        // per-tuple probing.
+        let mut v: Vec<Tuple> = Vec::new();
+        for t in tuples {
+            if t.arity() != arity {
+                return Err(RelError::TupleArity {
+                    expected: arity,
+                    found: t.arity(),
+                });
             }
-            StorageMode::Columnar | StorageMode::Adaptive => {
-                // Sort + dedup once, then build columns directly —
-                // no per-tuple tree rebalancing.
-                let mut v: Vec<Tuple> = Vec::new();
-                for t in tuples {
-                    if t.arity() != arity {
-                        return Err(RelError::TupleArity {
-                            expected: arity,
-                            found: t.arity(),
-                        });
-                    }
-                    v.push(t);
-                }
-                v.sort_unstable();
-                v.dedup();
-                let store = if mode == StorageMode::Adaptive {
-                    adaptive_store_from_sorted(arity, v)
-                } else {
-                    Store::Col(ColStore::from_run(Run::from_sorted(arity, v.iter())))
-                };
-                Ok(Relation { arity, store })
-            }
+            v.push(t);
         }
+        v.sort_unstable();
+        v.dedup();
+        Ok(Relation {
+            arity,
+            store: Store::from_sorted(arity, v),
+        })
     }
 
     /// The nullary relation containing the empty tuple — boolean *true*
@@ -341,41 +217,37 @@ impl Relation {
         Relation::empty(0)
     }
 
-    /// Build a columnar relation directly from a sorted run — the
-    /// zero-copy landing for columnar join outputs. (Plain columnar,
-    /// not adaptive: outputs headed for an adaptive instance are
-    /// re-housed by [`crate::Instance::set_relation`] /
-    /// [`Relation::into_mode`].)
+    /// Build a relation directly from a sorted run — the zero-copy
+    /// landing for join outputs. The run becomes the base of the runs
+    /// regime; like any promoted relation, the next bulk rebuild that
+    /// lands at or below [`REENTRY_LEN`] (delta application,
+    /// [`crate::Instance::set_relation`]) re-enters the small regime.
     pub fn from_run(run: Run) -> Relation {
         Relation {
             arity: run.arity(),
-            store: Store::Col(ColStore::from_run(run)),
+            store: Store::Col(ColStore::new(Arc::new(run), StatCells::default())),
         }
     }
 
-    /// The current sorted run, for run-backed relations; `None` under
-    /// the btree engine. Columnar relations fold any pending tails
-    /// (cached until the next mutation); adaptive small relations sort
-    /// their log on demand — which **is** the order-demand signal that
-    /// makes the next mutation above the hysteresis floor promote.
-    /// Columnar executors branch on this.
-    pub fn columnar_run(&self) -> Option<Arc<Run>> {
+    /// The current sorted run. The runs regime folds any pending tails
+    /// (cached until the next mutation); the small regime sorts its log
+    /// on demand — which **is** the order-demand signal that makes the
+    /// next mutation above the hysteresis floor promote.
+    pub fn columnar_run(&self) -> Arc<Run> {
         match &self.store {
-            Store::Btree { .. } => None,
-            Store::Col(c) => Some(Arc::clone(c.run())),
-            Store::Small(s) => Some(Arc::clone(s.sorted_run())),
+            Store::Col(c) => Arc::clone(c.run()),
+            Store::Small(s) => Arc::clone(s.sorted_run()),
         }
     }
 
-    /// In-place union with a run of the same arity (run-backed engines
-    /// merge runs; btree engines insert row by row). Adaptive small
-    /// relations point-insert only while the combined size stays at or
-    /// below the hysteresis floor, else promote first and take the
-    /// galloping merge: absorbing a run is a bulk operation, so the
-    /// cheap-probe argument that lets point inserts ride to the full
-    /// promotion threshold does not apply — repeated O(|tail|·|run|)
-    /// absorbs are exactly the fixpoint inner loop the columnar engine
-    /// wins. Returns the number of tuples actually added.
+    /// In-place union with a run of the same arity. Small relations
+    /// point-insert only while the combined size stays at or below the
+    /// hysteresis floor, else promote first and take the galloping
+    /// merge: absorbing a run is a bulk operation, so the cheap-probe
+    /// argument that lets point inserts ride to the full promotion
+    /// threshold does not apply — repeated O(|tail|·|run|) absorbs are
+    /// exactly the fixpoint inner loop the runs regime wins. Returns
+    /// the number of tuples actually added.
     pub fn absorb_run(&mut self, run: &Run) -> Result<usize, RelError> {
         if run.arity() != self.arity {
             return Err(RelError::TupleArity {
@@ -386,22 +258,11 @@ impl Relation {
         if run.is_empty() {
             return Ok(0);
         }
-        self.adaptive_pre_mutation();
-        if matches!(&self.store, Store::Small(s) if s.len() + run.len() > adaptive_reentry_len()) {
+        self.pre_mutation();
+        if matches!(&self.store, Store::Small(s) if s.len() + run.len() > REENTRY_LEN) {
             self.promote();
         }
         match &mut self.store {
-            Store::Btree { tuples, cache } => {
-                let before = tuples.len();
-                for t in run.rows() {
-                    tuples.insert(t.clone());
-                }
-                let grown = tuples.len() - before;
-                if grown > 0 {
-                    cache.clear();
-                }
-                Ok(grown)
-            }
             Store::Col(c) => {
                 let before = c.len();
                 c.adopt();
@@ -425,22 +286,8 @@ impl Relation {
         }
     }
 
-    /// The storage engine backing this relation. Both regimes of the
-    /// adaptive engine (small log and promoted runs) report
-    /// [`StorageMode::Adaptive`]; see [`Relation::in_small_regime`].
-    pub fn mode(&self) -> StorageMode {
-        match &self.store {
-            Store::Btree { .. } => StorageMode::Btree,
-            Store::Col(c) if c.adaptive => StorageMode::Adaptive,
-            Store::Col(_) => StorageMode::Columnar,
-            Store::Small(_) => StorageMode::Adaptive,
-        }
-    }
-
-    /// Is this relation currently in the adaptive engine's small
-    /// (unsorted log) regime? Always `false` for the btree and
-    /// columnar engines; observability for promotion-boundary tests
-    /// and diagnostics.
+    /// Is this relation currently in the small (unsorted log) regime?
+    /// Observability for promotion-boundary tests and diagnostics.
     pub fn in_small_regime(&self) -> bool {
         matches!(&self.store, Store::Small(_))
     }
@@ -448,10 +295,9 @@ impl Relation {
     /// A snapshot of this relation's storage counters (promotions,
     /// folds, small-regime probes, tail high-water mark). Counters
     /// travel with the relation through clones, promotions, and
-    /// demotions; the btree engine reports all zeros.
+    /// demotions.
     pub fn storage_stats(&self) -> StorageStats {
         match &self.store {
-            Store::Btree { .. } => StorageStats::default(),
             Store::Col(c) => c.stats.snapshot(),
             Store::Small(s) => s.stats_cells().snapshot(),
         }
@@ -465,7 +311,6 @@ impl Relation {
     /// Number of tuples.
     pub fn len(&self) -> usize {
         match &self.store {
-            Store::Btree { tuples, .. } => tuples.len(),
             Store::Col(c) => c.len(),
             Store::Small(s) => s.len(),
         }
@@ -483,17 +328,17 @@ impl Relation {
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        match &self.store {
-            Store::Btree { tuples, .. } => tuples.contains(t),
-            Store::Col(c) => t.arity() == self.arity && c.contains(t),
-            Store::Small(s) => t.arity() == self.arity && s.contains(t),
-        }
+        t.arity() == self.arity
+            && match &self.store {
+                Store::Col(c) => c.contains(t),
+                Store::Small(s) => s.contains(t),
+            }
     }
 
-    /// Promote an adaptive small relation to sorted columnar runs:
-    /// adopt the sorted view of the log (building it if no consumer
-    /// has yet) as the base run of a tail-less [`ColStore`], carrying
-    /// the counters across. One-way per growth episode.
+    /// Promote a small relation to sorted runs: adopt the sorted view
+    /// of the log (building it if no consumer has yet) as the base run
+    /// of a tail-less [`ColStore`], carrying the counters across.
+    /// One-way per growth episode.
     fn promote(&mut self) {
         if let Store::Small(s) = &self.store {
             let base = Arc::clone(s.sorted_run());
@@ -503,9 +348,7 @@ impl Relation {
             if rtx_obs::tracing() {
                 rtx_obs::event!("storage", "promote", "len" => s.len());
             }
-            let mut col = ColStore::new(base, true);
-            col.stats = stats;
-            self.store = Store::Col(col);
+            self.store = Store::Col(ColStore::new(base, stats));
         }
     }
 
@@ -516,10 +359,10 @@ impl Relation {
     /// base for free. At or below the floor the demand is ignored
     /// (the next mutation just drops the cache), so tiny hot relations
     /// never leave the small regime however often they are scanned.
-    fn adaptive_pre_mutation(&mut self) {
+    fn pre_mutation(&mut self) {
         let promote = matches!(
             &self.store,
-            Store::Small(s) if s.order_demanded() && s.len() > adaptive_reentry_len()
+            Store::Small(s) if s.order_demanded() && s.len() > REENTRY_LEN
         );
         if promote {
             self.promote();
@@ -527,25 +370,22 @@ impl Relation {
     }
 
     /// The size half of the promotion policy, run after growth: a
-    /// small relation reaching [`adaptive_promote_len`] promotes.
-    fn adaptive_post_growth(&mut self) {
-        let promote = matches!(&self.store, Store::Small(s) if s.len() >= adaptive_promote_len());
+    /// small relation reaching [`PROMOTE_LEN`] promotes.
+    fn post_growth(&mut self) {
+        let promote = matches!(&self.store, Store::Small(s) if s.len() >= PROMOTE_LEN);
         if promote {
             self.promote();
         }
     }
 
-    /// Demote a promoted adaptive relation whose *bulk rebuild* landed
-    /// at or below the hysteresis floor back into the small regime
-    /// (the "clear / rebuild re-enters" half of the policy). Point
-    /// removals never demote.
-    fn adaptive_post_rebuild(&mut self) {
-        let demote = matches!(
-            &self.store,
-            Store::Col(c) if c.adaptive && c.len() <= adaptive_reentry_len()
-        );
-        if demote {
-            if let Store::Col(c) = &self.store {
+    /// Demote a promoted relation whose *bulk rebuild* landed at or
+    /// below the hysteresis floor back into the small regime (the
+    /// "clear / rebuild re-enters" half of the policy). Point removals
+    /// never demote; [`crate::Instance::set_relation`] calls this on
+    /// every relation it stores.
+    pub(crate) fn post_rebuild(&mut self) {
+        if let Store::Col(c) = &self.store {
+            if c.len() <= REENTRY_LEN {
                 // Keep the folded run as the tail's pre-built sorted
                 // cache: a per-tick bulk rebuild that lands small would
                 // otherwise re-sort and rebuild index views on the very
@@ -569,15 +409,8 @@ impl Relation {
                 found: t.arity(),
             });
         }
-        self.adaptive_pre_mutation();
+        self.pre_mutation();
         let inserted = match &mut self.store {
-            Store::Btree { tuples, cache } => {
-                let inserted = tuples.insert(t);
-                if inserted {
-                    cache.clear();
-                }
-                inserted
-            }
             Store::Col(c) => {
                 c.adopt();
                 if c.dels.remove(&t) {
@@ -592,7 +425,7 @@ impl Relation {
             }
             Store::Small(s) => s.insert(t),
         };
-        self.adaptive_post_growth();
+        self.post_growth();
         Ok(inserted)
     }
 
@@ -601,15 +434,8 @@ impl Relation {
         if t.arity() != self.arity {
             return false;
         }
-        self.adaptive_pre_mutation();
+        self.pre_mutation();
         match &mut self.store {
-            Store::Btree { tuples, cache } => {
-                let removed = tuples.remove(t);
-                if removed {
-                    cache.clear();
-                }
-                removed
-            }
             Store::Col(c) => {
                 c.adopt();
                 if c.adds.remove(t) {
@@ -629,15 +455,14 @@ impl Relation {
     /// A secondary index on the given column subset.
     ///
     /// The returned [`Index`] is an immutable snapshot: it stays valid
-    /// even if the relation mutates afterwards. Btree indexes are
-    /// cached until the next mutation; columnar indexes are views into
+    /// even if the relation mutates afterwards. Indexes are views into
     /// the current sorted run, cached on the run itself — so clones
     /// sharing a run share its views, and no lock sits on the read
-    /// path. Adaptive small relations memoize a sorted run of the log
-    /// (without registering an order demand, so probes alone never
-    /// promote) and serve views off it — repeated probes of the same
-    /// small relation, the access pattern of magic-set guards, sort
-    /// once per mutation instead of once per call.
+    /// path. Small relations memoize a sorted run of the log (without
+    /// registering an order demand, so probes alone never promote) and
+    /// serve views off it — repeated probes of the same small relation,
+    /// the access pattern of magic-set guards, sort once per mutation
+    /// instead of once per call.
     pub fn index(&self, cols: &[usize]) -> Result<Arc<Index>, RelError> {
         for &c in cols {
             if c >= self.arity {
@@ -647,57 +472,22 @@ impl Relation {
                 });
             }
         }
-        match &self.store {
-            Store::Btree { tuples, cache } => {
-                if let Some(idx) = cache.0.read().unwrap_or_else(|e| e.into_inner()).get(cols) {
-                    return Ok(Arc::clone(idx));
-                }
-                let idx = Arc::new(Index::build(cols, tuples.iter()));
-                cache
-                    .0
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .entry(cols.into())
-                    .or_insert_with(|| Arc::clone(&idx));
-                Ok(idx)
-            }
-            Store::Col(c) => Ok(c.run().view(cols)),
-            Store::Small(s) => Ok(s.cached_run().view(cols)),
-        }
+        Ok(match &self.store {
+            Store::Col(c) => c.run().view(cols),
+            Store::Small(s) => s.cached_run().view(cols),
+        })
     }
 
     /// The delta turning `from` into `self`: `added = self ∖ from`,
     /// `removed = from ∖ self` (arities must agree).
     ///
-    /// Delta normalization is an order demand: adaptive small operands
-    /// sort their logs (and may promote on their next mutation if
-    /// above the hysteresis floor).
+    /// Delta normalization is an order demand: small operands sort
+    /// their logs (and may promote on their next mutation if above the
+    /// hysteresis floor).
     pub fn diff(&self, from: &Relation) -> Result<RelationDelta, RelError> {
         self.check_same_arity(from)?;
-        if let Some((ra, rb)) = self.run_pair(from) {
-            // Vid-level merge walk: only changed rows materialize.
-            let (added, removed) = ra.diff(&rb);
-            return Ok(RelationDelta::new(self.arity, added, removed));
-        }
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        let mut ours = self.iter().peekable();
-        let mut theirs = from.iter().peekable();
-        loop {
-            match (ours.peek(), theirs.peek()) {
-                (None, None) => break,
-                (Some(_), None) => added.push(ours.next().unwrap().clone()),
-                (None, Some(_)) => removed.push(theirs.next().unwrap().clone()),
-                (Some(a), Some(b)) => match a.cmp(b) {
-                    std::cmp::Ordering::Less => added.push(ours.next().unwrap().clone()),
-                    std::cmp::Ordering::Greater => removed.push(theirs.next().unwrap().clone()),
-                    std::cmp::Ordering::Equal => {
-                        ours.next();
-                        theirs.next();
-                    }
-                },
-            }
-        }
+        // Vid-level merge walk: only changed rows materialize.
+        let (added, removed) = self.columnar_run().diff(&from.columnar_run());
         Ok(RelationDelta::new(self.arity, added, removed))
     }
 
@@ -705,33 +495,23 @@ impl Relation {
     /// `delta.added()`. Inverse of [`Relation::diff`]:
     /// `from.apply_delta(&to.diff(&from)?)` makes `from == to`.
     ///
-    /// Adaptive small relations apply the delta as point operations —
-    /// no run merge — unless the result could outgrow the promotion
-    /// threshold; promoted adaptive relations rebuild with one merge
-    /// and re-enter the small regime when the result lands at or below
-    /// the hysteresis floor.
+    /// Small relations apply the delta as point operations — no run
+    /// merge — unless the result could outgrow the promotion threshold;
+    /// promoted relations rebuild with one merge and re-enter the small
+    /// regime when the result lands at or below the hysteresis floor.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<(), RelError> {
         crate::delta::check_arity(self.arity, delta.arity())?;
         if delta.is_empty() {
             return Ok(());
         }
-        self.adaptive_pre_mutation();
+        self.pre_mutation();
         if matches!(
             &self.store,
-            Store::Small(s) if s.len() + delta.added().len() >= adaptive_promote_len()
+            Store::Small(s) if s.len() + delta.added().len() >= PROMOTE_LEN
         ) {
             self.promote();
         }
         match &mut self.store {
-            Store::Btree { tuples, cache } => {
-                for t in delta.removed() {
-                    tuples.remove(t);
-                }
-                for t in delta.added() {
-                    tuples.insert(t.clone());
-                }
-                cache.clear();
-            }
             Store::Col(c) => {
                 // One three-way merge over the current run instead of
                 // per-fact tree edits.
@@ -747,128 +527,35 @@ impl Relation {
                 }
             }
         }
-        self.adaptive_post_rebuild();
+        self.post_rebuild();
         Ok(())
     }
 
-    /// Iterate over tuples in order. (An order demand: adaptive small
-    /// relations sort their log on first call and cache it until the
-    /// next mutation.)
-    pub fn iter(&self) -> Iter<'_> {
+    /// Iterate over tuples in order. (An order demand: small relations
+    /// sort their log on first call and cache it until the next
+    /// mutation.)
+    pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         match &self.store {
-            Store::Btree { tuples, .. } => Iter::Btree(tuples.iter()),
-            Store::Col(c) => Iter::Slice(c.run().rows().iter()),
-            Store::Small(s) => Iter::Slice(s.sorted_run().rows().iter()),
+            Store::Col(c) => c.run().rows().iter(),
+            Store::Small(s) => s.sorted_run().rows().iter(),
         }
     }
 
-    /// Build a same-mode relation from an operation's output tuples,
+    /// A relation of this arity over an operation's output tuples,
     /// which are already sorted and deduplicated.
-    #[allow(clippy::wrong_self_convention)] // `self` only donates the mode
-    fn from_sorted_vec(&self, tuples: Vec<Tuple>) -> Relation {
-        let store = match self.mode() {
-            StorageMode::Btree => Store::Btree {
-                tuples: tuples.into_iter().collect(),
-                cache: IndexCache::default(),
-            },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(Run::from_sorted(
-                self.arity,
-                tuples.iter(),
-            ))),
-            StorageMode::Adaptive => adaptive_store_from_sorted(self.arity, tuples),
-        };
+    fn with_sorted(&self, tuples: Vec<Tuple>) -> Relation {
         Relation {
             arity: self.arity,
-            store,
+            store: Store::from_sorted(self.arity, tuples),
         }
     }
 
-    /// Build a same-mode relation from a run an operation produced.
-    #[allow(clippy::wrong_self_convention)] // `self` only donates the mode
-    fn from_result_run(&self, run: Run) -> Relation {
-        let store = match self.mode() {
-            StorageMode::Btree => Store::Btree {
-                tuples: run.rows().iter().cloned().collect(),
-                cache: IndexCache::default(),
-            },
-            StorageMode::Columnar => Store::Col(ColStore::from_run(run)),
-            StorageMode::Adaptive if run.len() <= adaptive_reentry_len() => Store::Small(
-                // Keep the produced run as the pre-built sorted cache
-                // so a downstream ordered read costs no re-sort.
-                SmallTail::from_run(Arc::new(run), StatCells::default()),
-            ),
-            StorageMode::Adaptive => Store::Col(ColStore::new(Arc::new(run), true)),
-        };
+    /// A relation of this arity over a run an operation produced.
+    fn with_result_run(&self, run: Run) -> Relation {
         Relation {
             arity: self.arity,
-            store,
+            store: Store::from_result_run(run),
         }
-    }
-
-    /// Re-house the same tuples under `mode` (a no-op when the modes
-    /// already agree).
-    ///
-    /// [`crate::Instance::set_relation`] uses this to keep instances
-    /// storage-homogeneous: query outputs land as plain columnar runs
-    /// and are re-flagged — or, when at or below the hysteresis floor,
-    /// dropped into the small regime — on their way into an adaptive
-    /// instance. This is the "bulk rebuild re-enters the small regime"
-    /// half of the promotion hysteresis.
-    pub fn into_mode(self, mode: StorageMode) -> Relation {
-        if self.mode() == mode {
-            return self;
-        }
-        let arity = self.arity;
-        match mode {
-            StorageMode::Btree => {
-                let tuples: BTreeSet<Tuple> = self.iter().cloned().collect();
-                Relation {
-                    arity,
-                    store: Store::Btree {
-                        tuples,
-                        cache: IndexCache::default(),
-                    },
-                }
-            }
-            StorageMode::Columnar | StorageMode::Adaptive => {
-                let adaptive = mode == StorageMode::Adaptive;
-                let store = match self.store {
-                    Store::Col(mut c) => {
-                        c.adaptive = adaptive;
-                        Store::Col(c)
-                    }
-                    Store::Small(s) => {
-                        // Only reachable for a columnar target: adopt
-                        // the sorted view, carrying counters (a
-                        // conversion, not a growth promotion).
-                        let base = Arc::clone(s.sorted_run());
-                        let mut col = ColStore::new(base, adaptive);
-                        col.stats = s.stats_cells().clone();
-                        Store::Col(col)
-                    }
-                    Store::Btree { tuples, .. } => Store::Col(ColStore::new(
-                        Arc::new(Run::from_sorted(arity, tuples.iter())),
-                        adaptive,
-                    )),
-                };
-                let mut rel = Relation { arity, store };
-                if adaptive {
-                    rel.adaptive_post_rebuild();
-                }
-                rel
-            }
-        }
-    }
-
-    /// Sorted-run views of both operands when both are run-backed —
-    /// the galloping-merge fast path. Sorting a small side on demand
-    /// is an order demand on that operand.
-    fn run_pair(&self, other: &Relation) -> Option<(Arc<Run>, Arc<Run>)> {
-        if matches!(&self.store, Store::Btree { .. }) || matches!(&other.store, Store::Btree { .. })
-        {
-            return None;
-        }
-        Some((self.columnar_run()?, other.columnar_run()?))
     }
 
     /// Both operands' small tails, when both are in the small regime —
@@ -880,7 +567,7 @@ impl Relation {
         }
     }
 
-    /// Set union (arities must agree). Result uses `self`'s mode.
+    /// Set union (arities must agree).
     pub fn union(&self, other: &Relation) -> Result<Relation, RelError> {
         self.check_same_arity(other)?;
         if let Some((a, b)) = self.small_pair(other) {
@@ -888,33 +575,23 @@ impl Relation {
             v.extend(b.live_tuples().cloned());
             v.sort_unstable();
             v.dedup();
-            return Ok(self.from_sorted_vec(v));
+            return Ok(self.with_sorted(v));
         }
-        if let Some((ra, rb)) = self.run_pair(other) {
-            return Ok(self.from_result_run(ra.union(&rb)));
-        }
-        let mut tuples: BTreeSet<Tuple> = self.iter().cloned().collect();
-        tuples.extend(other.iter().cloned());
-        Ok(self.from_sorted_vec(tuples.into_iter().collect()))
+        Ok(self.with_result_run(self.columnar_run().union(&other.columnar_run())))
     }
 
-    /// Set intersection (arities must agree). Result uses `self`'s mode.
+    /// Set intersection (arities must agree).
     pub fn intersect(&self, other: &Relation) -> Result<Relation, RelError> {
         self.check_same_arity(other)?;
         if let Some((a, b)) = self.small_pair(other) {
             let mut v: Vec<Tuple> = a.live_tuples().filter(|t| b.contains(t)).cloned().collect();
             v.sort_unstable();
-            return Ok(self.from_sorted_vec(v));
+            return Ok(self.with_sorted(v));
         }
-        if let Some((ra, rb)) = self.run_pair(other) {
-            return Ok(self.from_result_run(ra.intersect(&rb)));
-        }
-        let out: Vec<Tuple> = self.iter().filter(|t| other.contains(t)).cloned().collect();
-        Ok(self.from_sorted_vec(out))
+        Ok(self.with_result_run(self.columnar_run().intersect(&other.columnar_run())))
     }
 
-    /// Set difference `self \ other` (arities must agree). Result uses
-    /// `self`'s mode.
+    /// Set difference `self \ other` (arities must agree).
     pub fn difference(&self, other: &Relation) -> Result<Relation, RelError> {
         self.check_same_arity(other)?;
         if let Some((a, b)) = self.small_pair(other) {
@@ -924,17 +601,9 @@ impl Relation {
                 .cloned()
                 .collect();
             v.sort_unstable();
-            return Ok(self.from_sorted_vec(v));
+            return Ok(self.with_sorted(v));
         }
-        if let Some((ra, rb)) = self.run_pair(other) {
-            return Ok(self.from_result_run(ra.difference(&rb)));
-        }
-        let out: Vec<Tuple> = self
-            .iter()
-            .filter(|t| !other.contains(t))
-            .cloned()
-            .collect();
-        Ok(self.from_sorted_vec(out))
+        Ok(self.with_result_run(self.columnar_run().difference(&other.columnar_run())))
     }
 
     /// Is `self ⊆ other`?
@@ -944,16 +613,11 @@ impl Relation {
         }
         // Probe-based paths first: subset never needs sorted order, so
         // small operands stay free of order demands.
-        if let Store::Small(s) = &self.store {
-            return s.live_tuples().all(|t| other.contains(t));
+        match (&self.store, &other.store) {
+            (Store::Small(s), _) => s.live_tuples().all(|t| other.contains(t)),
+            (_, Store::Small(_)) => self.iter().all(|t| other.contains(t)),
+            (Store::Col(a), Store::Col(b)) => a.run().is_subset(b.run()),
         }
-        if matches!(&other.store, Store::Small(_)) {
-            return self.iter().all(|t| other.contains(t));
-        }
-        if let (Store::Col(a), Store::Col(b)) = (&self.store, &other.store) {
-            return a.run().is_subset(b.run());
-        }
-        self.iter().all(|t| other.contains(t))
     }
 
     /// All values occurring in the relation (its active domain).
@@ -968,11 +632,11 @@ impl Relation {
     pub fn map_values(&self, mut f: impl FnMut(&Value) -> Value) -> Relation {
         let mut out: Vec<Tuple> = match &self.store {
             Store::Small(s) => s.live_tuples().map(|t| t.map(&mut f)).collect(),
-            _ => self.iter().map(|t| t.map(&mut f)).collect(),
+            Store::Col(_) => self.iter().map(|t| t.map(&mut f)).collect(),
         };
         out.sort_unstable();
         out.dedup();
-        self.from_sorted_vec(out)
+        self.with_sorted(out)
     }
 
     fn check_same_arity(&self, other: &Relation) -> Result<(), RelError> {
@@ -986,65 +650,17 @@ impl Relation {
     }
 }
 
-/// Iterator over a relation's tuples in sorted order (see
-/// [`Relation::iter`]).
-pub enum Iter<'a> {
-    /// BTree engine.
-    Btree(std::collections::btree_set::Iter<'a, Tuple>),
-    /// Run-backed engines (materialized sorted rows).
-    Slice(std::slice::Iter<'a, Tuple>),
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = &'a Tuple;
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match self {
-            Iter::Btree(it) => it.next(),
-            Iter::Slice(it) => it.next(),
-        }
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Iter::Btree(it) => it.size_hint(),
-            Iter::Slice(it) => it.size_hint(),
-        }
-    }
-}
-
-impl<'a> ExactSizeIterator for Iter<'a> {}
-
-// Caches (btree hash indexes, columnar merged runs and views, small
-// sorted views) and counters are evaluation artifacts: they must not
-// take part in the relation's value, so `Clone`/`Eq`/`Ord` are written
-// by hand over the tuple *sequence* only, and work across storage
-// modes. Columnar clones share the base run by `Arc` (and with it the
-// run's view cache); btree clones start with a cold cache; small
-// clones copy the log and counters.
-impl Clone for Relation {
-    fn clone(&self) -> Self {
-        let store = match &self.store {
-            Store::Btree { tuples, .. } => Store::Btree {
-                tuples: tuples.clone(),
-                cache: IndexCache::default(),
-            },
-            Store::Col(c) => Store::Col(c.clone()),
-            Store::Small(s) => Store::Small(s.clone()),
-        };
-        Relation {
-            arity: self.arity,
-            store,
-        }
-    }
-}
-
+// Caches (folded runs, index views, small sorted views) and counters
+// are evaluation artifacts: they must not take part in the relation's
+// value, so `Eq`/`Ord` are written by hand over the tuple *sequence*
+// only, and hold across the two regimes.
 impl PartialEq for Relation {
     fn eq(&self, other: &Self) -> bool {
         if self.arity != other.arity || self.len() != other.len() {
             return false;
         }
         if let (Store::Col(a), Store::Col(b)) = (&self.store, &other.store) {
-            let (ra, rb) = (a.run(), b.run());
-            if Arc::ptr_eq(ra, rb) {
+            if Arc::ptr_eq(a.run(), b.run()) {
                 return true;
             }
         }
@@ -1095,46 +711,18 @@ impl fmt::Display for Relation {
     }
 }
 
-/// Owning iterator over a relation's tuples in sorted order.
-pub enum IntoIter {
-    /// BTree engine.
-    Btree(std::collections::btree_set::IntoIter<Tuple>),
-    /// Run-backed engines.
-    Vec(std::vec::IntoIter<Tuple>),
-}
-
-impl Iterator for IntoIter {
-    type Item = Tuple;
-    fn next(&mut self) -> Option<Tuple> {
-        match self {
-            IntoIter::Btree(it) => it.next(),
-            IntoIter::Vec(it) => it.next(),
-        }
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            IntoIter::Btree(it) => it.size_hint(),
-            IntoIter::Vec(it) => it.size_hint(),
-        }
-    }
-}
-
 impl IntoIterator for Relation {
     type Item = Tuple;
-    type IntoIter = IntoIter;
-    fn into_iter(self) -> IntoIter {
-        match self.store {
-            Store::Btree { tuples, .. } => IntoIter::Btree(tuples.into_iter()),
-            Store::Col(c) => IntoIter::Vec(c.run().rows().to_vec().into_iter()),
-            Store::Small(s) => IntoIter::Vec(s.sorted_run().rows().to_vec().into_iter()),
-        }
+    type IntoIter = std::vec::IntoIter<Tuple>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter().cloned().collect::<Vec<_>>().into_iter()
     }
 }
 
 impl<'a> IntoIterator for &'a Relation {
     type Item = &'a Tuple;
-    type IntoIter = Iter<'a>;
-    fn into_iter(self) -> Iter<'a> {
+    type IntoIter = std::slice::Iter<'a, Tuple>;
+    fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
@@ -1148,31 +736,42 @@ mod tests {
         Relation::from_tuples(arity, ts).unwrap()
     }
 
-    /// Every test in this module runs against all three engines via
-    /// this helper where storage behavior matters.
-    fn all_modes(f: impl Fn(StorageMode)) {
-        f(StorageMode::Btree);
-        f(StorageMode::Columnar);
-        f(StorageMode::Adaptive);
+    /// `ts` padded with ballast tuples `(1000+i, …)` past the hysteresis
+    /// floor, so the relation is built in the runs regime.
+    fn promoted(arity: usize, ts: Vec<Tuple>) -> Relation {
+        let ballast = (0..=REENTRY_LEN as i64).map(|i| vec![Value::int(1000 + i); arity].into());
+        let r = rel(arity, ts.into_iter().chain(ballast).collect());
+        assert!(!r.in_small_regime());
+        r
+    }
+
+    /// Run `f` on a relation built from `ts` in each regime, together
+    /// with the ballast the runs-regime copy carries.
+    fn both_regimes(arity: usize, ts: Vec<Tuple>, f: impl Fn(Relation, &[Tuple])) {
+        f(rel(arity, ts.clone()), &[]);
+        let big = promoted(arity, ts.clone());
+        let ballast: Vec<Tuple> = big.iter().filter(|t| !ts.contains(t)).cloned().collect();
+        f(big, &ballast);
     }
 
     #[test]
     fn empty_and_insert() {
-        all_modes(|m| {
-            let mut r = Relation::empty_in(m, 2);
-            assert!(r.is_empty());
+        let mut r = Relation::empty(2);
+        assert!(r.is_empty());
+        assert!(r.insert(tuple![1, 2]).unwrap());
+        assert!(!r.insert(tuple![1, 2]).unwrap()); // duplicate
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(&tuple![1, 2]));
+        both_regimes(2, vec![], |mut r, ballast| {
             assert!(r.insert(tuple![1, 2]).unwrap());
-            assert!(!r.insert(tuple![1, 2]).unwrap()); // duplicate
-            assert_eq!(r.len(), 1);
-            assert!(r.contains(&tuple![1, 2]));
-            assert_eq!(r.mode(), m);
+            assert!(!r.insert(tuple![1, 2]).unwrap());
+            assert_eq!(r.len(), ballast.len() + 1);
         });
     }
 
     #[test]
     fn arity_enforced_on_insert() {
-        all_modes(|m| {
-            let mut r = Relation::empty_in(m, 2);
+        both_regimes(2, vec![], |mut r, _| {
             assert!(matches!(
                 r.insert(tuple![1]),
                 Err(RelError::TupleArity {
@@ -1180,6 +779,7 @@ mod tests {
                     found: 1
                 })
             ));
+            assert!(!r.contains(&tuple![1]));
         });
     }
 
@@ -1192,14 +792,18 @@ mod tests {
 
     #[test]
     fn set_algebra() {
-        all_modes(|m| {
-            let a = Relation::from_tuples_in(m, 1, vec![tuple![1], tuple![2]]).unwrap();
-            let b = Relation::from_tuples_in(m, 1, vec![tuple![2], tuple![3]]).unwrap();
-            assert_eq!(a.union(&b).unwrap().len(), 3);
+        both_regimes(1, vec![tuple![1], tuple![2]], |a, ballast| {
+            let b = rel(1, vec![tuple![2], tuple![3]]);
+            assert_eq!(a.union(&b).unwrap().len(), 3 + ballast.len());
             assert_eq!(a.intersect(&b).unwrap(), rel(1, vec![tuple![2]]));
-            assert_eq!(a.difference(&b).unwrap(), rel(1, vec![tuple![1]]));
+            let mut only_a = vec![tuple![1]];
+            only_a.extend(ballast.iter().cloned());
+            assert_eq!(a.difference(&b).unwrap(), rel(1, only_a));
             assert!(rel(1, vec![tuple![1]]).is_subset(&a));
             assert!(!a.is_subset(&b));
+            // and with the regimes swapped between the operands
+            assert_eq!(b.difference(&a).unwrap(), rel(1, vec![tuple![3]]));
+            assert_eq!(b.intersect(&a).unwrap(), rel(1, vec![tuple![2]]));
         });
     }
 
@@ -1214,102 +818,88 @@ mod tests {
     }
 
     #[test]
-    fn cross_mode_values_agree() {
-        let ts = vec![tuple![3, "c"], tuple![1, "a"], tuple![2, "b"]];
-        let col = Relation::from_tuples_in(StorageMode::Columnar, 2, ts.clone()).unwrap();
-        let bt = Relation::from_tuples_in(StorageMode::Btree, 2, ts.clone()).unwrap();
-        let ad = Relation::from_tuples_in(StorageMode::Adaptive, 2, ts).unwrap();
-        assert_eq!(col, bt);
-        assert_eq!(bt, col);
-        assert_eq!(ad, bt);
-        assert_eq!(col, ad);
-        assert_eq!(col.cmp(&bt), std::cmp::Ordering::Equal);
-        assert_eq!(ad.cmp(&bt), std::cmp::Ordering::Equal);
-        assert!(col.is_subset(&bt) && bt.is_subset(&col));
-        assert!(ad.is_subset(&col) && col.is_subset(&ad));
+    fn regimes_agree_on_values() {
+        let ts = vec![tuple![3, 3], tuple![1, 1], tuple![2, 2]];
+        let small = rel(2, ts.clone());
+        let mut big = promoted(2, ts);
+        for i in 0..=REENTRY_LEN as i64 {
+            big.remove(&vec![Value::int(1000 + i); 2].into());
+        }
+        assert!(small.in_small_regime() && !big.in_small_regime());
+        assert_eq!(small, big);
+        assert_eq!(big, small);
+        assert_eq!(small.cmp(&big), std::cmp::Ordering::Equal);
+        assert!(small.is_subset(&big) && big.is_subset(&small));
         assert_eq!(
-            col.iter().collect::<Vec<_>>(),
-            bt.iter().collect::<Vec<_>>()
+            small.iter().collect::<Vec<_>>(),
+            big.iter().collect::<Vec<_>>()
         );
-        assert_eq!(ad.iter().collect::<Vec<_>>(), bt.iter().collect::<Vec<_>>());
-        // mixed-mode set algebra takes the fallback paths
-        assert_eq!(col.union(&bt).unwrap(), bt);
-        assert_eq!(col.intersect(&bt).unwrap(), bt);
-        assert!(col.difference(&bt).unwrap().is_empty());
-        assert_eq!(ad.union(&bt).unwrap(), bt);
-        assert_eq!(ad.intersect(&col).unwrap(), bt);
-        assert!(ad.difference(&col).unwrap().is_empty());
-        assert_eq!(col.union(&bt).unwrap().mode(), StorageMode::Columnar);
-        assert_eq!(bt.union(&col).unwrap().mode(), StorageMode::Btree);
-        assert_eq!(ad.union(&bt).unwrap().mode(), StorageMode::Adaptive);
+        assert_eq!(small.union(&big).unwrap(), big);
+        assert!(big.difference(&small).unwrap().is_empty());
     }
 
     #[test]
     fn adom_collects_all_values() {
-        all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, "a"], tuple![2, "a"]]).unwrap();
-            let d = r.adom();
-            assert_eq!(d.len(), 3);
-            assert!(d.contains(&Value::int(1)));
-            assert!(d.contains(&Value::sym("a")));
-        });
+        let r = rel(2, vec![tuple![1, "a"], tuple![2, "a"]]);
+        let d = r.adom();
+        assert_eq!(d.len(), 3);
+        assert!(d.contains(&Value::int(1)));
+        assert!(d.contains(&Value::sym("a")));
+        let d = promoted(2, vec![tuple![1, "a"]]).adom();
+        assert!(d.contains(&Value::sym("a")));
+        assert_eq!(d.len(), REENTRY_LEN + 3);
     }
 
     #[test]
     fn map_values_is_isomorphic_image() {
-        all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+        both_regimes(2, vec![tuple![1, 2]], |r, ballast| {
             let s = r.map_values(|v| match v {
                 Value::Int(i) => Value::int(i * 10),
                 o => *o,
             });
-            assert_eq!(s, rel(2, vec![tuple![10, 20]]));
-            assert_eq!(s.mode(), m);
+            assert!(s.contains(&tuple![10, 20]));
+            assert_eq!(s.len(), 1 + ballast.len());
         });
     }
 
     #[test]
     fn deterministic_iteration_order() {
-        all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 1, vec![tuple![3], tuple![1], tuple![2]]).unwrap();
-            let order: Vec<_> = r.iter().cloned().collect();
+        both_regimes(1, vec![tuple![3], tuple![1], tuple![2]], |r, _| {
+            let order: Vec<_> = r.iter().take(3).cloned().collect();
             assert_eq!(order, vec![tuple![1], tuple![2], tuple![3]]);
         });
     }
 
     #[test]
     fn remove_and_idempotence() {
-        all_modes(|m| {
-            let mut r = Relation::from_tuples_in(m, 1, vec![tuple![1]]).unwrap();
+        both_regimes(1, vec![tuple![1]], |mut r, _| {
             assert!(r.remove(&tuple![1]));
             assert!(!r.remove(&tuple![1]));
-            assert!(r.is_empty());
+            assert!(!r.contains(&tuple![1]));
         });
     }
 
     #[test]
     fn tail_interleavings_match_btree() {
         // insert → remove → re-insert cycles through the add/del tails
-        // (columnar) and the tombstone log (adaptive).
-        all_modes(|m| {
-            let mut r = Relation::from_tuples_in(m, 1, (0..10).map(|i| tuple![i])).unwrap();
+        // (runs regime) and the tombstone log (small regime).
+        both_regimes(1, (0..10).map(|i| tuple![i]).collect(), |mut r, ballast| {
             assert!(r.remove(&tuple![3]));
             assert!(!r.contains(&tuple![3]));
             assert!(r.insert(tuple![3]).unwrap()); // undelete
             assert!(r.contains(&tuple![3]));
             assert!(r.insert(tuple![42]).unwrap());
             assert!(r.remove(&tuple![42])); // remove from the add tail
-            assert_eq!(r.len(), 10);
-            let expect: Vec<Tuple> = (0..10).map(|i| tuple![i]).collect();
-            assert_eq!(r.iter().cloned().collect::<Vec<_>>(), expect);
+            assert_eq!(r.len(), 10 + ballast.len());
+            let mut expect: BTreeSet<Tuple> = (0..10).map(|i| tuple![i]).collect();
+            expect.extend(ballast.iter().cloned());
+            assert!(r.iter().eq(expect.iter()));
         });
     }
 
     #[test]
     fn index_probe_matches_scan() {
-        all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2], tuple![1, 3], tuple![2, 3]])
-                .unwrap();
+        both_regimes(2, vec![tuple![1, 2], tuple![1, 3], tuple![2, 3]], |r, _| {
             let idx = r.index(&[0]).unwrap();
             assert_eq!(idx.probe(&[Value::int(1)]).len(), 2);
             let scan: Vec<_> = r
@@ -1330,14 +920,8 @@ mod tests {
 
     #[test]
     fn index_is_cached_until_mutation() {
-        // All three engines memoize: btree on the relation, columnar
-        // and the adaptive small regime on the (cached) sorted run.
-        for m in [
-            StorageMode::Btree,
-            StorageMode::Columnar,
-            StorageMode::Adaptive,
-        ] {
-            let mut r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+        // Both regimes memoize on the (cached) sorted run.
+        both_regimes(2, vec![tuple![1, 2]], |mut r, _| {
             let a = r.index(&[0]).unwrap();
             let b = r.index(&[0]).unwrap();
             assert!(Arc::ptr_eq(&a, &b));
@@ -1347,12 +931,12 @@ mod tests {
             // the old snapshot is unchanged, the fresh index sees the insert
             assert!(a.probe(&[Value::int(5)]).is_empty());
             assert_eq!(c.probe(&[Value::int(5)]).len(), 1);
-        }
+        });
     }
 
     #[test]
     fn small_regime_index_is_a_fresh_snapshot() {
-        let mut r = Relation::from_tuples_in(StorageMode::Adaptive, 2, vec![tuple![1, 2]]).unwrap();
+        let mut r = rel(2, vec![tuple![1, 2]]);
         assert!(r.in_small_regime());
         let a = r.index(&[0]).unwrap();
         // repeated probes of an unchanged relation reuse the memoized
@@ -1370,7 +954,7 @@ mod tests {
 
     #[test]
     fn clones_share_columnar_index_views() {
-        let r = Relation::from_tuples_in(StorageMode::Columnar, 2, vec![tuple![1, 2]]).unwrap();
+        let r = promoted(2, vec![tuple![1, 2]]);
         let s = r.clone();
         let a = r.index(&[0]).unwrap();
         let b = s.index(&[0]).unwrap();
@@ -1379,8 +963,7 @@ mod tests {
 
     #[test]
     fn index_rejects_out_of_range_columns() {
-        all_modes(|m| {
-            let r = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+        both_regimes(2, vec![tuple![1, 2]], |r, _| {
             assert!(matches!(
                 r.index(&[2]),
                 Err(RelError::ColumnOutOfRange {
@@ -1393,9 +976,9 @@ mod tests {
 
     #[test]
     fn cache_never_affects_equality() {
-        all_modes(|m| {
-            let a = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
-            let b = Relation::from_tuples_in(m, 2, vec![tuple![1, 2]]).unwrap();
+        both_regimes(2, vec![tuple![1, 2]], |a, _| {
+            let b = a.iter().cloned().collect::<Vec<_>>();
+            let b = rel(2, b);
             let _ = a.index(&[0]).unwrap();
             let _ = a.index(&[1]).unwrap();
             assert_eq!(a, b);
@@ -1414,9 +997,10 @@ mod tests {
 
     #[test]
     fn diff_apply_delta_roundtrip() {
-        all_modes(|m| {
-            let from = Relation::from_tuples_in(m, 1, vec![tuple![1], tuple![2]]).unwrap();
-            let to = Relation::from_tuples_in(m, 1, vec![tuple![2], tuple![3]]).unwrap();
+        both_regimes(1, vec![tuple![1], tuple![2]], |from, ballast| {
+            let mut to_ts = vec![tuple![2], tuple![3]];
+            to_ts.extend(ballast.iter().cloned());
+            let to = rel(1, to_ts);
             let d = to.diff(&from).unwrap();
             assert_eq!(d.added(), &[tuple![3]]);
             assert_eq!(d.removed(), &[tuple![1]]);
@@ -1443,22 +1027,9 @@ mod tests {
     }
 
     #[test]
-    fn storage_mode_parsing() {
-        assert_eq!(StorageMode::parse("btree"), Some(StorageMode::Btree));
-        assert_eq!(StorageMode::parse("COLUMNAR"), Some(StorageMode::Columnar));
-        assert_eq!(StorageMode::parse("col"), Some(StorageMode::Columnar));
-        assert_eq!(StorageMode::parse("adaptive"), Some(StorageMode::Adaptive));
-        assert_eq!(StorageMode::parse("Auto"), Some(StorageMode::Adaptive));
-        assert_eq!(StorageMode::parse("nope"), None);
-        assert!(StorageMode::Adaptive.uses_runs());
-        assert!(StorageMode::Columnar.uses_runs());
-        assert!(!StorageMode::Btree.uses_runs());
-    }
-
-    #[test]
     fn adaptive_promotes_at_threshold_and_counts_it() {
-        let n = adaptive_promote_len();
-        let mut r = Relation::empty_in(StorageMode::Adaptive, 1);
+        let n = PROMOTE_LEN;
+        let mut r = Relation::empty(1);
         for i in 0..(n - 1) as i64 {
             r.insert(tuple![i]).unwrap();
         }
@@ -1466,7 +1037,6 @@ mod tests {
         assert_eq!(r.storage_stats().promotions, 0);
         r.insert(tuple![(n as i64) - 1]).unwrap();
         assert!(!r.in_small_regime(), "the Nth insert promotes");
-        assert_eq!(r.mode(), StorageMode::Adaptive);
         assert_eq!(r.storage_stats().promotions, 1);
         r.insert(tuple![n as i64]).unwrap();
         assert_eq!(r.storage_stats().promotions, 1, "promotion is one-way");
@@ -1475,14 +1045,9 @@ mod tests {
 
     #[test]
     fn order_demand_promotes_only_above_the_floor() {
-        let floor = adaptive_reentry_len();
+        let floor = REENTRY_LEN;
         // At the floor: scans + mutations forever, never promotes.
-        let mut r = Relation::from_tuples_in(
-            StorageMode::Adaptive,
-            1,
-            (0..floor as i64).map(|i| tuple![i]),
-        )
-        .unwrap();
+        let mut r = rel(1, (0..floor as i64).map(|i| tuple![i]).collect());
         for _ in 0..8 {
             let _ = r.iter().count(); // order demand
             assert!(r.remove(&tuple![0]));
@@ -1492,7 +1057,7 @@ mod tests {
         assert_eq!(r.storage_stats().promotions, 0);
         // One above the floor: the first mutation after an order
         // demand promotes.
-        let mut r = Relation::empty_in(StorageMode::Adaptive, 1);
+        let mut r = Relation::empty(1);
         for i in 0..=(floor as i64) {
             r.insert(tuple![i]).unwrap();
         }
@@ -1506,21 +1071,16 @@ mod tests {
 
     #[test]
     fn bulk_rebuild_reenters_small_regime() {
-        let n = adaptive_promote_len();
-        let floor = adaptive_reentry_len();
-        let mut r = Relation::empty_in(StorageMode::Adaptive, 1);
+        let n = PROMOTE_LEN;
+        let floor = REENTRY_LEN;
+        let mut r = Relation::empty(1);
         for i in 0..n as i64 {
             r.insert(tuple![i]).unwrap();
         }
         assert!(!r.in_small_regime());
         // A delta that clears almost everything re-enters the small
         // regime; the counters survive the round trip.
-        let target = Relation::from_tuples_in(
-            StorageMode::Adaptive,
-            1,
-            (0..(floor as i64) - 1).map(|i| tuple![i]),
-        )
-        .unwrap();
+        let target = rel(1, (0..(floor as i64) - 1).map(|i| tuple![i]).collect());
         let d = target.diff(&r).unwrap();
         r.apply_delta(&d).unwrap();
         assert_eq!(r, target);
@@ -1536,8 +1096,8 @@ mod tests {
 
     #[test]
     fn point_removals_never_demote() {
-        let n = adaptive_promote_len();
-        let mut r = Relation::empty_in(StorageMode::Adaptive, 1);
+        let n = PROMOTE_LEN;
+        let mut r = Relation::empty(1);
         for i in 0..n as i64 {
             r.insert(tuple![i]).unwrap();
         }
@@ -1550,23 +1110,13 @@ mod tests {
     }
 
     #[test]
-    fn into_mode_rehouses_values() {
-        let ts = vec![tuple![2, 1], tuple![1, 2]];
-        for from in [
-            StorageMode::Btree,
-            StorageMode::Columnar,
-            StorageMode::Adaptive,
-        ] {
-            let r = Relation::from_tuples_in(from, 2, ts.clone()).unwrap();
-            for to in [
-                StorageMode::Btree,
-                StorageMode::Columnar,
-                StorageMode::Adaptive,
-            ] {
-                let s = r.clone().into_mode(to);
-                assert_eq!(s.mode(), to);
-                assert_eq!(s, r);
-            }
-        }
+    fn from_run_lands_in_the_runs_regime_and_demotes_on_rebuild() {
+        let run = Run::from_sorted(1, [tuple![1], tuple![2]].iter());
+        let mut r = Relation::from_run(run);
+        assert!(!r.in_small_regime(), "zero-copy landing");
+        assert_eq!(r, rel(1, vec![tuple![1], tuple![2]]));
+        r.post_rebuild();
+        assert!(r.in_small_regime(), "a small run re-enters on rebuild");
+        assert_eq!(r, rel(1, vec![tuple![1], tuple![2]]));
     }
 }

@@ -1,12 +1,11 @@
-//! Columnar sorted runs — the storage layer beneath columnar
-//! [`Relation`](crate::Relation)s.
+//! Columnar sorted runs — the storage layer beneath promoted
+//! [`Relation`](crate::Relation)s, plus the small regime's unsorted log.
 //!
 //! A [`Run`] is an immutable, sorted, duplicate-free batch of tuples
 //! stored column-major as flat `Vec<Vid>`s (one per column). Sortedness
 //! is in the *structural* value order ([`Vid::cmp_structural`]), i.e.
-//! exactly the order a `BTreeSet<Tuple>` iterates in — so every
-//! deterministic-iteration guarantee of the BTree representation
-//! carries over verbatim.
+//! exactly the order a `BTreeSet<Tuple>` iterates in, so a relation's
+//! iteration order is deterministic whatever its history.
 //!
 //! Set operations (union, intersection, difference, delta application,
 //! diffing) are merge walks over two runs that compare packed `u32`
@@ -936,7 +935,7 @@ impl Clone for StatCells {
     }
 }
 
-/// The adaptive engine's *small regime*: a flat **unsorted** append
+/// The storage engine's *small regime*: a flat **unsorted** append
 /// log of tuples with tombstones — no base run, no sort, no fold cost
 /// on mutation. Insert, remove, and membership are linear probes over
 /// the log, which at the few-hundred-tuple scale the round executors
@@ -952,8 +951,7 @@ impl Clone for StatCells {
 /// without it — [`Relation`](crate::Relation) promotes a small
 /// relation to columnar runs when it mutates with the signal set and
 /// its size is above the hysteresis floor, and a relation probed by
-/// point lookups alone must never migrate — see
-/// `StorageMode::Adaptive`.
+/// point lookups alone must never migrate.
 ///
 /// The log holds at most one entry per tuple value: a re-insert of a
 /// tombstoned tuple revives its entry in place, and the log compacts

@@ -1,8 +1,7 @@
 //! Property tests for goal-directed evaluation: the magic-sets
 //! rewrite must be **answer-equivalent** to full materialization on
 //! random stratified programs (recursion, negation, nonequalities) ×
-//! random bound/free query patterns, across all three storage
-//! engines — plus directed tests pinning the adornment of repeated
+//! random bound/free query patterns — plus directed tests pinning the adornment of repeated
 //! predicates, the strictly-smaller derivation counts that justify
 //! the rewrite, seed rebinding through the maintained fixpoint, and
 //! the fallback paths (all-free patterns, EDB patterns, rewrites that
@@ -11,13 +10,7 @@
 use proptest::prelude::*;
 use rtx::query::parser::parse_program;
 use rtx::query::{atom, Atom, QueryMode, Term};
-use rtx::relational::{fact, Instance, Schema, StorageMode};
-
-const ALL_MODES: [StorageMode; 3] = [
-    StorageMode::Adaptive,
-    StorageMode::Columnar,
-    StorageMode::Btree,
-];
+use rtx::relational::{fact, Instance, Schema};
 
 /// The same always-stratified pool as `tests/storage.rs`: stratum 1 is
 /// positive (optionally recursive) over the EDB `e`, stratum 2 negates
@@ -48,8 +41,8 @@ fn random_program(picks: &[bool]) -> String {
     src
 }
 
-fn edge_instance_in(mode: StorageMode, pairs: &[(u8, u8)]) -> Instance {
-    let mut i = Instance::empty_in(mode, Schema::new().with("e", 2));
+fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
+    let mut i = Instance::empty(Schema::new().with("e", 2));
     for &(a, b) in pairs {
         i.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
     }
@@ -107,14 +100,12 @@ proptest! {
         let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
         let full = program.for_query_mode(&pattern, QueryMode::Materialize).unwrap();
         prop_assert!(!full.is_magic());
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
-            prop_assert_eq!(
-                magic.answer(&db).unwrap(),
-                full.answer(&db).unwrap(),
-                "pattern {} over {:?} under {:?}", &pattern, &picks, mode
-            );
-        }
+        let db = edge_instance(&pairs);
+        prop_assert_eq!(
+            magic.answer(&db).unwrap(),
+            full.answer(&db).unwrap(),
+            "pattern {} over {:?}", &pattern, &picks
+        );
     }
 
     /// Rebinding a maintained magic query to new constants via the ±
@@ -127,27 +118,25 @@ proptest! {
         second in 0i64..6,
     ) {
         let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
-            let q1 = program
-                .for_query_mode(&pattern_of("p", &[true, false], &[first, 0]), QueryMode::Magic)
-                .unwrap();
-            prop_assert!(q1.is_magic());
-            let mut fix = q1.maintained(&db).unwrap();
-            prop_assert_eq!(
-                q1.answer_from(fix.current()).unwrap(),
-                q1.answer(&db).unwrap()
-            );
-            let (q2, delta) = q1
-                .rebind(&pattern_of("p", &[true, false], &[second, 0]))
-                .unwrap();
-            fix.apply(&delta).unwrap();
-            prop_assert_eq!(
-                q2.answer_from(fix.current()).unwrap(),
-                q2.answer(&db).unwrap(),
-                "rebind {} -> {} over {:?} under {:?}", first, second, &pairs, mode
-            );
-        }
+        let db = edge_instance(&pairs);
+        let q1 = program
+            .for_query_mode(&pattern_of("p", &[true, false], &[first, 0]), QueryMode::Magic)
+            .unwrap();
+        prop_assert!(q1.is_magic());
+        let mut fix = q1.maintained(&db).unwrap();
+        prop_assert_eq!(
+            q1.answer_from(fix.current()).unwrap(),
+            q1.answer(&db).unwrap()
+        );
+        let (q2, delta) = q1
+            .rebind(&pattern_of("p", &[true, false], &[second, 0]))
+            .unwrap();
+        fix.apply(&delta).unwrap();
+        prop_assert_eq!(
+            q2.answer_from(fix.current()).unwrap(),
+            q2.answer(&db).unwrap(),
+            "rebind {} -> {} over {:?}", first, second, &pairs
+        );
     }
 }
 
@@ -169,13 +158,11 @@ fn repeated_predicate_under_multiple_adornments() {
     let full = program
         .for_query_mode(&pattern, QueryMode::Materialize)
         .unwrap();
-    for mode in ALL_MODES {
-        let db = edge_instance_in(mode, &[(0, 1), (1, 2), (2, 3), (4, 5)]);
-        let m = magic.answer(&db).unwrap();
-        assert_eq!(m, full.answer(&db).unwrap());
-        assert_eq!(m.len(), 2); // two(0,2), two(0,3)
-    }
-    // Both adornments of `p` appear in the rewritten program.
+    let db = edge_instance(&[(0, 1), (1, 2), (2, 3), (4, 5)]);
+    let m = magic.answer(&db).unwrap();
+    assert_eq!(m, full.answer(&db).unwrap());
+    assert_eq!(m.len(), 2); // two(0,2), two(0,3)
+                            // Both adornments of `p` appear in the rewritten program.
     let names: Vec<String> = magic
         .program()
         .idb_predicates()
@@ -196,12 +183,10 @@ fn repeated_pattern_variable_is_filtered_exactly() {
     let full = program
         .for_query_mode(&pattern, QueryMode::Materialize)
         .unwrap();
-    for mode in ALL_MODES {
-        let db = edge_instance_in(mode, &[(1, 2), (2, 1), (2, 3)]);
-        let m = magic.answer(&db).unwrap();
-        assert_eq!(m, full.answer(&db).unwrap());
-        assert_eq!(m.len(), 2); // p(1,1) and p(2,2) through the cycle
-    }
+    let db = edge_instance(&[(1, 2), (2, 1), (2, 3)]);
+    let m = magic.answer(&db).unwrap();
+    assert_eq!(m, full.answer(&db).unwrap());
+    assert_eq!(m.len(), 2); // p(1,1) and p(2,2) through the cycle
 }
 
 /// The derivation counters prove the point of the rewrite: a bound
@@ -257,23 +242,19 @@ fn fallback_paths_answer_by_materialization() {
         .for_query_mode(&atom!("p"; 1), QueryMode::Magic)
         .unwrap();
     assert!(!q.is_magic());
-    for mode in ALL_MODES {
-        let schema = Schema::new()
-            .with("e", 2)
-            .with("s", 1)
-            .with("g", 1)
-            .with("p", 1)
-            .with("q", 1);
-        let mut db = Instance::empty_in(mode, schema);
-        for f in [fact!("e", 1, 2), fact!("s", 2), fact!("g", 3)] {
-            db.insert_fact(f).unwrap();
-        }
-        // p(2) from s(2); p(1) from e(1,2) ∧ p(2) ∧ ¬q(2); the
-        // pattern p(1) then filters to just (1).
-        let ans = q.answer(&db).unwrap();
-        assert_eq!(ans.len(), 1);
-        assert!(ans.contains(&rtx::relational::tuple![1]));
-    }
+    let schema = Schema::new()
+        .with("e", 2)
+        .with("s", 1)
+        .with("g", 1)
+        .with("p", 1)
+        .with("q", 1);
+    let db =
+        Instance::from_facts(schema, [fact!("e", 1, 2), fact!("s", 2), fact!("g", 3)]).unwrap();
+    // p(2) from s(2); p(1) from e(1,2) ∧ p(2) ∧ ¬q(2); the pattern
+    // p(1) then filters to just (1).
+    let ans = q.answer(&db).unwrap();
+    assert_eq!(ans.len(), 1);
+    assert!(ans.contains(&rtx::relational::tuple![1]));
 }
 
 /// The `RTX_QUERY_MAGIC` knob steers `Program::for_query`: under the

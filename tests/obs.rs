@@ -285,3 +285,83 @@ fn query_eval_publishes_strata() {
     assert!(lines.iter().any(|l| l.starts_with("B query:stratum")));
     assert!(lines.iter().any(|l| l.starts_with("I query:stratum.tally")));
 }
+
+/// A T_P step — the local language of Theorem 6(5)'s transducer —
+/// publishes the same `query.*` derivation counters as a fixpoint:
+/// `query.considered` counts the facts its firings produce and
+/// `query.derived` the distinct facts it returns.
+#[test]
+fn tp_step_publishes_query_counters() {
+    let _g = obs_lock();
+    let _counters = trace::level_guard(TraceLevel::Counters);
+    let program = rtx::query::parser::parse_program(
+        "t(X,Y) :- e(X,Y). t(X,Y) :- e(Y,X). t(X,Z) :- t(X,Y), e(Y,Z).",
+    )
+    .unwrap();
+    let db = Instance::from_facts(
+        Schema::new().with("e", 2).with("t", 2),
+        vec![
+            fact!("e", 1, 2),
+            fact!("e", 2, 1),
+            fact!("e", 2, 3),
+            fact!("t", 1, 2),
+        ],
+    )
+    .unwrap();
+    let (step, trace) = trace::capture_run(|| program.tp_step(&db).unwrap());
+    // e gives (1,2),(2,1),(2,3); reversed e gives (2,1),(1,2),(3,2);
+    // t(1,2)·e(2,·) gives (1,1),(1,3): 8 firings, 6 distinct facts.
+    assert_eq!(step.fact_count(), 6);
+    assert_eq!(trace.counters.counter("query.considered"), 8);
+    assert_eq!(trace.counters.counter("query.derived"), 6);
+    // The step is not a fixpoint evaluation.
+    assert_eq!(trace.counters.counter("query.evals"), 0);
+}
+
+/// Under a drop-only fault plan both round executors leave the same
+/// evidence: one `net:fault.drop` instant per dropped copy, which the
+/// transition log accounts for as Σ `sent_facts`·degree − `enqueued`.
+#[test]
+fn both_round_executors_trace_every_dropped_copy() {
+    use rtx::chaos::{FaultPlan, FaultSession, LinkFaults};
+    use rtx::net::{run_sharded_faulted, run_sparse_faulted};
+    let _g = obs_lock();
+    let _full = trace::level_guard(TraceLevel::Full);
+    let net = Network::grid(4, 4).unwrap();
+    let input = set_instance(6);
+    let t = flood_transducer(input.schema(), FloodMode::Dedup, None).unwrap();
+    let p = HorizontalPartition::round_robin(&net, &input);
+    let budget = RunBudget::steps(200_000);
+    let plan = FaultPlan {
+        default_link: LinkFaults {
+            drop_millis: 300,
+            ..LinkFaults::none()
+        },
+        ..FaultPlan::default()
+    };
+    let session = FaultSession::new(plan, 11);
+    let opts = ShardOptions::serial().with_log();
+    let dense = trace::capture_run(|| {
+        run_sharded_faulted(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap()
+    });
+    let sparse = trace::capture_run(|| {
+        run_sparse_faulted(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap()
+    });
+    for (name, (out, trace)) in [("dense", dense), ("sparse", sparse)] {
+        let log = out.log.as_ref().expect("the log was requested");
+        let dropped: usize = log
+            .iter()
+            .map(|r| r.sent_facts * net.neighbors(&r.node).count() - r.enqueued)
+            .sum();
+        let count = |event: &str| {
+            trace
+                .events
+                .iter()
+                .filter(|e| e.cat == "net" && e.name == event)
+                .count()
+        };
+        assert!(dropped > 0, "{name}: the plan must drop some copies");
+        assert_eq!(count("fault.drop"), dropped, "{name}");
+        assert_eq!(count("fault.fate"), 0, "{name}: drop-only plan");
+    }
+}

@@ -3,7 +3,9 @@
 //!
 //! * genericity of constant-free queries: `Q(h(I)) = h(Q(I))`;
 //! * monotonicity of positive programs: `I ⊆ J ⇒ P(I) ⊆ P(J)`;
-//! * naive ≡ semi-naive Datalog evaluation;
+//! * semi-naive Datalog evaluation, the T_P step and FO conjunctive
+//!   queries ≡ the naive reference semantics (`rtx-ref`) and
+//!   nested-loop models;
 //! * flooding disseminates to every node of random connected topologies;
 //! * distributed TC is consistent across random seeds/partitions;
 //! * the transducer update formula's conflict-resolution laws;
@@ -13,8 +15,9 @@ use proptest::prelude::*;
 use rtx::calm::constructions::distribute::distribute_monotone;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
 use rtx::net::{run, HorizontalPartition, Network, RandomScheduler, RunBudget};
-use rtx::query::{DatalogQuery, EvalStrategy, Query, QueryRef};
-use rtx::relational::{fact, Fact, Instance, Iso, Schema, Value};
+use rtx::query::{DatalogQuery, Query, QueryRef};
+use rtx::relational::{fact, Fact, Instance, Iso, Schema, Tuple, Value};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
@@ -74,11 +77,18 @@ proptest! {
         prop_assert!(small_out.is_subset(&big_out));
     }
 
+    /// The engine's semi-naive closure equals the reference's naive
+    /// fixpoint.
     #[test]
     fn naive_equals_seminaive(pairs in proptest::collection::vec((0u8..7, 0u8..7), 0..14)) {
         let i = edge_instance(&pairs);
-        let semi = tc_query().eval(&i).unwrap();
-        let naive = tc_query().with_strategy(EvalStrategy::Naive).eval(&i).unwrap();
+        let q = tc_query();
+        let semi: BTreeSet<Tuple> = q.eval(&i).unwrap().iter().cloned().collect();
+        let naive: BTreeSet<Tuple> = rtx_ref::eval(q.program(), &i)
+            .into_iter()
+            .filter(|f| f.rel().as_str() == "T")
+            .map(|f| f.tuple().clone())
+            .collect();
         prop_assert_eq!(semi, naive);
     }
 
@@ -299,32 +309,30 @@ fn random_db(pairs: &[(u8, u8)], singles: &[i64]) -> Instance {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole equivalence: planned, index-probing joins compute
-    /// exactly what the seed's full-scan joins computed, on random
-    /// stratified programs and random instances, under both fixpoint
-    /// strategies.
+    /// The tentpole equivalence: planned, index-probing joins in the
+    /// semi-naive fixpoint compute exactly what the reference's
+    /// literal-order nested-loop scans compute in its naive fixpoint,
+    /// on random stratified programs and random instances — and so
+    /// does one T_P step.
     #[test]
     fn indexed_join_equals_scan_join(
         prog_seed in 0u64..10_000,
         n_rules in 1usize..6,
         pairs in proptest::collection::vec((0u8..6, 0u8..6), 0..14),
         singles in proptest::collection::btree_set(0i64..6, 0..5)) {
-        use rtx::query::{EvalStrategy, JoinMode};
         let p = random_program(prog_seed, n_rules);
         let db = random_db(&pairs, &singles.iter().copied().collect::<Vec<_>>());
-        let indexed = p.eval_with_mode(&db, EvalStrategy::SemiNaive, JoinMode::Indexed).unwrap();
-        let scan = p.eval_with_mode(&db, EvalStrategy::SemiNaive, JoinMode::Scan).unwrap();
-        prop_assert_eq!(&indexed, &scan);
-        // and across strategies, with indexes on
-        let naive = p.eval_with_mode(&db, EvalStrategy::Naive, JoinMode::Indexed).unwrap();
-        prop_assert_eq!(&indexed, &naive);
+        let indexed: BTreeSet<Fact> = p.eval(&db).unwrap().facts().collect();
+        prop_assert_eq!(indexed, rtx_ref::eval(&p, &db));
+        let step: BTreeSet<Fact> = p.tp_step(&db).unwrap().facts().collect();
+        prop_assert_eq!(step, rtx_ref::tp_step(&p, &db));
     }
 
-    /// FO generator joins: indexed and scan modes agree on a two-hop
-    /// conjunctive query over random edges.
+    /// FO generator joins: the indexed two-hop conjunctive query over
+    /// random edges equals a nested-loop scan over the edge set.
     #[test]
     fn fo_indexed_equals_scan(pairs in proptest::collection::vec((0u8..8, 0u8..8), 0..16)) {
-        use rtx::query::{atom, FoQuery, Formula, JoinMode};
+        use rtx::query::{atom, FoQuery, Formula};
         let db = random_db(&pairs, &[]);
         let q = FoQuery::new(
             ["X", "Z"],
@@ -333,8 +341,16 @@ proptest! {
                 Formula::atom(atom!("E"; @"Y", @"Z")),
             ])),
         ).unwrap();
-        let indexed = q.clone().with_join_mode(JoinMode::Indexed).eval(&db).unwrap();
-        let scan = q.with_join_mode(JoinMode::Scan).eval(&db).unwrap();
+        let indexed: BTreeSet<Tuple> = q.eval(&db).unwrap().iter().cloned().collect();
+        let edges: BTreeSet<(u8, u8)> = pairs.iter().copied().collect();
+        let mut scan: BTreeSet<Tuple> = BTreeSet::new();
+        for &(x, y) in &edges {
+            for &(y2, z) in &edges {
+                if y == y2 {
+                    scan.insert(vec![Value::Int(x as i64), Value::Int(z as i64)].into());
+                }
+            }
+        }
         prop_assert_eq!(indexed, scan);
     }
 }

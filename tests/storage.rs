@@ -1,34 +1,47 @@
-//! Property tests for the storage engines: the adaptive and columnar
-//! sorted-run engines against the B-tree oracle (`RTX_STORAGE=btree`),
-//! under the schedules that exercise every adoption path — random
-//! interleaved inserts and deletes, `diff`/`apply_delta` round trips,
-//! set algebra, random stratified programs under naive and semi-naive
-//! evaluation, and the incremental fixpoint — plus directed tests
-//! pinning the adaptive engine's promotion boundary and hysteresis.
-//! Plus determinism of the process-wide value interner, which all
-//! engines share.
-//!
-//! Every test here builds **all** representations explicitly with
-//! `empty_in`/`from_facts_in`, so the suite is oracle-complete no
-//! matter what `RTX_STORAGE` the ambient process runs under.
+//! Property tests for the storage engine: relations in both regimes
+//! (the small unsorted log and promoted sorted runs) against plain
+//! `BTreeSet<Tuple>` models, under the schedules that exercise every
+//! adoption path — random interleaved inserts and deletes,
+//! `diff`/`apply_delta` round trips, and set algebra — plus random
+//! stratified programs and the incremental fixpoint against the naive
+//! reference semantics in `rtx-ref`, and directed tests pinning the
+//! promotion boundary and hysteresis. Plus determinism of the
+//! process-wide value interner.
 
 use proptest::prelude::*;
-use rtx::query::{EvalStrategy, MaintainedFixpoint};
+use rtx::query::MaintainedFixpoint;
 use rtx::relational::{
-    adaptive_promote_len, adaptive_reentry_len, fact, Fact, Instance, Relation, Schema,
-    StorageMode, Tuple, Value, Vid,
+    fact, Fact, Instance, Relation, Run, Schema, Tuple, Value, Vid, PROMOTE_LEN, REENTRY_LEN,
 };
-
-/// The three-way equivalence set: every engine in one array, oracle
-/// last.
-const ALL_MODES: [StorageMode; 3] = [
-    StorageMode::Adaptive,
-    StorageMode::Columnar,
-    StorageMode::Btree,
-];
+use std::collections::BTreeSet;
 
 fn tuple2(a: u8, b: u8) -> Tuple {
     vec![Value::Int(a as i64), Value::Int(b as i64)].into()
+}
+
+/// Tuples disjoint from every `tuple2` value, enough of them to carry a
+/// relation past the hysteresis floor into the runs regime.
+fn ballast() -> Vec<Tuple> {
+    (0..=REENTRY_LEN as i64)
+        .map(|i| vec![Value::Int(1000 + i), Value::Int(i)].into())
+        .collect()
+}
+
+/// A relation over `pairs` and its `BTreeSet` model — with the ballast
+/// added to both when `big`, so the relation starts out promoted.
+fn relation_and_model(pairs: &[(u8, u8)], big: bool) -> (Relation, BTreeSet<Tuple>) {
+    let mut model: BTreeSet<Tuple> = pairs.iter().map(|&(a, b)| tuple2(a, b)).collect();
+    if big {
+        model.extend(ballast());
+    }
+    let rel = Relation::from_tuples(2, model.iter().cloned()).unwrap();
+    assert_eq!(rel.in_small_regime(), !big);
+    (rel, model)
+}
+
+fn assert_matches(rel: &Relation, model: &BTreeSet<Tuple>) {
+    assert_eq!(rel.len(), model.len());
+    assert!(rel.iter().eq(model.iter()), "iteration is the sorted order");
 }
 
 /// One mutation in a randomized schedule: `(insert?, a, b)` — insert
@@ -42,8 +55,8 @@ fn op_strategy() -> (
     (any::<bool>(), 0u8..12, 0u8..12)
 }
 
-fn edge_instance_in(mode: StorageMode, pairs: &[(u8, u8)]) -> Instance {
-    let mut i = Instance::empty_in(mode, Schema::new().with("e", 2));
+fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
+    let mut i = Instance::empty(Schema::new().with("e", 2));
     for &(a, b) in pairs {
         i.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
     }
@@ -79,133 +92,99 @@ fn random_program(picks: &[bool]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Adaptive, columnar, and B-tree relations agree tuple-for-tuple
-    /// under any interleaving of inserts and deletes — the schedule
-    /// that forces tail accumulation, run adoption, and tombstone
-    /// handling in the run-backed engines, and tombstone revival in
-    /// the adaptive small log.
+    /// Relations agree with a `BTreeSet` model tuple-for-tuple under
+    /// any interleaving of inserts and deletes, starting small (the
+    /// schedule grows and shrinks the tombstone log) and starting
+    /// promoted (it forces tail accumulation, run adoption and
+    /// un-deletes in the runs regime).
     #[test]
     fn columnar_matches_btree_under_mutation_schedules(
         ops in proptest::collection::vec(op_strategy(), 0..60),
     ) {
-        let mut ad = Relation::empty_in(StorageMode::Adaptive, 2);
-        let mut col = Relation::empty_in(StorageMode::Columnar, 2);
-        let mut bt = Relation::empty_in(StorageMode::Btree, 2);
-        for op in &ops {
-            let (ins, a, b) = *op;
-            if ins {
-                let (x, y, z) = (col.insert(tuple2(a, b)).unwrap(),
-                                 bt.insert(tuple2(a, b)).unwrap(),
-                                 ad.insert(tuple2(a, b)).unwrap());
-                prop_assert_eq!(x, y, "insert novelty must agree");
-                prop_assert_eq!(z, y, "insert novelty must agree (adaptive)");
-            } else {
-                let keep = bt.remove(&tuple2(a, b));
-                prop_assert_eq!(col.remove(&tuple2(a, b)), keep);
-                prop_assert_eq!(ad.remove(&tuple2(a, b)), keep);
+        for big in [false, true] {
+            let (mut rel, mut model) = relation_and_model(&[], big);
+            for op in &ops {
+                let (ins, a, b) = *op;
+                if ins {
+                    prop_assert_eq!(
+                        rel.insert(tuple2(a, b)).unwrap(),
+                        model.insert(tuple2(a, b)),
+                        "insert novelty must agree"
+                    );
+                } else {
+                    prop_assert_eq!(rel.remove(&tuple2(a, b)), model.remove(&tuple2(a, b)));
+                }
+                prop_assert_eq!(rel.len(), model.len());
             }
-            prop_assert_eq!(col.len(), bt.len());
-            prop_assert_eq!(ad.len(), bt.len());
-        }
-        // Cross-mode equality is content equality.
-        prop_assert_eq!(&col, &bt);
-        prop_assert_eq!(&ad, &bt);
-        prop_assert_eq!(&ad, &col);
-        prop_assert!(col.iter().eq(bt.iter()), "iteration order is the sorted order");
-        prop_assert!(ad.iter().eq(bt.iter()), "iteration order is the sorted order (adaptive)");
-        for a in 0..12u8 {
-            for b in 0..12u8 {
-                prop_assert_eq!(col.contains(&tuple2(a, b)), bt.contains(&tuple2(a, b)));
-                prop_assert_eq!(ad.contains(&tuple2(a, b)), bt.contains(&tuple2(a, b)));
+            prop_assert!(rel.iter().eq(model.iter()), "iteration is the sorted order");
+            let rebuilt = Relation::from_tuples(2, model.iter().cloned()).unwrap();
+            prop_assert_eq!(&rel, &rebuilt);
+            for a in 0..12u8 {
+                for b in 0..12u8 {
+                    prop_assert_eq!(rel.contains(&tuple2(a, b)), model.contains(&tuple2(a, b)));
+                }
             }
         }
     }
 
-    /// `diff` and `apply_delta` round-trip across engines: a delta
-    /// computed between B-tree relations moves a columnar relation to
-    /// the same contents, and vice versa.
+    /// `diff` names exactly the model's set differences, and
+    /// `apply_delta` moves a relation in either regime to the target.
     #[test]
     fn deltas_transport_across_engines(
         from in proptest::collection::vec((0u8..10, 0u8..10), 0..25),
         to in proptest::collection::vec((0u8..10, 0u8..10), 0..25),
     ) {
-        let mk = |mode, pairs: &[(u8, u8)]| {
-            Relation::from_tuples_in(
-                mode, 2, pairs.iter().map(|&(a, b)| tuple2(a, b)).collect::<Vec<_>>(),
-            ).unwrap()
-        };
-        let bt_from = mk(StorageMode::Btree, &from);
-        let bt_to = mk(StorageMode::Btree, &to);
-        let delta_bt = bt_to.diff(&bt_from).unwrap();
-        for mode in ALL_MODES {
-            let m_from = mk(mode, &from);
-            let m_to = mk(mode, &to);
-            let delta_m = m_to.diff(&m_from).unwrap();
-            prop_assert_eq!(delta_bt.added(), delta_m.added());
-            prop_assert_eq!(delta_bt.removed(), delta_m.removed());
+        for (big_from, big_to) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (r_from, m_from) = relation_and_model(&from, big_from);
+            let (r_to, m_to) = relation_and_model(&to, big_to);
+            let delta = r_to.diff(&r_from).unwrap();
+            let added: Vec<Tuple> = m_to.difference(&m_from).cloned().collect();
+            let removed: Vec<Tuple> = m_from.difference(&m_to).cloned().collect();
+            prop_assert_eq!(delta.added(), &added[..]);
+            prop_assert_eq!(delta.removed(), &removed[..]);
 
-            // A delta computed on the oracle transports this engine,
-            // and this engine's delta transports the oracle.
-            let mut r = m_from.clone();
-            r.apply_delta(&delta_bt).unwrap();
-            prop_assert_eq!(&r, &bt_to);
-            let mut bt = bt_from.clone();
-            bt.apply_delta(&delta_m).unwrap();
-            prop_assert_eq!(&bt, &m_to);
+            let mut r = r_from.clone();
+            r.apply_delta(&delta).unwrap();
+            assert_matches(&r, &m_to);
+            prop_assert_eq!(&r, &r_to);
         }
     }
 
     /// The set algebra (union / intersect / difference / subset) gives
-    /// identical answers whichever engine holds either operand.
+    /// the model's answers whichever regime holds either operand.
     #[test]
     fn set_algebra_agrees_across_engines(
         xs in proptest::collection::vec((0u8..8, 0u8..8), 0..20),
         ys in proptest::collection::vec((0u8..8, 0u8..8), 0..20),
     ) {
-        let mk = |mode, pairs: &[(u8, u8)]| {
-            Relation::from_tuples_in(
-                mode, 2, pairs.iter().map(|&(a, b)| tuple2(a, b)).collect::<Vec<_>>(),
-            ).unwrap()
-        };
-        let (bx, by) = (mk(StorageMode::Btree, &xs), mk(StorageMode::Btree, &ys));
-        for mode in ALL_MODES {
-            let (mx, my) = (mk(mode, &xs), mk(mode, &ys));
-            prop_assert_eq!(mx.union(&my).unwrap(), bx.union(&by).unwrap());
-            prop_assert_eq!(mx.intersect(&my).unwrap(), bx.intersect(&by).unwrap());
-            prop_assert_eq!(mx.difference(&my).unwrap(), bx.difference(&by).unwrap());
-            // Mixed-mode operands hit the cross-engine paths.
-            prop_assert_eq!(mx.union(&by).unwrap(), bx.union(&my).unwrap());
-            prop_assert_eq!(mx.intersect(&by).unwrap(), bx.intersect(&my).unwrap());
-            prop_assert_eq!(mx.difference(&by).unwrap(), bx.difference(&my).unwrap());
-            prop_assert_eq!(mx.is_subset(&by), bx.is_subset(&my));
+        for (big_x, big_y) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (rx, mx) = relation_and_model(&xs, big_x);
+            let (ry, my) = relation_and_model(&ys, big_y);
+            assert_matches(&rx.union(&ry).unwrap(), &mx.union(&my).cloned().collect());
+            assert_matches(&rx.intersect(&ry).unwrap(), &mx.intersection(&my).cloned().collect());
+            assert_matches(&rx.difference(&ry).unwrap(), &mx.difference(&my).cloned().collect());
+            prop_assert_eq!(rx.is_subset(&ry), mx.is_subset(&my));
+            prop_assert_eq!(rx == ry, mx == my);
         }
     }
 
     /// Random stratified programs (negation, disequality, recursion)
-    /// evaluate identically under naive and semi-naive strategies on
-    /// all three storage engines — six evaluations, one answer.
+    /// evaluate to exactly the facts of the naive reference semantics.
     #[test]
     fn stratified_evaluation_is_engine_independent(
         pairs in proptest::collection::vec((0u8..6, 0u8..6), 0..14),
         picks in proptest::collection::vec(any::<bool>(), RULE_POOL.len() - 1),
     ) {
         let program = rtx::query::parser::parse_program(&random_program(&picks)).unwrap();
-        let mut outs: Vec<Instance> = Vec::new();
-        for mode in ALL_MODES {
-            let db = edge_instance_in(mode, &pairs);
-            for strategy in [EvalStrategy::Naive, EvalStrategy::SemiNaive] {
-                outs.push(program.eval_with(&db, strategy).unwrap());
-            }
-        }
-        for other in &outs[1..] {
-            prop_assert_eq!(&outs[0], other);
-        }
+        let db = edge_instance(&pairs);
+        let engine: BTreeSet<Fact> = program.eval(&db).unwrap().facts().collect();
+        prop_assert_eq!(engine, rtx_ref::eval(&program, &db));
     }
 
     /// The incremental fixpoint over a random schedule of EDB deltas
-    /// agrees with from-scratch evaluation, whichever of the three
-    /// engines holds the base instance — the counting/DRed path
-    /// against the oracle.
+    /// agrees with from-scratch evaluation and with the reference
+    /// semantics after every tick — the counting/DRed path against the
+    /// oracle.
     #[test]
     fn incremental_fixpoint_matches_scratch_on_both_engines(
         base in proptest::collection::vec((0u8..6, 0u8..6), 0..10),
@@ -214,26 +193,26 @@ proptest! {
         picks in proptest::collection::vec(any::<bool>(), RULE_POOL.len() - 1),
     ) {
         let program = rtx::query::parser::parse_program(&random_program(&picks)).unwrap();
-        for mode in ALL_MODES {
-            let mut db = edge_instance_in(mode, &base);
-            let mut maintained = MaintainedFixpoint::new(&program).unwrap();
-            maintained.initialize(&db).unwrap();
-            for tick in &ticks {
-                let mut next = db.clone();
-                for op in tick {
-                    let (ins, a, b) = *op;
-                    if ins {
-                        next.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
-                    } else {
-                        next.remove_fact(&fact!("e", a as i64, b as i64));
-                    }
+        let mut db = edge_instance(&base);
+        let mut maintained = MaintainedFixpoint::new(&program).unwrap();
+        maintained.initialize(&db).unwrap();
+        for tick in &ticks {
+            let mut next = db.clone();
+            for op in tick {
+                let (ins, a, b) = *op;
+                if ins {
+                    next.insert_fact(fact!("e", a as i64, b as i64)).unwrap();
+                } else {
+                    next.remove_fact(&fact!("e", a as i64, b as i64));
                 }
-                let delta = next.diff(&db);
-                db = next;
-                let incr = maintained.apply(&delta).unwrap().clone();
-                let scratch = program.eval(&db).unwrap();
-                prop_assert_eq!(incr, scratch);
             }
+            let delta = next.diff(&db);
+            db = next;
+            let incr = maintained.apply(&delta).unwrap().clone();
+            let scratch = program.eval(&db).unwrap();
+            prop_assert_eq!(&incr, &scratch);
+            let facts: BTreeSet<Fact> = incr.facts().collect();
+            prop_assert_eq!(facts, rtx_ref::eval(&program, &db));
         }
     }
 
@@ -298,9 +277,9 @@ fn interner_agrees_across_racing_threads() {
     }
 }
 
-/// Instances built from the same fact stream are equal whatever engine
-/// backs them, and `Instance::diff`/`apply_delta` transport across
-/// engines at the instance level too.
+/// Instances built from a fact stream hold exactly its set of facts,
+/// and `Instance::diff`/`apply_delta` transport an instance to any
+/// target at the instance level too.
 #[test]
 fn instance_deltas_transport_across_engines() {
     let schema = Schema::new().with("E", 2).with("S", 1);
@@ -310,47 +289,48 @@ fn instance_deltas_transport_across_engines() {
         fact!("S", 7),
         fact!("E", 1, 2), // duplicate: second insert is a no-op
     ];
-    let bt = Instance::from_facts_in(StorageMode::Btree, schema.clone(), facts.clone()).unwrap();
-    for mode in ALL_MODES {
-        let inst = Instance::from_facts_in(mode, schema.clone(), facts.clone()).unwrap();
-        assert_eq!(inst, bt);
-        assert_eq!(inst.fact_count(), 3);
+    let model: BTreeSet<Fact> = facts.iter().cloned().collect();
+    let inst = Instance::from_facts(schema.clone(), facts).unwrap();
+    assert_eq!(inst.facts().collect::<BTreeSet<_>>(), model);
+    assert_eq!(inst.fact_count(), 3);
 
-        let mut target =
-            Instance::from_facts_in(mode, schema.clone(), vec![fact!("E", 9, 9), fact!("S", 7)])
-                .unwrap();
-        let delta = bt.diff(&target);
-        target.apply_delta(&delta).unwrap();
-        assert_eq!(target, bt);
-    }
+    let mut target =
+        Instance::from_facts(schema.clone(), vec![fact!("E", 9, 9), fact!("S", 7)]).unwrap();
+    let delta = inst.diff(&target);
+    target.apply_delta(&delta).unwrap();
+    assert_eq!(target, inst);
+    assert_eq!(target.facts().collect::<BTreeSet<_>>(), model);
 }
 
 /// Directed promotion-boundary test: inserting to N−1 stays in the
 /// small regime, the Nth insert promotes (exactly once), and N+1
-/// keeps the promoted representation — all value-equal to the oracle
-/// at every boundary.
+/// keeps the promoted representation — all equal to the model at
+/// every boundary.
 #[test]
 fn adaptive_promotion_boundary_pins_threshold() {
-    let n = adaptive_promote_len();
-    let mut ad = Relation::empty_in(StorageMode::Adaptive, 1);
-    let mut bt = Relation::empty_in(StorageMode::Btree, 1);
+    let n = PROMOTE_LEN;
+    let mut rel = Relation::empty(1);
+    let mut model: BTreeSet<Tuple> = BTreeSet::new();
     for i in 0..(n + 1) as i64 {
-        ad.insert(vec![Value::Int(i)].into()).unwrap();
-        bt.insert(vec![Value::Int(i)].into()).unwrap();
+        rel.insert(vec![Value::Int(i)].into()).unwrap();
+        model.insert(vec![Value::Int(i)].into());
         let len = (i + 1) as usize;
         if len < n {
-            assert!(ad.in_small_regime(), "below N stays small (len {len})");
-            assert_eq!(ad.storage_stats().promotions, 0);
+            assert!(rel.in_small_regime(), "below N stays small (len {len})");
+            assert_eq!(rel.storage_stats().promotions, 0);
         } else {
             assert!(
-                !ad.in_small_regime(),
+                !rel.in_small_regime(),
                 "N and beyond are promoted (len {len})"
             );
-            assert_eq!(ad.storage_stats().promotions, 1, "promotion happens once");
+            assert_eq!(rel.storage_stats().promotions, 1, "promotion happens once");
         }
-        assert_eq!(ad, bt);
+        // Probe, don't scan: an ordered read above the floor is an
+        // order demand, which would promote early.
+        assert_eq!(rel.len(), model.len());
+        assert!(model.iter().all(|t| rel.contains(t)));
     }
-    assert_eq!(ad.mode(), StorageMode::Adaptive);
+    assert_matches(&rel, &model);
 }
 
 /// Directed hysteresis test: churn (scan + insert/remove cycles) at
@@ -359,17 +339,13 @@ fn adaptive_promotion_boundary_pins_threshold() {
 /// removals.
 #[test]
 fn adaptive_churn_at_hysteresis_edge_does_not_flap() {
-    let floor = adaptive_reentry_len();
-    let at_floor = Relation::from_tuples_in(
-        StorageMode::Adaptive,
-        1,
-        (0..floor as i64).map(|i| vec![Value::Int(i)].into()),
-    )
-    .unwrap();
+    let floor = REENTRY_LEN;
+    let at_floor =
+        Relation::from_tuples(1, (0..floor as i64).map(|i| vec![Value::Int(i)].into())).unwrap();
     // Grown by point inserts so it is genuinely in the small regime
     // one above the floor (a bulk construction above the floor would
     // start out promoted).
-    let mut above = Relation::empty_in(StorageMode::Adaptive, 1);
+    let mut above = Relation::empty(1);
     for i in 0..=(floor as i64) {
         above.insert(vec![Value::Int(i)].into()).unwrap();
     }
@@ -396,9 +372,9 @@ fn adaptive_churn_at_hysteresis_edge_does_not_flap() {
 /// grow right back up, re-promoting.
 #[test]
 fn adaptive_clear_and_regrow_reenters_small_regime() {
-    let n = adaptive_promote_len();
+    let n = PROMOTE_LEN;
     let schema = Schema::new().with("E", 2);
-    let mut inst = Instance::empty_in(StorageMode::Adaptive, schema);
+    let mut inst = Instance::empty(schema);
     for i in 0..n as i64 {
         inst.insert_fact(fact!("E", i, i)).unwrap();
     }
@@ -407,7 +383,7 @@ fn adaptive_clear_and_regrow_reenters_small_regime() {
     assert!(!big.in_small_regime(), "grown past N: promoted");
 
     // Bulk replace with a tiny relation: re-enters the small regime.
-    let tiny = Relation::from_tuples_in(StorageMode::Adaptive, 2, vec![tuple2(1, 1)]).unwrap();
+    let tiny = Relation::from_tuples(2, vec![tuple2(1, 1)]).unwrap();
     inst.set_relation("E", tiny).unwrap();
     let small = inst.relation(&name).unwrap();
     assert_eq!(small.len(), 1);
@@ -416,13 +392,14 @@ fn adaptive_clear_and_regrow_reenters_small_regime() {
         "bulk rebuild re-enters the small regime"
     );
 
-    // …and a query output (plain columnar run) landing via
-    // set_relation is re-housed adaptively too.
-    let as_output = Relation::from_tuples_in(StorageMode::Columnar, 2, vec![tuple2(2, 2)]).unwrap();
+    // …and a query output (a sorted run) landing via set_relation
+    // re-enters the small regime too.
+    let as_output = Relation::from_run(Run::from_sorted(2, [tuple2(2, 2)].iter()));
+    assert!(!as_output.in_small_regime());
     inst.set_relation("E", as_output).unwrap();
     let rehoused = inst.relation(&name).unwrap();
-    assert_eq!(rehoused.mode(), StorageMode::Adaptive);
     assert!(rehoused.in_small_regime());
+    assert!(rehoused.contains(&tuple2(2, 2)));
 
     // Regrow: promotes again.
     for i in 0..n as i64 {
@@ -430,5 +407,4 @@ fn adaptive_clear_and_regrow_reenters_small_regime() {
     }
     let regrown = inst.relation(&name).unwrap();
     assert!(!regrown.in_small_regime(), "regrowth re-promotes");
-    assert_eq!(regrown.mode(), StorageMode::Adaptive);
 }
