@@ -12,7 +12,7 @@ use crate::fault::SendFate;
 use crate::partition::HorizontalPartition;
 use crate::topology::{Network, NodeId};
 use rtx_relational::{Fact, FactMultiset, Instance, Relation};
-use rtx_transducer::Transducer;
+use rtx_transducer::{all_relation, Transducer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -135,26 +135,16 @@ impl Configuration {
     /// The initial configuration for a horizontal partition: every node
     /// holds its input fragment, `Id`/`All` are set, memory and buffers
     /// are empty (paper, Section 4).
+    ///
+    /// `All` is built once, in one bulk construction, and every node
+    /// shares it by handle, so set-up costs one `All` rather than one
+    /// per node.
     pub fn initial(
         net: &Network,
         transducer: &Transducer,
         partition: &HorizontalPartition,
     ) -> Result<Self, NetError> {
-        let all = net.node_set();
-        let mut states = BTreeMap::new();
-        let mut buffers = BTreeMap::new();
-        for node in net.nodes() {
-            let fragment = partition
-                .fragment(node)
-                .ok_or_else(|| NetError::Partition(format!("no fragment for node {node}")))?;
-            let state = transducer
-                .schema()
-                .initial_state(fragment, node, &all)
-                .map_err(NetError::Rel)?;
-            states.insert(*node, state);
-            buffers.insert(*node, Vec::new());
-        }
-        Ok(Configuration { states, buffers })
+        Configuration::with_all(net, transducer, partition, &all_relation(&net.node_set()))
     }
 
     /// Like [`Configuration::initial`], but the `All` system relation is
@@ -162,16 +152,16 @@ impl Configuration {
     /// actually references `All` (per [`rtx_transducer::Classification`],
     /// the same syntactic check the obliviousness analysis uses).
     ///
-    /// Eagerly materializing `All` at every node costs Θ(n²) facts on an
-    /// n-node network — prohibitive at the 10⁵–10⁶ node scales the
-    /// sparse executor targets — while `All`-free transducers (every
-    /// oblivious machine, including the flooding constructions) never
-    /// read it. For transducers that do reference `All` this is
-    /// identical to [`Configuration::initial`]; for the rest, the only
-    /// difference is the absent (never-consulted) `All` tuples, so run
-    /// outputs, logs, and quiescence verdicts are unaffected — only
-    /// `final_config` comparisons against eagerly-built configurations
-    /// would notice.
+    /// [`Configuration::initial`] already shares one `All` across the
+    /// nodes, so the eager form costs one `n`-tuple relation plus a
+    /// handle per node; the lean form skips even that, and leaves
+    /// every node's `All` empty for transducers that never read it
+    /// (every oblivious machine, including the flooding constructions).
+    /// For transducers that do reference `All` this is identical to
+    /// [`Configuration::initial`]; for the rest, the only difference is
+    /// the absent (never-consulted) `All` tuples, so run outputs, logs,
+    /// and quiescence verdicts are unaffected — only `final_config`
+    /// comparisons against eagerly-built configurations would notice.
     pub fn initial_lean(
         net: &Network,
         transducer: &Transducer,
@@ -181,10 +171,21 @@ impl Configuration {
             .system_usage
             .uses_all;
         let all = if uses_all {
-            net.node_set()
+            all_relation(&net.node_set())
         } else {
-            BTreeSet::new()
+            Relation::empty(1)
         };
+        Configuration::with_all(net, transducer, partition, &all)
+    }
+
+    /// The initial configuration with every node sharing `all` as its
+    /// `All` relation.
+    fn with_all(
+        net: &Network,
+        transducer: &Transducer,
+        partition: &HorizontalPartition,
+        all: &Relation,
+    ) -> Result<Self, NetError> {
         let mut states = BTreeMap::new();
         let mut buffers = BTreeMap::new();
         for node in net.nodes() {
@@ -193,7 +194,7 @@ impl Configuration {
                 .ok_or_else(|| NetError::Partition(format!("no fragment for node {node}")))?;
             let state = transducer
                 .schema()
-                .initial_state(fragment, node, &all)
+                .initial_state_with_all(fragment, node, all)
                 .map_err(NetError::Rel)?;
             states.insert(*node, state);
             buffers.insert(*node, Vec::new());
@@ -417,7 +418,6 @@ impl Configuration {
             .get(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
         let res = transducer.step(state, &received).map_err(NetError::Eval)?;
-        let state_changed = &res.new_state != state;
         let sent: Vec<Fact> = res.sent.facts().collect();
         let mut enqueued = 0usize;
         for neighbor in net.neighbors(node) {
@@ -458,7 +458,7 @@ impl Configuration {
             output: res.output,
             sent_facts: sent.len(),
             enqueued,
-            state_changed,
+            state_changed: res.state_changed,
         })
     }
 }
@@ -626,7 +626,7 @@ impl fmt::Debug for Configuration {
 mod tests {
     use super::*;
     use rtx_query::{atom, CqBuilder, QueryRef, Term, UcqQuery};
-    use rtx_relational::{fact, Schema};
+    use rtx_relational::{fact, Schema, Tuple};
     use rtx_transducer::TransducerBuilder;
     use std::sync::Arc;
 
@@ -786,6 +786,39 @@ mod tests {
         // n1 has no input: heartbeat sends nothing, changes nothing
         let rec = cfg.apply_heartbeat(&net, &t, &n1).unwrap();
         assert!(rec.is_noop());
+    }
+
+    /// The shared, bulk-built `All` gives the same configuration as the
+    /// fact-by-fact construction — every `All` tuple inserted at every
+    /// node — on random topologies on both sides of the storage regimes.
+    #[test]
+    fn shared_all_matches_the_fact_by_fact_configuration() {
+        let t = flooder();
+        let full = Instance::from_facts(
+            Schema::new().with("S", 1),
+            (0..10i64).map(|v| fact!("S", v)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for (n, seed) in [(2, 1), (7, 2), (64, 3), (65, 4), (300, 5)] {
+            let net = Network::random_connected_seeded(n, 0.05, seed).unwrap();
+            let p = HorizontalPartition::round_robin(&net, &full);
+            let shared = Configuration::initial(&net, &t, &p).unwrap();
+            let by_fact = Configuration::from_parts(net.nodes().map(|node| {
+                let mut st = p
+                    .fragment(node)
+                    .unwrap()
+                    .widen(t.schema().state_schema().clone())
+                    .unwrap();
+                st.insert_fact(Fact::new("Id", Tuple::new(vec![*node])))
+                    .unwrap();
+                for v in net.nodes() {
+                    st.insert_fact(Fact::new("All", Tuple::new(vec![*v])))
+                        .unwrap();
+                }
+                (*node, st, Vec::new())
+            }));
+            assert_eq!(shared, by_fact, "{n} nodes");
+        }
     }
 
     #[test]

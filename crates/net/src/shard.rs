@@ -488,12 +488,11 @@ fn step_node_inner(
         }
     }
     let res = transducer.step(state, &rcv).map_err(NetError::Eval)?;
-    let state_changed = res.new_state != *state;
     *state = res.new_state;
     Ok(StepOut {
         output: res.output,
         sent: res.sent.facts().collect(),
-        state_changed,
+        state_changed: res.state_changed,
         events: Vec::new(),
     })
 }

@@ -104,13 +104,25 @@ impl CqRule {
                 return Ok(());
             }
         }
+        // Each negated relation is looked up once per evaluation, not
+        // once per binding; `None` is declared but unpopulated.
+        let neg: Vec<Option<&Relation>> = self
+            .neg
+            .iter()
+            .map(|a| match db.relation_ref(&a.pred) {
+                Some(rel) => Ok(Some(rel)),
+                None if db.schema().contains(&a.pred) => Ok(None),
+                None => Err(rtx_relational::RelError::UnknownRelation {
+                    rel: a.pred.clone(),
+                }),
+            })
+            .collect::<Result<_, _>>()?;
         'env: for env in envs {
-            for a in &self.neg {
-                let rel = db.relation(&a.pred)?;
+            for (a, rel) in self.neg.iter().zip(&neg) {
                 let t = a.instantiate(&env).ok_or_else(|| EvalError::Unsafe {
                     reason: format!("negated atom {a} unbound at evaluation"),
                 })?;
-                if rel.contains(&t) {
+                if rel.is_some_and(|rel| rel.contains(&t)) {
                     continue 'env;
                 }
             }

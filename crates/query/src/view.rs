@@ -57,10 +57,10 @@ impl ViewQuery {
             out.set_relation(name.clone(), rel)?;
         }
         if self.include_base {
-            let view_names: BTreeSet<&RelName> = self.views.iter().map(|(n, _)| n).collect();
-            for f in db.facts() {
-                if !view_names.contains(f.rel()) {
-                    out.insert_fact(f)?;
+            // Unshadowed base relations pass through by handle.
+            for (name, rel) in db.relations() {
+                if !self.views.iter().any(|(n, _)| n == name) {
+                    out.union_relation(name, rel)?;
                 }
             }
         }

@@ -5,7 +5,9 @@
 //! every valuation that puts its positive atoms in the database, keeps
 //! its negated atoms out, and makes its nonequalities hold, and a
 //! stratified program is evaluated stratum by stratum to its least
-//! fixpoint.
+//! fixpoint. Plus the local transition of a relational transducer
+//! (Section 2.1), with its update formula applied term by term
+//! ([`transducer_step`]).
 //!
 //! Nothing here is fast on purpose. Facts live in `BTreeSet`s, every
 //! round re-derives everything, and joins are nested loops in literal
@@ -13,11 +15,14 @@
 //! `Relation` set algebra, indexes, join plans, columnar frames or
 //! `Program::eval` — only the program's syntax and its
 //! [`Program::stratify`], so a bug in the engine cannot hide in the
-//! oracle too. It is a dev-dependency only; no library crate depends on
-//! it.
+//! oracle too. [`transducer_step`] does call the transducer's queries,
+//! but on an instance built fact by fact, and does its own set algebra
+//! on `BTreeSet`s. It is a dev-dependency only; no library crate
+//! depends on it.
 
-use rtx_query::{Atom, Literal, Program, Rule, Term, Var};
+use rtx_query::{Atom, Literal, Program, Query, Rule, Term, Var};
 use rtx_relational::{Fact, Instance, RelName, Tuple, Value};
+use rtx_transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A database as the paper defines it: a finite set of facts, grouped
@@ -81,6 +86,79 @@ pub fn tp_step(program: &Program, db: &Instance) -> BTreeSet<Fact> {
         }
     }
     flatten(out)
+}
+
+/// One local transition `I, I_rcv → J, J_snd, J_out` as plain sets.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Step {
+    /// The successor state `J`.
+    pub new_state: BTreeSet<Fact>,
+    /// The sent facts `J_snd`.
+    pub sent: BTreeSet<Fact>,
+    /// The output tuples `J_out`.
+    pub output: BTreeSet<Tuple>,
+}
+
+/// The local transition of `t` from `state` on `received` (paper,
+/// Section 2.1), transcribed literally: `I' = I ∪ I_rcv` as a union of
+/// fact sets, every query evaluated on an instance of the combined
+/// schema built fact by fact, and each memory relation replaced by
+///
+/// ```text
+/// J(R) = (Q_ins(I') \ Q_del(I'))
+///      ∪ (Q_ins(I') ∩ Q_del(I') ∩ I(R))
+///      ∪ (I(R) \ (Q_ins(I') ∪ Q_del(I')))
+/// ```
+///
+/// with all three terms computed on `BTreeSet`s.
+///
+/// # Panics
+///
+/// If a query fails or `received` holds a fact outside the combined
+/// schema; the properties only feed it well-formed transitions.
+pub fn transducer_step(t: &Transducer, state: &Instance, received: &Instance) -> Step {
+    let schema = t.schema();
+    let facts: BTreeSet<Fact> = state.facts().chain(received.facts()).collect();
+    let combined = Instance::from_facts(schema.combined_schema().clone(), facts)
+        .expect("I' fits the combined schema");
+    let eval = |q: &dyn Query| -> BTreeSet<Tuple> {
+        q.eval(&combined)
+            .expect("the query evaluates")
+            .iter()
+            .cloned()
+            .collect()
+    };
+    let tag = |rel: &RelName, tuples: BTreeSet<Tuple>| {
+        let rel = rel.clone();
+        tuples.into_iter().map(move |t| Fact::new(rel.clone(), t))
+    };
+    let mut sent = BTreeSet::new();
+    for (rel, _) in schema.message().iter() {
+        let q = t.snd_query(rel).expect("a send query per message relation");
+        sent.extend(tag(rel, eval(q.as_ref())));
+    }
+    let output = eval(t.out_query().as_ref());
+    let mut new_state: BTreeSet<Fact> = state.facts().collect();
+    for (rel, _) in schema.memory().iter() {
+        let ins = eval(t.ins_query(rel).expect("an insert query").as_ref());
+        let del = eval(t.del_query(rel).expect("a delete query").as_ref());
+        let cur: BTreeSet<Tuple> = state
+            .facts()
+            .filter(|f| f.rel() == rel)
+            .map(|f| f.tuple().clone())
+            .collect();
+        let inserted = &ins - &del;
+        let conflicted = &(&ins & &del) & &cur;
+        let untouched = &cur - &(&ins | &del);
+        let next = &(&inserted | &conflicted) | &untouched;
+        new_state.retain(|f| f.rel() != rel);
+        new_state.extend(tag(rel, next));
+    }
+    Step {
+        new_state,
+        sent,
+        output,
+    }
 }
 
 fn database(db: &Instance) -> Db {
@@ -208,6 +286,46 @@ mod tests {
         let out = eval(&p, &edges(&[(1, 2), (2, 1), (3, 4), (5, 5)]));
         let u: Vec<&Fact> = out.iter().filter(|f| f.rel().as_str() == "u").collect();
         assert_eq!(u, vec![&fact!("u", 3)]);
+    }
+
+    #[test]
+    fn transducer_step_applies_all_three_terms() {
+        use rtx_query::CopyQuery;
+        use rtx_transducer::TransducerBuilder;
+        use std::sync::Arc;
+        let t = TransducerBuilder::new("conflict")
+            .input_relation("A", 1)
+            .input_relation("B", 1)
+            .memory_relation("T", 1)
+            .insert("T", Arc::new(CopyQuery::new("A", 1)))
+            .delete("T", Arc::new(CopyQuery::new("B", 1)))
+            .build()
+            .unwrap();
+        let ab: [(&str, i64); 6] = [("A", 1), ("A", 2), ("B", 2), ("B", 3), ("A", 5), ("B", 5)];
+        let input = Instance::from_facts(
+            Schema::new().with("A", 1).with("B", 1),
+            ab.iter().map(|&(r, v)| fact!(r, v)),
+        )
+        .unwrap();
+        let nodes = [Value::sym("n")].into();
+        let mut state = t
+            .schema()
+            .initial_state(&input, &Value::sym("n"), &nodes)
+            .unwrap();
+        for v in [3i64, 4, 5] {
+            state.insert_fact(fact!("T", v)).unwrap();
+        }
+        let heartbeat = Instance::empty(t.schema().message().clone());
+        let step = transducer_step(&t, &state, &heartbeat);
+        let memory: Vec<&Fact> = step
+            .new_state
+            .iter()
+            .filter(|f| f.rel().as_str() == "T")
+            .collect();
+        // 1 enters (ins only), 2 stays out (conflict, absent), 3 leaves
+        // (del only), 4 stays (untouched), 5 stays (conflict, present).
+        assert_eq!(memory, vec![&fact!("T", 1), &fact!("T", 4), &fact!("T", 5)]);
+        assert!(step.sent.is_empty() && step.output.is_empty());
     }
 
     #[test]

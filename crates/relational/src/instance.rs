@@ -86,17 +86,7 @@ impl Instance {
         rel: Relation,
     ) -> Result<(), RelError> {
         let name = name.into();
-        match self.schema.arity(&name) {
-            None => return Err(RelError::UnknownRelation { rel: name }),
-            Some(a) if a != rel.arity() => {
-                return Err(RelError::ArityMismatch {
-                    rel: name,
-                    expected: a,
-                    found: rel.arity(),
-                })
-            }
-            Some(_) => {}
-        }
+        self.schema.check_relation(&name, rel.arity())?;
         if rel.is_empty() {
             self.relations.remove(&name);
         } else {
@@ -108,6 +98,29 @@ impl Instance {
             self.relations.insert(name, rel);
         }
         Ok(())
+    }
+
+    /// Union `rel` into the relation `name` in place. An unpopulated
+    /// `name` takes a clone of `rel`'s handle — a runs-regime relation
+    /// clones as an `Arc`, with no per-tuple work — and a populated one
+    /// unions with it.
+    pub fn union_relation(&mut self, name: &RelName, rel: &Relation) -> Result<(), RelError> {
+        self.schema.check_relation(name, rel.arity())?;
+        if rel.is_empty() {
+            return Ok(());
+        }
+        match self.relations.get_mut(name) {
+            Some(mine) => *mine = mine.union(rel)?,
+            None => {
+                self.relations.insert(name.clone(), rel.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// The populated relations, in name order.
+    pub fn relations(&self) -> impl Iterator<Item = (&RelName, &Relation)> {
+        self.relations.iter()
     }
 
     /// Snapshot the storage counters of every populated relation, in
@@ -129,17 +142,7 @@ impl Instance {
         name: &RelName,
         run: &crate::runs::Run,
     ) -> Result<usize, RelError> {
-        match self.schema.arity(name) {
-            None => return Err(RelError::UnknownRelation { rel: name.clone() }),
-            Some(a) if a != run.arity() => {
-                return Err(RelError::ArityMismatch {
-                    rel: name.clone(),
-                    expected: a,
-                    found: run.arity(),
-                })
-            }
-            Some(_) => {}
-        }
+        self.schema.check_relation(name, run.arity())?;
         if run.is_empty() {
             return Ok(0);
         }
@@ -195,12 +198,22 @@ impl Instance {
     /// Union of two instances (schemas merged compatibly). The paper forms
     /// `I' = I ∪ I_rcv` where state and message schemas are disjoint, and
     /// horizontal partitions overlap freely, so shared relations union
-    /// their tuples.
+    /// their tuples. A name declared at two arities is an error.
     pub fn union(&self, other: &Instance) -> Result<Instance, RelError> {
         let schema = self.schema.union_compatible(&other.schema)?;
+        self.union_in(other, schema)
+    }
+
+    /// `self ∪ other` under `schema`, which must declare every relation
+    /// either side populates, at its arity. The union is relation-wise:
+    /// a relation only one side populates is shared by handle (see
+    /// [`Instance::union_relation`]), and only relations both sides
+    /// populate are merged, so the cost follows the shared relations,
+    /// not the fact count.
+    pub fn union_in(&self, other: &Instance, schema: Schema) -> Result<Instance, RelError> {
         let mut out = Instance::empty(schema);
-        for f in self.facts().chain(other.facts()) {
-            out.insert_fact(f)?;
+        for (name, rel) in self.relations.iter().chain(&other.relations) {
+            out.union_relation(name, rel)?;
         }
         Ok(out)
     }
@@ -238,17 +251,7 @@ impl Instance {
     /// current schema must appear in `wider` with the same arity).
     pub fn widen(&self, wider: Schema) -> Result<Instance, RelError> {
         for (name, arity) in self.schema.iter() {
-            match wider.arity(name) {
-                Some(a) if a == arity => {}
-                Some(a) => {
-                    return Err(RelError::ArityMismatch {
-                        rel: name.clone(),
-                        expected: a,
-                        found: arity,
-                    })
-                }
-                None => return Err(RelError::UnknownRelation { rel: name.clone() }),
-            }
+            wider.check_relation(name, arity)?;
         }
         Ok(Instance {
             schema: wider,
@@ -440,6 +443,22 @@ mod tests {
         assert_eq!(u.fact_count(), 2);
         assert!(u.schema().contains(&"R".into()));
         assert!(u.schema().contains(&"M".into()));
+    }
+
+    #[test]
+    fn union_shares_relations_only_one_side_holds() {
+        let big = Relation::from_tuples(1, (0..300i64).map(|i| tuple![i])).unwrap();
+        let mut a = Instance::empty(schema_rs());
+        a.set_relation("S", big).unwrap();
+        let b = Instance::from_facts(schema_rs(), vec![fact!("R", 1, 2)]).unwrap();
+        let u = a.union(&b).unwrap();
+        let s: RelName = "S".into();
+        let (mine, shared) = (a.relation_ref(&s).unwrap(), u.relation_ref(&s).unwrap());
+        assert!(std::sync::Arc::ptr_eq(
+            &mine.columnar_run(),
+            &shared.columnar_run()
+        ));
+        assert_eq!(u.fact_count(), 301);
     }
 
     #[test]

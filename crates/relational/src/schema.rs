@@ -121,14 +121,18 @@ impl Schema {
 
     /// Validate a fact against this schema.
     pub fn check_fact(&self, fact: &Fact) -> Result<(), RelError> {
-        match self.arity(fact.rel()) {
-            None => Err(RelError::UnknownRelation {
-                rel: fact.rel().clone(),
-            }),
-            Some(a) if a != fact.arity() => Err(RelError::ArityMismatch {
-                rel: fact.rel().clone(),
+        self.check_relation(fact.rel(), fact.arity())
+    }
+
+    /// Is `name` declared here with arity `arity`? The error names the
+    /// relation.
+    pub fn check_relation(&self, name: &RelName, arity: usize) -> Result<(), RelError> {
+        match self.arity(name) {
+            None => Err(RelError::UnknownRelation { rel: name.clone() }),
+            Some(a) if a != arity => Err(RelError::ArityMismatch {
+                rel: name.clone(),
                 expected: a,
-                found: fact.arity(),
+                found: arity,
             }),
             Some(_) => Ok(()),
         }

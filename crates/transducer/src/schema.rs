@@ -5,7 +5,7 @@
 //! Following the paper's proviso (Section 3), the system schema is fixed
 //! to the two unary relations `Id` and `All`.
 
-use rtx_relational::{Instance, RelError, RelName, Schema, Value};
+use rtx_relational::{Fact, Instance, RelError, RelName, Relation, Schema, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -26,6 +26,10 @@ pub struct TransducerSchema {
     message: Schema,
     memory: Schema,
     output_arity: usize,
+    /// `S_in ∪ S_sys ∪ S_mem`, computed once at construction.
+    state: Schema,
+    /// `S_in ∪ S_sys ∪ S_msg ∪ S_mem`, computed once at construction.
+    combined: Schema,
 }
 
 impl TransducerSchema {
@@ -37,28 +41,19 @@ impl TransducerSchema {
         memory: Schema,
         output_arity: usize,
     ) -> Result<Self, RelError> {
-        let sys = system_schema();
-        // pairwise disjointness, system included
-        let parts: [(&str, &Schema); 4] = [
-            ("input", &input),
-            ("system", &sys),
-            ("message", &message),
-            ("memory", &memory),
-        ];
-        for i in 0..parts.len() {
-            for j in (i + 1)..parts.len() {
-                for (name, _) in parts[i].1.iter() {
-                    if parts[j].1.contains(name) {
-                        return Err(RelError::NotDisjoint { rel: name.clone() });
-                    }
-                }
-            }
-        }
+        // Each disjoint union checks one part against all the earlier
+        // ones, so the chain checks every pair, system included.
+        let state = input
+            .disjoint_union(&system_schema())?
+            .disjoint_union(&memory)?;
+        let combined = state.disjoint_union(&message)?;
         Ok(TransducerSchema {
             input,
             message,
             memory,
             output_arity,
+            state,
+            combined,
         })
     }
 
@@ -84,19 +79,14 @@ impl TransducerSchema {
 
     /// The state schema `S_in ∪ S_sys ∪ S_mem` — what a node stores
     /// between transitions.
-    pub fn state_schema(&self) -> Schema {
-        self.input
-            .disjoint_union(&system_schema())
-            .and_then(|s| s.disjoint_union(&self.memory))
-            .expect("validated disjoint at construction")
+    pub fn state_schema(&self) -> &Schema {
+        &self.state
     }
 
     /// The combined schema `S_in ∪ S_sys ∪ S_msg ∪ S_mem` — what the
     /// transducer's queries see (`I' = I ∪ I_rcv`).
-    pub fn combined_schema(&self) -> Schema {
-        self.state_schema()
-            .disjoint_union(&self.message)
-            .expect("validated disjoint at construction")
+    pub fn combined_schema(&self) -> &Schema {
+        &self.combined
     }
 
     /// Build the initial state of a node: its local input fragment, `Id`
@@ -108,19 +98,29 @@ impl TransducerSchema {
         me: &Value,
         all_nodes: &BTreeSet<Value>,
     ) -> Result<Instance, RelError> {
-        let mut state = local_input.widen(self.state_schema())?;
-        state.insert_fact(rtx_relational::Fact::new(
-            RelName::new(SYS_ID),
-            rtx_relational::Tuple::new(vec![*me]),
-        ))?;
-        for v in all_nodes {
-            state.insert_fact(rtx_relational::Fact::new(
-                RelName::new(SYS_ALL),
-                rtx_relational::Tuple::new(vec![*v]),
-            ))?;
-        }
+        self.initial_state_with_all(local_input, me, &all_relation(all_nodes))
+    }
+
+    /// [`TransducerSchema::initial_state`] with `All` given as a built
+    /// relation, which the state shares by handle. A configuration
+    /// builds `All` once and hands every node a clone, so setting up
+    /// `n` nodes costs one `All`, not `n` of them.
+    pub fn initial_state_with_all(
+        &self,
+        local_input: &Instance,
+        me: &Value,
+        all: &Relation,
+    ) -> Result<Instance, RelError> {
+        let mut state = local_input.widen(self.state.clone())?;
+        state.insert_fact(Fact::new(RelName::new(SYS_ID), Tuple::new(vec![*me])))?;
+        state.union_relation(&RelName::new(SYS_ALL), all)?;
         Ok(state)
     }
+}
+
+/// The `All` relation over a node set, built in one bulk construction.
+pub fn all_relation(all_nodes: &BTreeSet<Value>) -> Relation {
+    Relation::from_tuples(1, all_nodes.iter().map(|v| Tuple::new(vec![*v]))).expect("unary tuples")
 }
 
 impl fmt::Display for TransducerSchema {

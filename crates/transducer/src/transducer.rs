@@ -3,7 +3,7 @@
 
 use crate::schema::TransducerSchema;
 use rtx_query::{EvalError, Query, QueryRef};
-use rtx_relational::{Instance, RelName, Relation};
+use rtx_relational::{Fact, Instance, RelName, Relation};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -31,13 +31,17 @@ pub struct StepResult {
     /// The output tuples `J_out` (outputs are cumulative and can never be
     /// retracted).
     pub output: Relation,
+    /// Did the memory update change the state (`J ≠ I`)? True exactly
+    /// when the update's delta is non-empty, so no caller needs to
+    /// compare whole states.
+    pub state_changed: bool,
 }
 
 impl StepResult {
     /// Did the transition change nothing observable (memory unchanged, no
     /// sends, no output)? Used for heartbeat-fixpoint detection.
-    pub fn is_noop(&self, old_state: &Instance) -> bool {
-        self.sent.is_empty() && self.output.is_empty() && &self.new_state == old_state
+    pub fn is_noop(&self) -> bool {
+        !self.state_changed && self.sent.is_empty() && self.output.is_empty()
     }
 }
 
@@ -103,8 +107,10 @@ impl Transducer {
     /// Perform one deterministic local transition.
     ///
     /// `state` is an instance of the state schema; `received` an instance
-    /// of the message schema (empty for a heartbeat). Implements the
-    /// paper's update formula for every memory relation `R`:
+    /// of the message schema (empty for a heartbeat) — a received
+    /// relation outside `S_msg`, or at the wrong arity, is an
+    /// [`EvalError::Rel`] naming it. Implements the paper's update
+    /// formula for every memory relation `R`:
     ///
     /// ```text
     /// J(R) = (Q_ins(I') \ Q_del(I'))
@@ -114,49 +120,76 @@ impl Transducer {
     ///
     /// i.e. conflicting insert/deletes are ignored, and an assignment
     /// `R := Q` is expressed by `Q_ins = Q`, `Q_del = R`.
+    ///
+    /// The cost follows what changed, not the state's size. `I'` is
+    /// built relation by relation ([`Instance::union_in`]), so every
+    /// relation only one side holds — `All` included — is shared by
+    /// handle. The update is applied to `J` as a delta against `I(R)`:
+    ///
+    /// ```text
+    /// added(R)   = (Q_ins(I') \ Q_del(I')) \ I(R)
+    /// removed(R) = (Q_del(I') \ Q_ins(I')) ∩ I(R)
+    /// ```
+    ///
+    /// which together equal the formula above (`removed` is skipped when
+    /// `Q_del` is empty, as it is for every inflationary transducer).
+    /// [`StepResult::state_changed`] is true exactly when some delta is
+    /// non-empty.
     pub fn step(&self, state: &Instance, received: &Instance) -> Result<StepResult, EvalError> {
+        for (rel, r) in received.relations() {
+            self.schema.message().check_relation(rel, r.arity())?;
+        }
         // I' = I ∪ I_rcv over the combined schema.
-        let combined = state.union(received)?;
-        let combined = combined.widen(self.schema.combined_schema())?;
+        let combined = state.union_in(received, self.schema.combined_schema().clone())?;
 
         // Sends.
         let mut sent = Instance::empty(self.schema.message().clone());
-        for (rel, _) in self.schema.message().iter() {
-            let q = self
-                .snd
-                .get(rel)
-                .expect("builder populates every message relation");
+        for (rel, q) in &self.snd {
             sent.set_relation(rel.clone(), q.eval(&combined)?)?;
         }
 
         // Output.
         let output = self.out.eval(&combined)?;
 
-        // Memory update.
+        // Memory update, applied to J as a delta against I(R).
         let mut new_state = state.clone();
-        for (rel, _) in self.schema.memory().iter() {
-            let ins_q = self
-                .ins
-                .get(rel)
-                .expect("builder populates every memory relation");
+        let mut state_changed = false;
+        for (rel, ins_q) in &self.ins {
             let del_q = self
                 .del
                 .get(rel)
                 .expect("builder populates every memory relation");
             let ins = ins_q.eval(&combined)?;
             let del = del_q.eval(&combined)?;
-            let cur = state.relation(rel)?;
-            let keep_new = ins.difference(&del)?; // inserted, not deleted
-            let conflicted = ins.intersect(&del)?.intersect(&cur)?; // both: ignore (keep if present)
-            let untouched = cur.difference(&ins.union(&del)?)?; // neither mentioned
-            let next = keep_new.union(&conflicted)?.union(&untouched)?;
-            new_state.set_relation(rel.clone(), next)?;
+            let cur = state.relation_ref(rel);
+            // removed = (del ∖ ins) ∩ I(R)
+            if let (Some(cur), false) = (cur, del.is_empty()) {
+                let removed = del.difference(&ins)?.intersect(cur)?;
+                for t in &removed {
+                    new_state.remove_fact(&Fact::new(rel.clone(), t.clone()));
+                }
+                state_changed |= !removed.is_empty();
+            }
+            // added = (ins ∖ del) ∖ I(R)
+            let mut added = if del.is_empty() {
+                ins
+            } else {
+                ins.difference(&del)?
+            };
+            if let (Some(cur), false) = (cur, added.is_empty()) {
+                added = added.difference(cur)?;
+            }
+            if !added.is_empty() {
+                new_state.absorb_run(rel, &added.columnar_run())?;
+                state_changed = true;
+            }
         }
 
         Ok(StepResult {
             new_state,
             sent,
             output,
+            state_changed,
         })
     }
 
@@ -181,8 +214,7 @@ impl Transducer {
         let mut output = Relation::empty(self.schema.output_arity());
         for step_no in 0..max_steps {
             let res = self.heartbeat(&cur)?;
-            let quiet =
-                res.sent.is_empty() && res.new_state == cur && res.output.is_subset(&output);
+            let quiet = res.sent.is_empty() && !res.state_changed && res.output.is_subset(&output);
             output = output.union(&res.output)?;
             if quiet {
                 return Ok((cur, output, step_no));
@@ -208,7 +240,7 @@ mod tests {
     use super::*;
     use crate::builder::TransducerBuilder;
     use rtx_query::{atom, CqBuilder, Term, UcqQuery};
-    use rtx_relational::{fact, tuple, Schema, Value};
+    use rtx_relational::{fact, tuple, RelError, Schema, Value};
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
@@ -286,6 +318,54 @@ mod tests {
         assert!(res.output.is_empty());
         let res2 = t.heartbeat(&res.new_state).unwrap();
         assert!(res2.output.contains(&tuple![7]));
+    }
+
+    #[test]
+    fn state_changed_is_the_memory_delta() {
+        let t = store_and_echo();
+        let st = mk_state(&t, &[1]);
+        let hb = t.heartbeat(&st).unwrap();
+        assert!(!hb.state_changed, "sending changes no state");
+        assert!(!hb.is_noop(), "but it is observable");
+        let res = t.step(&st, &msg(&[7])).unwrap();
+        assert!(res.state_changed);
+        let again = t.step(&res.new_state, &msg(&[7])).unwrap();
+        assert!(!again.state_changed, "a stored fact is not stored twice");
+        assert_eq!(again.new_state, res.new_state);
+        let quiet = mk_state(&t, &[]);
+        assert!(t.heartbeat(&quiet).unwrap().is_noop());
+    }
+
+    /// A received instance may only populate message relations: a
+    /// forged input or memory fact must not reach `I'`, where it would
+    /// be forwarded or stored as if it had been delivered.
+    #[test]
+    fn received_facts_outside_the_message_schema_are_rejected() {
+        let t = store_and_echo();
+        let st = mk_state(&t, &[5]);
+        for (forged, name) in [(fact!("S", 9), "S"), (fact!("T", 9), "T")] {
+            let received = Instance::from_facts(
+                Schema::new().with("M", 1).with("S", 1).with("T", 1),
+                vec![fact!("M", 5), forged],
+            )
+            .unwrap();
+            match t.step(&st, &received) {
+                Err(EvalError::Rel(RelError::UnknownRelation { rel })) => {
+                    assert_eq!(rel, RelName::new(name))
+                }
+                other => panic!("expected an unknown-relation error, got {other:?}"),
+            }
+        }
+        let wide =
+            Instance::from_facts(Schema::new().with("M", 2), vec![fact!("M", 1, 2)]).unwrap();
+        assert!(matches!(
+            t.step(&st, &wide),
+            Err(EvalError::Rel(RelError::ArityMismatch { rel, expected: 1, found: 2 }))
+                if rel == RelName::new("M")
+        ));
+        // Declared but unpopulated extras carry no facts: harmless.
+        let empty = Instance::empty(Schema::new().with("M", 1).with("S", 1));
+        assert!(t.step(&st, &empty).is_ok());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   nested-loop models;
 //! * flooding disseminates to every node of random connected topologies;
 //! * distributed TC is consistent across random seeds/partitions;
-//! * the transducer update formula's conflict-resolution laws;
+//! * the transducer update formula's conflict-resolution laws, and
+//!   `Transducer::step` ≡ the reference step of `rtx-ref`;
 //! * Dedalus TM simulation ≡ the direct interpreter on random words.
 
 use proptest::prelude::*;
@@ -27,6 +28,69 @@ fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
         i.insert_fact(fact!("E", a as i64, b as i64)).unwrap();
     }
     i
+}
+
+/// An instance of `schema` from raw picks `(relation index, a, b)`:
+/// each pick names a relation (index modulo the schema size) and the
+/// first `arity` of `a, b` are its tuple.
+fn random_instance(schema: &Schema, picks: &[(usize, i64, i64)]) -> Instance {
+    let rels: Vec<(rtx::relational::RelName, usize)> =
+        schema.iter().map(|(n, a)| (n.clone(), a)).collect();
+    let mut i = Instance::empty(schema.clone());
+    if rels.is_empty() {
+        return i;
+    }
+    for &(r, a, b) in picks {
+        let (name, arity) = &rels[r % rels.len()];
+        let values = [Value::int(a), Value::int(b)];
+        let f = Fact::new(name.clone(), Tuple::new(values[..*arity].to_vec()));
+        i.insert_fact(f).unwrap();
+    }
+    i
+}
+
+/// The transducers the step property runs: the conflict and assignment
+/// transducers of the update-formula unit tests, the Naive and Dedup
+/// floods, and Theorem 6(5)'s distributed transitive closure.
+fn step_transducers() -> Vec<rtx::transducer::Transducer> {
+    use rtx::calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
+    use rtx::query::{atom, CqBuilder, EmptyQuery, Term, UcqQuery};
+    use rtx::transducer::TransducerBuilder;
+    let copy = |rel: &str| -> QueryRef {
+        Arc::new(UcqQuery::single(
+            CqBuilder::head(vec![Term::var("X")])
+                .when(atom!(rel; @"X"))
+                .build()
+                .unwrap(),
+        ))
+    };
+    let conflict = TransducerBuilder::new("conflict")
+        .input_relation("A", 1)
+        .input_relation("B", 1)
+        .memory_relation("T", 1)
+        .output_arity(0)
+        .insert("T", copy("A"))
+        .delete("T", copy("B"))
+        .output(Arc::new(EmptyQuery::new(0)))
+        .build()
+        .unwrap();
+    let assign = TransducerBuilder::new("assign")
+        .input_relation("A", 1)
+        .memory_relation("T", 1)
+        .output_arity(0)
+        .insert("T", copy("A"))
+        .delete("T", copy("T"))
+        .output(Arc::new(EmptyQuery::new(0)))
+        .build()
+        .unwrap();
+    let s = Schema::new().with("S", 1);
+    vec![
+        conflict,
+        assign,
+        flood_transducer(&s, FloodMode::Naive, None).unwrap(),
+        flood_transducer(&s, FloodMode::Dedup, None).unwrap(),
+        distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Dedup).unwrap(),
+    ]
 }
 
 fn tc_query() -> DatalogQuery {
@@ -186,6 +250,55 @@ proptest! {
         let iso = rtx::calm::analysis::random_adom_permutation(&i, &mut rng);
         let back = iso.inverse().apply_instance(&iso.apply_instance(&i));
         prop_assert_eq!(back, i);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `Transducer::step` computes the reference step of `rtx-ref` —
+    /// `I'` as a fact-set union, the update formula term by term — on
+    /// random states and messages, and `state_changed` says exactly
+    /// whether `J ≠ I`. `nodes` puts `All` on either side of the
+    /// storage regimes; `pad` selects a memory relation to carry past
+    /// the hysteresis floor into the runs regime (0: none).
+    #[test]
+    fn transducer_step_matches_the_reference_step(
+        input in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..10),
+        memory in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..10),
+        received in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..3),
+        nodes in 1usize..80,
+        pad in 0usize..3,
+    ) {
+        use rtx::relational::{Relation, REENTRY_LEN};
+        let all: BTreeSet<Value> = (0..nodes).map(|i| Value::sym(format!("n{i}"))).collect();
+        for t in step_transducers() {
+            let sch = t.schema();
+            let local = random_instance(sch.input(), &input);
+            let mut state = sch.initial_state(&local, &Value::sym("n0"), &all).unwrap();
+            for f in random_instance(sch.memory(), &memory).facts() {
+                state.insert_fact(f).unwrap();
+            }
+            let mem: Vec<_> = sch.memory().iter().map(|(n, a)| (n.clone(), a)).collect();
+            if pad > 0 && !mem.is_empty() {
+                let (name, arity) = &mem[(pad - 1) % mem.len()];
+                let ballast = (0..=REENTRY_LEN as i64)
+                    .map(|i| Tuple::new(vec![Value::int(100 + i); *arity]));
+                let cur = state.relation(name).unwrap();
+                let padded = Relation::from_tuples(*arity, cur.iter().cloned().chain(ballast)).unwrap();
+                state.set_relation(name.clone(), padded).unwrap();
+            }
+            let rcv = random_instance(sch.message(), &received);
+
+            let got = t.step(&state, &rcv).unwrap();
+            let want = rtx_ref::transducer_step(&t, &state, &rcv);
+            prop_assert_eq!(got.new_state.facts().collect::<BTreeSet<_>>(), want.new_state.clone(), "{}", t.name());
+            prop_assert_eq!(got.sent.facts().collect::<BTreeSet<_>>(), want.sent, "{}", t.name());
+            prop_assert_eq!(got.output.iter().cloned().collect::<BTreeSet<_>>(), want.output, "{}", t.name());
+            prop_assert_eq!(got.new_state.schema(), state.schema());
+            prop_assert_eq!(got.state_changed, got.new_state != state, "{}", t.name());
+            prop_assert_eq!(got.state_changed, want.new_state != state.facts().collect(), "{}", t.name());
+        }
     }
 }
 

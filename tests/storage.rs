@@ -2,7 +2,8 @@
 //! (the small unsorted log and promoted sorted runs) against plain
 //! `BTreeSet<Tuple>` models, under the schedules that exercise every
 //! adoption path — random interleaved inserts and deletes,
-//! `diff`/`apply_delta` round trips, and set algebra — plus random
+//! `diff`/`apply_delta` round trips, set algebra, and the relation-wise
+//! `Instance::union` against a fact-set model — plus random
 //! stratified programs and the incremental fixpoint against the naive
 //! reference semantics in `rtx-ref`, and directed tests pinning the
 //! promotion boundary and hysteresis. Plus determinism of the
@@ -11,7 +12,8 @@
 use proptest::prelude::*;
 use rtx::query::MaintainedFixpoint;
 use rtx::relational::{
-    fact, Fact, Instance, Relation, Run, Schema, Tuple, Value, Vid, PROMOTE_LEN, REENTRY_LEN,
+    fact, Fact, Instance, RelError, Relation, Run, Schema, Tuple, Value, Vid, PROMOTE_LEN,
+    REENTRY_LEN,
 };
 use std::collections::BTreeSet;
 
@@ -168,6 +170,40 @@ proptest! {
         }
     }
 
+    /// `Instance::union` is the union of the two fact sets. The sides
+    /// share `E` (horizontal partitions overlap) and each holds a
+    /// relation the other lacks; either side's `E` starts in the small
+    /// regime or padded past the hysteresis floor into runs.
+    #[test]
+    fn instance_union_matches_the_fact_set_model(
+        xs in proptest::collection::vec((0u8..6, 0u8..6), 0..12),
+        ys in proptest::collection::vec((0u8..6, 0u8..6), 0..12),
+        ss in proptest::collection::vec(0i64..6, 0..4),
+    ) {
+        for (big_x, big_y) in [(false, false), (false, true), (true, false), (true, true)] {
+            let (ex, mx) = relation_and_model(&xs, big_x);
+            let (ey, my) = relation_and_model(&ys, big_y);
+            let mut x = Instance::empty(Schema::new().with("E", 2).with("S", 1));
+            x.set_relation("E", ex).unwrap();
+            let mut y = Instance::empty(Schema::new().with("E", 2).with("M", 1));
+            y.set_relation("E", ey).unwrap();
+            let mut model: BTreeSet<Fact> =
+                mx.union(&my).map(|t| Fact::new("E", t.clone())).collect();
+            for &v in &ss {
+                x.insert_fact(fact!("S", v)).unwrap();
+                y.insert_fact(fact!("M", v + 1)).unwrap();
+                model.insert(fact!("S", v));
+                model.insert(fact!("M", v + 1));
+            }
+            let u = x.union(&y).unwrap();
+            prop_assert_eq!(u.facts().collect::<BTreeSet<_>>(), model.clone());
+            prop_assert_eq!(u.fact_count(), model.len());
+            let fact_by_fact = Instance::from_facts(u.schema().clone(), model).unwrap();
+            prop_assert_eq!(&u, &fact_by_fact);
+            prop_assert_eq!(&y.union(&x).unwrap(), &u);
+        }
+    }
+
     /// Random stratified programs (negation, disequality, recursion)
     /// evaluate to exactly the facts of the naive reference semantics.
     #[test]
@@ -300,6 +336,22 @@ fn instance_deltas_transport_across_engines() {
     target.apply_delta(&delta).unwrap();
     assert_eq!(target, inst);
     assert_eq!(target.facts().collect::<BTreeSet<_>>(), model);
+}
+
+/// A name the two sides declare at different arities is an error,
+/// whether or not either side populates it.
+#[test]
+fn instance_union_rejects_a_name_at_two_arities() {
+    let unary = Instance::from_facts(Schema::new().with("R", 1), vec![fact!("R", 1)]).unwrap();
+    let binary = Instance::from_facts(Schema::new().with("R", 2), vec![fact!("R", 1, 2)]).unwrap();
+    let declared = Instance::empty(Schema::new().with("R", 2));
+    for other in [&binary, &declared] {
+        assert!(matches!(
+            unary.union(other),
+            Err(RelError::ArityMismatch { .. })
+        ));
+        assert!(other.union(&unary).is_err());
+    }
 }
 
 /// Directed promotion-boundary test: inserting to N−1 stays in the
