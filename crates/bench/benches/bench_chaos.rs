@@ -4,7 +4,7 @@
 //! the same fixed transition budget:
 //!
 //! * `off` — the plain [`run_sharded`] entry point (no hook at all);
-//! * `noop-hook` — [`run_round_faulted`] under the **empty**
+//! * `noop-hook` — [`run_sharded_faulted`] under the **empty**
 //!   [`FaultPlan`]: the hook is consulted for every sent copy and every
 //!   node status, but every answer is "no fault" (delay 0, node up) —
 //!   this is the pure price of the seam;
@@ -21,8 +21,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_bench::set_input;
 use rtx_calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx_chaos::{run_round_faulted, FaultPlan, FaultSession, LinkFaults};
-use rtx_net::{run_sharded, HorizontalPartition, Network, RunBudget, ShardOptions};
+use rtx_chaos::{FaultPlan, FaultSession, LinkFaults};
+use rtx_net::{
+    run_sharded, run_sharded_faulted, HorizontalPartition, Network, RunBudget, ShardOptions,
+};
 
 /// Rounds of work per iteration (budget = `2 * ROUNDS * n`, as in
 /// `bench_net`).
@@ -54,8 +56,10 @@ fn bench_chaos_overhead(c: &mut Criterion) {
         let noop = FaultSession::new(FaultPlan::none(), 0xBE7C);
         group.bench_with_input(BenchmarkId::new("noop-hook", label), &net, |b, net| {
             b.iter(|| {
-                let out = run_round_faulted(net, &t, &p, &ShardOptions::serial(), &budget, &noop)
-                    .unwrap();
+                let mut hook = noop.clone();
+                let out =
+                    run_sharded_faulted(net, &t, &p, &ShardOptions::serial(), &budget, &mut hook)
+                        .unwrap();
                 assert!(out.outcome.steps > 0);
                 out.outcome.messages_enqueued
             })
@@ -69,8 +73,10 @@ fn bench_chaos_overhead(c: &mut Criterion) {
         let active = FaultSession::new(plan, 0xBE7C);
         group.bench_with_input(BenchmarkId::new("active", label), &net, |b, net| {
             b.iter(|| {
-                let out = run_round_faulted(net, &t, &p, &ShardOptions::serial(), &budget, &active)
-                    .unwrap();
+                let mut hook = active.clone();
+                let out =
+                    run_sharded_faulted(net, &t, &p, &ShardOptions::serial(), &budget, &mut hook)
+                        .unwrap();
                 assert!(out.outcome.steps > 0);
                 out.outcome.messages_enqueued
             })

@@ -16,9 +16,9 @@
 //!   cargo run --release -p rtx-bench --bin exp_chaos
 //! ```
 //!
-//! Replay any reported divergence from its printed plan and seed with
-//! `rtx_chaos::FaultSession::new(plan, seed)` +
-//! `rtx_chaos::run_round_faulted`.
+//! Replay any reported divergence from its printed plan and seed by
+//! passing `&mut rtx_chaos::FaultSession::new(plan, seed)` to
+//! `rtx_net::run_sharded_faulted`.
 
 use rtx_bench::Table;
 use rtx_calm::examples;

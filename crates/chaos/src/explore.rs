@@ -23,13 +23,16 @@
 
 use crate::plan::FaultPlan;
 use crate::plan::{mix, Crash, CrashKind, LinkFaults, Partition};
-use crate::session::{run_round_faulted, FaultSession};
+use crate::session::FaultSession;
 use crate::strategy::{Adversary, AsyncPlanStrategy, FaultPlanStrategy};
 use proptest::{shrink_failure, Strategy, TestCaseError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtx_dedalus::{AsyncFaultPlan, DedalusOptions, DedalusProgram, DedalusRuntime, TemporalFacts};
-use rtx_net::{run_auto, HorizontalPartition, NetError, Network, NodeId, RunBudget, ShardOptions};
+use rtx_net::{
+    run_sharded, run_sharded_faulted, HorizontalPartition, NetError, Network, NodeId, RunBudget,
+    ShardOptions,
+};
 use rtx_query::EvalError;
 use rtx_relational::{Instance, Relation, Tuple};
 use rtx_transducer::{Classification, Transducer};
@@ -287,7 +290,7 @@ pub fn explore(
     opts: &ExplorerOptions,
 ) -> Result<ExploreReport, NetError> {
     let serial = ShardOptions::serial();
-    let reference = run_auto(net, transducer, partition, &serial, &opts.budget)?;
+    let reference = run_sharded(net, transducer, partition, &serial, &opts.budget)?;
     let expected = reference.outcome.output.clone();
     let edges = directed_edges(net);
     let strategy = FaultPlanStrategy {
@@ -337,8 +340,11 @@ pub fn explore(
             strategy.generate(&mut rng)
         };
         let seed = mix(&[opts.seed, i as u64, 0xF00D]);
-        let session = FaultSession::new(plan.clone(), seed);
-        let out = run_round_faulted(net, transducer, partition, &serial, &run_budget, &session)?;
+        let mut session = FaultSession::new(plan.clone(), seed);
+        let mut run = |budget: &RunBudget| {
+            run_sharded_faulted(net, transducer, partition, &serial, budget, &mut session)
+        };
+        let out = run(&run_budget)?;
         runs_executed += 1;
         if diverges(&out) {
             // Confirm at an escalated budget before reporting: a fair
@@ -352,14 +358,7 @@ pub fn explore(
                 max_steps: run_budget.max_steps.saturating_mul(4),
                 target_output: run_budget.target_output.clone(),
             };
-            let confirm = run_round_faulted(
-                net,
-                transducer,
-                partition,
-                &serial,
-                &confirm_budget,
-                &session,
-            )?;
+            let confirm = run(&confirm_budget)?;
             if !diverges(&confirm) {
                 continue; // slow, not divergent
             }
@@ -418,8 +417,8 @@ fn minimize(
     let serial = ShardOptions::serial();
     let (min_plan, _msg, shrink_steps) = if opts.shrink {
         let check = |candidate: &FaultPlan| -> Result<(), TestCaseError> {
-            let session = FaultSession::new(candidate.clone(), seed);
-            match run_round_faulted(net, transducer, partition, &serial, budget, &session) {
+            let mut session = FaultSession::new(candidate.clone(), seed);
+            match run_sharded_faulted(net, transducer, partition, &serial, budget, &mut session) {
                 // An erroring candidate is treated as non-diverging, so
                 // shrinking steers away from it.
                 Err(_) => Ok(()),
@@ -431,7 +430,7 @@ fn minimize(
     } else {
         (plan, TestCaseError::fail("diverges"), 0)
     };
-    let session = FaultSession::new(min_plan.clone(), seed);
+    let mut session = FaultSession::new(min_plan.clone(), seed);
     let logged = ShardOptions::serial().with_log();
     // Replay the minimum at forced-full trace level: the divergence
     // report embeds the replay's event timeline whatever `RTX_TRACE`
@@ -439,7 +438,7 @@ fn minimize(
     let (out, trace) = {
         let _full = rtx_obs::trace::level_guard(rtx_obs::TraceLevel::Full);
         rtx_obs::trace::capture_run(|| {
-            run_round_faulted(net, transducer, partition, &logged, budget, &session)
+            run_sharded_faulted(net, transducer, partition, &logged, budget, &mut session)
         })
     };
     let out = out?;

@@ -1,17 +1,21 @@
 //! Fault sessions: a `(FaultPlan, seed)` pair driving an executor.
 //!
-//! [`FaultSession`] adapts a plan to `rtx_net`'s [`FaultHook`] so the
-//! round-synchronous executor (serial or sharded, batched or not) runs
-//! under it — see [`run_round_faulted`]. [`run_scheduled_faulted`]
-//! drives the seed's fine-grained scheduler-based executor under the
-//! same plan, with scheduling units being *steps* instead of rounds, so
-//! fault plans compose over **both** executors.
+//! [`FaultSession`] adapts a plan to `rtx_net`'s [`FaultHook`], so
+//! either round schedule (serial or sharded, batched or not) runs under
+//! it: pass `&mut session.clone()` to `rtx_net::run_sharded_faulted` or
+//! `rtx_net::run_sparse_faulted`. Serial ≡ sharded bit-identity holds
+//! for any session (the hook is consulted only at the coordinator's
+//! deterministic merge points), and the run is exactly reproducible
+//! from `(net, transducer, partition, opts, budget, plan, seed)`.
+//! [`run_scheduled_faulted`] drives the seed's fine-grained
+//! scheduler-based executor under the same plan, with scheduling units
+//! being *steps* instead of rounds, so fault plans compose over **both**
+//! drivers.
 
 use crate::plan::FaultPlan;
 use rtx_net::fault::{FaultHook, NodeFault, SendFate};
 use rtx_net::{
-    run_auto_faulted, Configuration, HorizontalPartition, NetError, Network, NodeId, RunBudget,
-    RunOutcome, Scheduler, ShardOptions, ShardRunOutcome,
+    Configuration, HorizontalPartition, NetError, Network, NodeId, RunBudget, RunOutcome, Scheduler,
 };
 use rtx_relational::{Fact, Relation};
 use rtx_transducer::Transducer;
@@ -45,29 +49,6 @@ impl FaultHook for FaultSession {
     fn quiet_after(&self) -> u64 {
         self.plan.node_event_horizon()
     }
-}
-
-/// Run the round-based executor under a fault session. Serial ≡
-/// sharded bit-identity holds for any session (the hook is consulted
-/// only at the coordinator's deterministic merge points), and the run
-/// is exactly reproducible from `(net, transducer, partition, opts,
-/// budget, plan, seed)`.
-///
-/// Dispatches through `RTX_NET_EXECUTOR` ([`rtx_net::run_auto_faulted`]):
-/// pinning `sparse` drives the whole chaos stack — sessions, the
-/// explorer, minimization — through the event-driven executor, whose
-/// fault phase re-arms restarted and healed nodes so adversarial plans
-/// exercise the parking logic.
-pub fn run_round_faulted(
-    net: &Network,
-    transducer: &Transducer,
-    partition: &HorizontalPartition,
-    opts: &ShardOptions,
-    budget: &RunBudget,
-    session: &FaultSession,
-) -> Result<ShardRunOutcome, NetError> {
-    let mut hook = session.clone();
-    run_auto_faulted(net, transducer, partition, opts, budget, &mut hook)
 }
 
 /// Run the seed's scheduler-driven executor under a fault session.
@@ -283,7 +264,7 @@ pub fn run_scheduled_faulted(
 mod tests {
     use super::*;
     use crate::plan::{Crash, CrashKind, LinkFaults, Partition};
-    use rtx_net::{run, FifoRoundRobin};
+    use rtx_net::{run, run_sharded_faulted, FifoRoundRobin, ShardOptions};
     use rtx_query::{atom, CqBuilder, QueryRef, Term, UcqQuery};
     use rtx_relational::{fact, Instance, Schema};
     use rtx_transducer::TransducerBuilder;
@@ -389,8 +370,9 @@ mod tests {
         let p = HorizontalPartition::round_robin(&net, &input_s(&[1, 2, 3, 4]));
         let budget = RunBudget::steps(100_000);
         let session = FaultSession::new(delay_dup_plan(), 99);
+        let opts = ShardOptions::serial();
         let round =
-            run_round_faulted(&net, &t, &p, &ShardOptions::serial(), &budget, &session).unwrap();
+            run_sharded_faulted(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap();
         let sched =
             run_scheduled_faulted(&net, &t, &p, &mut FifoRoundRobin::new(), &budget, &session)
                 .unwrap();

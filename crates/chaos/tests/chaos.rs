@@ -16,17 +16,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtx_calm::examples;
 use rtx_chaos::{
-    cross_validate, directed_edges, explore, explore_dedalus, run_round_faulted,
-    run_scheduled_faulted, Adversary, Crash, CrashKind, ExplorerOptions, FaultPlan,
-    FaultPlanStrategy, FaultSession,
+    cross_validate, directed_edges, explore, explore_dedalus, run_scheduled_faulted, Adversary,
+    Crash, CrashKind, ExplorerOptions, FaultPlan, FaultPlanStrategy, FaultSession,
 };
 use rtx_dedalus::{DRule, DTime, DedalusOptions, DedalusProgram, TemporalFacts};
+use rtx_net::fault::FaultHook;
 use rtx_net::{
-    run_sharded, DeliveryPolicy, FifoRoundRobin, HorizontalPartition, Network, RunBudget,
-    ShardOptions,
+    run_sharded, run_sharded_faulted, run_sparse_faulted, DeliveryPolicy, FifoRoundRobin,
+    HorizontalPartition, NetError, Network, RunBudget, ShardOptions, ShardRunOutcome,
 };
 use rtx_query::atom;
 use rtx_relational::{fact, Instance, Schema};
+use rtx_transducer::Transducer;
 
 fn input_s1(vals: &[i64]) -> Instance {
     Instance::from_facts(
@@ -58,6 +59,24 @@ fn strategy_for(net: &Network, adversary: Adversary) -> FaultPlanStrategy {
     }
 }
 
+/// A faulted round-based entry point: `run_sharded_faulted` or
+/// `run_sparse_faulted`, whose signatures match.
+type FaultedRun = fn(
+    &Network,
+    &Transducer,
+    &HorizontalPartition,
+    &ShardOptions,
+    &RunBudget,
+    &mut dyn FaultHook,
+) -> Result<ShardRunOutcome, NetError>;
+
+/// Both round schedules, named for assertion messages: the dense one
+/// and the one that parks quiet nodes.
+const SCHEDULES: [(&str, FaultedRun); 2] = [
+    ("dense", run_sharded_faulted),
+    ("sparse", run_sparse_faulted),
+];
+
 /// Draw a random fair plan from a seed (for the proptest properties,
 /// whose strategies must be `proptest` strategies — we tunnel the plan
 /// through its generating seed so shrinking works on the seed space).
@@ -71,7 +90,7 @@ proptest! {
 
     /// Acceptance: replay determinism. A faulted run is a pure function
     /// of `(topology, program, partition, FaultPlan, seed)` — bit for
-    /// bit, including the transition log.
+    /// bit, including the transition log — on both round schedules.
     #[test]
     fn faulted_runs_replay_bit_for_bit(plan_seed in 0u64..1_000_000, seed in 0u64..1_000_000) {
         let net = Network::ring(5).unwrap();
@@ -81,16 +100,19 @@ proptest! {
         let session = FaultSession::new(plan, seed);
         let opts = ShardOptions::serial().with_log();
         let budget = RunBudget::steps(60_000);
-        let a = run_round_faulted(&net, &t, &p, &opts, &budget, &session).unwrap();
-        let b = run_round_faulted(&net, &t, &p, &opts, &budget, &session).unwrap();
-        prop_assert_eq!(a.log.as_ref(), b.log.as_ref());
-        prop_assert_eq!(&a.outcome.final_config, &b.outcome.final_config);
-        prop_assert_eq!(&a.outcome.output, &b.outcome.output);
-        prop_assert_eq!(a.outcome.steps, b.outcome.steps);
+        for (name, run) in SCHEDULES {
+            let a = run(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap();
+            let b = run(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap();
+            prop_assert_eq!(a.log.as_ref(), b.log.as_ref(), "{}", name);
+            prop_assert_eq!(&a.outcome.final_config, &b.outcome.final_config);
+            prop_assert_eq!(&a.outcome.output, &b.outcome.output);
+            prop_assert_eq!(a.outcome.steps, b.outcome.steps);
+        }
     }
 
     /// Acceptance: serial ≡ sharded bit-identity with fault injection
-    /// enabled, across thread counts and delivery batching.
+    /// enabled, across both round schedules, thread counts and delivery
+    /// batching.
     #[test]
     fn serial_sharded_identity_under_faults(plan_seed in 0u64..1_000_000, seed in 0u64..1_000_000) {
         let net = Network::grid(3, 2).unwrap();
@@ -99,16 +121,20 @@ proptest! {
         let plan = random_plan(&net, Adversary::CrashFaulty, plan_seed);
         let session = FaultSession::new(plan, seed);
         let budget = RunBudget::steps(60_000);
-        for delivery in [DeliveryPolicy::One, DeliveryPolicy::Batch(4)] {
-            let serial_opts = ShardOptions::serial().with_delivery(delivery).with_log();
-            let serial = run_round_faulted(&net, &t, &p, &serial_opts, &budget, &session).unwrap();
-            for threads in [2usize, 4] {
-                let opts = ShardOptions::sharded(threads).with_delivery(delivery).with_log();
-                let sharded = run_round_faulted(&net, &t, &p, &opts, &budget, &session).unwrap();
-                prop_assert_eq!(sharded.log.as_ref(), serial.log.as_ref(),
-                    "threads={} delivery={:?}", threads, delivery);
-                prop_assert_eq!(&sharded.outcome.final_config, &serial.outcome.final_config);
-                prop_assert_eq!(sharded.rounds, serial.rounds);
+        for (name, run) in SCHEDULES {
+            for delivery in [DeliveryPolicy::One, DeliveryPolicy::Batch(4)] {
+                let serial_opts = ShardOptions::serial().with_delivery(delivery).with_log();
+                let serial =
+                    run(&net, &t, &p, &serial_opts, &budget, &mut session.clone()).unwrap();
+                for threads in [2usize, 4] {
+                    let opts = ShardOptions::sharded(threads).with_delivery(delivery).with_log();
+                    let sharded =
+                        run(&net, &t, &p, &opts, &budget, &mut session.clone()).unwrap();
+                    prop_assert_eq!(sharded.log.as_ref(), serial.log.as_ref(),
+                        "{} threads={} delivery={:?}", name, threads, delivery);
+                    prop_assert_eq!(&sharded.outcome.final_config, &serial.outcome.final_config);
+                    prop_assert_eq!(sharded.rounds, serial.rounds);
+                }
             }
         }
     }
@@ -119,7 +145,8 @@ proptest! {
 
     /// Satellite: a crashed-then-restarted node with persistent EDB
     /// reaches the same quiescent output as an uncrashed run for
-    /// monotone programs, on both executors. The monotone program is
+    /// monotone programs, on both round schedules and on the scheduler
+    /// driver. The monotone program is
     /// the paper's naive distributed TC (Example 3, unconditional
     /// flooding): its output quiesces at the global closure even though
     /// its buffers never drain, so the runs compare outputs at the
@@ -149,10 +176,14 @@ proptest! {
         });
         let session = FaultSession::new(plan, seed);
         let budget = RunBudget::steps(60_000).until_output(reference.outcome.output.clone());
-        let round = run_round_faulted(&net, &t, &p, &ShardOptions::serial(), &budget, &session).unwrap();
-        prop_assert!(round.outcome.reached_target,
-            "round executor must recover the reference output, got {:?}",
-            round.outcome.output);
+        for (name, run) in SCHEDULES {
+            let round = run(
+                &net, &t, &p, &ShardOptions::serial(), &budget, &mut session.clone(),
+            ).unwrap();
+            prop_assert!(round.outcome.reached_target,
+                "{} round schedule must recover the reference output, got {:?}",
+                name, round.outcome.output);
+        }
         let sched = run_scheduled_faulted(
             &net, &t, &p, &mut FifoRoundRobin::new(), &budget, &session,
         ).unwrap();
@@ -235,8 +266,8 @@ fn explorer_finds_and_shrinks_divergence_for_first_element() {
         max_steps: opts.budget.max_steps,
         target_output: Some(div.expected.clone()),
     };
-    let replay =
-        run_round_faulted(&net, &t, &p, &ShardOptions::serial(), &budget, &session).unwrap();
+    let serial = ShardOptions::serial();
+    let replay = run_sharded_faulted(&net, &t, &p, &serial, &budget, &mut session.clone()).unwrap();
     assert_eq!(
         replay.outcome.output, div.observed,
         "the minimized divergence must replay exactly"

@@ -267,29 +267,6 @@ pub enum FixpointMode {
     Incremental,
 }
 
-impl FixpointMode {
-    /// The `RTX_DEDALUS_FIXPOINT` override (`scratch` / `incremental`,
-    /// case-insensitive) when set and parsable, else the default
-    /// ([`FixpointMode::Incremental`]).
-    pub fn auto() -> FixpointMode {
-        rtx_core::env::parse_choice(
-            "RTX_DEDALUS_FIXPOINT",
-            "\"scratch\" or \"incremental\"",
-            FixpointMode::parse,
-        )
-        .unwrap_or_default()
-    }
-
-    /// Parse a mode name as accepted by `RTX_DEDALUS_FIXPOINT`.
-    pub fn parse(s: &str) -> Option<FixpointMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "scratch" => Some(FixpointMode::Scratch),
-            "incremental" => Some(FixpointMode::Incremental),
-            _ => None,
-        }
-    }
-}
-
 /// The Dedalus evaluator.
 pub struct DedalusRuntime<'p> {
     program: &'p DedalusProgram,
@@ -337,24 +314,24 @@ impl<'p> DedalusRuntime<'p> {
         Ok(s)
     }
 
-    /// Run the program on a temporal EDB (delta store, fixpoint mode
-    /// resolved from `RTX_DEDALUS_FIXPOINT`).
+    /// Run the program on a temporal EDB (delta store, incremental
+    /// fixpoint).
     pub fn run(&self, edb: &TemporalFacts, opts: &DedalusOptions) -> Result<Trace, EvalError> {
         self.run_with(edb, opts, StoreMode::default())
     }
 
     /// Run with an explicit store mode. Both modes compute the same
     /// trace — [`StoreMode::Cloning`] is the seed implementation kept
-    /// for benchmarking and equivalence testing. The delta store's
-    /// fixpoint mode is resolved from the environment
-    /// ([`FixpointMode::auto`]).
+    /// for benchmarking and equivalence testing. The delta store
+    /// maintains its fixpoint incrementally
+    /// ([`FixpointMode::Incremental`]).
     pub fn run_with(
         &self,
         edb: &TemporalFacts,
         opts: &DedalusOptions,
         mode: StoreMode,
     ) -> Result<Trace, EvalError> {
-        self.run_with_fixpoint(edb, opts, mode, FixpointMode::auto())
+        self.run_with_fixpoint(edb, opts, mode, FixpointMode::Incremental)
     }
 
     /// Run with explicit store *and* fixpoint modes. All four
@@ -1005,17 +982,6 @@ mod tests {
             .run_with_fixpoint(&edb, &opts, StoreMode::Delta, FixpointMode::Scratch)
             .unwrap();
         assert_eq!(inc.ticks, scr.ticks);
-    }
-
-    #[test]
-    fn fixpoint_mode_parsing() {
-        assert_eq!(FixpointMode::parse("scratch"), Some(FixpointMode::Scratch));
-        assert_eq!(
-            FixpointMode::parse(" Incremental "),
-            Some(FixpointMode::Incremental)
-        );
-        assert_eq!(FixpointMode::parse("nope"), None);
-        assert_eq!(FixpointMode::default(), FixpointMode::Incremental);
     }
 
     #[test]

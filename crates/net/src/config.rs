@@ -265,6 +265,19 @@ impl Configuration {
             .map(|(n, _)| n)
     }
 
+    /// Check that this configuration is over exactly `net`'s nodes —
+    /// a configuration built for another network would leave a node
+    /// without a buffer or never schedule one.
+    pub(crate) fn check_network(&self, net: &Network) -> Result<(), NetError> {
+        if self.states.keys().eq(net.nodes()) {
+            Ok(())
+        } else {
+            Err(NetError::Topology(
+                "configuration nodes differ from the network's".into(),
+            ))
+        }
+    }
+
     /// Apply a heartbeat transition at `node`.
     pub fn apply_heartbeat(
         &mut self,
@@ -417,16 +430,25 @@ impl Configuration {
             .states
             .get(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
+        if !net.contains(node) {
+            return Err(NetError::Topology(format!(
+                "node {node} is not in the network"
+            )));
+        }
+        let no_buffer = |m: &NodeId| NetError::Topology(format!("neighbor {m} has no buffer"));
+        if let Some(m) = net.neighbors(node).find(|m| !self.buffers.contains_key(m)) {
+            return Err(no_buffer(m));
+        }
         let res = transducer.step(state, &received).map_err(NetError::Eval)?;
         let sent: Vec<Fact> = res.sent.facts().collect();
         let mut enqueued = 0usize;
         for neighbor in net.neighbors(node) {
+            let buf = self
+                .buffers
+                .get_mut(neighbor)
+                .ok_or_else(|| no_buffer(neighbor))?;
             match &mut faults {
                 None => {
-                    let buf = self
-                        .buffers
-                        .get_mut(neighbor)
-                        .expect("all nodes have buffers");
                     for f in &sent {
                         buf.push(f.clone());
                         enqueued += 1;
@@ -437,10 +459,7 @@ impl Configuration {
                         let fate = intercept(node, neighbor, k, f);
                         for &d in &fate.delays {
                             if d == 0 {
-                                self.buffers
-                                    .get_mut(neighbor)
-                                    .expect("all nodes have buffers")
-                                    .push(f.clone());
+                                buf.push(f.clone());
                             } else {
                                 delayed.push((*neighbor, d, f.clone()));
                             }
@@ -463,16 +482,17 @@ impl Configuration {
     }
 }
 
-/// Activation tracking for the event-driven sparse executor
-/// ([`crate::sparse`]): which node indices are *armed* (must be offered
-/// a heartbeat) and which have *mail* (must be offered a delivery).
+/// Activation tracking for the round coordinator: which node indices
+/// are *armed* (must be offered a heartbeat) and which have *mail* (must
+/// be offered a delivery). The dense schedule seeds it with
+/// [`ActivationSet::all_armed`] and never parks; the sparse schedule
+/// ([`crate::sparse`]) parks quiet nodes.
 ///
-/// The transitions encode the executor's re-arming rules:
+/// The transitions encode the sparse schedule's re-arming rules:
 ///
 /// * every node must heartbeat at least once before it may park,
 ///   because an initial state can produce output or sends — the sparse
-///   executor schedules this through a rate-limited warm-up queue
-///   (or seed the tracker with [`ActivationSet::all_armed`]);
+///   schedule sweeps them through a rate-limited warm-up queue;
 /// * a fact enqueued to a node marks its mail and re-arms it;
 /// * a delivery re-arms the delivering node (its state may have changed,
 ///   so its next heartbeat is not provably a no-op);
@@ -747,6 +767,30 @@ mod tests {
         let (net, t, mut cfg) = setup();
         let zz = rtx_relational::Value::sym("zz");
         assert!(cfg.apply_heartbeat(&net, &t, &zz).is_err());
+    }
+
+    #[test]
+    fn configuration_for_another_network_errors() {
+        let (line2, t, cfg2) = setup();
+        let line3 = Network::line(3).unwrap();
+        let full = Instance::from_facts(Schema::new().with("S", 1), vec![fact!("S", 7)]).unwrap();
+        let p3 = HorizontalPartition::replicate(&line3, &full);
+        let cfg3 = Configuration::initial(&line3, &t, &p3).unwrap();
+        assert!(cfg2.check_network(&line2).is_ok());
+        assert!(cfg2.check_network(&line3).is_err());
+        assert!(cfg3.check_network(&line2).is_err());
+        // On line(3), line(2)'s n1 has a neighbor n2 without a buffer.
+        let mut c = cfg2.clone();
+        let n1 = rtx_relational::Value::sym("n1");
+        let err = c.apply_heartbeat(&line3, &t, &n1).unwrap_err();
+        assert!(matches!(err, NetError::Topology(_)), "{err:?}");
+        assert!(c == cfg2, "a rejected step leaves the configuration alone");
+        // On line(2), line(3)'s n2 is not a node at all.
+        let mut c = cfg3.clone();
+        let n2 = rtx_relational::Value::sym("n2");
+        let err = c.apply_heartbeat(&line2, &t, &n2).unwrap_err();
+        assert!(matches!(err, NetError::Topology(_)), "{err:?}");
+        assert!(c == cfg3);
     }
 
     #[test]

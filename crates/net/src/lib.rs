@@ -12,25 +12,22 @@
 //! — so the consistency analyses of `rtx-calm` can quantify over delivery
 //! orders reproducibly.
 //!
-//! Two executors drive a network:
+//! Two drivers run a network:
 //!
 //! * [`run`] — the seed's serial driver: one global transition at a
 //!   time, delivery order chosen by a [`Scheduler`].
-//! * [`run_sharded`] — the round-synchronous executor: each round
-//!   heartbeats every node and delivers one buffered fact per node with
-//!   mail, with the per-node steps computed in parallel across worker
-//!   shards ([`ExecMode::Sharded`]) or serially ([`ExecMode::Serial`]).
-//!   Results are bit-identical across thread counts and
-//!   [`ShardPlan`]s; see [`run_sharded`] for the round semantics.
-//! * [`run_sparse`] — the event-driven executor for huge, mostly-idle
-//!   networks: quiescent nodes park; only armed or mailed nodes are
-//!   scheduled, through the same worker shards. Same outputs and
-//!   quiescence verdict on confluent machines, ≥10× fewer node-steps
-//!   when the active frontier is small; see [`sparse`](crate::sparse)
-//!   module docs for the parking/re-arming model.
-//!
-//! [`run_auto`] dispatches between the last two by the
-//! `RTX_NET_EXECUTOR` environment variable ([`ExecutorKind::auto`]).
+//! * the round coordinator: each round heartbeats the scheduled nodes
+//!   and delivers one buffered fact per node with mail, with the
+//!   per-node steps computed in parallel across worker shards
+//!   ([`ExecMode::Sharded`]) or serially ([`ExecMode::Serial`]); results
+//!   are bit-identical across thread counts. Its entry points choose the
+//!   schedule: [`run_sharded`] never parks, so every up node heartbeats
+//!   every round (the FIFO round-synchronous runs of Theorem 16), while
+//!   [`run_sparse`] parks quiescent nodes and schedules only armed or
+//!   mailed ones — same outputs and quiescence verdict on confluent
+//!   machines, ≥10× fewer node-steps when the active frontier is small
+//!   (see the [`sparse`](crate::sparse) module docs for the
+//!   parking/re-arming model).
 
 #![warn(missing_docs)]
 
@@ -56,10 +53,7 @@ pub use run::{
 };
 pub use shard::{
     run_sharded, run_sharded_faulted, run_sharded_faulted_from, run_sharded_from, DeliveryPolicy,
-    ExecMode, RoundScheduling, ShardOptions, ShardPlan, ShardRunOutcome,
+    ExecMode, RoundScheduling, ShardOptions, ShardRunOutcome,
 };
-pub use sparse::{
-    run_auto, run_auto_faulted, run_executor, run_executor_faulted, run_sparse, run_sparse_faulted,
-    run_sparse_faulted_from, run_sparse_from, ExecutorKind,
-};
+pub use sparse::{run_sparse, run_sparse_faulted, run_sparse_faulted_from, run_sparse_from};
 pub use topology::{Network, NodeId};

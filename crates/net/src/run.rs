@@ -352,6 +352,7 @@ pub fn run_from(
     scheduler: &mut dyn Scheduler,
     budget: &RunBudget,
 ) -> Result<RunOutcome, NetError> {
+    cfg.check_network(net)?;
     let t0 = rtx_obs::counting().then(std::time::Instant::now);
     let arity = transducer.schema().output_arity();
     let mut outputs_per_node: BTreeMap<NodeId, Relation> =
@@ -572,6 +573,26 @@ mod tests {
             vals.iter().map(|&v| fact!("S", v)).collect::<Vec<_>>(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn run_from_rejects_a_configuration_for_another_network() {
+        let t = dedup_flooder();
+        let full = input_s(&[1, 2, 3]);
+        let line2 = Network::line(2).unwrap();
+        let line3 = Network::line(3).unwrap();
+        let initial = |net: &Network| {
+            let p = HorizontalPartition::round_robin(net, &full);
+            Configuration::initial(net, &t, &p).unwrap()
+        };
+        // A smaller configuration would leave n2 without a buffer; a
+        // larger one would never schedule its extra node.
+        for (net, cfg_net) in [(&line3, &line2), (&line2, &line3)] {
+            let mut sched = FifoRoundRobin::new();
+            let budget = RunBudget::steps(10_000);
+            let err = run_from(net, &t, initial(cfg_net), &mut sched, &budget).unwrap_err();
+            assert!(matches!(err, NetError::Topology(_)), "{err:?}");
+        }
     }
 
     #[test]

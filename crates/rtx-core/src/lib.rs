@@ -3,11 +3,11 @@
 //! The one thing every crate in this workspace kept reimplementing was
 //! `RTX_*` environment-variable parsing, each copy with its own error
 //! message and its own silent-fallback bugs. This crate centralizes it:
-//! every override (`RTX_NET_THREADS`, `RTX_DEDALUS_FIXPOINT`,
-//! `RTX_PROPTEST_CASES`, `RTX_PROPTEST_SEED`, `RTX_BENCH_JSON`,
-//! `RTX_CHAOS_SEED`, …) goes through [`env`], so a typo'd value always
-//! produces the same loud, uniform warning instead of silently running
-//! the wrong configuration — which matters doubly for the chaos
+//! every override (`RTX_TRACE`, `RTX_QUERY_MAGIC`, `RTX_PROPTEST_CASES`,
+//! `RTX_PROPTEST_SEED`, `RTX_BENCH_JSON`, `RTX_CHAOS_SEED`, …) goes
+//! through [`env`], so a typo'd value always produces the same loud,
+//! uniform warning instead of silently running the wrong
+//! configuration — which matters doubly for the chaos
 //! subsystem, where a mis-parsed seed would "replay" a different run.
 //!
 //! It also hosts [`mix`], the pure splitmix64 fold every seeded fault

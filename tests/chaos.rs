@@ -1,15 +1,11 @@
 //! Workspace-level chaos smoke: the facade re-exports, the
 //! `RTX_CHAOS_*` environment wiring, and fault injection composed with
-//! the auto-sharded executor (which honors `RTX_NET_THREADS` — CI runs
-//! this suite under pinned thread counts and a pinned
-//! `RTX_CHAOS_SEED`).
+//! the sharded executor at the machine's parallelism (CI also runs this
+//! suite under a pinned `RTX_CHAOS_SEED`).
 
 use rtx::calm::examples;
-use rtx::chaos::{
-    explore, run_round_faulted, Crash, CrashKind, ExplorerOptions, FaultPlan, FaultSession,
-    LinkFaults,
-};
-use rtx::net::{HorizontalPartition, Network, RunBudget, ShardOptions};
+use rtx::chaos::{explore, Crash, CrashKind, ExplorerOptions, FaultPlan, FaultSession, LinkFaults};
+use rtx::net::{run_sharded_faulted, HorizontalPartition, Network, RunBudget, ShardOptions};
 use rtx::relational::{fact, Instance, Schema};
 
 fn input_s2(pairs: &[(i64, i64)]) -> Instance {
@@ -53,27 +49,25 @@ fn faulted_auto_sharded_run_matches_serial_bit_for_bit() {
     let budget = RunBudget::steps(100_000);
     let seed = rtx_core::env::parse_u64("RTX_CHAOS_SEED").unwrap_or(0x000C_7A05);
     let session = FaultSession::new(kitchen_sink_plan(), seed);
-    let serial = run_round_faulted(
+    let serial = run_sharded_faulted(
         &net,
         &t,
         &p,
         &ShardOptions::serial().with_log(),
         &budget,
-        &session,
+        &mut session.clone(),
     )
     .unwrap();
-    // auto mode resolves RTX_NET_THREADS (the CI pin) or available
-    // parallelism — fault injection must be bit-identical regardless.
-    let auto = run_round_faulted(
+    // As many workers as the machine runs in parallel (at least two) —
+    // fault injection must be bit-identical regardless.
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
+    let auto = run_sharded_faulted(
         &net,
         &t,
         &p,
-        &ShardOptions {
-            record_log: true,
-            ..ShardOptions::default()
-        },
+        &ShardOptions::sharded(threads).with_log(),
         &budget,
-        &session,
+        &mut session.clone(),
     )
     .unwrap();
     assert_eq!(auto.log, serial.log);

@@ -1,14 +1,14 @@
 //! Property tests for the sharded round-synchronous runtime
 //! (`rtx_net::run_sharded`): the determinism invariant — sharded
 //! execution is bit-identical to the serial reference for every thread
-//! count and shard plan — plus output agreement with the seed drivers.
+//! count — plus output agreement with the seed drivers, and the pinned
+//! schedules of both round executors.
 
 use proptest::prelude::*;
 use rtx::calm::constructions::distribute::distribute_monotone;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
 use rtx::net::{
-    run, ExecMode, FifoRoundRobin, HorizontalPartition, Network, RoundScheduling, RunBudget,
-    ShardOptions, ShardPlan,
+    run, FifoRoundRobin, HorizontalPartition, Network, RoundScheduling, RunBudget, ShardOptions,
 };
 use rtx::query::{Query, QueryRef};
 use rtx::relational::{fact, Fact, Instance, Schema};
@@ -33,8 +33,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The tentpole invariant: for random connected topologies, random
-    /// partitions, and every (thread count, shard plan) combination,
-    /// the sharded FIFO round-synchronous run is bit-identical to the
+    /// partitions, and every thread count, the sharded FIFO
+    /// round-synchronous run is bit-identical to the
     /// serial reference — same quiescent output, same per-node outputs,
     /// same step/message counters, same final configuration, and the
     /// same transition log, record for record.
@@ -55,26 +55,22 @@ proptest! {
             &net, &t, &p, &ShardOptions::serial().with_log(), &budget).unwrap();
         prop_assert!(serial.outcome.quiescent);
         for threads in [2usize, 3, 4, 8] {
-            for plan in [ShardPlan::Contiguous, ShardPlan::RoundRobin, ShardPlan::Hash] {
-                let opts = ShardOptions::sharded(threads).with_plan(plan).with_log();
-                let sharded = rtx::net::run_sharded(&net, &t, &p, &opts, &budget).unwrap();
-                prop_assert_eq!(&sharded.outcome.output, &serial.outcome.output,
-                                "output diverged: threads={} plan={:?}", threads, plan);
-                prop_assert_eq!(&sharded.outcome.outputs_per_node,
-                                &serial.outcome.outputs_per_node);
-                prop_assert_eq!(sharded.outcome.steps, serial.outcome.steps);
-                prop_assert_eq!(sharded.outcome.heartbeats, serial.outcome.heartbeats);
-                prop_assert_eq!(sharded.outcome.deliveries, serial.outcome.deliveries);
-                prop_assert_eq!(sharded.outcome.messages_enqueued,
-                                serial.outcome.messages_enqueued);
-                prop_assert_eq!(sharded.rounds, serial.rounds);
-                prop_assert!(sharded.outcome.final_config == serial.outcome.final_config,
-                             "final configuration diverged: threads={} plan={:?}",
-                             threads, plan);
-                prop_assert_eq!(&sharded.log, &serial.log,
-                                "transition log diverged: threads={} plan={:?}",
-                                threads, plan);
-            }
+            let opts = ShardOptions::sharded(threads).with_log();
+            let sharded = rtx::net::run_sharded(&net, &t, &p, &opts, &budget).unwrap();
+            prop_assert_eq!(&sharded.outcome.output, &serial.outcome.output,
+                            "output diverged: threads={}", threads);
+            prop_assert_eq!(&sharded.outcome.outputs_per_node,
+                            &serial.outcome.outputs_per_node);
+            prop_assert_eq!(sharded.outcome.steps, serial.outcome.steps);
+            prop_assert_eq!(sharded.outcome.heartbeats, serial.outcome.heartbeats);
+            prop_assert_eq!(sharded.outcome.deliveries, serial.outcome.deliveries);
+            prop_assert_eq!(sharded.outcome.messages_enqueued,
+                            serial.outcome.messages_enqueued);
+            prop_assert_eq!(sharded.rounds, serial.rounds);
+            prop_assert!(sharded.outcome.final_config == serial.outcome.final_config,
+                         "final configuration diverged: threads={}", threads);
+            prop_assert_eq!(&sharded.log, &serial.log,
+                            "transition log diverged: threads={}", threads);
         }
     }
 
@@ -143,28 +139,173 @@ proptest! {
     }
 }
 
-/// `ExecMode::sharded_auto` honours `RTX_NET_THREADS` (the CI matrix
-/// sets it to 4), and auto-sharded runs stay on the deterministic path.
+/// The counters a round schedule is pinned by: steps, heartbeats,
+/// deliveries, messages enqueued, rounds, `max_active` and the
+/// quiescence verdict.
+type Schedule = (usize, usize, usize, usize, usize, usize, bool);
+
+fn schedule_of(out: &rtx::net::ShardRunOutcome) -> Schedule {
+    let o = &out.outcome;
+    (
+        o.steps,
+        o.heartbeats,
+        o.deliveries,
+        o.messages_enqueued,
+        out.rounds,
+        out.max_active,
+        o.quiescent,
+    )
+}
+
+/// Pins the exact schedules of both round executors — the dense one,
+/// which heartbeats every up node every round, and the sparse one,
+/// which parks quiet nodes — on plain, batched, randomly scheduled,
+/// budget-cut and faulted runs (one fair and one crash-faulty plan
+/// drawn from `FaultPlanStrategy`, plus a node crashed forever). Any
+/// change to either schedule's round structure, stopping rule or fault
+/// handling moves one of these numbers. Every run is repeated on three
+/// worker shards, which must reproduce the serial schedule.
 #[test]
-fn auto_threads_run_matches_serial() {
-    let input = set_instance(&[1, 2, 3, 4, 5]);
-    let net = Network::grid(4, 4).unwrap();
-    let t = flood_transducer(input.schema(), FloodMode::Dedup, None).unwrap();
-    let p = HorizontalPartition::round_robin(&net, &input);
-    let budget = RunBudget::steps(500_000);
-    let serial =
-        rtx::net::run_sharded(&net, &t, &p, &ShardOptions::serial().with_log(), &budget).unwrap();
-    let auto = ShardOptions {
-        mode: ExecMode::sharded_auto(),
-        ..ShardOptions::default()
+fn round_schedules_are_pinned() {
+    use rand::SeedableRng;
+    use rtx::chaos::{
+        directed_edges, Adversary, Crash, CrashKind, FaultPlan, FaultPlanStrategy, FaultSession,
     };
-    let sharded = rtx::net::run_sharded(&net, &t, &p, &auto.with_log(), &budget).unwrap();
-    assert!(sharded.outcome.quiescent);
-    assert_eq!(sharded.outcome.output, serial.outcome.output);
-    assert_eq!(sharded.log, serial.log);
-    if let Ok(v) = std::env::var("RTX_NET_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            assert_eq!(sharded.threads_used, n.clamp(1, net.len()));
-        }
+    use rtx::net::{
+        run_sharded, run_sharded_faulted, run_sparse, run_sparse_faulted, DeliveryPolicy,
+        ShardRunOutcome,
+    };
+
+    let input = set_instance(&[1, 2, 3, 4, 5]);
+    let t = flood_transducer(input.schema(), FloodMode::Dedup, None).unwrap();
+    let grid = Network::grid(3, 3).unwrap();
+    let p = HorizontalPartition::round_robin(&grid, &input);
+    let line = Network::line(6).unwrap();
+    let p_line = HorizontalPartition::round_robin(&line, &input);
+    let plan = |adversary, seed| {
+        let strategy = FaultPlanStrategy {
+            nodes: grid.len(),
+            edges: directed_edges(&grid),
+            max_delay: 3,
+            max_hold: 4,
+            horizon: 5,
+            adversary,
+        };
+        strategy.generate(&mut rand::rngs::StdRng::seed_from_u64(seed))
+    };
+    let fair = FaultSession::new(plan(Adversary::Fair, 8), 31);
+    let crashy = FaultSession::new(plan(Adversary::CrashFaulty, 22), 57);
+    let mut forever = FaultPlan::none();
+    forever.crashes.push(Crash {
+        node: 5,
+        at: 2,
+        restart: None,
+        kind: CrashKind::PersistentEdb,
+    });
+    let forever = FaultSession::new(forever, 1);
+    let full = RunBudget::steps(500_000);
+
+    type Runner<'a> = Box<dyn Fn(&ShardOptions) -> ShardRunOutcome + 'a>;
+    let cases: Vec<(&str, Runner, Schedule)> = vec![
+        (
+            "dense plain",
+            Box::new(|o| run_sharded(&grid, &t, &p, o, &full).unwrap()),
+            (309, 189, 120, 120, 21, 9, true),
+        ),
+        (
+            "sparse plain",
+            Box::new(|o| run_sparse(&grid, &t, &p, o, &full).unwrap()),
+            (248, 128, 120, 120, 23, 9, true),
+        ),
+        (
+            "dense batch(4)",
+            Box::new(|o| {
+                let o = o.clone().with_delivery(DeliveryPolicy::Batch(4));
+                run_sharded(&grid, &t, &p, &o, &full).unwrap()
+            }),
+            (174, 54, 120, 120, 6, 9, true),
+        ),
+        (
+            "sparse batch(4)",
+            Box::new(|o| {
+                let o = o.clone().with_delivery(DeliveryPolicy::Batch(4));
+                run_sparse(&grid, &t, &p, &o, &full).unwrap()
+            }),
+            (160, 40, 120, 120, 8, 9, true),
+        ),
+        (
+            "dense random",
+            Box::new(|o| {
+                let o = o
+                    .clone()
+                    .with_scheduling(RoundScheduling::Random { seed: 7 });
+                run_sharded(&grid, &t, &p, &o, &full).unwrap()
+            }),
+            (309, 189, 120, 120, 21, 9, true),
+        ),
+        (
+            "sparse random",
+            Box::new(|o| {
+                let o = o
+                    .clone()
+                    .with_scheduling(RoundScheduling::Random { seed: 7 });
+                run_sparse(&grid, &t, &p, &o, &full).unwrap()
+            }),
+            (248, 128, 120, 120, 23, 9, true),
+        ),
+        (
+            "dense cut at 11 steps",
+            Box::new(|o| run_sharded(&grid, &t, &p, o, &RunBudget::steps(11)).unwrap()),
+            (11, 9, 2, 19, 1, 9, false),
+        ),
+        (
+            "sparse cut at 11 steps",
+            Box::new(|o| run_sparse(&grid, &t, &p, o, &RunBudget::steps(11)).unwrap()),
+            (11, 7, 4, 23, 2, 6, false),
+        ),
+        (
+            "dense fair plan",
+            Box::new(|o| run_sharded_faulted(&grid, &t, &p, o, &full, &mut fair.clone()).unwrap()),
+            (603, 368, 235, 235, 41, 9, true),
+        ),
+        (
+            "sparse fair plan",
+            Box::new(|o| run_sparse_faulted(&grid, &t, &p, o, &full, &mut fair.clone()).unwrap()),
+            (483, 248, 235, 235, 43, 9, true),
+        ),
+        (
+            "dense crash-faulty plan",
+            Box::new(|o| {
+                run_sharded_faulted(&grid, &t, &p, o, &full, &mut crashy.clone()).unwrap()
+            }),
+            (620, 383, 237, 241, 43, 9, true),
+        ),
+        (
+            "sparse crash-faulty plan",
+            Box::new(|o| run_sparse_faulted(&grid, &t, &p, o, &full, &mut crashy.clone()).unwrap()),
+            (506, 263, 243, 247, 47, 9, true),
+        ),
+        (
+            "dense crashed forever",
+            Box::new(|o| {
+                let budget = RunBudget::steps(5_000);
+                run_sharded_faulted(&line, &t, &p_line, o, &budget, &mut forever.clone()).unwrap()
+            }),
+            (5000, 4958, 42, 46, 992, 6, false),
+        ),
+        (
+            "sparse crashed forever",
+            Box::new(|o| {
+                let budget = RunBudget::steps(5_000);
+                run_sparse_faulted(&line, &t, &p_line, o, &budget, &mut forever.clone()).unwrap()
+            }),
+            (88, 48, 40, 45, 14, 5, false),
+        ),
+    ];
+    for (name, run, pinned) in &cases {
+        let serial = schedule_of(&run(&ShardOptions::serial()));
+        assert_eq!(serial, *pinned, "{name}: serial schedule moved");
+        let sharded = schedule_of(&run(&ShardOptions::sharded(3)));
+        assert_eq!(sharded, *pinned, "{name}: sharded schedule moved");
     }
 }

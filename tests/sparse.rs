@@ -9,11 +9,12 @@ use proptest::prelude::*;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
 use rtx::chaos::{Crash, CrashKind, FaultPlan, FaultSession, LinkFaults, Partition};
 use rtx::net::{
-    run, FifoRoundRobin, HorizontalPartition, LifoRoundRobin, Network, NodeId, RandomScheduler,
-    RunBudget, Scheduler, ShardOptions, ShardPlan,
+    run, Configuration, FifoRoundRobin, HorizontalPartition, LifoRoundRobin, Network, NodeId,
+    RandomScheduler, RunBudget, Scheduler, ShardOptions,
 };
 use rtx::query::QueryRef;
 use rtx::relational::{fact, Fact, Instance, Schema};
+use rtx::transducer::Transducer;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -30,6 +31,17 @@ fn identity_out() -> QueryRef {
     Arc::new(rtx::query::DatalogQuery::new(prog, "T").unwrap())
 }
 
+/// Whether `cfg` is a fixpoint of the network: every buffer is empty,
+/// and one more heartbeat at any node changes no state and sends
+/// nothing — what a quiescent verdict certifies.
+fn is_fixpoint(net: &Network, t: &Transducer, cfg: &Configuration) -> bool {
+    let silence = Instance::empty(t.schema().message().clone());
+    net.nodes().all(|node| {
+        let res = t.step(cfg.state(node).unwrap(), &silence).unwrap();
+        cfg.buffer(node).is_empty() && !res.state_changed && res.sent.is_empty()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -37,7 +49,7 @@ proptest! {
     /// random partitions, the sparse executor reaches the same
     /// quiescent output (global and per node) as the paper-faithful
     /// fair serial reference — and sparse execution is bit-identical
-    /// across every thread count and shard plan.
+    /// across every thread count.
     #[test]
     fn sparse_equals_fair_serial_reference(
         values in proptest::collection::btree_set(0i64..40, 1..5),
@@ -59,18 +71,15 @@ proptest! {
         prop_assert_eq!(&sparse.outcome.output, &reference.output);
         prop_assert_eq!(&sparse.outcome.outputs_per_node, &reference.outputs_per_node);
         for threads in [2usize, 3, 4, 8] {
-            for plan in [ShardPlan::Contiguous, ShardPlan::RoundRobin, ShardPlan::Hash] {
-                let opts = ShardOptions::sharded(threads).with_plan(plan).with_log();
-                let sharded = rtx::net::run_sparse(&net, &t, &p, &opts, &budget).unwrap();
-                prop_assert_eq!(&sharded.log, &sparse.log,
-                                "sparse log diverged: threads={} plan={:?}", threads, plan);
-                prop_assert_eq!(sharded.outcome.steps, sparse.outcome.steps);
-                prop_assert_eq!(sharded.rounds, sparse.rounds);
-                prop_assert_eq!(sharded.max_active, sparse.max_active);
-                prop_assert!(sharded.outcome.final_config == sparse.outcome.final_config,
-                             "sparse final configuration diverged: threads={} plan={:?}",
-                             threads, plan);
-            }
+            let opts = ShardOptions::sharded(threads).with_log();
+            let sharded = rtx::net::run_sparse(&net, &t, &p, &opts, &budget).unwrap();
+            prop_assert_eq!(&sharded.log, &sparse.log,
+                            "sparse log diverged: threads={}", threads);
+            prop_assert_eq!(sharded.outcome.steps, sparse.outcome.steps);
+            prop_assert_eq!(sharded.rounds, sparse.rounds);
+            prop_assert_eq!(sharded.max_active, sparse.max_active);
+            prop_assert!(sharded.outcome.final_config == sparse.outcome.final_config,
+                         "sparse final configuration diverged: threads={}", threads);
         }
     }
 
@@ -100,7 +109,9 @@ proptest! {
     /// partition, a crash/restart), the sparse executor agrees with the
     /// dense faulted executor on output, per-node outputs, and the
     /// quiescence verdict — the fault hooks re-arm crashed, restarted,
-    /// and partition-healed nodes correctly.
+    /// and partition-healed nodes correctly. Every quiescent verdict of
+    /// either executor is a fixpoint: a parked node's heartbeat really
+    /// is a no-op.
     #[test]
     fn sparse_faulted_agrees_with_dense_faulted(
         values in proptest::collection::btree_set(0i64..40, 1..4),
@@ -139,6 +150,12 @@ proptest! {
                         "quiescence verdicts diverged");
         prop_assert_eq!(&sparse.outcome.output, &dense.outcome.output);
         prop_assert_eq!(&sparse.outcome.outputs_per_node, &dense.outcome.outputs_per_node);
+        for out in [&dense, &sparse] {
+            if out.outcome.quiescent {
+                prop_assert!(is_fixpoint(&net, &t, &out.outcome.final_config),
+                             "a quiescent verdict left a productive heartbeat");
+            }
+        }
         // And the faulted sparse run replays identically when sharded.
         let sharded = rtx::net::run_sparse_faulted(
             &net, &t, &p, &ShardOptions::sharded(4), &budget, &mut session.clone()).unwrap();
