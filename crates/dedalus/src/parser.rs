@@ -146,6 +146,8 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, EvalError> {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// The source length: the offset of "end of input".
+    end: usize,
     /// Did the current rule mention `now`?
     uses_now: bool,
 }
@@ -155,17 +157,17 @@ impl Parser {
         self.toks.get(self.pos).map(|(t, _)| t)
     }
 
-    fn offset(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .map(|&(_, o)| o)
-            .unwrap_or(usize::MAX)
-    }
-
-    fn error(&self, message: impl Into<String>) -> EvalError {
+    /// The error for `got`, the token [`Parser::next`] just returned,
+    /// when it is not what the grammar expects: reported at that
+    /// token's offset, or at the end of the source when input ran out.
+    fn unexpected(&self, expected: &str, got: Option<Tok>) -> EvalError {
+        let (found, offset) = match got {
+            Some(t) => (format!("{t:?}"), self.toks[self.pos - 1].1),
+            None => ("end of input".to_string(), self.end),
+        };
         EvalError::Parse {
-            message: message.into(),
-            offset: self.offset(),
+            message: format!("expected {expected}, found {found}"),
+            offset,
         }
     }
 
@@ -180,7 +182,7 @@ impl Parser {
     fn expect(&mut self, t: Tok) -> Result<(), EvalError> {
         match self.next() {
             Some(got) if got == t => Ok(()),
-            other => Err(self.error(format!("expected {t:?}, found {other:?}"))),
+            got => Err(self.unexpected(&format!("{t:?}"), got)),
         }
     }
 
@@ -207,7 +209,7 @@ impl Parser {
             Some(Tok::Ident(name)) => Ok(Term::cons(Value::sym(name))),
             Some(Tok::Int(n)) => Ok(Term::cons(n)),
             Some(Tok::Quoted(s)) => Ok(Term::cons(Value::sym(s))),
-            other => Err(self.error(format!("expected a term, found {other:?}"))),
+            other => Err(self.unexpected("a term", other)),
         }
     }
 
@@ -229,18 +231,14 @@ impl Parser {
         self.uses_now = false;
         let head_name = match self.next() {
             Some(Tok::Ident(n)) => n,
-            other => return Err(self.error(format!("expected rule head, found {other:?}"))),
+            other => return Err(self.unexpected("rule head", other)),
         };
         let head = self.atom(head_name)?;
         let timing = if self.eat(&Tok::At) {
             match self.next() {
                 Some(Tok::Ident(kw)) if kw == "next" => DTime::Next,
                 Some(Tok::Ident(kw)) if kw == "async" => DTime::Async,
-                other => {
-                    return Err(self.error(format!(
-                        "expected `next` or `async` after `@`, found {other:?}"
-                    )))
-                }
+                other => return Err(self.unexpected("`next` or `async` after `@`", other)),
             }
         } else {
             DTime::Same
@@ -252,11 +250,7 @@ impl Parser {
                 if self.eat(&Tok::Bang) {
                     let name = match self.next() {
                         Some(Tok::Ident(n)) => n,
-                        other => {
-                            return Err(
-                                self.error(format!("expected atom after `!`, found {other:?}"))
-                            )
-                        }
+                        other => return Err(self.unexpected("atom after `!`", other)),
                     };
                     rule = rule.unless(self.atom(name)?);
                 } else {
@@ -271,11 +265,7 @@ impl Parser {
                         self.pos = save;
                         let name = match self.next() {
                             Some(Tok::Ident(n)) if n != NOW => n,
-                            other => {
-                                return Err(
-                                    self.error(format!("expected a body literal, found {other:?}"))
-                                )
-                            }
+                            other => return Err(self.unexpected("a body literal", other)),
                         };
                         rule = rule.when(self.atom(name)?);
                     }
@@ -299,6 +289,7 @@ pub fn parse_dedalus(src: &str) -> Result<DedalusProgram, EvalError> {
     let mut p = Parser {
         toks: lex(src)?,
         pos: 0,
+        end: src.len(),
         uses_now: false,
     };
     let mut rules = Vec::new();
@@ -378,6 +369,43 @@ mod tests {
         assert!(parse_dedalus("p(X)@sometime :- q(X).").is_err());
         assert!(parse_dedalus("p(X) :- !q(Y).").is_err()); // unsafe
         assert!(parse_dedalus("p(X) :- 'unterminated.").is_err());
+    }
+
+    #[test]
+    fn parse_errors_carry_offsets() {
+        let parse_error = |src: &str| match parse_dedalus(src) {
+            Err(EvalError::Parse { message, offset }) => (message, offset),
+            other => panic!("{src:?} should not parse: {other:?}"),
+        };
+        // At the end of input the offset is the source length.
+        let src = "t(X) :- e(X,Y)"; // missing dot
+        assert_eq!(
+            parse_error(src),
+            ("expected Dot, found end of input".to_string(), src.len())
+        );
+        // An offending token that was already consumed is reported
+        // where it stands.
+        let src = "t(X,Z) :- t(X,Y), e(Y,.";
+        assert_eq!(
+            parse_error(src),
+            ("expected a term, found Dot".to_string(), src.len() - 1)
+        );
+        let src = "p(X)@sometime :- q(X).";
+        assert_eq!(
+            parse_error(src),
+            (
+                "expected `next` or `async` after `@`, found Ident(\"sometime\")".to_string(),
+                5
+            )
+        );
+        let src = "p(X)@";
+        assert_eq!(
+            parse_error(src),
+            (
+                "expected `next` or `async` after `@`, found end of input".to_string(),
+                src.len()
+            )
+        );
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //!   not enough — a fact can keep a spuriously positive count through
 //!   cyclic support — so the engine runs **DRed**: over-delete every
 //!   fact that lost any derivation, then re-derive the over-deleted
-//!   facts that still have support (computed by a backward join against
-//!   the surviving database), cascading until a fixpoint;
+//!   facts a set at a time — one join per rule, with the head pinned
+//!   first over the over-deleted facts, counts every firing that still
+//!   derives one of them from the surviving database — and feed those
+//!   with support to the insertion cascade, which re-derives whatever
+//!   they support in turn;
 //! * **negation** is handled stratum by stratum: lower-stratum ±
 //!   changes are treated exactly like EDB deltas, and a stratum whose
 //!   *negated* inputs changed is recomputed wholesale from its
@@ -40,7 +43,7 @@ use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
 use crate::frame::Frame;
 use crate::plan::plan_order;
-use crate::term::{Atom, Bindings};
+use crate::term::Atom;
 use rtx_relational::{
     CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Run, Tuple,
 };
@@ -266,6 +269,16 @@ impl MaintainedFixpoint {
     /// `program.eval(&base)` for the current base.
     pub fn current(&self) -> &Instance {
         &self.total
+    }
+
+    /// The support count kept for a fact: the rule firings deriving it
+    /// over the current fixpoint, plus 1 if it is a base (seed) fact.
+    /// Zero for a fact outside the fixpoint.
+    pub fn support(&self, f: &Fact) -> u64 {
+        match self.counts.get(f.rel()) {
+            Some(c) => c.count(f.tuple()),
+            None => u64::from(self.base.contains_fact(f)),
+        }
     }
 
     /// (Re)compute the fixpoint from scratch over `base` and build the
@@ -553,7 +566,7 @@ impl StratumPass<'_> {
         }
 
         // ---- DRed re-derivation (recursive strata only) ----
-        self.rederive()?;
+        self.rederive(seed_changes)?;
 
         // ---- insertion phase (inputs, seeds, then cascades) ----
         for p in &inputs {
@@ -566,7 +579,7 @@ impl StratumPass<'_> {
         }
         for (p, c) in seed_changes {
             for t in &c.added {
-                self.gain_seed(p, t)?;
+                self.gain(p, t, 1)?;
             }
         }
         while let Some((p, ts)) = pop_first(&mut self.add_work) {
@@ -715,15 +728,23 @@ impl StratumPass<'_> {
         Ok(())
     }
 
-    /// A stratum fact gained seed support.
-    fn gain_seed(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let c = count_table(self.counts, p)?;
-        if c.add(t.clone(), 1).map_err(EvalError::Rel)? {
-            self.add_work
-                .entry(p.clone())
-                .or_default()
-                .insert(t.clone());
-            net_add(&mut self.net, p, t);
+    /// Credit `(p, t)` with `k` more firings or seed support. A fact
+    /// whose support rises from zero is inserted and cascades; if DRed
+    /// had over-deleted it, this re-derives it.
+    fn gain(&mut self, p: &RelName, t: &Tuple, k: u64) -> Result<(), EvalError> {
+        if !count_table(self.counts, p)?
+            .add(t.clone(), k)
+            .map_err(EvalError::Rel)?
+        {
+            return Ok(());
+        }
+        self.add_work
+            .entry(p.clone())
+            .or_default()
+            .insert(t.clone());
+        net_add(&mut self.net, p, t);
+        if self.overdeleted.get_mut(p).is_some_and(|d| d.remove(t)) {
+            self.stats.facts_rederived += 1;
         }
         Ok(())
     }
@@ -749,14 +770,7 @@ impl StratumPass<'_> {
     fn handle_gained(&mut self, heads: HeadCounts) -> Result<(), EvalError> {
         for (p, tuples) in heads {
             for (t, gained) in tuples {
-                let c = count_table(self.counts, &p)?;
-                if c.add(t.clone(), gained).map_err(EvalError::Rel)? {
-                    self.add_work
-                        .entry(p.clone())
-                        .or_default()
-                        .insert(t.clone());
-                    net_add(&mut self.net, &p, &t);
-                }
+                self.gain(&p, &t, gained)?;
             }
         }
         Ok(())
@@ -786,138 +800,53 @@ impl StratumPass<'_> {
         self.stats.facts_retracted += 1;
     }
 
-    /// DRed re-derivation: repeatedly scan the over-deleted facts for
-    /// ones still derivable from the surviving database (seed support
-    /// plus a backward join), re-insert them with their exact recounted
-    /// support, and propagate the gained firings — until a pass makes
-    /// no progress. Whatever remains over-deleted is gone for good.
-    fn rederive(&mut self) -> Result<(), EvalError> {
-        if self.overdeleted.values().all(BTreeSet::is_empty) {
-            return Ok(());
-        }
-        loop {
-            let mut progress = false;
-            let snapshot: Vec<(RelName, Vec<Tuple>)> = self
-                .overdeleted
-                .iter()
-                .map(|(p, ts)| (p.clone(), ts.iter().cloned().collect()))
-                .collect();
-            for (p, ts) in snapshot {
-                for t in ts {
-                    let mut c =
-                        u64::from(self.base.contains_fact(&Fact::new(p.clone(), t.clone())));
-                    c += self.backward_count(&p, &t)?;
-                    if c == 0 {
-                        continue;
-                    }
-                    self.overdeleted
-                        .get_mut(&p)
-                        .expect("snapshot key present")
-                        .remove(&t);
-                    count_table(self.counts, &p)?
-                        .add(t.clone(), c)
-                        .map_err(EvalError::Rel)?;
-                    self.total
-                        .insert_fact(Fact::new(p.clone(), t.clone()))
-                        .map_err(EvalError::Rel)?;
-                    net_add(&mut self.net, &p, &t);
-                    self.stats.facts_rederived += 1;
-                    self.propagate_rederived(&p, &t)?;
-                    progress = true;
-                }
-            }
-            if !progress {
-                return Ok(());
+    /// DRed re-derivation, a set at a time. One join per stratum rule,
+    /// with the head pinned first over the over-deleted facts of its
+    /// predicate, counts every firing that still derives one of them
+    /// from the surviving database. Seed support counts only for seeds
+    /// that were there before the delta: the insertion phase credits
+    /// the new ones. Facts with support re-enter through
+    /// [`StratumPass::gain`], so the insertion cascade re-derives
+    /// whatever they support without a rescan; whatever is still
+    /// over-deleted when the cascade ends is gone for good.
+    fn rederive(&mut self, seed_changes: &BTreeMap<RelName, Change>) -> Result<(), EvalError> {
+        let mut pinned: BTreeMap<RelName, Relation> = BTreeMap::new();
+        for (p, ts) in &self.overdeleted {
+            if let Some(t) = ts.first() {
+                let d = Relation::from_tuples(t.arity(), ts.iter().cloned());
+                pinned.insert(p.clone(), d.map_err(EvalError::Rel)?);
             }
         }
-    }
-
-    /// Count the firings deriving `(p, t)` over the current database by
-    /// unifying each rule head with `t` and joining the body forward.
-    fn backward_count(&self, p: &RelName, t: &Tuple) -> Result<u64, EvalError> {
-        let mut n = 0u64;
+        let mut fired = HeadCounts::new();
         for &ri in &self.info.rules {
             let rule = &self.program.rules()[ri];
-            if rule.head().pred != *p {
-                continue;
-            }
-            let Some(env0) = rule.head().match_tuple(t, &Bindings::new()) else {
+            let Some(d) = pinned.get(&rule.head().pred) else {
                 continue;
             };
-            let atoms = positive_atoms(rule);
-            let mut envs = vec![env0];
-            if !atoms.is_empty() {
-                let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-                let mut dead = false;
-                for a in &atoms {
-                    match self.source(&a.pred) {
-                        Some(r) if !r.is_empty() => srcs.push(r),
-                        _ => {
-                            dead = true;
-                            break;
-                        }
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                for &k in &plan_order(&atoms, None) {
-                    envs = atoms[k].join_indexed(srcs[k], &envs);
-                    if envs.is_empty() {
-                        break;
-                    }
+            let atoms: Vec<&Atom> = std::iter::once(rule.head())
+                .chain(positive_atoms(rule))
+                .collect();
+            let mut srcs = vec![d];
+            for a in &atoms[1..] {
+                match self.source(&a.pred) {
+                    Some(r) if !r.is_empty() => srcs.push(r),
+                    _ => break,
                 }
             }
-            for env in &envs {
-                if passes_filters(rule, env, self.total)? {
-                    n += 1;
-                }
+            if srcs.len() == atoms.len() {
+                frame_count(rule, &atoms, &srcs, Some(0), self.total, &mut fired)?;
             }
         }
-        Ok(n)
-    }
-
-    /// Propagate the firings gained by re-inserting `(p, t)`: pinned
-    /// expansion with Δ = {t}. Heads still over-deleted are skipped —
-    /// their own backward recount (which now sees `t`) will include
-    /// these firings.
-    fn propagate_rederived(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let arity = t.arity();
-        let delta_rel = Relation::from_tuples(arity, [t.clone()]).map_err(EvalError::Rel)?;
-        let empty = Relation::empty(arity);
-        let cur = self.total.relation_ref(p).unwrap_or(&empty);
-        // `t` is already committed: `cur` is the post-step state.
-        let pre_copy = self.info.multi.contains(p).then(|| {
-            let mut c = cur.clone();
-            c.remove(t);
-            c
-        });
-        let versions = match &pre_copy {
-            Some(pre) => PinnedVersions::Both { pre, post: cur },
-            None => PinnedVersions::Unneeded,
-        };
-        let mut heads = HeadCounts::new();
-        expansion(
-            self.program,
-            self.info,
-            p,
-            &delta_rel,
-            &versions,
-            &self.views,
-            self.total,
-            &mut heads,
-        )?;
-        for (hp, tuples) in heads {
-            for (ht, k) in tuples {
-                if self.overdeleted.get(&hp).is_some_and(|d| d.contains(&ht)) {
-                    continue;
-                }
-                let c = count_table(self.counts, &hp)?;
-                if c.add(ht, k).map_err(EvalError::Rel)? {
-                    return Err(EvalError::Other(
-                        "DRed re-derivation produced a fact absent from the pre-deletion database"
-                            .into(),
-                    ));
+        for (p, d) in pinned {
+            let mut firings = fired.remove(&p).unwrap_or_default();
+            let seeds = self.base.relation_ref(&p);
+            let fresh = seed_changes.get(&p).map(|c| &c.added);
+            for t in d.iter() {
+                let seeded = seeds.is_some_and(|r| r.contains(t))
+                    && !fresh.is_some_and(|added| added.contains(t));
+                let k = firings.remove(t).unwrap_or(0) + u64::from(seeded);
+                if k > 0 {
+                    self.gain(&p, t, k)?;
                 }
             }
         }
@@ -982,34 +911,6 @@ fn positive_atoms(rule: &Rule) -> Vec<&Atom> {
         .collect()
 }
 
-/// Check a complete binding against the rule's negated atoms and
-/// nonequalities (the filters [`frame_count`] applies column-wise).
-fn passes_filters(rule: &Rule, env: &Bindings, neg_db: &Instance) -> Result<bool, EvalError> {
-    for l in rule.body() {
-        match l {
-            Literal::Pos(_) => {}
-            Literal::Neg(a) => {
-                let t = a.instantiate(env).ok_or_else(|| EvalError::Unsafe {
-                    reason: format!("negated atom {a} unbound"),
-                })?;
-                if neg_db.relation_ref(&a.pred).is_some_and(|r| r.contains(&t)) {
-                    return Ok(false);
-                }
-            }
-            Literal::Diseq(x, y) => match (x.resolve(env), y.resolve(env)) {
-                (Some(a), Some(b)) if a != b => {}
-                (Some(_), Some(_)) => return Ok(false),
-                _ => {
-                    return Err(EvalError::Unsafe {
-                        reason: "nonequality over unbound variable".into(),
-                    })
-                }
-            },
-        }
-    }
-    Ok(true)
-}
-
 /// Build support counts from scratch for the heads of `rules` over
 /// `db`: every rule firing plus +1 seed support per base fact of
 /// `preds`. The single source of truth for both initialization and
@@ -1055,8 +956,8 @@ fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Resul
     frame_count(rule, &atoms, &srcs, None, db, out)
 }
 
-/// The firing counter shared by [`expansion`] and
-/// [`count_rule_firings`]: join the positive atoms directly over their
+/// The firing counter shared by [`expansion`], DRed's re-derivation
+/// and [`count_rule_firings`]: join the positive atoms directly over their
 /// sorted runs with the [`Frame`] executor (probing run ranges, never
 /// materializing a `Tuple` or `Bindings` per candidate), apply the
 /// rule's negation / nonequality filters column-wise, and count the
@@ -1399,6 +1300,30 @@ mod tests {
         // The exogenous seed is independent of any rule support.
         check_step(&mut fix, &mut base, vec![], vec![fact!("T", 7, 8)]);
         assert!(!fix.current().contains_fact(&fact!("T", 7, 8)));
+    }
+
+    #[test]
+    fn a_seed_added_for_an_overdeleted_fact_counts_once() {
+        // One delta retracts E(1,2), over-deleting T(1,2), and seeds
+        // T(1,2). Re-derivation must not count the new seed that the
+        // insertion phase credits as well.
+        let p = tc_program();
+        let mut fix = MaintainedFixpoint::new(&p).unwrap();
+        let mut base = edge_base(&[(1, 2), (2, 3)]);
+        fix.initialize(&base).unwrap();
+        check_step(
+            &mut fix,
+            &mut base,
+            vec![fact!("T", 1, 2)],
+            vec![fact!("E", 1, 2)],
+        );
+        assert_eq!(fix.support(&fact!("T", 1, 2)), 1);
+        let mut recount = MaintainedFixpoint::new(&p).unwrap();
+        recount.initialize(&base).unwrap();
+        for f in fix.current().facts() {
+            assert_eq!(fix.support(&f), recount.support(&f), "{f}");
+        }
+        assert_eq!(fix.stats().facts_rederived, 2, "T(1,2) and T(1,3) return");
     }
 
     #[test]

@@ -41,7 +41,6 @@ use crate::incremental::{FixpointStats, MaintainedFixpoint};
 use crate::term::{Atom, Bindings, Term, Var};
 use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Relation, Tuple, Value};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
 
 /// How [`Program::for_query`] answers a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -55,27 +54,6 @@ pub enum QueryMode {
     /// patterns).
     #[default]
     Magic,
-}
-
-impl QueryMode {
-    /// Parse a mode name (`"magic"`/`"on"` or `"materialize"`/`"off"`).
-    pub fn parse(s: &str) -> Option<QueryMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "magic" | "on" | "1" => Some(QueryMode::Magic),
-            "materialize" | "off" | "full" | "0" => Some(QueryMode::Materialize),
-            _ => None,
-        }
-    }
-
-    /// The process-wide default mode: `RTX_QUERY_MAGIC` if set and
-    /// valid, else [`QueryMode::Magic`]. Read once and cached.
-    pub fn global() -> QueryMode {
-        static MODE: OnceLock<QueryMode> = OnceLock::new();
-        *MODE.get_or_init(|| {
-            rtx_core::env::parse_choice("RTX_QUERY_MAGIC", "magic/on|materialize/off", Self::parse)
-                .unwrap_or_default()
-        })
-    }
 }
 
 /// A program specialized to one query pattern — either the magic-sets
@@ -95,8 +73,8 @@ pub struct MagicQuery {
 }
 
 impl Program {
-    /// Specialize this program to a query `pattern` under the
-    /// process-wide [`QueryMode::global`].
+    /// Specialize this program to a query `pattern` under the default
+    /// [`QueryMode::Magic`].
     ///
     /// The pattern is an [`Atom`] over a program predicate: constant
     /// positions are *bound* (the demand the rewrite specializes to),
@@ -106,12 +84,12 @@ impl Program {
     /// demand through negation would make the program unstratifiable —
     /// a magic query never answers wrong, it answers slower).
     pub fn for_query(&self, pattern: &Atom) -> Result<MagicQuery, EvalError> {
-        self.for_query_mode(pattern, QueryMode::global())
+        self.for_query_mode(pattern, QueryMode::default())
     }
 
     /// [`Program::for_query`] with an explicit mode — `Materialize` is
-    /// the measurable baseline for the magic ablation, and tests force
-    /// both sides regardless of `RTX_QUERY_MAGIC`.
+    /// the measurable baseline for the magic ablation, and the tests
+    /// run both sides through it.
     pub fn for_query_mode(&self, pattern: &Atom, mode: QueryMode) -> Result<MagicQuery, EvalError> {
         match self.signature().arity(&pattern.pred) {
             None => {
@@ -697,17 +675,5 @@ mod tests {
         let ans = qb.answer(&db).unwrap();
         assert_eq!(ans, full.answer(&db).unwrap());
         assert_eq!(ans.len(), 2); // w(1,2) and w(1,4); 3 is blocked by b
-    }
-
-    #[test]
-    fn query_mode_parses() {
-        assert_eq!(QueryMode::parse("magic"), Some(QueryMode::Magic));
-        assert_eq!(QueryMode::parse("ON"), Some(QueryMode::Magic));
-        assert_eq!(QueryMode::parse("off"), Some(QueryMode::Materialize));
-        assert_eq!(
-            QueryMode::parse("materialize"),
-            Some(QueryMode::Materialize)
-        );
-        assert_eq!(QueryMode::parse("bogus"), None);
     }
 }

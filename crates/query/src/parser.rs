@@ -180,6 +180,8 @@ impl<'a> Lexer<'a> {
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
+    /// The source length: the offset of "end of input".
+    end: usize,
 }
 
 impl Parser {
@@ -187,6 +189,7 @@ impl Parser {
         Ok(Parser {
             toks: Lexer::new(src).tokens()?,
             pos: 0,
+            end: src.len(),
         })
     }
 
@@ -195,16 +198,27 @@ impl Parser {
     }
 
     fn offset(&self) -> usize {
-        self.toks
-            .get(self.pos)
-            .map(|&(_, o)| o)
-            .unwrap_or(usize::MAX)
+        self.toks.get(self.pos).map(|&(_, o)| o).unwrap_or(self.end)
     }
 
     fn error(&self, message: impl Into<String>) -> EvalError {
         EvalError::Parse {
             message: message.into(),
             offset: self.offset(),
+        }
+    }
+
+    /// The error for `got`, the token [`Parser::next`] just returned,
+    /// when it is not what the grammar expects: reported at that
+    /// token's offset, or at the end of the source when input ran out.
+    fn unexpected(&self, expected: &str, got: Option<Tok>) -> EvalError {
+        let (found, offset) = match got {
+            Some(t) => (format!("{t:?}"), self.toks[self.pos - 1].1),
+            None => ("end of input".to_string(), self.end),
+        };
+        EvalError::Parse {
+            message: format!("expected {expected}, found {found}"),
+            offset,
         }
     }
 
@@ -219,8 +233,7 @@ impl Parser {
     fn expect(&mut self, t: Tok) -> Result<(), EvalError> {
         match self.next() {
             Some(got) if got == t => Ok(()),
-            Some(got) => Err(self.error(format!("expected {t:?}, found {got:?}"))),
-            None => Err(self.error(format!("expected {t:?}, found end of input"))),
+            got => Err(self.unexpected(&format!("{t:?}"), got)),
         }
     }
 
@@ -255,7 +268,7 @@ impl Parser {
             Some(Tok::Ident(name)) => Ok(Self::term_from_ident(name)),
             Some(Tok::Int(n)) => Ok(Term::cons(n)),
             Some(Tok::Quoted(s)) => Ok(Term::cons(Value::sym(s))),
-            other => Err(self.error(format!("expected a term, found {other:?}"))),
+            other => Err(self.unexpected("a term", other)),
         }
     }
 
@@ -279,7 +292,7 @@ impl Parser {
     fn parse_rule(&mut self) -> Result<Rule, EvalError> {
         let head_name = match self.next() {
             Some(Tok::Ident(n)) => n,
-            other => return Err(self.error(format!("expected rule head, found {other:?}"))),
+            other => return Err(self.unexpected("rule head", other)),
         };
         let head = self.parse_atom(head_name)?;
         let mut body = Vec::new();
@@ -299,14 +312,11 @@ impl Parser {
         if self.eat(&Tok::Bang) {
             let name = match self.next() {
                 Some(Tok::Ident(n)) => n,
-                other => {
-                    return Err(self.error(format!("expected atom after `!`, found {other:?}")))
-                }
+                other => return Err(self.unexpected("atom after `!`", other)),
             };
             return Ok(Literal::Neg(self.parse_atom(name)?));
         }
         // an atom, or `term != term`
-        let start = self.pos;
         match self.next() {
             Some(Tok::Ident(name)) => {
                 if self.peek() == Some(&Tok::LParen) {
@@ -329,10 +339,7 @@ impl Parser {
                 let rhs = self.parse_term()?;
                 Ok(Literal::Diseq(Term::cons(Value::sym(s)), rhs))
             }
-            other => {
-                self.pos = start;
-                Err(self.error(format!("expected a body literal, found {other:?}")))
-            }
+            other => Err(self.unexpected("a body literal", other)),
         }
     }
 
@@ -378,10 +385,7 @@ impl Parser {
                 loop {
                     match self.next() {
                         Some(Tok::Ident(v)) if Self::is_var(&v) => vars.push(Var::new(v)),
-                        other => {
-                            return Err(self
-                                .error(format!("expected quantified variable, found {other:?}")))
-                        }
+                        other => return Err(self.unexpected("quantified variable", other)),
                     }
                     if !self.eat(&Tok::Comma) {
                         break;
@@ -439,7 +443,7 @@ impl Parser {
                     Ok(Formula::neq(lhs, self.parse_term()?))
                 }
             }
-            other => Err(self.error(format!("expected a formula, found {other:?}"))),
+            other => Err(self.unexpected("a formula", other)),
         }
     }
 }
@@ -473,7 +477,7 @@ pub fn parse_fo_query(src: &str) -> Result<FoQuery, EvalError> {
         loop {
             match p.next() {
                 Some(Tok::Ident(v)) if Parser::is_var(&v) => head.push(Var::new(v)),
-                other => return Err(p.error(format!("expected head variable, found {other:?}"))),
+                other => return Err(p.unexpected("head variable", other)),
             }
             if p.eat(&Tok::RParen) {
                 break;
@@ -553,12 +557,49 @@ mod tests {
         assert_eq!(p.rules().len(), 1);
     }
 
+    /// The message and offset of a program's parse error.
+    fn parse_error(src: &str) -> (String, usize) {
+        match parse_program(src) {
+            Err(EvalError::Parse { message, offset }) => (message, offset),
+            other => panic!("{src:?} should not parse: {other:?}"),
+        }
+    }
+
     #[test]
     fn parse_errors_carry_offsets() {
-        let err = parse_program("t(X,Y :- e(X,Y).").unwrap_err();
-        assert!(matches!(err, EvalError::Parse { .. }));
-        let err = parse_program("t(X) :- e(X,Y)").unwrap_err(); // missing dot
-        assert!(matches!(err, EvalError::Parse { .. }));
+        let (message, offset) = parse_error("t(X,Y :- e(X,Y).");
+        assert_eq!(message, "expected Comma, found ColonDash");
+        assert_eq!(offset, 6);
+        // At the end of input the offset is the source length.
+        let src = "t(X) :- e(X,Y)"; // missing dot
+        assert_eq!(
+            parse_error(src),
+            ("expected Dot, found end of input".to_string(), src.len())
+        );
+        // An offending token that was already consumed is reported
+        // where it stands.
+        let src = "T(X,Z) :- T(X,Y), E(Y,.";
+        assert_eq!(
+            parse_error(src),
+            ("expected a term, found Dot".to_string(), src.len() - 1)
+        );
+        let src = "t(X) :- e(X), ";
+        assert_eq!(
+            parse_error(src),
+            (
+                "expected a body literal, found end of input".to_string(),
+                src.len()
+            )
+        );
+        match parse_fo_query("(X, 3) <- s(X)") {
+            Err(EvalError::Parse { message, offset }) => {
+                assert_eq!(
+                    (message.as_str(), offset),
+                    ("expected head variable, found Int(3)", 4)
+                );
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

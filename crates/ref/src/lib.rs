@@ -5,9 +5,10 @@
 //! every valuation that puts its positive atoms in the database, keeps
 //! its negated atoms out, and makes its nonequalities hold, and a
 //! stratified program is evaluated stratum by stratum to its least
-//! fixpoint. Plus the local transition of a relational transducer
-//! (Section 2.1), with its update formula applied term by term
-//! ([`transducer_step`]).
+//! fixpoint. Plus the support count a counting maintenance engine
+//! must keep for each fact ([`support_counts`]), and the local
+//! transition of a relational transducer (Section 2.1), with its
+//! update formula applied term by term ([`transducer_step`]).
 //!
 //! Nothing here is fast on purpose. Facts live in `BTreeSet`s, every
 //! round re-derives everything, and joins are nested loops in literal
@@ -46,7 +47,7 @@ type Valuation = BTreeMap<Var, Value>;
 /// properties only feed it valid programs.
 pub fn eval(program: &Program, db: &Instance) -> BTreeSet<Fact> {
     let strata = program.stratify().expect("a stratifiable program");
-    let mut facts = database(db);
+    let mut facts = database(db.facts());
     for stratum in &strata {
         let rules: Vec<&Rule> = program
             .rules()
@@ -70,6 +71,24 @@ pub fn eval(program: &Program, db: &Instance) -> BTreeSet<Fact> {
     flatten(facts)
 }
 
+/// The support count of every fact [`eval`] yields: the firings of
+/// every rule deriving it over that fixpoint, plus 1 if it is a seed (a
+/// fact of `db`) — what a counting maintenance engine must keep.
+///
+/// # Panics
+///
+/// As [`eval`].
+pub fn support_counts(program: &Program, db: &Instance) -> BTreeMap<Fact, u64> {
+    let fixpoint = database(eval(program, db));
+    let mut counts: BTreeMap<Fact, u64> = db.facts().map(|f| (f, 1)).collect();
+    for rule in program.rules() {
+        for (pred, tuple) in fire(rule, &fixpoint) {
+            *counts.entry(Fact::new(pred, tuple)).or_insert(0) += 1;
+        }
+    }
+    counts
+}
+
 /// One application of the immediate-consequence operator `T_P`: every
 /// head fact any rule derives from `db` in a single firing, with
 /// negation read against `db` as given.
@@ -78,7 +97,7 @@ pub fn eval(program: &Program, db: &Instance) -> BTreeSet<Fact> {
 ///
 /// If a rule is unsafe.
 pub fn tp_step(program: &Program, db: &Instance) -> BTreeSet<Fact> {
-    let facts = database(db);
+    let facts = database(db.facts());
     let mut out = Db::new();
     for rule in program.rules() {
         for (pred, tuple) in fire(rule, &facts) {
@@ -161,9 +180,9 @@ pub fn transducer_step(t: &Transducer, state: &Instance, received: &Instance) ->
     }
 }
 
-fn database(db: &Instance) -> Db {
+fn database(db: impl IntoIterator<Item = Fact>) -> Db {
     let mut facts = Db::new();
-    for f in db.facts() {
+    for f in db {
         let (pred, tuple) = f.into_parts();
         facts.entry(pred).or_default().insert(tuple);
     }
@@ -273,6 +292,22 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn support_counts_firings_plus_seeds() {
+        // A diamond: t(1,4) is derived twice, once through each side.
+        let p = parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z).").unwrap();
+        let mut db = edges(&[(1, 2), (1, 3), (2, 4), (3, 4)]);
+        let counts = support_counts(&p, &db);
+        assert_eq!(counts[&fact!("t", 1, 4)], 2);
+        assert_eq!(counts[&fact!("t", 1, 2)], 1);
+        assert_eq!(counts[&fact!("e", 2, 4)], 1, "an EDB fact is its own seed");
+        assert_eq!(counts.len(), eval(&p, &db).len());
+        // Seeding a derived fact adds one.
+        let sch = Schema::new().with("e", 2).with("t", 2);
+        db = Instance::from_facts(sch, db.facts().chain([fact!("t", 1, 4)])).unwrap();
+        assert_eq!(support_counts(&p, &db)[&fact!("t", 1, 4)], 3);
     }
 
     #[test]

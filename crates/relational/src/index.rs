@@ -5,7 +5,9 @@
 //! Indexes are immutable snapshots; [`crate::Relation`] builds them
 //! lazily and caches them (per column subset, per run generation), so
 //! holders of an `Arc<Index>` always see a consistent picture of the
-//! relation at build time.
+//! relation at build time. A fold that makes the next run generation
+//! ([`crate::Run::apply_sorted`]) carries the cached views across: the
+//! new generation's view is merged from the old one, not re-sorted.
 //!
 //! An index is a view into a sorted run: when the key columns are a
 //! prefix of the column order the sorted run *is* the index (a probe is
@@ -64,6 +66,15 @@ impl Index {
     /// The indexed column positions.
     pub fn cols(&self) -> &[usize] {
         &self.cols
+    }
+
+    /// The row permutation of a permutation view; `None` for a prefix
+    /// view, which has none.
+    pub(crate) fn perm(&self) -> Option<&[u32]> {
+        match &self.kind {
+            Kind::Prefix(_) => None,
+            Kind::Perm { perm, .. } => Some(perm),
+        }
     }
 
     /// The tuples whose values on the indexed columns equal `key`, in

@@ -20,7 +20,9 @@
 //! relation. Secondary indexes are *views* into a run — a sorted
 //! permutation, or for key-prefix columns no structure at all — held on
 //! a lock-free append-only chain so the hot read path takes no lock
-//! (see [`Run::view`]).
+//! (see [`Run::view`]). A fold ([`Run::apply_sorted`]) hands every
+//! cached permutation view on to the run it produces, merged rather
+//! than re-sorted.
 
 use crate::fact::Tuple;
 use crate::index::Index;
@@ -80,6 +82,19 @@ impl RunData {
             }
         }
         Ordering::Equal
+    }
+
+    /// The order of every permutation view on `cols`: rows `x` and `y`
+    /// by their key columns, ties broken by row index (scan order).
+    #[inline]
+    fn perm_cmp(&self, cols: &[usize], x: u32, y: u32) -> Ordering {
+        for &c in cols {
+            match self.cols[c][x as usize].cmp_structural(self.cols[c][y as usize]) {
+                Ordering::Equal => continue,
+                ord => return ord,
+            }
+        }
+        x.cmp(&y)
     }
 
     /// Materialize row `i` as a [`Tuple`].
@@ -354,6 +369,11 @@ impl ViewChain {
         }
     }
 
+    /// The cached views, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &ViewNode> {
+        std::iter::successors(self.head.get(), |node| node.next.get()).map(|node| &**node)
+    }
+
     fn get_or_insert(&self, cols: &[usize], build: impl FnOnce() -> Arc<Index>) -> Arc<Index> {
         let mut slot = &self.head;
         let mut build = Some(build);
@@ -393,7 +413,9 @@ impl ViewChain {
 ///
 /// Runs are shared by `Arc` between a relation and its clones; all
 /// per-run caches (materialized rows, index views) are therefore built
-/// at most once per *run generation* — a fresh merged run starts cold.
+/// at most once per *run generation*. A fresh merged run starts with no
+/// materialized rows, but a fold ([`Run::apply_sorted`]) carries the
+/// index views of the run it folded into the next generation.
 pub struct Run {
     data: Arc<RunData>,
     views: ViewChain,
@@ -584,15 +606,7 @@ impl Run {
             } else {
                 let data = &self.data;
                 let mut perm: Vec<u32> = (0..data.len as u32).collect();
-                perm.sort_unstable_by(|&a, &b| {
-                    for &c in cols {
-                        match data.cols[c][a as usize].cmp_structural(data.cols[c][b as usize]) {
-                            Ordering::Equal => continue,
-                            ord => return ord,
-                        }
-                    }
-                    a.cmp(&b) // stable within key groups → scan order
-                });
+                perm.sort_unstable_by(|&a, &b| data.perm_cmp(cols, a, b));
                 Arc::new(Index::view_perm(
                     cols,
                     Arc::clone(&self.data),
@@ -780,8 +794,19 @@ impl Run {
     /// (as every delta in this crate is, by normalization); `add` rows
     /// already present survive (set semantics), `del` rows not present
     /// are ignored.
+    ///
+    /// Every permutation view cached on `self` is carried into the
+    /// result: the walk records where each row lands, and the new view
+    /// is one merge of the old view's surviving rows with the added
+    /// rows sorted by key — O(n + |add| log |add|) instead of the
+    /// O(n log n) re-sort the result's first probe would otherwise pay.
     pub fn apply_sorted(&self, add: &[Tuple], del: &[Tuple]) -> Run {
         let a = &*self.data;
+        let carry = self.views.iter().any(|node| node.view.perm().is_some());
+        // Where each base row landed (`GONE` if deleted) and the rows
+        // the adds landed at — recorded only when a view needs them.
+        let mut moved: Vec<u32> = Vec::with_capacity(if carry { a.len } else { 0 });
+        let mut fresh: Vec<u32> = Vec::new();
         let mut out =
             RunBuilder::with_capacity(a.arity(), a.len.saturating_sub(del.len()) + add.len());
         let (mut i, mut ai, mut di) = (0usize, 0usize, 0usize);
@@ -790,6 +815,9 @@ impl Run {
             while ai < add.len() {
                 match a.row_cmp_tuple(i, &add[ai]).reverse() {
                     Ordering::Less => {
+                        if carry {
+                            fresh.push(out.len as u32);
+                        }
                         out.push_tuple(&add[ai]);
                         ai += 1;
                     }
@@ -812,16 +840,65 @@ impl Run {
                     Ordering::Less => break,
                 }
             }
+            if carry {
+                moved.push(if dead { GONE } else { out.len as u32 });
+            }
             if !dead {
                 out.push_row(a, i);
             }
             i += 1;
         }
         for t in &add[ai..] {
+            if carry {
+                fresh.push(out.len as u32);
+            }
             out.push_tuple(t);
         }
-        out.finish()
+        let run = out.finish();
+        for node in self.views.iter() {
+            let Some(old) = node.view.perm() else {
+                continue; // prefix views cost nothing to rebuild
+            };
+            let cols = &node.cols[..];
+            run.views.get_or_insert(cols, || {
+                let perm = carry_perm(&run.data, cols, old, &moved, fresh.clone());
+                Arc::new(Index::view_perm(cols, Arc::clone(&run.data), perm))
+            });
+        }
+        run
     }
+}
+
+/// [`Run::apply_sorted`]'s mark for a deleted base row.
+const GONE: u32 = u32::MAX;
+
+/// The permutation view on `cols` of a folded run `data`, from the same
+/// view `old` of the run it was folded from. `moved` maps old rows to
+/// new ones and preserves their order, so the survivors stay sorted by
+/// key then row; `fresh` (the added rows) is sorted the same way, and
+/// one merge yields exactly the permutation a fresh sort would.
+fn carry_perm(
+    data: &RunData,
+    cols: &[usize],
+    old: &[u32],
+    moved: &[u32],
+    mut fresh: Vec<u32>,
+) -> Box<[u32]> {
+    fresh.sort_unstable_by(|&x, &y| data.perm_cmp(cols, x, y));
+    let mut out = Vec::with_capacity(data.len);
+    let mut fresh = fresh.into_iter().peekable();
+    for r in old
+        .iter()
+        .map(|&r| moved[r as usize])
+        .filter(|&r| r != GONE)
+    {
+        while let Some(f) = fresh.next_if(|&f| data.perm_cmp(cols, f, r) == Ordering::Less) {
+            out.push(f);
+        }
+        out.push(r);
+    }
+    out.extend(fresh);
+    out.into_boxed_slice()
 }
 
 impl std::fmt::Debug for Run {
@@ -1254,6 +1331,27 @@ mod tests {
         assert_eq!(r.data.prefix_range(&[k(2), k(3)]), 4..5);
         assert_eq!(r.data.prefix_range(&[k(9)]), 6..6);
         assert_eq!(r.data.prefix_range(&[]), 0..6);
+    }
+
+    #[test]
+    fn apply_sorted_carries_permutation_views() {
+        let base = run_of(&(0..40i64).map(|i| tuple![i % 7, i]).collect::<Vec<_>>());
+        let _ = base.view(&[1]);
+        let _ = base.view(&[0]); // a prefix view: nothing to carry
+        let _ = base.view(&[1, 0]);
+        let out = base.apply_sorted(
+            &[tuple![3, 100], tuple![9, -1]],
+            &[tuple![0, 7], tuple![5, 5]],
+        );
+        let carried: Vec<&[usize]> = out.views.iter().map(|node| &*node.cols).collect();
+        assert_eq!(carried, [&[1][..], &[1, 0][..]]);
+        let fresh = run_of(out.rows());
+        for cols in [&[1][..], &[1, 0][..]] {
+            assert_eq!(out.view(cols).perm(), fresh.view(cols).perm(), "{cols:?}");
+        }
+        // A run without permutation views folds without carrying any.
+        let plain = run_of(&[tuple![1, 2]]).apply_sorted(&[tuple![0, 0]], &[]);
+        assert_eq!(plain.views.iter().count(), 0);
     }
 
     #[test]

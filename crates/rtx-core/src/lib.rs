@@ -3,7 +3,7 @@
 //! The one thing every crate in this workspace kept reimplementing was
 //! `RTX_*` environment-variable parsing, each copy with its own error
 //! message and its own silent-fallback bugs. This crate centralizes it:
-//! every override (`RTX_TRACE`, `RTX_QUERY_MAGIC`, `RTX_PROPTEST_CASES`,
+//! every override (`RTX_TRACE`, `RTX_PROPTEST_CASES`,
 //! `RTX_PROPTEST_SEED`, `RTX_BENCH_JSON`, `RTX_CHAOS_SEED`, …) goes
 //! through [`env`], so a typo'd value always produces the same loud,
 //! uniform warning instead of silently running the wrong

@@ -4,6 +4,8 @@
 //!   stratified programs (negation across strata included) under random
 //!   ± delta schedules, including retraction-heavy ones and IDB seed
 //!   changes;
+//! * its support counts ≡ `rtx_ref::support_counts` after every delta
+//!   of random interleaved insert/delete schedules;
 //! * the Dedalus delta store with `FixpointMode::Incremental` replays
 //!   `FixpointMode::Scratch` (and the seed cloning store) tick for tick
 //!   on programs whose carries drop facts every tick.
@@ -16,6 +18,7 @@ use rtx::dedalus::{
 use rtx::query::incremental::MaintainedFixpoint;
 use rtx::query::{atom, Atom, Literal, Program, Rule, Term, Var};
 use rtx::relational::{fact, Fact, Instance, InstanceDelta, Schema};
+use std::collections::BTreeSet;
 
 /// A random stratified program over EDB {E/2, S/1} with a recursive
 /// middle layer {T/2, U/1} (negation on EDB only) and a top layer
@@ -154,6 +157,73 @@ proptest! {
         base.apply_delta(&delta).unwrap();
         let maintained = fix.apply(&delta).unwrap();
         prop_assert_eq!(maintained, &p.eval(&base).unwrap());
+    }
+}
+
+/// Programs for the support-count property: linear recursion, the
+/// recursive predicate twice in one body, stratified negation above
+/// and inside a recursive stratum, and recursive heads with a
+/// constant, a repeated variable or no arguments at all.
+const SUPPORT_PROGRAMS: [&str; 5] = [
+    "T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).",
+    "T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), T(Y,Z).",
+    "T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).
+     U(X) :- S(X), !T(X,X). V(X,Y) :- T(X,Y), !S(Y), X != Y.",
+    "R(X) :- S(X). R(Y) :- R(X), E(X,Y).
+     T(X,Y) :- E(X,Y), !R(X). T(X,Z) :- T(X,Y), T(Y,Z), !S(Z).",
+    "T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).
+     T(0,X) :- Go, S(X). T(X,X) :- T(X,Y), S(Y). Go :- T(X,X).",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// After every delta of a random interleaved insert/delete
+    /// schedule — over EDB facts and IDB seeds alike — the maintained
+    /// fixpoint is the reference fixpoint, and every fact's kept
+    /// support count is its reference count: its rule firings over the
+    /// fixpoint plus 1 if it is a seed.
+    #[test]
+    fn support_counts_match_the_reference(
+        which in 0usize..SUPPORT_PROGRAMS.len(),
+        schedule in proptest::collection::vec(
+            proptest::collection::vec((0u8..3, 0u8..3, 0u8..3, any::<bool>()), 1..8),
+            1..10),
+    ) {
+        let p = rtx::query::parser::parse_program(SUPPORT_PROGRAMS[which]).unwrap();
+        let schema = Schema::new()
+            .with("E", 2)
+            .with("S", 1)
+            .with("R", 1)
+            .with("T", 2)
+            .with("U", 1)
+            .with("V", 2)
+            .with("Go", 0);
+        let mut base = Instance::empty(schema);
+        let mut fix = MaintainedFixpoint::new(&p).unwrap();
+        fix.initialize(&base).unwrap();
+        for ops in &schedule {
+            let (mut added, mut removed) = (Vec::new(), Vec::new());
+            for &(kind, a, b, insert) in ops {
+                let (a, b) = (a as i64, b as i64);
+                let f = match kind {
+                    0 => fact!("E", a, b),
+                    1 => fact!("S", a),
+                    _ => fact!("T", a, b),
+                };
+                if insert { added.push(f) } else { removed.push(f) }
+            }
+            let delta = InstanceDelta::from_parts(added, removed);
+            base.apply_delta(&delta).unwrap();
+            fix.apply(&delta).unwrap();
+            let facts: BTreeSet<Fact> = fix.current().facts().collect();
+            prop_assert_eq!(&facts, &rtx_ref::eval(&p, &base));
+            let support = rtx_ref::support_counts(&p, &base);
+            prop_assert_eq!(support.len(), facts.len());
+            for (f, &count) in &support {
+                prop_assert_eq!(fix.support(f), count, "support of {}", f);
+            }
+        }
     }
 }
 

@@ -257,23 +257,18 @@ fn fallback_paths_answer_by_materialization() {
     assert!(ans.contains(&rtx::relational::tuple![1]));
 }
 
-/// The `RTX_QUERY_MAGIC` knob steers `Program::for_query`: under the
-/// CI pass that exports `RTX_QUERY_MAGIC=off`, bound patterns fall
-/// back to materialization; by default they go magic. (The knob is
-/// read once per process, so this asserts against the ambient value.)
+/// `Program::for_query` sends a bound pattern through the magic
+/// rewrite, and the rewrite answers like materialization.
 #[test]
-fn query_mode_knob_is_respected() {
+fn bound_pattern_goes_magic_and_answers_like_materialize() {
     let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
     let q = program.for_query(&atom!("p"; 0, @"Y")).unwrap();
-    let expect_magic = match std::env::var("RTX_QUERY_MAGIC") {
-        Ok(v) => QueryMode::parse(&v).unwrap_or(QueryMode::Magic) == QueryMode::Magic,
-        Err(_) => true,
-    };
-    assert_eq!(q.is_magic(), expect_magic);
+    assert!(q.is_magic());
+    assert_eq!(q.mode(), QueryMode::Magic);
     let db = chain_db(8);
-    // Whatever the knob says, the answers are the same.
     let full = program
         .for_query_mode(&atom!("p"; 0, @"Y"), QueryMode::Materialize)
         .unwrap();
+    assert!(!full.is_magic());
     assert_eq!(q.answer(&db).unwrap(), full.answer(&db).unwrap());
 }

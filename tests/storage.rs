@@ -6,8 +6,8 @@
 //! `Instance::union` against a fact-set model — plus random
 //! stratified programs and the incremental fixpoint against the naive
 //! reference semantics in `rtx-ref`, and directed tests pinning the
-//! promotion boundary and hysteresis. Plus determinism of the
-//! process-wide value interner.
+//! promotion boundary and hysteresis. Plus index views carried across
+//! a fold, and determinism of the process-wide value interner.
 
 use proptest::prelude::*;
 use rtx::query::MaintainedFixpoint;
@@ -252,6 +252,58 @@ proptest! {
         }
     }
 
+    /// A fold carries the permutation views cached on its input: after
+    /// `apply_sorted`, every view of the result probes exactly like a
+    /// view sorted from scratch — the same rows in the same (scan)
+    /// order within each key group — for every key present and one
+    /// absent. Column subsets come in either order, so views on `[1, 0]`
+    /// or `[2, 0]` are permutations too.
+    #[test]
+    fn views_survive_a_fold(
+        rows in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 0..40),
+        subsets in proptest::collection::vec((1u8..8, any::<bool>()), 1..4),
+        adds in proptest::collection::vec((0u8..5, 0u8..4, 0u8..4), 0..12),
+        dels in proptest::collection::vec((0u8..4, 0u8..4, 0u8..4), 0..12),
+    ) {
+        let tuple3 = |&(a, b, c): &(u8, u8, u8)| -> Tuple {
+            [a, b, c].iter().map(|&v| Value::Int(v as i64)).collect::<Vec<_>>().into()
+        };
+        let before: BTreeSet<Tuple> = rows.iter().map(tuple3).collect();
+        let del: BTreeSet<Tuple> = dels.iter().map(tuple3).collect();
+        let add: BTreeSet<Tuple> = adds.iter().map(tuple3).filter(|t| !del.contains(t)).collect();
+        let model: BTreeSet<Tuple> = before.difference(&del).chain(&add).cloned().collect();
+        let base = Run::from_sorted(3, before.iter());
+        let views: Vec<Vec<usize>> = subsets
+            .iter()
+            .map(|&(mask, reversed)| {
+                let mut cols: Vec<usize> = (0..3).filter(|c| mask >> c & 1 == 1).collect();
+                if reversed {
+                    cols.reverse();
+                }
+                cols
+            })
+            .collect();
+        for cols in &views {
+            base.view(cols);
+        }
+        let to_vec = |set: BTreeSet<Tuple>| set.into_iter().collect::<Vec<_>>();
+        let folded = base.apply_sorted(&to_vec(add), &to_vec(del));
+        prop_assert!(folded.rows().iter().eq(model.iter()));
+        let fresh = Run::from_sorted(3, model.iter());
+        let absent = tuple3(&(9, 9, 9));
+        for cols in &views {
+            let (carried, sorted) = (folded.view(cols), fresh.view(cols));
+            for t in model.iter().chain([&absent]) {
+                let key: Vec<Vid> = cols.iter().map(|&c| Vid::from_value(&t.values()[c])).collect();
+                prop_assert_eq!(
+                    carried.probe_rows(&key).collect::<Vec<_>>(),
+                    sorted.probe_rows(&key).collect::<Vec<_>>(),
+                    "view {:?}, key of {}", cols, t
+                );
+            }
+        }
+    }
+
     /// Interner determinism: interning the same value always yields the
     /// same id, the id round-trips to the value, and id-level ordering
     /// agrees with value ordering.
@@ -283,6 +335,52 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A promoted relation's permutation view survives point writes and
+/// the folds that absorb them: each probe after a batch of inserts and
+/// removes folds the tails into a new run generation, whose view is
+/// carried from the last one, and answers like the model.
+#[test]
+fn relation_views_survive_point_writes_and_folds() {
+    let (mut rel, mut model) = relation_and_model(&[(1, 2), (2, 2), (3, 1)], true);
+    let check = |rel: &Relation, model: &BTreeSet<Tuple>| {
+        let index = rel.index(&[1]).unwrap();
+        for b in 0..12 {
+            let want: Vec<Tuple> = model
+                .iter()
+                .filter(|t| t.values()[1] == Value::Int(b))
+                .cloned()
+                .collect();
+            assert_eq!(
+                index.probe(&[Value::Int(b)]).to_vec(),
+                want,
+                "second column {b}"
+            );
+        }
+        assert_matches(rel, model);
+    };
+    check(&rel, &model);
+    // (inserts, removes) per batch
+    let batches = [
+        (vec![(4, 2), (5, 1), (0, 2)], vec![(2, 2), (3, 1), (9, 9)]),
+        (vec![(2, 2), (7, 0)], vec![(4, 2), (1, 2)]),
+        (vec![(3, 1)], vec![]),
+    ];
+    for (inserts, removes) in &batches {
+        let folds = rel.storage_stats().folds;
+        for &(a, b) in inserts {
+            assert_eq!(
+                rel.insert(tuple2(a, b)).unwrap(),
+                model.insert(tuple2(a, b))
+            );
+        }
+        for &(a, b) in removes {
+            assert_eq!(rel.remove(&tuple2(a, b)), model.remove(&tuple2(a, b)));
+        }
+        check(&rel, &model);
+        assert_eq!(rel.storage_stats().folds, folds + 1, "one fold per batch");
     }
 }
 
