@@ -1,11 +1,15 @@
 //! Substrate benchmarks: query-language evaluation — semi-naive
 //! Datalog transitive closure and FO conjunctive / quantified queries
-//! on chains of growing length.
+//! on chains of growing length, and the dedup flood's UCQ¬ send and
+//! insert queries at growing store sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_bench::chain_input;
+use rtx_calm::constructions::flood::{flood_transducer, FloodMode};
+use rtx_calm::constructions::{msg_rel, store_rel};
 use rtx_query::atom;
 use rtx_query::{DatalogQuery, FoQuery, Formula, Query};
+use rtx_relational::{fact, tuple, Fact, Instance, RelName, Schema};
 
 fn bench_query(c: &mut Criterion) {
     let program =
@@ -86,6 +90,38 @@ fn bench_query(c: &mut Criterion) {
                 out.len()
             })
         });
+    }
+    group.finish();
+
+    // The flood transducer's UCQ¬ queries (Lemma 5(2), dedup mode) on
+    // one node's I' = I ∪ I_rcv: two local facts, one received fact
+    // already stored, and a store of n facts — sizes at the small
+    // regime's hysteresis floor (64) and promotion threshold (256).
+    // Each evaluation reads a fresh copy of I', as a transducer step
+    // does, so no sorted view survives from the previous one.
+    let s: RelName = "S".into();
+    let t = flood_transducer(&Schema::new().with("S", 1), FloodMode::Dedup, None).unwrap();
+    let snd = t.snd_query(&msg_rel(&s)).unwrap();
+    let ins = t.ins_query(&store_rel(&s)).unwrap();
+    let mut group = c.benchmark_group("ucq-eval");
+    group.sample_size(10);
+    for n in [4i64, 64, 256] {
+        let mut facts = vec![
+            fact!("S", 0),
+            fact!("S", n),
+            Fact::new(msg_rel(&s), tuple![n / 2]),
+        ];
+        facts.extend((0..n).map(|i| Fact::new(store_rel(&s), tuple![i])));
+        let combined = t.schema().combined_schema().clone();
+        let db = Instance::from_facts(combined, facts).unwrap();
+        for (name, q) in [("flood-send", snd), ("flood-insert", ins)] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    let fresh = db.clone();
+                    q.eval(&fresh).unwrap().len()
+                })
+            });
+        }
     }
     group.finish();
 }

@@ -165,24 +165,6 @@ fn bench_threshold_sweep(c: &mut Criterion) {
                 })
             },
         );
-
-        // index-memo: repeated column-index probes of an *unchanged*
-        // relation — the access pattern of magic-set guard relations,
-        // which are consulted every semi-naive round but rarely
-        // mutated. The small regime memoizes the per-call index (and
-        // takes no promotion pressure from it), so repeat probes cost
-        // a hash lookup, not a rebuild.
-        let key = tuples[0].clone();
-        group.bench_with_input(BenchmarkId::new("index-memo-adaptive", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for _ in 0..64 {
-                    let idx = base.index(&[0]).unwrap();
-                    hits += idx.probe(&key.values()[..1]).len();
-                }
-                hits
-            })
-        });
     }
     group.finish();
 }

@@ -19,8 +19,8 @@ const MAX_COL_WIDTH: usize = 48;
 /// Rows are buffered and printed by [`Table::done`], with each column
 /// widened to its longest cell (the per-column width passed to
 /// [`Table::new`] is only a minimum) — labels like `Network[4 nodes: …]`
-/// are never cut off at the declared width. Cells beyond
-/// [`MAX_COL_WIDTH`] characters are elided with `…`.
+/// are never cut off at the declared width. Cells beyond 48
+/// characters are elided with `…`.
 pub struct Table {
     headers: Vec<String>,
     min_widths: Vec<usize>,

@@ -26,7 +26,7 @@
 //!   [`run_sparse`] parks quiescent nodes and schedules only armed or
 //!   mailed ones — same outputs and quiescence verdict on confluent
 //!   machines, ≥10× fewer node-steps when the active frontier is small
-//!   (see the [`sparse`](crate::sparse) module docs for the
+//!   (see the [`sparse`] module docs for the
 //!   parking/re-arming model).
 
 #![warn(missing_docs)]

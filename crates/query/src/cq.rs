@@ -4,25 +4,52 @@
 //! Lemma 5(1) can be implemented with UCQ¬ local queries, and
 //! Corollary 14(3) characterizes Datalog via nonrecursive-Datalog
 //! (equivalently, UCQ¬-composition) transducers. This module provides the
-//! syntactic class together with a join-based evaluator that is much
-//! faster than brute-force FO enumeration.
+//! syntactic class; each rule evaluates on the crate's one columnar join
+//! executor (`frame.rs`), much faster than brute-force FO enumeration.
 
 use crate::error::EvalError;
+use crate::frame::join_body;
+use crate::plan;
 use crate::query::Query;
-use crate::term::{Atom, Bindings, Term, Var};
-use rtx_relational::{Instance, RelName, Relation, Tuple, Value};
+use crate::term::{Atom, Term};
+use rtx_relational::{Instance, RelName, Relation, Run};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One conjunctive rule with optional safe negation and nonequalities:
 /// `head(t̄) ← p1, …, pm, ¬n1, …, ¬nj, u1 ≠ v1, …`.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct CqRule {
     head: Vec<Term>,
     pos: Vec<Atom>,
     neg: Vec<Atom>,
     diseq: Vec<(Term, Term)>,
+    /// How the rule evaluates, decided on the first evaluation (a pure
+    /// function of the rule, so equality ignores it).
+    plan: OnceLock<Plan>,
 }
+
+/// How a [`CqRule`] evaluates.
+#[derive(Clone)]
+enum Plan {
+    /// The head is exactly the one positive atom's distinct variables,
+    /// in order, and nothing filters: the answer is that atom's run.
+    Copy,
+    /// Join the positive atoms in this order, filter, project.
+    Join(Vec<usize>),
+}
+
+impl PartialEq for CqRule {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head
+            && self.pos == other.pos
+            && self.neg == other.neg
+            && self.diseq == other.diseq
+    }
+}
+
+impl Eq for CqRule {}
 
 impl CqRule {
     /// Build and validate a rule.
@@ -35,40 +62,14 @@ impl CqRule {
         neg: Vec<Atom>,
         diseq: Vec<(Term, Term)>,
     ) -> Result<Self, EvalError> {
-        let mut positive_vars: BTreeSet<Var> = BTreeSet::new();
-        for a in &pos {
-            positive_vars.extend(a.vars());
-        }
-        let mut need: Vec<(&str, Var)> = Vec::new();
-        for t in &head {
-            if let Term::Var(v) = t {
-                need.push(("head", *v));
-            }
-        }
-        for a in &neg {
-            for v in a.vars() {
-                need.push(("negated atom", v));
-            }
-        }
-        for (a, b) in &diseq {
-            for t in [a, b] {
-                if let Term::Var(v) = t {
-                    need.push(("nonequality", *v));
-                }
-            }
-        }
-        for (what, v) in need {
-            if !positive_vars.contains(&v) {
-                return Err(EvalError::Unsafe {
-                    reason: format!("{what} variable {v} is not bound by a positive atom"),
-                });
-            }
-        }
+        let diseqs = diseq.iter().map(|(x, y)| (x, y));
+        plan::check_safety(&head, &pos, &neg, diseqs)?;
         Ok(CqRule {
             head,
             pos,
             neg,
             diseq,
+            plan: OnceLock::new(),
         })
     }
 
@@ -87,69 +88,49 @@ impl CqRule {
         &self.neg
     }
 
+    /// Nonequalities `u ≠ v`.
+    pub fn nonequalities(&self) -> &[(Term, Term)] {
+        &self.diseq
+    }
+
     /// Is the rule negation-free (nonequalities allowed)?
     pub fn is_positive(&self) -> bool {
         self.neg.is_empty()
     }
 
-    /// Evaluate the rule against `db`, emitting head tuples into `out`.
-    fn eval_into(&self, db: &Instance, out: &mut Relation) -> Result<(), EvalError> {
-        let mut envs: Vec<Bindings> = vec![Bindings::new()];
+    fn plan(&self) -> &Plan {
+        self.plan.get_or_init(|| match &self.pos[..] {
+            [a] if self.neg.is_empty()
+                && self.diseq.is_empty()
+                && a.terms == self.head
+                && a.vars().len() == a.arity() =>
+            {
+                Plan::Copy
+            }
+            _ => Plan::Join(plan::plan_order(&self.pos.iter().collect::<Vec<_>>(), None)),
+        })
+    }
+
+    /// The rule's head tuples over `db` as a sorted run; `None` when it
+    /// derives nothing. An empty positive relation ends the rule before
+    /// anything is allocated.
+    fn eval_run(&self, db: &Instance) -> Result<Option<Run>, EvalError> {
+        let mut pos: Vec<(&Atom, &Relation)> = Vec::new();
         for a in &self.pos {
-            let Some(rel) = crate::plan::lookup(db, a)? else {
-                return Ok(());
-            };
-            envs = a.join_indexed(rel, &envs);
-            if envs.is_empty() {
-                return Ok(());
+            match plan::lookup(db, a)? {
+                Some(rel) if !rel.is_empty() => pos.push((a, rel)),
+                _ => return Ok(None),
             }
         }
-        // Each negated relation is looked up once per evaluation, not
-        // once per binding; `None` is declared but unpopulated.
-        let neg: Vec<Option<&Relation>> = self
-            .neg
-            .iter()
-            .map(|a| match db.relation_ref(&a.pred) {
-                Some(rel) => Ok(Some(rel)),
-                None if db.schema().contains(&a.pred) => Ok(None),
-                None => Err(rtx_relational::RelError::UnknownRelation {
-                    rel: a.pred.clone(),
-                }),
-            })
-            .collect::<Result<_, _>>()?;
-        'env: for env in envs {
-            for (a, rel) in self.neg.iter().zip(&neg) {
-                let t = a.instantiate(&env).ok_or_else(|| EvalError::Unsafe {
-                    reason: format!("negated atom {a} unbound at evaluation"),
-                })?;
-                if rel.is_some_and(|rel| rel.contains(&t)) {
-                    continue 'env;
-                }
-            }
-            for (x, y) in &self.diseq {
-                let (vx, vy) = (x.resolve(&env), y.resolve(&env));
-                match (vx, vy) {
-                    (Some(a), Some(b)) if a != b => {}
-                    (Some(_), Some(_)) => continue 'env,
-                    _ => {
-                        return Err(EvalError::Unsafe {
-                            reason: "nonequality over unbound variable".into(),
-                        })
-                    }
-                }
-            }
-            let values: Vec<Value> = self
-                .head
-                .iter()
-                .map(|t| {
-                    t.resolve(&env).ok_or_else(|| EvalError::Unsafe {
-                        reason: "head term unbound".into(),
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            out.insert(Tuple::new(values))?;
+        let order = match self.plan() {
+            Plan::Copy => return Ok(Some(Run::clone(&pos[0].1.columnar_run()))),
+            Plan::Join(order) => order,
+        };
+        let diseqs = self.diseq.iter().map(|(x, y)| (x, y));
+        match join_body(&pos, order, &self.neg, diseqs, db)? {
+            Some(frame) => Ok(Some(frame.project(&self.head)?)),
+            None => Ok(None),
         }
-        Ok(())
     }
 
     fn relations(&self) -> BTreeSet<RelName> {
@@ -257,10 +238,18 @@ impl Query for UcqQuery {
     }
 
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
-        let mut out = Relation::empty(self.arity);
+        let mut out: Option<Run> = None;
         for r in &self.rules {
-            r.eval_into(db, &mut out)?;
+            if let Some(run) = r.eval_run(db)? {
+                out = Some(match out {
+                    Some(acc) => acc.union(&run),
+                    None => run,
+                });
+            }
         }
+        let Some(out) = out else {
+            return Ok(Relation::empty(self.arity));
+        };
         // Enforce condition (i): answers are over the active domain. Head
         // constants are the only way a non-adom value can appear.
         let has_head_constants = self
@@ -269,14 +258,13 @@ impl Query for UcqQuery {
             .any(|r| r.head.iter().any(|t| matches!(t, Term::Const(_))));
         if has_head_constants {
             let adom = db.adom();
-            let filtered: Vec<Tuple> = out
+            let filtered = out
+                .rows()
                 .iter()
-                .filter(|t| t.iter().all(|v| adom.contains(v)))
-                .cloned()
-                .collect();
-            out = Relation::from_tuples(self.arity, filtered)?;
+                .filter(|t| t.iter().all(|v| adom.contains(v)));
+            return Ok(Relation::from_tuples(self.arity, filtered.cloned())?);
         }
-        Ok(out)
+        Ok(Relation::from_result_run(out))
     }
 
     fn is_monotone_syntactic(&self) -> bool {
@@ -419,6 +407,49 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out.contains(&tuple![2, 3]));
         assert!(q.is_monotone_syntactic());
+    }
+
+    #[test]
+    fn negated_atom_of_the_wrong_arity_is_an_error() {
+        // S is unary: ¬S(X,Y) can never be looked up, so the rule is
+        // rejected instead of filtering nothing.
+        let r = CqBuilder::head(vec![v("X"), v("Y")])
+            .when(atom!("E"; @"X", @"Y"))
+            .unless(atom!("S"; @"X", @"Y"))
+            .build()
+            .unwrap();
+        let err = UcqQuery::single(r).eval(&db()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EvalError::Rel(rtx_relational::RelError::ArityMismatch {
+                    expected: 1,
+                    found: 2,
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn copy_rules_share_the_atom_run() {
+        // S(X) ← S(X) copies S; E(X,X) and a constant do not.
+        let copy = CqBuilder::head(vec![v("X")])
+            .when(atom!("S"; @"X"))
+            .build()
+            .unwrap();
+        assert!(matches!(copy.plan(), Plan::Copy));
+        let out = UcqQuery::single(copy).eval(&db()).unwrap();
+        assert_eq!(out, Relation::from_tuples(1, [tuple![2]]).unwrap());
+        for (head, body) in [
+            (vec![v("X")], atom!("E"; @"X", @"X")),
+            (vec![v("Y"), v("X")], atom!("E"; @"X", @"Y")),
+            (vec![v("X"), Term::cons(3)], atom!("E"; @"X", 3)),
+        ] {
+            let r = CqBuilder::head(head).when(body).build().unwrap();
+            assert!(matches!(r.plan(), Plan::Join(_)), "{r:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! Datalog, stratified Datalog, and nonrecursive Datalog.
 //!
 //! Implements semi-naive bottom-up evaluation with stratified negation,
-//! every rule firing running on the columnar [`Frame`] executor. The
-//! immediate-consequence operator `T_P` is exposed separately because
-//! the paper's Theorem 6(5) builds an oblivious, inflationary
-//! transducer whose insertion queries apply `T_P` once per heartbeat.
+//! every rule firing running on the crate's one columnar join executor
+//! (`frame.rs`). The immediate-consequence operator `T_P` is exposed
+//! separately because the paper's Theorem 6(5) builds an oblivious,
+//! inflationary transducer whose insertion queries apply `T_P` once per
+//! heartbeat.
 
 use crate::error::EvalError;
-use crate::frame::Frame;
+use crate::frame::join_body;
 use crate::incremental::FixpointStats;
 use crate::plan;
 use crate::query::Query;
-use crate::term::{Atom, Term, Var};
+use crate::term::{Atom, Term};
 use rtx_relational::{Instance, RelName, Relation, Run, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// A body literal.
 #[derive(Clone, PartialEq, Eq)]
@@ -43,11 +43,9 @@ impl fmt::Debug for Literal {
 pub struct Rule {
     head: Atom,
     body: Vec<Literal>,
-    /// Join orders for the positive atoms (index 0: no atom pinned;
-    /// index i+1: atom i pinned first, as when atom i joins the
-    /// semi-naive delta). A pure function of `body`, computed lazily on
-    /// the first evaluation and cached so the per-firing hot path never
-    /// replans.
+    /// Join orders (see [`Rule::plan`]). A pure function of the rule,
+    /// computed lazily on the first evaluation and cached so the
+    /// per-firing hot path never replans.
     plans: std::sync::OnceLock<Vec<Vec<usize>>>,
 }
 
@@ -66,66 +64,59 @@ impl Rule {
     /// variable, and nonequality variable must occur in a positive body
     /// atom.
     pub fn new(head: Atom, body: Vec<Literal>) -> Result<Self, EvalError> {
-        let mut pos_vars: BTreeSet<Var> = BTreeSet::new();
-        for l in &body {
-            if let Literal::Pos(a) = l {
-                pos_vars.extend(a.vars());
-            }
-        }
-        let mut need: Vec<(&str, Var)> = Vec::new();
-        for v in head.vars() {
-            need.push(("head", v));
-        }
-        for l in &body {
-            match l {
-                Literal::Pos(_) => {}
-                Literal::Neg(a) => {
-                    for v in a.vars() {
-                        need.push(("negated atom", v));
-                    }
-                }
-                Literal::Diseq(x, y) => {
-                    for t in [x, y] {
-                        if let Term::Var(v) = t {
-                            need.push(("nonequality", *v));
-                        }
-                    }
-                }
-            }
-        }
-        for (what, v) in need {
-            if !pos_vars.contains(&v) {
-                return Err(EvalError::Unsafe {
-                    reason: format!("{what} variable {v} not bound by a positive body atom"),
-                });
-            }
-        }
-        Ok(Rule {
+        let rule = Rule {
             head,
             body,
             plans: std::sync::OnceLock::new(),
+        };
+        plan::check_safety(
+            &rule.head.terms,
+            rule.positive(),
+            rule.negated(),
+            rule.nonequalities(),
+        )?;
+        Ok(rule)
+    }
+
+    /// The cached join order of the positive atoms. `None` joins them
+    /// alone; `Some(i)` starts from positive atom `i` (the semi-naive
+    /// delta); `Some(n)`, one past the last positive atom, starts from
+    /// the head atom followed by the whole body, as DRed's
+    /// re-derivation joins the over-deleted facts.
+    pub(crate) fn plan(&self, pinned: Option<usize>) -> &[usize] {
+        let plans = self.plans.get_or_init(|| {
+            let atoms: Vec<&Atom> = self.positive().chain([&self.head]).collect();
+            let n = atoms.len() - 1;
+            let mut plans = vec![plan::plan_order(&atoms[..n], None)];
+            plans.extend((0..n).map(|i| plan::plan_order(&atoms[..n], Some(i))));
+            plans.push(plan::plan_order(&atoms, Some(n)));
+            plans
+        });
+        &plans[pinned.map_or(0, |i| i + 1)]
+    }
+
+    /// The positive body atoms, in body order.
+    pub(crate) fn positive(&self) -> impl Iterator<Item = &Atom> {
+        self.body.iter().filter_map(|l| match l {
+            Literal::Pos(a) => Some(a),
+            _ => None,
         })
     }
 
-    /// The cached join order for the given pinned delta atom.
-    fn plan(&self, pinned: Option<usize>) -> &[usize] {
-        let plans = self.plans.get_or_init(|| {
-            let atoms: Vec<&Atom> = self
-                .body
-                .iter()
-                .filter_map(|l| match l {
-                    Literal::Pos(a) => Some(a),
-                    _ => None,
-                })
-                .collect();
-            let mut plans = Vec::with_capacity(atoms.len() + 1);
-            plans.push(plan::plan_order(&atoms, None));
-            for i in 0..atoms.len() {
-                plans.push(plan::plan_order(&atoms, Some(i)));
-            }
-            plans
-        });
-        &plans[pinned.map(|i| i + 1).unwrap_or(0)]
+    /// The negated body atoms.
+    pub(crate) fn negated(&self) -> impl Iterator<Item = &Atom> {
+        self.body.iter().filter_map(|l| match l {
+            Literal::Neg(a) => Some(a),
+            _ => None,
+        })
+    }
+
+    /// The nonequalities of the body.
+    pub(crate) fn nonequalities(&self) -> impl Iterator<Item = (&Term, &Term)> {
+        self.body.iter().filter_map(|l| match l {
+            Literal::Diseq(x, y) => Some((x, y)),
+            _ => None,
+        })
     }
 
     /// The head atom.
@@ -145,9 +136,9 @@ impl Rule {
 
     /// One rule firing: the whole body — joins, stratified-negation and
     /// nonequality filters, head projection — evaluated directly over
-    /// sorted runs via [`Frame`], returning the derived head facts as a
-    /// sorted, deduplicated [`Run`]. Positive atoms are read from
-    /// `pos_db` and negated atoms from `neg_db` (under stratified
+    /// sorted runs by the shared body join, returning the derived head
+    /// facts as a sorted, deduplicated [`Run`]. Positive atoms are read
+    /// from `pos_db` and negated atoms from `neg_db` (under stratified
     /// semantics these differ only in that `neg_db` must already be
     /// complete). When `delta` is given as `(index, relation)`, the
     /// positive atom at `index` is joined against that delta relation
@@ -159,17 +150,8 @@ impl Rule {
         neg_db: &Instance,
         delta: Option<(usize, &Relation)>,
     ) -> Result<Run, EvalError> {
-        let atoms: Vec<&Atom> = self
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Pos(a) => Some(a),
-                _ => None,
-            })
-            .collect();
-        let head_arity = self.head.arity();
-        let mut runs: Vec<Arc<Run>> = Vec::with_capacity(atoms.len());
-        for (i, a) in atoms.iter().enumerate() {
+        let mut pos: Vec<(&Atom, &Relation)> = Vec::new();
+        for (i, a) in self.positive().enumerate() {
             let src = match delta {
                 Some((d, rel)) if d == i => {
                     if rel.arity() != a.arity() {
@@ -179,69 +161,29 @@ impl Rule {
                             found: a.arity(),
                         }));
                     }
-                    if rel.is_empty() {
-                        None
-                    } else {
-                        Some(rel)
-                    }
+                    Some(rel)
                 }
                 _ => plan::lookup(pos_db, a)?,
             };
             match src {
+                Some(rel) => pos.push((a, rel)),
                 // Some atom's relation is empty: the conjunction is empty.
-                None => return Ok(Run::empty(head_arity)),
-                Some(rel) => runs.push(rel.columnar_run()),
+                None => return Ok(Run::empty(self.head.arity())),
             }
         }
-        let mut neg_runs: Vec<Option<Arc<Run>>> = Vec::new();
-        for l in &self.body {
-            if let Literal::Neg(a) = l {
-                // An empty negated relation filters nothing.
-                neg_runs.push(plan::lookup(neg_db, a)?.map(Relation::columnar_run));
-            }
+        let order = self.plan(delta.map(|(i, _)| i));
+        match join_body(&pos, order, self.negated(), self.nonequalities(), neg_db)? {
+            Some(frame) => frame.project(&self.head.terms),
+            None => Ok(Run::empty(self.head.arity())),
         }
-
-        let mut frame = Frame::unit();
-        for &i in self.plan(delta.map(|(i, _)| i)) {
-            frame = frame.join_atom(atoms[i], &runs[i]);
-            if frame.is_empty() {
-                return Ok(Run::empty(head_arity));
-            }
-        }
-        let mut negs = neg_runs.iter();
-        for l in &self.body {
-            match l {
-                Literal::Pos(_) => {}
-                Literal::Neg(a) => {
-                    let run = negs.next().expect("one run slot per negated atom");
-                    if let Some(run) = run {
-                        frame.retain_not_in(a, run)?;
-                    }
-                }
-                Literal::Diseq(x, y) => frame.retain_diseq(x, y)?,
-            }
-            if frame.is_empty() {
-                return Ok(Run::empty(head_arity));
-            }
-        }
-        frame.project(&self.head.terms)
     }
 
     fn count_pos(&self) -> usize {
-        self.body
-            .iter()
-            .filter(|l| matches!(l, Literal::Pos(_)))
-            .count()
+        self.positive().count()
     }
 
     fn pos_pred(&self, index: usize) -> Option<&RelName> {
-        self.body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Pos(a) => Some(&a.pred),
-                _ => None,
-            })
-            .nth(index)
+        self.positive().nth(index).map(|a| &a.pred)
     }
 }
 

@@ -7,18 +7,22 @@
 //! instance, and output tuples are drawn from the active domain.
 //!
 //! The evaluator is a hybrid: top-level positive conjuncts are used as
-//! *generators* (joined relationally, as a conjunctive-query engine
-//! would), and only the residual formula is checked per candidate
-//! binding, with quantifiers enumerating the active domain. This keeps
-//! the constructions of the paper (whose send/insert queries are mostly
-//! conjunctive) fast, while still supporting full FO.
+//! *generators*, joined by the crate's one columnar join executor
+//! (`frame.rs`) as a conjunctive query would be, and only the residual
+//! formula is checked per candidate binding — each frame row read as a
+//! [`Bindings`] — with quantifiers enumerating the active domain. This
+//! keeps the constructions of the paper (whose send/insert queries are
+//! mostly conjunctive) fast, while still supporting full FO.
 
 use crate::error::EvalError;
+use crate::frame::join_body;
+use crate::plan;
 use crate::query::Query;
 use crate::term::{Atom, Bindings, Term, Var};
 use rtx_relational::{Instance, RelName, Relation, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An FO formula.
 #[derive(Clone, PartialEq, Eq)]
@@ -331,11 +335,32 @@ impl fmt::Display for Formula {
 
 /// An FO query `ϕ(x1, …, xk)`: a formula with a designated tuple of head
 /// variables.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct FoQuery {
     head: Vec<Var>,
     formula: Formula,
+    /// The generator split, computed on the first evaluation (a pure
+    /// function of the query, so equality ignores it).
+    split: OnceLock<Split>,
 }
+
+/// How an [`FoQuery`] evaluates: its top-level positive atoms are the
+/// generators, joined in `order`; the other conjuncts are checked per
+/// binding.
+#[derive(Clone)]
+struct Split {
+    generators: Vec<Atom>,
+    order: Vec<usize>,
+    checks: Vec<Formula>,
+}
+
+impl PartialEq for FoQuery {
+    fn eq(&self, other: &Self) -> bool {
+        self.head == other.head && self.formula == other.formula
+    }
+}
+
+impl Eq for FoQuery {}
 
 impl FoQuery {
     /// Build an FO query, validating that every free variable of the
@@ -353,7 +378,11 @@ impl FoQuery {
                 });
             }
         }
-        Ok(FoQuery { head, formula })
+        Ok(FoQuery {
+            head,
+            formula,
+            split: OnceLock::new(),
+        })
     }
 
     /// A boolean (nullary) query; the formula must be a sentence.
@@ -386,6 +415,27 @@ impl FoQuery {
         let mut out = Vec::new();
         flatten(formula, &mut out);
         out
+    }
+
+    /// The generators and residual checks of the formula the generator
+    /// phase evaluates (looking through a safe existential prefix —
+    /// projection), and the generators' join order.
+    fn split(&self) -> &Split {
+        self.split.get_or_init(|| {
+            let (mut generators, mut checks) = (Vec::new(), Vec::new());
+            for c in Self::conjuncts_of(self.generator_body()) {
+                match c {
+                    Formula::Atom(a) => generators.push(a.clone()),
+                    other => checks.push(other.clone()),
+                }
+            }
+            let order = plan::plan_order(&generators.iter().collect::<Vec<_>>(), None);
+            Split {
+                generators,
+                order,
+                checks,
+            }
+        })
     }
 
     /// The formula the generator phase evaluates: the body under a
@@ -432,45 +482,26 @@ impl Query for FoQuery {
     }
 
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
-        // Phase 1: use top-level positive atoms as generators (looking
-        // through a safe existential prefix — projection).
-        let conjuncts = Self::conjuncts_of(self.generator_body());
-        let mut generators: Vec<&Atom> = Vec::new();
-        let mut checks: Vec<&Formula> = Vec::new();
-        for c in &conjuncts {
-            match c {
-                Formula::Atom(a) => generators.push(a),
-                other => checks.push(other),
+        // Phase 1: join the generators.
+        let split = self.split();
+        let empty = || Ok(Relation::empty(self.head.len()));
+        let mut pos: Vec<(&Atom, &Relation)> = Vec::with_capacity(split.generators.len());
+        for a in &split.generators {
+            match plan::lookup(db, a)? {
+                Some(rel) => pos.push((a, rel)),
+                None => return empty(),
             }
         }
+        let Some(frame) = join_body(&pos, &split.order, [], [], db)? else {
+            return empty();
+        };
 
-        // Columnar fast path: a pure conjunctive shape — no residual
-        // conjuncts, every head variable bound by a generator — joins
-        // directly over sorted runs and never materializes bindings or
-        // the active domain (head values come from stored facts, so the
-        // adom(I)^k membership condition holds by construction).
-        'frame: {
-            if !checks.is_empty() {
-                break 'frame;
-            }
-            let gen_vars: BTreeSet<Var> = generators.iter().flat_map(|a| a.vars()).collect();
-            if !self.head.iter().all(|v| gen_vars.contains(v)) {
-                break 'frame;
-            }
-            let mut runs = Vec::with_capacity(generators.len());
-            for a in &generators {
-                let Some(rel) = crate::plan::lookup(db, a)? else {
-                    return Ok(Relation::empty(self.head.len()));
-                };
-                runs.push(rel.columnar_run());
-            }
-            let mut frame = crate::frame::Frame::unit();
-            for (a, run) in generators.iter().zip(&runs) {
-                frame = frame.join_atom(a, run);
-                if frame.is_empty() {
-                    return Ok(Relation::empty(self.head.len()));
-                }
-            }
+        // A pure conjunctive shape — no residual conjuncts, every head
+        // variable bound by a generator — projects the frame directly
+        // and never materializes bindings or the active domain (head
+        // values come from stored facts, so the adom(I)^k membership
+        // condition holds by construction).
+        if split.checks.is_empty() && self.head.iter().all(|&v| frame.binds(v)) {
             let head_terms: Vec<Term> = self.head.iter().map(|&v| Term::Var(v)).collect();
             return Ok(Relation::from_run(frame.project(&head_terms)?));
         }
@@ -478,33 +509,18 @@ impl Query for FoQuery {
         let adom: Vec<Value> = db.adom().into_iter().collect();
         let adom_set: BTreeSet<&Value> = adom.iter().collect();
 
-        let mut envs: Vec<Bindings> = vec![Bindings::new()];
-        for a in &generators {
-            let Some(rel) = crate::plan::lookup(db, a)? else {
-                return Ok(Relation::empty(self.head.len()));
-            };
-            envs = a.join_indexed(rel, &envs);
-            if envs.is_empty() {
-                return Ok(Relation::empty(self.head.len()));
-            }
-        }
-
         // Phase 2: enumerate the active domain for head variables the
         // generators left unbound.
-        let bound_by_generators: BTreeSet<Var> = envs
-            .first()
-            .map(|e| e.keys().cloned().collect())
-            .unwrap_or_default();
         let mut unbound: Vec<Var> = Vec::new();
-        let mut seen = BTreeSet::new();
-        for v in &self.head {
-            if !bound_by_generators.contains(v) && seen.insert(*v) {
-                unbound.push(*v);
+        for &v in &self.head {
+            if !frame.binds(v) && !unbound.contains(&v) {
+                unbound.push(v);
             }
         }
 
         let mut out = Relation::empty(self.head.len());
-        let mut stack: Vec<(Bindings, usize)> = envs.into_iter().map(|e| (e, 0)).collect();
+        let mut stack: Vec<(Bindings, usize)> =
+            (0..frame.rows()).map(|r| (frame.bindings(r), 0)).collect();
         while let Some((env, depth)) = stack.pop() {
             if depth < unbound.len() {
                 for a in &adom {
@@ -516,7 +532,7 @@ impl Query for FoQuery {
             }
             // Phase 3: check the residual conjuncts.
             let mut ok = true;
-            for c in &checks {
+            for c in &split.checks {
                 if !c.holds(db, &adom, &env)? {
                     ok = false;
                     break;

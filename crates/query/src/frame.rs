@@ -1,28 +1,74 @@
-//! The columnar join executor: conjunctions evaluated directly over
-//! sorted-run storage.
+//! The join executor: conjunctions evaluated directly over sorted-run
+//! storage.
 //!
-//! A [`Frame`] is the columnar counterpart of a `Vec<Bindings>`: one
-//! flat `Vec<Vid>` per bound variable, all the same length. Joining an
-//! atom appends matching rows by copying packed `u32` ids — no
-//! `Bindings` clone, no `Tuple` materialization, no tree insert — by
-//! probing a run view for the row range matching the bound columns (or
-//! scanning the run, when it is tiny or nothing is bound). Head
-//! projection gathers variable columns into a fresh [`Run`], so a rule
-//! firing goes from stored runs to a derived run without ever leaving
-//! the interned-id domain.
+//! [`join_body`] is the crate's one join: Datalog firings, DRed's
+//! support counts, UCQ¬ rules, FO's generator prefix and the magic-sets
+//! answer filter all evaluate their conjunctions through it. Its result
+//! is a [`Frame`]: one flat `Vec<Vid>` per bound variable, all the same
+//! length. Joining an atom appends matching rows by copying packed
+//! `u32` ids — no `Tuple` materialization, no tree insert — by probing a
+//! run view for the row range matching the bound columns (or scanning
+//! the run, when it is tiny or nothing is bound). Head projection
+//! gathers variable columns into a fresh [`Run`], so a rule firing goes
+//! from stored runs to a derived run without ever leaving the
+//! interned-id domain; FO's residual formula reads each row as a
+//! [`Bindings`] instead.
 //!
 //! Every relation hands out its sorted run
-//! (`rtx_relational::Relation::columnar_run`), so the Datalog, FO and
-//! incremental engines all run their joins here.
+//! (`rtx_relational::Relation::columnar_run`); negated atoms are
+//! probed on their relation by key and never build one.
 
 use crate::error::EvalError;
-use crate::term::{Atom, Term, Var};
-use rtx_relational::{Run, Tuple, Value, Vid};
+use crate::plan;
+use crate::term::{Atom, Bindings, Term, Var};
+use rtx_relational::{Instance, Relation, Run, Tuple, Value, Vid};
 use std::sync::Arc;
 
-/// Relations this small are joined by scan rather than a view probe —
-/// same policy as `Atom::join_indexed`.
+/// Runs this small are joined by scan rather than a view probe: the
+/// cutover only changes the access path, never the result.
 const SCAN_THRESHOLD: usize = 16;
+
+/// Join a rule body: the positive atoms over their relations (`pos`,
+/// each atom paired with the relation it reads) in `order`, then the
+/// nonequalities and the negated atoms as filters. Negated relations
+/// are looked up in `neg_db` through [`plan::lookup`], so an unknown
+/// relation or a wrong arity is a typed error.
+///
+/// `Ok(None)` when no binding survives. An empty positive relation ends
+/// the join before any run is built.
+pub(crate) fn join_body<'a>(
+    pos: &[(&Atom, &Relation)],
+    order: &[usize],
+    neg: impl IntoIterator<Item = &'a Atom>,
+    diseq: impl IntoIterator<Item = (&'a Term, &'a Term)>,
+    neg_db: &Instance,
+) -> Result<Option<Frame>, EvalError> {
+    let mut negs: Vec<(&Atom, &Relation)> = Vec::new();
+    for a in neg {
+        // An empty negated relation filters nothing.
+        if let Some(rel) = plan::lookup(neg_db, a)?.filter(|r| !r.is_empty()) {
+            negs.push((a, rel));
+        }
+    }
+    if pos.iter().any(|(_, rel)| rel.is_empty()) {
+        return Ok(None);
+    }
+    let mut frame = Frame::unit();
+    for &i in order {
+        let (atom, rel) = pos[i];
+        frame = frame.join_atom(atom, &rel.columnar_run());
+        if frame.is_empty() {
+            return Ok(None);
+        }
+    }
+    for (x, y) in diseq {
+        frame.retain_diseq(x, y)?;
+    }
+    for (a, rel) in negs {
+        frame.retain_not_in(a, rel)?;
+    }
+    Ok((!frame.is_empty()).then_some(frame))
+}
 
 /// How one atom position relates to the frame being joined.
 enum Slot {
@@ -46,7 +92,7 @@ pub(crate) struct Frame {
 
 impl Frame {
     /// The unit frame: no variables, one (empty) binding.
-    pub(crate) fn unit() -> Frame {
+    fn unit() -> Frame {
         Frame {
             vars: Vec::new(),
             cols: Vec::new(),
@@ -55,13 +101,26 @@ impl Frame {
     }
 
     /// Number of bindings.
-    #[cfg(test)]
     pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
+    /// Does the frame bind `v`?
+    pub(crate) fn binds(&self, v: Var) -> bool {
+        self.col_of(v).is_some()
+    }
+
+    /// Row `r` as a [`Bindings`] — how FO's residual formula reads it.
+    pub(crate) fn bindings(&self, r: usize) -> Bindings {
+        self.vars
+            .iter()
+            .zip(&self.cols)
+            .map(|(&v, col)| (v, col[r].value()))
+            .collect()
+    }
+
     /// Is the frame empty (no bindings at all)?
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rows == 0
     }
 
@@ -103,7 +162,7 @@ impl Frame {
     /// when no column is bound or the run is tiny. Both enumerate
     /// candidate rows in run (scan) order, so the output row order —
     /// and therefore everything downstream — is the same either way.
-    pub(crate) fn join_atom(&self, atom: &Atom, run: &Arc<Run>) -> Frame {
+    fn join_atom(&self, atom: &Atom, run: &Arc<Run>) -> Frame {
         let (slots, fresh) = self.slots(atom);
         // First unconstrained atom against a unit frame: the result is
         // the run's columns verbatim — copy them wholesale.
@@ -206,19 +265,20 @@ impl Frame {
     }
 
     /// Keep only rows where `x ≠ y`. Errors if either side is unbound.
-    pub(crate) fn retain_diseq(&mut self, x: &Term, y: &Term) -> Result<(), EvalError> {
+    fn retain_diseq(&mut self, x: &Term, y: &Term) -> Result<(), EvalError> {
         let unsafe_err = || EvalError::Unsafe {
             reason: "nonequality over unbound variable".into(),
         };
         let sx = self.source(x).ok_or_else(unsafe_err)?;
         let sy = self.source(y).ok_or_else(unsafe_err)?;
-        self.retain(|f, r| sx.get(f, r) != sy.get(f, r));
+        self.retain(|cols, r| sx.get(cols, r) != sy.get(cols, r));
         Ok(())
     }
 
-    /// Keep only rows whose instantiation of `atom` is *not* in `run`
-    /// (stratified negation). Errors if any atom variable is unbound.
-    pub(crate) fn retain_not_in(&mut self, atom: &Atom, run: &Run) -> Result<(), EvalError> {
+    /// Keep only rows whose instantiation of `atom` is *not* in `rel`
+    /// (stratified negation), probing `rel` by key. Errors if any atom
+    /// variable is unbound.
+    fn retain_not_in(&mut self, atom: &Atom, rel: &Relation) -> Result<(), EvalError> {
         let srcs: Vec<Src> = atom
             .terms
             .iter()
@@ -229,29 +289,31 @@ impl Frame {
             })
             .collect::<Result<_, _>>()?;
         let mut key: Vec<Vid> = vec![Vid::from_value(&Value::int(0)); srcs.len()];
-        self.retain(|f, r| {
+        self.retain(|cols, r| {
             for (k, s) in key.iter_mut().zip(&srcs) {
-                *k = s.get(f, r);
+                *k = s.get(cols, r);
             }
-            !run.contains_vids(&key)
+            !rel.contains_vids(&key)
         });
         Ok(())
     }
 
-    /// Retain rows satisfying the predicate (given the frame and row).
-    fn retain(&mut self, mut pred: impl FnMut(&Frame, usize) -> bool) {
-        let keep: Vec<u32> = (0..self.rows)
-            .filter(|&r| pred(self, r))
-            .map(|r| r as u32)
-            .collect();
-        if keep.len() == self.rows {
-            return;
+    /// Retain rows satisfying the predicate (given the columns and
+    /// row), compacting the columns in place.
+    fn retain(&mut self, mut pred: impl FnMut(&[Vec<Vid>], usize) -> bool) {
+        let mut kept = 0;
+        for r in 0..self.rows {
+            if pred(&self.cols, r) {
+                for col in &mut self.cols {
+                    col[kept] = col[r];
+                }
+                kept += 1;
+            }
         }
         for col in &mut self.cols {
-            let old = std::mem::take(col);
-            *col = keep.iter().map(|&r| old[r as usize]).collect();
+            col.truncate(kept);
         }
-        self.rows = keep.len();
+        self.rows = kept;
     }
 
     /// Project the head terms into a sorted, deduplicated [`Run`] —
@@ -291,7 +353,7 @@ impl Frame {
             })
             .collect::<Result<_, _>>()?;
         let mut rows: Vec<Vec<Vid>> = (0..self.rows)
-            .map(|r| srcs.iter().map(|s| s.get(self, r)).collect())
+            .map(|r| srcs.iter().map(|s| s.get(&self.cols, r)).collect())
             .collect();
         // Group by raw id (equality-compatible with value equality,
         // since the encoding is canonical).
@@ -331,10 +393,10 @@ enum Src {
 
 impl Src {
     #[inline]
-    fn get(&self, f: &Frame, r: usize) -> Vid {
+    fn get(&self, cols: &[Vec<Vid>], r: usize) -> Vid {
         match self {
             Src::Lit(k) => *k,
-            Src::Col(c) => f.cols[*c][r],
+            Src::Col(c) => cols[*c][r],
         }
     }
 }
@@ -343,59 +405,40 @@ impl Src {
 mod tests {
     use super::*;
     use crate::atom;
-    use crate::term::Bindings;
-    use rtx_relational::{tuple, Relation, Tuple};
+    use rtx_relational::{fact, tuple, Schema};
+
+    fn rel_of(tuples: &[Tuple]) -> Relation {
+        let arity = tuples.first().map(|t| t.arity()).unwrap_or(0);
+        Relation::from_tuples(arity, tuples.iter().cloned()).unwrap()
+    }
 
     fn run_of(tuples: &[Tuple]) -> Arc<Run> {
-        let arity = tuples.first().map(|t| t.arity()).unwrap_or(0);
-        Relation::from_tuples(arity, tuples.iter().cloned())
-            .unwrap()
-            .columnar_run()
+        rel_of(tuples).columnar_run()
     }
 
-    /// The `Bindings` answer for the same join, as an oracle: scanning
-    /// joins (`Atom::join`) or index-probing ones (`Atom::join_indexed`).
-    fn generic_join(atoms: &[Atom], runs: &[Arc<Run>], indexed: bool) -> Vec<Bindings> {
-        let mut envs = vec![Bindings::new()];
-        for (a, r) in atoms.iter().zip(runs) {
-            let rel = Relation::from_run(Run::from_sorted(r.arity(), r.rows().iter()));
-            envs = if indexed {
-                a.join_indexed(&rel, &envs)
-            } else {
-                a.join(&rel, &envs)
-            };
-        }
-        envs
+    /// `atoms` joined over `rels` in the written order, no filters.
+    fn join(atoms: &[Atom], rels: &[Relation]) -> Option<Frame> {
+        let pos: Vec<(&Atom, &Relation)> = atoms.iter().zip(rels).collect();
+        let order: Vec<usize> = (0..atoms.len()).collect();
+        join_body(&pos, &order, [], [], &Instance::empty(Schema::new())).unwrap()
     }
 
-    fn frame_join(atoms: &[Atom], runs: &[Arc<Run>]) -> Frame {
-        let mut f = Frame::unit();
-        for (a, r) in atoms.iter().zip(runs) {
-            f = f.join_atom(a, r);
-        }
-        f
+    fn rows_of(f: &Frame, head: &[Term]) -> Vec<Tuple> {
+        (0..f.rows()).map(|r| f.tuple_at(head, r)).collect()
     }
 
     #[test]
     fn two_hop_join_matches_generic_both_paths() {
-        let e = run_of(&(0..40i64).map(|i| tuple![i, i + 1]).collect::<Vec<_>>());
+        // A chain of n edges has n-1 two-hop paths (i, i+2). Short
+        // chains scan the second atom's run, long ones probe its view.
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
-        let runs = [Arc::clone(&e), e];
-        let f = frame_join(&atoms, &runs);
-        for indexed in [false, true] {
-            let envs = generic_join(&atoms, &runs, indexed);
-            assert_eq!(f.rows(), envs.len());
-            let head = [Term::var("X"), Term::var("Z")];
-            let got: Vec<Tuple> = (0..f.rows()).map(|r| f.tuple_at(&head, r)).collect();
-            let want: Vec<Tuple> = envs
-                .iter()
-                .map(|e| {
-                    head.iter()
-                        .map(|t| t.resolve(e).unwrap())
-                        .collect::<Tuple>()
-                })
-                .collect();
-            assert_eq!(got, want, "indexed={indexed}");
+        let head = [Term::var("X"), Term::var("Z")];
+        for n in [8i64, 40] {
+            assert_eq!(n > SCAN_THRESHOLD as i64, n == 40);
+            let e = rel_of(&(0..n).map(|i| tuple![i, i + 1]).collect::<Vec<_>>());
+            let f = join(&atoms, &[e.clone(), e]).unwrap();
+            let want: Vec<Tuple> = (0..n - 1).map(|i| tuple![i, i + 2]).collect();
+            assert_eq!(rows_of(&f, &head), want, "chain of {n}");
         }
     }
 
@@ -422,29 +465,24 @@ mod tests {
 
     #[test]
     fn bound_vars_probe_matches_scan() {
-        let e = run_of(&(0..30i64).map(|i| tuple![i % 5, i]).collect::<Vec<_>>());
-        let s = run_of(&(0..5i64).map(|i| tuple![i, i * 10]).collect::<Vec<_>>());
-        let atoms = [atom!("S"; @"A", @"B"), atom!("E"; @"A", @"C")];
-        let runs = [s, e];
-        let probe = frame_join(&atoms, &runs);
-        let scan = generic_join(&atoms, &runs, false);
+        // S(A,B) binds A; E(A,C) (30 rows, past the scan threshold)
+        // is probed on its bound first column. The rows come out in S
+        // order, then E's scan order within each probe.
+        let e = rel_of(&(0..30i64).map(|i| tuple![i % 5, i]).collect::<Vec<_>>());
+        let s = rel_of(&(0..5i64).map(|i| tuple![i, i * 10]).collect::<Vec<_>>());
+        let f = join(&[atom!("S"; @"A", @"B"), atom!("E"; @"A", @"C")], &[s, e]).unwrap();
         let head = [Term::var("A"), Term::var("B"), Term::var("C")];
-        let a: Vec<Tuple> = scan
-            .iter()
-            .map(|e| head.iter().map(|t| t.resolve(e).unwrap()).collect())
+        let want: Vec<Tuple> = (0..5i64)
+            .flat_map(|a| (a..30).step_by(5).map(move |c| tuple![a, a * 10, c]))
             .collect();
-        let b: Vec<Tuple> = (0..probe.rows())
-            .map(|r| probe.tuple_at(&head, r))
-            .collect();
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
+        assert_eq!(rows_of(&f, &head), want);
     }
 
     #[test]
     fn filters_and_projection() {
-        let e = run_of(&[tuple![1, 1], tuple![1, 2], tuple![2, 3], tuple![3, 3]]);
-        let s = run_of(&[tuple![2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e);
+        let e = rel_of(&[tuple![1, 1], tuple![1, 2], tuple![2, 3], tuple![3, 3]]);
+        let s = rel_of(&[tuple![2]]);
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e.columnar_run());
         // X ≠ Y drops (1,1) and (3,3)
         f.retain_diseq(&Term::var("X"), &Term::var("Y")).unwrap();
         assert_eq!(f.rows(), 2);
@@ -459,14 +497,62 @@ mod tests {
     }
 
     #[test]
+    fn join_body_filters_through_the_instance() {
+        let sch = Schema::new().with("E", 2).with("S", 1).with("D", 1);
+        let db = Instance::from_facts(
+            sch,
+            vec![
+                fact!("E", 1, 2),
+                fact!("E", 2, 2),
+                fact!("E", 3, 4),
+                fact!("S", 3),
+            ],
+        )
+        .unwrap();
+        let e_atom = atom!("E"; @"X", @"Y");
+        let e = db.relation_ref(&"E".into()).unwrap();
+        let pos = [(&e_atom, e)];
+        let (x, y) = (Term::var("X"), Term::var("Y"));
+        let head = [x.clone(), y.clone()];
+        // E(X,Y), ¬S(X), X ≠ Y keeps (1,2) only; the declared but empty
+        // D filters nothing.
+        let negs = [atom!("S"; @"X"), atom!("D"; @"Y")];
+        let f = join_body(&pos, &[0], &negs, [(&x, &y)], &db)
+            .unwrap()
+            .unwrap();
+        assert_eq!(rows_of(&f, &head), vec![tuple![1, 2]]);
+        let env = f.bindings(0);
+        assert_eq!(env[&Var::new("X")], Value::int(1));
+        assert_eq!(env[&Var::new("Y")], Value::int(2));
+        // Every binding filtered out: no frame.
+        let none = join_body(&pos, &[0], [], [(&x, &x)], &db).unwrap();
+        assert!(none.is_none());
+        // An empty positive relation ends the join.
+        let d = Relation::empty(1);
+        let d_atom = atom!("D"; @"X");
+        assert!(join_body(&[(&d_atom, &d)], &[0], [], [], &db)
+            .unwrap()
+            .is_none());
+        // Negated atoms are looked up with their arity checked.
+        let wrong = [atom!("S"; @"X", @"Y")];
+        assert!(join_body(&pos, &[0], &wrong, [], &db).is_err());
+        let unknown = [atom!("Nope"; @"X")];
+        assert!(join_body(&pos, &[0], &unknown, [], &db).is_err());
+        // A negated nullary atom filters every row exactly when it holds.
+        let mut flag = Instance::empty(Schema::new().with("B", 0));
+        let b = [atom!("B")];
+        assert!(join_body(&pos, &[0], &b, [], &flag).unwrap().is_some());
+        flag.insert_fact(rtx_relational::Fact::new("B", Tuple::empty()))
+            .unwrap();
+        assert!(join_body(&pos, &[0], &b, [], &flag).unwrap().is_none());
+    }
+
+    #[test]
     fn project_counts_keeps_multiplicities() {
         // Two-hop over a diamond: 1→2→4 and 1→3→4 both derive (1,4).
-        let e = run_of(&[tuple![1, 2], tuple![1, 3], tuple![2, 4], tuple![3, 4]]);
+        let e = rel_of(&[tuple![1, 2], tuple![1, 3], tuple![2, 4], tuple![3, 4]]);
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
-        let mut f = Frame::unit();
-        for a in &atoms {
-            f = f.join_atom(a, &e);
-        }
+        let f = join(&atoms, &[e.clone(), e]).unwrap();
         let counts = f.project_counts(&[Term::var("X"), Term::var("Z")]).unwrap();
         assert_eq!(counts, vec![(tuple![1, 4], 2)]);
         // Projecting onto a constant folds every firing together.
@@ -478,8 +564,8 @@ mod tests {
 
     #[test]
     fn unbound_filter_vars_error() {
-        let e = run_of(&[tuple![1, 2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e);
+        let e = rel_of(&[tuple![1, 2]]);
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e.columnar_run());
         assert!(f.retain_diseq(&Term::var("X"), &Term::var("Q")).is_err());
         assert!(f.retain_not_in(&atom!("S"; @"Q"), &e).is_err());
         assert!(f.project(&[Term::var("Q")]).is_err());

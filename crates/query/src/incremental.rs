@@ -41,14 +41,10 @@
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
-use crate::frame::Frame;
-use crate::plan::plan_order;
+use crate::frame::join_body;
 use crate::term::Atom;
-use rtx_relational::{
-    CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Run, Tuple,
-};
+use rtx_relational::{CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Per-head-tuple firing counts collected by a delta expansion.
 type HeadCounts = BTreeMap<RelName, BTreeMap<Tuple, u64>>;
@@ -823,19 +819,18 @@ impl StratumPass<'_> {
             let Some(d) = pinned.get(&rule.head().pred) else {
                 continue;
             };
-            let atoms: Vec<&Atom> = std::iter::once(rule.head())
-                .chain(positive_atoms(rule))
+            let sources: Option<Vec<(&Atom, &Relation)>> = rule
+                .positive()
+                .map(|a| Some((a, self.source(&a.pred)?)))
                 .collect();
-            let mut srcs = vec![d];
-            for a in &atoms[1..] {
-                match self.source(&a.pred) {
-                    Some(r) if !r.is_empty() => srcs.push(r),
-                    _ => break,
-                }
-            }
-            if srcs.len() == atoms.len() {
-                frame_count(rule, &atoms, &srcs, Some(0), self.total, &mut fired)?;
-            }
+            let Some(mut pos) = sources else {
+                continue; // some body relation is empty
+            };
+            // The head joins as one extra atom after the positive
+            // ones, pinned first over the over-deleted facts.
+            let n = pos.len();
+            pos.push((rule.head(), d));
+            frame_count(rule, &pos, Some(n), self.total, &mut fired)?;
         }
         for (p, d) in pinned {
             let mut firings = fired.remove(&p).unwrap_or_default();
@@ -901,16 +896,6 @@ fn net_remove(net: &mut BTreeMap<RelName, Change>, p: &RelName, t: &Tuple) {
     }
 }
 
-fn positive_atoms(rule: &Rule) -> Vec<&Atom> {
-    rule.body()
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Pos(a) => Some(a),
-            _ => None,
-        })
-        .collect()
-}
-
 /// Build support counts from scratch for the heads of `rules` over
 /// `db`: every rule firing plus +1 seed support per base fact of
 /// `preds`. The single source of truth for both initialization and
@@ -945,67 +930,32 @@ fn recount_into(
 
 /// Count every firing of `rule` over `db` (initialization / rebuild).
 fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Result<(), EvalError> {
-    let atoms = positive_atoms(rule);
-    let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-    for a in &atoms {
-        match db.relation_ref(&a.pred) {
-            Some(r) if !r.is_empty() => srcs.push(r),
-            _ => return Ok(()), // some body relation is empty
-        }
+    let sources: Option<Vec<(&Atom, &Relation)>> = rule
+        .positive()
+        .map(|a| Some((a, db.relation_ref(&a.pred)?)))
+        .collect();
+    match sources {
+        Some(pos) => frame_count(rule, &pos, None, db, out),
+        None => Ok(()), // some body relation is empty
     }
-    frame_count(rule, &atoms, &srcs, None, db, out)
 }
 
 /// The firing counter shared by [`expansion`], DRed's re-derivation
-/// and [`count_rule_firings`]: join the positive atoms directly over their
-/// sorted runs with the [`Frame`] executor (probing run ranges, never
-/// materializing a `Tuple` or `Bindings` per candidate), apply the
-/// rule's negation / nonequality filters column-wise, and count the
-/// surviving firings per head tuple.
+/// and [`count_rule_firings`]: the rule body joined by the crate's one
+/// join executor in the rule's cached plan order (`pinned` as for
+/// [`Rule::plan`]), each atom of `pos` over the relation it is paired
+/// with, and the surviving firings counted per head tuple.
 fn frame_count(
     rule: &Rule,
-    atoms: &[&Atom],
-    srcs: &[&Relation],
+    pos: &[(&Atom, &Relation)],
     pinned: Option<usize>,
     neg_db: &Instance,
     out: &mut HeadCounts,
 ) -> Result<(), EvalError> {
-    let runs: Vec<Arc<Run>> = srcs.iter().map(|r| r.columnar_run()).collect();
-    // A missing negated relation filters nothing, modeled as an empty
-    // run so unbound-variable errors are raised all the same.
-    let negs: Vec<(&Atom, Arc<Run>)> = rule
-        .body()
-        .iter()
-        .filter_map(|l| match l {
-            Literal::Neg(a) => Some(a),
-            _ => None,
-        })
-        .map(|a| {
-            let run = match neg_db.relation_ref(&a.pred) {
-                None => Arc::new(Run::empty(a.terms.len())),
-                Some(rel) => rel.columnar_run(),
-            };
-            (a, run)
-        })
-        .collect();
-    let mut frame = Frame::unit();
-    for &k in &plan_order(atoms, pinned) {
-        frame = frame.join_atom(atoms[k], &runs[k]);
-        if frame.is_empty() {
-            return Ok(());
-        }
-    }
-    for l in rule.body() {
-        if let Literal::Diseq(x, y) = l {
-            frame.retain_diseq(x, y)?;
-        }
-    }
-    for (a, run) in &negs {
-        frame.retain_not_in(a, run)?;
-    }
-    if frame.is_empty() {
+    let order = rule.plan(pinned);
+    let Some(frame) = join_body(pos, order, rule.negated(), rule.nonequalities(), neg_db)? else {
         return Ok(());
-    }
+    };
     let head = rule.head();
     let slot = out.entry(head.pred.clone()).or_default();
     for (t, k) in frame.project_counts(&head.terms)? {
@@ -1036,7 +986,7 @@ fn expansion(
     }
     for &ri in &info.rules {
         let rule = &program.rules()[ri];
-        let atoms = positive_atoms(rule);
+        let atoms: Vec<&Atom> = rule.positive().collect();
         let occs: Vec<usize> = atoms
             .iter()
             .enumerate()
@@ -1046,10 +996,9 @@ fn expansion(
         if occs.is_empty() {
             continue;
         }
-        for &i in &occs {
-            let mut srcs: Vec<&Relation> = Vec::with_capacity(atoms.len());
-            let mut dead = false;
-            for (j, a) in atoms.iter().enumerate() {
+        'occ: for &i in &occs {
+            let mut pos: Vec<(&Atom, &Relation)> = Vec::with_capacity(atoms.len());
+            for (j, &a) in atoms.iter().enumerate() {
                 let r: &Relation = if j == i {
                     delta_rel
                 } else if a.pred == *pinned {
@@ -1072,22 +1021,12 @@ fn expansion(
                 } else {
                     match total.relation_ref(&a.pred) {
                         Some(r) => r,
-                        None => {
-                            dead = true;
-                            break;
-                        }
+                        None => continue 'occ,
                     }
                 };
-                if r.is_empty() {
-                    dead = true;
-                    break;
-                }
-                srcs.push(r);
+                pos.push((a, r));
             }
-            if dead {
-                continue;
-            }
-            frame_count(rule, &atoms, &srcs, Some(i), total, out)?;
+            frame_count(rule, &pos, Some(i), total, out)?;
         }
     }
     Ok(())

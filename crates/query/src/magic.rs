@@ -37,8 +37,9 @@
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
+use crate::frame::join_body;
 use crate::incremental::{FixpointStats, MaintainedFixpoint};
-use crate::term::{Atom, Bindings, Term, Var};
+use crate::term::{Atom, Term, Var};
 use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Relation, Tuple, Value};
 use std::collections::BTreeSet;
 
@@ -191,17 +192,17 @@ impl MagicQuery {
 
     /// Extract the answers from an already evaluated instance (e.g.
     /// the [`MaintainedFixpoint::current`] of a maintained magic
-    /// query): the output relation filtered through the pattern's
-    /// constants and repeated variables.
+    /// query): the output relation joined with the pattern, which keeps
+    /// the tuples matching its constants and repeated variables.
     pub fn answer_from(&self, total: &Instance) -> Result<Relation, EvalError> {
-        let rel = total.relation(&self.output)?;
-        let env = Bindings::new();
-        let matching: Vec<Tuple> = rel
-            .iter()
-            .filter(|t| self.pattern.match_tuple(t, &env).is_some())
-            .cloned()
-            .collect();
-        Ok(Relation::from_tuples(rel.arity(), matching)?)
+        let pattern = Atom::new(self.output.clone(), self.pattern.terms.clone());
+        let Some(rel) = crate::plan::lookup(total, &pattern)? else {
+            return Ok(Relation::empty(pattern.arity()));
+        };
+        match join_body(&[(&pattern, rel)], &[0], [], [], total)? {
+            Some(frame) => Ok(Relation::from_result_run(frame.project(&pattern.terms)?)),
+            None => Ok(Relation::empty(pattern.arity())),
+        }
     }
 
     /// A [`MaintainedFixpoint`] over the (rewritten) program,

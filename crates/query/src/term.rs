@@ -1,7 +1,9 @@
-//! Variables, terms, atoms and bindings — shared by every rule-based
-//! language in this crate (CQ, UCQ¬, Datalog) and by the FO engine.
+//! Variables, terms and atoms — shared by every rule-based language in
+//! this crate (CQ, UCQ¬, Datalog) and by the FO engine — and the
+//! [`Bindings`] that FO formulas are evaluated under. Atoms are joined
+//! by the columnar executor (`frame.rs`).
 
-use rtx_relational::{RelName, Relation, Symbol, Tuple, Value};
+use rtx_relational::{RelName, Symbol, Tuple, Value};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -95,15 +97,14 @@ impl fmt::Display for Term {
     }
 }
 
-/// A (partial) assignment of values to variables.
+/// A (partial) assignment of values to variables — the environment an
+/// FO formula is evaluated under, one per row of the generator join.
 ///
 /// Stored as a flat vector sorted by variable — bindings are tiny (a
-/// rule's variable count), so binary search beats a tree and, since
+/// formula's variable count), so binary search beats a tree and, since
 /// both `Var` and `Value` are `Copy`, cloning a binding set is a plain
-/// memcpy. That clone sits on the innermost loop of every join, which
-/// is why this is not a `BTreeMap`. The sorted invariant also makes
-/// equality insertion-order-insensitive, which the scan/indexed join
-/// equivalence guarantees rely on.
+/// memcpy; the quantifier loops clone one per candidate. The sorted
+/// invariant also makes equality insertion-order-insensitive.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bindings(Vec<(Var, Value)>);
 
@@ -144,16 +145,6 @@ impl Bindings {
             Ok(i) => Some(self.0.remove(i).1),
             Err(_) => None,
         }
-    }
-
-    /// Is `v` bound?
-    pub fn contains_key(&self, v: &Var) -> bool {
-        self.pos(v).is_ok()
-    }
-
-    /// The bound variables, in sorted order.
-    pub fn keys(&self) -> impl Iterator<Item = &Var> {
-        self.0.iter().map(|(v, _)| v)
     }
 
     /// Iterate over `(variable, value)` pairs in sorted order.
@@ -236,57 +227,6 @@ impl Atom {
         out
     }
 
-    /// Match the atom against a concrete tuple, extending `env`.
-    ///
-    /// Returns the extended bindings when the tuple is compatible with the
-    /// atom's constants, repeated variables, and the existing bindings.
-    pub fn match_tuple(&self, tuple: &Tuple, env: &Bindings) -> Option<Bindings> {
-        if tuple.arity() != self.terms.len() {
-            return None;
-        }
-        // Phase 1: verify constants and already-bound variables without
-        // touching `env` — the overwhelmingly common outcome of a scan
-        // join is rejection, which must not pay for a clone.
-        let mut fresh = false;
-        for (term, value) in self.terms.iter().zip(tuple.iter()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        return None;
-                    }
-                }
-                Term::Var(v) => match env.get(v) {
-                    Some(bound) => {
-                        if bound != value {
-                            return None;
-                        }
-                    }
-                    None => fresh = true,
-                },
-            }
-        }
-        // Phase 2: clone (a memcpy) and bind the fresh variables; a
-        // repeated fresh variable is checked against its first binding.
-        let mut out = env.clone();
-        if fresh {
-            for (term, value) in self.terms.iter().zip(tuple.iter()) {
-                if let Term::Var(v) = term {
-                    match out.get(v) {
-                        Some(bound) => {
-                            if bound != value {
-                                return None;
-                            }
-                        }
-                        None => {
-                            out.insert(*v, *value);
-                        }
-                    }
-                }
-            }
-        }
-        Some(out)
-    }
-
     /// Instantiate the atom under complete bindings into a tuple.
     ///
     /// Returns `None` if some variable is unbound.
@@ -296,92 +236,6 @@ impl Atom {
             .map(|t| t.resolve(env))
             .collect::<Option<Vec<_>>>()
             .map(Tuple::new)
-    }
-
-    /// Join this atom against a materialized relation: for every tuple of
-    /// `rel` compatible with some binding in `envs`, emit the extension.
-    pub fn join(&self, rel: &Relation, envs: &[Bindings]) -> Vec<Bindings> {
-        let mut out = Vec::new();
-        for env in envs {
-            // If all terms are already determined, use a membership probe
-            // instead of scanning the relation.
-            if let Some(t) = self.instantiate(env) {
-                if rel.contains(&t) {
-                    out.push(env.clone());
-                }
-                continue;
-            }
-            for tuple in rel.iter() {
-                if let Some(ext) = self.match_tuple(tuple, env) {
-                    out.push(ext);
-                }
-            }
-        }
-        out
-    }
-
-    /// Index-accelerated [`Atom::join`]: probe a cached secondary index
-    /// of `rel` on the columns already determined by `envs` (constants
-    /// plus variables bound in every binding) instead of scanning.
-    ///
-    /// Produces exactly the bindings of `join`, in the same order: a
-    /// probe enumerates the subsequence of a full scan agreeing on the
-    /// key columns, and [`Atom::match_tuple`] re-checks everything else
-    /// (repeated variables, per-binding extras).
-    pub fn join_indexed(&self, rel: &Relation, envs: &[Bindings]) -> Vec<Bindings> {
-        if envs.is_empty() || rel.is_empty() {
-            return Vec::new();
-        }
-        // For tiny relations a scan beats building (or even probing) an
-        // index view; the cutover only changes the access path, never
-        // the result.
-        const SCAN_THRESHOLD: usize = 16;
-        if rel.len() <= SCAN_THRESHOLD {
-            return self.join(rel, envs);
-        }
-        // Columns determined in *every* binding — the batch shares one
-        // index. Bindings produced by a common join prefix all bind the
-        // same variables, so this is rarely a strict intersection.
-        let mut common: BTreeSet<&Var> = envs[0].keys().collect();
-        for env in &envs[1..] {
-            common.retain(|v| env.contains_key(v));
-        }
-        let cols: Vec<usize> = self
-            .terms
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| match t {
-                Term::Const(_) => true,
-                Term::Var(v) => common.contains(v),
-            })
-            .map(|(i, _)| i)
-            .collect();
-        if cols.is_empty() || cols.len() == self.terms.len() {
-            // Nothing to probe on, or fully determined (join() already
-            // degenerates to a membership probe per binding).
-            return self.join(rel, envs);
-        }
-        let idx = rel
-            .index(&cols)
-            .expect("key columns lie within the checked arity");
-        let mut out = Vec::new();
-        let mut key: Vec<Value> = Vec::with_capacity(cols.len());
-        for env in envs {
-            key.clear();
-            for &c in &cols {
-                key.push(
-                    self.terms[c]
-                        .resolve(env)
-                        .expect("key columns are bound in every binding"),
-                );
-            }
-            for tuple in idx.probe(&key) {
-                if let Some(ext) = self.match_tuple(tuple, env) {
-                    out.push(ext);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -435,7 +289,7 @@ macro_rules! atom_args {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtx_relational::tuple;
+    use rtx_relational::{tuple, Instance, Relation, Schema};
 
     #[test]
     fn atom_macro_mixes_vars_and_consts() {
@@ -448,31 +302,51 @@ mod tests {
         assert_eq!(nullary.arity(), 0);
     }
 
+    fn rel(arity: usize, tuples: Vec<Tuple>) -> Relation {
+        Relation::from_tuples(arity, tuples).unwrap()
+    }
+
+    /// The bindings of the atoms joined in written order, each over the
+    /// relation it is paired with.
+    fn join(body: &[(Atom, Relation)]) -> Vec<Bindings> {
+        let pos: Vec<(&Atom, &Relation)> = body.iter().map(|(a, r)| (a, r)).collect();
+        let order: Vec<usize> = (0..body.len()).collect();
+        let db = Instance::empty(Schema::new());
+        match crate::frame::join_body(&pos, &order, [], [], &db).unwrap() {
+            Some(f) => (0..f.rows()).map(|r| f.bindings(r)).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    fn x_is(v: i64) -> Bindings {
+        [(Var::new("X"), Value::int(v))].into_iter().collect()
+    }
+
     #[test]
     fn match_tuple_binds_fresh_vars() {
-        let a = atom!("R"; @"X", @"Y");
-        let env = a.match_tuple(&tuple![1, 2], &Bindings::new()).unwrap();
-        assert_eq!(env[&Var::new("X")], Value::int(1));
-        assert_eq!(env[&Var::new("Y")], Value::int(2));
+        let envs = join(&[(atom!("R"; @"X", @"Y"), rel(2, vec![tuple![1, 2]]))]);
+        assert_eq!(envs.len(), 1);
+        assert_eq!(envs[0][&Var::new("X")], Value::int(1));
+        assert_eq!(envs[0][&Var::new("Y")], Value::int(2));
     }
 
     #[test]
     fn match_tuple_respects_repeats_and_consts() {
         let a = atom!("R"; @"X", @"X");
-        assert!(a.match_tuple(&tuple![1, 2], &Bindings::new()).is_none());
-        assert!(a.match_tuple(&tuple![2, 2], &Bindings::new()).is_some());
+        assert!(join(&[(a.clone(), rel(2, vec![tuple![1, 2]]))]).is_empty());
+        assert_eq!(join(&[(a, rel(2, vec![tuple![2, 2]]))]), vec![x_is(2)]);
         let c = atom!("R"; 5, @"X");
-        assert!(c.match_tuple(&tuple![4, 1], &Bindings::new()).is_none());
-        assert!(c.match_tuple(&tuple![5, 1], &Bindings::new()).is_some());
+        assert!(join(&[(c.clone(), rel(2, vec![tuple![4, 1]]))]).is_empty());
+        assert_eq!(join(&[(c, rel(2, vec![tuple![5, 1]]))]), vec![x_is(1)]);
     }
 
     #[test]
     fn match_tuple_respects_prior_bindings() {
-        let a = atom!("R"; @"X");
-        let mut env = Bindings::new();
-        env.insert(Var::new("X"), Value::int(9));
-        assert!(a.match_tuple(&tuple![1], &env).is_none());
-        assert!(a.match_tuple(&tuple![9], &env).is_some());
+        // B(X) binds X to 9 before R(X) is matched.
+        let b = (atom!("B"; @"X"), rel(1, vec![tuple![9]]));
+        let r = atom!("R"; @"X");
+        assert!(join(&[b.clone(), (r.clone(), rel(1, vec![tuple![1]]))]).is_empty());
+        assert_eq!(join(&[b, (r, rel(1, vec![tuple![9]]))]), vec![x_is(9)]);
     }
 
     #[test]
@@ -486,56 +360,49 @@ mod tests {
 
     #[test]
     fn join_extends_bindings() {
-        let rel = Relation::from_tuples(2, vec![tuple![1, 2], tuple![2, 3]]).unwrap();
-        let a = atom!("R"; @"X", @"Y");
-        let envs = a.join(&rel, &[Bindings::new()]);
+        let r = rel(2, vec![tuple![1, 2], tuple![2, 3]]);
+        let envs = join(&[(atom!("R"; @"X", @"Y"), r.clone())]);
         assert_eq!(envs.len(), 2);
         // join with X pre-bound probes
-        let mut env = Bindings::new();
-        env.insert(Var::new("X"), Value::int(2));
-        let b = atom!("R"; @"X", @"Y");
-        let envs = b.join(&rel, &[env]);
+        let bound = (atom!("B"; @"X"), rel(1, vec![tuple![2]]));
+        let envs = join(&[bound, (atom!("R"; @"X", @"Y"), r)]);
         assert_eq!(envs.len(), 1);
         assert_eq!(envs[0][&Var::new("Y")], Value::int(3));
     }
 
     #[test]
     fn join_indexed_agrees_with_scan() {
-        let rel = Relation::from_tuples(
-            2,
-            vec![tuple![1, 2], tuple![2, 3], tuple![2, 4], tuple![3, 4]],
-        )
-        .unwrap();
+        // The same facts joined from a tiny relation (scanned) and from
+        // one padded past the scan threshold with rows no key matches
+        // (probed on the bound columns).
+        let facts = vec![
+            tuple![1, 2],
+            tuple![2, 3],
+            tuple![2, 4],
+            tuple![3, 4],
+            tuple![5, 5],
+        ];
+        let mut padded = facts.clone();
+        padded.extend((0..16).map(|i| tuple![100 + i, i]));
+        let xs = (
+            atom!("B"; @"X"),
+            rel(1, vec![tuple![1], tuple![2], tuple![9]]),
+        );
         let a = atom!("R"; @"X", @"Y");
-        // X bound in every env: probes on column 0
-        let envs: Vec<Bindings> = [1i64, 2, 9]
-            .iter()
-            .map(|&x| {
-                let mut e = Bindings::new();
-                e.insert(Var::new("X"), Value::int(x));
-                e
-            })
-            .collect();
-        assert_eq!(a.join_indexed(&rel, &envs), a.join(&rel, &envs));
-        // nothing bound: falls back to scan
-        let free = vec![Bindings::new()];
-        assert_eq!(a.join_indexed(&rel, &free), a.join(&rel, &free));
-        // repeated variable with constant
         let b = atom!("R"; @"X", @"X");
-        assert_eq!(b.join_indexed(&rel, &free), b.join(&rel, &free));
-    }
-
-    #[test]
-    fn join_indexed_mixed_bound_sets_intersect() {
-        let rel = Relation::from_tuples(2, vec![tuple![1, 2], tuple![2, 3]]).unwrap();
-        let a = atom!("R"; @"X", @"Y");
-        let mut e1 = Bindings::new();
-        e1.insert(Var::new("X"), Value::int(1));
-        let mut e2 = Bindings::new();
-        e2.insert(Var::new("X"), Value::int(2));
-        e2.insert(Var::new("Y"), Value::int(3));
-        let envs = vec![e1, e2];
-        assert_eq!(a.join_indexed(&rel, &envs), a.join(&rel, &envs));
+        for r in [rel(2, facts), rel(2, padded)] {
+            let n = r.len();
+            // X bound in every binding: probes on column 0
+            let envs = join(&[xs.clone(), (a.clone(), r.clone())]);
+            let pairs: Vec<(Value, Value)> = envs
+                .iter()
+                .map(|e| (e[&Var::new("X")], e[&Var::new("Y")]))
+                .collect();
+            let want = [(1, 2), (2, 3), (2, 4)].map(|(x, y)| (Value::int(x), Value::int(y)));
+            assert_eq!(pairs, want, "{n} facts");
+            // repeated variable, nothing bound
+            assert_eq!(join(&[(b.clone(), r)]), vec![x_is(5)], "{n} facts");
+        }
     }
 
     #[test]

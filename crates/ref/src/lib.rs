@@ -6,9 +6,10 @@
 //! its negated atoms out, and makes its nonequalities hold, and a
 //! stratified program is evaluated stratum by stratum to its least
 //! fixpoint. Plus the support count a counting maintenance engine
-//! must keep for each fact ([`support_counts`]), and the local
-//! transition of a relational transducer (Section 2.1), with its
-//! update formula applied term by term ([`transducer_step`]).
+//! must keep for each fact ([`support_counts`]), the answer of a UCQ¬
+//! query ([`ucq`]), and the local transition of a relational transducer
+//! (Section 2.1), with its update formula applied term by term
+//! ([`transducer_step`]).
 //!
 //! Nothing here is fast on purpose. Facts live in `BTreeSet`s, every
 //! round re-derives everything, and joins are nested loops in literal
@@ -21,7 +22,7 @@
 //! on `BTreeSet`s. It is a dev-dependency only; no library crate
 //! depends on it.
 
-use rtx_query::{Atom, Literal, Program, Query, Rule, Term, Var};
+use rtx_query::{Atom, Literal, Program, Query, Rule, Term, UcqQuery, Var};
 use rtx_relational::{Fact, Instance, RelName, Tuple, Value};
 use rtx_transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet};
@@ -105,6 +106,42 @@ pub fn tp_step(program: &Program, db: &Instance) -> BTreeSet<Fact> {
         }
     }
     flatten(out)
+}
+
+/// The answer of a UCQ¬ query on `db`: the head tuples of every rule,
+/// each fired like a Datalog rule, keeping only tuples over the active
+/// domain of `db` — condition (i) of the paper, which only a head
+/// constant can break.
+///
+/// # Panics
+///
+/// If a rule is unsafe.
+pub fn ucq(q: &UcqQuery, db: &Instance) -> BTreeSet<Tuple> {
+    let facts = database(db.facts());
+    let adom: BTreeSet<Value> = facts
+        .values()
+        .flatten()
+        .flat_map(Tuple::iter)
+        .copied()
+        .collect();
+    let mut out = BTreeSet::new();
+    for rule in q.rules() {
+        let literals = (rule.positive().iter().cloned().map(Literal::Pos))
+            .chain(rule.negated().iter().cloned().map(Literal::Neg))
+            .chain(
+                rule.nonequalities()
+                    .iter()
+                    .cloned()
+                    .map(|(x, y)| Literal::Diseq(x, y)),
+            );
+        for v in valuations(&literals.collect::<Vec<_>>(), &facts) {
+            let t: Tuple = rule.head().iter().map(|term| value(term, &v)).collect();
+            if t.iter().all(|x| adom.contains(x)) {
+                out.insert(t);
+            }
+        }
+    }
+    out
 }
 
 /// One local transition `I, I_rcv → J, J_snd, J_out` as plain sets.
@@ -196,13 +233,21 @@ fn flatten(facts: Db) -> BTreeSet<Fact> {
         .collect()
 }
 
-/// Every head fact of one rule over `facts`: extend the valuations
+/// Every head fact of one rule over `facts`.
+fn fire(rule: &Rule, facts: &Db) -> Vec<(RelName, Tuple)> {
+    valuations(rule.body(), facts)
+        .iter()
+        .map(|v| (rule.head().pred.clone(), ground(rule.head(), v)))
+        .collect()
+}
+
+/// The valuations satisfying a rule body over `facts`: extend them
 /// through the positive atoms in literal order by nested loops, then
 /// keep those passing every negated atom and nonequality as written.
-fn fire(rule: &Rule, facts: &Db) -> Vec<(RelName, Tuple)> {
+fn valuations(body: &[Literal], facts: &Db) -> Vec<Valuation> {
     let empty = BTreeSet::new();
     let mut valuations: Vec<Valuation> = vec![Valuation::new()];
-    for literal in rule.body() {
+    for literal in body {
         if let Literal::Pos(atom) = literal {
             let tuples = facts.get(&atom.pred).unwrap_or(&empty);
             let mut next = Vec::new();
@@ -217,7 +262,7 @@ fn fire(rule: &Rule, facts: &Db) -> Vec<(RelName, Tuple)> {
         }
     }
     let holds = |v: &Valuation| {
-        rule.body().iter().all(|literal| match literal {
+        body.iter().all(|literal| match literal {
             Literal::Pos(_) => true,
             Literal::Neg(atom) => !facts
                 .get(&atom.pred)
@@ -225,11 +270,8 @@ fn fire(rule: &Rule, facts: &Db) -> Vec<(RelName, Tuple)> {
             Literal::Diseq(x, y) => value(x, v) != value(y, v),
         })
     };
+    valuations.retain(holds);
     valuations
-        .iter()
-        .filter(|v| holds(v))
-        .map(|v| (rule.head().pred.clone(), ground(rule.head(), v)))
-        .collect()
 }
 
 /// Extend `v` so that `atom` maps onto `tuple`, if it can.
@@ -321,6 +363,37 @@ mod tests {
         let out = eval(&p, &edges(&[(1, 2), (2, 1), (3, 4), (5, 5)]));
         let u: Vec<&Fact> = out.iter().filter(|f| f.rel().as_str() == "u").collect();
         assert_eq!(u, vec![&fact!("u", 3)]);
+    }
+
+    #[test]
+    fn ucq_fires_every_rule_and_keeps_the_active_domain() {
+        use rtx_query::{atom, CqBuilder, UcqQuery};
+        let sch = Schema::new().with("e", 2).with("s", 1);
+        let db = Instance::from_facts(
+            sch,
+            [
+                fact!("e", 1, 2),
+                fact!("e", 2, 2),
+                fact!("e", 2, 3),
+                fact!("s", 2),
+            ],
+        )
+        .unwrap();
+        let (x, y) = (Term::var("X"), Term::var("Y"));
+        // (X, 1) ← e(X,Y), ¬s(X), X ≠ Y;  (Y, 99) ← s(Y)
+        let kept = CqBuilder::head(vec![x.clone(), Term::cons(1)])
+            .when(atom!("e"; @"X", @"Y"))
+            .unless(atom!("s"; @"X"))
+            .distinct(x, y.clone())
+            .build()
+            .unwrap();
+        let outside = CqBuilder::head(vec![y, Term::cons(99)])
+            .when(atom!("s"; @"Y"))
+            .build()
+            .unwrap();
+        let q = UcqQuery::new(2, vec![kept, outside]).unwrap();
+        let want: BTreeSet<Tuple> = [rtx_relational::tuple![1, 1]].into_iter().collect();
+        assert_eq!(ucq(&q, &db), want, "99 lies outside adom; 2 is in s");
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! Secondary indexes over relations.
+//! Secondary indexes over sorted runs.
 //!
-//! An [`Index`] lets a join probe exactly the tuples matching the
-//! columns already bound instead of scanning the whole relation.
-//! Indexes are immutable snapshots; [`crate::Relation`] builds them
-//! lazily and caches them (per column subset, per run generation), so
-//! holders of an `Arc<Index>` always see a consistent picture of the
-//! relation at build time. A fold that makes the next run generation
-//! ([`crate::Run::apply_sorted`]) carries the cached views across: the
-//! new generation's view is merged from the old one, not re-sorted.
+//! An [`Index`] lets a join probe exactly the rows matching the columns
+//! already bound instead of scanning the whole run: the query crate's
+//! columnar join executor asks [`crate::Run::view`] for one per atom and
+//! probes it with interned keys ([`Index::probe_rows`]). Indexes are
+//! immutable snapshots, built lazily and cached on the run (per column
+//! subset, per run generation), so holders of an `Arc<Index>` always
+//! see a consistent picture of the run at build time. A fold that makes
+//! the next run generation ([`crate::Run::apply_sorted`]) carries the
+//! cached views across: the new generation's view is merged from the
+//! old one, not re-sorted.
 //!
 //! An index is a view into a sorted run: when the key columns are a
 //! prefix of the column order the sorted run *is* the index (a probe is
@@ -19,10 +21,8 @@
 //! that matches on the key columns — callers can switch between
 //! scanning and probing without changing results.
 
-use crate::fact::Tuple;
 use crate::intern::Vid;
 use crate::runs::RunData;
-use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -77,38 +77,6 @@ impl Index {
         }
     }
 
-    /// The tuples whose values on the indexed columns equal `key`, in
-    /// the relation's deterministic order; empty when no tuple matches.
-    pub fn probe(&self, key: &[Value]) -> ProbeHits<'_> {
-        debug_assert_eq!(key.len(), self.cols.len());
-        match &self.kind {
-            Kind::Prefix(data) => {
-                let k: Vec<Vid> = key.iter().map(Vid::from_value).collect();
-                let range = data.prefix_range(&k);
-                ProbeHits::Slice(&data.rows()[range])
-            }
-            Kind::Perm { data, perm } => {
-                let k: Vec<Vid> = key.iter().map(Vid::from_value).collect();
-                // Key of permuted row r vs probe key, lexicographically.
-                let cmp = |r: u32| -> Ordering {
-                    for (i, &c) in self.cols.iter().enumerate() {
-                        match data.vid(c, r as usize).cmp_structural(k[i]) {
-                            Ordering::Equal => continue,
-                            ord => return ord,
-                        }
-                    }
-                    Ordering::Equal
-                };
-                let lo = perm.partition_point(|&r| cmp(r) == Ordering::Less);
-                let hi = perm[lo..].partition_point(|&r| cmp(r) == Ordering::Equal) + lo;
-                ProbeHits::Perm {
-                    rows: data.rows(),
-                    perm: &perm[lo..hi],
-                }
-            }
-        }
-    }
-
     /// The matching *row indices* of the underlying run for an
     /// interned key — the zero-materialization probe used by the
     /// columnar join executor.
@@ -129,45 +97,6 @@ impl Index {
                 let lo = perm.partition_point(|&r| cmp(r) == Ordering::Less);
                 let hi = perm[lo..].partition_point(|&r| cmp(r) == Ordering::Equal) + lo;
                 RowHits::Rows(&perm[lo..hi])
-            }
-        }
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        match &self.kind {
-            Kind::Prefix(data) => {
-                let mut n = 0;
-                let mut prev: Option<usize> = None;
-                for r in 0..data.len() {
-                    let fresh = match prev {
-                        None => true,
-                        Some(p) => self.cols.iter().any(|&c| data.vid(c, r) != data.vid(c, p)),
-                    };
-                    if fresh {
-                        n += 1;
-                    }
-                    prev = Some(r);
-                }
-                n
-            }
-            Kind::Perm { data, perm } => {
-                let mut n = 0;
-                let mut prev: Option<u32> = None;
-                for &r in perm.iter() {
-                    let fresh = match prev {
-                        None => true,
-                        Some(p) => self
-                            .cols
-                            .iter()
-                            .any(|&c| data.vid(c, r as usize) != data.vid(c, p as usize)),
-                    };
-                    if fresh {
-                        n += 1;
-                    }
-                    prev = Some(r);
-                }
-                n
             }
         }
     }
@@ -226,96 +155,13 @@ impl Iterator for RowHits<'_> {
     }
 }
 
-/// The result of an index probe: a borrowed set of matching tuples in
-/// the relation's deterministic order.
-#[derive(Clone, Copy)]
-pub enum ProbeHits<'a> {
-    /// A contiguous slice of tuples (a prefix-view range).
-    Slice(&'a [Tuple]),
-    /// A permuted subset of a run's rows (general-column view).
-    Perm {
-        /// The run's materialized rows.
-        rows: &'a [Tuple],
-        /// Row indices of the matches, in scan order.
-        perm: &'a [u32],
-    },
-}
-
-impl<'a> ProbeHits<'a> {
-    /// Number of matching tuples.
-    pub fn len(&self) -> usize {
-        match self {
-            ProbeHits::Slice(s) => s.len(),
-            ProbeHits::Perm { perm, .. } => perm.len(),
-        }
-    }
-
-    /// Any matches?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate over the matching tuples in scan order.
-    pub fn iter(&self) -> ProbeIter<'a> {
-        match *self {
-            ProbeHits::Slice(s) => ProbeIter::Slice(s.iter()),
-            ProbeHits::Perm { rows, perm } => ProbeIter::Perm {
-                rows,
-                perm: perm.iter(),
-            },
-        }
-    }
-
-    /// Collect the matches into owned tuples (mostly for tests).
-    pub fn to_vec(&self) -> Vec<Tuple> {
-        self.iter().cloned().collect()
-    }
-}
-
-impl<'a> IntoIterator for ProbeHits<'a> {
-    type Item = &'a Tuple;
-    type IntoIter = ProbeIter<'a>;
-    fn into_iter(self) -> ProbeIter<'a> {
-        self.iter()
-    }
-}
-
-/// Iterator over probe hits (see [`ProbeHits::iter`]).
-pub enum ProbeIter<'a> {
-    /// Contiguous form.
-    Slice(std::slice::Iter<'a, Tuple>),
-    /// Permuted form.
-    Perm {
-        /// The run's materialized rows.
-        rows: &'a [Tuple],
-        /// Remaining match row indices.
-        perm: std::slice::Iter<'a, u32>,
-    },
-}
-
-impl<'a> Iterator for ProbeIter<'a> {
-    type Item = &'a Tuple;
-    fn next(&mut self) -> Option<&'a Tuple> {
-        match self {
-            ProbeIter::Slice(it) => it.next(),
-            ProbeIter::Perm { rows, perm } => perm.next().map(|&r| &rows[r as usize]),
-        }
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            ProbeIter::Slice(it) => it.size_hint(),
-            ProbeIter::Perm { perm, .. } => perm.size_hint(),
-        }
-    }
-}
-
-impl<'a> ExactSizeIterator for ProbeIter<'a> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fact::Tuple;
     use crate::runs::Run;
     use crate::tuple;
+    use crate::value::Value;
     use std::collections::BTreeSet;
 
     /// A run over `tuples` (sorted and deduplicated first).
@@ -324,15 +170,24 @@ mod tests {
         Run::from_sorted(arity, set.into_iter())
     }
 
+    /// The rows of `run` matching `key` on the view's columns, in the
+    /// order the probe yields them.
+    fn probe(run: &Run, view: &Index, key: &[Value]) -> Vec<Tuple> {
+        let key: Vec<Vid> = key.iter().map(Vid::from_value).collect();
+        view.probe_rows(&key)
+            .map(|i| run.rows()[i].clone())
+            .collect()
+    }
+
     #[test]
     fn build_and_probe() {
         let run = run_of(2, &[tuple![1, 2], tuple![1, 3], tuple![2, 3]]);
         let idx = run.view(&[0]);
         assert_eq!(idx.cols(), &[0]);
-        assert_eq!(idx.key_count(), 2);
-        assert_eq!(idx.probe(&[Value::int(1)]).len(), 2);
-        assert_eq!(idx.probe(&[Value::int(2)]).to_vec(), vec![tuple![2, 3]]);
-        assert!(idx.probe(&[Value::int(9)]).is_empty());
+        assert!(idx.perm().is_none(), "a key prefix needs no permutation");
+        assert_eq!(probe(&run, &idx, &[Value::int(1)]).len(), 2);
+        assert_eq!(probe(&run, &idx, &[Value::int(2)]), vec![tuple![2, 3]]);
+        assert!(probe(&run, &idx, &[Value::int(9)]).is_empty());
     }
 
     #[test]
@@ -341,7 +196,7 @@ mod tests {
         // a permutation view: matches come out in run (scan) order
         let idx = run.view(&[1]);
         assert_eq!(
-            idx.probe(&[Value::int(1)]).to_vec(),
+            probe(&run, &idx, &[Value::int(1)]),
             vec![tuple![1, 1], tuple![2, 1], tuple![3, 1]]
         );
         let rows: Vec<usize> = idx.probe_rows(&[Vid::from_value(&Value::int(1))]).collect();
@@ -352,8 +207,8 @@ mod tests {
     fn multi_column_keys() {
         let run = run_of(3, &[tuple![1, 2, 3], tuple![1, 2, 4], tuple![1, 9, 3]]);
         let idx = run.view(&[0, 1]);
-        assert_eq!(idx.probe(&[Value::int(1), Value::int(2)]).len(), 2);
-        assert_eq!(idx.probe(&[Value::int(1), Value::int(9)]).len(), 1);
+        assert_eq!(probe(&run, &idx, &[Value::int(1), Value::int(2)]).len(), 2);
+        assert_eq!(probe(&run, &idx, &[Value::int(1), Value::int(9)]).len(), 1);
     }
 
     #[test]
@@ -383,13 +238,11 @@ mod tests {
             for t in &set {
                 let key = key_of(t);
                 let want: Vec<Tuple> = set.iter().filter(|u| key_of(u) == key).cloned().collect();
-                assert_eq!(view.probe(&key).to_vec(), want, "cols {cols:?} key {key:?}");
+                assert_eq!(probe(&run, &view, &key), want, "cols {cols:?} key {key:?}");
             }
-            let keys: BTreeSet<Vec<Value>> = set.iter().map(key_of).collect();
-            assert_eq!(view.key_count(), keys.len(), "cols {cols:?}");
             // A key matching nothing.
             let miss: Vec<Value> = cols.iter().map(|_| Value::int(99)).collect();
-            assert!(view.probe(&miss).is_empty());
+            assert!(probe(&run, &view, &miss).is_empty());
         }
     }
 }

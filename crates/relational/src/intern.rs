@@ -7,7 +7,7 @@
 //!
 //! Interner ids are assigned in first-intern order, which depends on
 //! program execution history — so **nothing downstream may order by
-//! id**. Every comparison exposed here ([`Symbol::cmp`], [`Vid::cmp`])
+//! id**. Every comparison exposed here ([`Symbol::cmp`], [`Vid::cmp_structural`])
 //! is *structural*: integers numerically, symbols by their string, all
 //! integers before all symbols — exactly the order [`crate::Value`] has
 //! always had. Two processes with arbitrarily different interner

@@ -38,7 +38,7 @@ pub use counted::CountedRelation;
 pub use delta::{InstanceDelta, RelationDelta};
 pub use error::RelError;
 pub use fact::{Fact, RelName, Tuple};
-pub use index::{Index, ProbeHits, ProbeIter, RowHits};
+pub use index::{Index, RowHits};
 pub use instance::Instance;
 pub use intern::{Symbol, Vid};
 pub use iso::Iso;

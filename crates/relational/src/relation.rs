@@ -29,7 +29,7 @@
 use crate::delta::RelationDelta;
 use crate::error::RelError;
 use crate::fact::Tuple;
-use crate::index::Index;
+use crate::intern::Vid;
 use crate::runs::{Run, SmallTail, StatCells, StorageStats};
 use crate::value::Value;
 use std::collections::BTreeSet;
@@ -162,8 +162,8 @@ impl Store {
 ///
 /// Iteration order is deterministic (sorted) in either regime — the
 /// whole simulator relies on runs being pure functions of their inputs.
-/// Joins can additionally request a cached secondary [`Index`] on any
-/// column subset via [`Relation::index`].
+/// Joins probe cached views of the sorted run
+/// ([`Relation::columnar_run`], then [`Run::view`]).
 #[derive(Clone)]
 pub struct Relation {
     arity: usize,
@@ -218,14 +218,27 @@ impl Relation {
     }
 
     /// Build a relation directly from a sorted run — the zero-copy
-    /// landing for join outputs. The run becomes the base of the runs
-    /// regime; like any promoted relation, the next bulk rebuild that
-    /// lands at or below [`REENTRY_LEN`] (delta application,
-    /// [`crate::Instance::set_relation`]) re-enters the small regime.
+    /// landing for join outputs that later joins read. The run becomes
+    /// the base of the runs regime; like any promoted relation, the next
+    /// bulk rebuild that lands at or below [`REENTRY_LEN`] (delta
+    /// application, [`crate::Instance::set_relation`]) re-enters the
+    /// small regime.
     pub fn from_run(run: Run) -> Relation {
         Relation {
             arity: run.arity(),
             store: Store::Col(ColStore::new(Arc::new(run), StatCells::default())),
+        }
+    }
+
+    /// Build a relation from a sorted run in the regime its size calls
+    /// for, as set algebra lands its results: the small regime at or
+    /// below [`REENTRY_LEN`] (keeping the run as the pre-built sorted
+    /// cache), the runs regime above it. The landing for query answers
+    /// that a transducer step stores, sends or outputs.
+    pub fn from_result_run(run: Run) -> Relation {
+        Relation {
+            arity: run.arity(),
+            store: Store::from_result_run(run),
         }
     }
 
@@ -332,6 +345,19 @@ impl Relation {
             && match &self.store {
                 Store::Col(c) => c.contains(t),
                 Store::Small(s) => s.contains(t),
+            }
+    }
+
+    /// Membership test on an interned full-arity key — how a join
+    /// probes a negated atom. A run store probes its sorted run (the
+    /// tails folded once, as any read folds them); a small relation
+    /// scans its log, so the probe neither sorts it nor registers an
+    /// order demand.
+    pub fn contains_vids(&self, key: &[Vid]) -> bool {
+        key.len() == self.arity
+            && match &self.store {
+                Store::Col(c) => c.run().contains_vids(key),
+                Store::Small(s) => s.contains_vids(key),
             }
     }
 
@@ -452,32 +478,6 @@ impl Relation {
         }
     }
 
-    /// A secondary index on the given column subset.
-    ///
-    /// The returned [`Index`] is an immutable snapshot: it stays valid
-    /// even if the relation mutates afterwards. Indexes are views into
-    /// the current sorted run, cached on the run itself — so clones
-    /// sharing a run share its views, and no lock sits on the read
-    /// path. Small relations memoize a sorted run of the log (without
-    /// registering an order demand, so probes alone never promote) and
-    /// serve views off it — repeated probes of the same small relation,
-    /// the access pattern of magic-set guards, sort once per mutation
-    /// instead of once per call.
-    pub fn index(&self, cols: &[usize]) -> Result<Arc<Index>, RelError> {
-        for &c in cols {
-            if c >= self.arity {
-                return Err(RelError::ColumnOutOfRange {
-                    column: c,
-                    arity: self.arity,
-                });
-            }
-        }
-        Ok(match &self.store {
-            Store::Col(c) => c.run().view(cols),
-            Store::Small(s) => s.cached_run().view(cols),
-        })
-    }
-
     /// The delta turning `from` into `self`: `added = self ∖ from`,
     /// `removed = from ∖ self` (arities must agree).
     ///
@@ -550,14 +550,6 @@ impl Relation {
         }
     }
 
-    /// A relation of this arity over a run an operation produced.
-    fn with_result_run(&self, run: Run) -> Relation {
-        Relation {
-            arity: self.arity,
-            store: Store::from_result_run(run),
-        }
-    }
-
     /// Both operands' small tails, when both are in the small regime —
     /// set algebra over the logs needs no sorted view on either side.
     fn small_pair<'a>(&'a self, other: &'a Relation) -> Option<(&'a SmallTail, &'a SmallTail)> {
@@ -577,7 +569,9 @@ impl Relation {
             v.dedup();
             return Ok(self.with_sorted(v));
         }
-        Ok(self.with_result_run(self.columnar_run().union(&other.columnar_run())))
+        Ok(Relation::from_result_run(
+            self.columnar_run().union(&other.columnar_run()),
+        ))
     }
 
     /// Set intersection (arities must agree).
@@ -588,7 +582,9 @@ impl Relation {
             v.sort_unstable();
             return Ok(self.with_sorted(v));
         }
-        Ok(self.with_result_run(self.columnar_run().intersect(&other.columnar_run())))
+        Ok(Relation::from_result_run(
+            self.columnar_run().intersect(&other.columnar_run()),
+        ))
     }
 
     /// Set difference `self \ other` (arities must agree).
@@ -603,7 +599,9 @@ impl Relation {
             v.sort_unstable();
             return Ok(self.with_sorted(v));
         }
-        Ok(self.with_result_run(self.columnar_run().difference(&other.columnar_run())))
+        Ok(Relation::from_result_run(
+            self.columnar_run().difference(&other.columnar_run()),
+        ))
     }
 
     /// Is `self ⊆ other`?
@@ -897,22 +895,30 @@ mod tests {
         });
     }
 
+    /// The tuples of `r` whose `cols` equal `key`, probed through the
+    /// cached view of its sorted run.
+    fn probe(r: &Relation, cols: &[usize], key: &[Value]) -> Vec<Tuple> {
+        let run = r.columnar_run();
+        let key: Vec<Vid> = key.iter().map(Vid::from_value).collect();
+        let view = run.view(cols);
+        view.probe_rows(&key)
+            .map(|i| run.rows()[i].clone())
+            .collect()
+    }
+
     #[test]
     fn index_probe_matches_scan() {
         both_regimes(2, vec![tuple![1, 2], tuple![1, 3], tuple![2, 3]], |r, _| {
-            let idx = r.index(&[0]).unwrap();
-            assert_eq!(idx.probe(&[Value::int(1)]).len(), 2);
             let scan: Vec<_> = r
                 .iter()
                 .filter(|t| t.values()[0] == Value::int(1))
                 .cloned()
                 .collect();
-            assert_eq!(idx.probe(&[Value::int(1)]).to_vec(), scan);
+            assert_eq!(scan.len(), 2);
+            assert_eq!(probe(&r, &[0], &[Value::int(1)]), scan);
             // non-prefix columns exercise the permutation view
-            let idx1 = r.index(&[1]).unwrap();
-            assert_eq!(idx1.probe(&[Value::int(3)]).len(), 2);
             assert_eq!(
-                idx1.probe(&[Value::int(3)]).to_vec(),
+                probe(&r, &[1], &[Value::int(3)]),
                 vec![tuple![1, 3], tuple![2, 3]]
             );
         });
@@ -920,17 +926,18 @@ mod tests {
 
     #[test]
     fn index_is_cached_until_mutation() {
-        // Both regimes memoize on the (cached) sorted run.
+        // Both regimes memoize the sorted run, and the run its views.
         both_regimes(2, vec![tuple![1, 2]], |mut r, _| {
-            let a = r.index(&[0]).unwrap();
-            let b = r.index(&[0]).unwrap();
+            let a = r.columnar_run().view(&[1]);
+            let b = r.columnar_run().view(&[1]);
             assert!(Arc::ptr_eq(&a, &b));
             r.insert(tuple![5, 6]).unwrap();
-            let c = r.index(&[0]).unwrap();
+            let c = r.columnar_run().view(&[1]);
             assert!(!Arc::ptr_eq(&a, &c));
-            // the old snapshot is unchanged, the fresh index sees the insert
-            assert!(a.probe(&[Value::int(5)]).is_empty());
-            assert_eq!(c.probe(&[Value::int(5)]).len(), 1);
+            // the old snapshot is unchanged, the fresh view sees the insert
+            let six = [Vid::from_value(&Value::int(6))];
+            assert!(a.probe_rows(&six).is_empty());
+            assert_eq!(c.probe_rows(&six).len(), 1);
         });
     }
 
@@ -938,16 +945,17 @@ mod tests {
     fn small_regime_index_is_a_fresh_snapshot() {
         let mut r = rel(2, vec![tuple![1, 2]]);
         assert!(r.in_small_regime());
-        let a = r.index(&[0]).unwrap();
-        // repeated probes of an unchanged relation reuse the memoized
-        // run view instead of re-sorting the log
-        assert!(Arc::ptr_eq(&a, &r.index(&[0]).unwrap()));
+        let a = r.columnar_run();
+        // repeated reads of an unchanged relation reuse the memoized
+        // sorted run instead of re-sorting the log
+        assert!(Arc::ptr_eq(&a, &r.columnar_run()));
         r.insert(tuple![5, 6]).unwrap();
-        let b = r.index(&[0]).unwrap();
+        let b = r.columnar_run();
         assert!(!Arc::ptr_eq(&a, &b), "mutation invalidates the memo");
-        assert!(a.probe(&[Value::int(5)]).is_empty());
-        assert_eq!(b.probe(&[Value::int(5)]).len(), 1);
-        // building an index is not an order demand on the log
+        assert_eq!(probe(&r, &[0], &[Value::int(5)]), vec![tuple![5, 6]]);
+        let five = [Vid::from_value(&Value::int(5))];
+        assert!(a.view(&[0]).probe_rows(&five).is_empty());
+        // at the hysteresis floor, order demands never promote
         assert!(r.in_small_regime());
         assert_eq!(r.storage_stats().promotions, 0);
     }
@@ -956,21 +964,28 @@ mod tests {
     fn clones_share_columnar_index_views() {
         let r = promoted(2, vec![tuple![1, 2]]);
         let s = r.clone();
-        let a = r.index(&[0]).unwrap();
-        let b = s.index(&[0]).unwrap();
+        let a = r.columnar_run().view(&[1]);
+        let b = s.columnar_run().view(&[1]);
         assert!(Arc::ptr_eq(&a, &b)); // same run, same view chain
     }
 
     #[test]
-    fn index_rejects_out_of_range_columns() {
-        both_regimes(2, vec![tuple![1, 2]], |r, _| {
-            assert!(matches!(
-                r.index(&[2]),
-                Err(RelError::ColumnOutOfRange {
-                    column: 2,
-                    arity: 2
-                })
-            ));
+    fn contains_vids_agrees_with_contains() {
+        both_regimes(2, vec![tuple![1, 2], tuple![3, "x"]], |mut r, ballast| {
+            let vids = |t: &Tuple| -> Vec<Vid> { t.iter().map(Vid::from_value).collect() };
+            // with tails pending in the runs regime, and folded
+            r.insert(tuple![7, 7]).unwrap();
+            r.remove(&tuple![1, 2]);
+            for _ in 0..2 {
+                for t in [tuple![1, 2], tuple![3, "x"], tuple![7, 7], tuple![9, 9]]
+                    .iter()
+                    .chain(ballast)
+                {
+                    assert_eq!(r.contains_vids(&vids(t)), r.contains(t), "{t}");
+                }
+                let _ = r.columnar_run();
+            }
+            assert!(!r.contains_vids(&vids(&tuple![3])), "wrong arity");
         });
     }
 
@@ -979,8 +994,8 @@ mod tests {
         both_regimes(2, vec![tuple![1, 2]], |a, _| {
             let b = a.iter().cloned().collect::<Vec<_>>();
             let b = rel(2, b);
-            let _ = a.index(&[0]).unwrap();
-            let _ = a.index(&[1]).unwrap();
+            let _ = a.columnar_run().view(&[0]);
+            let _ = a.columnar_run().view(&[1]);
             assert_eq!(a, b);
             assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
             let c = a.clone();
@@ -1118,5 +1133,17 @@ mod tests {
         r.post_rebuild();
         assert!(r.in_small_regime(), "a small run re-enters on rebuild");
         assert_eq!(r, rel(1, vec![tuple![1], tuple![2]]));
+    }
+
+    #[test]
+    fn from_result_run_lands_in_the_regime_its_size_calls_for() {
+        let small = Run::from_sorted(1, [tuple![1], tuple![2]].iter());
+        let r = Relation::from_result_run(small);
+        assert!(r.in_small_regime(), "at or below the floor: small");
+        assert_eq!(r, rel(1, vec![tuple![1], tuple![2]]));
+        let big: Vec<Tuple> = (0..=REENTRY_LEN as i64).map(|i| tuple![i]).collect();
+        let r = Relation::from_result_run(Run::from_sorted(1, big.iter()));
+        assert!(!r.in_small_regime(), "above the floor: runs");
+        assert_eq!(r, rel(1, big));
     }
 }

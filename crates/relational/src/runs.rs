@@ -14,8 +14,8 @@
 //! side is far ahead — never touching a `Tuple` allocation except for
 //! rows that actually change.
 //!
-//! Row access for callers that need `&Tuple`s (iteration, index probe
-//! results) goes through a per-run lazily materialized row cache; it is
+//! Row access for callers that need `&Tuple`s (iteration, small-regime
+//! landings) goes through a per-run lazily materialized row cache; it is
 //! built at most once per run and shared by every clone of the owning
 //! relation. Secondary indexes are *views* into a run — a sorted
 //! permutation, or for key-prefix columns no structure at all — held on
@@ -44,10 +44,6 @@ pub(crate) struct RunData {
 }
 
 impl RunData {
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
     pub(crate) fn arity(&self) -> usize {
         self.cols.len()
     }
@@ -1020,15 +1016,12 @@ impl Clone for StatCells {
 ///
 /// A sorted [`Run`] over the live tuples is built only when a consumer
 /// actually needs one (a sorted scan, a galloping merge, delta
-/// normalization, an index probe) and is cached until the next
-/// mutation, so repeated reads of an unchanged relation sort once.
-/// The **order-demanded** signal is tracked separately from the cache:
-/// only genuinely ordered reads ([`SmallTail::sorted_run`]) set it,
-/// while index builds ([`SmallTail::cached_run`]) fill the cache
-/// without it — [`Relation`](crate::Relation) promotes a small
-/// relation to columnar runs when it mutates with the signal set and
-/// its size is above the hysteresis floor, and a relation probed by
-/// point lookups alone must never migrate.
+/// normalization, a join) and is cached until the next mutation, so
+/// repeated reads of an unchanged relation sort once. Building it is the
+/// **order-demanded** signal: [`Relation`](crate::Relation) promotes a
+/// small relation to columnar runs when it mutates with the signal set
+/// and its size is above the hysteresis floor. Membership probes never
+/// set it, so a relation probed by point lookups alone never migrates.
 ///
 /// The log holds at most one entry per tuple value: a re-insert of a
 /// tombstoned tuple revives its entry in place, and the log compacts
@@ -1042,8 +1035,8 @@ pub struct SmallTail {
     live: usize,
     /// Sorted view of the live tuples. Every mutation clears it.
     sorted: OnceLock<Arc<Run>>,
-    /// Was order demanded (not just an index build) since the last
-    /// mutation? Atomic because demands happen through `&self`.
+    /// Was order demanded since the last mutation? Atomic because
+    /// demands happen through `&self`.
     ordered: AtomicBool,
     stats: StatCells,
 }
@@ -1146,6 +1139,15 @@ impl SmallTail {
         self.log.iter().any(|(u, alive)| *alive && u == t)
     }
 
+    /// Membership probe on an interned key — one linear scan of the
+    /// log, building no `Tuple`.
+    pub(crate) fn contains_vids(&self, key: &[Vid]) -> bool {
+        self.stats.note_probe();
+        self.log
+            .iter()
+            .any(|(u, alive)| *alive && u.iter().zip(key).all(|(v, k)| k.value() == *v))
+    }
+
     /// Insert; `true` if newly inserted (or revived from a tombstone).
     pub fn insert(&mut self, t: Tuple) -> bool {
         debug_assert_eq!(t.arity(), self.arity);
@@ -1193,8 +1195,7 @@ impl SmallTail {
         self.log.iter().filter(|(_, alive)| *alive).map(|(t, _)| t)
     }
 
-    /// Has a consumer demanded order (not just an index) since the
-    /// last mutation?
+    /// Has a consumer demanded order since the last mutation?
     pub fn order_demanded(&self) -> bool {
         self.ordered.load(AtomicOrd::Relaxed)
     }
@@ -1204,16 +1205,6 @@ impl SmallTail {
     /// signal (see [`SmallTail::order_demanded`]).
     pub fn sorted_run(&self) -> &Arc<Run> {
         self.ordered.store(true, AtomicOrd::Relaxed);
-        self.cached_run()
-    }
-
-    /// The sorted run **without** registering an order demand — the
-    /// memoization path for index probes, which are point lookups and
-    /// must not push a small relation toward promotion however often
-    /// they repeat. The run (and the index views hanging off it) is
-    /// cached until the next mutation, so repeated probes of an
-    /// unchanged relation sort once.
-    pub(crate) fn cached_run(&self) -> &Arc<Run> {
         if self.sorted.get().is_none() {
             self.stats.note_fold();
         }

@@ -5,7 +5,7 @@
 //! message and its own silent-fallback bugs. This crate centralizes it:
 //! every override (`RTX_TRACE`, `RTX_PROPTEST_CASES`,
 //! `RTX_PROPTEST_SEED`, `RTX_BENCH_JSON`, `RTX_CHAOS_SEED`, …) goes
-//! through [`env`], so a typo'd value always produces the same loud,
+//! through [`mod@env`], so a typo'd value always produces the same loud,
 //! uniform warning instead of silently running the wrong
 //! configuration — which matters doubly for the chaos
 //! subsystem, where a mis-parsed seed would "replay" a different run.

@@ -3,9 +3,9 @@
 //!
 //! * genericity of constant-free queries: `Q(h(I)) = h(Q(I))`;
 //! * monotonicity of positive programs: `I ⊆ J ⇒ P(I) ⊆ P(J)`;
-//! * semi-naive Datalog evaluation, the T_P step and FO conjunctive
-//!   queries ≡ the naive reference semantics (`rtx-ref`) and
-//!   nested-loop models;
+//! * semi-naive Datalog evaluation, the T_P step, UCQ¬ queries and FO
+//!   conjunctive queries ≡ the naive reference semantics (`rtx-ref`)
+//!   and nested-loop models;
 //! * flooding disseminates to every node of random connected topologies;
 //! * distributed TC is consistent across random seeds/partitions;
 //! * the transducer update formula's conflict-resolution laws, and
@@ -419,6 +419,90 @@ fn random_db(pairs: &[(u8, u8)], singles: &[i64]) -> Instance {
     db
 }
 
+/// A random UCQ¬ over {E/2, S/1, D/1} of 1–3 rules, safe by
+/// construction: atoms mix variables (repeats included) with
+/// constants; negated atoms, nonequalities and heads use variables the
+/// positive atoms bind and constants, head constants lying inside or
+/// outside the active domain.
+fn random_ucq(seed: u64) -> rtx::query::UcqQuery {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rtx::query::{Atom, CqRule, Term, UcqQuery, Var};
+    const VARS: [&str; 3] = ["X", "Y", "Z"];
+    const RELS: [(&str, usize); 3] = [("E", 2), ("S", 1), ("D", 1)];
+    fn term(rng: &mut StdRng, bound: &[Var], consts: &[i64]) -> Term {
+        if bound.is_empty() || rng.gen_range(0usize..3) == 0 {
+            Term::cons(consts[rng.gen_range(0usize..consts.len())])
+        } else {
+            Term::Var(bound[rng.gen_range(0usize..bound.len())])
+        }
+    }
+    fn atom(rng: &mut StdRng, terms: impl FnMut(&mut StdRng) -> Term) -> Atom {
+        let (rel, arity) = RELS[rng.gen_range(0usize..RELS.len())];
+        let mut terms = terms;
+        Atom::new(rel, (0..arity).map(|_| terms(rng)).collect())
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arity = rng.gen_range(0usize..=2);
+    let mut rules = Vec::new();
+    for _ in 0..rng.gen_range(1usize..=3) {
+        let mut bound: Vec<Var> = Vec::new();
+        let mut pos = Vec::new();
+        for _ in 0..rng.gen_range(1usize..=3) {
+            pos.push(atom(&mut rng, |rng| {
+                if rng.gen_range(0usize..4) == 0 {
+                    Term::cons(rng.gen_range(0i64..8))
+                } else {
+                    let v = Var::new(VARS[rng.gen_range(0usize..VARS.len())]);
+                    bound.push(v);
+                    Term::Var(v)
+                }
+            }));
+        }
+        let values = [0, 1, 2, 3, 4, 5, 6, 7];
+        let mut neg = Vec::new();
+        if rng.gen_range(0usize..2) == 0 {
+            neg.push(atom(&mut rng, |rng| term(rng, &bound, &values)));
+        }
+        let mut diseq = Vec::new();
+        if rng.gen_range(0usize..3) == 0 {
+            let x = term(&mut rng, &bound, &values);
+            diseq.push((x, term(&mut rng, &bound, &values)));
+        }
+        // 99 is never in the active domain.
+        let head = (0..arity)
+            .map(|_| term(&mut rng, &bound, &[0, 5, 99]))
+            .collect();
+        rules.push(CqRule::new(head, pos, neg, diseq).expect("safe by construction"));
+    }
+    UcqQuery::new(arity, rules).expect("one head arity")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// UCQ¬ rules run on the shared body join; the reference fires them
+    /// by nested loops. E reaches past the executor's scan threshold, so
+    /// both of its access paths run; D is declared and often empty.
+    #[test]
+    fn ucq_matches_the_reference(
+        seed in 0u64..1_000_000,
+        pairs in proptest::collection::vec((0u8..8, 0u8..8), 0..40),
+        singles in proptest::collection::btree_set(0i64..8, 0..5),
+        ds in proptest::collection::btree_set(0i64..8, 0..3)) {
+        let q = random_ucq(seed);
+        let sch = Schema::new().with("E", 2).with("S", 1).with("D", 1);
+        let mut db = random_db(&pairs, &singles.iter().copied().collect::<Vec<_>>())
+            .widen(sch)
+            .unwrap();
+        for &d in &ds {
+            db.insert_fact(fact!("D", d)).unwrap();
+        }
+        let got: BTreeSet<Tuple> = q.eval(&db).unwrap().iter().cloned().collect();
+        prop_assert_eq!(got, rtx_ref::ucq(&q, &db), "{:?}", q);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -594,5 +678,59 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(cq.eval(&db).unwrap(), fo.eval(&db).unwrap());
+    }
+}
+
+/// Random character insertions, deletions and replacements of two seed
+/// programs, from a fixed seed, never make `parse_program` or
+/// `parse_dedalus` panic — nor `stratify` or `DedalusRuntime::new` on
+/// whatever parses.
+#[test]
+fn parsers_never_panic_on_mutated_programs() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use rtx::dedalus::{parse_dedalus, DedalusRuntime};
+    use rtx::query::parser::parse_program;
+    const DATALOG: &str = "% reachability, and what it misses
+        t(X,Y) :- e(X,Y).
+        t(X,Z) :- t(X,Y), e(Y,Z), X != Z.
+        u(X) :- n(X), !t(X,'hub'), t(X, 3).";
+    const DEDALUS: &str = "# a chain arriving over time
+        reach(X) :- src(X).
+        reach(Y) :- reach(X), edge(X,Y), !blocked(Y).
+        reach(X)@next :- reach(X).
+        msg(X, now)@async :- reach(X), X != 'a'.";
+    const ALPHABET: &[char] = &[
+        'a', 'z', 'X', '_', '0', '7', '(', ')', ',', '.', ':', '-', '!', '=', '@', '\'', ' ', '\n',
+        '%', '#', '<', '&', '|', 'é', '≠',
+    ];
+    assert!(parse_program(DATALOG).unwrap().stratify().is_ok());
+    DedalusRuntime::new(&parse_dedalus(DEDALUS).unwrap()).unwrap();
+    let mut rng = StdRng::seed_from_u64(0x5EED_9A25);
+    for seed in [DATALOG, DEDALUS] {
+        for _ in 0..5_000 {
+            let mut chars: Vec<char> = seed.chars().collect();
+            for _ in 0..rng.gen_range(1usize..=4) {
+                let c = ALPHABET[rng.gen_range(0usize..ALPHABET.len())];
+                let i = rng.gen_range(0usize..chars.len());
+                match rng.gen_range(0usize..3) {
+                    0 => chars.insert(i, c),
+                    1 => {
+                        chars.remove(i);
+                    }
+                    _ => chars[i] = c,
+                }
+            }
+            let src: String = chars.into_iter().collect();
+            let outcome = std::panic::catch_unwind(|| {
+                if let Ok(p) = parse_program(&src) {
+                    let _ = p.stratify();
+                }
+                if let Ok(p) = parse_dedalus(&src) {
+                    let _ = DedalusRuntime::new(&p);
+                }
+            });
+            assert!(outcome.is_ok(), "a parser panicked on {src:?}");
+        }
     }
 }

@@ -346,18 +346,19 @@ proptest! {
 fn relation_views_survive_point_writes_and_folds() {
     let (mut rel, mut model) = relation_and_model(&[(1, 2), (2, 2), (3, 1)], true);
     let check = |rel: &Relation, model: &BTreeSet<Tuple>| {
-        let index = rel.index(&[1]).unwrap();
+        let run = rel.columnar_run();
+        let view = run.view(&[1]);
         for b in 0..12 {
             let want: Vec<Tuple> = model
                 .iter()
                 .filter(|t| t.values()[1] == Value::Int(b))
                 .cloned()
                 .collect();
-            assert_eq!(
-                index.probe(&[Value::Int(b)]).to_vec(),
-                want,
-                "second column {b}"
-            );
+            let got: Vec<Tuple> = view
+                .probe_rows(&[Vid::from_value(&Value::Int(b))])
+                .map(|i| run.rows()[i].clone())
+                .collect();
+            assert_eq!(got, want, "second column {b}");
         }
         assert_matches(rel, model);
     };
