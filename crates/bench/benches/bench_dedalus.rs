@@ -1,14 +1,12 @@
 //! THM-18 benchmark: the Dedalus Turing-machine simulation — ticks and
 //! wall time vs word length, against the direct interpreter baseline —
-//! plus the delta-vs-clone store ablation on the TM simulation and on a
-//! larger transitive-closure workload, and the cross-tick
-//! incremental-vs-scratch fixpoint ablation (`dedalus-tc-fixpoint`,
-//! `dedalus-tm-fixpoint`).
+//! plus `DedalusRuntime::run` with its cross-tick maintained fixpoint
+//! on a transitive-closure workload and on the TM program
+//! (`dedalus-tc-fixpoint`, `dedalus-tm-fixpoint`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_dedalus::{
-    simulate_word, DedalusOptions, DedalusProgram, DedalusRuntime, FixpointMode, InputSchedule,
-    StoreMode, TemporalFacts,
+    simulate_word, DedalusOptions, DedalusProgram, DedalusRuntime, InputSchedule, TemporalFacts,
 };
 use rtx_machine::machines;
 use rtx_query::atom;
@@ -50,96 +48,24 @@ fn bench_dedalus(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Store ablation on the TM simulation: the compiled Theorem 18
-    // program through the delta store vs the seed clone-per-tick loop,
-    // at the largest existing length and one size up.
-    let mut group = c.benchmark_group("dedalus-tm-store");
-    group.sample_size(10);
-    let program = rtx_dedalus::compile_tm(&m).unwrap();
-    let rt = DedalusRuntime::new(&program).unwrap();
-    for len in [6usize, 8] {
-        let word: String = "ab".repeat(len / 2);
-        let input = rtx_machine::encode_word(&word, m.input_alphabet().iter().copied()).unwrap();
-        let edb = TemporalFacts::all_at_zero(&input);
-        for (label, mode) in [("delta", StoreMode::Delta), ("clone", StoreMode::Cloning)] {
-            group.bench_with_input(BenchmarkId::new(label, len), &len, |b, _| {
-                b.iter(|| {
-                    // Fixpoint pinned to Scratch: this group isolates
-                    // the store ablation (see dedalus-*-fixpoint for
-                    // the incremental-maintenance comparison).
-                    let trace = rt
-                        .run_with_fixpoint(&edb, &opts, mode, FixpointMode::Scratch)
-                        .unwrap();
-                    assert!(trace.converged_at.is_some());
-                    trace.ticks.len()
-                })
-            });
-        }
-    }
-    group.finish();
-
-    // Store ablation on a persistence-heavy transitive-closure
-    // workload: edges trickle in over the first ticks, the deductive
-    // rules re-close the graph every tick, persistence re-derives the
-    // whole carry — the worst case for clone-per-tick.
-    let mut group = c.benchmark_group("dedalus-tc-store");
-    group.sample_size(10);
-    let program = tc_program();
-    let rt = DedalusRuntime::new(&program).unwrap();
-    for n in [16usize, 32] {
-        let mut edb = TemporalFacts::new();
-        for i in 0..n as i64 {
-            edb.insert(
-                (i as u64) % 4,
-                Fact::new(
-                    "e",
-                    rtx_relational::Tuple::new(vec![
-                        rtx_relational::Value::int(i),
-                        rtx_relational::Value::int(i + 1),
-                    ]),
-                ),
-            );
-        }
-        let tc_opts = DedalusOptions {
-            max_ticks: 64,
-            async_max_delay: 1,
-            seed: 0,
-            async_faults: None,
-        };
-        for (label, mode) in [("delta", StoreMode::Delta), ("clone", StoreMode::Cloning)] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    let trace = rt
-                        .run_with_fixpoint(&edb, &tc_opts, mode, FixpointMode::Scratch)
-                        .unwrap();
-                    assert!(trace.converged_at.is_some());
-                    trace.last().fact_count()
-                })
-            });
-        }
-    }
-    group.finish();
 }
 
-/// The cross-tick incremental fixpoint ablation: the same delta store
-/// either re-derives the whole IDB per tick (`FixpointMode::Scratch`,
-/// the seed path) or maintains it under the tick's base ±
-/// (`FixpointMode::Incremental`, counting-based DRed). The TC workload
-/// is the incremental sweet spot — after the arrival ticks the base
-/// stops changing and maintenance is a no-op, while scratch re-closes
-/// the graph all the way to convergence. The TM workload retracts and
+/// `DedalusRuntime::run` maintaining its deductive IDB across ticks
+/// (counting-based DRed) under the tick's base ±. The TC workload is
+/// the maintenance sweet spot — after the arrival ticks the base stops
+/// changing and maintenance is a no-op. The TM workload retracts and
 /// re-derives a few facts every tick (head moves, state flips), so it
-/// measures the DRed path under churn.
-fn bench_fixpoint_modes(c: &mut Criterion) {
+/// measures the DRed path under churn. The rows keep their
+/// `incremental` label.
+fn bench_fixpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("dedalus-tc-fixpoint");
     group.sample_size(10);
     let program = tc_program();
     let rt = DedalusRuntime::new(&program).unwrap();
     for n in [32usize, 64] {
         // One edge arrives per tick: the run spans ~n ticks, each with
-        // a one-fact base delta — scratch re-closes the whole graph
-        // every tick, maintenance touches only the new paths.
+        // a one-fact base delta — maintenance touches only the new
+        // paths.
         let mut edb = TemporalFacts::new();
         for i in 0..n as i64 {
             edb.insert(
@@ -159,20 +85,13 @@ fn bench_fixpoint_modes(c: &mut Criterion) {
             seed: 0,
             async_faults: None,
         };
-        for (label, mode) in [
-            ("incremental", FixpointMode::Incremental),
-            ("scratch", FixpointMode::Scratch),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    let trace = rt
-                        .run_with_fixpoint(&edb, &opts, StoreMode::Delta, mode)
-                        .unwrap();
-                    assert!(trace.converged_at.is_some());
-                    trace.last().fact_count()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("incremental", n), &n, |b, _| {
+            b.iter(|| {
+                let trace = rt.run(&edb, &opts).unwrap();
+                assert!(trace.converged_at.is_some());
+                trace.last().fact_count()
+            })
+        });
     }
     group.finish();
 
@@ -191,20 +110,13 @@ fn bench_fixpoint_modes(c: &mut Criterion) {
         let word: String = "ab".repeat(len / 2);
         let input = rtx_machine::encode_word(&word, m.input_alphabet().iter().copied()).unwrap();
         let edb = TemporalFacts::all_at_zero(&input);
-        for (label, mode) in [
-            ("incremental", FixpointMode::Incremental),
-            ("scratch", FixpointMode::Scratch),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, len), &len, |b, _| {
-                b.iter(|| {
-                    let trace = rt
-                        .run_with_fixpoint(&edb, &opts, StoreMode::Delta, mode)
-                        .unwrap();
-                    assert!(trace.converged_at.is_some());
-                    trace.ticks.len()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("incremental", len), &len, |b, _| {
+            b.iter(|| {
+                let trace = rt.run(&edb, &opts).unwrap();
+                assert!(trace.converged_at.is_some());
+                trace.ticks.len()
+            })
+        });
     }
     group.finish();
 }
@@ -222,5 +134,5 @@ fn tc_program() -> DedalusProgram {
     .unwrap()
 }
 
-criterion_group!(benches, bench_dedalus, bench_fixpoint_modes);
+criterion_group!(benches, bench_dedalus, bench_fixpoint);
 criterion_main!(benches);

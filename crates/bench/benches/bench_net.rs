@@ -1,7 +1,8 @@
 //! Sharded vs serial round-synchronous network execution.
 //!
-//! Measures `rtx_net::run_sharded` wall time at `ExecMode::Serial`
-//! against `ExecMode::Sharded` on ring / grid / random topologies from
+//! Measures `rtx_net::run_sharded` wall time on one thread
+//! (`ShardOptions::serial()`) against `ShardOptions::sharded(n)` on
+//! ring / grid / random topologies from
 //! 64 to 1024 nodes. Each iteration executes a *fixed* transition
 //! budget (not to-quiescence), so serial and sharded runs do exactly
 //! the same work — the executors are bit-identical by construction —

@@ -16,9 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Calibration, Criterion};
 use rtx_bench::set_input;
 use rtx_calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx_dedalus::{
-    DedalusOptions, DedalusProgram, DedalusRuntime, FixpointMode, StoreMode, TemporalFacts,
-};
+use rtx_dedalus::{DedalusOptions, DedalusProgram, DedalusRuntime, TemporalFacts};
 use rtx_net::{run_sharded, HorizontalPartition, Network, RunBudget, ShardOptions};
 use rtx_obs::trace;
 use rtx_obs::TraceLevel;
@@ -107,15 +105,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
             |b, &lv| {
                 let _guard = trace::level_guard(lv);
                 b.iter(|| {
-                    let (trace_out, _trace) = trace::capture_run(|| {
-                        rt.run_with_fixpoint(
-                            &edb,
-                            &opts,
-                            StoreMode::Delta,
-                            FixpointMode::Incremental,
-                        )
-                        .unwrap()
-                    });
+                    let (trace_out, _trace) = trace::capture_run(|| rt.run(&edb, &opts).unwrap());
                     assert!(trace_out.converged_at.is_some());
                     trace_out.ticks.len()
                 })

@@ -1,7 +1,7 @@
 //! Bench regression guard: diff a fresh `RTX_BENCH_JSON` run against
 //! the committed `BENCH_baseline.json`.
 //!
-//! The report is **informational** — the 1-core CI container is far too
+//! The report is **informational** — a shared CI container is far too
 //! noisy to fail a build on wall-clock ratios — but it makes drift
 //! visible per bench group: each group gets the geometric mean of its
 //! per-record `fresh / baseline` ratios (over the outlier-robust median
@@ -14,6 +14,7 @@
 //! ```
 
 use crate::Table;
+use rtx_obs::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// One record of a `RTX_BENCH_JSON` file (a subset of the criterion
@@ -40,101 +41,40 @@ impl BenchEntry {
     }
 }
 
-/// Parse the JSON array emitted by the criterion stand-in.
-///
-/// This is a purpose-built reader for that writer's output (flat array
-/// of flat objects, string values without escapes beyond `\"` and
-/// `\\`, unsigned integer numbers) — not a general JSON parser.
+/// Parse the JSON array emitted by the criterion stand-in, through
+/// [`rtx_obs::json::parse`]. Every record needs a string `name` and
+/// unsigned integer `mean_ns` and `min_ns`; `median_ns` and `mad_ns`
+/// are optional, and other fields are ignored.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let body = text.trim();
-    let inner = body
-        .strip_prefix('[')
-        .and_then(|s| s.strip_suffix(']'))
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let records = doc
+        .items()
         .ok_or_else(|| "expected a top-level JSON array".to_string())?;
-    let mut out = Vec::new();
-    let mut rest = inner;
-    while let Some(start) = rest.find('{') {
-        let end = rest[start..]
-            .find('}')
-            .ok_or_else(|| "unterminated object".to_string())?
-            + start;
-        let obj = &rest[start + 1..end];
-        out.push(parse_object(obj)?);
-        rest = &rest[end + 1..];
-    }
-    Ok(out)
-}
-
-fn parse_object(obj: &str) -> Result<BenchEntry, String> {
-    let mut name = None;
-    let mut fields: BTreeMap<String, u128> = BTreeMap::new();
-    for part in split_fields(obj) {
-        let (key, value) = part
-            .split_once(':')
-            .ok_or_else(|| format!("malformed field `{part}`"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value = value.trim();
-        if let Some(stripped) = value.strip_prefix('"') {
-            let s = stripped
-                .strip_suffix('"')
-                .ok_or_else(|| format!("unterminated string in `{part}`"))?;
-            if key == "name" {
-                name = Some(s.replace("\\\"", "\"").replace("\\\\", "\\"));
-            }
-        } else {
-            let n: u128 = value
-                .parse()
-                .map_err(|_| format!("non-numeric value `{value}` for `{key}`"))?;
-            fields.insert(key, n);
-        }
-    }
-    let name = name.ok_or_else(|| "record without a name".to_string())?;
-    let get = |k: &str| -> Result<u128, String> {
-        fields
-            .get(k)
-            .copied()
-            .ok_or_else(|| format!("record `{name}` missing `{k}`"))
-    };
-    Ok(BenchEntry {
-        mean_ns: get("mean_ns")?,
-        min_ns: get("min_ns")?,
-        median_ns: fields.get("median_ns").copied(),
-        mad_ns: fields.get("mad_ns").copied(),
-        name,
-    })
-}
-
-/// Split `a: 1, b: "x, y"` into fields, respecting quotes.
-fn split_fields(obj: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in obj.chars() {
-        match c {
-            '\\' if in_str && !escaped => {
-                escaped = true;
-                cur.push(c);
-                continue;
-            }
-            '"' if !escaped => in_str = !in_str,
-            ',' if !in_str => {
-                if !cur.trim().is_empty() {
-                    parts.push(cur.trim().to_string());
+    records
+        .iter()
+        .map(|r| {
+            let name = r
+                .get("name")
+                .and_then(Json::str)
+                .ok_or_else(|| "record without a name".to_string())?;
+            let field = |k: &str| -> Result<Option<u128>, String> {
+                match r.get(k) {
+                    None => Ok(None),
+                    Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u128)),
+                    Some(v) => Err(format!("record `{name}`: `{k}` is not a count: {v:?}")),
                 }
-                cur.clear();
-                escaped = false;
-                continue;
-            }
-            _ => {}
-        }
-        escaped = false;
-        cur.push(c);
-    }
-    if !cur.trim().is_empty() {
-        parts.push(cur.trim().to_string());
-    }
-    parts
+            };
+            let required =
+                |k: &str| field(k)?.ok_or_else(|| format!("record `{name}` missing `{k}`"));
+            Ok(BenchEntry {
+                name: name.to_string(),
+                mean_ns: required("mean_ns")?,
+                min_ns: required("min_ns")?,
+                median_ns: field("median_ns")?,
+                mad_ns: field("mad_ns")?,
+            })
+        })
+        .collect()
 }
 
 /// Per-group comparison of a fresh run against a baseline.
@@ -218,7 +158,7 @@ pub fn render_report(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> String {
     let mut out = t.render();
     out.push_str(&format!(
         "{} record(s) matched across {} group(s); {} fresh / {} baseline records total.\n\
-         Informational only — the committed baseline was recorded on a 1-core container.\n",
+         Informational only — compare runs recorded on the same host.\n",
         matched,
         diffs.len(),
         fresh.len(),
@@ -271,6 +211,14 @@ mod tests {
             "[{\"name\": \"g/say \\\"hi\\\"\", \"iters\": 1, \"mean_ns\": 5, \"min_ns\": 5}]";
         let parsed = parse_bench_json(text).unwrap();
         assert_eq!(parsed[0].name, "g/say \"hi\"");
+        // braces and commas inside a label do not end the record
+        let text = "[{\"name\": \"g/set {a,b}\", \"mean_ns\": 5, \"min_ns\": 4},\n\
+                    {\"name\": \"g/b\", \"mean_ns\": 7, \"min_ns\": 6}]";
+        let parsed = parse_bench_json(text).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].name, "g/set {a,b}");
+        assert_eq!(parsed[0].min_ns, 4);
+        assert_eq!(parsed[1].mean_ns, 7);
     }
 
     #[test]

@@ -13,13 +13,11 @@
 //!   semantics). Every concrete decision is a pure seeded draw, so any
 //!   run is exactly reproducible from `(topology, program, FaultPlan,
 //!   seed)`.
-//! * [`FaultSession`] — a plan + seed driving either driver: as the
-//!   fault hook of `rtx_net::run_sharded_faulted` or
-//!   `rtx_net::run_sparse_faulted` it composes with
-//!   `ExecMode::{Serial,Sharded}` and `DeliveryPolicy::Batch` without
-//!   breaking the serial ≡ sharded bit-identity property, and
-//!   [`run_scheduled_faulted`] drives the seed's fine-grained
-//!   scheduler-based executor under the same plan.
+//! * [`FaultSession`] — a plan + seed as the fault hook of
+//!   `rtx_net::run_sharded_faulted` or `rtx_net::run_sparse_faulted`:
+//!   it composes with any `ShardOptions::threads` and
+//!   `DeliveryPolicy::Batch` without breaking the serial ≡ sharded
+//!   bit-identity property.
 //! * [`explore`] — the schedule explorer: N adversarial runs (targeted
 //!   heuristics plus seeded random search) with a confluence check
 //!   against the fault-free reference, reporting either *consistent
@@ -43,5 +41,5 @@ pub use explore::{
     DedalusDivergence, DedalusExploreReport, Divergence, ExploreReport, ExplorerOptions,
 };
 pub use plan::{Crash, CrashKind, FaultPlan, LinkFaults, Partition};
-pub use session::{run_scheduled_faulted, FaultSession};
+pub use session::FaultSession;
 pub use strategy::{Adversary, AsyncPlanStrategy, FaultPlanStrategy};

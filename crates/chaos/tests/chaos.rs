@@ -16,14 +16,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rtx_calm::examples;
 use rtx_chaos::{
-    cross_validate, directed_edges, explore, explore_dedalus, run_scheduled_faulted, Adversary,
-    Crash, CrashKind, ExplorerOptions, FaultPlan, FaultPlanStrategy, FaultSession,
+    cross_validate, directed_edges, explore, explore_dedalus, Adversary, Crash, CrashKind,
+    ExplorerOptions, FaultPlan, FaultPlanStrategy, FaultSession,
 };
 use rtx_dedalus::{DRule, DTime, DedalusOptions, DedalusProgram, TemporalFacts};
 use rtx_net::fault::FaultHook;
 use rtx_net::{
-    run_sharded, run_sharded_faulted, run_sparse_faulted, DeliveryPolicy, FifoRoundRobin,
-    HorizontalPartition, NetError, Network, RunBudget, ShardOptions, ShardRunOutcome,
+    run_sharded, run_sharded_faulted, run_sparse_faulted, DeliveryPolicy, HorizontalPartition,
+    NetError, Network, RunBudget, ShardOptions, ShardRunOutcome,
 };
 use rtx_query::atom;
 use rtx_relational::{fact, Instance, Schema};
@@ -145,8 +145,7 @@ proptest! {
 
     /// Satellite: a crashed-then-restarted node with persistent EDB
     /// reaches the same quiescent output as an uncrashed run for
-    /// monotone programs, on both round schedules and on the scheduler
-    /// driver. The monotone program is
+    /// monotone programs, on both round schedules. The monotone program is
     /// the paper's naive distributed TC (Example 3, unconditional
     /// flooding): its output quiesces at the global closure even though
     /// its buffers never drain, so the runs compare outputs at the
@@ -184,12 +183,6 @@ proptest! {
                 "{} round schedule must recover the reference output, got {:?}",
                 name, round.outcome.output);
         }
-        let sched = run_scheduled_faulted(
-            &net, &t, &p, &mut FifoRoundRobin::new(), &budget, &session,
-        ).unwrap();
-        prop_assert!(sched.reached_target,
-            "scheduler executor must recover the reference output, got {:?}",
-            sched.output);
     }
 }
 

@@ -17,9 +17,6 @@ pub mod parser;
 pub mod tm;
 
 pub use ast::{DRule, DTime, DedalusProgram};
-pub use eval::{
-    run_dedalus, AsyncFaultPlan, DedalusOptions, DedalusRuntime, FixpointMode, StoreMode,
-    TemporalFacts, Trace,
-};
+pub use eval::{run_dedalus, AsyncFaultPlan, DedalusOptions, DedalusRuntime, TemporalFacts, Trace};
 pub use parser::parse_dedalus;
 pub use tm::{compile_tm, simulate_instance, simulate_word, InputSchedule, Thm18Outcome};

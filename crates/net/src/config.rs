@@ -8,25 +8,12 @@
 //! recovered by ignoring the order.
 
 use crate::error::NetError;
-use crate::fault::SendFate;
 use crate::partition::HorizontalPartition;
 use crate::topology::{Network, NodeId};
 use rtx_relational::{Fact, FactMultiset, Instance, Relation};
 use rtx_transducer::{all_relation, Transducer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-
-/// A send interceptor for the scheduler-driven executor: decides the
-/// fate of the `k`-th fact a transitioning node sends to one neighbor.
-/// See [`crate::fault::FaultHook::on_send`] — this is the same decision
-/// surface, shaped for [`Configuration::apply_heartbeat_intercepted`] /
-/// [`Configuration::apply_delivery_intercepted`], which work in node
-/// ids rather than indices.
-pub type SendInterceptor<'a> = dyn FnMut(&NodeId, &NodeId, usize, &Fact) -> SendFate + 'a;
-
-/// Where intercepted copies with a nonzero delay go: `(destination,
-/// extra delay, fact)`, owned by the driver that manages maturity.
-pub type DelayedSends = Vec<(NodeId, u64, Fact)>;
 
 /// What kind of global transition happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -286,14 +273,7 @@ impl Configuration {
         node: &NodeId,
     ) -> Result<TransitionRecord, NetError> {
         let empty = Instance::empty(transducer.schema().message().clone());
-        self.apply(
-            net,
-            transducer,
-            node,
-            empty,
-            TransitionKind::Heartbeat,
-            None,
-        )
+        self.apply(net, transducer, node, empty, TransitionKind::Heartbeat)
     }
 
     /// Apply a delivery transition at `node`, reading the buffered fact
@@ -305,64 +285,6 @@ impl Configuration {
         node: &NodeId,
         index: usize,
     ) -> Result<TransitionRecord, NetError> {
-        let (received, kind) = self.take_delivery(transducer, node, index)?;
-        self.apply(net, transducer, node, received, kind, None)
-    }
-
-    /// Like [`Configuration::apply_heartbeat`], but every sent copy's
-    /// fate is decided by `intercept`; copies fated with a nonzero delay
-    /// are pushed onto `delayed` as `(destination, extra delay, fact)`
-    /// instead of being enqueued — the caller owns their maturity (see
-    /// [`Configuration::enqueue_fact`]).
-    pub fn apply_heartbeat_intercepted(
-        &mut self,
-        net: &Network,
-        transducer: &Transducer,
-        node: &NodeId,
-        intercept: &mut SendInterceptor<'_>,
-        delayed: &mut DelayedSends,
-    ) -> Result<TransitionRecord, NetError> {
-        let empty = Instance::empty(transducer.schema().message().clone());
-        self.apply(
-            net,
-            transducer,
-            node,
-            empty,
-            TransitionKind::Heartbeat,
-            Some((intercept, delayed)),
-        )
-    }
-
-    /// Like [`Configuration::apply_delivery`], with send interception
-    /// (see [`Configuration::apply_heartbeat_intercepted`]).
-    pub fn apply_delivery_intercepted(
-        &mut self,
-        net: &Network,
-        transducer: &Transducer,
-        node: &NodeId,
-        index: usize,
-        intercept: &mut SendInterceptor<'_>,
-        delayed: &mut DelayedSends,
-    ) -> Result<TransitionRecord, NetError> {
-        let (received, kind) = self.take_delivery(transducer, node, index)?;
-        self.apply(
-            net,
-            transducer,
-            node,
-            received,
-            kind,
-            Some((intercept, delayed)),
-        )
-    }
-
-    /// Remove the buffered fact at `index` of `node` and wrap it as a
-    /// received message instance.
-    fn take_delivery(
-        &mut self,
-        transducer: &Transducer,
-        node: &NodeId,
-        index: usize,
-    ) -> Result<(Instance, TransitionKind), NetError> {
         let buf = self
             .buffers
             .get_mut(node)
@@ -376,45 +298,13 @@ impl Configuration {
         let fact = buf.remove(index);
         let mut received = Instance::empty(transducer.schema().message().clone());
         received.insert_fact(fact.clone()).map_err(NetError::Rel)?;
-        Ok((received, TransitionKind::Delivery(fact)))
-    }
-
-    /// Enqueue a fact into a node's buffer directly. Fault-injection
-    /// hook: the release of a matured delayed/duplicated in-flight copy.
-    pub fn enqueue_fact(&mut self, node: &NodeId, fact: Fact) -> Result<(), NetError> {
-        self.buffers
-            .get_mut(node)
-            .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?
-            .push(fact);
-        Ok(())
-    }
-
-    /// Drop every buffered message at a node (a lossy crash). Returns
-    /// how many messages were lost.
-    pub fn clear_buffer(&mut self, node: &NodeId) -> Result<usize, NetError> {
-        let buf = self
-            .buffers
-            .get_mut(node)
-            .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
-        let n = buf.len();
-        buf.clear();
-        Ok(n)
-    }
-
-    /// Clear a node's memory relations — a restart under the
-    /// *persistent-EDB* semantics: the input fragment and `Id`/`All` are
-    /// durable, soft state is lost. Returns whether anything was
-    /// cleared.
-    pub fn wipe_memory(
-        &mut self,
-        transducer: &Transducer,
-        node: &NodeId,
-    ) -> Result<bool, NetError> {
-        let state = self
-            .states
-            .get_mut(node)
-            .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
-        wipe_memory_relations(transducer, state).map_err(NetError::Rel)
+        self.apply(
+            net,
+            transducer,
+            node,
+            received,
+            TransitionKind::Delivery(fact),
+        )
     }
 
     fn apply(
@@ -424,7 +314,6 @@ impl Configuration {
         node: &NodeId,
         received: Instance,
         kind: TransitionKind,
-        mut faults: Option<(&mut SendInterceptor<'_>, &mut DelayedSends)>,
     ) -> Result<TransitionRecord, NetError> {
         let state = self
             .states
@@ -447,27 +336,8 @@ impl Configuration {
                 .buffers
                 .get_mut(neighbor)
                 .ok_or_else(|| no_buffer(neighbor))?;
-            match &mut faults {
-                None => {
-                    for f in &sent {
-                        buf.push(f.clone());
-                        enqueued += 1;
-                    }
-                }
-                Some((intercept, delayed)) => {
-                    for (k, f) in sent.iter().enumerate() {
-                        let fate = intercept(node, neighbor, k, f);
-                        for &d in &fate.delays {
-                            if d == 0 {
-                                buf.push(f.clone());
-                            } else {
-                                delayed.push((*neighbor, d, f.clone()));
-                            }
-                            enqueued += 1;
-                        }
-                    }
-                }
-            }
+            buf.extend(sent.iter().cloned());
+            enqueued += sent.len();
         }
         self.states.insert(*node, res.new_state);
         Ok(TransitionRecord {
@@ -601,8 +471,9 @@ impl ActivationSet {
 }
 
 /// Clear the memory relations of a transducer state in place; `true`
-/// when anything was cleared. Shared by [`Configuration::wipe_memory`]
-/// and the sharded executor's restart jobs.
+/// when anything was cleared. The round coordinator's restart jobs run
+/// this under the persistent-EDB semantics: the input fragment and
+/// `Id`/`All` are durable, soft state is lost.
 pub(crate) fn wipe_memory_relations(
     transducer: &Transducer,
     state: &mut Instance,

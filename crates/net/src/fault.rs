@@ -9,8 +9,8 @@
 //! duplication, loss) and the per-round status of every node
 //! ([`NodeFault`]: crash, down, restart). The hook is consulted only by
 //! the **coordinator** side of the round-synchronous executor — never
-//! by worker shards — so fault injection composes with
-//! [`crate::ExecMode::Sharded`] and [`crate::DeliveryPolicy::Batch`]
+//! by worker shards — so fault injection composes with any
+//! [`crate::ShardOptions::threads`] and [`crate::DeliveryPolicy::Batch`]
 //! without breaking the serial ≡ sharded bit-identity property: all
 //! fault decisions are functions of `(time, node index, edge, send
 //! index)`, which are thread-count independent.
@@ -28,9 +28,8 @@ use rtx_relational::Fact;
 
 /// The fate of one sent fact on one directed edge: one entry per
 /// delivered copy, each with an extra delay in scheduling units
-/// (rounds for the round-synchronous executor, steps for the
-/// scheduler-driven one). The empty fate drops the message; more than
-/// one entry duplicates it.
+/// (rounds of the round coordinator). The empty fate drops the
+/// message; more than one entry duplicates it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SendFate {
     /// Extra delay of each delivered copy, in scheduling units.

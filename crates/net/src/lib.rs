@@ -17,10 +17,11 @@
 //! * [`run`] — the seed's serial driver: one global transition at a
 //!   time, delivery order chosen by a [`Scheduler`].
 //! * the round coordinator: each round heartbeats the scheduled nodes
-//!   and delivers one buffered fact per node with mail, with the
-//!   per-node steps computed in parallel across worker shards
-//!   ([`ExecMode::Sharded`]) or serially ([`ExecMode::Serial`]); results
-//!   are bit-identical across thread counts. Its entry points choose the
+//!   and delivers the oldest buffered fact of every node with mail, with
+//!   the per-node steps computed across [`ShardOptions::threads`] worker
+//!   shards; results are bit-identical across thread counts. Under a
+//!   [`FaultHook`] (the `*_faulted` entry points) it is also the one
+//!   driver of faulted runs. Its entry points choose the
 //!   schedule: [`run_sharded`] never parks, so every up node heartbeats
 //!   every round (the FIFO round-synchronous runs of Theorem 16), while
 //!   [`run_sparse`] parks quiescent nodes and schedules only armed or
@@ -40,10 +41,7 @@ mod shard;
 pub mod sparse;
 mod topology;
 
-pub use config::{
-    ActivationSet, Configuration, DelayedSends, SendInterceptor, TransitionKind, TransitionLog,
-    TransitionRecord,
-};
+pub use config::{ActivationSet, Configuration, TransitionKind, TransitionLog, TransitionRecord};
 pub use error::NetError;
 pub use fault::{FaultHook, NoFaults, NodeFault, SendFate};
 pub use partition::HorizontalPartition;
@@ -53,7 +51,7 @@ pub use run::{
 };
 pub use shard::{
     run_sharded, run_sharded_faulted, run_sharded_faulted_from, run_sharded_from, DeliveryPolicy,
-    ExecMode, RoundScheduling, ShardOptions, ShardRunOutcome,
+    ShardOptions, ShardRunOutcome,
 };
 pub use sparse::{run_sparse, run_sparse_faulted, run_sparse_faulted_from, run_sparse_from};
 pub use topology::{Network, NodeId};

@@ -511,12 +511,23 @@ pub fn run_heartbeats_only(
 mod tests {
     use super::*;
     use rtx_query::{atom, CqBuilder, QueryRef, Term, UcqQuery};
-    use rtx_relational::{fact, tuple, Instance, Schema};
+    use rtx_relational::{fact, tuple, Fact, Instance, Schema};
     use rtx_transducer::TransducerBuilder;
     use std::sync::Arc;
 
     fn cq(rule: rtx_query::CqRule) -> QueryRef {
         Arc::new(UcqQuery::single(rule))
+    }
+
+    /// `cfg` with `fact` appended to the buffer of `node`.
+    fn with_mail(cfg: Configuration, node: &str, fact: Fact) -> Configuration {
+        let node = rtx_relational::Value::sym(node);
+        Configuration::from_parts(cfg.into_parts().into_iter().map(|(n, st, mut buf)| {
+            if n == node {
+                buf.push(fact.clone());
+            }
+            (n, st, buf)
+        }))
     }
 
     /// Deduplicating flooder: sends unseen S/M facts, stores everything
@@ -733,11 +744,13 @@ mod tests {
         let net = Network::line(3).unwrap();
         let t = dedup_flooder();
         let p = HorizontalPartition::round_robin(&net, &input_s(&[]));
-        let mut cfg = Configuration::initial(&net, &t, &p).unwrap();
         // one buffered fact at n1; never applied, so the plan's skip
         // logic sees a stable configuration
-        let n1 = rtx_relational::Value::sym("n1");
-        cfg.enqueue_fact(&n1, fact!("M", 7)).unwrap();
+        let cfg = with_mail(
+            Configuration::initial(&net, &t, &p).unwrap(),
+            "n1",
+            fact!("M", 7),
+        );
         let mut sched = FifoRoundRobin::new();
         // round plan: HB n0, n1, n2 then DeliverOldest n0 (skip), n1, n2 (skip)
         for expected_rounds in [0usize, 0, 0] {
@@ -770,9 +783,11 @@ mod tests {
         let net = Network::line(3).unwrap();
         let t = dedup_flooder();
         let p = HorizontalPartition::round_robin(&net, &input_s(&[]));
-        let mut cfg = Configuration::initial(&net, &t, &p).unwrap();
-        let n1 = rtx_relational::Value::sym("n1");
-        cfg.enqueue_fact(&n1, fact!("M", 7)).unwrap();
+        let cfg = with_mail(
+            Configuration::initial(&net, &t, &p).unwrap(),
+            "n1",
+            fact!("M", 7),
+        );
         let mut sched = FifoRoundRobin::new();
         let out = run_from(&net, &t, cfg, &mut sched, &RunBudget::steps(2)).unwrap();
         assert_eq!(out.steps, 2);
@@ -784,9 +799,11 @@ mod tests {
         let net = Network::line(2).unwrap();
         let t = dedup_flooder();
         let p = HorizontalPartition::round_robin(&net, &input_s(&[]));
-        let mut cfg = Configuration::initial(&net, &t, &p).unwrap();
-        let n0 = rtx_relational::Value::sym("n0");
-        cfg.enqueue_fact(&n0, fact!("M", 1)).unwrap();
+        let cfg = with_mail(
+            Configuration::initial(&net, &t, &p).unwrap(),
+            "n0",
+            fact!("M", 1),
+        );
         let mut sched = LifoRoundRobin::new();
         // plan: HB n0, HB n1, DeliverNewest n0, DeliverNewest n1 (skip)
         sched.next_action(&cfg, &net);

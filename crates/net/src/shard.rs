@@ -17,11 +17,10 @@
 //!    destination buffers in a fixed (sender, edge) order, so buffer
 //!    contents are independent of shard interleaving.
 //! 4. **Delivery phase** — every up node with mail at the barrier
-//!    delivers one buffered fact (the oldest under
-//!    [`RoundScheduling::Fifo`]; a seeded-random one under
-//!    [`RoundScheduling::Random`]). The delivered facts are removed
-//!    *before* the phase, so deliveries of a round are independent too
-//!    and run in parallel; their outboxes merge at the next barrier.
+//!    delivers its oldest buffered fact (FIFO buffers). The delivered
+//!    facts are removed *before* the phase, so deliveries of a round
+//!    are independent too and run in parallel; their outboxes merge at
+//!    the next barrier.
 //!
 //! The two round schedules differ only in which nodes a heartbeat phase
 //! schedules and in how quiescence is certified:
@@ -36,9 +35,9 @@
 //! Every such run is a legal run of the paper's semantics (a particular
 //! fair interleaving: deliveries of a round are simply scheduled after
 //! all its heartbeats), and it is **deterministic by construction**:
-//! [`ExecMode::Sharded`] with any thread count produces the same
-//! transitions, in the same order, as [`ExecMode::Serial`] —
-//! bit-identical outputs, final configuration and [`TransitionLog`].
+//! any [`ShardOptions::threads`] produces the same transitions, in the
+//! same order, as one thread — bit-identical outputs, final
+//! configuration and [`TransitionLog`].
 //! The invariant is property-tested in the workspace suites
 //! `tests/sharded.rs` and `tests/sparse.rs` (and in this module's tests).
 
@@ -56,74 +55,6 @@ use rtx_relational::{Fact, Instance, Relation};
 use rtx_transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
-
-/// How rounds are executed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Single-threaded reference executor (the ablation baseline): the
-    /// same round-synchronous algorithm, all steps on the caller's
-    /// thread.
-    Serial,
-    /// Multi-threaded executor: node states are partitioned across
-    /// `threads` worker shards, each owning a contiguous block of the
-    /// node order; each phase's transitions are computed in parallel
-    /// and merged deterministically.
-    Sharded {
-        /// Number of worker threads (clamped to at least 1 and at most
-        /// the node count).
-        threads: usize,
-    },
-}
-
-impl ExecMode {
-    /// The configured thread count (1 for [`ExecMode::Serial`]).
-    pub fn threads(&self) -> usize {
-        match self {
-            ExecMode::Serial => 1,
-            ExecMode::Sharded { threads } => (*threads).max(1),
-        }
-    }
-}
-
-/// Which buffered fact each node delivers per round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RoundScheduling {
-    /// Deliver the oldest buffered fact (FIFO buffers — the
-    /// round-synchronous runs used in the proof of Theorem 16).
-    #[default]
-    Fifo,
-    /// Deliver a uniformly random buffered fact, drawn from a splitmix
-    /// stream keyed by `(seed, round, node)` — deterministic for a given
-    /// seed and independent of thread count, but exercising non-FIFO
-    /// reorderings.
-    Random {
-        /// Stream seed.
-        seed: u64,
-    },
-}
-
-impl RoundScheduling {
-    /// The buffer index to deliver at `node_idx` in `round` from a
-    /// buffer of length `len` (which must be nonzero).
-    fn pick(&self, round: usize, node_idx: usize, len: usize) -> usize {
-        match self {
-            RoundScheduling::Fifo => 0,
-            RoundScheduling::Random { seed } => {
-                let mut x = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add((round as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9))
-                    .wrapping_add((node_idx as u64).wrapping_mul(0x94d0_49bb_1331_11eb));
-                // splitmix64 finalizer
-                x ^= x >> 30;
-                x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-                x ^= x >> 27;
-                x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-                x ^= x >> 31;
-                (x % len as u64) as usize
-            }
-        }
-    }
-}
 
 /// How many buffered facts each node may deliver per round.
 ///
@@ -156,10 +87,12 @@ impl DeliveryPolicy {
 /// Options for a round-based run.
 #[derive(Clone, Debug)]
 pub struct ShardOptions {
-    /// Serial reference or sharded execution.
-    pub mode: ExecMode,
-    /// Per-round delivery choice.
-    pub scheduling: RoundScheduling,
+    /// Worker threads. Node states are partitioned across them, each
+    /// owning a contiguous block of the node order, and each phase's
+    /// transitions are computed in parallel and merged
+    /// deterministically. Clamped to at least 1 and at most the node
+    /// count; 1 runs every step on the caller's thread.
+    pub threads: usize,
     /// Per-round delivery batching.
     pub delivery: DeliveryPolicy,
     /// Record the full [`TransitionLog`] (costly on long runs; used by
@@ -168,29 +101,18 @@ pub struct ShardOptions {
 }
 
 impl ShardOptions {
-    /// The serial reference configuration (FIFO, one delivery per
-    /// round, no log).
+    /// One thread, one delivery per round, no log.
     pub fn serial() -> Self {
-        ShardOptions {
-            mode: ExecMode::Serial,
-            scheduling: RoundScheduling::Fifo,
-            delivery: DeliveryPolicy::One,
-            record_log: false,
-        }
+        ShardOptions::sharded(1)
     }
 
     /// Sharded execution with an explicit thread count.
     pub fn sharded(threads: usize) -> Self {
         ShardOptions {
-            mode: ExecMode::Sharded { threads },
-            ..ShardOptions::serial()
+            threads,
+            delivery: DeliveryPolicy::One,
+            record_log: false,
         }
-    }
-
-    /// Replace the per-round delivery scheduling.
-    pub fn with_scheduling(mut self, scheduling: RoundScheduling) -> Self {
-        self.scheduling = scheduling;
-        self
     }
 
     /// Replace the per-round delivery batching policy.
@@ -214,7 +136,8 @@ pub struct ShardRunOutcome {
     /// Rounds executed (each round is one heartbeat phase and at most
     /// one delivery phase).
     pub rounds: usize,
-    /// Worker threads actually used (1 for [`ExecMode::Serial`]).
+    /// Worker threads actually used ([`ShardOptions::threads`] after
+    /// clamping).
     pub threads_used: usize,
     /// High-water mark of a single phase's job count — the active
     /// frontier. The dense schedule heartbeats every up node each
@@ -562,7 +485,7 @@ fn spawn_sharded_engine<'scope, 'env>(
     })
 }
 
-/// Decompose `cfg`, start the engine `opts.mode` asks for, and drive
+/// Decompose `cfg`, start the engine `opts.threads` asks for, and drive
 /// the run under `parking`. Every round-based entry point lands here.
 pub(crate) fn run_rounds(
     net: &Network,
@@ -574,7 +497,7 @@ pub(crate) fn run_rounds(
     parking: Parking,
 ) -> Result<ShardRunOutcome, NetError> {
     let (nodes, states, buffers, adj) = decompose(net, cfg)?;
-    let threads = opts.mode.threads().min(nodes.len()).max(1);
+    let threads = opts.threads.min(nodes.len()).max(1);
     std::thread::scope(|scope| {
         let engine = if threads > 1 {
             spawn_sharded_engine(scope, transducer, states, threads)
@@ -990,8 +913,7 @@ fn drive(
                     bar.act.note_buffer_lost(i);
                     continue;
                 }
-                let pick = opts.scheduling.pick(rounds, i, buf.len());
-                dl_jobs.push((i, JobKind::Deliver(buf.remove(pick))));
+                dl_jobs.push((i, JobKind::Deliver(buf.remove(0))));
                 bar.act.note_delivery(i, buf.is_empty());
             }
             if dl_jobs.is_empty() {
@@ -1233,25 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn random_scheduling_is_deterministic_and_confluent_here() {
-        let net = Network::grid(3, 3).unwrap();
-        let t = dedup_flooder();
-        let p = HorizontalPartition::round_robin(&net, &input_s(&[1, 2, 3, 4, 5]));
-        let budget = RunBudget::steps(200_000);
-        let fifo = run_sharded(&net, &t, &p, &ShardOptions::serial(), &budget).unwrap();
-        for seed in [1u64, 42, 1337] {
-            let opts = ShardOptions::sharded(4)
-                .with_scheduling(RoundScheduling::Random { seed })
-                .with_log();
-            let a = run_sharded(&net, &t, &p, &opts, &budget).unwrap();
-            let b = run_sharded(&net, &t, &p, &opts, &budget).unwrap();
-            assert_eq!(a.log, b.log, "same seed must replay identically");
-            assert!(a.outcome.quiescent);
-            assert_eq!(a.outcome.output, fifo.outcome.output);
-        }
-    }
-
-    #[test]
     fn budget_truncation_is_exact_and_deterministic() {
         let net = Network::line(5).unwrap();
         let t = dedup_flooder();
@@ -1364,10 +1267,17 @@ mod tests {
     }
 
     #[test]
-    fn exec_mode_threads_and_auto() {
-        assert_eq!(ExecMode::Serial.threads(), 1);
-        assert_eq!(ExecMode::Sharded { threads: 0 }.threads(), 1);
-        assert_eq!(ExecMode::Sharded { threads: 6 }.threads(), 6);
+    fn thread_count_clamps_to_one_and_to_the_node_count() {
+        let net = Network::line(4).unwrap();
+        let t = dedup_flooder();
+        let p = HorizontalPartition::round_robin(&net, &input_s(&[1, 2]));
+        let budget = RunBudget::steps(10_000);
+        for (threads, used) in [(0, 1), (1, 1), (3, 3), (6, 4)] {
+            let opts = ShardOptions::sharded(threads);
+            let out = run_sharded(&net, &t, &p, &opts, &budget).unwrap();
+            assert_eq!(out.threads_used, used, "threads={threads}");
+        }
+        assert_eq!(ShardOptions::serial().threads, 1);
     }
 
     /// A hand-written hook: delays every copy on edge (0→1) by 2
@@ -1493,19 +1403,5 @@ mod tests {
         .unwrap();
         assert!(!out.outcome.quiescent);
         assert_eq!(out.outcome.steps, 0, "no node ever transitioned");
-    }
-
-    #[test]
-    fn round_scheduling_picks_in_range() {
-        let r = RoundScheduling::Random { seed: 9 };
-        for round in 0..20 {
-            for node in 0..10 {
-                for len in 1..6 {
-                    let i = r.pick(round, node, len);
-                    assert!(i < len);
-                }
-            }
-        }
-        assert_eq!(RoundScheduling::Fifo.pick(3, 4, 5), 0);
     }
 }

@@ -65,8 +65,8 @@ use rtx_transducer::Transducer;
 /// initial configuration for `partition`.
 ///
 /// Accepts the same [`ShardOptions`] as [`crate::run_sharded`]
-/// (execution mode, per-round delivery scheduling and batching,
-/// transition log) and the same [`RunBudget`] semantics: `max_steps`
+/// (thread count, per-round delivery batching, transition log) and the
+/// same [`RunBudget`] semantics: `max_steps`
 /// counts executed transitions, phases truncate in node order,
 /// `steps ≤ max_steps` always holds.
 pub fn run_sparse(
@@ -126,7 +126,7 @@ pub fn run_sparse_faulted_from(
 mod tests {
     use super::*;
     use crate::fault::{NodeFault, SendFate};
-    use crate::shard::{DeliveryPolicy, RoundScheduling};
+    use crate::shard::DeliveryPolicy;
     use crate::{run_sharded, run_sharded_faulted, NodeId};
     use rtx_query::{atom, CqBuilder, QueryRef, Term, UcqQuery};
     use rtx_relational::{fact, Instance, Schema};
@@ -280,20 +280,16 @@ mod tests {
     }
 
     #[test]
-    fn sparse_honours_delivery_batching_and_random_scheduling() {
+    fn sparse_honours_delivery_batching() {
         let net = Network::grid(3, 3).unwrap();
         let t = dedup_flooder();
         let p = HorizontalPartition::round_robin(&net, &input_s(&[1, 2, 3, 4, 5]));
         let budget = RunBudget::steps(200_000);
         let base = run_sparse(&net, &t, &p, &ShardOptions::serial(), &budget).unwrap();
-        for opts in [
-            ShardOptions::serial().with_delivery(DeliveryPolicy::Batch(4)),
-            ShardOptions::serial().with_scheduling(RoundScheduling::Random { seed: 42 }),
-        ] {
-            let out = run_sparse(&net, &t, &p, &opts, &budget).unwrap();
-            assert!(out.outcome.quiescent);
-            assert_eq!(out.outcome.output, base.outcome.output);
-        }
+        let opts = ShardOptions::serial().with_delivery(DeliveryPolicy::Batch(4));
+        let out = run_sparse(&net, &t, &p, &opts, &budget).unwrap();
+        assert!(out.outcome.quiescent);
+        assert_eq!(out.outcome.output, base.outcome.output);
     }
 
     #[test]

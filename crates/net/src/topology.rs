@@ -223,43 +223,6 @@ impl Network {
         Network::from_edges(nodes, edges)
     }
 
-    /// A random connected graph with O(N + E) generation cost: a
-    /// random spanning tree plus exactly `extra_edges` uniformly random
-    /// chords (self-loops skipped, duplicate chords collapse in the
-    /// adjacency sets). Unlike [`Network::random_connected`], whose
-    /// per-pair extra-edge draws are Θ(k²), this stays cheap at
-    /// 10⁵–10⁶ nodes — it is the generator the sparse-executor scale
-    /// benches use.
-    pub fn random_sparse_seeded(k: usize, extra_edges: usize, seed: u64) -> Result<Self, NetError> {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        if k == 0 {
-            return Err(NetError::Topology(
-                "a network needs at least one node".into(),
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let nodes: Vec<NodeId> = (0..k).map(Self::node_name).collect();
-        let mut order: Vec<usize> = (0..k).collect();
-        order.shuffle(&mut rng);
-        let mut edges = Vec::with_capacity(k - 1 + extra_edges);
-        // random spanning tree: attach each node to a random earlier one
-        for i in 1..k {
-            let parent = order[rng.gen_range(0..i)];
-            edges.push((Self::node_name(order[i]), Self::node_name(parent)));
-        }
-        if k > 1 {
-            for _ in 0..extra_edges {
-                let a = rng.gen_range(0..k);
-                let b = rng.gen_range(0..k);
-                if a != b {
-                    edges.push((Self::node_name(a), Self::node_name(b)));
-                }
-            }
-        }
-        Ok(Network::from_edges_unchecked(nodes, edges))
-    }
-
     /// The nodes, in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeId> {
         self.adj.keys()

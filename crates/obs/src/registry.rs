@@ -146,14 +146,6 @@ impl Registry {
             hists: g.hists.clone(),
         }
     }
-
-    /// Clear every counter and histogram (tests and experiment
-    /// binaries that run several configurations in one process).
-    pub fn reset(&self) {
-        let mut g = self.lock();
-        g.counters.clear();
-        g.hists.clear();
-    }
 }
 
 /// Convenience: add to a named counter in the global registry when

@@ -24,6 +24,12 @@ pub enum EvalError {
         /// The budget that was exhausted.
         fuel: usize,
     },
+    /// A run was given a zero budget of the resource it counts, so it
+    /// would have no result (a Dedalus run with `max_ticks == 0`).
+    ZeroBudget {
+        /// The name of the budget.
+        budget: &'static str,
+    },
     /// A parse error with position information.
     Parse {
         /// Human-readable message.
@@ -48,6 +54,9 @@ impl fmt::Display for EvalError {
             }
             EvalError::Diverged { fuel } => {
                 write!(f, "while-program exceeded its step budget of {fuel}")
+            }
+            EvalError::ZeroBudget { budget } => {
+                write!(f, "`{budget}` is 0: a run needs a budget of at least 1")
             }
             EvalError::Parse { message, offset } => {
                 write!(f, "parse error at byte {offset}: {message}")
@@ -87,6 +96,11 @@ mod tests {
             .to_string()
             .contains("stratifiable"));
         assert!(EvalError::Diverged { fuel: 10 }.to_string().contains("10"));
+        assert!(EvalError::ZeroBudget {
+            budget: "max_ticks"
+        }
+        .to_string()
+        .contains("`max_ticks` is 0"));
         assert!(EvalError::Parse {
             message: "oops".into(),
             offset: 3

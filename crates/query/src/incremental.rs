@@ -34,10 +34,10 @@
 //!
 //! The per-evaluation cost is `O(changed derivations)` instead of
 //! `O(all derivations)`; strata whose inputs did not change are skipped
-//! entirely. The Dedalus runtime puts this under its tick loop
-//! (`FixpointMode::Incremental`), turning the per-tick deductive
-//! fixpoint from the hottest loop in the system into a no-op on
-//! quiescent ticks.
+//! entirely. The Dedalus runtime puts this under its tick loop whenever
+//! no deductive rule names the time variable, turning the per-tick
+//! deductive fixpoint from the hottest loop in the system into a no-op
+//! on quiescent ticks.
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;

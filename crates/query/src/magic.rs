@@ -158,11 +158,6 @@ impl MagicQuery {
         &self.pattern
     }
 
-    /// The magic seed facts (empty under `Materialize`).
-    pub fn seed_facts(&self) -> &[Fact] {
-        &self.seeds
-    }
-
     /// `db` widened to the evaluation schema with the magic seeds
     /// inserted — what [`MagicQuery::answer`] evaluates over, and what
     /// a [`MaintainedFixpoint`] over [`MagicQuery::program`] should be

@@ -7,9 +7,10 @@
 //! stratified program is evaluated stratum by stratum to its least
 //! fixpoint. Plus the support count a counting maintenance engine
 //! must keep for each fact ([`support_counts`]), the answer of a UCQ¬
-//! query ([`ucq`]), and the local transition of a relational transducer
+//! query ([`ucq`]), the local transition of a relational transducer
 //! (Section 2.1), with its update formula applied term by term
-//! ([`transducer_step`]).
+//! ([`transducer_step`]), and the ticks of a Dedalus program (Section 8)
+//! under a given delay function for its `@async` rules ([`dedalus`]).
 //!
 //! Nothing here is fast on purpose. Facts live in `BTreeSet`s, every
 //! round re-derives everything, and joins are nested loops in literal
@@ -19,8 +20,13 @@
 //! [`Program::stratify`], so a bug in the engine cannot hide in the
 //! oracle too. [`transducer_step`] does call the transducer's queries,
 //! but on an instance built fact by fact, and does its own set algebra
-//! on `BTreeSet`s. It is a dev-dependency only; no library crate
+//! on `BTreeSet`s. [`dedalus`] reads only the Dedalus program's rules,
+//! never its runtime. It is a dev-dependency only; no library crate
 //! depends on it.
+
+mod dedalus;
+
+pub use dedalus::{dedalus, Ticks};
 
 use rtx_query::{Atom, Literal, Program, Query, Rule, Term, UcqQuery, Var};
 use rtx_relational::{Fact, Instance, RelName, Tuple, Value};

@@ -84,11 +84,6 @@ impl FactMultiset {
         }
     }
 
-    /// Iterate over `(fact, multiplicity)` pairs in fact order.
-    pub fn iter_counts(&self) -> impl Iterator<Item = (&Fact, usize)> {
-        self.counts.iter().map(|(f, &c)| (f, c))
-    }
-
     /// Iterate over distinct facts in order.
     pub fn distinct(&self) -> impl Iterator<Item = &Fact> {
         self.counts.keys()

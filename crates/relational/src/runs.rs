@@ -937,11 +937,6 @@ impl StorageStats {
         self.tail_hwm = self.tail_hwm.max(other.tail_hwm);
     }
 
-    /// Is every counter zero?
-    pub fn is_zero(&self) -> bool {
-        *self == StorageStats::default()
-    }
-
     /// Publish this snapshot into the global [`rtx_obs`] registry:
     /// `storage.folds` / `storage.small_probes` counters and the
     /// `storage.tail_hwm` histogram. Promotions and demotions are

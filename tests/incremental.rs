@@ -6,15 +6,15 @@
 //!   changes;
 //! * its support counts ≡ `rtx_ref::support_counts` after every delta
 //!   of random interleaved insert/delete schedules;
-//! * the Dedalus delta store with `FixpointMode::Incremental` replays
-//!   `FixpointMode::Scratch` (and the seed cloning store) tick for tick
-//!   on programs whose carries drop facts every tick.
+//! * the Dedalus runtime, whose maintained fixpoint takes the carry's
+//!   dropped facts as retractions, replays the reference tick loop of
+//!   `rtx-ref` tick for tick on programs whose carries drop facts every
+//!   tick.
+
+mod common;
 
 use proptest::prelude::*;
-use rtx::dedalus::{
-    DRule, DTime, DedalusOptions, DedalusProgram, DedalusRuntime, FixpointMode, StoreMode,
-    TemporalFacts,
-};
+use rtx::dedalus::{AsyncFaultPlan, DRule, DTime, DedalusOptions, DedalusProgram};
 use rtx::query::incremental::MaintainedFixpoint;
 use rtx::query::{atom, Atom, Literal, Program, Rule, Term, Var};
 use rtx::relational::{fact, Fact, Instance, InstanceDelta, Schema};
@@ -261,11 +261,13 @@ fn token_program() -> DedalusProgram {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Incremental ≡ scratch through the whole Dedalus loop — traces,
-    /// convergence tick, and the cloning-store oracle — on random
-    /// token graphs, edge sets, arrival schedules and delivery seeds.
-    /// The token carry retracts facts every tick, so this is the
-    /// retraction-heavy schedule of the DRed path.
+    /// The maintained fixpoint through the whole Dedalus loop ≡ the
+    /// reference tick loop — ticks and convergence tick — on random
+    /// token graphs, edge sets, arrival schedules and delivery seeds,
+    /// under the plain seeded async draw and under a widening,
+    /// duplicating `AsyncFaultPlan`. The token carry retracts facts
+    /// every tick, so this is the retraction-heavy schedule of the DRed
+    /// path.
     #[test]
     fn dedalus_incremental_fixpoint_equals_scratch(
         token_edges in proptest::collection::vec((0u8..4, 0u8..4), 1..6),
@@ -274,30 +276,27 @@ proptest! {
         spread in 0u64..3,
         run_seed in 0u64..500) {
         let p = token_program();
-        let mut edb = TemporalFacts::new();
+        let mut arrivals: Vec<(u64, Fact)> = Vec::new();
         for (i, &(a, b)) in token_edges.iter().enumerate() {
-            edb.insert((i as u64) % (spread + 1), fact!("n", a as i64, b as i64));
+            arrivals.push(((i as u64) % (spread + 1), fact!("n", a as i64, b as i64)));
         }
         for (i, &(a, b)) in e_edges.iter().enumerate() {
-            edb.insert((i as u64) % (spread + 1), fact!("e", a as i64, b as i64));
+            arrivals.push(((i as u64) % (spread + 1), fact!("e", a as i64, b as i64)));
         }
         for &v in &nodes {
-            edb.insert(0, fact!("s", v as i64));
+            arrivals.push((0, fact!("s", v as i64)));
         }
-        edb.insert(0, fact!("at", 0));
-        let opts = DedalusOptions { max_ticks: 40, async_max_delay: 2, seed: run_seed, async_faults: None };
-        let rt = DedalusRuntime::new(&p).unwrap();
-        let inc = rt
-            .run_with_fixpoint(&edb, &opts, StoreMode::Delta, FixpointMode::Incremental)
-            .unwrap();
-        let scr = rt
-            .run_with_fixpoint(&edb, &opts, StoreMode::Delta, FixpointMode::Scratch)
-            .unwrap();
-        prop_assert_eq!(inc.converged_at, scr.converged_at);
-        prop_assert_eq!(&inc.ticks, &scr.ticks);
-        let cloning = rt.run_with(&edb, &opts, StoreMode::Cloning).unwrap();
-        prop_assert_eq!(inc.converged_at, cloning.converged_at);
-        prop_assert_eq!(&inc.ticks, &cloning.ticks);
+        arrivals.push((0, fact!("at", 0)));
+        let plain = DedalusOptions { max_ticks: 40, async_max_delay: 2, seed: run_seed, async_faults: None };
+        let faulted = DedalusOptions {
+            async_faults: Some(AsyncFaultPlan { seed: run_seed, extra_delay: (0, 2), dup_millis: 500 }),
+            ..plain.clone()
+        };
+        for opts in [&plain, &faulted] {
+            let (runtime, reference) = common::runtime_and_reference(&p, &arrivals, opts);
+            prop_assert_eq!(runtime.converged_at, reference.converged_at);
+            prop_assert_eq!(&runtime.ticks, &reference.ticks);
+        }
     }
 }
 

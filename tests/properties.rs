@@ -10,7 +10,10 @@
 //! * distributed TC is consistent across random seeds/partitions;
 //! * the transducer update formula's conflict-resolution laws, and
 //!   `Transducer::step` ≡ the reference step of `rtx-ref`;
-//! * Dedalus TM simulation ≡ the direct interpreter on random words.
+//! * Dedalus TM simulation ≡ the direct interpreter on random words, and
+//!   `DedalusRuntime::run` ≡ the reference tick loop of `rtx-ref`.
+
+mod common;
 
 use proptest::prelude::*;
 use rtx::calm::constructions::distribute::distribute_monotone;
@@ -555,17 +558,23 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The delta-store Dedalus runtime replays the clone-store runtime
-    /// tick for tick on random temporal instances and delivery seeds.
+    /// `DedalusRuntime::run` replays the reference tick loop
+    /// (`rtx_ref::dedalus`) tick for tick, convergence tick included, on
+    /// random temporal instances, under the plain seeded async draw and
+    /// under a widening, duplicating `AsyncFaultPlan`. The program runs
+    /// as given — no deductive rule names the time variable, so the
+    /// runtime maintains its fixpoint across ticks — and with a
+    /// time-entangled deductive rule added, which the runtime
+    /// re-translates every tick: `stamp` records the tick at which each
+    /// edge first arrives.
     #[test]
     fn dedalus_delta_store_equals_clone_store(
         pairs in proptest::collection::vec((0u8..5, 0u8..5), 1..8),
         spread in 0u64..4,
         run_seed in 0u64..500) {
-        use rtx::dedalus::{DRule, DTime, DedalusOptions, DedalusProgram, DedalusRuntime,
-                           StoreMode, TemporalFacts};
+        use rtx::dedalus::{AsyncFaultPlan, DRule, DTime, DedalusOptions, DedalusProgram};
         use rtx::query::atom;
-        let p = DedalusProgram::new(vec![
+        let rules = vec![
             DRule::persist("e", 2),
             DRule::persist("got", 1),
             DRule::new(atom!("t"; @"X", @"Y"), DTime::Same).when(atom!("e"; @"X", @"Y")),
@@ -574,17 +583,33 @@ proptest! {
                 .when(atom!("e"; @"Y", @"Z")),
             DRule::new(atom!("m"; @"X"), DTime::Async).when(atom!("e"; @"X", @"X")),
             DRule::new(atom!("got"; @"X"), DTime::Same).when(atom!("m"; @"X")),
-        ]).unwrap();
-        let mut edb = TemporalFacts::new();
-        for (i, &(a, b)) in pairs.iter().enumerate() {
-            edb.insert((i as u64) % (spread + 1), fact!("e", a as i64, b as i64));
+        ];
+        let mut entangled = rules.clone();
+        entangled.push(DRule::new(atom!("old"; @"X", @"Y"), DTime::Next).when(atom!("e"; @"X", @"Y")));
+        entangled.push(
+            DRule::new(atom!("stamp"; @"X", @"Y", @"T"), DTime::Same)
+                .when(atom!("e"; @"X", @"Y"))
+                .unless(atom!("old"; @"X", @"Y"))
+                .with_time_var("T"),
+        );
+        let arrivals: Vec<(u64, Fact)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(a, b))| ((i as u64) % (spread + 1), fact!("e", a as i64, b as i64)))
+            .collect();
+        let plain = DedalusOptions { max_ticks: 60, async_max_delay: 3, seed: run_seed, async_faults: None };
+        let faulted = DedalusOptions {
+            async_faults: Some(AsyncFaultPlan { seed: run_seed, extra_delay: (0, 2), dup_millis: 500 }),
+            ..plain.clone()
+        };
+        for rules in [rules, entangled] {
+            let p = DedalusProgram::new(rules).unwrap();
+            for opts in [&plain, &faulted] {
+                let (runtime, reference) = common::runtime_and_reference(&p, &arrivals, opts);
+                prop_assert_eq!(runtime.converged_at, reference.converged_at);
+                prop_assert_eq!(runtime.ticks, reference.ticks);
+            }
         }
-        let opts = DedalusOptions { max_ticks: 60, async_max_delay: 3, seed: run_seed, async_faults: None };
-        let rt = DedalusRuntime::new(&p).unwrap();
-        let delta = rt.run_with(&edb, &opts, StoreMode::Delta).unwrap();
-        let clone = rt.run_with(&edb, &opts, StoreMode::Cloning).unwrap();
-        prop_assert_eq!(delta.converged_at, clone.converged_at);
-        prop_assert_eq!(delta.ticks, clone.ticks);
     }
 }
 

@@ -7,9 +7,7 @@
 use proptest::prelude::*;
 use rtx::calm::constructions::distribute::distribute_monotone;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx::net::{
-    run, FifoRoundRobin, HorizontalPartition, Network, RoundScheduling, RunBudget, ShardOptions,
-};
+use rtx::net::{run, FifoRoundRobin, HorizontalPartition, Network, RunBudget, ShardOptions};
 use rtx::query::{Query, QueryRef};
 use rtx::relational::{fact, Fact, Instance, Schema};
 use std::sync::Arc;
@@ -74,43 +72,6 @@ proptest! {
         }
     }
 
-    /// Under sharded *random* scheduling the delivery order differs from
-    /// FIFO, but a confluent transducer must still reach the same
-    /// quiescent output — and the run must be bit-identical across
-    /// thread counts for a fixed seed.
-    #[test]
-    fn sharded_random_scheduling_output_agrees(
-        values in proptest::collection::btree_set(0i64..40, 1..5),
-        nodes in 2usize..8,
-        topo_seed in 0u64..500,
-        sched_seed in 0u64..1000) {
-        let input = set_instance(&values.iter().copied().collect::<Vec<_>>());
-        let net = Network::random_connected_seeded(nodes, 0.2, topo_seed).unwrap();
-        let t = flood_transducer(input.schema(), FloodMode::Dedup, None).unwrap();
-        let p = HorizontalPartition::round_robin(&net, &input);
-        let budget = RunBudget::steps(500_000);
-        let fifo = rtx::net::run_sharded(
-            &net, &t, &p, &ShardOptions::serial(), &budget).unwrap();
-        prop_assert!(fifo.outcome.quiescent);
-        let rand_serial = rtx::net::run_sharded(
-            &net, &t, &p,
-            &ShardOptions::serial()
-                .with_scheduling(RoundScheduling::Random { seed: sched_seed })
-                .with_log(),
-            &budget).unwrap();
-        let rand_sharded = rtx::net::run_sharded(
-            &net, &t, &p,
-            &ShardOptions::sharded(4)
-                .with_scheduling(RoundScheduling::Random { seed: sched_seed })
-                .with_log(),
-            &budget).unwrap();
-        prop_assert!(rand_sharded.outcome.quiescent);
-        prop_assert_eq!(&rand_sharded.log, &rand_serial.log,
-                        "random scheduling must be thread-count independent");
-        prop_assert_eq!(&rand_sharded.outcome.output, &fifo.outcome.output,
-                        "confluent transducer output must not depend on delivery order");
-    }
-
     /// Cross-driver agreement: the round-synchronous executor and the
     /// seed's scheduler-driven driver compute the same query answer on
     /// distributed transitive closure.
@@ -159,8 +120,8 @@ fn schedule_of(out: &rtx::net::ShardRunOutcome) -> Schedule {
 
 /// Pins the exact schedules of both round executors — the dense one,
 /// which heartbeats every up node every round, and the sparse one,
-/// which parks quiet nodes — on plain, batched, randomly scheduled,
-/// budget-cut and faulted runs (one fair and one crash-faulty plan
+/// which parks quiet nodes — on plain, batched, budget-cut and faulted
+/// runs (one fair and one crash-faulty plan
 /// drawn from `FaultPlanStrategy`, plus a node crashed forever). Any
 /// change to either schedule's round structure, stopping rule or fault
 /// handling moves one of these numbers. Every run is repeated on three
@@ -232,26 +193,6 @@ fn round_schedules_are_pinned() {
                 run_sparse(&grid, &t, &p, &o, &full).unwrap()
             }),
             (160, 40, 120, 120, 8, 9, true),
-        ),
-        (
-            "dense random",
-            Box::new(|o| {
-                let o = o
-                    .clone()
-                    .with_scheduling(RoundScheduling::Random { seed: 7 });
-                run_sharded(&grid, &t, &p, &o, &full).unwrap()
-            }),
-            (309, 189, 120, 120, 21, 9, true),
-        ),
-        (
-            "sparse random",
-            Box::new(|o| {
-                let o = o
-                    .clone()
-                    .with_scheduling(RoundScheduling::Random { seed: 7 });
-                run_sparse(&grid, &t, &p, &o, &full).unwrap()
-            }),
-            (248, 128, 120, 120, 23, 9, true),
         ),
         (
             "dense cut at 11 steps",
