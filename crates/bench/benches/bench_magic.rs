@@ -1,9 +1,10 @@
 //! Goal-directed query benchmarks: a bound point lookup on large
 //! recursive instances, answered three ways —
 //!
-//! * `materialize`: evaluate the whole program bottom-up, filter;
-//! * `magic`: the magic-sets rewrite, deriving only the
-//!   demand-reachable facts (the `QueryMode::Magic` default);
+//! * `materialize`: evaluate the whole program bottom-up
+//!   (`Program::eval`), keep the tuples matching the pattern;
+//! * `magic`: the magic-sets rewrite (`Program::for_query`), deriving
+//!   only the demand-reachable facts;
 //! * `magic-rebind`: a maintained magic fixpoint whose binding
 //!   changes between measurements — the ± seed delta path, where the
 //!   previous demand is retracted and the new one derived
@@ -17,8 +18,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtx_query::parser::parse_program;
-use rtx_query::{atom, Program, QueryMode};
-use rtx_relational::{fact, Instance, Schema};
+use rtx_query::{atom, Atom, Program};
+use rtx_relational::{fact, Instance, Relation, Schema};
 
 fn chain_db(n: i64) -> Instance {
     let mut db = Instance::empty(Schema::new().with("e", 2));
@@ -36,6 +37,14 @@ fn tree_db(levels: u32) -> Instance {
         db.insert_fact(fact!("par", child, child / 2)).unwrap();
     }
     db
+}
+
+/// The answer by full materialization: the pattern's matches in the
+/// whole fixpoint.
+fn materialize(program: &Program, pattern: &Atom, db: &Instance) -> Relation {
+    let rel = program.eval(db).unwrap().relation(&pattern.pred).unwrap();
+    let matching = rel.iter().filter(|t| pattern.matches(t)).cloned();
+    Relation::from_tuples(pattern.arity(), matching).unwrap()
 }
 
 fn tc_program() -> Program {
@@ -58,16 +67,16 @@ fn bench_magic(c: &mut Criterion) {
         let db = chain_db(n);
         let program = tc_program();
         let pattern = atom!("p"; 0, @"Y");
-        let full = program
-            .for_query_mode(&pattern, QueryMode::Materialize)
-            .unwrap();
-        let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
+        let magic = program.for_query(&pattern).unwrap();
         assert!(magic.is_magic());
         // The rewrite must not change the answer.
-        assert_eq!(magic.answer(&db).unwrap(), full.answer(&db).unwrap());
+        assert_eq!(
+            magic.answer(&db).unwrap(),
+            materialize(&program, &pattern, &db)
+        );
 
         group.bench_with_input(BenchmarkId::new("tc-point-materialize", n), &n, |b, _| {
-            b.iter(|| full.answer(&db).unwrap().len())
+            b.iter(|| materialize(&program, &pattern, &db).len())
         });
         group.bench_with_input(BenchmarkId::new("tc-point-magic", n), &n, |b, _| {
             b.iter(|| magic.answer(&db).unwrap().len())
@@ -95,16 +104,16 @@ fn bench_magic(c: &mut Criterion) {
         let program = sg_program();
         let leaf = 1i64 << (levels - 1); // leftmost leaf
         let pattern = atom!("sg"; leaf, @"Y");
-        let full = program
-            .for_query_mode(&pattern, QueryMode::Materialize)
-            .unwrap();
-        let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
+        let magic = program.for_query(&pattern).unwrap();
         assert!(magic.is_magic());
-        assert_eq!(magic.answer(&db).unwrap(), full.answer(&db).unwrap());
+        assert_eq!(
+            magic.answer(&db).unwrap(),
+            materialize(&program, &pattern, &db)
+        );
 
         let n = 1i64 << levels;
         group.bench_with_input(BenchmarkId::new("sg-point-materialize", n), &n, |b, _| {
-            b.iter(|| full.answer(&db).unwrap().len())
+            b.iter(|| materialize(&program, &pattern, &db).len())
         });
         group.bench_with_input(BenchmarkId::new("sg-point-magic", n), &n, |b, _| {
             b.iter(|| magic.answer(&db).unwrap().len())

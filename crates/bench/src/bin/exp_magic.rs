@@ -1,15 +1,15 @@
 //! Goal-directed evaluation, quantified: for bound point lookups on
-//! recursive programs, the magic-sets rewrite (`QueryMode::Magic`)
+//! recursive programs, the magic-sets rewrite (`Program::for_query`)
 //! derives only the demand-reachable facts, while full
-//! materialization (`QueryMode::Materialize`) pays for the whole
-//! model. The per-stratum `FixpointStats` counters make the saving
+//! materialization (`Program::eval`, filtered by the pattern) pays for
+//! the whole model. The per-stratum `FixpointStats` counters make the saving
 //! exact: same answers, derived-fact counts proportional to the
 //! reachable set instead of the full closure.
 
 use rtx_bench::Table;
 use rtx_query::parser::parse_program;
-use rtx_query::{atom, Atom, Program, QueryMode};
-use rtx_relational::{fact, Instance, Schema};
+use rtx_query::{atom, Atom, Program};
+use rtx_relational::{fact, Instance, Relation, Schema};
 
 fn chain_db(n: i64) -> Instance {
     let mut db = Instance::empty(Schema::new().with("e", 2));
@@ -28,13 +28,16 @@ fn tree_db(levels: u32) -> Instance {
 }
 
 fn compare(tab: &mut Table, name: &str, program: &Program, pattern: &Atom, db: &Instance) {
-    let magic = program.for_query_mode(pattern, QueryMode::Magic).unwrap();
-    let full = program
-        .for_query_mode(pattern, QueryMode::Materialize)
-        .unwrap();
+    let magic = program.for_query(pattern).unwrap();
     assert!(magic.is_magic(), "{name}: rewrite must apply");
     let (ma, ms) = magic.answer_with_stats(db).unwrap();
-    let (fa, fs) = full.answer_with_stats(db).unwrap();
+    let (total, fs) = program.eval_with_stats(db).unwrap();
+    let full = total.relation(&pattern.pred).unwrap();
+    let fa = Relation::from_tuples(
+        pattern.arity(),
+        full.iter().filter(|t| pattern.matches(t)).cloned(),
+    )
+    .unwrap();
     assert_eq!(ma, fa, "{name}: magic must not change the answer");
     assert!(
         ms.eval_derived() < fs.eval_derived(),
@@ -97,9 +100,7 @@ fn exp() {
     println!("\n[magic] per-stratum counters for tc n=1024, p(0,Y)");
     {
         let db = chain_db(1024);
-        let magic = tc
-            .for_query_mode(&atom!("p"; 0, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let magic = tc.for_query(&atom!("p"; 0, @"Y")).unwrap();
         let (_, stats) = magic.answer_with_stats(&db).unwrap();
         let mut tab = Table::new(&[("stratum", 8), ("considered", 12), ("derived", 12)]);
         for (i, (c, d)) in stats
@@ -116,9 +117,7 @@ fn exp() {
     println!("\n[magic] binding changes through the maintained fixpoint (tc n=1024)");
     {
         let db = chain_db(1024);
-        let q0 = tc
-            .for_query_mode(&atom!("p"; 0, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q0 = tc.for_query(&atom!("p"; 0, @"Y")).unwrap();
         let mut fix = q0.maintained(&db).unwrap();
         let mut tab = Table::new(&[("binding", 10), ("answers", 8), ("matches scratch", 16)]);
         let mut q = q0;

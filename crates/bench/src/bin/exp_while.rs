@@ -11,7 +11,7 @@ use rtx_query::{
 use rtx_relational::Schema;
 use std::sync::Arc;
 
-fn q(rule: rtx_query::CqRule) -> QueryRef {
+fn q(rule: rtx_query::Rule) -> QueryRef {
     Arc::new(UcqQuery::single(rule))
 }
 

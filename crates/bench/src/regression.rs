@@ -4,9 +4,8 @@
 //! The report is **informational** — a shared CI container is far too
 //! noisy to fail a build on wall-clock ratios — but it makes drift
 //! visible per bench group: each group gets the geometric mean of its
-//! per-record `fresh / baseline` ratios (over the outlier-robust median
-//! when both sides record one, else the mean), plus the worst single
-//! regression inside the group. Run it with:
+//! per-record `fresh / baseline` ratios of the outlier-robust medians,
+//! plus the worst single regression inside the group. Run it with:
 //!
 //! ```text
 //! RTX_BENCH_JSON=/tmp/fresh.json cargo bench
@@ -18,8 +17,7 @@ use rtx_obs::json::{self, Json};
 use std::collections::BTreeMap;
 
 /// One record of a `RTX_BENCH_JSON` file (a subset of the criterion
-/// stand-in's `BenchRecord`; `median_ns`/`mad_ns` are absent in
-/// baselines recorded before the stand-in learned medians).
+/// stand-in's `BenchRecord`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchEntry {
     /// Full benchmark label (`group/function/param`).
@@ -28,10 +26,10 @@ pub struct BenchEntry {
     pub mean_ns: u128,
     /// Minimum wall time per iteration, nanoseconds.
     pub min_ns: u128,
-    /// Median wall time per iteration, when recorded.
-    pub median_ns: Option<u128>,
-    /// Median absolute deviation, when recorded.
-    pub mad_ns: Option<u128>,
+    /// Median wall time per iteration, nanoseconds.
+    pub median_ns: u128,
+    /// Median absolute deviation, nanoseconds.
+    pub mad_ns: u128,
 }
 
 impl BenchEntry {
@@ -43,8 +41,8 @@ impl BenchEntry {
 
 /// Parse the JSON array emitted by the criterion stand-in, through
 /// [`rtx_obs::json::parse`]. Every record needs a string `name` and
-/// unsigned integer `mean_ns` and `min_ns`; `median_ns` and `mad_ns`
-/// are optional, and other fields are ignored.
+/// unsigned integer `mean_ns`, `min_ns`, `median_ns` and `mad_ns`;
+/// other fields are ignored.
 pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
     let doc = json::parse(text).map_err(|e| e.to_string())?;
     let records = doc
@@ -57,21 +55,17 @@ pub fn parse_bench_json(text: &str) -> Result<Vec<BenchEntry>, String> {
                 .get("name")
                 .and_then(Json::str)
                 .ok_or_else(|| "record without a name".to_string())?;
-            let field = |k: &str| -> Result<Option<u128>, String> {
-                match r.get(k) {
-                    None => Ok(None),
-                    Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(*n as u128)),
-                    Some(v) => Err(format!("record `{name}`: `{k}` is not a count: {v:?}")),
-                }
+            let required = |k: &str| match r.get(k) {
+                None => Err(format!("record `{name}` missing `{k}`")),
+                Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u128),
+                Some(v) => Err(format!("record `{name}`: `{k}` is not a count: {v:?}")),
             };
-            let required =
-                |k: &str| field(k)?.ok_or_else(|| format!("record `{name}` missing `{k}`"));
             Ok(BenchEntry {
                 name: name.to_string(),
                 mean_ns: required("mean_ns")?,
                 min_ns: required("min_ns")?,
-                median_ns: field("median_ns")?,
-                mad_ns: field("mad_ns")?,
+                median_ns: required("median_ns")?,
+                mad_ns: required("mad_ns")?,
             })
         })
         .collect()
@@ -90,18 +84,6 @@ pub struct GroupDiff {
     pub worst: (String, f64),
 }
 
-/// The comparable central times of a baseline/fresh record pair: the
-/// medians when **both** sides recorded one, else both means — never a
-/// mean against a median (their outlier behavior differs, so a mixed
-/// ratio would manufacture phantom speedups or mask regressions when
-/// comparing against a pre-median baseline).
-fn paired_ns(b: &BenchEntry, f: &BenchEntry) -> (u128, u128) {
-    match (b.median_ns, f.median_ns) {
-        (Some(bm), Some(fm)) => (bm, fm),
-        _ => (b.mean_ns, f.mean_ns),
-    }
-}
-
 /// Compare two record sets and produce per-group ratios. Records
 /// appearing on only one side are counted but not compared.
 pub fn diff_groups(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> Vec<GroupDiff> {
@@ -111,8 +93,7 @@ pub fn diff_groups(baseline: &[BenchEntry], fresh: &[BenchEntry]) -> Vec<GroupDi
         let Some(b) = base.get(f.name.as_str()) else {
             continue;
         };
-        let (bns, fns) = paired_ns(b, f);
-        let ratio = fns.max(1) as f64 / bns.max(1) as f64;
+        let ratio = f.median_ns.max(1) as f64 / b.median_ns.max(1) as f64;
         groups.entry(f.group()).or_default().push((&f.name, ratio));
     }
     groups
@@ -186,16 +167,8 @@ mod tests {
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "g/a/1");
         assert_eq!(parsed[0].group(), "g");
-        assert_eq!(parsed[0].median_ns, Some(100));
-        assert_eq!(parsed[1].mad_ns, Some(1));
-    }
-
-    #[test]
-    fn parses_legacy_records_without_median() {
-        let text = "[\n  {\"name\": \"g/a\", \"iters\": 10, \"mean_ns\": 42, \"min_ns\": 40}\n]";
-        let parsed = parse_bench_json(text).unwrap();
-        assert_eq!(parsed[0].median_ns, None);
-        assert_eq!(parsed[0].mean_ns, 42);
+        assert_eq!(parsed[0].median_ns, 100);
+        assert_eq!(parsed[1].mad_ns, 1);
     }
 
     #[test]
@@ -203,17 +176,23 @@ mod tests {
         assert!(parse_bench_json("not json").is_err());
         assert!(parse_bench_json("[{\"iters\": 1, \"mean_ns\": 2, \"min_ns\": 1}]").is_err());
         assert!(parse_bench_json("[{\"name\": \"x\", \"mean_ns\": oops}]").is_err());
+        // a record without a median is rejected, not compared by its mean
+        let no_median = "[{\"name\": \"g/a\", \"mean_ns\": 42, \"min_ns\": 40, \"mad_ns\": 1}]";
+        assert!(parse_bench_json(no_median).is_err());
     }
 
     #[test]
     fn escaped_quotes_in_names_survive() {
         let text =
-            "[{\"name\": \"g/say \\\"hi\\\"\", \"iters\": 1, \"mean_ns\": 5, \"min_ns\": 5}]";
+            "[{\"name\": \"g/say \\\"hi\\\"\", \"iters\": 1, \"mean_ns\": 5, \"min_ns\": 5, \
+                    \"median_ns\": 5, \"mad_ns\": 0}]";
         let parsed = parse_bench_json(text).unwrap();
         assert_eq!(parsed[0].name, "g/say \"hi\"");
         // braces and commas inside a label do not end the record
-        let text = "[{\"name\": \"g/set {a,b}\", \"mean_ns\": 5, \"min_ns\": 4},\n\
-                    {\"name\": \"g/b\", \"mean_ns\": 7, \"min_ns\": 6}]";
+        let text = "[{\"name\": \"g/set {a,b}\", \"mean_ns\": 5, \"min_ns\": 4, \
+                    \"median_ns\": 5, \"mad_ns\": 0},\n\
+                    {\"name\": \"g/b\", \"mean_ns\": 7, \"min_ns\": 6, \
+                    \"median_ns\": 7, \"mad_ns\": 0}]";
         let parsed = parse_bench_json(text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "g/set {a,b}");
@@ -228,22 +207,22 @@ mod tests {
                 name: "g/a".into(),
                 mean_ns: 0,
                 min_ns: 0,
-                median_ns: Some(100),
-                mad_ns: None,
+                median_ns: 100,
+                mad_ns: 0,
             },
             BenchEntry {
                 name: "g/b".into(),
                 mean_ns: 0,
                 min_ns: 0,
-                median_ns: Some(100),
-                mad_ns: None,
+                median_ns: 100,
+                mad_ns: 0,
             },
             BenchEntry {
                 name: "h/only-in-base".into(),
                 mean_ns: 10,
                 min_ns: 10,
-                median_ns: None,
-                mad_ns: None,
+                median_ns: 10,
+                mad_ns: 0,
             },
         ];
         let fresh = vec![
@@ -251,15 +230,15 @@ mod tests {
                 name: "g/a".into(),
                 mean_ns: 0,
                 min_ns: 0,
-                median_ns: Some(400),
-                mad_ns: None,
+                median_ns: 400,
+                mad_ns: 0,
             },
             BenchEntry {
                 name: "g/b".into(),
                 mean_ns: 0,
                 min_ns: 0,
-                median_ns: Some(25),
-                mad_ns: None,
+                median_ns: 25,
+                mad_ns: 0,
             },
         ];
         let diffs = diff_groups(&base, &fresh);
@@ -271,29 +250,6 @@ mod tests {
         assert!((g.geomean_ratio - 1.0).abs() < 1e-9);
         assert_eq!(g.worst.0, "g/a");
         assert!((g.worst.1 - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mixed_median_availability_compares_means_on_both_sides() {
-        // Legacy baseline (mean only, outlier-inflated) vs fresh record
-        // with a median: the ratio must pair mean with mean, not mean
-        // with median (which would report a phantom speedup).
-        let base = vec![BenchEntry {
-            name: "g/a".into(),
-            mean_ns: 150,
-            min_ns: 90,
-            median_ns: None,
-            mad_ns: None,
-        }];
-        let fresh = vec![BenchEntry {
-            name: "g/a".into(),
-            mean_ns: 150,
-            min_ns: 90,
-            median_ns: Some(100),
-            mad_ns: Some(2),
-        }];
-        let diffs = diff_groups(&base, &fresh);
-        assert!((diffs[0].geomean_ratio - 1.0).abs() < 1e-9, "{diffs:?}");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::constructions::flood::FloodMode;
 use crate::constructions::{arg_vars, known_input_views, msg_rel, store_rel};
 use rtx_query::{
-    Atom, CopyQuery, CqBuilder, CqRule, EvalError, Literal, Program, QueryRef, Rule, Term, TpQuery,
+    Atom, CopyQuery, CqBuilder, EvalError, Literal, Program, QueryRef, Rule, Term, TpQuery,
     UcqQuery, ViewQuery,
 };
 use rtx_relational::{RelName, Schema};
@@ -116,36 +116,28 @@ pub fn distribute_datalog(
 /// The if-direction of Theorem 6(5): combine the UCQ insertion rules of
 /// an oblivious, inflationary transducer (memory relation ↦ its rules)
 /// with the output query's rules into one recursive Datalog program.
+/// Each rule is kept as written, under the name of the relation it
+/// fills.
 ///
 /// Negated atoms are rejected — the theorem characterizes *Datalog*.
 pub fn datalog_from_transducer_rules(
     memory_rules: &[(RelName, UcqQuery)],
     output: (&RelName, &UcqQuery),
 ) -> Result<Program, EvalError> {
+    let named = memory_rules.iter().map(|(rel, ucq)| (rel, ucq));
     let mut rules: Vec<Rule> = Vec::new();
-    let mut convert = |head_pred: &RelName, ucq: &UcqQuery| -> Result<(), EvalError> {
-        for cq in ucq.rules() {
-            if !cq.negated().is_empty() {
+    for (rel, ucq) in named.chain([output]) {
+        for rule in ucq.rules() {
+            if rule.has_negation() {
                 return Err(EvalError::Unsafe {
                     reason: "transducer rule uses negation; not a Datalog transducer".into(),
                 });
             }
-            convert_rule(head_pred, cq, &mut rules)?;
+            let head = Atom::new(rel.clone(), rule.head().terms.clone());
+            rules.push(Rule::new(head, rule.body().to_vec())?);
         }
-        Ok(())
-    };
-    for (rel, ucq) in memory_rules {
-        convert(rel, ucq)?;
     }
-    convert(output.0, output.1)?;
     Program::new(rules)
-}
-
-fn convert_rule(head_pred: &RelName, cq: &CqRule, rules: &mut Vec<Rule>) -> Result<(), EvalError> {
-    let head = Atom::new(head_pred.clone(), cq.head().to_vec());
-    let body: Vec<Literal> = cq.positive().iter().cloned().map(Literal::Pos).collect();
-    rules.push(Rule::new(head, body)?);
-    Ok(())
 }
 
 /// Convenience: the textbook transitive-closure program
@@ -175,7 +167,7 @@ mod tests {
     use super::*;
     use rtx_net::{run, FifoRoundRobin, HorizontalPartition, Network, RunBudget};
     use rtx_query::{DatalogQuery, Query};
-    use rtx_relational::{fact, Instance};
+    use rtx_relational::{fact, tuple, Instance};
     use rtx_transducer::Classification;
 
     fn edges(pairs: &[(i64, i64)]) -> Instance {
@@ -272,6 +264,37 @@ mod tests {
         let q = DatalogQuery::new(program, "Ans").unwrap();
         let out = q.eval(&input).unwrap();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn round_trip_keeps_nonequalities() {
+        // T(X,Y) ← E(X,Y), X ≠ Y with output O(X,Y) ← T(X,Y): the
+        // program must answer what the transducer's query answers.
+        let (x, y) = (Term::var("X"), Term::var("Y"));
+        let t_rule = CqBuilder::head(vec![x.clone(), y.clone()])
+            .when(Atom::new("E", vec![x.clone(), y.clone()]))
+            .distinct(x.clone(), y.clone())
+            .build()
+            .unwrap();
+        let t_query = UcqQuery::single(t_rule);
+        let out_rule = UcqQuery::single(
+            CqBuilder::head(vec![x.clone(), y.clone()])
+                .when(Atom::new("T", vec![x, y]))
+                .build()
+                .unwrap(),
+        );
+        let input = edges(&[(1, 1), (1, 2)]);
+        let program = datalog_from_transducer_rules(
+            &[("T".into(), t_query.clone())],
+            (&"O".into(), &out_rule),
+        )
+        .unwrap();
+        let out = DatalogQuery::new(program, "O")
+            .unwrap()
+            .eval(&input)
+            .unwrap();
+        assert_eq!(out, t_query.eval(&input).unwrap());
+        assert_eq!(out.iter().cloned().collect::<Vec<_>>(), vec![tuple![1, 2]]);
     }
 
     #[test]

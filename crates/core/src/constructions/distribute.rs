@@ -241,7 +241,7 @@ mod tests {
     fn theorem_6_3_distributed_while_program() {
         // while-program computing TC, distributed via multicast
         let scratch = Schema::new().with("T", 2).with("Delta", 2).with("New", 2);
-        let q = |r: rtx_query::CqRule| -> QueryRef { Arc::new(UcqQuery::single(r)) };
+        let q = |r: rtx_query::Rule| -> QueryRef { Arc::new(UcqQuery::single(r)) };
         let copy_e = CqBuilder::head(vec![Term::var("X"), Term::var("Y")])
             .when(atom!("E"; @"X", @"Y"))
             .build()

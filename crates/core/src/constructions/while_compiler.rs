@@ -262,7 +262,7 @@ mod tests {
     use rtx_query::{atom, CqBuilder, Query, Term, UcqQuery, WhileQuery};
     use rtx_relational::{fact, Instance};
 
-    fn q(rule: rtx_query::CqRule) -> QueryRef {
+    fn q(rule: rtx_query::Rule) -> QueryRef {
         Arc::new(UcqQuery::single(rule))
     }
 

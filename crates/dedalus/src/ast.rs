@@ -16,11 +16,27 @@
 //! or body as *data* — "timestamp values can also occur as data values" —
 //! which is what lets Dedalus mint unboundedly many fresh values
 //! (Theorem 18 uses it to extend the simulated Turing tape).
+//!
+//! Dedalus is a thin dialect over `rtx-query`'s Datalog: each [`DRule`]
+//! translates once to a Datalog [`Rule`], and a rule that names the
+//! time variable reads it through one extra body atom over the reserved
+//! unary [`CLOCK`] relation, which the runtime fills with the current
+//! tick. So the translated rule's safety is the rule's safety.
 
-use rtx_query::{Atom, EvalError, Term, Var};
+use rtx_query::{Atom, EvalError, Literal, Rule, Term, Var};
 use rtx_relational::{RelName, Schema};
 use std::collections::BTreeSet;
 use std::fmt;
+
+/// The reserved unary relation an entangled rule reads its time
+/// variable from: at tick `t` the runtime's base holds the one fact
+/// `@clock(t)`. No identifier can spell the name, and
+/// [`DedalusProgram::new`] rejects a rule that uses it.
+pub const CLOCK: &str = "@clock";
+
+/// The time keyword of the surface syntax: in term position it is the
+/// body timestamp, read through the variable of the same name.
+pub(crate) const NOW: &str = "now";
 
 /// Head-timestamp discipline of a rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -126,37 +142,23 @@ impl DRule {
         !self.body_neg.is_empty()
     }
 
-    /// Validate safety: every head / negated / nonequality variable must
-    /// be bound by a positive atom or be the time variable.
-    pub fn validate(&self) -> Result<(), EvalError> {
-        let mut bound: BTreeSet<Var> = BTreeSet::new();
-        for a in &self.body_pos {
-            bound.extend(a.vars());
-        }
-        if let Some(tv) = &self.time_var {
-            bound.insert(*tv);
-        }
-        let mut need: Vec<Var> = self.head.vars();
-        for a in &self.body_neg {
-            need.extend(a.vars());
-        }
-        for (a, b) in &self.diseq {
-            for t in [a, b] {
-                if let Term::Var(v) = t {
-                    need.push(*v);
-                }
-            }
-        }
-        for v in need {
-            if !bound.contains(&v) {
-                return Err(EvalError::Unsafe {
-                    reason: format!(
-                        "variable {v} not bound by a positive atom or the time variable"
-                    ),
-                });
-            }
-        }
-        Ok(())
+    /// The rule as a Datalog rule, validated by [`Rule::new`]: its
+    /// literals plus, when it names the time variable `T`, the atom
+    /// `@clock(T)`. Every head, negated or nonequality variable must be
+    /// bound by a positive atom or be the time variable.
+    pub(crate) fn translate(&self) -> Result<Rule, EvalError> {
+        let clock = (self.time_var).map(|v| Literal::Pos(Atom::new(CLOCK, vec![Term::Var(v)])));
+        let body = (self.body_pos.iter().cloned().map(Literal::Pos))
+            .chain(self.body_neg.iter().cloned().map(Literal::Neg))
+            .chain(
+                self.diseq
+                    .iter()
+                    .cloned()
+                    .map(|(x, y)| Literal::Diseq(x, y)),
+            )
+            .chain(clock)
+            .collect();
+        Rule::new(self.head.clone(), body)
     }
 }
 
@@ -190,13 +192,15 @@ impl fmt::Display for DRule {
             first = false;
             write!(f, "{a} ≠ {b}")?;
         }
-        if let Some(tv) = &self.time_var {
-            if !first {
-                write!(f, ", ")?;
+        match &self.time_var {
+            Some(tv) if tv.as_str() != NOW => {
+                if !first {
+                    write!(f, ", ")?;
+                }
+                write!(f, "{tv} = {NOW}")
             }
-            write!(f, "{tv} = now")?;
+            _ => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -208,19 +212,25 @@ pub struct DedalusProgram {
 }
 
 impl DedalusProgram {
-    /// Build a program, validating rule safety and arity consistency
-    /// (data arities — the implicit timestamp is not counted).
+    /// Build a program, validating rule safety (through the rule's
+    /// Datalog translation), arity consistency (data arities — the
+    /// implicit timestamp is not counted), and that no rule names the
+    /// reserved [`CLOCK`] relation.
     pub fn new(rules: Vec<DRule>) -> Result<Self, EvalError> {
         let mut signature = Schema::new();
         for r in &rules {
-            r.validate()?;
-            signature
-                .declare(r.head().pred.clone(), r.head().arity())
-                .map_err(EvalError::Rel)?;
-            for a in r.body_pos().iter().chain(r.body_neg()) {
-                signature
-                    .declare(a.pred.clone(), a.arity())
-                    .map_err(EvalError::Rel)?;
+            r.translate()?;
+            for a in [r.head()]
+                .into_iter()
+                .chain(r.body_pos())
+                .chain(r.body_neg())
+            {
+                if a.pred.as_str() == CLOCK {
+                    return Err(EvalError::Other(format!(
+                        "`{CLOCK}` is reserved for the Dedalus clock"
+                    )));
+                }
+                signature.declare(a.pred.clone(), a.arity())?;
             }
         }
         Ok(DedalusProgram { rules, signature })
@@ -282,7 +292,7 @@ mod tests {
             .when(atom!("q"; @"X"))
             .unless(atom!("r"; @"X"))
             .distinct(Term::var("X"), Term::cons(1));
-        assert!(r.validate().is_ok());
+        assert!(r.translate().is_ok());
         let s = r.to_string();
         assert!(s.contains("@next"));
         assert!(s.contains("¬r(X)"));
@@ -291,9 +301,10 @@ mod tests {
     #[test]
     fn safety_needs_positive_or_time_binding() {
         let bad = DRule::new(atom!("p"; @"X"), DTime::Same);
-        assert!(bad.validate().is_err());
+        assert!(DedalusProgram::new(vec![bad]).is_err());
         let ok = DRule::new(atom!("p"; @"T"), DTime::Next).with_time_var("T");
-        assert!(ok.validate().is_ok());
+        assert_eq!(format!("{:?}", ok.translate().unwrap()), "p(T) ← @clock(T)");
+        assert!(DedalusProgram::new(vec![ok]).is_ok());
     }
 
     #[test]
@@ -317,6 +328,16 @@ mod tests {
             DRule::new(atom!("p"; @"X", @"Y"), DTime::Same).when(atom!("e2"; @"X", @"Y")),
         ]);
         assert!(res.is_err());
+    }
+
+    #[test]
+    fn the_clock_relation_is_reserved() {
+        let clock =
+            DRule::new(atom!("p"; @"X"), DTime::Same).when(Atom::new(CLOCK, vec![Term::var("X")]));
+        assert!(DedalusProgram::new(vec![clock]).is_err());
+        let head =
+            DRule::new(Atom::new(CLOCK, vec![Term::var("X")]), DTime::Next).when(atom!("p"; @"X"));
+        assert!(DedalusProgram::new(vec![head]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 2. the **deductive** rules (which must be stratifiable — the paper
 //!    requires modular stratification for a deterministic semantics) are
 //!    evaluated to fixpoint over the base, with the entangled time
-//!    variable bound to `t`;
+//!    variable bound to `t` through the base's clock fact;
 //! 3. **inductive** rules fire once against the completed tick database,
 //!    scheduling their heads at `t+1`;
 //! 4. **asynchronous** rules fire once, scheduling each derived head at a
@@ -21,18 +21,21 @@
 //! pending asynchronous delivery is already in the database.
 //!
 //! [`DedalusRuntime::run`] computes this in one loop over a persistent
-//! store advanced by per-tick deltas. The program alone decides how a
-//! tick's deductive fixpoint is computed: when no deductive rule names
-//! the time variable, one `MaintainedFixpoint` keeps the IDB across
-//! ticks; otherwise the rules are re-translated and evaluated every
-//! tick. The naive tick loop the runtime is tested against lives in the
+//! store advanced by per-tick deltas. Each timing class is translated
+//! to Datalog once, and a rule that names the time variable reads the
+//! tick from the reserved [`CLOCK`] relation: the loop inserts the fact
+//! `@clock(t)` into the tick's base, and the carry retracts it, since no
+//! `@next` rule derives it. So the rules never change between ticks,
+//! one `MaintainedFixpoint` keeps the IDB across ticks for every
+//! program, and the `@next` and `@async` classes are one `T_P` step
+//! each. The naive tick loop the runtime is tested against lives in the
 //! `rtx-ref` crate.
 
-use crate::ast::{DRule, DTime, DedalusProgram};
+use crate::ast::{DRule, DTime, DedalusProgram, CLOCK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtx_query::{Atom, EvalError, Literal, MaintainedFixpoint, Program, Rule, Term, Var};
-use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Schema, Value};
+use rtx_query::{EvalError, MaintainedFixpoint, Program};
+use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Schema, Tuple, Value};
 use std::collections::BTreeMap;
 
 /// EDB facts with arrival timestamps.
@@ -179,7 +182,8 @@ impl Default for DedalusOptions {
 /// The observable result of a run.
 #[derive(Clone, Debug)]
 pub struct Trace {
-    /// The database at each tick.
+    /// The database at each tick (never holding the runtime's
+    /// [`CLOCK`] fact).
     pub ticks: Vec<Instance>,
     /// The first tick from which the database provably repeats forever.
     pub converged_at: Option<u64>,
@@ -205,131 +209,67 @@ impl Trace {
     }
 }
 
-/// Substitute the time variable by the current tick in a term.
-fn subst_term(t: &Term, tv: Option<&Var>, now: u64) -> Term {
-    match (t, tv) {
-        (Term::Var(v), Some(tvar)) if v == tvar => Term::Const(Value::Int(now as i64)),
-        _ => t.clone(),
-    }
-}
-
-fn subst_atom(a: &Atom, tv: Option<&Var>, now: u64) -> Atom {
-    Atom::new(
-        a.pred.clone(),
-        a.terms.iter().map(|t| subst_term(t, tv, now)).collect(),
-    )
-}
-
-/// Translate a Dedalus rule (with the time variable bound to `now`) into
-/// a plain Datalog rule.
-fn translate(rule: &DRule, now: u64) -> Result<Rule, EvalError> {
-    let tv = rule.time_var();
-    let head = subst_atom(rule.head(), tv, now);
-    let mut body: Vec<Literal> = Vec::new();
-    for a in rule.body_pos() {
-        body.push(Literal::Pos(subst_atom(a, tv, now)));
-    }
-    for a in rule.body_neg() {
-        body.push(Literal::Neg(subst_atom(a, tv, now)));
-    }
-    for (a, b) in rule.diseqs() {
-        body.push(Literal::Diseq(
-            subst_term(a, tv, now),
-            subst_term(b, tv, now),
-        ));
-    }
-    Rule::new(head, body)
-}
-
-/// The Dedalus evaluator.
+/// The Dedalus evaluator: the program's timing classes, each
+/// translated to Datalog once.
 pub struct DedalusRuntime<'p> {
     program: &'p DedalusProgram,
-    /// Cached deductive program when no deductive rule entangles time.
-    cached_deductive: Option<Program>,
+    /// The deductive rules, run to fixpoint within a tick.
+    deductive: Program,
+    /// The inductive rules, fired once per tick into the carry.
+    inductive: Program,
+    /// The asynchronous rules, fired once per tick into the deliveries.
+    asynchronous: Program,
+    /// Does some rule read the [`CLOCK`]?
+    clocked: bool,
 }
 
 impl<'p> DedalusRuntime<'p> {
     /// Prepare a runtime for a program.
     pub fn new(program: &'p DedalusProgram) -> Result<Self, EvalError> {
-        let time_free = program
-            .rules_with(DTime::Same)
-            .all(|r| r.time_var().is_none());
-        let cached_deductive = if time_free {
-            let p = Self::build(program, DTime::Same, 0)?;
-            // surface stratification problems at construction time
-            p.stratify()?;
-            Some(p)
-        } else {
-            None
+        let class = |timing| -> Result<Program, EvalError> {
+            let rules = program.rules_with(timing).map(DRule::translate);
+            Program::new(rules.collect::<Result<_, _>>()?)
         };
+        let deductive = class(DTime::Same)?;
+        // surface stratification problems at construction time
+        deductive.stratify()?;
         Ok(DedalusRuntime {
             program,
-            cached_deductive,
+            deductive,
+            inductive: class(DTime::Next)?,
+            asynchronous: class(DTime::Async)?,
+            clocked: program.rules().iter().any(|r| r.time_var().is_some()),
         })
     }
 
-    fn build(program: &DedalusProgram, timing: DTime, now: u64) -> Result<Program, EvalError> {
-        let rules: Vec<Rule> = program
-            .rules_with(timing)
-            .map(|r| translate(r, now))
-            .collect::<Result<_, _>>()?;
-        Program::new(rules)
-    }
-
-    /// Working schema: program signature ∪ EDB fact relations.
+    /// Working schema: program signature ∪ EDB fact relations, plus
+    /// the [`CLOCK`] when some rule reads it.
     fn schema(&self, edb: &TemporalFacts) -> Result<Schema, EvalError> {
         let mut s = self.program.signature().clone();
-        for facts in edb.arrivals.values() {
-            for f in facts {
-                s.declare(f.rel().clone(), f.arity())
-                    .map_err(EvalError::Rel)?;
+        for f in edb.arrivals.values().flatten() {
+            if f.rel().as_str() == CLOCK {
+                return Err(EvalError::Other(format!(
+                    "`{CLOCK}` is reserved for the Dedalus clock"
+                )));
             }
+            s.declare(f.rel().clone(), f.arity())?;
+        }
+        if self.clocked {
+            s.declare(CLOCK, 1)?;
         }
         Ok(s)
-    }
-
-    /// Split a timing class into a program for the rules that never
-    /// mention the time variable (translated once, reused every tick)
-    /// and the entangled remainder (retranslated per tick). Firing the
-    /// two halves separately and unioning their heads is equivalent to
-    /// firing the whole class: `T_P` applies each rule once.
-    fn split_timing(&self, timing: DTime) -> Result<(Option<Program>, Vec<&'p DRule>), EvalError> {
-        let (free, entangled): (Vec<&DRule>, Vec<&DRule>) = self
-            .program
-            .rules_with(timing)
-            .partition(|r| r.time_var().is_none());
-        let cached = if free.is_empty() {
-            None
-        } else {
-            let rules: Vec<Rule> = free
-                .iter()
-                .map(|r| translate(r, 0))
-                .collect::<Result<_, _>>()?;
-            Some(Program::new(rules)?)
-        };
-        Ok((cached, entangled))
-    }
-
-    /// Translate and build a program from a rule subset at tick `now`.
-    fn build_subset(rules: &[&DRule], now: u64) -> Result<Program, EvalError> {
-        let translated: Vec<Rule> = rules
-            .iter()
-            .map(|r| translate(r, now))
-            .collect::<Result<_, _>>()?;
-        Program::new(translated)
     }
 
     /// Run the program on a temporal EDB.
     ///
     /// One persistent `base` instance is advanced by per-tick deltas
-    /// instead of being rebuilt, and the rules that never name the time
-    /// variable are translated once. When no deductive rule names it,
-    /// the deductive fixpoint is maintained *across* ticks: the tick's
-    /// base ± — arrivals, async deliveries, and the facts the carry
-    /// dropped (first-class retractions) — feeds a
-    /// [`MaintainedFixpoint`], which evaluates from scratch only on the
-    /// first tick. Otherwise the deductive rules change every tick, and
-    /// each tick re-translates and evaluates them.
+    /// instead of being rebuilt, and the deductive fixpoint is
+    /// maintained *across* ticks: the tick's base ± — the clock fact,
+    /// arrivals, async deliveries, and the facts the carry dropped
+    /// (first-class retractions, the previous clock fact among them) —
+    /// feeds a [`MaintainedFixpoint`], which evaluates from scratch
+    /// only on the first tick. The `@next` and `@async` rules fire on
+    /// the tick's copy of its database.
     ///
     /// Fails with [`EvalError::ZeroBudget`] when `opts.max_ticks` is 0.
     pub fn run(&self, edb: &TemporalFacts, opts: &DedalusOptions) -> Result<Trace, EvalError> {
@@ -347,102 +287,56 @@ impl<'p> DedalusRuntime<'p> {
         let mut pending_async: BTreeMap<u64, Vec<Fact>> = BTreeMap::new();
         let mut ticks: Vec<Instance> = Vec::new();
         let mut converged_at = None;
-        let (cached_inductive, entangled_inductive) = self.split_timing(DTime::Next)?;
-        let (cached_async, entangled_async) = self.split_timing(DTime::Async)?;
-        let mut maintained = (self.cached_deductive.as_ref())
-            .map(MaintainedFixpoint::new)
-            .transpose()?;
+        let mut fixpoint = MaintainedFixpoint::new(&self.deductive)?;
         // The tick's base ± relative to the previous tick's evaluated
-        // base: carry-dropped facts arrive here as retractions, carry
-        // additions / EDB arrivals / async deliveries as insertions.
-        // Only tracked when a maintained fixpoint consumes it — the
-        // per-tick path must not pay for (or accumulate) the clones.
-        let track = maintained.is_some();
+        // base: carry-dropped facts arrive here as retractions, the
+        // clock fact, carry additions, EDB arrivals and async deliveries
+        // as insertions.
         let mut tick_added: Vec<Fact> = Vec::new();
         let mut tick_removed: Vec<Fact> = Vec::new();
 
         for now in 0..opts.max_ticks {
             let _tick_span = rtx_obs::trace::span("dedalus", "tick", &[("tick", now as i64)]);
-            // 1. base facts: the carried store plus this tick's arrivals
-            for f in edb.at(now) {
-                if base.insert_fact(f.clone()).map_err(EvalError::Rel)? && track {
-                    tick_added.push(f.clone());
-                }
-            }
-            if let Some(facts) = pending_async.remove(&now) {
-                for f in facts {
-                    if base.insert_fact(f.clone()).map_err(EvalError::Rel)? && track {
-                        tick_added.push(f);
-                    }
+            // 1. base facts: the clock and this tick's arrivals join the
+            // carried store
+            let clock =
+                (self.clocked).then(|| Fact::new(CLOCK, Tuple::new([Value::Int(now as i64)])));
+            let delivered = pending_async.remove(&now).unwrap_or_default();
+            let arrivals = clock.iter().chain(edb.at(now)).cloned().chain(delivered);
+            for f in arrivals {
+                if base.insert_fact(f.clone())? {
+                    tick_added.push(f);
                 }
             }
 
             // 2. deductive fixpoint
-            let db = match &mut maintained {
-                Some(fix) if fix.is_initialized() => {
-                    let delta = InstanceDelta::from_parts(
-                        std::mem::take(&mut tick_added),
-                        std::mem::take(&mut tick_removed),
-                    );
-                    fix.apply(&delta)?.clone()
-                }
-                Some(fix) => {
-                    tick_added.clear();
-                    tick_removed.clear();
-                    fix.initialize(&base)?.clone()
-                }
-                None => Self::build(self.program, DTime::Same, now)?.eval(&base)?,
-            };
-
-            // 3. inductive rules → carry to now+1 (cached half + the
-            // per-tick entangled half)
-            let mut next_carry = Instance::empty(schema.clone());
-            let carry_step = |step: Instance, next_carry: &mut Instance| -> Result<(), EvalError> {
-                for f in step.facts() {
-                    if self.program.signature().contains(f.rel()) {
-                        next_carry.insert_fact(f).map_err(EvalError::Rel)?;
-                    }
-                }
-                Ok(())
-            };
-            if let Some(p) = &cached_inductive {
-                carry_step(p.tp_step(&db)?, &mut next_carry)?;
-            }
-            if !entangled_inductive.is_empty() {
-                let p = Self::build_subset(&entangled_inductive, now)?;
-                carry_step(p.tp_step(&db)?, &mut next_carry)?;
-            }
-
-            // 4. async rules → pending deliveries. The two halves merge
-            // into one instance before delays are drawn, so the draws
-            // consume the heads in sorted fact order.
-            let mut astep: Option<Instance> = None;
-            if let Some(p) = &cached_async {
-                astep = Some(p.tp_step(&db)?);
-            }
-            if !entangled_async.is_empty() {
-                let p = Self::build_subset(&entangled_async, now)?;
-                let step = p.tp_step(&db)?;
-                astep = Some(match astep {
-                    None => step,
-                    Some(mut acc) => {
-                        for f in step.facts() {
-                            acc.insert_fact(f).map_err(EvalError::Rel)?;
-                        }
-                        acc
-                    }
-                });
-            }
-            if let Some(astep) = astep {
-                schedule_async(
-                    astep
-                        .facts()
-                        .filter(|f| self.program.signature().contains(f.rel())),
-                    now,
-                    opts,
-                    &mut rng,
-                    &mut pending_async,
+            let mut db = if fixpoint.is_initialized() {
+                let delta = InstanceDelta::from_parts(
+                    std::mem::take(&mut tick_added),
+                    std::mem::take(&mut tick_removed),
                 );
+                fixpoint.apply(&delta)?.clone()
+            } else {
+                tick_added.clear();
+                tick_removed.clear();
+                fixpoint.initialize(&base)?.clone()
+            };
+
+            // 3. inductive rules → carry to now+1
+            let mut next_carry = Instance::empty(schema.clone());
+            for f in self.inductive.tp_step(&db)?.facts() {
+                next_carry.insert_fact(f)?;
+            }
+
+            // 4. async rules → pending deliveries, the delays drawn for
+            // the heads in sorted fact order
+            let heads = self.asynchronous.tp_step(&db)?;
+            schedule_async(heads.facts(), now, opts, &mut rng, &mut pending_async);
+
+            // The clock is the runtime's, not the program's: no tick of
+            // the trace shows it.
+            if let Some(f) = &clock {
+                db.remove_fact(f);
             }
 
             // 5. convergence detection: the tick database repeats, no
@@ -464,12 +358,8 @@ impl<'p> DedalusRuntime<'p> {
             // 6. advance the store to the next tick's carry by delta —
             // carry-dropped facts become the next tick's retractions
             let delta = next_carry.diff(&base);
-            base.apply_delta(&delta).map_err(EvalError::Rel)?;
-            if maintained.is_some() {
-                let (add, rem) = delta.into_parts();
-                tick_added = add;
-                tick_removed = rem;
-            }
+            base.apply_delta(&delta)?;
+            (tick_added, tick_removed) = delta.into_parts();
         }
         publish_run(ticks.len(), converged_at);
         Ok(Trace {
@@ -691,6 +581,31 @@ mod tests {
         let trace = run_dedalus(&p, &edb, &opts).unwrap();
         assert_eq!(trace.ticks.len(), 1);
         assert!(trace.last().contains_fact(&fact!("s", 1)));
+    }
+
+    #[test]
+    fn the_clock_stays_out_of_the_trace_and_the_edb() {
+        let p = DedalusProgram::new(vec![
+            persist("go", 0),
+            DRule::new(atom!("stamp"; @"T"), DTime::Same)
+                .when(atom!("go"))
+                .with_time_var("T"),
+        ])
+        .unwrap();
+        let mut edb = TemporalFacts::new();
+        edb.insert(0, fact!("go"));
+        let opts = DedalusOptions {
+            max_ticks: 3,
+            ..Default::default()
+        };
+        let trace = run_dedalus(&p, &edb, &opts).unwrap();
+        for (now, db) in trace.ticks.iter().enumerate() {
+            let facts: Vec<Fact> = db.facts().collect();
+            assert_eq!(facts, vec![fact!("go"), fact!("stamp", now as i64)]);
+        }
+        // An EDB fact cannot forge the tick.
+        edb.insert(1, Fact::new(CLOCK, Tuple::new([Value::Int(7)])));
+        assert!(run_dedalus(&p, &edb, &opts).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ mod eval;
 pub mod parser;
 pub mod tm;
 
-pub use ast::{DRule, DTime, DedalusProgram};
+pub use ast::{DRule, DTime, DedalusProgram, CLOCK};
 pub use eval::{run_dedalus, AsyncFaultPlan, DedalusOptions, DedalusRuntime, TemporalFacts, Trace};
 pub use parser::parse_dedalus;
 pub use tm::{compile_tm, simulate_instance, simulate_word, InputSchedule, Thm18Outcome};

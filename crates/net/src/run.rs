@@ -515,7 +515,7 @@ mod tests {
     use rtx_transducer::TransducerBuilder;
     use std::sync::Arc;
 
-    fn cq(rule: rtx_query::CqRule) -> QueryRef {
+    fn cq(rule: rtx_query::Rule) -> QueryRef {
         Arc::new(UcqQuery::single(rule))
     }
 

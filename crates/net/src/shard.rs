@@ -1038,7 +1038,7 @@ mod tests {
         assert_send_sync::<QueryRef>();
     };
 
-    fn cq(rule: rtx_query::CqRule) -> QueryRef {
+    fn cq(rule: rtx_query::Rule) -> QueryRef {
         Arc::new(UcqQuery::single(rule))
     }
 

@@ -4,202 +4,44 @@
 //! Lemma 5(1) can be implemented with UCQ¬ local queries, and
 //! Corollary 14(3) characterizes Datalog via nonrecursive-Datalog
 //! (equivalently, UCQ¬-composition) transducers. This module provides the
-//! syntactic class; each rule evaluates on the crate's one columnar join
+//! syntactic class as what it is, nonrecursive Datalog: each disjunct is
+//! a Datalog [`Rule`] under a fixed answer predicate, fired once through
+//! the same function as Datalog's `T_P` on the crate's one columnar join
 //! executor (`frame.rs`), much faster than brute-force FO enumeration.
 
+use crate::datalog::{Literal, Rule};
 use crate::error::EvalError;
-use crate::frame::join_body;
-use crate::plan;
 use crate::query::Query;
 use crate::term::{Atom, Term};
 use rtx_relational::{Instance, RelName, Relation, Run};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::OnceLock;
 
-/// One conjunctive rule with optional safe negation and nonequalities:
-/// `head(t̄) ← p1, …, pm, ¬n1, …, ¬nj, u1 ≠ v1, …`.
-#[derive(Clone)]
-pub struct CqRule {
-    head: Vec<Term>,
-    pos: Vec<Atom>,
-    neg: Vec<Atom>,
-    diseq: Vec<(Term, Term)>,
-    /// How the rule evaluates, decided on the first evaluation (a pure
-    /// function of the rule, so equality ignores it).
-    plan: OnceLock<Plan>,
-}
+/// The head predicate of every rule [`CqBuilder::build`] makes. A UCQ¬
+/// never reads it: the query's answer is the union of its rules' head
+/// tuples.
+const ANSWER: &str = "ans";
 
-/// How a [`CqRule`] evaluates.
-#[derive(Clone)]
-enum Plan {
-    /// The head is exactly the one positive atom's distinct variables,
-    /// in order, and nothing filters: the answer is that atom's run.
-    Copy,
-    /// Join the positive atoms in this order, filter, project.
-    Join(Vec<usize>),
-}
-
-impl PartialEq for CqRule {
-    fn eq(&self, other: &Self) -> bool {
-        self.head == other.head
-            && self.pos == other.pos
-            && self.neg == other.neg
-            && self.diseq == other.diseq
-    }
-}
-
-impl Eq for CqRule {}
-
-impl CqRule {
-    /// Build and validate a rule.
-    ///
-    /// Safety: every variable in the head, in a negated atom, or in a
-    /// nonequality must occur in some positive atom.
-    pub fn new(
-        head: Vec<Term>,
-        pos: Vec<Atom>,
-        neg: Vec<Atom>,
-        diseq: Vec<(Term, Term)>,
-    ) -> Result<Self, EvalError> {
-        let diseqs = diseq.iter().map(|(x, y)| (x, y));
-        plan::check_safety(&head, &pos, &neg, diseqs)?;
-        Ok(CqRule {
-            head,
-            pos,
-            neg,
-            diseq,
-            plan: OnceLock::new(),
-        })
-    }
-
-    /// Head terms.
-    pub fn head(&self) -> &[Term] {
-        &self.head
-    }
-
-    /// Positive body atoms.
-    pub fn positive(&self) -> &[Atom] {
-        &self.pos
-    }
-
-    /// Negated body atoms.
-    pub fn negated(&self) -> &[Atom] {
-        &self.neg
-    }
-
-    /// Nonequalities `u ≠ v`.
-    pub fn nonequalities(&self) -> &[(Term, Term)] {
-        &self.diseq
-    }
-
-    /// Is the rule negation-free (nonequalities allowed)?
-    pub fn is_positive(&self) -> bool {
-        self.neg.is_empty()
-    }
-
-    fn plan(&self) -> &Plan {
-        self.plan.get_or_init(|| match &self.pos[..] {
-            [a] if self.neg.is_empty()
-                && self.diseq.is_empty()
-                && a.terms == self.head
-                && a.vars().len() == a.arity() =>
-            {
-                Plan::Copy
-            }
-            _ => Plan::Join(plan::plan_order(&self.pos.iter().collect::<Vec<_>>(), None)),
-        })
-    }
-
-    /// The rule's head tuples over `db` as a sorted run; `None` when it
-    /// derives nothing. An empty positive relation ends the rule before
-    /// anything is allocated.
-    fn eval_run(&self, db: &Instance) -> Result<Option<Run>, EvalError> {
-        let mut pos: Vec<(&Atom, &Relation)> = Vec::new();
-        for a in &self.pos {
-            match plan::lookup(db, a)? {
-                Some(rel) if !rel.is_empty() => pos.push((a, rel)),
-                _ => return Ok(None),
-            }
-        }
-        let order = match self.plan() {
-            Plan::Copy => return Ok(Some(Run::clone(&pos[0].1.columnar_run()))),
-            Plan::Join(order) => order,
-        };
-        let diseqs = self.diseq.iter().map(|(x, y)| (x, y));
-        match join_body(&pos, order, &self.neg, diseqs, db)? {
-            Some(frame) => Ok(Some(frame.project(&self.head)?)),
-            None => Ok(None),
-        }
-    }
-
-    fn relations(&self) -> BTreeSet<RelName> {
-        self.pos
-            .iter()
-            .chain(self.neg.iter())
-            .map(|a| a.pred.clone())
-            .collect()
-    }
-}
-
-impl fmt::Debug for CqRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, t) in self.head.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{t}")?;
-        }
-        write!(f, ") ← ")?;
-        let mut first = true;
-        for a in &self.pos {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{a}")?;
-        }
-        for a in &self.neg {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "¬{a}")?;
-        }
-        for (x, y) in &self.diseq {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{x} ≠ {y}")?;
-        }
-        if first {
-            write!(f, "⊤")?;
-        }
-        Ok(())
-    }
-}
-
-/// A union of conjunctive queries with safe negation (UCQ¬).
+/// A union of conjunctive queries with safe negation (UCQ¬): Datalog
+/// rules with a common head arity, each fired once.
 ///
 /// With no rules this is the empty query; with negation-free rules it is
 /// a plain UCQ and syntactically monotone.
 #[derive(Clone, PartialEq, Eq)]
 pub struct UcqQuery {
     arity: usize,
-    rules: Vec<CqRule>,
+    rules: Vec<Rule>,
 }
 
 impl UcqQuery {
     /// Build a UCQ¬ from rules of matching head arity.
-    pub fn new(arity: usize, rules: Vec<CqRule>) -> Result<Self, EvalError> {
+    pub fn new(arity: usize, rules: Vec<Rule>) -> Result<Self, EvalError> {
         for r in &rules {
-            if r.head.len() != arity {
+            if r.head().arity() != arity {
                 return Err(EvalError::Unsafe {
                     reason: format!(
                         "rule head arity {} differs from query arity {arity}",
-                        r.head.len()
+                        r.head().arity()
                     ),
                 });
             }
@@ -208,21 +50,21 @@ impl UcqQuery {
     }
 
     /// A single-rule conjunctive query.
-    pub fn single(rule: CqRule) -> Self {
+    pub fn single(rule: Rule) -> Self {
         UcqQuery {
-            arity: rule.head.len(),
+            arity: rule.head().arity(),
             rules: vec![rule],
         }
     }
 
     /// The rules.
-    pub fn rules(&self) -> &[CqRule] {
+    pub fn rules(&self) -> &[Rule] {
         &self.rules
     }
 
     /// Add a rule (builder style).
-    pub fn or_rule(mut self, rule: CqRule) -> Result<Self, EvalError> {
-        if rule.head.len() != self.arity {
+    pub fn or_rule(mut self, rule: Rule) -> Result<Self, EvalError> {
+        if rule.head().arity() != self.arity {
             return Err(EvalError::Unsafe {
                 reason: "rule arity mismatch in union".into(),
             });
@@ -240,7 +82,7 @@ impl Query for UcqQuery {
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
         let mut out: Option<Run> = None;
         for r in &self.rules {
-            if let Some(run) = r.eval_run(db)? {
+            if let Some(run) = r.fire(db, None)? {
                 out = Some(match out {
                     Some(acc) => acc.union(&run),
                     None => run,
@@ -255,7 +97,7 @@ impl Query for UcqQuery {
         let has_head_constants = self
             .rules
             .iter()
-            .any(|r| r.head.iter().any(|t| matches!(t, Term::Const(_))));
+            .any(|r| r.head().terms.iter().any(|t| matches!(t, Term::Const(_))));
         if has_head_constants {
             let adom = db.adom();
             let filtered = out
@@ -268,11 +110,17 @@ impl Query for UcqQuery {
     }
 
     fn is_monotone_syntactic(&self) -> bool {
-        self.rules.iter().all(CqRule::is_positive)
+        !self.rules.iter().any(Rule::has_negation)
     }
 
     fn referenced_relations(&self) -> BTreeSet<RelName> {
-        self.rules.iter().flat_map(|r| r.relations()).collect()
+        let atoms = self.rules.iter().flat_map(Rule::body);
+        atoms
+            .filter_map(|l| match l {
+                Literal::Pos(a) | Literal::Neg(a) => Some(a.pred.clone()),
+                Literal::Diseq(..) => None,
+            })
+            .collect()
     }
 
     fn is_always_empty(&self) -> bool {
@@ -303,9 +151,7 @@ impl fmt::Debug for UcqQuery {
 #[derive(Clone, Debug, Default)]
 pub struct CqBuilder {
     head: Vec<Term>,
-    pos: Vec<Atom>,
-    neg: Vec<Atom>,
-    diseq: Vec<(Term, Term)>,
+    body: Vec<Literal>,
 }
 
 impl CqBuilder {
@@ -319,25 +165,28 @@ impl CqBuilder {
 
     /// Add a positive atom.
     pub fn when(mut self, a: Atom) -> Self {
-        self.pos.push(a);
+        self.body.push(Literal::Pos(a));
         self
     }
 
     /// Add a negated atom.
     pub fn unless(mut self, a: Atom) -> Self {
-        self.neg.push(a);
+        self.body.push(Literal::Neg(a));
         self
     }
 
     /// Add a nonequality.
     pub fn distinct(mut self, a: Term, b: Term) -> Self {
-        self.diseq.push((a, b));
+        self.body.push(Literal::Diseq(a, b));
         self
     }
 
-    /// Finish, validating safety.
-    pub fn build(self) -> Result<CqRule, EvalError> {
-        CqRule::new(self.head, self.pos, self.neg, self.diseq)
+    /// Finish: the rule `ans(head) ← body` under the fixed answer
+    /// predicate `ans`, validating safety — every variable in the head,
+    /// in a negated atom, or in a nonequality must occur in some
+    /// positive atom.
+    pub fn build(self) -> Result<Rule, EvalError> {
+        Rule::new(Atom::new(ANSWER, self.head), self.body)
     }
 }
 
@@ -439,7 +288,7 @@ mod tests {
             .when(atom!("S"; @"X"))
             .build()
             .unwrap();
-        assert!(matches!(copy.plan(), Plan::Copy));
+        assert!(copy.cached_plan().copy);
         let out = UcqQuery::single(copy).eval(&db()).unwrap();
         assert_eq!(out, Relation::from_tuples(1, [tuple![2]]).unwrap());
         for (head, body) in [
@@ -448,7 +297,7 @@ mod tests {
             (vec![v("X"), Term::cons(3)], atom!("E"; @"X", 3)),
         ] {
             let r = CqBuilder::head(head).when(body).build().unwrap();
-            assert!(matches!(r.plan(), Plan::Join(_)), "{r:?}");
+            assert!(!r.cached_plan().copy, "{r:?}");
         }
     }
 
@@ -487,7 +336,7 @@ mod tests {
 
     #[test]
     fn nullary_rule_with_empty_body_is_constant_true() {
-        let r = CqRule::new(vec![], vec![], vec![], vec![]).unwrap();
+        let r = CqBuilder::head(vec![]).build().unwrap();
         let q = UcqQuery::single(r);
         assert!(q.eval(&db()).unwrap().as_bool());
         assert_eq!(q.arity(), 0);
@@ -495,10 +344,16 @@ mod tests {
 
     #[test]
     fn head_constants_filtered_by_adom() {
-        let r = CqRule::new(vec![Term::cons(99)], vec![atom!("S"; @"X")], vec![], vec![]).unwrap();
+        let r = CqBuilder::head(vec![Term::cons(99)])
+            .when(atom!("S"; @"X"))
+            .build()
+            .unwrap();
         let q = UcqQuery::single(r);
         assert!(q.eval(&db()).unwrap().is_empty()); // 99 ∉ adom
-        let r2 = CqRule::new(vec![Term::cons(1)], vec![atom!("S"; @"X")], vec![], vec![]).unwrap();
+        let r2 = CqBuilder::head(vec![Term::cons(1)])
+            .when(atom!("S"; @"X"))
+            .build()
+            .unwrap();
         let out = UcqQuery::single(r2).eval(&db()).unwrap();
         assert!(out.contains(&tuple![1])); // 1 ∈ adom
     }

@@ -1,7 +1,11 @@
 //! Datalog, stratified Datalog, and nonrecursive Datalog.
 //!
-//! Implements semi-naive bottom-up evaluation with stratified negation,
-//! every rule firing running on the crate's one columnar join executor
+//! [`Rule`] is the workspace's one rule type: a UCQ¬ disjunct
+//! ([`crate::cq`]) is a rule under a fixed answer predicate, and a
+//! Dedalus rule (`rtx-dedalus`) translates to one. Implements
+//! semi-naive bottom-up evaluation with stratified negation; every rule
+//! firing — semi-naive rounds, `T_P` and UCQ¬ queries — goes through
+//! one function, on the crate's one columnar join executor
 //! (`frame.rs`). The immediate-consequence operator `T_P` is exposed
 //! separately because the paper's Theorem 6(5) builds an oblivious,
 //! inflationary transducer whose insertion queries apply `T_P` once per
@@ -16,6 +20,7 @@ use crate::term::{Atom, Term};
 use rtx_relational::{Instance, RelName, Relation, Run, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A body literal.
 #[derive(Clone, PartialEq, Eq)]
@@ -38,19 +43,32 @@ impl fmt::Debug for Literal {
     }
 }
 
-/// A Datalog rule `head ← body`.
+/// A Datalog rule `head ← body` — the crate's one rule type: UCQ¬
+/// rules ([`crate::cq`]) and the Dedalus rules of `rtx-dedalus`
+/// translate to it, and every rule fires through one function.
 #[derive(Clone)]
 pub struct Rule {
     head: Atom,
     body: Vec<Literal>,
-    /// Join orders (see [`Rule::plan`]). A pure function of the rule,
-    /// computed lazily on the first evaluation and cached so the
-    /// per-firing hot path never replans.
-    plans: std::sync::OnceLock<Vec<Vec<usize>>>,
+    /// How the rule fires (see [`FiringPlan`]). A pure function of the rule,
+    /// computed lazily on the first firing and cached so the per-firing
+    /// hot path never replans.
+    plan: OnceLock<FiringPlan>,
 }
 
-// `plans` is a cache of a pure function of `body`; equality is over the
-// logical rule only.
+/// How a [`Rule`] fires.
+#[derive(Clone)]
+pub(crate) struct FiringPlan {
+    /// The body is one positive atom whose terms are the head's, all
+    /// distinct variables, and nothing filters: a firing is that atom's
+    /// run (the copy plan of `R(x̄) ← S(x̄)`).
+    pub(crate) copy: bool,
+    /// Join orders of the positive atoms (see [`Rule::plan`]).
+    orders: Vec<Vec<usize>>,
+}
+
+// `plan` is a cache of a pure function of the rule; equality is over
+// the logical rule only.
 impl PartialEq for Rule {
     fn eq(&self, other: &Self) -> bool {
         self.head == other.head && self.body == other.body
@@ -67,7 +85,7 @@ impl Rule {
         let rule = Rule {
             head,
             body,
-            plans: std::sync::OnceLock::new(),
+            plan: OnceLock::new(),
         };
         plan::check_safety(
             &rule.head.terms,
@@ -78,21 +96,28 @@ impl Rule {
         Ok(rule)
     }
 
+    pub(crate) fn cached_plan(&self) -> &FiringPlan {
+        self.plan.get_or_init(|| {
+            let atoms: Vec<&Atom> = self.positive().chain([&self.head]).collect();
+            let n = atoms.len() - 1;
+            let copy = match (&self.body[..], &atoms[..n]) {
+                ([_], [a]) => a.terms == self.head.terms && a.vars().len() == a.arity(),
+                _ => false,
+            };
+            let mut orders = vec![plan::plan_order(&atoms[..n], None)];
+            orders.extend((0..n).map(|i| plan::plan_order(&atoms[..n], Some(i))));
+            orders.push(plan::plan_order(&atoms, Some(n)));
+            FiringPlan { copy, orders }
+        })
+    }
+
     /// The cached join order of the positive atoms. `None` joins them
     /// alone; `Some(i)` starts from positive atom `i` (the semi-naive
     /// delta); `Some(n)`, one past the last positive atom, starts from
     /// the head atom followed by the whole body, as DRed's
     /// re-derivation joins the over-deleted facts.
     pub(crate) fn plan(&self, pinned: Option<usize>) -> &[usize] {
-        let plans = self.plans.get_or_init(|| {
-            let atoms: Vec<&Atom> = self.positive().chain([&self.head]).collect();
-            let n = atoms.len() - 1;
-            let mut plans = vec![plan::plan_order(&atoms[..n], None)];
-            plans.extend((0..n).map(|i| plan::plan_order(&atoms[..n], Some(i))));
-            plans.push(plan::plan_order(&atoms, Some(n)));
-            plans
-        });
-        &plans[pinned.map_or(0, |i| i + 1)]
+        &self.cached_plan().orders[pinned.map_or(0, |i| i + 1)]
     }
 
     /// The positive body atoms, in body order.
@@ -134,22 +159,22 @@ impl Rule {
         self.body.iter().any(|l| matches!(l, Literal::Neg(_)))
     }
 
-    /// One rule firing: the whole body — joins, stratified-negation and
-    /// nonequality filters, head projection — evaluated directly over
-    /// sorted runs by the shared body join, returning the derived head
-    /// facts as a sorted, deduplicated [`Run`]. Positive atoms are read
-    /// from `pos_db` and negated atoms from `neg_db` (under stratified
-    /// semantics these differ only in that `neg_db` must already be
-    /// complete). When `delta` is given as `(index, relation)`, the
-    /// positive atom at `index` is joined against that delta relation
-    /// instead of its `pos_db` relation (semi-naive evaluation). Atoms
-    /// join in planned order, probing run views on the bound columns.
-    fn derive_run(
+    /// One rule firing over `db`: the whole body — joins,
+    /// stratified-negation and nonequality filters, head projection —
+    /// evaluated directly over sorted runs by the shared body join,
+    /// returning the derived head facts as a sorted, deduplicated
+    /// [`Run`], or `None` when the firing derives nothing. An empty
+    /// positive relation ends the firing before anything is allocated,
+    /// and a copy rule returns its atom's run as is. When `delta` is
+    /// given as `(index, relation)`, the positive atom at `index` is
+    /// joined against that delta relation instead of its `db` relation
+    /// (semi-naive evaluation). Atoms join in planned order, probing
+    /// run views on the bound columns.
+    pub(crate) fn fire(
         &self,
-        pos_db: &Instance,
-        neg_db: &Instance,
+        db: &Instance,
         delta: Option<(usize, &Relation)>,
-    ) -> Result<Run, EvalError> {
+    ) -> Result<Option<Run>, EvalError> {
         let mut pos: Vec<(&Atom, &Relation)> = Vec::new();
         for (i, a) in self.positive().enumerate() {
             let src = match delta {
@@ -163,18 +188,22 @@ impl Rule {
                     }
                     Some(rel)
                 }
-                _ => plan::lookup(pos_db, a)?,
+                _ => plan::lookup(db, a)?,
             };
             match src {
-                Some(rel) => pos.push((a, rel)),
+                Some(rel) if !rel.is_empty() => pos.push((a, rel)),
                 // Some atom's relation is empty: the conjunction is empty.
-                None => return Ok(Run::empty(self.head.arity())),
+                _ => return Ok(None),
             }
         }
-        let order = self.plan(delta.map(|(i, _)| i));
-        match join_body(&pos, order, self.negated(), self.nonequalities(), neg_db)? {
-            Some(frame) => frame.project(&self.head.terms),
-            None => Ok(Run::empty(self.head.arity())),
+        let plan = self.cached_plan();
+        if plan.copy {
+            return Ok(Some(Run::clone(&pos[0].1.columnar_run())));
+        }
+        let order = &plan.orders[delta.map_or(0, |(i, _)| i + 1)];
+        match join_body(&pos, order, self.negated(), self.nonequalities(), db)? {
+            Some(frame) => Ok(Some(frame.project(&self.head.terms)?)),
+            None => Ok(None),
         }
     }
 
@@ -592,7 +621,9 @@ impl Program {
         // the body, and seeds the delta).
         let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
         for r in rules {
-            let derived = r.derive_run(total, total, None)?;
+            let Some(derived) = r.fire(total, None)? else {
+                continue;
+            };
             tally.considered += derived.len() as u64;
             let fresh = fresh_of(total, &pending, &r.head.pred, derived);
             tally.derived += fresh.len() as u64;
@@ -623,11 +654,10 @@ impl Program {
                             }
                         }
                     }
-                    let derived = r.derive_run(total, total, Some((i, drel)))?;
-                    tally.considered += derived.len() as u64;
-                    if derived.is_empty() {
+                    let Some(derived) = r.fire(total, Some((i, drel)))? else {
                         continue;
-                    }
+                    };
+                    tally.considered += derived.len() as u64;
                     let fresh = fresh_of(total, &pending, &r.head.pred, derived);
                     tally.derived += fresh.len() as u64;
                     push(&mut next, &r.head.pred, &fresh);
@@ -670,9 +700,10 @@ impl Program {
         let mut out = Instance::empty(schema);
         let (mut considered, mut derived) = (0u64, 0u64);
         for r in &self.rules {
-            let run = r.derive_run(widened, widened, None)?;
-            considered += run.len() as u64;
-            derived += out.absorb_run(&r.head.pred, &run)? as u64;
+            if let Some(run) = r.fire(widened, None)? {
+                considered += run.len() as u64;
+                derived += out.absorb_run(&r.head.pred, &run)? as u64;
+            }
         }
         if rtx_obs::counting() {
             rtx_obs::registry::add("query.considered", considered);

@@ -34,10 +34,11 @@
 //!
 //! The per-evaluation cost is `O(changed derivations)` instead of
 //! `O(all derivations)`; strata whose inputs did not change are skipped
-//! entirely. The Dedalus runtime puts this under its tick loop whenever
-//! no deductive rule names the time variable, turning the per-tick
-//! deductive fixpoint from the hottest loop in the system into a no-op
-//! on quiescent ticks.
+//! entirely. The Dedalus runtime puts this under the tick loop of every
+//! program (a rule that names the time variable reads it from a clock
+//! fact in the base, so the tick is one more ± on the base), turning
+//! the per-tick deductive fixpoint from the hottest loop in the system
+//! into a no-op on quiescent ticks.
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;

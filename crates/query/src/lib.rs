@@ -6,7 +6,7 @@
 //! * [`fo`] — first-order logic under the active-domain semantics (the
 //!   default transducer language);
 //! * [`cq`] — conjunctive queries and UCQ¬ (Proposition 7,
-//!   Corollary 14(3));
+//!   Corollary 14(3)), as nonrecursive Datalog rules;
 //! * [`datalog`] — Datalog with stratified negation, semi-naive
 //!   bottom-up evaluation, plus the immediate-consequence operator `T_P`
 //!   (Theorem 6(5));
@@ -15,7 +15,8 @@
 //!   complete `L` (Theorem 6(1,2), Corollary 14(1));
 //! * [`view`] — query composition through materialized views (used by
 //!   every Theorem 6 construction);
-//! * [`parser`] — text syntax for Datalog programs and FO formulas.
+//! * [`parser`] — text syntax for Datalog programs and FO formulas, and
+//!   the one rule grammar the Dedalus parser shares.
 //!
 //! Everything implements the [`Query`] trait and can be plugged into a
 //! transducer.
@@ -39,12 +40,12 @@ pub mod view;
 pub mod while_lang;
 
 pub use combinator::{GatedQuery, UnionQuery};
-pub use cq::{CqBuilder, CqRule, UcqQuery};
+pub use cq::{CqBuilder, UcqQuery};
 pub use datalog::{DatalogQuery, Literal, Program, Rule, TpQuery};
 pub use error::EvalError;
 pub use fo::{FoQuery, Formula};
 pub use incremental::{FixpointStats, MaintainedFixpoint};
-pub use magic::{MagicQuery, QueryMode};
+pub use magic::MagicQuery;
 pub use native::NativeQuery;
 pub use query::{CopyQuery, EmptyQuery, Query, QueryRef};
 pub use term::{Atom, Bindings, Term, Var};

@@ -34,6 +34,10 @@
 //! very predicate it negates — the rewrite is rejected and the query
 //! falls back to full materialization. Wrong answers are never an
 //! outcome; at worst the fallback does the pre-rewrite amount of work.
+//!
+//! There is no mode switch. The baseline the rewrite is measured and
+//! tested against is full evaluation ([`Program::eval`]) with the
+//! answers read off by [`Atom::matches`] on the pattern.
 
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
@@ -43,39 +47,25 @@ use crate::term::{Atom, Term, Var};
 use rtx_relational::{Fact, Instance, InstanceDelta, RelName, Relation, Tuple, Value};
 use std::collections::BTreeSet;
 
-/// How [`Program::for_query`] answers a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum QueryMode {
-    /// Evaluate the whole program bottom-up and filter the answers —
-    /// the pre-rewrite behavior, and the fallback whenever the magic
-    /// rewrite does not apply.
-    Materialize,
-    /// Rewrite the program to the query's binding pattern so only
-    /// demand-reachable facts are derived (the default for bound
-    /// patterns).
-    #[default]
-    Magic,
-}
-
 /// A program specialized to one query pattern — either the magic-sets
-/// rewrite with its seed facts, or the original program under the
-/// [`QueryMode::Materialize`] fallback. Built by [`Program::for_query`].
+/// rewrite with its seed facts, or the original program, fully
+/// materialized and filtered, when the rewrite does not apply. Built by
+/// [`Program::for_query`].
 #[derive(Clone)]
 pub struct MagicQuery {
-    mode: QueryMode,
     program: Program,
-    /// Magic seed facts encoding the pattern's constants (empty under
-    /// `Materialize`).
+    /// Magic seed facts encoding the pattern's constants: one under the
+    /// rewrite, none under the fallback.
     seeds: Vec<Fact>,
     /// The predicate holding the answers (the adorned query predicate
-    /// under `Magic`, the original under `Materialize`).
+    /// under the rewrite, the original under the fallback).
     output: RelName,
     pattern: Atom,
 }
 
 impl Program {
-    /// Specialize this program to a query `pattern` under the default
-    /// [`QueryMode::Magic`].
+    /// Specialize this program to a query `pattern` through the
+    /// magic-sets rewrite.
     ///
     /// The pattern is an [`Atom`] over a program predicate: constant
     /// positions are *bound* (the demand the rewrite specializes to),
@@ -85,13 +75,6 @@ impl Program {
     /// demand through negation would make the program unstratifiable —
     /// a magic query never answers wrong, it answers slower).
     pub fn for_query(&self, pattern: &Atom) -> Result<MagicQuery, EvalError> {
-        self.for_query_mode(pattern, QueryMode::default())
-    }
-
-    /// [`Program::for_query`] with an explicit mode — `Materialize` is
-    /// the measurable baseline for the magic ablation, and the tests
-    /// run both sides through it.
-    pub fn for_query_mode(&self, pattern: &Atom, mode: QueryMode) -> Result<MagicQuery, EvalError> {
         match self.signature().arity(&pattern.pred) {
             None => {
                 return Err(EvalError::Other(format!(
@@ -110,10 +93,9 @@ impl Program {
             Some(_) => {}
         }
         let has_bound = pattern.terms.iter().any(|t| matches!(t, Term::Const(_)));
-        if mode == QueryMode::Magic && has_bound && self.idb_predicates().contains(&pattern.pred) {
+        if has_bound && self.idb_predicates().contains(&pattern.pred) {
             if let Ok((program, output, seeds)) = rewrite(self, pattern) {
                 return Ok(MagicQuery {
-                    mode: QueryMode::Magic,
                     program,
                     seeds,
                     output,
@@ -122,7 +104,6 @@ impl Program {
             }
         }
         Ok(MagicQuery {
-            mode: QueryMode::Materialize,
             program: self.clone(),
             seeds: Vec::new(),
             output: pattern.pred.clone(),
@@ -132,18 +113,14 @@ impl Program {
 }
 
 impl MagicQuery {
-    /// The mode actually in effect — [`QueryMode::Materialize`] when
-    /// the rewrite fell back, whatever was requested.
-    pub fn mode(&self) -> QueryMode {
-        self.mode
-    }
-
-    /// Is this query answered through the magic rewrite?
+    /// Is this query answered through the magic rewrite (rather than
+    /// the materializing fallback)?
     pub fn is_magic(&self) -> bool {
-        self.mode == QueryMode::Magic
+        !self.seeds.is_empty()
     }
 
-    /// The program that will be evaluated (rewritten under `Magic`).
+    /// The program that will be evaluated (the rewrite, when it
+    /// applies).
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -474,7 +451,7 @@ fn rewrite(program: &Program, pattern: &Atom) -> Result<(Program, RelName, Vec<F
     let seed = Fact::new(rw.magic(&pattern.pred, &ad0)?, bound_values(pattern));
     let rewritten = Program::new(rw.rules)?;
     // Demand can flow through a negated predicate into itself; the
-    // rewrite is rejected (→ Materialize) rather than answered wrong.
+    // rewrite is rejected (→ the fallback) rather than answered wrong.
     rewritten.stratify()?;
     Ok((rewritten, output, vec![seed]))
 }
@@ -488,6 +465,18 @@ mod tests {
 
     fn tc() -> Program {
         parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z).").unwrap()
+    }
+
+    /// The answer by full materialization: every `pattern` match in
+    /// `Program::eval` — the baseline the rewrite must agree with.
+    fn materialized(p: &Program, pattern: &Atom, db: &Instance) -> (Relation, FixpointStats) {
+        let (total, stats) = p.eval_with_stats(db).unwrap();
+        let rel = total.relation(&pattern.pred).unwrap();
+        let matching = rel.iter().filter(|t| pattern.matches(t)).cloned();
+        (
+            Relation::from_tuples(pattern.arity(), matching).unwrap(),
+            stats,
+        )
     }
 
     fn chain_db(n: i64) -> Instance {
@@ -504,12 +493,10 @@ mod tests {
         let p = tc();
         let db = chain_db(30);
         let pattern = atom!("t"; 0, @"Y");
-        let magic = p.for_query_mode(&pattern, QueryMode::Magic).unwrap();
-        let full = p.for_query_mode(&pattern, QueryMode::Materialize).unwrap();
+        let magic = p.for_query(&pattern).unwrap();
         assert!(magic.is_magic());
-        assert!(!full.is_magic());
         let (ma, ms) = magic.answer_with_stats(&db).unwrap();
-        let (fa, fs) = full.answer_with_stats(&db).unwrap();
+        let (fa, fs) = materialized(&p, &pattern, &db);
         assert_eq!(ma, fa);
         assert_eq!(ma.len(), 30);
         // Demand-reachable only: O(n) facts instead of O(n²).
@@ -530,9 +517,7 @@ mod tests {
 
     #[test]
     fn edb_pattern_is_a_filter() {
-        let q = tc()
-            .for_query_mode(&atom!("e"; 1, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q = tc().for_query(&atom!("e"; 1, @"Y")).unwrap();
         assert!(!q.is_magic());
         let ans = q.answer(&chain_db(4)).unwrap();
         assert_eq!(ans.len(), 1);
@@ -560,9 +545,7 @@ mod tests {
         let p = tc();
         let mut db = chain_db(3);
         db.insert_fact(fact!("t", 0, 99)).unwrap();
-        let q = p
-            .for_query_mode(&atom!("t"; 0, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q = p.for_query(&atom!("t"; 0, @"Y")).unwrap();
         assert!(q.is_magic());
         let ans = q.answer(&db).unwrap();
         assert!(ans.contains(&rtx_relational::tuple![0, 99]));
@@ -572,9 +555,7 @@ mod tests {
     #[test]
     fn rebind_swaps_the_seed() {
         let p = tc();
-        let q = p
-            .for_query_mode(&atom!("t"; 1, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q = p.for_query(&atom!("t"; 1, @"Y")).unwrap();
         let (q2, delta) = q.rebind(&atom!("t"; 2, @"Y")).unwrap();
         assert_eq!(delta.added().len(), 1);
         assert_eq!(delta.removed().len(), 1);
@@ -596,9 +577,7 @@ mod tests {
         // The user already has a `T__bf` relation: rewrite must bail.
         let p =
             parse_program("t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), e(Y,Z). s(X) :- t__bf(X).").unwrap();
-        let q = p
-            .for_query_mode(&atom!("t"; 0, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q = p.for_query(&atom!("t"; 0, @"Y")).unwrap();
         assert!(!q.is_magic());
     }
 
@@ -614,7 +593,7 @@ mod tests {
         )
         .unwrap();
         assert!(p.stratify().is_ok());
-        let q = p.for_query_mode(&atom!("p"; 1), QueryMode::Magic).unwrap();
+        let q = p.for_query(&atom!("p"; 1)).unwrap();
         assert!(!q.is_magic(), "unstratifiable rewrite must fall back");
         let sch = Schema::new()
             .with("e", 2)
@@ -642,13 +621,9 @@ mod tests {
              b(X) :- g(X).",
         )
         .unwrap();
-        let q = p
-            .for_query_mode(&atom!("w"; @"X", @"Y"), QueryMode::Magic)
-            .unwrap();
+        let q = p.for_query(&atom!("w"; @"X", @"Y")).unwrap();
         assert!(!q.is_magic(), "all-free pattern falls back");
-        let qb = p
-            .for_query_mode(&atom!("w"; 1, @"Y"), QueryMode::Magic)
-            .unwrap();
+        let qb = p.for_query(&atom!("w"; 1, @"Y")).unwrap();
         assert!(qb.is_magic());
         let sch = Schema::new()
             .with("e", 2)
@@ -665,11 +640,8 @@ mod tests {
         ] {
             db.insert_fact(f.clone()).unwrap();
         }
-        let full = p
-            .for_query_mode(&atom!("w"; 1, @"Y"), QueryMode::Materialize)
-            .unwrap();
         let ans = qb.answer(&db).unwrap();
-        assert_eq!(ans, full.answer(&db).unwrap());
+        assert_eq!(ans, materialized(&p, &atom!("w"; 1, @"Y"), &db).0);
         assert_eq!(ans.len(), 2); // w(1,2) and w(1,4); 3 is blocked by b
     }
 }

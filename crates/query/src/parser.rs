@@ -1,12 +1,22 @@
-//! Text parsers for Datalog programs and FO formulas.
+//! Text parsers for rules, Datalog programs and FO formulas.
+//!
+//! One lexer serves every grammar here, and [`parse_rules`] is the
+//! workspace's one rule grammar, `head[@annotation] [:- body].`: Datalog
+//! ([`parse_program`]) uses it with no annotation, and Dedalus
+//! (`rtx_dedalus::parse_dedalus`) with `@next`/`@async` and the `now`
+//! keyword.
 //!
 //! Conventions (classical Datalog style):
 //! * variables start with an uppercase letter or `_`;
 //! * constants are integers, `'quoted symbols'`, or lowercase identifiers;
 //! * relation names are identifiers as written;
-//! * Datalog rules end with `.`, negation is `!`, nonequality `!=`;
+//! * rules end with `.`, negation is `!`, nonequality `!=`;
+//! * comments run from `%` or `#` to the end of the line;
 //! * FO connectives: `&`, `|`, `!`, `exists X, Y . φ`, `forall X . φ`,
 //!   `=`, `!=`, `true`, `false`.
+//!
+//! Errors carry the byte offset of the offending token's first byte, or
+//! the source length at the end of input.
 //!
 //! ```
 //! use rtx_query::parser::{parse_program, parse_fo_query};
@@ -38,158 +48,120 @@ enum Tok {
     Eq,
     Amp,
     Pipe,
+    At,
 }
 
-struct Lexer<'a> {
-    src: &'a [u8],
-    pos: usize,
+fn error(message: impl Into<String>, offset: usize) -> EvalError {
+    EvalError::Parse {
+        message: message.into(),
+        offset,
+    }
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, message: impl Into<String>) -> EvalError {
-        EvalError::Parse {
-            message: message.into(),
-            offset: self.pos,
-        }
-    }
-
-    fn tokens(mut self) -> Result<Vec<(Tok, usize)>, EvalError> {
-        let mut out = Vec::new();
-        while self.pos < self.src.len() {
-            let start = self.pos;
-            let c = self.src[self.pos];
-            match c {
-                b' ' | b'\t' | b'\n' | b'\r' => {
-                    self.pos += 1;
-                }
-                b'%' | b'#' => {
-                    // comment to end of line
-                    while self.pos < self.src.len() && self.src[self.pos] != b'\n' {
-                        self.pos += 1;
-                    }
-                }
-                b'(' => {
-                    out.push((Tok::LParen, start));
-                    self.pos += 1;
-                }
-                b')' => {
-                    out.push((Tok::RParen, start));
-                    self.pos += 1;
-                }
-                b',' => {
-                    out.push((Tok::Comma, start));
-                    self.pos += 1;
-                }
-                b'.' => {
-                    out.push((Tok::Dot, start));
-                    self.pos += 1;
-                }
-                b'&' => {
-                    out.push((Tok::Amp, start));
-                    self.pos += 1;
-                }
-                b'|' => {
-                    out.push((Tok::Pipe, start));
-                    self.pos += 1;
-                }
-                b'=' => {
-                    out.push((Tok::Eq, start));
-                    self.pos += 1;
-                }
-                b'!' => {
-                    if self.src.get(self.pos + 1) == Some(&b'=') {
-                        out.push((Tok::Neq, start));
-                        self.pos += 2;
-                    } else {
-                        out.push((Tok::Bang, start));
-                        self.pos += 1;
-                    }
-                }
-                b':' => {
-                    if self.src.get(self.pos + 1) == Some(&b'-') {
-                        out.push((Tok::ColonDash, start));
-                        self.pos += 2;
-                    } else {
-                        return Err(self.error("expected `:-`"));
-                    }
-                }
-                b'<' => {
-                    if self.src.get(self.pos + 1) == Some(&b'-') {
-                        out.push((Tok::Arrow, start));
-                        self.pos += 2;
-                    } else {
-                        return Err(self.error("expected `<-`"));
-                    }
-                }
-                b'\'' => {
-                    self.pos += 1;
-                    let s = self.pos;
-                    while self.pos < self.src.len() && self.src[self.pos] != b'\'' {
-                        self.pos += 1;
-                    }
-                    if self.pos >= self.src.len() {
-                        return Err(self.error("unterminated quoted symbol"));
-                    }
-                    let text = std::str::from_utf8(&self.src[s..self.pos])
-                        .map_err(|_| self.error("invalid UTF-8 in quoted symbol"))?
-                        .to_string();
-                    self.pos += 1;
-                    out.push((Tok::Quoted(text), start));
-                }
-                b'-' | b'0'..=b'9' => {
-                    let s = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.src.len() && self.src[self.pos].is_ascii_digit() {
-                        self.pos += 1;
-                    }
-                    let text = std::str::from_utf8(&self.src[s..self.pos]).unwrap();
-                    let n: i64 = text
-                        .parse()
-                        .map_err(|_| self.error(format!("bad integer `{text}`")))?;
-                    out.push((Tok::Int(n), start));
-                }
-                c if c.is_ascii_alphabetic() || c == b'_' => {
-                    let s = self.pos;
-                    while self.pos < self.src.len()
-                        && (self.src[self.pos].is_ascii_alphanumeric()
-                            || self.src[self.pos] == b'_')
-                    {
-                        self.pos += 1;
-                    }
-                    let text = std::str::from_utf8(&self.src[s..self.pos])
-                        .unwrap()
-                        .to_string();
-                    out.push((Tok::Ident(text), start));
-                }
-                other => {
-                    return Err(self.error(format!("unexpected character `{}`", other as char)))
-                }
+/// Split `src` into tokens, each with the offset of its first byte.
+fn lex(src: &str) -> Result<Vec<(Tok, usize)>, EvalError> {
+    let b = src.as_bytes();
+    let mut out = Vec::new();
+    let mut pos = 0;
+    while pos < b.len() {
+        let start = pos;
+        let followed_by = |c: u8| b.get(start + 1) == Some(&c);
+        let (tok, len) = match b[start] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                pos += 1;
+                continue;
             }
-        }
-        Ok(out)
+            b'%' | b'#' => {
+                // comment to end of line
+                pos += b[start..].iter().take_while(|&&c| c != b'\n').count();
+                continue;
+            }
+            b'(' => (Tok::LParen, 1),
+            b')' => (Tok::RParen, 1),
+            b',' => (Tok::Comma, 1),
+            b'.' => (Tok::Dot, 1),
+            b'&' => (Tok::Amp, 1),
+            b'|' => (Tok::Pipe, 1),
+            b'=' => (Tok::Eq, 1),
+            b'@' => (Tok::At, 1),
+            b'!' if followed_by(b'=') => (Tok::Neq, 2),
+            b'!' => (Tok::Bang, 1),
+            b':' if followed_by(b'-') => (Tok::ColonDash, 2),
+            b'<' if followed_by(b'-') => (Tok::Arrow, 2),
+            b':' => return Err(error("expected `:-`", start)),
+            b'<' => return Err(error("expected `<-`", start)),
+            b'\'' => {
+                let Some(len) = src[start + 1..].find('\'') else {
+                    return Err(error("unterminated quoted symbol", start));
+                };
+                let text = &src[start + 1..start + 1 + len];
+                (Tok::Quoted(text.to_string()), len + 2)
+            }
+            b'-' | b'0'..=b'9' => {
+                let digits = b[start + 1..].iter().take_while(|c| c.is_ascii_digit());
+                let text = &src[start..start + 1 + digits.count()];
+                let n = text
+                    .parse()
+                    .map_err(|_| error(format!("bad integer `{text}`"), start))?;
+                (Tok::Int(n), text.len())
+            }
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let word = b[start..]
+                    .iter()
+                    .take_while(|c| c.is_ascii_alphanumeric() || **c == b'_');
+                let text = &src[start..start + word.count()];
+                (Tok::Ident(text.to_string()), text.len())
+            }
+            _ => {
+                // Every token above is ASCII, so `start` is a character
+                // boundary.
+                let c: String = src[start..].chars().take(1).collect();
+                return Err(error(format!("unexpected character `{c}`"), start));
+            }
+        };
+        out.push((tok, start));
+        pos += len;
     }
+    Ok(out)
 }
 
-struct Parser {
+/// One rule as written, `head[@annotation] [:- body].`, before its
+/// safety is checked.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RuleSyntax {
+    /// The head atom.
+    pub head: Atom,
+    /// The index, among the accepted annotations, of the word after
+    /// `@`.
+    pub annotation: Option<usize>,
+    /// The body literals, in source order.
+    pub body: Vec<Literal>,
+    /// Does a term of the rule use the reserved keyword?
+    pub uses_keyword: bool,
+}
+
+struct Parser<'a> {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     /// The source length: the offset of "end of input".
     end: usize,
+    /// The words accepted after a rule head's `@`.
+    annotations: &'a [&'a str],
+    /// The word reserved in term position, if any.
+    keyword: Option<&'a str>,
+    /// Did the current rule use the keyword?
+    uses_keyword: bool,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn new(src: &str) -> Result<Self, EvalError> {
         Ok(Parser {
-            toks: Lexer::new(src).tokens()?,
+            toks: lex(src)?,
             pos: 0,
             end: src.len(),
+            annotations: &[],
+            keyword: None,
+            uses_keyword: false,
         })
     }
 
@@ -201,13 +173,6 @@ impl Parser {
         self.toks.get(self.pos).map(|&(_, o)| o).unwrap_or(self.end)
     }
 
-    fn error(&self, message: impl Into<String>) -> EvalError {
-        EvalError::Parse {
-            message: message.into(),
-            offset: self.offset(),
-        }
-    }
-
     /// The error for `got`, the token [`Parser::next`] just returned,
     /// when it is not what the grammar expects: reported at that
     /// token's offset, or at the end of the source when input ran out.
@@ -216,10 +181,7 @@ impl Parser {
             Some(t) => (format!("{t:?}"), self.toks[self.pos - 1].1),
             None => ("end of input".to_string(), self.end),
         };
-        EvalError::Parse {
-            message: format!("expected {expected}, found {found}"),
-            offset,
-        }
+        error(format!("expected {expected}, found {found}"), offset)
     }
 
     fn next(&mut self) -> Option<Tok> {
@@ -255,8 +217,13 @@ impl Parser {
         name.starts_with(|c: char| c.is_ascii_uppercase() || c == '_')
     }
 
-    fn term_from_ident(name: String) -> Term {
-        if Self::is_var(&name) {
+    /// An identifier in term position: the keyword's variable, a
+    /// variable, or a symbol constant.
+    fn ident_term(&mut self, name: String) -> Term {
+        if self.keyword == Some(name.as_str()) {
+            self.uses_keyword = true;
+            Term::var(name)
+        } else if Self::is_var(&name) {
             Term::var(name)
         } else {
             Term::cons(Value::sym(name))
@@ -265,7 +232,7 @@ impl Parser {
 
     fn parse_term(&mut self) -> Result<Term, EvalError> {
         match self.next() {
-            Some(Tok::Ident(name)) => Ok(Self::term_from_ident(name)),
+            Some(Tok::Ident(name)) => Ok(self.ident_term(name)),
             Some(Tok::Int(n)) => Ok(Term::cons(n)),
             Some(Tok::Quoted(s)) => Ok(Term::cons(Value::sym(s))),
             other => Err(self.unexpected("a term", other)),
@@ -287,14 +254,29 @@ impl Parser {
         Ok(Atom::new(name, terms))
     }
 
-    // ---- Datalog ----
+    // ---- rules ----
 
-    fn parse_rule(&mut self) -> Result<Rule, EvalError> {
+    fn parse_rule(&mut self) -> Result<RuleSyntax, EvalError> {
+        self.uses_keyword = false;
         let head_name = match self.next() {
             Some(Tok::Ident(n)) => n,
             other => return Err(self.unexpected("rule head", other)),
         };
         let head = self.parse_atom(head_name)?;
+        let mut annotation = None;
+        if !self.annotations.is_empty() && self.eat(&Tok::At) {
+            let got = self.next();
+            annotation = match &got {
+                Some(Tok::Ident(w)) => self.annotations.iter().position(|a| a == w),
+                _ => None,
+            };
+            if annotation.is_none() {
+                let words: Vec<String> =
+                    self.annotations.iter().map(|a| format!("`{a}`")).collect();
+                let expected = format!("{} after `@`", words.join(" or "));
+                return Err(self.unexpected(&expected, got));
+            }
+        }
         let mut body = Vec::new();
         if self.eat(&Tok::ColonDash) {
             loop {
@@ -305,7 +287,12 @@ impl Parser {
             }
         }
         self.expect(Tok::Dot)?;
-        Rule::new(head, body)
+        Ok(RuleSyntax {
+            head,
+            annotation,
+            body,
+            uses_keyword: self.uses_keyword,
+        })
     }
 
     fn parse_literal(&mut self) -> Result<Literal, EvalError> {
@@ -317,30 +304,27 @@ impl Parser {
             return Ok(Literal::Neg(self.parse_atom(name)?));
         }
         // an atom, or `term != term`
-        match self.next() {
+        let lhs = match self.next() {
             Some(Tok::Ident(name)) => {
                 if self.peek() == Some(&Tok::LParen) {
-                    Ok(Literal::Pos(self.parse_atom(name)?))
-                } else if self.eat(&Tok::Neq) {
-                    let rhs = self.parse_term()?;
-                    Ok(Literal::Diseq(Self::term_from_ident(name), rhs))
-                } else {
+                    return Ok(Literal::Pos(self.parse_atom(name)?));
+                } else if !self.eat(&Tok::Neq) {
                     // nullary atom
-                    Ok(Literal::Pos(Atom::new(name, vec![])))
+                    return Ok(Literal::Pos(Atom::new(name, vec![])));
                 }
+                self.ident_term(name)
             }
             Some(Tok::Int(n)) => {
                 self.expect(Tok::Neq)?;
-                let rhs = self.parse_term()?;
-                Ok(Literal::Diseq(Term::cons(n), rhs))
+                Term::cons(n)
             }
             Some(Tok::Quoted(s)) => {
                 self.expect(Tok::Neq)?;
-                let rhs = self.parse_term()?;
-                Ok(Literal::Diseq(Term::cons(Value::sym(s)), rhs))
+                Term::cons(Value::sym(s))
             }
-            other => Err(self.unexpected("a body literal", other)),
-        }
+            other => return Err(self.unexpected("a body literal", other)),
+        };
+        Ok(Literal::Diseq(lhs, self.parse_term()?))
     }
 
     // ---- FO ----
@@ -417,10 +401,10 @@ impl Parser {
                     Ok(Formula::Atom(self.parse_atom(name)?))
                 } else if self.eat(&Tok::Eq) {
                     let rhs = self.parse_term()?;
-                    Ok(Formula::Eq(Self::term_from_ident(name), rhs))
+                    Ok(Formula::Eq(self.ident_term(name), rhs))
                 } else if self.eat(&Tok::Neq) {
                     let rhs = self.parse_term()?;
-                    Ok(Formula::neq(Self::term_from_ident(name), rhs))
+                    Ok(Formula::neq(self.ident_term(name), rhs))
                 } else {
                     Ok(Formula::Atom(Atom::new(name, vec![]))) // nullary atom
                 }
@@ -448,13 +432,35 @@ impl Parser {
     }
 }
 
-/// Parse a Datalog program: a sequence of `head :- body.` rules.
-pub fn parse_program(src: &str) -> Result<Program, EvalError> {
+/// Parse a sequence of rules `head[@annotation] [:- body].` — the rule
+/// grammar of every rule language in the workspace — without checking
+/// their safety.
+///
+/// `annotations` are the words accepted after `@`; with none, `@` is a
+/// syntax error. `keyword`, when given, is reserved in term position:
+/// there it stands for the variable of the same name, which no written
+/// variable can be (variables start uppercase or with `_`).
+pub fn parse_rules(
+    src: &str,
+    annotations: &[&str],
+    keyword: Option<&str>,
+) -> Result<Vec<RuleSyntax>, EvalError> {
     let mut p = Parser::new(src)?;
+    p.annotations = annotations;
+    p.keyword = keyword;
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.parse_rule()?);
     }
+    Ok(rules)
+}
+
+/// Parse a Datalog program: a sequence of `head :- body.` rules.
+pub fn parse_program(src: &str) -> Result<Program, EvalError> {
+    let rules = parse_rules(src, &[], None)?
+        .into_iter()
+        .map(|r| Rule::new(r.head, r.body))
+        .collect::<Result<_, _>>()?;
     Program::new(rules)
 }
 
@@ -463,7 +469,7 @@ pub fn parse_formula(src: &str) -> Result<Formula, EvalError> {
     let mut p = Parser::new(src)?;
     let f = p.parse_formula()?;
     if !p.at_end() {
-        return Err(p.error("trailing input after formula"));
+        return Err(error("trailing input after formula", p.offset()));
     }
     Ok(f)
 }
@@ -488,7 +494,7 @@ pub fn parse_fo_query(src: &str) -> Result<FoQuery, EvalError> {
     p.expect(Tok::Arrow)?;
     let f = p.parse_formula()?;
     if !p.at_end() {
-        return Err(p.error("trailing input after query"));
+        return Err(error("trailing input after query", p.offset()));
     }
     FoQuery::new(head, f)
 }
@@ -591,6 +597,26 @@ mod tests {
                 src.len()
             )
         );
+        // Lexer errors name the real character and sit on the first
+        // byte of the offending token.
+        for (src, message, offset) in [
+            ("p(-) :- q.", "bad integer `-`", 2),
+            (
+                "p(99999999999999999999) :- q.",
+                "bad integer `99999999999999999999`",
+                2,
+            ),
+            ("p(X) :- q('abc.", "unterminated quoted symbol", 10),
+            ("p(X) :- q(X), ¬r(X).", "unexpected character `¬`", 14),
+        ] {
+            assert_eq!(parse_error(src), (message.to_string(), offset), "{src}");
+        }
+        match parse_formula("s(X) & X != -") {
+            Err(EvalError::Parse { message, offset }) => {
+                assert_eq!((message.as_str(), offset), ("bad integer `-`", 12));
+            }
+            other => panic!("{other:?}"),
+        }
         match parse_fo_query("(X, 3) <- s(X)") {
             Err(EvalError::Parse { message, offset }) => {
                 assert_eq!(

@@ -21,9 +21,10 @@ use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, Relation};
 use std::collections::BTreeSet;
 
-/// The safety condition shared by Datalog and UCQ¬ rules: every
-/// variable of the head, of a negated atom and of a nonequality occurs
-/// in some positive atom, so a join of the positive atoms binds it.
+/// The safety condition of every rule (checked by `Rule::new`, so of
+/// UCQ¬ and translated Dedalus rules too): every variable of the head,
+/// of a negated atom and of a nonequality occurs in some positive atom,
+/// so a join of the positive atoms binds it.
 pub(crate) fn check_safety<'a>(
     head: &[Term],
     pos: impl IntoIterator<Item = &'a Atom>,

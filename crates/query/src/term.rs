@@ -227,6 +227,24 @@ impl Atom {
         out
     }
 
+    /// Does `tuple` match the atom: each constant in place, and each
+    /// repeated variable at one value? A query pattern's answers are
+    /// the matching tuples of its predicate.
+    pub fn matches(&self, tuple: &Tuple) -> bool {
+        let mut env = Bindings::new();
+        tuple.arity() == self.arity()
+            && (self.terms.iter().zip(tuple.values())).all(|(t, v)| match t {
+                Term::Const(c) => c == v,
+                Term::Var(x) => match env.get(x) {
+                    Some(bound) => bound == v,
+                    None => {
+                        env.insert(*x, *v);
+                        true
+                    }
+                },
+            })
+    }
+
     /// Instantiate the atom under complete bindings into a tuple.
     ///
     /// Returns `None` if some variable is unbound.

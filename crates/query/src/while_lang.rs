@@ -278,7 +278,7 @@ mod tests {
         i
     }
 
-    fn q(r: crate::cq::CqRule) -> QueryRef {
+    fn q(r: crate::datalog::Rule) -> QueryRef {
         Arc::new(crate::cq::UcqQuery::single(r))
     }
 

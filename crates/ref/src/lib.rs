@@ -132,16 +132,8 @@ pub fn ucq(q: &UcqQuery, db: &Instance) -> BTreeSet<Tuple> {
         .collect();
     let mut out = BTreeSet::new();
     for rule in q.rules() {
-        let literals = (rule.positive().iter().cloned().map(Literal::Pos))
-            .chain(rule.negated().iter().cloned().map(Literal::Neg))
-            .chain(
-                rule.nonequalities()
-                    .iter()
-                    .cloned()
-                    .map(|(x, y)| Literal::Diseq(x, y)),
-            );
-        for v in valuations(&literals.collect::<Vec<_>>(), &facts) {
-            let t: Tuple = rule.head().iter().map(|term| value(term, &v)).collect();
+        for v in valuations(rule.body(), &facts) {
+            let t = ground(rule.head(), &v);
             if t.iter().all(|x| adom.contains(x)) {
                 out.insert(t);
             }

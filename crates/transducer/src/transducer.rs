@@ -244,7 +244,7 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    fn cq(rule: rtx_query::CqRule) -> QueryRef {
+    fn cq(rule: rtx_query::Rule) -> QueryRef {
         Arc::new(UcqQuery::single(rule))
     }
 

@@ -1,15 +1,16 @@
 //! `DedalusRuntime::run` against the reference tick loop
 //! (`rtx_ref::dedalus`) on hand-written programs: every timing class,
-//! time entanglement in inductive and deductive rules, a carry that
-//! retracts every tick, and both async delay paths (the plain seeded
-//! draw and `AsyncFaultPlan`s that widen and duplicate deliveries).
+//! time entanglement in inductive and deductive rules (beside a user
+//! relation named `now`), a carry that retracts every tick, and both
+//! async delay paths (the plain seeded draw and `AsyncFaultPlan`s that
+//! widen and duplicate deliveries).
 //! The randomized versions are `tests/properties.rs` and
 //! `tests/incremental.rs`.
 
 mod common;
 
 use common::runtime_and_reference;
-use rtx::dedalus::{AsyncFaultPlan, DRule, DTime, DedalusOptions, DedalusProgram};
+use rtx::dedalus::{parse_dedalus, AsyncFaultPlan, DRule, DTime, DedalusOptions, DedalusProgram};
 use rtx::query::atom;
 use rtx::relational::{fact, Fact};
 
@@ -101,8 +102,9 @@ fn entangled_inductive_rules_match_the_reference() {
 
 #[test]
 fn entangled_deductive_rules_match_the_reference() {
-    // A deductive rule that names the time variable changes its
-    // translation every tick, so the runtime evaluates it per tick.
+    // A deductive rule that names the time variable reads the tick from
+    // the clock fact, so its derivations change every tick under the
+    // maintained fixpoint.
     let p = DedalusProgram::new(vec![
         DRule::persist("go", 0),
         DRule::new(atom!("stamp"; @"T"), DTime::Same)
@@ -146,4 +148,27 @@ fn token_ring_carry_matches_the_reference() {
     for i in 0..5i64 {
         assert!(last.contains(&fact!("seen", i)));
     }
+}
+
+#[test]
+fn a_relation_named_now_beside_entangled_rules_matches_the_reference() {
+    // `now` names a user relation in atom position and the time
+    // variable in term position; the clock relation the runtime reads
+    // the tick from is neither, so nothing collides.
+    let p = parse_dedalus(
+        "now(X)@next :- now(X).
+         seen(X, now) :- now(X), X != now.
+         seen(X, T)@next :- seen(X, T).
+         late(now)@next :- now(X), !seen(X, 1).",
+    )
+    .unwrap();
+    let opts = DedalusOptions {
+        max_ticks: 7,
+        ..Default::default()
+    };
+    let arrivals = [(0, fact!("now", 1)), (2, fact!("now", 2))];
+    let (runtime, reference) = runtime_and_reference(&p, &arrivals, &opts);
+    assert!(reference.ticks[6].contains(&fact!("seen", 2, 6)));
+    assert!(reference.ticks[6].contains(&fact!("late", 5)));
+    assert_eq!(runtime, reference);
 }

@@ -1,5 +1,6 @@
 //! Property tests for goal-directed evaluation: the magic-sets
-//! rewrite must be **answer-equivalent** to full materialization on
+//! rewrite must be **answer-equivalent** to full materialization — the
+//! reference fixpoint (`rtx_ref::eval`) filtered by the pattern — on
 //! random stratified programs (recursion, negation, nonequalities) ×
 //! random bound/free query patterns — plus directed tests pinning the adornment of repeated
 //! predicates, the strictly-smaller derivation counts that justify
@@ -9,8 +10,8 @@
 
 use proptest::prelude::*;
 use rtx::query::parser::parse_program;
-use rtx::query::{atom, Atom, QueryMode, Term};
-use rtx::relational::{fact, Instance, Schema};
+use rtx::query::{atom, Atom, Program, Term};
+use rtx::relational::{fact, Instance, Relation, Schema};
 
 /// The same always-stratified pool as `tests/storage.rs`: stratum 1 is
 /// positive (optionally recursive) over the EDB `e`, stratum 2 negates
@@ -67,6 +68,14 @@ fn pattern_of(pred: &str, mask: &[bool], consts: &[i64]) -> Atom {
     Atom::new(pred, terms)
 }
 
+/// The answer by full materialization: every fact of the reference
+/// fixpoint that matches `pattern`.
+fn materialized(program: &Program, pattern: &Atom, db: &Instance) -> Relation {
+    let facts = rtx_ref::eval(program, db).into_iter();
+    let matching = facts.filter(|f| f.rel() == &pattern.pred && pattern.matches(f.tuple()));
+    Relation::from_tuples(pattern.arity(), matching.map(|f| f.tuple().clone())).unwrap()
+}
+
 fn chain_db(n: i64) -> Instance {
     let mut db = Instance::empty(Schema::new().with("e", 2));
     for i in 0..n {
@@ -78,9 +87,9 @@ fn chain_db(n: i64) -> Instance {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Magic ≡ materialize on random programs × random patterns ×
-    /// every storage engine: same answers whether the query's bound
-    /// constants drive a rewrite or a full fixpoint plus filter.
+    /// Magic ≡ materialize on random programs × random patterns: same
+    /// answers whether the query's bound constants drive a rewrite or a
+    /// full fixpoint plus filter.
     #[test]
     fn magic_matches_materialization(
         pairs in proptest::collection::vec((0u8..6, 0u8..6), 0..14),
@@ -97,13 +106,11 @@ proptest! {
             return Ok(());
         }
         let pattern = pattern_of(pred, &mask[..arity], &consts);
-        let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
-        let full = program.for_query_mode(&pattern, QueryMode::Materialize).unwrap();
-        prop_assert!(!full.is_magic());
+        let magic = program.for_query(&pattern).unwrap();
         let db = edge_instance(&pairs);
         prop_assert_eq!(
             magic.answer(&db).unwrap(),
-            full.answer(&db).unwrap(),
+            materialized(&program, &pattern, &db),
             "pattern {} over {:?}", &pattern, &picks
         );
     }
@@ -120,7 +127,7 @@ proptest! {
         let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
         let db = edge_instance(&pairs);
         let q1 = program
-            .for_query_mode(&pattern_of("p", &[true, false], &[first, 0]), QueryMode::Magic)
+            .for_query(&pattern_of("p", &[true, false], &[first, 0]))
             .unwrap();
         prop_assert!(q1.is_magic());
         let mut fix = q1.maintained(&db).unwrap();
@@ -153,14 +160,11 @@ fn repeated_predicate_under_multiple_adornments() {
     )
     .unwrap();
     let pattern = atom!("two"; 0, @"Z");
-    let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
+    let magic = program.for_query(&pattern).unwrap();
     assert!(magic.is_magic());
-    let full = program
-        .for_query_mode(&pattern, QueryMode::Materialize)
-        .unwrap();
     let db = edge_instance(&[(0, 1), (1, 2), (2, 3), (4, 5)]);
     let m = magic.answer(&db).unwrap();
-    assert_eq!(m, full.answer(&db).unwrap());
+    assert_eq!(m, materialized(&program, &pattern, &db));
     assert_eq!(m.len(), 2); // two(0,2), two(0,3)
                             // Both adornments of `p` appear in the rewritten program.
     let names: Vec<String> = magic
@@ -179,13 +183,10 @@ fn repeated_predicate_under_multiple_adornments() {
 fn repeated_pattern_variable_is_filtered_exactly() {
     let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
     let pattern = atom!("p"; @"A", @"A");
-    let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
-    let full = program
-        .for_query_mode(&pattern, QueryMode::Materialize)
-        .unwrap();
+    let magic = program.for_query(&pattern).unwrap();
     let db = edge_instance(&[(1, 2), (2, 1), (2, 3)]);
     let m = magic.answer(&db).unwrap();
-    assert_eq!(m, full.answer(&db).unwrap());
+    assert_eq!(m, materialized(&program, &pattern, &db));
     assert_eq!(m.len(), 2); // p(1,1) and p(2,2) through the cycle
 }
 
@@ -197,13 +198,10 @@ fn magic_derives_strictly_fewer_facts_on_bound_tc() {
     let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
     let db = chain_db(64);
     let pattern = atom!("p"; 0, @"Y");
-    let magic = program.for_query_mode(&pattern, QueryMode::Magic).unwrap();
-    let full = program
-        .for_query_mode(&pattern, QueryMode::Materialize)
-        .unwrap();
+    let magic = program.for_query(&pattern).unwrap();
     let (ma, ms) = magic.answer_with_stats(&db).unwrap();
-    let (fa, fs) = full.answer_with_stats(&db).unwrap();
-    assert_eq!(ma, fa);
+    let (_, fs) = program.eval_with_stats(&db).unwrap();
+    assert_eq!(ma, materialized(&program, &pattern, &db));
     assert_eq!(ma.len(), 64);
     assert!(
         ms.eval_derived() < fs.eval_derived(),
@@ -224,9 +222,7 @@ fn fallback_paths_answer_by_materialization() {
     let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
     let free = program.for_query(&atom!("p"; @"X", @"Y")).unwrap();
     assert!(!free.is_magic());
-    let edb = program
-        .for_query_mode(&atom!("e"; 1, @"Y"), QueryMode::Magic)
-        .unwrap();
+    let edb = program.for_query(&atom!("e"; 1, @"Y")).unwrap();
     assert!(!edb.is_magic());
 
     // Stratified as written, but the rewrite would make demand for
@@ -238,9 +234,7 @@ fn fallback_paths_answer_by_materialization() {
     )
     .unwrap();
     assert!(tricky.stratify().is_ok());
-    let q = tricky
-        .for_query_mode(&atom!("p"; 1), QueryMode::Magic)
-        .unwrap();
+    let q = tricky.for_query(&atom!("p"; 1)).unwrap();
     assert!(!q.is_magic());
     let schema = Schema::new()
         .with("e", 2)
@@ -253,6 +247,7 @@ fn fallback_paths_answer_by_materialization() {
     // p(2) from s(2); p(1) from e(1,2) ∧ p(2) ∧ ¬q(2); the pattern
     // p(1) then filters to just (1).
     let ans = q.answer(&db).unwrap();
+    assert_eq!(ans, materialized(&tricky, &atom!("p"; 1), &db));
     assert_eq!(ans.len(), 1);
     assert!(ans.contains(&rtx::relational::tuple![1]));
 }
@@ -262,13 +257,12 @@ fn fallback_paths_answer_by_materialization() {
 #[test]
 fn bound_pattern_goes_magic_and_answers_like_materialize() {
     let program = parse_program("p(X,Y) :- e(X,Y). p(X,Z) :- p(X,Y), e(Y,Z).").unwrap();
-    let q = program.for_query(&atom!("p"; 0, @"Y")).unwrap();
+    let pattern = atom!("p"; 0, @"Y");
+    let q = program.for_query(&pattern).unwrap();
     assert!(q.is_magic());
-    assert_eq!(q.mode(), QueryMode::Magic);
     let db = chain_db(8);
-    let full = program
-        .for_query_mode(&atom!("p"; 0, @"Y"), QueryMode::Materialize)
-        .unwrap();
-    assert!(!full.is_magic());
-    assert_eq!(q.answer(&db).unwrap(), full.answer(&db).unwrap());
+    assert_eq!(
+        q.answer(&db).unwrap(),
+        materialized(&program, &pattern, &db)
+    );
 }

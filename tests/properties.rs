@@ -430,7 +430,7 @@ fn random_db(pairs: &[(u8, u8)], singles: &[i64]) -> Instance {
 fn random_ucq(seed: u64) -> rtx::query::UcqQuery {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rtx::query::{Atom, CqRule, Term, UcqQuery, Var};
+    use rtx::query::{Atom, CqBuilder, Term, UcqQuery, Var};
     const VARS: [&str; 3] = ["X", "Y", "Z"];
     const RELS: [(&str, usize); 3] = [("E", 2), ("S", 1), ("D", 1)];
     fn term(rng: &mut StdRng, bound: &[Var], consts: &[i64]) -> Term {
@@ -476,7 +476,10 @@ fn random_ucq(seed: u64) -> rtx::query::UcqQuery {
         let head = (0..arity)
             .map(|_| term(&mut rng, &bound, &[0, 5, 99]))
             .collect();
-        rules.push(CqRule::new(head, pos, neg, diseq).expect("safe by construction"));
+        let rule = pos.into_iter().fold(CqBuilder::head(head), CqBuilder::when);
+        let rule = neg.into_iter().fold(rule, CqBuilder::unless);
+        let rule = diseq.into_iter().fold(rule, |r, (x, y)| r.distinct(x, y));
+        rules.push(rule.build().expect("safe by construction"));
     }
     UcqQuery::new(arity, rules).expect("one head arity")
 }
@@ -706,16 +709,20 @@ proptest! {
     }
 }
 
-/// Random character insertions, deletions and replacements of two seed
-/// programs, from a fixed seed, never make `parse_program` or
-/// `parse_dedalus` panic — nor `stratify` or `DedalusRuntime::new` on
-/// whatever parses.
+/// Random character insertions, deletions and replacements of three
+/// seed programs, from a fixed seed, never make `parse_program`,
+/// `parse_dedalus` or `parse_fo_query` panic — nor `stratify` or
+/// `DedalusRuntime::new` on whatever parses. The parsers share one
+/// lexer and one rule grammar, so on every mutated rule source without
+/// `@` or `now` Datalog and Dedalus both succeed or both fail, and two
+/// parse errors sit at one offset.
 #[test]
 fn parsers_never_panic_on_mutated_programs() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rtx::dedalus::{parse_dedalus, DedalusRuntime};
-    use rtx::query::parser::parse_program;
+    use rtx::query::parser::{parse_fo_query, parse_program};
+    use rtx::query::EvalError;
     const DATALOG: &str = "% reachability, and what it misses
         t(X,Y) :- e(X,Y).
         t(X,Z) :- t(X,Y), e(Y,Z), X != Z.
@@ -725,14 +732,17 @@ fn parsers_never_panic_on_mutated_programs() {
         reach(Y) :- reach(X), edge(X,Y), !blocked(Y).
         reach(X)@next :- reach(X).
         msg(X, now)@async :- reach(X), X != 'a'.";
+    const FO: &str = "(X) <- s(X) & !exists Y . e(X,Y)";
     const ALPHABET: &[char] = &[
         'a', 'z', 'X', '_', '0', '7', '(', ')', ',', '.', ':', '-', '!', '=', '@', '\'', ' ', '\n',
         '%', '#', '<', '&', '|', 'é', '≠',
     ];
     assert!(parse_program(DATALOG).unwrap().stratify().is_ok());
     DedalusRuntime::new(&parse_dedalus(DEDALUS).unwrap()).unwrap();
+    parse_fo_query(FO).unwrap();
     let mut rng = StdRng::seed_from_u64(0x5EED_9A25);
-    for seed in [DATALOG, DEDALUS] {
+    let mut compared = 0;
+    for seed in [DATALOG, DEDALUS, FO] {
         for _ in 0..5_000 {
             let mut chars: Vec<char> = seed.chars().collect();
             for _ in 0..rng.gen_range(1usize..=4) {
@@ -748,14 +758,42 @@ fn parsers_never_panic_on_mutated_programs() {
             }
             let src: String = chars.into_iter().collect();
             let outcome = std::panic::catch_unwind(|| {
-                if let Ok(p) = parse_program(&src) {
+                if seed == FO {
+                    let _ = parse_fo_query(&src);
+                    return None;
+                }
+                let datalog = parse_program(&src);
+                if let Ok(p) = &datalog {
                     let _ = p.stratify();
                 }
-                if let Ok(p) = parse_dedalus(&src) {
-                    let _ = DedalusRuntime::new(&p);
+                let dedalus = parse_dedalus(&src);
+                if let Ok(p) = &dedalus {
+                    let _ = DedalusRuntime::new(p);
                 }
+                Some((datalog.err(), dedalus.err()))
             });
-            assert!(outcome.is_ok(), "a parser panicked on {src:?}");
+            let Ok(errors) = outcome else {
+                panic!("a parser panicked on {src:?}");
+            };
+            let Some((datalog, dedalus)) =
+                errors.filter(|_| !src.contains('@') && !src.contains("now"))
+            else {
+                continue;
+            };
+            compared += 1;
+            assert_eq!(
+                datalog.is_some(),
+                dedalus.is_some(),
+                "{src:?}: Datalog {datalog:?}, Dedalus {dedalus:?}"
+            );
+            if let (
+                Some(EvalError::Parse { offset: a, .. }),
+                Some(EvalError::Parse { offset: b, .. }),
+            ) = (&datalog, &dedalus)
+            {
+                assert_eq!(a, b, "{src:?}: Datalog {datalog:?}, Dedalus {dedalus:?}");
+            }
         }
     }
+    assert!(compared > 4_000, "only {compared} sources compared");
 }
