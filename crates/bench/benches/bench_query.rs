@@ -46,7 +46,8 @@ fn bench_query(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fo-eval");
     group.sample_size(10);
-    // generator-optimized conjunctive shape vs quantified residual
+    // A conjunctive formula compiles to one rule that fires once; the
+    // quantified sentence compiles to a three-rule stratified program.
     let conjunctive = FoQuery::new(
         ["X", "Z"],
         Formula::exists(
@@ -66,7 +67,7 @@ fn bench_query(c: &mut Criterion) {
         ]),
     ))
     .unwrap();
-    for n in [8usize, 16] {
+    for n in [8usize, 16, 64, 128] {
         let input = chain_input("E", n);
         group.bench_with_input(BenchmarkId::new("two-hop-join", n), &n, |b, _| {
             b.iter(|| conjunctive.eval(&input).unwrap().len())

@@ -37,6 +37,7 @@ fn exp() {
         ("star".into(), Network::star(6).unwrap()),
         ("clique".into(), Network::clique(4).unwrap()),
     ];
+    let mut everywhere_ready = true;
     for (label, net) in topologies {
         let flood = flood_transducer(&schema, FloodMode::Dedup, None).unwrap();
         let f = run_fifo(&net, &flood, &input);
@@ -61,6 +62,7 @@ fn exp() {
                     .map(|r| r.as_bool())
                     .unwrap_or(false)
             });
+        everywhere_ready &= all_ready;
 
         tab.row(&[
             label,
@@ -77,6 +79,7 @@ fn exp() {
         ]);
     }
     tab.done();
+    assert!(everywhere_ready, "LEM-5.1: some node never raised Ready");
     println!("paper: the multicast protocol \"requires heavy coordination\" — the overhead");
     println!("column quantifies it; Ready is true everywhere only after full dissemination.");
 }

@@ -17,6 +17,7 @@ fn exp() {
         let input = set_input(4);
         let t = linear_order_transducer(input.schema()).unwrap();
         let mut tab = Table::new(&[("topology", 10), ("nodes with a total order", 26)]);
+        let mut all_ordered = true;
         for net in [Network::line(2).unwrap(), Network::ring(4).unwrap()] {
             let out = run_fifo(&net, &t, &input);
             assert!(out.quiescent);
@@ -25,12 +26,17 @@ fn exp() {
                 .nodes()
                 .filter(|n| is_total_order_over(out.final_config.state(n).unwrap(), &expected))
                 .count();
+            all_ordered &= good == net.len();
             tab.row(&[
                 format!("{}-node", net.len()),
                 format!("{good}/{}", net.len()),
             ]);
         }
         tab.done();
+        assert!(
+            all_ordered,
+            "COR-8: some node lacks a total order over adom(I)"
+        );
     }
 
     println!("\n[COR-8] parity of |S| — a non-FO, nonmonotone query via the order");
@@ -42,6 +48,7 @@ fn exp() {
             ("2-node answer", 14),
             ("1-node answer", 14),
         ]);
+        let mut all_right = true;
         for n in [0usize, 1, 2, 3, 4, 5] {
             let input = set_input(n);
             let two = run_fifo(&Network::line(2).unwrap(), &t, &input);
@@ -52,6 +59,10 @@ fn exp() {
             } else {
                 one.output.as_bool().to_string()
             };
+            // Two nodes answer the parity. One node cannot build the
+            // order, so it stays mute — unless S is empty, where the
+            // order is vacuously complete and it answers `true`.
+            all_right &= two.output.as_bool() == (n % 2 == 0) && one.output.as_bool() == (n == 0);
             tab.row(&[
                 n.to_string(),
                 (n % 2 == 0).to_string(),
@@ -60,6 +71,7 @@ fn exp() {
             ]);
         }
         tab.done();
+        assert!(all_right, "COR-8: a parity answer is wrong");
         println!("paper: \"On any network with at least two nodes, every PSPACE query can be");
         println!("computed by an FO-transducer\" — and the same transducer is mute on one node");
         println!("(\"not truly network-topology independent\").");

@@ -35,6 +35,7 @@ fn exp() {
             ("distributed", 12),
             ("agree", 6),
         ]);
+        let mut all_agree = true;
         for (label, facts) in [
             ("S = ∅, K = {1,2}", vec![fact!("K", 1), fact!("K", 2)]),
             ("S = {9}, K = {1}", vec![fact!("K", 1), fact!("S", 9)]),
@@ -43,14 +44,20 @@ fn exp() {
             let central = q.eval(&input).unwrap().as_bool();
             let out = run_fifo(&net, &t, &input);
             assert!(out.quiescent);
+            let agree = central == out.output.as_bool();
+            all_agree &= agree;
             tab.row(&[
                 label.into(),
                 central.to_string(),
                 out.output.as_bool().to_string(),
-                (central == out.output.as_bool()).to_string(),
+                agree.to_string(),
             ]);
         }
         tab.done();
+        assert!(
+            all_agree,
+            "THM-6.1: the distributed answer differs from Q(I)"
+        );
     }
 
     println!("\n[THM-6.2] monotone queries via oblivious flooding (TC on chains)");
@@ -64,21 +71,25 @@ fn exp() {
             ("classification", 36),
             ("ok", 4),
         ]);
+        let mut all_ok = true;
         for n in [2usize, 4, 6] {
             let input = chain_input("E", n);
             let expected = q.eval(&input).unwrap();
             let t = distribute_monotone(q.clone(), input.schema(), FloodMode::Dedup).unwrap();
             let out = run_fifo(&net, &t, &input);
             assert!(out.quiescent);
+            let ok = out.output == expected;
+            all_ok &= ok;
             tab.row(&[
                 n.to_string(),
                 expected.len().to_string(),
                 out.output.len().to_string(),
                 Classification::of(&t).to_string(),
-                (out.output == expected).to_string(),
+                ok.to_string(),
             ]);
         }
         tab.done();
+        assert!(all_ok, "THM-6.2: the flooded output differs from Q(I)");
         println!(
             "note: with FloodMode::Naive the same construction is additionally monotone(syn)."
         );
@@ -98,21 +109,28 @@ fn exp() {
             ("inflationary", 13),
             ("ok", 4),
         ]);
+        let mut all_ok = true;
         for n in [3usize, 5] {
             let input = chain_input("E", n);
             let expected = q.eval(&input).unwrap();
             let out = run_fifo(&net, &t, &input);
             assert!(out.quiescent);
+            let ok = out.output == expected;
+            all_ok &= ok;
             tab.row(&[
                 format!("chain-{n}"),
                 expected.len().to_string(),
                 out.output.len().to_string(),
                 c.oblivious.to_string(),
                 c.inflationary.to_string(),
-                (out.output == expected).to_string(),
+                ok.to_string(),
             ]);
         }
         tab.done();
+        assert!(
+            all_ok,
+            "THM-6.5: the T_P transducer's output differs from Q(I)"
+        );
         println!(
             "paper: \"by the monotone nature of Datalog evaluation, deletions are not needed\"."
         );

@@ -60,6 +60,7 @@ fn exp() {
         ("heartbeats", 11),
         ("agree", 6),
     ]);
+    let mut all_agree = true;
     for n in [2usize, 4, 6, 8] {
         let input = chain_input("E", n);
         let direct = WhileQuery::new(program.clone()).eval(&input).unwrap();
@@ -75,15 +76,21 @@ fn exp() {
         )
         .unwrap();
         assert!(out.quiescent);
+        let agree = out.output == direct;
+        all_agree &= agree;
         tab.row(&[
             format!("chain-{n}"),
             direct.len().to_string(),
             out.output.len().to_string(),
             out.heartbeats.to_string(),
-            (out.output == direct).to_string(),
+            agree.to_string(),
         ]);
     }
     tab.done();
+    assert!(
+        all_agree,
+        "LEM-5.3: the compiled transducer differs from the while-program"
+    );
     println!("one instruction per heartbeat: the transducer simulates the while-program");
     println!("(and only heartbeat transitions exist on one node — paper, Section 3).");
 }

@@ -24,32 +24,47 @@
 //! a term is expected, and an ordinary name elsewhere.
 
 use crate::ast::{DRule, DTime, DedalusProgram, NOW};
-use rtx_query::parser::parse_rules;
+use rtx_query::parser::{parse_rules, RuleSyntax};
 use rtx_query::{EvalError, Literal};
 
 /// The timing annotations, with the class each one selects.
 const TIMINGS: [(&str, DTime); 2] = [("next", DTime::Next), ("async", DTime::Async)];
 
-/// Parse a Dedalus program.
+/// Parse a Dedalus program. A rule whose Datalog translation
+/// [`rtx_query::Rule::new`] rejects is a parse error at the rule's
+/// offset, as in `rtx_query::parser::parse_program`.
 pub fn parse_dedalus(src: &str) -> Result<DedalusProgram, EvalError> {
-    let rules = parse_rules(src, &TIMINGS.map(|(word, _)| word), Some(NOW))?;
-    let rules = rules.into_iter().map(|r| {
-        let timing = r.annotation.map_or(DTime::Same, |i| TIMINGS[i].1);
-        let rule = r
-            .body
-            .into_iter()
-            .fold(DRule::new(r.head, timing), |rule, l| match l {
-                Literal::Pos(a) => rule.when(a),
-                Literal::Neg(a) => rule.unless(a),
-                Literal::Diseq(x, y) => rule.distinct(x, y),
-            });
-        if r.uses_keyword {
-            rule.with_time_var(NOW)
-        } else {
-            rule
-        }
-    });
-    DedalusProgram::new(rules.collect())
+    let timings = TIMINGS.map(|(word, _)| word);
+    let rules = parse_rules(src, &timings, Some(NOW))?;
+    DedalusProgram::new(rules.into_iter().map(d_rule).collect()).map_err(|e| {
+        // Only a failed parse pays for finding the rule: the source
+        // parsed once, so it parses again.
+        let rules = parse_rules(src, &timings, Some(NOW)).unwrap_or_default();
+        let rejected = rules.into_iter().find_map(|r| {
+            let offset = r.offset;
+            let message = d_rule(r).translate().err()?.to_string();
+            Some(EvalError::Parse { message, offset })
+        });
+        rejected.unwrap_or(e)
+    })
+}
+
+/// The Dedalus rule a parsed rule spells.
+fn d_rule(r: RuleSyntax) -> DRule {
+    let timing = r.annotation.map_or(DTime::Same, |i| TIMINGS[i].1);
+    let rule = r
+        .body
+        .into_iter()
+        .fold(DRule::new(r.head, timing), |rule, l| match l {
+            Literal::Pos(a) => rule.when(a),
+            Literal::Neg(a) => rule.unless(a),
+            Literal::Diseq(x, y) => rule.distinct(x, y),
+        });
+    if r.uses_keyword {
+        rule.with_time_var(NOW)
+    } else {
+        rule
+    }
 }
 
 #[cfg(test)]
@@ -157,6 +172,17 @@ mod tests {
             (
                 "expected `next` or `async` after `@`, found end of input".to_string(),
                 src.len()
+            )
+        );
+        // A rule whose translation is unsafe is reported at its first
+        // token, as Datalog's parser reports it.
+        assert_eq!(
+            parse_error("a(X) :- b(X). t(X) :- !e(X,X)."),
+            (
+                "unsafe query: head variable X is not bound by a positive atom \
+                 in `t(X) ← ¬e(X,X)`"
+                    .to_string(),
+                14
             )
         );
     }

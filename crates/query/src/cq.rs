@@ -5,22 +5,19 @@
 //! Corollary 14(3) characterizes Datalog via nonrecursive-Datalog
 //! (equivalently, UCQ¬-composition) transducers. This module provides the
 //! syntactic class as what it is, nonrecursive Datalog: each disjunct is
-//! a Datalog [`Rule`] under a fixed answer predicate, fired once through
-//! the same function as Datalog's `T_P` on the crate's one columnar join
-//! executor (`frame.rs`), much faster than brute-force FO enumeration.
+//! a Datalog [`Rule`] under the answer predicate that compiled FO
+//! queries use too ([`crate::fo`]), fired once through the same function
+//! as Datalog's `T_P` on the crate's one columnar join executor
+//! (`frame.rs`).
 
 use crate::datalog::{Literal, Rule};
 use crate::error::EvalError;
+use crate::fo::ANSWER;
 use crate::query::Query;
 use crate::term::{Atom, Term};
 use rtx_relational::{Instance, RelName, Relation, Run};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// The head predicate of every rule [`CqBuilder::build`] makes. A UCQ¬
-/// never reads it: the query's answer is the union of its rules' head
-/// tuples.
-const ANSWER: &str = "ans";
 
 /// A union of conjunctive queries with safe negation (UCQ¬): Datalog
 /// rules with a common head arity, each fired once.
@@ -181,10 +178,13 @@ impl CqBuilder {
         self
     }
 
-    /// Finish: the rule `ans(head) ← body` under the fixed answer
-    /// predicate `ans`, validating safety — every variable in the head,
+    /// Finish: the rule `@ans(head) ← body` under the answer predicate
+    /// of compiled FO queries, which no body relation can clash with,
+    /// validating it as [`Rule::new`] does — every variable in the head,
     /// in a negated atom, or in a nonequality must occur in some
-    /// positive atom.
+    /// positive atom, and each relation has one arity. A UCQ¬ never
+    /// reads `@ans`: the query's answer is the union of its rules' head
+    /// tuples.
     pub fn build(self) -> Result<Rule, EvalError> {
         Rule::new(Atom::new(ANSWER, self.head), self.body)
     }
@@ -332,6 +332,33 @@ mod tests {
             .distinct(v("Z"), Term::cons(1))
             .build()
             .is_err());
+    }
+
+    #[test]
+    fn one_relation_at_two_arities_is_rejected() {
+        // S(X), S(X,X) cannot both hold: the rule is rejected, instead of
+        // answering {} on an empty S and failing on a nonempty one.
+        let two = CqBuilder::head(vec![v("X")])
+            .when(atom!("S"; @"X"))
+            .when(atom!("S"; @"X", @"X"))
+            .build();
+        let mismatch = |r: &Result<Rule, EvalError>| {
+            matches!(
+                r,
+                Err(EvalError::Rel(
+                    rtx_relational::RelError::ArityMismatch { .. }
+                ))
+            )
+        };
+        assert!(mismatch(&two), "{two:?}");
+        // The head atom counts too.
+        let head = Rule::new(atom!("S"; @"X", @"X"), vec![Literal::Pos(atom!("S"; @"X"))]);
+        assert!(mismatch(&head), "{head:?}");
+        // A body relation named like the old answer predicate is fine.
+        let ans = CqBuilder::head(vec![v("X"), v("X")])
+            .when(atom!("ans"; @"X"))
+            .build();
+        assert!(ans.is_ok(), "{ans:?}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Datalog, stratified Datalog, and nonrecursive Datalog.
 //!
 //! [`Rule`] is the workspace's one rule type: a UCQ¬ disjunct
-//! ([`crate::cq`]) is a rule under a fixed answer predicate, and a
-//! Dedalus rule (`rtx-dedalus`) translates to one. Implements
+//! ([`crate::cq`]) is a rule under a fixed answer predicate, an FO
+//! query ([`crate::fo`]) compiles to a nonrecursive program of them,
+//! and a Dedalus rule (`rtx-dedalus`) translates to one. Implements
 //! semi-naive bottom-up evaluation with stratified negation; every rule
-//! firing — semi-naive rounds, `T_P` and UCQ¬ queries — goes through
+//! firing — semi-naive rounds, `T_P`, UCQ¬ and FO queries — goes through
 //! one function, on the crate's one columnar join executor
 //! (`frame.rs`). The immediate-consequence operator `T_P` is exposed
 //! separately because the paper's Theorem 6(5) builds an oblivious,
@@ -16,7 +17,7 @@ use crate::frame::join_body;
 use crate::incremental::FixpointStats;
 use crate::plan;
 use crate::query::Query;
-use crate::term::{Atom, Term};
+use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, RelName, Relation, Run, Schema};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -44,8 +45,9 @@ impl fmt::Debug for Literal {
 }
 
 /// A Datalog rule `head ← body` — the crate's one rule type: UCQ¬
-/// rules ([`crate::cq`]) and the Dedalus rules of `rtx-dedalus`
-/// translate to it, and every rule fires through one function.
+/// rules ([`crate::cq`]), compiled FO queries ([`crate::fo`]) and the
+/// Dedalus rules of `rtx-dedalus` translate to it, and every rule fires
+/// through one function.
 #[derive(Clone)]
 pub struct Rule {
     head: Atom,
@@ -78,21 +80,39 @@ impl PartialEq for Rule {
 impl Eq for Rule {}
 
 impl Rule {
-    /// Build a rule, validating safety: every head variable, negated-atom
-    /// variable, and nonequality variable must occur in a positive body
-    /// atom.
+    /// Build a rule, validating that its atoms, the head's included, use
+    /// each relation at one arity, and its safety: a join of the
+    /// positive atoms binds every variable of the head, of a negated
+    /// atom and of a nonequality. An unsafe rule's reason names it.
     pub fn new(head: Atom, body: Vec<Literal>) -> Result<Self, EvalError> {
         let rule = Rule {
             head,
             body,
             plan: OnceLock::new(),
         };
-        plan::check_safety(
-            &rule.head.terms,
-            rule.positive(),
-            rule.negated(),
-            rule.nonequalities(),
-        )?;
+        let mut arities = Schema::new();
+        for a in [&rule.head]
+            .into_iter()
+            .chain(rule.positive())
+            .chain(rule.negated())
+        {
+            arities.declare(a.pred.clone(), a.arity())?;
+        }
+        let bound: BTreeSet<Var> = rule.positive().flat_map(Atom::vars).collect();
+        let need = (rule.head.terms.iter().map(|t| ("head", t)))
+            .chain((rule.negated()).flat_map(|a| a.terms.iter().map(|t| ("negated atom", t))))
+            .chain(
+                (rule.nonequalities()).flat_map(|(x, y)| [("nonequality", x), ("nonequality", y)]),
+            );
+        for (what, t) in need {
+            if let Some(v) = t.as_var().filter(|v| !bound.contains(v)) {
+                return Err(EvalError::Unsafe {
+                    reason: format!(
+                        "{what} variable {v} is not bound by a positive atom in `{rule:?}`"
+                    ),
+                });
+            }
+        }
         Ok(rule)
     }
 

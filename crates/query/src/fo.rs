@@ -6,23 +6,42 @@
 //! (paper, Section 2): quantifiers range over the active domain of the
 //! instance, and output tuples are drawn from the active domain.
 //!
-//! The evaluator is a hybrid: top-level positive conjuncts are used as
-//! *generators*, joined by the crate's one columnar join executor
-//! (`frame.rs`) as a conjunctive query would be, and only the residual
-//! formula is checked per candidate binding — each frame row read as a
-//! [`Bindings`] — with quantifiers enumerating the active domain. This
-//! keeps the constructions of the paper (whose send/insert queries are
-//! mostly conjunctive) fast, while still supporting full FO.
+//! FO is exactly as expressive as nonrecursive Datalog¬, so
+//! [`FoQuery::new`] compiles the formula once into a nonrecursive
+//! stratified [`Program`] and evaluation is the rule engine's:
+//!
+//! * a conjunction stays one rule body; `∀` becomes `¬∃¬`, and negation
+//!   is pushed through `¬`, `∨` and `∀` down to negated atoms and
+//!   nonequalities;
+//! * a disjunction, or a negated `∧` or `∃`, becomes a fresh predicate
+//!   over its free variables, with one rule per disjunct;
+//! * quantified variables are renamed apart, and equalities are solved
+//!   by substitution;
+//! * adom(I) is the reserved unary relation `@adom`, filled once per
+//!   evaluation when some rule reads it. It guards the variables no
+//!   positive atom binds, so answers stay in adom(I)^k.
+//!
+//! A formula that compiles to one rule reading no adom is a CQ¬ and
+//! fires once; anything else runs [`Program::eval`]. The naive
+//! enumeration semantics is `rtx_ref::fo`, the oracle this compilation
+//! is tested against.
 
+use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
-use crate::frame::join_body;
-use crate::plan;
 use crate::query::Query;
-use crate::term::{Atom, Bindings, Term, Var};
-use rtx_relational::{Instance, RelName, Relation, Tuple, Value};
-use std::collections::BTreeSet;
+use crate::term::{Atom, Term, Var};
+use rtx_relational::{Instance, RelName, Relation, Tuple};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::OnceLock;
+
+/// The answer predicate of a compiled FO query and of every UCQ¬ rule
+/// ([`crate::cq`]). Fresh predicates are `@p1`, `@p2`, … and fresh
+/// variables `@v1`, `@v2`, …: no identifier the lexer reads starts with
+/// `@`, so no relation of a parsed query can clash with them.
+pub(crate) const ANSWER: &str = "@ans";
+
+/// The reserved unary relation holding adom(I).
+const ADOM: &str = "@adom";
 
 /// An FO formula.
 #[derive(Clone, PartialEq, Eq)]
@@ -169,158 +188,45 @@ impl Formula {
             Formula::Forall(_, _) => false,
         }
     }
-
-    /// Evaluate under complete bindings for the free variables.
-    fn holds(&self, db: &Instance, adom: &[Value], env: &Bindings) -> Result<bool, EvalError> {
-        match self {
-            Formula::True => Ok(true),
-            Formula::False => Ok(false),
-            Formula::Atom(a) => {
-                let rel = db.relation(&a.pred)?;
-                if rel.arity() != a.arity() {
-                    return Err(EvalError::Rel(rtx_relational::RelError::ArityMismatch {
-                        rel: a.pred.clone(),
-                        expected: rel.arity(),
-                        found: a.arity(),
-                    }));
-                }
-                let t = a.instantiate(env).ok_or_else(|| EvalError::Unsafe {
-                    reason: format!("atom {a} has an unbound variable at evaluation time"),
-                })?;
-                Ok(rel.contains(&t))
-            }
-            Formula::Eq(a, b) => {
-                let (va, vb) = (a.resolve(env), b.resolve(env));
-                match (va, vb) {
-                    (Some(x), Some(y)) => Ok(x == y),
-                    _ => Err(EvalError::Unsafe {
-                        reason: "equality over an unbound variable".into(),
-                    }),
-                }
-            }
-            Formula::Not(f) => Ok(!f.holds(db, adom, env)?),
-            Formula::And(fs) => {
-                for f in fs {
-                    if !f.holds(db, adom, env)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Formula::Or(fs) => {
-                for f in fs {
-                    if f.holds(db, adom, env)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Formula::Exists(vs, f) => Self::quantify(db, adom, env, vs, f, false),
-            Formula::Forall(vs, f) => Self::quantify(db, adom, env, vs, f, true),
-        }
-    }
-
-    /// Shared quantifier loop: `universal = false` searches for a witness,
-    /// `universal = true` searches for a counterexample.
-    fn quantify(
-        db: &Instance,
-        adom: &[Value],
-        env: &Bindings,
-        vars: &[Var],
-        f: &Formula,
-        universal: bool,
-    ) -> Result<bool, EvalError> {
-        fn rec(
-            db: &Instance,
-            adom: &[Value],
-            env: &mut Bindings,
-            vars: &[Var],
-            f: &Formula,
-            universal: bool,
-        ) -> Result<bool, EvalError> {
-            match vars.split_first() {
-                None => {
-                    let h = f.holds(db, adom, env)?;
-                    Ok(if universal { !h } else { h })
-                }
-                Some((v, rest)) => {
-                    let shadowed = env.get(v).cloned();
-                    for a in adom {
-                        env.insert(*v, *a);
-                        if rec(db, adom, env, rest, f, universal)? {
-                            match shadowed {
-                                Some(old) => env.insert(*v, old),
-                                None => env.remove(v),
-                            };
-                            return Ok(true);
-                        }
-                    }
-                    match shadowed {
-                        Some(old) => env.insert(*v, old),
-                        None => env.remove(v),
-                    };
-                    Ok(false)
-                }
-            }
-        }
-        let mut scratch = env.clone();
-        let found = rec(db, adom, &mut scratch, vars, f, universal)?;
-        Ok(if universal { !found } else { found })
-    }
 }
 
 impl fmt::Debug for Formula {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn list<T: fmt::Debug>(f: &mut fmt::Formatter<'_>, xs: &[T], sep: &str) -> fmt::Result {
+            for (i, x) in xs.iter().enumerate() {
+                if i > 0 {
+                    write!(f, "{sep}")?;
+                }
+                write!(f, "{x:?}")?;
+            }
+            Ok(())
+        }
         match self {
             Formula::True => write!(f, "true"),
             Formula::False => write!(f, "false"),
             Formula::Atom(a) => write!(f, "{a}"),
             Formula::Eq(a, b) => write!(f, "{a} = {b}"),
             Formula::Not(inner) => write!(f, "¬({inner:?})"),
-            Formula::And(fs) => {
-                if fs.is_empty() {
-                    return write!(f, "true");
-                }
+            Formula::And(fs) if fs.is_empty() => write!(f, "true"),
+            Formula::Or(fs) if fs.is_empty() => write!(f, "false"),
+            Formula::And(fs) | Formula::Or(fs) => {
+                let sep = if matches!(self, Formula::And(_)) {
+                    " ∧ "
+                } else {
+                    " ∨ "
+                };
                 write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∧ ")?;
-                    }
-                    write!(f, "{g:?}")?;
-                }
+                list(f, fs, sep)?;
                 write!(f, ")")
             }
-            Formula::Or(fs) => {
-                if fs.is_empty() {
-                    return write!(f, "false");
-                }
-                write!(f, "(")?;
-                for (i, g) in fs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ∨ ")?;
-                    }
-                    write!(f, "{g:?}")?;
-                }
-                write!(f, ")")
-            }
-            Formula::Exists(vs, g) => {
-                write!(f, "∃")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ".({g:?})")
-            }
-            Formula::Forall(vs, g) => {
-                write!(f, "∀")?;
-                for (i, v) in vs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
+            Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
+                let q = if matches!(self, Formula::Exists(..)) {
+                    "∃"
+                } else {
+                    "∀"
+                };
+                write!(f, "{q}")?;
+                list(f, vs, ",")?;
                 write!(f, ".({g:?})")
             }
         }
@@ -334,24 +240,20 @@ impl fmt::Display for Formula {
 }
 
 /// An FO query `ϕ(x1, …, xk)`: a formula with a designated tuple of head
-/// variables.
+/// variables, compiled once into a nonrecursive stratified program.
 #[derive(Clone)]
 pub struct FoQuery {
     head: Vec<Var>,
     formula: Formula,
-    /// The generator split, computed on the first evaluation (a pure
-    /// function of the query, so equality ignores it).
-    split: OnceLock<Split>,
-}
-
-/// How an [`FoQuery`] evaluates: its top-level positive atoms are the
-/// generators, joined in `order`; the other conjuncts are checked per
-/// binding.
-#[derive(Clone)]
-struct Split {
-    generators: Vec<Atom>,
-    order: Vec<usize>,
-    checks: Vec<Formula>,
+    /// The compiled rules: [`ANSWER`] holds the answer, and each fresh
+    /// `@p` predicate one subformula. A pure function of the query, so
+    /// equality ignores it.
+    program: Program,
+    /// The relations the rules read from the instance, with their
+    /// arities.
+    inputs: Vec<(RelName, usize)>,
+    /// Does some rule read [`ADOM`]?
+    reads_adom: bool,
 }
 
 impl PartialEq for FoQuery {
@@ -364,24 +266,40 @@ impl Eq for FoQuery {}
 
 impl FoQuery {
     /// Build an FO query, validating that every free variable of the
-    /// formula appears in the head.
+    /// formula appears in the head and that the formula names no
+    /// reserved `@` relation, and compile it to rules. A relation used
+    /// at two arities is an error.
     pub fn new<V: Into<Var>>(
         head: impl IntoIterator<Item = V>,
         formula: Formula,
     ) -> Result<Self, EvalError> {
         let head: Vec<Var> = head.into_iter().map(Into::into).collect();
-        let head_set: BTreeSet<_> = head.iter().cloned().collect();
-        for v in formula.free_vars() {
-            if !head_set.contains(&v) {
-                return Err(EvalError::Unsafe {
-                    reason: format!("free variable {v} does not appear in the head"),
-                });
-            }
+        if let Some(v) = formula.free_vars().into_iter().find(|v| !head.contains(v)) {
+            return Err(EvalError::Unsafe {
+                reason: format!("free variable {v} does not appear in the head"),
+            });
         }
+        if let Some(r) = (formula.relations().iter()).find(|r| r.as_str().starts_with('@')) {
+            return Err(EvalError::Other(format!(
+                "`{r}` is reserved for compiled FO queries"
+            )));
+        }
+        let mut compiler = Compiler::default();
+        let answer = Atom::new(ANSWER, head.iter().map(|&v| Term::Var(v)).collect());
+        compiler.define(&answer, formula.clone(), &[])?;
+        let program = Program::new(compiler.rules)?;
+        let signature = program.signature();
+        let inputs = (signature.iter())
+            .filter(|(name, _)| !name.as_str().starts_with('@'))
+            .map(|(name, arity)| (name.clone(), arity))
+            .collect();
+        let reads_adom = signature.contains(&RelName::new(ADOM));
         Ok(FoQuery {
             head,
             formula,
-            split: OnceLock::new(),
+            program,
+            inputs,
+            reads_adom,
         })
     }
 
@@ -400,80 +318,223 @@ impl FoQuery {
         &self.formula
     }
 
-    /// Split a formula into top-level conjuncts.
-    fn conjuncts_of(formula: &Formula) -> Vec<&Formula> {
-        fn flatten<'a>(f: &'a Formula, out: &mut Vec<&'a Formula>) {
-            match f {
-                Formula::And(fs) => {
-                    for g in fs {
-                        flatten(g, out);
+    /// The compiled rules.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+}
+
+/// The translation of formulas to rules: the rules made so far, and
+/// counters naming fresh predicates and variables.
+#[derive(Default)]
+struct Compiler {
+    rules: Vec<Rule>,
+    preds: usize,
+    vars: usize,
+}
+
+impl Compiler {
+    fn fresh_var(&mut self) -> Var {
+        self.vars += 1;
+        Var::new(format!("@v{}", self.vars))
+    }
+
+    /// `f` with its free variables replaced as `scope` says (the last
+    /// entry for a variable wins) and every quantified variable renamed
+    /// to a fresh one, so no quantifier shadows another variable or
+    /// captures a substituted one.
+    fn rename(&mut self, f: &Formula, scope: &mut Vec<(Var, Term)>) -> Formula {
+        let term = |t: &Term, scope: &[(Var, Term)]| match t {
+            Term::Var(v) => {
+                (scope.iter().rev().find(|(w, _)| w == v)).map_or(t.clone(), |(_, to)| to.clone())
+            }
+            Term::Const(_) => t.clone(),
+        };
+        match f {
+            Formula::True | Formula::False => f.clone(),
+            Formula::Atom(a) => Formula::Atom(Atom::new(
+                a.pred.clone(),
+                a.terms.iter().map(|t| term(t, scope)).collect(),
+            )),
+            Formula::Eq(x, y) => Formula::Eq(term(x, scope), term(y, scope)),
+            Formula::Not(g) => Formula::not(self.rename(g, scope)),
+            Formula::And(fs) => Formula::And(fs.iter().map(|g| self.rename(g, scope)).collect()),
+            Formula::Or(fs) => Formula::Or(fs.iter().map(|g| self.rename(g, scope)).collect()),
+            Formula::Exists(vs, g) | Formula::Forall(vs, g) => {
+                let depth = scope.len();
+                let fresh: Vec<Var> = (vs.iter())
+                    .map(|&v| {
+                        let w = self.fresh_var();
+                        scope.push((v, Term::Var(w)));
+                        w
+                    })
+                    .collect();
+                let g = Box::new(self.rename(g, scope));
+                scope.truncate(depth);
+                match f {
+                    Formula::Exists(..) => Formula::Exists(fresh, g),
+                    _ => Formula::Forall(fresh, g),
+                }
+            }
+        }
+    }
+
+    /// Define `head`'s predicate as `f`: one rule per disjunct.
+    fn define(&mut self, head: &Atom, f: Formula, ctx: &[Atom]) -> Result<(), EvalError> {
+        match f {
+            Formula::Or(fs) => fs.into_iter().try_for_each(|g| self.define(head, g, ctx)),
+            g => self.rule(head, g, ctx),
+        }
+    }
+
+    /// Add the rule `head ← f`, with `f` read as one conjunction, and the
+    /// rules of the fresh predicates it reads; add nothing when `f` is
+    /// unsatisfiable on its face. `ctx` holds positive atoms true
+    /// wherever `head`'s predicate is read: the rule carries those that
+    /// bind a head variable nothing else binds (sideways binding).
+    ///
+    /// Every variable of a rule ranges over adom(I). A variable that no
+    /// positive atom binds, and a constant that an equality put in a
+    /// variable's place, is guarded by an [`ADOM`] atom.
+    fn rule(&mut self, head: &Atom, f: Formula, ctx: &[Atom]) -> Result<(), EvalError> {
+        let start = self.rules.len();
+        let (mut pos, mut neg, mut eqs, mut diseqs) = (Vec::new(), Vec::new(), vec![], vec![]);
+        // Subformulas that become fresh predicates, and whether the rule
+        // reads them negated.
+        let mut defs: Vec<(Formula, bool)> = Vec::new();
+        let mut quantified: Vec<Var> = Vec::new();
+        let mut todo = vec![(f, false)];
+        while let Some((f, negated)) = todo.pop() {
+            match (f, negated) {
+                (Formula::True, false) | (Formula::False, true) => {}
+                (Formula::True, true) | (Formula::False, false) => return Ok(()),
+                (Formula::Not(g), _) => todo.push((*g, !negated)),
+                (Formula::Atom(a), false) => pos.push(a),
+                (Formula::Atom(a), true) => neg.push(a),
+                (Formula::Eq(x, y), false) => eqs.push((x, y)),
+                (Formula::Eq(x, y), true) => diseqs.push((x, y)),
+                (Formula::And(fs), false) | (Formula::Or(fs), true) => {
+                    todo.extend(fs.into_iter().rev().map(|g| (g, negated)))
+                }
+                (Formula::Exists(vs, g), false) | (Formula::Forall(vs, g), true) => {
+                    let mut scope = Vec::new();
+                    for v in vs {
+                        let w = self.fresh_var();
+                        quantified.push(w);
+                        scope.push((v, Term::Var(w)));
+                    }
+                    todo.push((self.rename(&g, &mut scope), negated));
+                }
+                (Formula::Or(mut fs), false) | (Formula::And(mut fs), true) if fs.len() < 2 => {
+                    match fs.pop() {
+                        Some(g) => todo.push((g, negated)),
+                        None => return Ok(()),
                     }
                 }
-                other => out.push(other),
-            }
-        }
-        let mut out = Vec::new();
-        flatten(formula, &mut out);
-        out
-    }
-
-    /// The generators and residual checks of the formula the generator
-    /// phase evaluates (looking through a safe existential prefix —
-    /// projection), and the generators' join order.
-    fn split(&self) -> &Split {
-        self.split.get_or_init(|| {
-            let (mut generators, mut checks) = (Vec::new(), Vec::new());
-            for c in Self::conjuncts_of(self.generator_body()) {
-                match c {
-                    Formula::Atom(a) => generators.push(a.clone()),
-                    other => checks.push(other.clone()),
+                (g @ Formula::Or(_), false) => defs.push((g, false)),
+                (g @ (Formula::And(_) | Formula::Exists(..)), true) => defs.push((g, true)),
+                (Formula::Forall(vs, g), false) => {
+                    defs.push((Formula::Exists(vs, Box::new(Formula::not(*g))), true))
                 }
             }
-            let order = plan::plan_order(&generators.iter().collect::<Vec<_>>(), None);
-            Split {
-                generators,
-                order,
-                checks,
+        }
+        let Some(subst) = solve(eqs) else {
+            return Ok(());
+        };
+        let sub = |t: &Term| match t {
+            Term::Var(v) => subst.get(v).unwrap_or(t).clone(),
+            Term::Const(_) => t.clone(),
+        };
+        let sub_atom = |a: &Atom| Atom::new(a.pred.clone(), a.terms.iter().map(sub).collect());
+        let head = sub_atom(head);
+        let mut scope: Vec<(Var, Term)> = subst.iter().map(|(v, t)| (*v, t.clone())).collect();
+        let defs: Vec<(Formula, bool)> = (defs.iter())
+            .map(|(g, negated)| (self.rename(g, &mut scope), *negated))
+            .collect();
+        let mut pos: Vec<Atom> = pos.iter().map(sub_atom).collect();
+        let mut bound: BTreeSet<Var> = pos.iter().flat_map(Atom::vars).collect();
+        for (g, negated) in &defs {
+            if !negated {
+                bound.extend(g.free_vars());
             }
-        })
-    }
+        }
+        let unbound = |t: &Term| matches!(t, Term::Var(v) if !bound.contains(v));
+        let needy: Vec<&Term> = head.terms.iter().filter(|t| unbound(t)).collect();
+        let carried = (ctx.iter().map(sub_atom))
+            .filter(|a| a.terms.iter().any(|t| needy.contains(&t)))
+            .collect::<Vec<_>>();
+        pos.extend(carried);
+        bound.extend(pos.iter().flat_map(Atom::vars));
 
-    /// The formula the generator phase evaluates: the body under a
-    /// *safe* existential prefix, or the formula itself.
-    ///
-    /// `Q(x̄) = ∃ȳ φ` is a projection: when every `ȳ` is bound by a
-    /// positive atom of `φ`'s top-level conjunction (and shadows no head
-    /// variable), evaluating `φ`'s conjuncts as generator joins and
-    /// projecting onto the head is equivalent to enumerating `ȳ` over
-    /// the active domain — and turns the common ∃-conjunctive shape
-    /// into an indexable join instead of an `adom^|ȳ|` sweep.
-    fn generator_body(&self) -> &Formula {
-        let mut qvars: Vec<&Var> = Vec::new();
-        let mut body = &self.formula;
-        while let Formula::Exists(vs, inner) = body {
-            qvars.extend(vs.iter());
-            body = inner;
-        }
-        if qvars.is_empty() {
-            return &self.formula;
-        }
-        if qvars.iter().any(|v| self.head.contains(v)) {
-            // a quantifier shadows a head variable: stripping would
-            // conflate the two
-            return &self.formula;
-        }
-        let mut gen_vars: BTreeSet<Var> = BTreeSet::new();
-        for c in Self::conjuncts_of(body) {
-            if let Formula::Atom(a) = c {
-                gen_vars.extend(a.vars());
+        // Guards: unbound head and quantified variables, and substituted
+        // constants no positive atom holds.
+        let mut guards: BTreeSet<Term> = (head.terms.iter().cloned())
+            .chain(quantified.iter().map(|&v| sub(&Term::Var(v))))
+            .filter(|t| matches!(t, Term::Var(v) if !bound.contains(v)))
+            .collect();
+        for c in subst.values().filter(|t| matches!(t, Term::Const(_))) {
+            if !pos.iter().any(|a| a.terms.contains(c)) {
+                guards.insert(c.clone());
             }
         }
-        if qvars.iter().all(|v| gen_vars.contains(*v)) {
-            body
-        } else {
-            &self.formula
+
+        let mut body: Vec<Literal> = pos.iter().cloned().map(Literal::Pos).collect();
+        let mut filters: Vec<Literal> = neg
+            .into_iter()
+            .map(|a| Literal::Neg(sub_atom(&a)))
+            .collect();
+        for (g, negated) in defs {
+            self.preds += 1;
+            let name = format!("@p{}", self.preds);
+            let p = Atom::new(name, g.free_vars().into_iter().map(Term::Var).collect());
+            let before = self.rules.len();
+            self.define(&p, g, &pos)?;
+            match (self.rules.len() > before, negated) {
+                (true, false) => body.push(Literal::Pos(p)),
+                (true, true) => filters.push(Literal::Neg(p)),
+                // An undefined predicate is empty: reading it fails the
+                // rule, and its negation holds.
+                (false, false) => {
+                    self.rules.truncate(start);
+                    return Ok(());
+                }
+                (false, true) => {}
+            }
+        }
+        body.extend(
+            guards
+                .into_iter()
+                .map(|t| Literal::Pos(Atom::new(ADOM, vec![t]))),
+        );
+        body.extend(filters);
+        body.extend(diseqs.iter().map(|(x, y)| Literal::Diseq(sub(x), sub(y))));
+        self.rules.push(Rule::new(head, body)?);
+        Ok(())
+    }
+}
+
+/// Solve equalities by substitution: every variable an equality names
+/// maps to a constant or to one representative variable of its class.
+/// `None` when two distinct constants are equated.
+fn solve(eqs: Vec<(Term, Term)>) -> Option<BTreeMap<Var, Term>> {
+    let mut subst: BTreeMap<Var, Term> = BTreeMap::new();
+    let find = |subst: &BTreeMap<Var, Term>, mut t: Term| {
+        while let Some(next) = t.as_var().and_then(|v| subst.get(v)) {
+            t = next.clone();
+        }
+        t
+    };
+    for (x, y) in eqs {
+        match (find(&subst, x), find(&subst, y)) {
+            (x, y) if x == y => {}
+            (Term::Var(v), t) | (t, Term::Var(v)) => {
+                subst.insert(v, t);
+            }
+            _ => return None,
         }
     }
+    let resolved = subst.keys().map(|&v| (v, find(&subst, Term::Var(v))));
+    Some(resolved.collect())
 }
 
 impl Query for FoQuery {
@@ -482,81 +543,36 @@ impl Query for FoQuery {
     }
 
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
-        // Phase 1: join the generators.
-        let split = self.split();
+        // A relation the rules read must be declared at its arity, even
+        // where a rule stops before reading it.
+        for (name, arity) in &self.inputs {
+            db.schema().check_relation(name, *arity)?;
+        }
         let empty = || Ok(Relation::empty(self.head.len()));
-        let mut pos: Vec<(&Atom, &Relation)> = Vec::with_capacity(split.generators.len());
-        for a in &split.generators {
-            match plan::lookup(db, a)? {
-                Some(rel) => pos.push((a, rel)),
-                None => return empty(),
+        match self.program.rules() {
+            [] => return empty(),
+            // A lone rule is the answer rule (fresh predicates' rules
+            // only exist under a rule that reads them); reading no adom,
+            // it is a CQ¬ and fires once, as a UCQ¬ rule does. Its run
+            // is the answer as is, with no small-regime rebuild.
+            [rule] if !self.reads_adom => {
+                return (rule.fire(db, None)?).map_or_else(empty, |run| Ok(Relation::from_run(run)))
+            }
+            _ => {}
+        }
+        // The rules read I's relations and adom(I) only: a relation I
+        // declares under a translation name is no seed.
+        let mut input = Instance::empty(self.program.signature().clone());
+        for (name, _) in &self.inputs {
+            if let Some(rel) = db.relation_ref(name) {
+                input.union_relation(name, rel)?;
             }
         }
-        let Some(frame) = join_body(&pos, &split.order, [], [], db)? else {
-            return empty();
-        };
-
-        // A pure conjunctive shape — no residual conjuncts, every head
-        // variable bound by a generator — projects the frame directly
-        // and never materializes bindings or the active domain (head
-        // values come from stored facts, so the adom(I)^k membership
-        // condition holds by construction).
-        if split.checks.is_empty() && self.head.iter().all(|&v| frame.binds(v)) {
-            let head_terms: Vec<Term> = self.head.iter().map(|&v| Term::Var(v)).collect();
-            return Ok(Relation::from_run(frame.project(&head_terms)?));
+        if self.reads_adom {
+            let adom = db.adom().into_iter().map(|v| Tuple::new([v]));
+            input.set_relation(ADOM, Relation::from_tuples(1, adom)?)?;
         }
-
-        let adom: Vec<Value> = db.adom().into_iter().collect();
-        let adom_set: BTreeSet<&Value> = adom.iter().collect();
-
-        // Phase 2: enumerate the active domain for head variables the
-        // generators left unbound.
-        let mut unbound: Vec<Var> = Vec::new();
-        for &v in &self.head {
-            if !frame.binds(v) && !unbound.contains(&v) {
-                unbound.push(v);
-            }
-        }
-
-        let mut out = Relation::empty(self.head.len());
-        let mut stack: Vec<(Bindings, usize)> =
-            (0..frame.rows()).map(|r| (frame.bindings(r), 0)).collect();
-        while let Some((env, depth)) = stack.pop() {
-            if depth < unbound.len() {
-                for a in &adom {
-                    let mut e = env.clone();
-                    e.insert(unbound[depth], *a);
-                    stack.push((e, depth + 1));
-                }
-                continue;
-            }
-            // Phase 3: check the residual conjuncts.
-            let mut ok = true;
-            for c in &split.checks {
-                if !c.holds(db, &adom, &env)? {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let values: Vec<Value> = self
-                .head
-                .iter()
-                .map(|v| {
-                    env.get(v).cloned().ok_or_else(|| EvalError::Unsafe {
-                        reason: format!("head variable {v} unbound after evaluation"),
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            // Condition (i) of the paper: answers live in adom(I)^k. A
-            // constant in the formula may lie outside the active domain.
-            if values.iter().all(|v| adom_set.contains(v)) {
-                out.insert(Tuple::new(values))?;
-            }
-        }
-        Ok(out)
+        Ok(self.program.eval(&input)?.relation(&RelName::new(ANSWER))?)
     }
 
     fn is_monotone_syntactic(&self) -> bool {
@@ -594,7 +610,7 @@ impl fmt::Debug for FoQuery {
 mod tests {
     use super::*;
     use crate::atom;
-    use rtx_relational::{fact, tuple, Schema};
+    use rtx_relational::{fact, tuple, RelError, Schema, Value};
 
     fn db_edges(edges: &[(i64, i64)]) -> Instance {
         let sch = Schema::new().with("E", 2).with("S", 1);
@@ -868,8 +884,8 @@ mod tests {
 
     #[test]
     fn exists_prefix_with_residual_check() {
-        // ∃Y (E(X,Y) ∧ ¬S(Y)): Y bound by a generator, checked by the
-        // residual
+        // ∃Y (E(X,Y) ∧ ¬S(Y)): one rule, Y bound by E and filtered by
+        // ¬S
         let q = FoQuery::new(
             ["X"],
             Formula::exists(
@@ -900,8 +916,8 @@ mod tests {
             ]),
         )
         .unwrap();
-        // (inner ∃ reached through And: generator_body must not strip a
-        // *nested* quantifier — only a top-level prefix)
+        // (the inner ∃ inlines a renamed Y; the head X, bound by no
+        // atom, is guarded by adom)
         let mut db = db_edges(&[(1, 2)]);
         db.insert_fact(fact!("S", 7)).unwrap();
         let out = q.eval(&db).unwrap();
@@ -920,6 +936,71 @@ mod tests {
         if let Ok(q) = shadow {
             let out = q.eval(&db).unwrap();
             assert_eq!(out.len(), db.adom().len());
+        }
+    }
+
+    #[test]
+    fn reserved_and_two_arity_relations_are_rejected() {
+        let reserved = FoQuery::new(["X"], Formula::atom(atom!("@adom"; @"X")));
+        assert!(matches!(reserved, Err(EvalError::Other(_))), "{reserved:?}");
+        // S(X) ∧ S(X,X) can never hold on any instance.
+        let two = FoQuery::new(
+            ["X"],
+            Formula::and([
+                Formula::atom(atom!("S"; @"X")),
+                Formula::atom(atom!("S"; @"X", @"X")),
+            ]),
+        );
+        assert!(
+            matches!(two, Err(EvalError::Rel(RelError::ArityMismatch { .. }))),
+            "{two:?}"
+        );
+    }
+
+    #[test]
+    fn instance_relations_under_translation_names_are_not_read() {
+        // (X) ← S(X) ∧ ¬∃Y E(X,Y) compiles to `@ans(X) ← S(X), ¬@p1(X)`
+        // and `@p1(X) ← E(X,@v1)`; (X,Y) ← ¬E(X,Y) reads `@adom`.
+        let dangling = FoQuery::new(
+            ["X"],
+            Formula::and([
+                Formula::atom(atom!("S"; @"X")),
+                Formula::not(Formula::exists(
+                    ["Y"],
+                    Formula::atom(atom!("E"; @"X", @"Y")),
+                )),
+            ]),
+        )
+        .unwrap();
+        let non_edges = FoQuery::new(
+            ["X", "Y"],
+            Formula::not(Formula::atom(atom!("E"; @"X", @"Y"))),
+        )
+        .unwrap();
+        let plain = {
+            let mut db = db_edges(&[(1, 2)]);
+            db.insert_fact(fact!("S", 1)).unwrap();
+            db.insert_fact(fact!("S", 2)).unwrap();
+            db
+        };
+        // The same facts, plus relations named like the translation's,
+        // over values already in adom(I).
+        let names = Schema::new()
+            .with("@ans", 1)
+            .with("@p1", 1)
+            .with("@adom", 2);
+        let mut shadowed = plain
+            .widen(plain.schema().union_compatible(&names).unwrap())
+            .unwrap();
+        for f in [fact!("@ans", 1), fact!("@p1", 2), fact!("@adom", 1, 2)] {
+            shadowed.insert_fact(f).unwrap();
+        }
+        assert_eq!(
+            dangling.eval(&plain).unwrap(),
+            Relation::from_tuples(1, [tuple![2]]).unwrap()
+        );
+        for q in [&dangling, &non_edges] {
+            assert_eq!(q.eval(&shadowed).unwrap(), q.eval(&plain).unwrap(), "{q:?}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! storage.
 //!
 //! [`join_body`] is the crate's one join: Datalog firings, DRed's
-//! support counts, UCQ¬ rules, FO's generator prefix and the magic-sets
+//! support counts, UCQ¬ rules, compiled FO queries and the magic-sets
 //! answer filter all evaluate their conjunctions through it. Its result
 //! is a [`Frame`]: one flat `Vec<Vid>` per bound variable, all the same
 //! length. Joining an atom appends matching rows by copying packed
@@ -11,8 +11,7 @@
 //! the run, when it is tiny or nothing is bound). Head projection
 //! gathers variable columns into a fresh [`Run`], so a rule firing goes
 //! from stored runs to a derived run without ever leaving the
-//! interned-id domain; FO's residual formula reads each row as a
-//! [`Bindings`] instead.
+//! interned-id domain.
 //!
 //! Every relation hands out its sorted run
 //! (`rtx_relational::Relation::columnar_run`); negated atoms are
@@ -20,7 +19,7 @@
 
 use crate::error::EvalError;
 use crate::plan;
-use crate::term::{Atom, Bindings, Term, Var};
+use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, Relation, Run, Tuple, Value, Vid};
 use std::sync::Arc;
 
@@ -98,25 +97,6 @@ impl Frame {
             cols: Vec::new(),
             rows: 1,
         }
-    }
-
-    /// Number of bindings.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Does the frame bind `v`?
-    pub(crate) fn binds(&self, v: Var) -> bool {
-        self.col_of(v).is_some()
-    }
-
-    /// Row `r` as a [`Bindings`] — how FO's residual formula reads it.
-    pub(crate) fn bindings(&self, r: usize) -> Bindings {
-        self.vars
-            .iter()
-            .zip(&self.cols)
-            .map(|(&v, col)| (v, col[r].value()))
-            .collect()
     }
 
     /// Is the frame empty (no bindings at all)?
@@ -424,7 +404,7 @@ mod tests {
     }
 
     fn rows_of(f: &Frame, head: &[Term]) -> Vec<Tuple> {
-        (0..f.rows()).map(|r| f.tuple_at(head, r)).collect()
+        (0..f.rows).map(|r| f.tuple_at(head, r)).collect()
     }
 
     #[test]
@@ -458,7 +438,7 @@ mod tests {
         let a = atom!("R"; 1, @"X", @"X");
         for run in [run_of(&rows), run_of(&big)] {
             let f = Frame::unit().join_atom(&a, &run);
-            assert_eq!(f.rows(), 1, "run of {}", run.len());
+            assert_eq!(f.rows, 1, "run of {}", run.len());
             assert_eq!(f.tuple_at(&[Term::var("X")], 0), tuple![2]);
         }
     }
@@ -485,10 +465,10 @@ mod tests {
         let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e.columnar_run());
         // X ≠ Y drops (1,1) and (3,3)
         f.retain_diseq(&Term::var("X"), &Term::var("Y")).unwrap();
-        assert_eq!(f.rows(), 2);
+        assert_eq!(f.rows, 2);
         // ¬S(X) drops (2,3)
         f.retain_not_in(&atom!("S"; @"X"), &s).unwrap();
-        assert_eq!(f.rows(), 1);
+        assert_eq!(f.rows, 1);
         let out = f.project(&[Term::var("Y"), Term::var("X")]).unwrap();
         assert_eq!(out.rows(), &[tuple![2, 1]]);
         // projection sorts and dedups
@@ -521,9 +501,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(rows_of(&f, &head), vec![tuple![1, 2]]);
-        let env = f.bindings(0);
-        assert_eq!(env[&Var::new("X")], Value::int(1));
-        assert_eq!(env[&Var::new("Y")], Value::int(2));
         // Every binding filtered out: no frame.
         let none = join_body(&pos, &[0], [], [(&x, &x)], &db).unwrap();
         assert!(none.is_none());

@@ -4,7 +4,8 @@
 //! language `L`. This crate supplies every `L` the paper uses:
 //!
 //! * [`fo`] — first-order logic under the active-domain semantics (the
-//!   default transducer language);
+//!   default transducer language), compiled to a nonrecursive
+//!   stratified Datalog program;
 //! * [`cq`] — conjunctive queries and UCQ¬ (Proposition 7,
 //!   Corollary 14(3)), as nonrecursive Datalog rules;
 //! * [`datalog`] — Datalog with stratified negation, semi-naive
@@ -18,8 +19,9 @@
 //! * [`parser`] — text syntax for Datalog programs and FO formulas, and
 //!   the one rule grammar the Dedalus parser shares.
 //!
-//! Everything implements the [`Query`] trait and can be plugged into a
-//! transducer.
+//! FO, UCQ¬ and Datalog are all rules ([`Rule`]), fired by one function
+//! on one join executor. Everything implements the [`Query`] trait and
+//! can be plugged into a transducer.
 
 #![warn(missing_docs)]
 
@@ -48,6 +50,6 @@ pub use incremental::{FixpointStats, MaintainedFixpoint};
 pub use magic::MagicQuery;
 pub use native::NativeQuery;
 pub use query::{CopyQuery, EmptyQuery, Query, QueryRef};
-pub use term::{Atom, Bindings, Term, Var};
+pub use term::{Atom, Term, Var};
 pub use view::ViewQuery;
 pub use while_lang::{Guard, Stmt, WhileProgram, WhileQuery};

@@ -138,6 +138,8 @@ pub struct RuleSyntax {
     pub body: Vec<Literal>,
     /// Does a term of the rule use the reserved keyword?
     pub uses_keyword: bool,
+    /// The byte offset of the rule's first token.
+    pub offset: usize,
 }
 
 struct Parser<'a> {
@@ -258,6 +260,7 @@ impl<'a> Parser<'a> {
 
     fn parse_rule(&mut self) -> Result<RuleSyntax, EvalError> {
         self.uses_keyword = false;
+        let offset = self.offset();
         let head_name = match self.next() {
             Some(Tok::Ident(n)) => n,
             other => return Err(self.unexpected("rule head", other)),
@@ -292,6 +295,7 @@ impl<'a> Parser<'a> {
             annotation,
             body,
             uses_keyword: self.uses_keyword,
+            offset,
         })
     }
 
@@ -434,7 +438,7 @@ impl<'a> Parser<'a> {
 
 /// Parse a sequence of rules `head[@annotation] [:- body].` — the rule
 /// grammar of every rule language in the workspace — without checking
-/// their safety.
+/// their safety; each rule keeps its offset for later errors.
 ///
 /// `annotations` are the words accepted after `@`; with none, `@` is a
 /// syntax error. `keyword`, when given, is reserved in term position:
@@ -455,11 +459,12 @@ pub fn parse_rules(
     Ok(rules)
 }
 
-/// Parse a Datalog program: a sequence of `head :- body.` rules.
+/// Parse a Datalog program: a sequence of `head :- body.` rules. A rule
+/// that [`Rule::new`] rejects is a parse error at the rule's offset.
 pub fn parse_program(src: &str) -> Result<Program, EvalError> {
     let rules = parse_rules(src, &[], None)?
         .into_iter()
-        .map(|r| Rule::new(r.head, r.body))
+        .map(|r| Rule::new(r.head, r.body).map_err(|e| error(e.to_string(), r.offset)))
         .collect::<Result<_, _>>()?;
     Program::new(rules)
 }
@@ -611,6 +616,25 @@ mod tests {
         ] {
             assert_eq!(parse_error(src), (message.to_string(), offset), "{src}");
         }
+        // A rule that parses but is unsafe, or uses one relation at two
+        // arities, is reported at its first token; an unsafe rule's
+        // message names it.
+        assert_eq!(
+            parse_error("a(X) :- b(X). t(X) :- !e(X,X)."),
+            (
+                "unsafe query: head variable X is not bound by a positive atom \
+                 in `t(X) ← ¬e(X,X)`"
+                    .to_string(),
+                14
+            )
+        );
+        assert_eq!(
+            parse_error("a(X) :- b(X).\n  s(X) :- s(X,X)."),
+            (
+                "arity mismatch for `s`: expected 1, found 2".to_string(),
+                16
+            )
+        );
         match parse_formula("s(X) & X != -") {
             Err(EvalError::Parse { message, offset }) => {
                 assert_eq!((message.as_str(), offset), ("bad integer `-`", 12));
@@ -630,8 +654,10 @@ mod tests {
 
     #[test]
     fn unsafe_rule_surfaces_as_unsafe() {
-        let err = parse_program("t(X) :- !e(X,X).").unwrap_err();
-        assert!(matches!(err, EvalError::Unsafe { .. }));
+        // A parse error at the rule, carrying the safety violation.
+        let (message, offset) = parse_error("t(X) :- !e(X,X).");
+        assert_eq!(offset, 0);
+        assert!(message.starts_with("unsafe query: "), "{message}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Join planning: rule safety, literal ordering and relation lookup.
+//! Join planning: literal ordering and relation lookup.
 //!
 //! Every rule-based engine in this crate evaluates a conjunction of
 //! atoms left to right through the one join executor (`frame.rs`),
@@ -13,44 +13,11 @@
 //!
 //! [`plan_order`] chooses the order, which every rule caches on first
 //! evaluation; the executor always probes on the bound columns.
-//! `check_safety` is the condition under which a body can be joined
-//! at all.
 
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, Relation};
 use std::collections::BTreeSet;
-
-/// The safety condition of every rule (checked by `Rule::new`, so of
-/// UCQ¬ and translated Dedalus rules too): every variable of the head,
-/// of a negated atom and of a nonequality occurs in some positive atom,
-/// so a join of the positive atoms binds it.
-pub(crate) fn check_safety<'a>(
-    head: &[Term],
-    pos: impl IntoIterator<Item = &'a Atom>,
-    neg: impl IntoIterator<Item = &'a Atom>,
-    diseq: impl IntoIterator<Item = (&'a Term, &'a Term)>,
-) -> Result<(), EvalError> {
-    let bound: BTreeSet<Var> = pos.into_iter().flat_map(Atom::vars).collect();
-    let mut need: Vec<(&str, &Term)> = head.iter().map(|t| ("head", t)).collect();
-    for a in neg {
-        need.extend(a.terms.iter().map(|t| ("negated atom", t)));
-    }
-    for (x, y) in diseq {
-        need.extend([("nonequality", x), ("nonequality", y)]);
-    }
-    for (what, t) in need {
-        match t {
-            Term::Var(v) if !bound.contains(v) => {
-                return Err(EvalError::Unsafe {
-                    reason: format!("{what} variable {v} is not bound by a positive atom"),
-                })
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
 
 /// Order positive atoms greedily by bound-variable coverage.
 ///

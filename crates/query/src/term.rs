@@ -1,7 +1,6 @@
-//! Variables, terms and atoms — shared by every rule-based language in
-//! this crate (CQ, UCQ¬, Datalog) and by the FO engine — and the
-//! [`Bindings`] that FO formulas are evaluated under. Atoms are joined
-//! by the columnar executor (`frame.rs`).
+//! Variables, terms and atoms — shared by every language in this crate
+//! that compiles to rules (FO, CQ, UCQ¬, Datalog). Atoms are joined by
+//! the columnar executor (`frame.rs`).
 
 use rtx_relational::{RelName, Symbol, Tuple, Value};
 use std::collections::BTreeSet;
@@ -72,14 +71,6 @@ impl Term {
             Term::Const(_) => None,
         }
     }
-
-    /// Resolve under a binding; `None` when an unbound variable.
-    pub fn resolve(&self, env: &Bindings) -> Option<Value> {
-        match self {
-            Term::Var(v) => env.get(v).cloned(),
-            Term::Const(c) => Some(*c),
-        }
-    }
 }
 
 impl fmt::Debug for Term {
@@ -94,99 +85,6 @@ impl fmt::Debug for Term {
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
-    }
-}
-
-/// A (partial) assignment of values to variables — the environment an
-/// FO formula is evaluated under, one per row of the generator join.
-///
-/// Stored as a flat vector sorted by variable — bindings are tiny (a
-/// formula's variable count), so binary search beats a tree and, since
-/// both `Var` and `Value` are `Copy`, cloning a binding set is a plain
-/// memcpy; the quantifier loops clone one per candidate. The sorted
-/// invariant also makes equality insertion-order-insensitive.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Bindings(Vec<(Var, Value)>);
-
-impl Bindings {
-    /// The empty binding set.
-    pub fn new() -> Self {
-        Bindings(Vec::new())
-    }
-
-    #[inline]
-    fn pos(&self, v: &Var) -> Result<usize, usize> {
-        self.0.binary_search_by(|(w, _)| w.cmp(v))
-    }
-
-    /// The value bound to `v`, if any.
-    #[inline]
-    pub fn get(&self, v: &Var) -> Option<&Value> {
-        match self.pos(v) {
-            Ok(i) => Some(&self.0[i].1),
-            Err(_) => None,
-        }
-    }
-
-    /// Bind `v` to `val`, returning the previous value if `v` was bound.
-    pub fn insert(&mut self, v: Var, val: Value) -> Option<Value> {
-        match self.pos(&v) {
-            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, val)),
-            Err(i) => {
-                self.0.insert(i, (v, val));
-                None
-            }
-        }
-    }
-
-    /// Unbind `v`, returning its value if it was bound.
-    pub fn remove(&mut self, v: &Var) -> Option<Value> {
-        match self.pos(v) {
-            Ok(i) => Some(self.0.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    /// Iterate over `(variable, value)` pairs in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Var, &Value)> {
-        self.0.iter().map(|(v, a)| (v, a))
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Any bindings at all?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
-impl std::ops::Index<&Var> for Bindings {
-    type Output = Value;
-    fn index(&self, v: &Var) -> &Value {
-        self.get(v).expect("variable not bound")
-    }
-}
-
-impl fmt::Debug for Bindings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut m = f.debug_map();
-        for (v, a) in self.iter() {
-            m.entry(v, a);
-        }
-        m.finish()
-    }
-}
-
-impl FromIterator<(Var, Value)> for Bindings {
-    fn from_iter<T: IntoIterator<Item = (Var, Value)>>(iter: T) -> Self {
-        let mut b = Bindings::new();
-        for (v, a) in iter {
-            b.insert(v, a);
-        }
-        b
     }
 }
 
@@ -228,32 +126,18 @@ impl Atom {
     }
 
     /// Does `tuple` match the atom: each constant in place, and each
-    /// repeated variable at one value? A query pattern's answers are
-    /// the matching tuples of its predicate.
+    /// repeated variable at the value of its first position? A query
+    /// pattern's answers are the matching tuples of its predicate.
     pub fn matches(&self, tuple: &Tuple) -> bool {
-        let mut env = Bindings::new();
-        tuple.arity() == self.arity()
-            && (self.terms.iter().zip(tuple.values())).all(|(t, v)| match t {
+        let values = tuple.values();
+        values.len() == self.arity()
+            && (self.terms.iter().zip(values)).all(|(t, v)| match t {
                 Term::Const(c) => c == v,
-                Term::Var(x) => match env.get(x) {
-                    Some(bound) => bound == v,
-                    None => {
-                        env.insert(*x, *v);
-                        true
-                    }
-                },
+                Term::Var(_) => {
+                    let first = self.terms.iter().position(|u| u == t);
+                    first.is_some_and(|p| values[p] == *v)
+                }
             })
-    }
-
-    /// Instantiate the atom under complete bindings into a tuple.
-    ///
-    /// Returns `None` if some variable is unbound.
-    pub fn instantiate(&self, env: &Bindings) -> Option<Tuple> {
-        self.terms
-            .iter()
-            .map(|t| t.resolve(env))
-            .collect::<Option<Vec<_>>>()
-            .map(Tuple::new)
     }
 }
 
@@ -325,37 +209,41 @@ mod tests {
     }
 
     /// The bindings of the atoms joined in written order, each over the
-    /// relation it is paired with.
-    fn join(body: &[(Atom, Relation)]) -> Vec<Bindings> {
+    /// relation it is paired with, as sorted tuples over `vars`.
+    fn join(body: &[(Atom, Relation)], vars: &[&str]) -> Vec<Tuple> {
         let pos: Vec<(&Atom, &Relation)> = body.iter().map(|(a, r)| (a, r)).collect();
         let order: Vec<usize> = (0..body.len()).collect();
         let db = Instance::empty(Schema::new());
+        let vars: Vec<Term> = vars.iter().map(Term::var).collect();
         match crate::frame::join_body(&pos, &order, [], [], &db).unwrap() {
-            Some(f) => (0..f.rows()).map(|r| f.bindings(r)).collect(),
+            Some(f) => f.project(&vars).unwrap().rows().to_vec(),
             None => Vec::new(),
         }
     }
 
-    fn x_is(v: i64) -> Bindings {
-        [(Var::new("X"), Value::int(v))].into_iter().collect()
-    }
-
     #[test]
     fn match_tuple_binds_fresh_vars() {
-        let envs = join(&[(atom!("R"; @"X", @"Y"), rel(2, vec![tuple![1, 2]]))]);
-        assert_eq!(envs.len(), 1);
-        assert_eq!(envs[0][&Var::new("X")], Value::int(1));
-        assert_eq!(envs[0][&Var::new("Y")], Value::int(2));
+        let rows = join(
+            &[(atom!("R"; @"X", @"Y"), rel(2, vec![tuple![1, 2]]))],
+            &["X", "Y"],
+        );
+        assert_eq!(rows, vec![tuple![1, 2]]);
     }
 
     #[test]
     fn match_tuple_respects_repeats_and_consts() {
         let a = atom!("R"; @"X", @"X");
-        assert!(join(&[(a.clone(), rel(2, vec![tuple![1, 2]]))]).is_empty());
-        assert_eq!(join(&[(a, rel(2, vec![tuple![2, 2]]))]), vec![x_is(2)]);
+        assert!(join(&[(a.clone(), rel(2, vec![tuple![1, 2]]))], &["X"]).is_empty());
+        assert_eq!(
+            join(&[(a, rel(2, vec![tuple![2, 2]]))], &["X"]),
+            vec![tuple![2]]
+        );
         let c = atom!("R"; 5, @"X");
-        assert!(join(&[(c.clone(), rel(2, vec![tuple![4, 1]]))]).is_empty());
-        assert_eq!(join(&[(c, rel(2, vec![tuple![5, 1]]))]), vec![x_is(1)]);
+        assert!(join(&[(c.clone(), rel(2, vec![tuple![4, 1]]))], &["X"]).is_empty());
+        assert_eq!(
+            join(&[(c, rel(2, vec![tuple![5, 1]]))], &["X"]),
+            vec![tuple![1]]
+        );
     }
 
     #[test]
@@ -363,29 +251,24 @@ mod tests {
         // B(X) binds X to 9 before R(X) is matched.
         let b = (atom!("B"; @"X"), rel(1, vec![tuple![9]]));
         let r = atom!("R"; @"X");
-        assert!(join(&[b.clone(), (r.clone(), rel(1, vec![tuple![1]]))]).is_empty());
-        assert_eq!(join(&[b, (r, rel(1, vec![tuple![9]]))]), vec![x_is(9)]);
-    }
-
-    #[test]
-    fn instantiate_requires_complete_bindings() {
-        let a = atom!("R"; @"X", 7);
-        assert_eq!(a.instantiate(&Bindings::new()), None);
-        let mut env = Bindings::new();
-        env.insert(Var::new("X"), Value::int(1));
-        assert_eq!(a.instantiate(&env), Some(tuple![1, 7]));
+        assert!(join(&[b.clone(), (r.clone(), rel(1, vec![tuple![1]]))], &["X"]).is_empty());
+        assert_eq!(
+            join(&[b, (r, rel(1, vec![tuple![9]]))], &["X"]),
+            vec![tuple![9]]
+        );
     }
 
     #[test]
     fn join_extends_bindings() {
         let r = rel(2, vec![tuple![1, 2], tuple![2, 3]]);
-        let envs = join(&[(atom!("R"; @"X", @"Y"), r.clone())]);
-        assert_eq!(envs.len(), 2);
+        assert_eq!(
+            join(&[(atom!("R"; @"X", @"Y"), r.clone())], &["X", "Y"]).len(),
+            2
+        );
         // join with X pre-bound probes
         let bound = (atom!("B"; @"X"), rel(1, vec![tuple![2]]));
-        let envs = join(&[bound, (atom!("R"; @"X", @"Y"), r)]);
-        assert_eq!(envs.len(), 1);
-        assert_eq!(envs[0][&Var::new("Y")], Value::int(3));
+        let rows = join(&[bound, (atom!("R"; @"X", @"Y"), r)], &["X", "Y"]);
+        assert_eq!(rows, vec![tuple![2, 3]]);
     }
 
     #[test]
@@ -411,16 +294,28 @@ mod tests {
         for r in [rel(2, facts), rel(2, padded)] {
             let n = r.len();
             // X bound in every binding: probes on column 0
-            let envs = join(&[xs.clone(), (a.clone(), r.clone())]);
-            let pairs: Vec<(Value, Value)> = envs
-                .iter()
-                .map(|e| (e[&Var::new("X")], e[&Var::new("Y")]))
-                .collect();
-            let want = [(1, 2), (2, 3), (2, 4)].map(|(x, y)| (Value::int(x), Value::int(y)));
-            assert_eq!(pairs, want, "{n} facts");
+            let pairs = join(&[xs.clone(), (a.clone(), r.clone())], &["X", "Y"]);
+            assert_eq!(
+                pairs,
+                [tuple![1, 2], tuple![2, 3], tuple![2, 4]],
+                "{n} facts"
+            );
             // repeated variable, nothing bound
-            assert_eq!(join(&[(b.clone(), r)]), vec![x_is(5)], "{n} facts");
+            assert_eq!(
+                join(&[(b.clone(), r)], &["X"]),
+                vec![tuple![5]],
+                "{n} facts"
+            );
         }
+    }
+
+    #[test]
+    fn matches_checks_constants_and_repeated_variables() {
+        let a = atom!("R"; @"X", 7, @"X");
+        assert!(a.matches(&tuple![1, 7, 1]));
+        assert!(!a.matches(&tuple![1, 7, 2]));
+        assert!(!a.matches(&tuple![1, 8, 1]));
+        assert!(!a.matches(&tuple![1, 7]));
     }
 
     #[test]
@@ -428,14 +323,5 @@ mod tests {
         let a = atom!("R"; @"Y", @"X", @"Y");
         let vs: Vec<_> = a.vars().iter().map(|v| v.as_str().to_string()).collect();
         assert_eq!(vs, vec!["Y", "X"]);
-    }
-
-    #[test]
-    fn term_resolution() {
-        let mut env = Bindings::new();
-        env.insert(Var::new("X"), Value::int(4));
-        assert_eq!(Term::var("X").resolve(&env), Some(Value::int(4)));
-        assert_eq!(Term::var("Z").resolve(&env), None);
-        assert_eq!(Term::cons(1).resolve(&env), Some(Value::int(1)));
     }
 }

@@ -7,10 +7,12 @@
 //! stratified program is evaluated stratum by stratum to its least
 //! fixpoint. Plus the support count a counting maintenance engine
 //! must keep for each fact ([`support_counts`]), the answer of a UCQ¬
-//! query ([`ucq`]), the local transition of a relational transducer
-//! (Section 2.1), with its update formula applied term by term
-//! ([`transducer_step`]), and the ticks of a Dedalus program (Section 8)
-//! under a given delay function for its `@async` rules ([`dedalus`]).
+//! query ([`ucq`]), the answer of an FO query under the active-domain
+//! semantics by enumeration ([`fo`]), the local transition of a
+//! relational transducer (Section 2.1), with its update formula applied
+//! term by term ([`transducer_step`]), and the ticks of a Dedalus
+//! program (Section 8) under a given delay function for its `@async`
+//! rules ([`dedalus`]).
 //!
 //! Nothing here is fast on purpose. Facts live in `BTreeSet`s, every
 //! round re-derives everything, and joins are nested loops in literal
@@ -18,9 +20,10 @@
 //! `Relation` set algebra, indexes, join plans, columnar frames or
 //! `Program::eval` — only the program's syntax and its
 //! [`Program::stratify`], so a bug in the engine cannot hide in the
-//! oracle too. [`transducer_step`] does call the transducer's queries,
-//! but on an instance built fact by fact, and does its own set algebra
-//! on `BTreeSet`s. [`dedalus`] reads only the Dedalus program's rules,
+//! oracle too. [`fo`] reads only the query's head and formula, never
+//! the rules it compiles to. [`transducer_step`] does call the
+//! transducer's queries, but on an instance built fact by fact, and does
+//! its own set algebra on `BTreeSet`s. [`dedalus`] reads only the Dedalus program's rules,
 //! never its runtime. It is a dev-dependency only; no library crate
 //! depends on it.
 
@@ -28,7 +31,7 @@ mod dedalus;
 
 pub use dedalus::{dedalus, Ticks};
 
-use rtx_query::{Atom, Literal, Program, Query, Rule, Term, UcqQuery, Var};
+use rtx_query::{Atom, FoQuery, Formula, Literal, Program, Query, Rule, Term, UcqQuery, Var};
 use rtx_relational::{Fact, Instance, RelName, Tuple, Value};
 use rtx_transducer::Transducer;
 use std::collections::{BTreeMap, BTreeSet};
@@ -124,12 +127,7 @@ pub fn tp_step(program: &Program, db: &Instance) -> BTreeSet<Fact> {
 /// If a rule is unsafe.
 pub fn ucq(q: &UcqQuery, db: &Instance) -> BTreeSet<Tuple> {
     let facts = database(db.facts());
-    let adom: BTreeSet<Value> = facts
-        .values()
-        .flatten()
-        .flat_map(Tuple::iter)
-        .copied()
-        .collect();
+    let adom = active_domain(&facts);
     let mut out = BTreeSet::new();
     for rule in q.rules() {
         for v in valuations(rule.body(), &facts) {
@@ -140,6 +138,55 @@ pub fn ucq(q: &UcqQuery, db: &Instance) -> BTreeSet<Tuple> {
         }
     }
     out
+}
+
+/// The answer of an FO query on `db` under the active-domain semantics
+/// (paper, Section 2): every assignment of adom(I) values to the head
+/// variables under which the formula holds, quantifiers enumerating
+/// adom(I) and a quantified variable shadowing any outer one of its
+/// name.
+pub fn fo(q: &FoQuery, db: &Instance) -> BTreeSet<Tuple> {
+    let facts = database(db.facts());
+    let adom: Vec<Value> = active_domain(&facts).into_iter().collect();
+    let vars: BTreeSet<Var> = q.head().iter().copied().collect();
+    let vars: Vec<Var> = vars.into_iter().collect();
+    let mut out = BTreeSet::new();
+    some(&vars, &adom, &Valuation::new(), &mut |v| {
+        if holds(q.formula(), &facts, &adom, v) {
+            out.insert(q.head().iter().map(|x| v[x]).collect());
+        }
+        false
+    });
+    out
+}
+
+/// Does `f` hold under `v`, every variable of `f` free in it bound?
+fn holds(f: &Formula, facts: &Db, adom: &[Value], v: &Valuation) -> bool {
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        Formula::Atom(a) => facts
+            .get(&a.pred)
+            .is_some_and(|ts| ts.contains(&ground(a, v))),
+        Formula::Eq(x, y) => value(x, v) == value(y, v),
+        Formula::Not(g) => !holds(g, facts, adom, v),
+        Formula::And(fs) => fs.iter().all(|g| holds(g, facts, adom, v)),
+        Formula::Or(fs) => fs.iter().any(|g| holds(g, facts, adom, v)),
+        Formula::Exists(xs, g) => some(xs, adom, v, &mut |w| holds(g, facts, adom, w)),
+        Formula::Forall(xs, g) => !some(xs, adom, v, &mut |w| !holds(g, facts, adom, w)),
+    }
+}
+
+/// Is `f` true for some extension of `v` by values of `adom` for `xs`?
+fn some(xs: &[Var], adom: &[Value], v: &Valuation, f: &mut dyn FnMut(&Valuation) -> bool) -> bool {
+    match xs.split_first() {
+        None => f(v),
+        Some((x, rest)) => adom.iter().any(|&a| {
+            let mut w = v.clone();
+            w.insert(*x, a);
+            some(rest, adom, &w, f)
+        }),
+    }
 }
 
 /// One local transition `I, I_rcv → J, J_snd, J_out` as plain sets.
@@ -222,6 +269,16 @@ fn database(db: impl IntoIterator<Item = Fact>) -> Db {
         facts.entry(pred).or_default().insert(tuple);
     }
     facts
+}
+
+/// adom(I): every value of every fact.
+fn active_domain(facts: &Db) -> BTreeSet<Value> {
+    facts
+        .values()
+        .flatten()
+        .flat_map(Tuple::iter)
+        .copied()
+        .collect()
 }
 
 fn flatten(facts: Db) -> BTreeSet<Fact> {
@@ -392,6 +449,27 @@ mod tests {
         let q = UcqQuery::new(2, vec![kept, outside]).unwrap();
         let want: BTreeSet<Tuple> = [rtx_relational::tuple![1, 1]].into_iter().collect();
         assert_eq!(ucq(&q, &db), want, "99 lies outside adom; 2 is in s");
+    }
+
+    #[test]
+    fn fo_enumerates_the_active_domain() {
+        use rtx_query::parser::parse_fo_query;
+        let db = edges(&[(1, 2), (2, 3)]);
+        let tuples =
+            |q: &str| -> Vec<Tuple> { fo(&parse_fo_query(q).unwrap(), &db).into_iter().collect() };
+        // Sinks, non-edges over adom = {1,2,3}, and a constant outside it.
+        assert_eq!(
+            tuples("(X) <- !exists Y . e(X,Y)"),
+            [rtx_relational::tuple![3]]
+        );
+        assert_eq!(tuples("(X,Y) <- !e(X,Y)").len(), 7);
+        assert!(tuples("(X) <- X = 9").is_empty());
+        // The inner X shadows the head's.
+        assert_eq!(tuples("(X) <- e(X,2) & exists X . e(2,X)").len(), 1);
+        assert_eq!(
+            tuples("() <- forall X . exists Y . e(X,Y) | e(Y,X)").len(),
+            1
+        );
     }
 
     #[test]

@@ -531,7 +531,7 @@ proptest! {
         prop_assert_eq!(step, rtx_ref::tp_step(&p, &db));
     }
 
-    /// FO generator joins: the indexed two-hop conjunctive query over
+    /// FO's one-rule case: the indexed two-hop conjunctive query over
     /// random edges equals a nested-loop scan over the edge set.
     #[test]
     fn fo_indexed_equals_scan(pairs in proptest::collection::vec((0u8..8, 0u8..8), 0..16)) {
@@ -707,6 +707,102 @@ proptest! {
         .unwrap();
         prop_assert_eq!(cq.eval(&db).unwrap(), fo.eval(&db).unwrap());
     }
+}
+
+/// A random FO query over E/2, S/1 and the nullary B. Formulas nest
+/// `∀` and `∃` over one or two of three variable names, so quantifiers
+/// often shadow, with `¬`, `∧` and `∨` (empty ones too), `true`,
+/// `false`, `=` and `≠`; a term is a constant 0–4 or a variable. The
+/// head lists the free variables in random order, at times with a
+/// variable absent from the formula or a repeated one; a closed
+/// formula is a sentence.
+fn random_fo(rng: &mut rand::rngs::StdRng) -> rtx::query::FoQuery {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    use rtx::query::{Atom, FoQuery, Formula, Term, Var};
+    const VARS: [&str; 3] = ["X", "Y", "Z"];
+    fn term(rng: &mut StdRng) -> Term {
+        if rng.gen_range(0usize..4) == 0 {
+            Term::cons(rng.gen_range(0i64..5))
+        } else {
+            Term::var(VARS[rng.gen_range(0usize..VARS.len())])
+        }
+    }
+    fn formula(rng: &mut StdRng, depth: usize) -> Formula {
+        if depth == 0 || rng.gen_range(0usize..3) == 0 {
+            return match rng.gen_range(0usize..10) {
+                0..=2 => Formula::atom(Atom::new("E", vec![term(rng), term(rng)])),
+                3 | 4 => Formula::atom(Atom::new("S", vec![term(rng)])),
+                5 => Formula::atom(Atom::new("B", vec![])),
+                6 => Formula::eq(term(rng), term(rng)),
+                7 => Formula::neq(term(rng), term(rng)),
+                8 => Formula::True,
+                _ => Formula::False,
+            };
+        }
+        let sub = |rng: &mut StdRng| formula(rng, depth - 1);
+        let n = rng.gen_range(0usize..=3);
+        let vars: Vec<&str> = (0..rng.gen_range(1usize..=2))
+            .map(|_| VARS[rng.gen_range(0usize..VARS.len())])
+            .collect();
+        match rng.gen_range(0usize..6) {
+            0 => Formula::not(sub(rng)),
+            1 => Formula::and((0..n).map(|_| sub(rng)).collect::<Vec<_>>()),
+            2 => Formula::or((0..n).map(|_| sub(rng)).collect::<Vec<_>>()),
+            3 | 4 => Formula::exists(vars, sub(rng)),
+            _ => Formula::forall(vars, sub(rng)),
+        }
+    }
+    let f = formula(rng, 3);
+    let mut head: Vec<Var> = f.free_vars().into_iter().collect();
+    if rng.gen_range(0usize..4) == 0 {
+        head.push(Var::new("W"));
+    }
+    if !head.is_empty() && rng.gen_range(0usize..4) == 0 {
+        head.push(head[rng.gen_range(0usize..head.len())]);
+    }
+    head.shuffle(rng);
+    FoQuery::new(head, f).expect("the head covers the free variables")
+}
+
+/// Compiled FO queries answer as the reference's enumeration of the
+/// active domain does (`rtx_ref::fo`), on random formulas (see
+/// [`random_fo`]) and random instances over values 0–3, the empty one
+/// included, so formula constants lie both inside and outside adom(I).
+#[test]
+fn fo_matches_the_reference() {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF0_2025);
+    let schema = Schema::new().with("E", 2).with("S", 1).with("B", 0);
+    let (mut pairs, mut nonempty) = (0, 0);
+    for _ in 0..1_500 {
+        let q = random_fo(&mut rng);
+        for i in 0..4 {
+            let mut db = Instance::empty(schema.clone());
+            if i > 0 {
+                for _ in 0..rng.gen_range(0usize..6) {
+                    let (a, b) = (rng.gen_range(0i64..4), rng.gen_range(0i64..4));
+                    db.insert_fact(fact!("E", a, b)).unwrap();
+                }
+                for _ in 0..rng.gen_range(0usize..3) {
+                    db.insert_fact(fact!("S", rng.gen_range(0i64..4))).unwrap();
+                }
+                if rng.gen_range(0usize..2) == 0 {
+                    db.insert_fact(Fact::new("B", Tuple::empty())).unwrap();
+                }
+            }
+            let got: BTreeSet<Tuple> = q.eval(&db).unwrap().iter().cloned().collect();
+            let want = rtx_ref::fo(&q, &db);
+            assert_eq!(got, want, "{q:?} on {db:?}\nrules:\n{:?}", q.program());
+            pairs += 1;
+            nonempty += usize::from(!want.is_empty());
+        }
+    }
+    assert!(
+        pairs >= 5_000 && 3 * nonempty >= pairs,
+        "{nonempty} of {pairs} answers nonempty"
+    );
 }
 
 /// Random character insertions, deletions and replacements of three
