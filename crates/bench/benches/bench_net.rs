@@ -8,6 +8,10 @@
 //! the same work — the executors are bit-identical by construction —
 //! and the ratio is pure executor overhead vs parallel win.
 //!
+//! `net-sharded-tc` is the exception: Theorem 6(5)'s distributed
+//! transitive closure of a fixed digraph, run to quiescence, where each
+//! step applies `T_P`.
+//!
 //! On a multicore host the sharded executor should beat serial from
 //! ~256 nodes at 4 threads (per-node heartbeat/delivery steps dominate
 //! and parallelize; the barrier merge is cheap). On a single-core host
@@ -16,11 +20,14 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Calibration, Criterion};
 use rtx_bench::set_input;
+use rtx_calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
 use rtx_calm::constructions::flood::{flood_transducer, FloodMode};
 use rtx_net::{
     run_sharded, run_sparse_from, Configuration, DeliveryPolicy, HorizontalPartition, Network,
     NodeId, RunBudget, ShardOptions,
 };
+use rtx_relational::{fact, Instance, Schema};
+use std::collections::BTreeSet;
 
 /// Rounds of work per iteration: each round is one heartbeat per node
 /// plus up to one delivery per node, so the budget is `2 * ROUNDS * n`.
@@ -202,11 +209,62 @@ fn bench_sparse_frontier(c: &mut Criterion) {
     group.finish();
 }
 
+/// `m` distinct directed edges `E(a, b)` over `n` vertices, no
+/// self-loops, drawn from a fixed xorshift stream: the same digraph on
+/// every run.
+fn fixed_digraph(n: u64, m: usize) -> Instance {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n) as i64
+    };
+    let mut edges = BTreeSet::new();
+    while edges.len() < m {
+        let (a, b) = (next(), next());
+        if a != b {
+            edges.insert((a, b));
+        }
+    }
+    let facts = edges.into_iter().map(|(a, b)| fact!("E", a, b));
+    Instance::from_facts(Schema::new().with("E", 2), facts.collect::<Vec<_>>()).unwrap()
+}
+
+/// Theorem 6(5)'s distributed transitive closure of a fixed 64-vertex,
+/// 96-edge digraph on an 8-ring, run to quiescence serially and on two
+/// threads: a network whose steps apply `T_P`, the heavy-step shape
+/// where sharding can pay for its barrier.
+fn bench_sharded_tc(c: &mut Criterion) {
+    let input = fixed_digraph(64, 96);
+    let t =
+        distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Dedup).unwrap();
+    let net = Network::ring(8).unwrap();
+    let p = HorizontalPartition::round_robin(&net, &input);
+    let budget = RunBudget::steps(5_000_000);
+    let mut group = c.benchmark_group("net-sharded-tc");
+    group.sample_size(3);
+    for (label, opts) in [
+        ("serial", ShardOptions::serial()),
+        ("threads-2", ShardOptions::sharded(2)),
+    ] {
+        group.bench_function(BenchmarkId::new(label, "ring-8"), |b| {
+            b.iter_with(net_cal(), || {
+                let out = run_sharded(&net, &t, &p, &opts, &budget).unwrap();
+                assert!(out.outcome.quiescent);
+                out.outcome.steps
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_parallel_vs_serial,
     bench_thread_sweep,
     bench_delivery_batching,
-    bench_sparse_frontier
+    bench_sparse_frontier,
+    bench_sharded_tc
 );
 criterion_main!(benches);

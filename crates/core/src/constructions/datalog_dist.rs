@@ -186,6 +186,10 @@ mod tests {
         let c = Classification::of(&t);
         assert!(c.oblivious);
         assert!(c.inflationary, "Datalog evaluation needs no deletions");
+        // T_P reads the EDB views and T, which only grow; the flooded
+        // store reads the messages.
+        let delta: Vec<&str> = t.delta_relations().iter().map(|r| r.as_str()).collect();
+        assert_eq!(delta, ["T"]);
         // with naive flooding, fully monotone
         let t2 = distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Naive)
             .unwrap();

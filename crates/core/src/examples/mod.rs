@@ -469,6 +469,10 @@ mod tests {
         assert!(out.output.contains(&tuple![1, 4]));
         // oblivious: no Id/All anywhere
         assert!(Classification::of(&t).oblivious);
+        // T reads S, the grow-only R and itself, so a step evaluates it
+        // over the previous step's additions; R reads the messages M.
+        let delta: Vec<&str> = t.delta_relations().iter().map(|r| r.as_str()).collect();
+        assert_eq!(delta, ["T"]);
     }
 
     #[test]

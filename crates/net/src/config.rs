@@ -11,7 +11,7 @@ use crate::error::NetError;
 use crate::partition::HorizontalPartition;
 use crate::topology::{Network, NodeId};
 use rtx_relational::{Fact, FactMultiset, Instance, Relation};
-use rtx_transducer::{all_relation, Transducer};
+use rtx_transducer::{all_relation, Added, Transducer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -112,11 +112,26 @@ impl FromIterator<TransitionRecord> for TransitionLog {
 }
 
 /// A configuration of a transducer network.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Configuration {
     states: BTreeMap<NodeId, Instance>,
     buffers: BTreeMap<NodeId, Vec<Fact>>,
+    /// Each node's last transition's
+    /// [`StepResult::added`](rtx_transducer::StepResult::added), which
+    /// its next transition reads ([`Transducer::step_after`]). Not part of
+    /// the configuration's value: equality and `Debug` ignore it, and
+    /// [`Configuration::into_parts`] drops it, so a node's first
+    /// transition after a reassembly evaluates in full.
+    added: BTreeMap<NodeId, Added>,
 }
+
+impl PartialEq for Configuration {
+    fn eq(&self, other: &Self) -> bool {
+        self.states == other.states && self.buffers == other.buffers
+    }
+}
+
+impl Eq for Configuration {}
 
 impl Configuration {
     /// The initial configuration for a horizontal partition: every node
@@ -186,7 +201,11 @@ impl Configuration {
             states.insert(*node, state);
             buffers.insert(*node, Vec::new());
         }
-        Ok(Configuration { states, buffers })
+        Ok(Configuration {
+            states,
+            buffers,
+            added: BTreeMap::new(),
+        })
     }
 
     /// Decompose into per-node `(state, buffer)` pairs, in node order.
@@ -216,7 +235,11 @@ impl Configuration {
             states.insert(n, st);
             buffers.insert(n, buf);
         }
-        Configuration { states, buffers }
+        Configuration {
+            states,
+            buffers,
+            added: BTreeMap::new(),
+        }
     }
 
     /// The state of a node.
@@ -328,7 +351,9 @@ impl Configuration {
         if let Some(m) = net.neighbors(node).find(|m| !self.buffers.contains_key(m)) {
             return Err(no_buffer(m));
         }
-        let res = transducer.step(state, &received).map_err(NetError::Eval)?;
+        let res = transducer
+            .step_after(state, &received, self.added.get(node))
+            .map_err(NetError::Eval)?;
         let sent: Vec<Fact> = res.sent.facts().collect();
         let mut enqueued = 0usize;
         for neighbor in net.neighbors(node) {
@@ -340,6 +365,10 @@ impl Configuration {
             enqueued += sent.len();
         }
         self.states.insert(*node, res.new_state);
+        match res.added {
+            Some(added) => self.added.insert(*node, added),
+            None => self.added.remove(node),
+        };
         Ok(TransitionRecord {
             node: *node,
             round: 0,

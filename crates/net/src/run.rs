@@ -331,6 +331,23 @@ impl RunOutcome {
     }
 }
 
+/// `acc ∪= out` for an output accumulator; `true` when `acc` grew. A
+/// transition usually outputs what the accumulator holds already, or
+/// all of it and more, so neither case builds a merged copy: nothing
+/// changes when `out ⊆ acc`, and `acc` takes `out`'s handle when
+/// `acc ⊆ out`.
+pub(crate) fn accumulate(acc: &mut Relation, out: &Relation) -> Result<bool, NetError> {
+    if out.is_subset(acc) {
+        return Ok(false);
+    }
+    *acc = if acc.is_subset(out) {
+        out.clone()
+    } else {
+        acc.union(out).map_err(NetError::Rel)?
+    };
+    Ok(true)
+}
+
 /// Drive a run of `(net, transducer)` from the initial configuration for
 /// `partition`, following `scheduler`.
 pub fn run(
@@ -365,14 +382,14 @@ pub fn run_from(
     let mut quiescent = false;
     let mut reached_target = false;
 
+    // Returns whether the global output grew.
     let absorb = |rec: &TransitionRecord,
                   output: &mut Relation,
                   outputs_per_node: &mut BTreeMap<NodeId, Relation>|
-     -> Result<(), NetError> {
-        *output = output.union(&rec.output).map_err(NetError::Rel)?;
+     -> Result<bool, NetError> {
         let per = outputs_per_node.get_mut(&rec.node).expect("known node");
-        *per = per.union(&rec.output).map_err(NetError::Rel)?;
-        Ok(())
+        accumulate(per, &rec.output)?;
+        accumulate(output, &rec.output)
     };
 
     'outer: while steps < budget.max_steps {
@@ -395,8 +412,7 @@ pub fn run_from(
                 steps += 1;
                 heartbeats += 1;
                 messages_enqueued += rec.enqueued;
-                let new_out = !rec.output.is_subset(&output);
-                absorb(&rec, &mut output, &mut outputs_per_node)?;
+                let new_out = absorb(&rec, &mut output, &mut outputs_per_node)?;
                 if rec.state_changed || rec.sent_facts > 0 || new_out {
                     all_quiet = false;
                 }
@@ -482,8 +498,7 @@ pub fn run_heartbeats_only(
         let mut quiet = true;
         for n in net.node_set() {
             let rec = cfg.apply_heartbeat(net, transducer, &n)?;
-            let new_out = !rec.output.is_subset(&output);
-            output = output.union(&rec.output).map_err(NetError::Rel)?;
+            let new_out = accumulate(&mut output, &rec.output)?;
             if rec.state_changed || new_out {
                 quiet = false;
             }

@@ -48,11 +48,11 @@ use crate::config::{
 use crate::error::NetError;
 use crate::fault::{FaultHook, NodeFault};
 use crate::partition::HorizontalPartition;
-use crate::run::{RunBudget, RunOutcome};
+use crate::run::{accumulate, RunBudget, RunOutcome};
 use crate::topology::{Network, NodeId};
 use rtx_obs::trace;
 use rtx_relational::{Fact, Instance, Relation};
-use rtx_transducer::Transducer;
+use rtx_transducer::{Added, Transducer};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc;
 
@@ -185,9 +185,34 @@ type Job = (usize, JobKind);
 enum Engine<'scope> {
     Serial {
         states: Vec<Instance>,
+        added: AddedSlots,
         transducer: &'scope Transducer,
     },
     Sharded(ShardedEngine<'scope>),
+}
+
+/// Each node's last transition's
+/// [`StepResult::added`](rtx_transducer::StepResult::added), which the
+/// node's next transition reads ([`Transducer::step_after`]), by the
+/// node's position in its engine. A transducer whose steps report no
+/// additions gets no slots, so its nodes pay nothing. A restart's
+/// memory wipe empties the node's slot, so its next step evaluates in
+/// full.
+struct AddedSlots(Vec<Option<Added>>);
+
+impl AddedSlots {
+    fn new(transducer: &Transducer, nodes: usize) -> Self {
+        let slots = if transducer.delta_relations().is_empty() {
+            0
+        } else {
+            nodes
+        };
+        AddedSlots((0..slots).map(|_| None).collect())
+    }
+
+    fn get_mut(&mut self, pos: usize) -> Option<&mut Option<Added>> {
+        self.0.get_mut(pos)
+    }
 }
 
 struct ShardedEngine<'scope> {
@@ -212,10 +237,15 @@ impl Engine<'_> {
     /// Execute one phase. Returns the step results keyed by node index.
     fn execute(&mut self, jobs: Vec<Job>) -> Result<BTreeMap<usize, StepOut>, NetError> {
         match self {
-            Engine::Serial { states, transducer } => {
+            Engine::Serial {
+                states,
+                added,
+                transducer,
+            } => {
                 let mut out = BTreeMap::new();
                 for (idx, received) in jobs {
-                    let res = step_node(transducer, &mut states[idx], received, idx)?;
+                    let slot = added.get_mut(idx);
+                    let res = step_node(transducer, &mut states[idx], slot, received, idx)?;
                     out.insert(idx, res);
                 }
                 Ok(out)
@@ -288,10 +318,12 @@ fn worker_gone() -> NetError {
 }
 
 /// Perform one job on `state` in place, returning the observable
-/// parts. `idx` is the node index, carried only by the trace events.
+/// parts, and keep the node's [`AddedSlots`] slot, when it has one.
+/// `idx` is the node index, carried only by the trace events.
 fn step_node(
     transducer: &Transducer,
     state: &mut Instance,
+    added: Option<&mut Option<Added>>,
     kind: JobKind,
     idx: usize,
 ) -> Result<StepOut, NetError> {
@@ -305,7 +337,7 @@ fn step_node(
     if tracing {
         trace::begin("net", span_name, &[("node", idx as i64)]);
     }
-    let mut out = step_node_inner(transducer, state, kind)?;
+    let mut out = step_node_inner(transducer, state, added, kind)?;
     if tracing {
         if !out.sent.is_empty() {
             trace::instant(
@@ -323,6 +355,7 @@ fn step_node(
 fn step_node_inner(
     transducer: &Transducer,
     state: &mut Instance,
+    added: Option<&mut Option<Added>>,
     kind: JobKind,
 ) -> Result<StepOut, NetError> {
     let mut rcv = Instance::empty(transducer.schema().message().clone());
@@ -332,6 +365,9 @@ fn step_node_inner(
             rcv.insert_fact(f).map_err(NetError::Rel)?;
         }
         JobKind::WipeMemory => {
+            if let Some(slot) = added {
+                *slot = None;
+            }
             let cleared = wipe_memory_relations(transducer, state).map_err(NetError::Rel)?;
             return Ok(StepOut {
                 output: Relation::empty(transducer.schema().output_arity()),
@@ -341,8 +377,14 @@ fn step_node_inner(
             });
         }
     }
-    let res = transducer.step(state, &rcv).map_err(NetError::Eval)?;
+    let prev = added.as_deref().and_then(Option::as_ref);
+    let res = transducer
+        .step_after(state, &rcv, prev)
+        .map_err(NetError::Eval)?;
     *state = res.new_state;
+    if let Some(slot) = added {
+        *slot = res.added;
+    }
     Ok(StepOut {
         output: res.output,
         sent: res.sent.facts().collect(),
@@ -502,7 +544,12 @@ pub(crate) fn run_rounds(
         let engine = if threads > 1 {
             spawn_sharded_engine(scope, transducer, states, threads)
         } else {
-            Engine::Serial { states, transducer }
+            let added = AddedSlots::new(transducer, states.len());
+            Engine::Serial {
+                states,
+                added,
+                transducer,
+            }
         };
         let barrier = Barrier::new(transducer, &nodes, &adj, buffers, faults, opts, parking);
         drive(barrier, engine, threads, opts, budget, parking)
@@ -523,6 +570,7 @@ fn worker_loop(
         .enumerate()
         .map(|(pos, (idx, _))| (*idx, pos))
         .collect();
+    let mut added = AddedSlots::new(transducer, shard.len());
     while let Ok(batch) = jobs.recv() {
         let mut results = Vec::with_capacity(batch.len());
         let mut err = None;
@@ -534,7 +582,13 @@ fn worker_loop(
                     break;
                 }
             };
-            match step_node(transducer, &mut shard[pos].1, received, idx) {
+            match step_node(
+                transducer,
+                &mut shard[pos].1,
+                added.get_mut(pos),
+                received,
+                idx,
+            ) {
                 Ok(res) => results.push((idx, res)),
                 Err(e) => {
                     err = Some((idx, e));
@@ -627,14 +681,13 @@ impl<'a, 'f> Barrier<'a, 'f> {
         for (idx, kind) in jobs {
             let mut res = results.remove(&idx).ok_or_else(worker_gone)?;
             trace::splice(std::mem::take(&mut res.events));
-            let new_out = !res.output.is_subset(&self.output);
+            let new_out = accumulate(&mut self.output, &res.output)?;
             quiet.push((idx, !res.state_changed && res.sent.is_empty() && !new_out));
-            self.output = self.output.union(&res.output).map_err(NetError::Rel)?;
             let per = self
                 .outputs_per_node
                 .get_mut(&self.nodes[idx])
                 .expect("known node");
-            *per = per.union(&res.output).map_err(NetError::Rel)?;
+            accumulate(per, &res.output)?;
             let mut enqueued = 0usize;
             for &d in &self.adj[idx] {
                 match self.faults.as_deref_mut() {

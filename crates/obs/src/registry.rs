@@ -7,6 +7,7 @@
 //! (end of a run, a promotion, a stratum close), never a per-tuple
 //! loop.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -149,21 +150,40 @@ impl Registry {
 }
 
 /// Convenience: add to a named counter in the global registry when
-/// counting is enabled.
+/// counting is enabled (and not inside [`uncounted`] on this thread).
 #[inline]
 pub fn add(name: &str, delta: u64) {
-    if crate::counting() {
+    if crate::counting() && !UNCOUNTED.get() {
         Registry::global().add(name, delta);
     }
 }
 
 /// Convenience: record into a named histogram in the global registry
-/// when counting is enabled.
+/// when counting is enabled (and not inside [`uncounted`] on this
+/// thread).
 #[inline]
 pub fn record(name: &str, value: u64) {
-    if crate::counting() {
+    if crate::counting() && !UNCOUNTED.get() {
         Registry::global().record(name, value);
     }
+}
+
+thread_local! {
+    static UNCOUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Run `f` with this thread's [`add`]s and [`record`]s to the global
+/// registry dropped: for a debug cross-check that repeats counted work,
+/// so the counters still describe the run and nothing else.
+pub fn uncounted<T>(f: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNCOUNTED.set(self.0);
+        }
+    }
+    let _restore = Restore(UNCOUNTED.replace(true));
+    f()
 }
 
 /// An immutable copy of a registry's state, with diff/merge algebra

@@ -10,7 +10,7 @@
 //! as Datalog's `T_P` on the crate's one columnar join executor
 //! (`frame.rs`).
 
-use crate::datalog::{Literal, Rule};
+use crate::datalog::{fire_rules, Literal, Rule};
 use crate::error::EvalError;
 use crate::fo::ANSWER;
 use crate::query::Query;
@@ -59,6 +59,11 @@ impl UcqQuery {
         &self.rules
     }
 
+    /// Does some rule put a constant in its head?
+    fn has_head_constants(&self) -> bool {
+        (self.rules.iter()).any(|r| r.head().terms.iter().any(|t| matches!(t, Term::Const(_))))
+    }
+
     /// Add a rule (builder style).
     pub fn or_rule(mut self, rule: Rule) -> Result<Self, EvalError> {
         if rule.head().arity() != self.arity {
@@ -91,11 +96,7 @@ impl Query for UcqQuery {
         };
         // Enforce condition (i): answers are over the active domain. Head
         // constants are the only way a non-adom value can appear.
-        let has_head_constants = self
-            .rules
-            .iter()
-            .any(|r| r.head().terms.iter().any(|t| matches!(t, Term::Const(_))));
-        if has_head_constants {
+        if self.has_head_constants() {
             let adom = db.adom();
             let filtered = out
                 .rows()
@@ -104,6 +105,16 @@ impl Query for UcqQuery {
             return Ok(Relation::from_tuples(self.arity, filtered.cloned())?);
         }
         Ok(Relation::from_result_run(out))
+    }
+
+    /// The semi-naive firing of the rules over `delta`, when they are
+    /// negation-free and put no constant in a head (see
+    /// [`Query::eval_delta`] for why head constants opt out).
+    fn eval_delta(&self, db: &Instance, delta: &Instance) -> Result<Option<Relation>, EvalError> {
+        if !self.is_monotone_syntactic() || self.has_head_constants() {
+            return Ok(None);
+        }
+        fire_rules(&self.rules, db, Some(delta), self.arity).map(Some)
     }
 
     fn is_monotone_syntactic(&self) -> bool {
@@ -419,6 +430,39 @@ mod tests {
         let out = UcqQuery::single(r).eval(&db).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains(&tuple![1]));
+    }
+
+    /// Over a delta, each rule fires once per atom whose relation has
+    /// delta facts, with that atom bound to them: every answer that
+    /// needs a delta fact comes back, and nothing outside `Q(db)`.
+    /// Negation and head constants answer `None` (evaluate in full).
+    #[test]
+    fn delta_evaluation_finds_the_answers_that_need_the_delta() {
+        let hop = CqBuilder::head(vec![v("X"), v("Z")])
+            .when(atom!("E"; @"X", @"Y"))
+            .when(atom!("E"; @"Y", @"Z"))
+            .build()
+            .unwrap();
+        let q = UcqQuery::single(hop);
+        let mut big = db();
+        big.insert_fact(fact!("E", 3, 4)).unwrap();
+        let delta = Instance::from_facts(Schema::new().with("E", 2), [fact!("E", 3, 4)]).unwrap();
+        let d = q.eval_delta(&big, &delta).unwrap().unwrap();
+        assert_eq!(d, Relation::from_tuples(2, [tuple![2, 4]]).unwrap());
+        let unrelated = Instance::from_facts(Schema::new().with("S", 1), [fact!("S", 2)]).unwrap();
+        assert!(q.eval_delta(&big, &unrelated).unwrap().unwrap().is_empty());
+        let negated = CqBuilder::head(vec![v("X")])
+            .when(atom!("S"; @"X"))
+            .unless(atom!("E"; @"X", @"X"))
+            .build()
+            .unwrap();
+        let constant = CqBuilder::head(vec![Term::cons(1)])
+            .when(atom!("S"; @"X"))
+            .build()
+            .unwrap();
+        for r in [negated, constant] {
+            assert_eq!(UcqQuery::single(r).eval_delta(&big, &delta).unwrap(), None);
+        }
     }
 
     #[test]

@@ -236,6 +236,50 @@ impl Rule {
     }
 }
 
+/// Fire `rules` on `db` and union their head facts into one
+/// `arity`-ary relation. With a `delta`, each rule fires once per
+/// positive atom whose relation has facts in `delta`, with that atom
+/// bound to those facts and every other atom to `db`: the semi-naive
+/// firing, which finds every head fact that has a derivation through a
+/// `delta` fact. Adds to `query.considered` (the facts the firings
+/// produce) and `query.derived` (the distinct facts returned), as
+/// [`Program::tp_step`] does.
+pub(crate) fn fire_rules(
+    rules: &[Rule],
+    db: &Instance,
+    delta: Option<&Instance>,
+    arity: usize,
+) -> Result<Relation, EvalError> {
+    let mut out: Option<Run> = None;
+    let mut considered = 0u64;
+    for r in rules {
+        let pins: Vec<Option<(usize, &Relation)>> = match delta {
+            None => vec![None],
+            Some(delta) => (r.positive().enumerate())
+                .filter_map(|(i, a)| {
+                    let rel = delta.relation_ref(&a.pred)?;
+                    (!rel.is_empty()).then_some(Some((i, rel)))
+                })
+                .collect(),
+        };
+        for pin in pins {
+            if let Some(run) = r.fire(db, pin)? {
+                considered += run.len() as u64;
+                out = Some(match out {
+                    Some(acc) => acc.union(&run),
+                    None => run,
+                });
+            }
+        }
+    }
+    let out = out.map_or_else(|| Relation::empty(arity), Relation::from_result_run);
+    if rtx_obs::counting() {
+        rtx_obs::registry::add("query.considered", considered);
+        rtx_obs::registry::add("query.derived", out.len() as u64);
+    }
+    Ok(out)
+}
+
 impl fmt::Debug for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} ← ", self.head)?;
@@ -812,12 +856,15 @@ impl fmt::Debug for DatalogQuery {
 
 /// A single `T_P` application used as a query (the local language of the
 /// Theorem 6(5) transducer): returns the immediate consequences for one
-/// predicate.
+/// predicate, which only the rules with that head predicate produce.
 #[derive(Clone)]
 pub struct TpQuery {
-    program: Program,
     output: RelName,
     arity: usize,
+    /// The program's rules whose head predicate is `output`.
+    rules: Vec<Rule>,
+    /// The relations those rules read, at their arities.
+    reads: Schema,
 }
 
 impl TpQuery {
@@ -829,11 +876,32 @@ impl TpQuery {
                 rel: output.clone(),
             })
         })?;
+        let rules: Vec<Rule> = (program.rules.into_iter())
+            .filter(|r| r.head.pred == output)
+            .collect();
+        let mut reads = Schema::new();
+        for a in rules.iter().flat_map(|r| r.positive().chain(r.negated())) {
+            reads.declare(a.pred.clone(), a.arity())?;
+        }
         Ok(TpQuery {
-            program,
             output,
             arity,
+            rules,
+            reads,
         })
+    }
+
+    /// Fire the rules on `db`, over `delta` when given (see
+    /// [`fire_rules`]). A relation the rules read that `db` does not
+    /// declare is empty, as in [`Program::tp_step`].
+    fn fire(&self, db: &Instance, delta: Option<&Instance>) -> Result<Relation, EvalError> {
+        let covered =
+            (self.reads.iter()).all(|(name, arity)| db.schema().arity(name) == Some(arity));
+        if covered {
+            return fire_rules(&self.rules, db, delta, self.arity);
+        }
+        let widened = db.widen(db.schema().union_compatible(&self.reads)?)?;
+        fire_rules(&self.rules, &widened, delta, self.arity)
     }
 }
 
@@ -843,16 +911,22 @@ impl Query for TpQuery {
     }
 
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
-        let step = self.program.tp_step(db)?;
-        Ok(step.relation(&self.output)?)
+        self.fire(db, None)
+    }
+
+    fn eval_delta(&self, db: &Instance, delta: &Instance) -> Result<Option<Relation>, EvalError> {
+        if !self.is_monotone_syntactic() {
+            return Ok(None);
+        }
+        self.fire(db, Some(delta)).map(Some)
     }
 
     fn is_monotone_syntactic(&self) -> bool {
-        !self.program.has_negation()
+        !self.rules.iter().any(Rule::has_negation)
     }
 
     fn referenced_relations(&self) -> BTreeSet<RelName> {
-        self.program.signature().names().cloned().collect()
+        self.reads.names().cloned().collect()
     }
 
     fn describe(&self) -> String {
@@ -1149,5 +1223,37 @@ mod tests {
         let q = TpQuery::new(p, "Found").unwrap();
         assert!(q.eval(&edges(&[(1, 2)])).unwrap().as_bool());
         assert!(!q.eval(&edges(&[])).unwrap().as_bool());
+    }
+
+    /// A `T_P` query fires only the rules whose head is its output
+    /// predicate, and reads only what they read: another IDB
+    /// predicate's rule, over a relation that `db` does not declare or
+    /// declares at another arity, neither runs nor fails the query.
+    #[test]
+    fn tp_query_fires_only_its_output_rules() {
+        let p = Program::new(vec![
+            rule(
+                atom!("T"; @"X", @"Y"),
+                vec![Literal::Pos(atom!("E"; @"X", @"Y"))],
+            ),
+            rule(atom!("U"; @"X"), vec![Literal::Pos(atom!("F"; @"X", @"X"))]),
+        ])
+        .unwrap();
+        let q = TpQuery::new(p, "T").unwrap();
+        assert_eq!(q.referenced_relations(), [RelName::new("E")].into());
+        let want = Relation::from_tuples(2, [tuple![1, 2]]).unwrap();
+        let db = edges(&[(1, 2)]);
+        assert_eq!(q.eval(&db).unwrap(), want);
+        let unary_f = db.widen(Schema::new().with("E", 2).with("F", 1)).unwrap();
+        assert_eq!(q.eval(&unary_f).unwrap(), want);
+        // Over a delta, only the rules reading it fire.
+        let delta = edges(&[(1, 2)]);
+        assert_eq!(q.eval_delta(&unary_f, &delta).unwrap(), Some(want));
+        let unrelated = Instance::from_facts(Schema::new().with("F", 1), [fact!("F", 3)]).unwrap();
+        assert!(q
+            .eval_delta(&unary_f, &unrelated)
+            .unwrap()
+            .unwrap()
+            .is_empty());
     }
 }

@@ -501,13 +501,31 @@ impl Compiler {
                 (false, true) => {}
             }
         }
+        filters.extend(diseqs.iter().map(|(x, y)| Literal::Diseq(sub(x), sub(y))));
+
+        // A guarded variable that occurs in no other literal only says
+        // adom(I) ≠ ∅, as any guard does: keep one guard for all such
+        // variables, and none when another guard remains.
+        let mut used: BTreeSet<Var> = head.vars().into_iter().collect();
+        for l in body.iter().chain(&filters) {
+            match l {
+                Literal::Pos(a) | Literal::Neg(a) => used.extend(a.vars()),
+                Literal::Diseq(x, y) => {
+                    used.extend([x, y].into_iter().filter_map(Term::as_var).copied())
+                }
+            }
+        }
+        let (mut guards, vacuous): (Vec<Term>, Vec<Term>) =
+            (guards.into_iter()).partition(|t| !matches!(t, Term::Var(v) if !used.contains(v)));
+        if guards.is_empty() {
+            guards.extend(vacuous.into_iter().take(1));
+        }
         body.extend(
             guards
                 .into_iter()
                 .map(|t| Literal::Pos(Atom::new(ADOM, vec![t]))),
         );
         body.extend(filters);
-        body.extend(diseqs.iter().map(|(x, y)| Literal::Diseq(sub(x), sub(y))));
         self.rules.push(Rule::new(head, body)?);
         Ok(())
     }
@@ -1014,5 +1032,30 @@ mod tests {
         .unwrap();
         let db = db_edges(&[]);
         assert!(q.eval(&db).unwrap().is_empty());
+    }
+
+    /// A guarded variable that occurs nowhere else only says adom(I) ≠
+    /// ∅: one guard per rule says it, so vacuous and repeated binders
+    /// no longer multiply a rule's rows by |adom| each.
+    #[test]
+    fn vacuous_adom_guards_collapse() {
+        let q =
+            crate::parser::parse_fo_query("(W) <- exists X, Y . forall Z, Y . E(4, X)").unwrap();
+        assert_eq!(
+            format!("{:?}", q.program()),
+            "@p1(@v1) ← @adom(@v1), ¬E(4,@v1).\n@ans(W) ← @adom(@v1), @adom(W), ¬@p1(@v1)."
+        );
+        let chain: Vec<(i64, i64)> = (0..40).map(|i| (i, i + 1)).collect();
+        let out = q.eval(&db_edges(&chain)).unwrap();
+        let adom = Relation::from_tuples(1, (0..=40).map(|v| tuple![v])).unwrap();
+        assert_eq!(out, adom, "E(4,5) holds: every W");
+        let far: Vec<(i64, i64)> = (5..45).map(|i| (i, i + 1)).collect();
+        assert!(q.eval(&db_edges(&far)).unwrap().is_empty(), "no E(4,·)");
+        assert!(q.eval(&db_edges(&[])).unwrap().is_empty(), "empty adom");
+        // A rule whose only guards are vacuous keeps one of them.
+        let lone = FoQuery::sentence(Formula::exists(["X", "Y"], Formula::True)).unwrap();
+        assert_eq!(format!("{:?}", lone.program()), "@ans() ← @adom(@v1).");
+        assert!(lone.eval(&db_edges(&[(1, 2)])).unwrap().as_bool());
+        assert!(!lone.eval(&db_edges(&[])).unwrap().as_bool());
     }
 }

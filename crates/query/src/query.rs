@@ -28,6 +28,26 @@ pub trait Query: fmt::Debug + Send + Sync {
     /// Evaluate on an instance.
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError>;
 
+    /// Evaluate against what changed. For `delta ⊆ db` relation by
+    /// relation, `Some(D)` satisfies `Q(db) ∖ Q(db ∖ delta) ⊆ D ⊆
+    /// Q(db)`: every answer that needs a `delta` fact, and possibly
+    /// answers that do not. `None` means "evaluate in full"; the
+    /// default always answers it.
+    ///
+    /// A transducer step reads the stored part of `D` off the relation
+    /// it inserts into: when `Q(db ∖ delta)` is stored already, `D`
+    /// minus the stored facts is exactly `Q(db)` minus them (see
+    /// `Transducer::step_after` in `rtx-transducer`). Only a monotone
+    /// query answers `Some`, which is what lets [`crate::ViewQuery`]
+    /// compose the answers of its parts. A UCQ with a head constant
+    /// answers `None`: its answers are filtered by adom(db), which can
+    /// grow through relations its rules never read, so an answer can
+    /// appear without any `delta` fact.
+    fn eval_delta(&self, db: &Instance, delta: &Instance) -> Result<Option<Relation>, EvalError> {
+        let _ = (db, delta);
+        Ok(None)
+    }
+
     /// Conservative *syntactic* monotonicity: `true` guarantees the query
     /// is monotone; `false` means "unknown". Positive-existential FO,
     /// negation-free UCQ and negation-free Datalog return `true`.
@@ -71,6 +91,9 @@ impl Query for QueryRef {
     }
     fn eval(&self, db: &Instance) -> Result<Relation, EvalError> {
         (**self).eval(db)
+    }
+    fn eval_delta(&self, db: &Instance, delta: &Instance) -> Result<Option<Relation>, EvalError> {
+        (**self).eval_delta(db, delta)
     }
     fn is_monotone_syntactic(&self) -> bool {
         (**self).is_monotone_syntactic()

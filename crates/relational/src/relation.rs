@@ -614,7 +614,9 @@ impl Relation {
         match (&self.store, &other.store) {
             (Store::Small(s), _) => s.live_tuples().all(|t| other.contains(t)),
             (_, Store::Small(_)) => self.iter().all(|t| other.contains(t)),
-            (Store::Col(a), Store::Col(b)) => a.run().is_subset(b.run()),
+            (Store::Col(a), Store::Col(b)) => {
+                Arc::ptr_eq(a.run(), b.run()) || a.run().is_subset(b.run())
+            }
         }
     }
 

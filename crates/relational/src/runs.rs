@@ -289,6 +289,19 @@ fn intersect_keys(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
+/// Is every key of `a` in `b` (both sorted and duplicate-free)?
+fn subset_keys(a: &[u64], b: &[u64]) -> bool {
+    let mut j = 0;
+    for &k in a {
+        j = gallop_keys(b, j, k);
+        if b.get(j) != Some(&k) {
+            return false;
+        }
+        j += 1;
+    }
+    true
+}
+
 /// When the remaining portion of one side of a merge is this many times
 /// longer than a single step would cover, gallop instead of stepping.
 const GALLOP_AFTER: usize = 8;
@@ -728,6 +741,9 @@ impl Run {
         let (a, b) = (&*self.data, &*other.data);
         if a.len > b.len {
             return false;
+        }
+        if let Some((ka, kb)) = self.packed_pair(other) {
+            return subset_keys(ka, kb);
         }
         let mut j = 0;
         for i in 0..a.len {

@@ -4,7 +4,7 @@
 use crate::schema::TransducerSchema;
 use rtx_query::{EvalError, Query, QueryRef};
 use rtx_relational::{Fact, Instance, RelName, Relation};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An abstract relational transducer: a collection of queries
@@ -18,6 +18,9 @@ pub struct Transducer {
     out: QueryRef,
     /// Optional label for diagnostics.
     name: String,
+    /// The memory relations whose insert query [`Transducer::step_after`]
+    /// evaluates over the previous transition's additions (see there).
+    delta_rels: BTreeSet<RelName>,
 }
 
 /// The result of one local transition `I, I_rcv --Jout--> J, J_snd`.
@@ -35,6 +38,30 @@ pub struct StepResult {
     /// when the update's delta is non-empty, so no caller needs to
     /// compare whole states.
     pub state_changed: bool,
+    /// The memory facts this transition added, to hand to the node's
+    /// next transition ([`Transducer::step_after`]). `Some` exactly when
+    /// the transducer has a relation that `step_after` evaluates over
+    /// them, so other transducers allocate nothing.
+    pub added: Option<Added>,
+}
+
+/// The memory facts one transition added, relation by relation: what
+/// the node's next [`Transducer::step_after`] evaluates an eligible
+/// insert query over. Only a step makes one, so it always describes a
+/// real transition.
+#[derive(Clone, Debug)]
+pub struct Added(Instance);
+
+impl Added {
+    /// The added facts, as an instance of the memory schema.
+    pub(crate) fn facts(&self) -> &Instance {
+        &self.0
+    }
+
+    /// Did the transition add nothing?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 impl StepResult {
@@ -54,6 +81,22 @@ impl Transducer {
         out: QueryRef,
         name: String,
     ) -> Self {
+        // A relation qualifies when it only grows, its insert query is
+        // monotone, and everything that query reads only grows too:
+        // input and system relations, and grow-only memory relations —
+        // never a message relation, whose facts arrive unannounced.
+        let grows = |r: &RelName| del.get(r).is_some_and(|q| q.is_always_empty());
+        let delta_rels = (ins.iter())
+            .filter(|(r, q)| {
+                grows(r)
+                    && q.is_monotone_syntactic()
+                    && (q.referenced_relations().iter()).all(|read| {
+                        !schema.message().contains(read)
+                            && (!schema.memory().contains(read) || grows(read))
+                    })
+            })
+            .map(|(r, _)| r.clone())
+            .collect();
         Transducer {
             schema,
             snd,
@@ -61,6 +104,7 @@ impl Transducer {
             del,
             out,
             name,
+            delta_rels,
         }
     }
 
@@ -94,6 +138,14 @@ impl Transducer {
         &self.out
     }
 
+    /// The memory relations whose insert query
+    /// [`Transducer::step_after`] evaluates over the previous
+    /// transition's additions. Empty when no step reports
+    /// [`StepResult::added`].
+    pub fn delta_relations(&self) -> &BTreeSet<RelName> {
+        &self.delta_rels
+    }
+
     /// All queries with role labels, in a deterministic order.
     pub fn queries(&self) -> impl Iterator<Item = (String, &QueryRef)> {
         self.snd
@@ -104,7 +156,8 @@ impl Transducer {
             .chain(std::iter::once(("out".to_string(), &self.out)))
     }
 
-    /// Perform one deterministic local transition.
+    /// Perform one deterministic local transition, evaluating every
+    /// query in full.
     ///
     /// `state` is an instance of the state schema; `received` an instance
     /// of the message schema (empty for a heartbeat) — a received
@@ -136,6 +189,34 @@ impl Transducer {
     /// [`StepResult::state_changed`] is true exactly when some delta is
     /// non-empty.
     pub fn step(&self, state: &Instance, received: &Instance) -> Result<StepResult, EvalError> {
+        self.step_after(state, received, None)
+    }
+
+    /// [`Transducer::step`] for a node whose previous transition, the
+    /// one that produced `state`, reported `prev` as its
+    /// [`StepResult::added`]. The result is the one `step` gives.
+    ///
+    /// A memory relation `R` of [`Transducer::delta_relations`] has an
+    /// always-empty delete query and a monotone insert query `Q` that
+    /// reads no message relation, and every memory relation `Q` reads
+    /// has an always-empty delete query too. The previous transition
+    /// stored `Q(I'_prev)` in `R`, and since then everything `Q` reads
+    /// has grown by exactly `prev`, so `Q(I') ∖ I(R)` is contained in
+    /// `Q.eval_delta(I', prev)` ([`Query::eval_delta`]), and the step
+    /// adds exactly that minus `I(R)`. An empty `prev` adds nothing to
+    /// `R`, so `Q` is not evaluated at all. With `prev` `None` — a
+    /// node's first transition, or one after its memory was wiped —
+    /// and where `eval_delta` answers `None`, `Q` is evaluated in full.
+    ///
+    /// Built with `debug_assertions`, every delta-evaluated relation is
+    /// evaluated in full as well (outside the metrics registry), and
+    /// the two additions must agree.
+    pub fn step_after(
+        &self,
+        state: &Instance,
+        received: &Instance,
+        prev: Option<&Added>,
+    ) -> Result<StepResult, EvalError> {
         for (rel, r) in received.relations() {
             self.schema.message().check_relation(rel, r.arity())?;
         }
@@ -154,34 +235,37 @@ impl Transducer {
         // Memory update, applied to J as a delta against I(R).
         let mut new_state = state.clone();
         let mut state_changed = false;
+        let mut added_facts =
+            (!self.delta_rels.is_empty()).then(|| Instance::empty(self.schema.memory().clone()));
         for (rel, ins_q) in &self.ins {
-            let del_q = self
-                .del
-                .get(rel)
-                .expect("builder populates every memory relation");
-            let ins = ins_q.eval(&combined)?;
-            let del = del_q.eval(&combined)?;
             let cur = state.relation_ref(rel);
-            // removed = (del ∖ ins) ∩ I(R)
-            if let (Some(cur), false) = (cur, del.is_empty()) {
-                let removed = del.difference(&ins)?.intersect(cur)?;
-                for t in &removed {
-                    new_state.remove_fact(&Fact::new(rel.clone(), t.clone()));
-                }
-                state_changed |= !removed.is_empty();
-            }
-            // added = (ins ∖ del) ∖ I(R)
-            let mut added = if del.is_empty() {
-                ins
-            } else {
-                ins.difference(&del)?
+            let delta = match prev.filter(|_| self.delta_rels.contains(rel)) {
+                Some(prev) => added_after(ins_q.as_ref(), &combined, cur, prev)?,
+                None => None,
             };
-            if let (Some(cur), false) = (cur, added.is_empty()) {
-                added = added.difference(cur)?;
-            }
+            let added = match delta {
+                Some(added) => {
+                    #[cfg(debug_assertions)]
+                    self.check_delta(rel, ins_q.as_ref(), &combined, cur, &added)?;
+                    added
+                }
+                None => {
+                    let (added, removed) = self.full_update(rel, ins_q.as_ref(), &combined, cur)?;
+                    if !removed.is_empty() {
+                        for t in &removed {
+                            new_state.remove_fact(&Fact::new(rel.clone(), t.clone()));
+                        }
+                        state_changed = true;
+                    }
+                    added
+                }
+            };
             if !added.is_empty() {
                 new_state.absorb_run(rel, &added.columnar_run())?;
                 state_changed = true;
+                if let Some(facts) = &mut added_facts {
+                    facts.set_relation(rel.clone(), added)?;
+                }
             }
         }
 
@@ -190,7 +274,62 @@ impl Transducer {
             sent,
             output,
             state_changed,
+            added: added_facts.map(Added),
         })
+    }
+
+    /// Evaluate `rel`'s update in full: `(added, removed)` with
+    /// `added = (ins ∖ del) ∖ I(R)` and `removed = (del ∖ ins) ∩ I(R)`.
+    fn full_update(
+        &self,
+        rel: &RelName,
+        ins_q: &dyn Query,
+        combined: &Instance,
+        cur: Option<&Relation>,
+    ) -> Result<(Relation, Relation), EvalError> {
+        let del_q = self
+            .del
+            .get(rel)
+            .expect("builder populates every memory relation");
+        let ins = ins_q.eval(combined)?;
+        let del = del_q.eval(combined)?;
+        // removed = (del ∖ ins) ∩ I(R)
+        let removed = match (cur, del.is_empty()) {
+            (Some(cur), false) => del.difference(&ins)?.intersect(cur)?,
+            _ => Relation::empty(ins.arity()),
+        };
+        // added = (ins ∖ del) ∖ I(R)
+        let mut added = if del.is_empty() {
+            ins
+        } else {
+            ins.difference(&del)?
+        };
+        if let (Some(cur), false) = (cur, added.is_empty()) {
+            added = added.difference(cur)?;
+        }
+        Ok((added, removed))
+    }
+
+    /// The debug cross-check of [`Transducer::step_after`]: `added`, as
+    /// evaluated over the previous transition's additions, is what the
+    /// full evaluation adds. The full evaluation stays out of the
+    /// metrics registry, so the counters describe the run.
+    #[cfg(debug_assertions)]
+    fn check_delta(
+        &self,
+        rel: &RelName,
+        ins_q: &dyn Query,
+        combined: &Instance,
+        cur: Option<&Relation>,
+        added: &Relation,
+    ) -> Result<(), EvalError> {
+        let full = rtx_obs::registry::uncounted(|| self.full_update(rel, ins_q, combined, cur));
+        assert_eq!(
+            added, &full?.0,
+            "delta and full evaluation of ins[{rel}] disagree in `{}`",
+            self.name
+        );
+        Ok(())
     }
 
     /// A heartbeat transition: a step with no received messages.
@@ -202,6 +341,8 @@ impl Transducer {
     /// Run heartbeats until the state stops changing and nothing is sent
     /// or output, collecting all outputs along the way. Returns the fixed
     /// state, the accumulated output, and the number of heartbeats taken.
+    /// Each heartbeat after the first reads the previous one's additions
+    /// ([`Transducer::step_after`]).
     ///
     /// `max_steps` bounds the loop (local queries are deterministic, so a
     /// repeated state would loop forever).
@@ -210,19 +351,44 @@ impl Transducer {
         state: &Instance,
         max_steps: usize,
     ) -> Result<(Instance, Relation, usize), EvalError> {
+        let empty = Instance::empty(self.schema.message().clone());
         let mut cur = state.clone();
+        let mut prev: Option<Added> = None;
         let mut output = Relation::empty(self.schema.output_arity());
         for step_no in 0..max_steps {
-            let res = self.heartbeat(&cur)?;
+            let res = self.step_after(&cur, &empty, prev.as_ref())?;
             let quiet = res.sent.is_empty() && !res.state_changed && res.output.is_subset(&output);
             output = output.union(&res.output)?;
             if quiet {
                 return Ok((cur, output, step_no));
             }
             cur = res.new_state;
+            prev = res.added;
         }
         Err(EvalError::Diverged { fuel: max_steps })
     }
+}
+
+/// The addition to a delta-evaluated relation (see
+/// [`Transducer::step_after`]): nothing after a transition that added
+/// nothing, else `ins_q`'s answer over `prev` minus `I(R)`. `None` when
+/// the query cannot answer over a delta.
+fn added_after(
+    ins_q: &dyn Query,
+    combined: &Instance,
+    cur: Option<&Relation>,
+    prev: &Added,
+) -> Result<Option<Relation>, EvalError> {
+    if prev.is_empty() {
+        return Ok(Some(Relation::empty(ins_q.arity())));
+    }
+    let Some(d) = ins_q.eval_delta(combined, prev.facts())? else {
+        return Ok(None);
+    };
+    Ok(Some(match cur {
+        Some(cur) if !d.is_empty() => d.difference(cur)?,
+        _ => d,
+    }))
 }
 
 impl fmt::Debug for Transducer {
@@ -241,7 +407,6 @@ mod tests {
     use crate::builder::TransducerBuilder;
     use rtx_query::{atom, CqBuilder, Term, UcqQuery};
     use rtx_relational::{fact, tuple, RelError, Schema, Value};
-    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn cq(rule: rtx_query::Rule) -> QueryRef {
@@ -509,6 +674,107 @@ mod tests {
         // with input {1} every heartbeat sends: never a fixpoint.
         let st2 = mk_state(&t, &[1]);
         assert!(t.run_heartbeats_to_fixpoint(&st2, 5).is_err());
+    }
+
+    /// Input `S/2`, memory `T/2` with `T := S ∪ T ∘ T`, output `T`, and
+    /// optionally `T`'s delete query.
+    fn closure(del: Option<QueryRef>) -> Transducer {
+        let xy = || vec![Term::var("X"), Term::var("Y")];
+        let ins = UcqQuery::new(
+            2,
+            vec![
+                CqBuilder::head(xy())
+                    .when(atom!("S"; @"X", @"Y"))
+                    .build()
+                    .unwrap(),
+                CqBuilder::head(vec![Term::var("X"), Term::var("Z")])
+                    .when(atom!("T"; @"X", @"Y"))
+                    .when(atom!("T"; @"Y", @"Z"))
+                    .build()
+                    .unwrap(),
+            ],
+        )
+        .unwrap();
+        let mut b = TransducerBuilder::new("closure")
+            .input_relation("S", 2)
+            .memory_relation("T", 2)
+            .output_arity(2)
+            .insert("T", Arc::new(ins))
+            .output(cq(CqBuilder::head(xy())
+                .when(atom!("T"; @"X", @"Y"))
+                .build()
+                .unwrap()));
+        if let Some(del) = del {
+            b = b.delete("T", del);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn delta_relations_grow_and_read_only_what_grows() {
+        assert_eq!(
+            closure(None).delta_relations(),
+            &BTreeSet::from([RelName::new("T")])
+        );
+        // T has a delete query: it may shrink.
+        let del = cq(CqBuilder::head(vec![Term::var("X"), Term::var("Y")])
+            .when(atom!("S"; @"Y", @"X"))
+            .build()
+            .unwrap());
+        assert!(closure(Some(del)).delta_relations().is_empty());
+        // T's insert query reads the message relation M.
+        assert!(store_and_echo().delta_relations().is_empty());
+    }
+
+    /// `step_after` gives `step`'s result along a heartbeat sequence,
+    /// reports what each transition added, and skips the insert query
+    /// after a transition that added nothing.
+    #[test]
+    fn step_after_matches_step_along_a_run() {
+        let t = closure(None);
+        let input = Instance::from_facts(
+            Schema::new().with("S", 2),
+            (1..8).map(|i| fact!("S", i, i + 1)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let nodes: BTreeSet<Value> = [Value::sym("n")].into_iter().collect();
+        let mut st = t
+            .schema()
+            .initial_state(&input, &Value::sym("n"), &nodes)
+            .unwrap();
+        let mut prev: Option<Added> = None;
+        for _ in 0..6 {
+            let full = t.heartbeat(&st).unwrap();
+            let res = t
+                .step_after(&st, &Instance::empty(Schema::new()), prev.as_ref())
+                .unwrap();
+            assert_eq!(res.new_state, full.new_state);
+            assert_eq!(res.output, full.output);
+            assert_eq!(res.state_changed, full.state_changed);
+            let added = res.added.expect("T is delta-evaluated");
+            let grown: BTreeSet<Fact> = res
+                .new_state
+                .facts()
+                .filter(|f| !st.contains_fact(f))
+                .collect();
+            assert_eq!(added.facts().facts().collect::<BTreeSet<_>>(), grown);
+            st = res.new_state;
+            prev = Some(added);
+        }
+        assert_eq!(
+            st.relation(&"T".into()).unwrap().len(),
+            28,
+            "the closure of a 7-edge chain"
+        );
+        assert!(
+            prev.as_ref().is_some_and(Added::is_empty),
+            "the last step added nothing"
+        );
+        assert!(store_and_echo()
+            .heartbeat(&mk_state(&store_and_echo(), &[1]))
+            .unwrap()
+            .added
+            .is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Tier-1 tests for the observability layer (`rtx_obs`): trace
 //! determinism across shard counts, registry snapshot/diff algebra,
-//! zero-cost off mode, Chrome-JSON round-tripping, and the
-//! registry ⇄ `ShardRunOutcome` reconciliation on the grid-256 flood.
+//! zero-cost off mode, Chrome-JSON round-tripping, the
+//! registry ⇄ `ShardRunOutcome` reconciliation on the grid-256 flood,
+//! and the query work of Theorem 6(5)'s distributed closure.
 //!
 //! The trace level and the registry are process-global, so every test
 //! that changes the level or reads a registry delta serializes on
@@ -364,4 +365,58 @@ fn both_round_executors_trace_every_dropped_copy() {
         assert_eq!(count("fault.drop"), dropped, "{name}");
         assert_eq!(count("fault.fate"), 0, "{name}: drop-only plan");
     }
+}
+
+/// Theorem 6(5)'s transducer evaluates `T`'s insert query over what the
+/// node's previous transition added, so a node derives each closure
+/// fact a few times, not once per transition: on a fixed 64-vertex,
+/// 96-edge digraph on a 4-ring, the firings produce at most 3·Σ|T|
+/// facts over the nodes (recomputing `T_P` from scratch at every
+/// transition produced about 250 times Σ|T|).
+#[test]
+fn distributed_tc_derives_each_fact_a_bounded_number_of_times() {
+    use rand::{Rng, SeedableRng};
+    use rtx::calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
+    use rtx::net::{run, FifoRoundRobin};
+    let _g = obs_lock();
+    let _counters = trace::level_guard(TraceLevel::Counters);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(64);
+    let mut edges = std::collections::BTreeSet::new();
+    while edges.len() < 96 {
+        let (a, b) = (rng.gen_range(0i64..64), rng.gen_range(0i64..64));
+        if a != b {
+            edges.insert((a, b));
+        }
+    }
+    let facts = edges.iter().map(|&(a, b)| fact!("E", a, b));
+    let input = Instance::from_facts(Schema::new().with("E", 2), facts).unwrap();
+    let program = transitive_closure_program();
+    let t = distribute_datalog(&program, &"T".into(), FloodMode::Dedup).unwrap();
+    let net = Network::ring(4).unwrap();
+    let p = HorizontalPartition::round_robin(&net, &input);
+    let budget = RunBudget::steps(1_000_000);
+    let (out, trace) =
+        trace::capture_run(|| run(&net, &t, &p, &mut FifoRoundRobin::new(), &budget).unwrap());
+    assert!(out.quiescent);
+    let closure = rtx_ref::eval(&program, &input)
+        .into_iter()
+        .filter(|f| f.rel().as_str() == "T")
+        .count();
+    assert_eq!(out.output.len(), closure);
+    let stored: usize = (net.nodes())
+        .map(|n| {
+            out.final_config
+                .state(n)
+                .unwrap()
+                .relation(&"T".into())
+                .unwrap()
+                .len()
+        })
+        .sum();
+    assert_eq!(stored, 4 * closure);
+    let considered = trace.counters.counter("query.considered") as usize;
+    assert!(
+        considered >= closure && considered <= 3 * stored,
+        "query.considered {considered} against Σ|T| = {stored}"
+    );
 }

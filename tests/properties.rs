@@ -8,8 +8,12 @@
 //!   and nested-loop models;
 //! * flooding disseminates to every node of random connected topologies;
 //! * distributed TC is consistent across random seeds/partitions;
-//! * the transducer update formula's conflict-resolution laws, and
-//!   `Transducer::step` ≡ the reference step of `rtx-ref`;
+//! * the transducer update formula's conflict-resolution laws,
+//!   `Transducer::step` ≡ the reference step of `rtx-ref`, and so is
+//!   every transition of a `Transducer::step_after` sequence;
+//! * Theorem 6(5): distributed random positive Datalog programs output
+//!   their reference answer under the random scheduler and the round
+//!   executor;
 //! * Dedalus TM simulation ≡ the direct interpreter on random words, and
 //!   `DedalusRuntime::run` ≡ the reference tick loop of `rtx-ref`.
 
@@ -52,9 +56,12 @@ fn random_instance(schema: &Schema, picks: &[(usize, i64, i64)]) -> Instance {
     i
 }
 
-/// The transducers the step property runs: the conflict and assignment
+/// The transducers the step properties run: the conflict and assignment
 /// transducers of the update-formula unit tests, the Naive and Dedup
-/// floods, and Theorem 6(5)'s distributed transitive closure.
+/// floods, Theorem 6(5)'s distributed transitive closure and Example
+/// 3's. The last two have memory relations that
+/// `Transducer::step_after` evaluates over the previous transition's
+/// additions (through a view over `T_P`, and through a UCQ).
 fn step_transducers() -> Vec<rtx::transducer::Transducer> {
     use rtx::calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
     use rtx::query::{atom, CqBuilder, EmptyQuery, Term, UcqQuery};
@@ -93,6 +100,7 @@ fn step_transducers() -> Vec<rtx::transducer::Transducer> {
         flood_transducer(&s, FloodMode::Naive, None).unwrap(),
         flood_transducer(&s, FloodMode::Dedup, None).unwrap(),
         distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Dedup).unwrap(),
+        rtx::calm::examples::ex3_transitive_closure(true).unwrap(),
     ]
 }
 
@@ -301,6 +309,122 @@ proptest! {
             prop_assert_eq!(got.new_state.schema(), state.schema());
             prop_assert_eq!(got.state_changed, got.new_state != state, "{}", t.name());
             prop_assert_eq!(got.state_changed, want.new_state != state.facts().collect(), "{}", t.name());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Sequences of up to 12 transitions — heartbeats, deliveries of
+    /// random messages, and memory wipes — from a random state: every
+    /// transition goes through `Transducer::step_after` with the
+    /// `Added` its predecessor reported, and computes the reference
+    /// step of `rtx-ref` on the same state. A wipe (a crash restart
+    /// under the persistent-EDB semantics) clears the memory relations
+    /// and drops the `Added`, as the executors do. Built with
+    /// `debug_assertions`, `step_after` also checks each delta
+    /// evaluation against the full one.
+    #[test]
+    fn transducer_step_sequences_match_the_reference_step(
+        input in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..10),
+        memory in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..6),
+        moves in proptest::collection::vec((0u8..8, 0usize..4, 0i64..5, 0i64..5), 1..13),
+    ) {
+        use rtx::relational::Relation;
+        let all: BTreeSet<Value> = [Value::sym("n0"), Value::sym("n1")].into();
+        for t in step_transducers() {
+            let sch = t.schema();
+            let local = random_instance(sch.input(), &input);
+            let mut state = sch.initial_state(&local, &Value::sym("n0"), &all).unwrap();
+            for f in random_instance(sch.memory(), &memory).facts() {
+                state.insert_fact(f).unwrap();
+            }
+            let mut prev: Option<rtx::transducer::Added> = None;
+            for &(kind, r, a, b) in &moves {
+                if kind == 0 {
+                    for (name, arity) in sch.memory().iter() {
+                        state.set_relation(name.clone(), Relation::empty(arity)).unwrap();
+                    }
+                    prev = None;
+                    continue;
+                }
+                let rcv = match kind {
+                    1..=3 => Instance::empty(sch.message().clone()),
+                    _ => random_instance(sch.message(), &[(r, a, b)]),
+                };
+                let got = t.step_after(&state, &rcv, prev.as_ref()).unwrap();
+                let want = rtx_ref::transducer_step(&t, &state, &rcv);
+                prop_assert_eq!(got.new_state.facts().collect::<BTreeSet<_>>(), want.new_state, "{}", t.name());
+                prop_assert_eq!(got.sent.facts().collect::<BTreeSet<_>>(), want.sent, "{}", t.name());
+                prop_assert_eq!(got.output.iter().cloned().collect::<BTreeSet<_>>(), want.output, "{}", t.name());
+                prop_assert_eq!(got.state_changed, got.new_state != state, "{}", t.name());
+                prop_assert_eq!(got.added.is_some(), !t.delta_relations().is_empty(), "{}", t.name());
+                state = got.new_state;
+                prev = got.added;
+            }
+        }
+    }
+}
+
+proptest! {
+    // About a fifth of the (program, answer) pairs have a nonempty
+    // answer (27 of 142 at the default seed): a random body often needs
+    // an IDB fact that no rule seeds.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Theorem 6(5) on random programs: a negation-free program (a
+    /// random stratified one with its negated literals dropped) is
+    /// distributed by `distribute_datalog` over a random connected
+    /// network and a random partition, and every quiescent run — the
+    /// random scheduler's, and the round executor's on one thread and
+    /// on two — outputs the program's answer, the reference fixpoint's
+    /// facts of the answer predicate.
+    #[test]
+    fn theorem6_5_distributes_random_positive_programs(
+        prog_seed in 0u64..1000,
+        n_rules in 1usize..5,
+        pairs in proptest::collection::vec((0u8..5, 0u8..5), 0..8),
+        singles in proptest::collection::vec(0i64..5, 0..4),
+        network in (2usize..5, 0u64..500, 0u64..500),
+    ) {
+        use rand::SeedableRng;
+        use rtx::calm::constructions::datalog_dist::distribute_datalog;
+        use rtx::net::{run_sharded, ShardOptions};
+        use rtx::query::{Literal, Program, Rule};
+        let (nodes, topo_seed, sched_seed) = network;
+        let stratified = random_program(prog_seed, n_rules);
+        let rules = stratified.rules().iter().map(|r| {
+            let body = r.body().iter().filter(|l| !matches!(l, Literal::Neg(_))).cloned().collect();
+            Rule::new(r.head().clone(), body).unwrap()
+        });
+        let program = Program::new(rules.collect()).unwrap();
+        let edb: Schema = program.edb_predicates().into_iter()
+            .map(|r| { let a = program.signature().arity(&r).unwrap(); (r, a) })
+            .collect();
+        let mut input = Instance::empty(edb.clone());
+        for f in random_db(&pairs, &singles).facts().filter(|f| edb.contains(f.rel())) {
+            input.insert_fact(f).unwrap();
+        }
+        let fixpoint = rtx_ref::eval(&program, &input);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(topo_seed);
+        let net = Network::random_connected(nodes, 0.25, &mut rng).unwrap();
+        let partition = HorizontalPartition::random(&net, &input, 0.1, &mut rng);
+        let budget = RunBudget::steps(500_000);
+        for answer in program.idb_predicates() {
+            let t = distribute_datalog(&program, answer, FloodMode::Dedup).unwrap();
+            let want: BTreeSet<Tuple> = fixpoint.iter()
+                .filter(|f| f.rel() == answer)
+                .map(|f| f.tuple().clone())
+                .collect();
+            let out = run(&net, &t, &partition, &mut RandomScheduler::seeded(sched_seed), &budget).unwrap();
+            prop_assert!(out.quiescent);
+            prop_assert_eq!(out.output.iter().cloned().collect::<BTreeSet<_>>(), want.clone(), "{:?} → {}", program, answer);
+            for opts in [ShardOptions::serial(), ShardOptions::sharded(2)] {
+                let out = run_sharded(&net, &t, &partition, &opts, &budget).unwrap().outcome;
+                prop_assert!(out.quiescent);
+                prop_assert_eq!(out.output.iter().cloned().collect::<BTreeSet<_>>(), want.clone(), "{:?} → {} at {} threads", program, answer, opts.threads);
+            }
         }
     }
 }

@@ -170,6 +170,38 @@ proptest! {
         }
     }
 
+    /// `Run::is_subset` gives the model's answer over packed keys
+    /// (integer runs of arity 1 and 2) and over rows (a symbol column
+    /// rules packing out). `ys` is `xs` plus some pairs and minus
+    /// others, so both answers come up often in both directions.
+    #[test]
+    fn run_subset_agrees_with_the_model(
+        xs in proptest::collection::vec((0u8..8, 0u8..8), 0..30),
+        extra in proptest::collection::vec((0u8..8, 0u8..8), 0..4),
+        dropped in proptest::collection::vec(0usize..30, 0..3),
+    ) {
+        let encodings: [fn(u8, u8) -> Tuple; 3] = [
+            |a, _| vec![Value::Int(a as i64)].into(),
+            tuple2,
+            |a, b| vec![Value::sym(format!("sub-{a}").as_str()), Value::Int(b as i64)].into(),
+        ];
+        for encode in encodings {
+            let mx: BTreeSet<Tuple> = xs.iter().map(|&(a, b)| encode(a, b)).collect();
+            let mut my = mx.clone();
+            my.extend(extra.iter().map(|&(a, b)| encode(a, b)));
+            for &i in &dropped {
+                if let Some((a, b)) = xs.get(i) {
+                    my.remove(&encode(*a, *b));
+                }
+            }
+            let arity = mx.iter().chain(&my).next().map_or(2, Tuple::arity);
+            let (rx, ry) = (Run::from_sorted(arity, mx.iter()), Run::from_sorted(arity, my.iter()));
+            prop_assert_eq!(rx.is_subset(&ry), mx.is_subset(&my));
+            prop_assert_eq!(ry.is_subset(&rx), my.is_subset(&mx));
+            prop_assert!(rx.is_subset(&rx));
+        }
+    }
+
     /// `Instance::union` is the union of the two fact sets. The sides
     /// share `E` (horizontal partitions overlap) and each holds a
     /// relation the other lacks; either side's `E` starts in the small
