@@ -12,6 +12,11 @@
 //! transitive closure of a fixed digraph, run to quiescence, where each
 //! step applies `T_P`.
 //!
+//! `net-setup` times the set-up stages of a sparse flood —
+//! `Network::grid`, `HorizontalPartition::concentrate` and
+//! `Configuration::initial_lean` — at 10⁴, 3·10⁴ and 10⁵ nodes, so a
+//! row divided by its node count is a set-up cost per node.
+//!
 //! On a multicore host the sharded executor should beat serial from
 //! ~256 nodes at 4 threads (per-node heartbeat/delivery steps dominate
 //! and parallelize; the barrier merge is cheap). On a single-core host
@@ -209,6 +214,40 @@ fn bench_sparse_frontier(c: &mut Criterion) {
     group.finish();
 }
 
+/// The set-up of the Dedup flood of one fact from `n0` (perfbench's
+/// flood-sparse set-up) as a size curve: each stage of it at 10⁴,
+/// 3·10⁴ and 10⁵ nodes. A row includes dropping what it built.
+fn bench_net_setup(c: &mut Criterion) {
+    let schema = Schema::new().with("S", 1);
+    let input = set_input(1);
+    let t = flood_transducer(&schema, FloodMode::Dedup, None).unwrap();
+    let origin = NodeId::sym("n0");
+    let mut group = c.benchmark_group("net-setup");
+    group.sample_size(5);
+    for (label, w, h) in [
+        ("10k", 500usize, 20usize),
+        ("30k", 1000, 30),
+        ("100k", 1000, 100),
+    ] {
+        group.bench_function(BenchmarkId::new("grid", label), |b| {
+            b.iter_with(net_cal(), || Network::grid(w, h).unwrap().len())
+        });
+        let net = Network::grid(w, h).unwrap();
+        group.bench_function(BenchmarkId::new("concentrate", label), |b| {
+            b.iter_with(net_cal(), || {
+                HorizontalPartition::concentrate(&net, &input, &origin).unwrap()
+            })
+        });
+        let p = HorizontalPartition::concentrate(&net, &input, &origin).unwrap();
+        group.bench_function(BenchmarkId::new("initial-lean", label), |b| {
+            b.iter_with(net_cal(), || {
+                Configuration::initial_lean(&net, &t, &p).unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 /// `m` distinct directed edges `E(a, b)` over `n` vertices, no
 /// self-loops, drawn from a fixed xorshift stream: the same digraph on
 /// every run.
@@ -265,6 +304,7 @@ criterion_group!(
     bench_thread_sweep,
     bench_delivery_batching,
     bench_sparse_frontier,
+    bench_net_setup,
     bench_sharded_tc
 );
 criterion_main!(benches);

@@ -6,14 +6,20 @@
 //! (the proof of Theorem 16 constructs a run with FIFO buffers), LIFO
 //! behaviour, or arbitrary reorderings — the multiset semantics is
 //! recovered by ignoring the order.
+//!
+//! A configuration is stored by dense node index, like its
+//! [`Network`]: one shared, name-sorted node list, and the states,
+//! buffers and last additions as vectors in that order. Names remain
+//! the identity and the order everything observable follows.
 
 use crate::error::NetError;
 use crate::partition::HorizontalPartition;
 use crate::topology::{Network, NodeId};
 use rtx_relational::{Fact, FactMultiset, Instance, Relation};
 use rtx_transducer::{all_relation, Added, Transducer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// What kind of global transition happened.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,20 +120,26 @@ impl FromIterator<TransitionRecord> for TransitionLog {
 /// A configuration of a transducer network.
 #[derive(Clone)]
 pub struct Configuration {
-    states: BTreeMap<NodeId, Instance>,
-    buffers: BTreeMap<NodeId, Vec<Fact>>,
+    /// The nodes, strictly ascending by name; position `i` of each
+    /// vector below belongs to `nodes[i]`. Shared by handle with the
+    /// [`Network`] the configuration was built on, if any
+    /// ([`Configuration::from_parts`] builds its own).
+    nodes: Arc<[NodeId]>,
+    states: Vec<Instance>,
+    buffers: Vec<Vec<Fact>>,
     /// Each node's last transition's
     /// [`StepResult::added`](rtx_transducer::StepResult::added), which
-    /// its next transition reads ([`Transducer::step_after`]). Not part of
-    /// the configuration's value: equality and `Debug` ignore it, and
+    /// its next transition reads ([`Transducer::step_after`]); empty
+    /// until a transition reports additions. Not part of the
+    /// configuration's value: equality and `Debug` ignore it, and
     /// [`Configuration::into_parts`] drops it, so a node's first
     /// transition after a reassembly evaluates in full.
-    added: BTreeMap<NodeId, Added>,
+    added: Vec<Option<Added>>,
 }
 
 impl PartialEq for Configuration {
     fn eq(&self, other: &Self) -> bool {
-        self.states == other.states && self.buffers == other.buffers
+        self.nodes == other.nodes && self.states == other.states && self.buffers == other.buffers
     }
 }
 
@@ -181,31 +193,56 @@ impl Configuration {
     }
 
     /// The initial configuration with every node sharing `all` as its
-    /// `All` relation.
+    /// `All` relation. The partition's fragments are in node order too,
+    /// so one walk pairs each node with its fragment.
     fn with_all(
         net: &Network,
         transducer: &Transducer,
         partition: &HorizontalPartition,
         all: &Relation,
     ) -> Result<Self, NetError> {
-        let mut states = BTreeMap::new();
-        let mut buffers = BTreeMap::new();
+        let mut fragments = partition.iter().peekable();
+        let mut states = Vec::with_capacity(net.len());
         for node in net.nodes() {
-            let fragment = partition
-                .fragment(node)
-                .ok_or_else(|| NetError::Partition(format!("no fragment for node {node}")))?;
+            // Skip fragments of nodes the network lacks.
+            while fragments.next_if(|(n, _)| *n < node).is_some() {}
+            let Some((_, fragment)) = fragments.next_if(|(n, _)| *n == node) else {
+                return Err(NetError::Partition(format!("no fragment for node {node}")));
+            };
             let state = transducer
                 .schema()
                 .initial_state_with_all(fragment, node, all)
                 .map_err(NetError::Rel)?;
-            states.insert(*node, state);
-            buffers.insert(*node, Vec::new());
+            states.push(state);
         }
-        Ok(Configuration {
+        Ok(Configuration::from_vectors(
+            Arc::clone(net.node_list()),
+            states,
+            vec![Vec::new(); net.len()],
+        ))
+    }
+
+    /// A configuration over `nodes` (strictly ascending), with
+    /// `states` and `buffers` in the same order.
+    pub(crate) fn from_vectors(
+        nodes: Arc<[NodeId]>,
+        states: Vec<Instance>,
+        buffers: Vec<Vec<Fact>>,
+    ) -> Self {
+        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(states.len() == nodes.len() && buffers.len() == nodes.len());
+        Configuration {
+            nodes,
             states,
             buffers,
-            added: BTreeMap::new(),
-        })
+            added: Vec::new(),
+        }
+    }
+
+    /// The node list, states and buffers, in node order (the inverse of
+    /// [`Configuration::from_vectors`]).
+    pub(crate) fn into_vectors(self) -> (Arc<[NodeId]>, Vec<Instance>, Vec<Vec<Fact>>) {
+        (self.nodes, self.states, self.buffers)
     }
 
     /// Decompose into per-node `(state, buffer)` pairs, in node order.
@@ -216,40 +253,50 @@ impl Configuration {
     /// coordinator, which merges outboxes into them in a fixed order.
     /// [`Configuration::from_parts`] reassembles the configuration.
     pub fn into_parts(self) -> Vec<(NodeId, Instance, Vec<Fact>)> {
-        let mut buffers = self.buffers;
-        self.states
-            .into_iter()
-            .map(|(n, st)| {
-                let buf = buffers.remove(&n).unwrap_or_default();
-                (n, st, buf)
-            })
+        self.nodes
+            .iter()
+            .copied()
+            .zip(self.states)
+            .zip(self.buffers)
+            .map(|((n, st), buf)| (n, st, buf))
             .collect()
     }
 
     /// Reassemble a configuration from per-node parts (inverse of
-    /// [`Configuration::into_parts`]).
+    /// [`Configuration::into_parts`]). The parts may come in any order;
+    /// of two parts for one node, the later wins.
     pub fn from_parts(parts: impl IntoIterator<Item = (NodeId, Instance, Vec<Fact>)>) -> Self {
-        let mut states = BTreeMap::new();
-        let mut buffers = BTreeMap::new();
-        for (n, st, buf) in parts {
-            states.insert(n, st);
-            buffers.insert(n, buf);
+        let mut parts: Vec<(NodeId, Instance, Vec<Fact>)> = parts.into_iter().collect();
+        // A stable sort keeps repeated nodes in their given order.
+        parts.sort_by_key(|p| p.0);
+        let mut nodes = Vec::with_capacity(parts.len());
+        let mut states = Vec::with_capacity(parts.len());
+        let mut buffers = Vec::with_capacity(parts.len());
+        let mut parts = parts.into_iter().peekable();
+        while let Some((n, st, buf)) = parts.next() {
+            if parts.peek().is_some_and(|(m, _, _)| *m == n) {
+                continue;
+            }
+            nodes.push(n);
+            states.push(st);
+            buffers.push(buf);
         }
-        Configuration {
-            states,
-            buffers,
-            added: BTreeMap::new(),
-        }
+        Configuration::from_vectors(nodes.into(), states, buffers)
+    }
+
+    /// The position of `node` in the node order.
+    fn position(&self, node: &NodeId) -> Option<usize> {
+        self.nodes.binary_search(node).ok()
     }
 
     /// The state of a node.
     pub fn state(&self, node: &NodeId) -> Option<&Instance> {
-        self.states.get(node)
+        self.position(node).map(|i| &self.states[i])
     }
 
     /// The message buffer of a node, in arrival order.
     pub fn buffer(&self, node: &NodeId) -> &[Fact] {
-        self.buffers.get(node).map(Vec::as_slice).unwrap_or(&[])
+        self.position(node).map_or(&[], |i| &self.buffers[i])
     }
 
     /// The buffer of a node as a multiset (order-insensitive view).
@@ -259,27 +306,29 @@ impl Configuration {
 
     /// Are all buffers empty?
     pub fn all_buffers_empty(&self) -> bool {
-        self.buffers.values().all(Vec::is_empty)
+        self.buffers.iter().all(Vec::is_empty)
     }
 
     /// Total number of undelivered messages.
     pub fn buffered_total(&self) -> usize {
-        self.buffers.values().map(Vec::len).sum()
+        self.buffers.iter().map(Vec::len).sum()
     }
 
     /// Nodes with a nonempty buffer, in order.
     pub fn nodes_with_mail(&self) -> impl Iterator<Item = &NodeId> {
-        self.buffers
+        self.nodes
             .iter()
+            .zip(&self.buffers)
             .filter(|(_, b)| !b.is_empty())
             .map(|(n, _)| n)
     }
 
     /// Check that this configuration is over exactly `net`'s nodes —
     /// a configuration built for another network would leave a node
-    /// without a buffer or never schedule one.
+    /// without a buffer or never schedule one. Then the configuration's
+    /// positions are the network's indices.
     pub(crate) fn check_network(&self, net: &Network) -> Result<(), NetError> {
-        if self.states.keys().eq(net.nodes()) {
+        if self.nodes == *net.node_list() {
             Ok(())
         } else {
             Err(NetError::Topology(
@@ -308,10 +357,10 @@ impl Configuration {
         node: &NodeId,
         index: usize,
     ) -> Result<TransitionRecord, NetError> {
-        let buf = self
-            .buffers
-            .get_mut(node)
+        let i = self
+            .position(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
+        let buf = &mut self.buffers[i];
         if index >= buf.len() {
             return Err(NetError::Partition(format!(
                 "delivery index {index} out of range for node {node} (buffer has {})",
@@ -338,44 +387,44 @@ impl Configuration {
         received: Instance,
         kind: TransitionKind,
     ) -> Result<TransitionRecord, NetError> {
-        let state = self
-            .states
-            .get(node)
+        let i = self
+            .position(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
         if !net.contains(node) {
             return Err(NetError::Topology(format!(
                 "node {node} is not in the network"
             )));
         }
-        let no_buffer = |m: &NodeId| NetError::Topology(format!("neighbor {m} has no buffer"));
-        if let Some(m) = net.neighbors(node).find(|m| !self.buffers.contains_key(m)) {
-            return Err(no_buffer(m));
-        }
+        // The neighbours' positions here, ascending.
+        let targets: Vec<usize> = net
+            .neighbors(node)
+            .map(|m| {
+                self.position(m)
+                    .ok_or_else(|| NetError::Topology(format!("neighbor {m} has no buffer")))
+            })
+            .collect::<Result<_, _>>()?;
+        let prev = self.added.get(i).and_then(Option::as_ref);
         let res = transducer
-            .step_after(state, &received, self.added.get(node))
+            .step_after(&self.states[i], &received, prev)
             .map_err(NetError::Eval)?;
         let sent: Vec<Fact> = res.sent.facts().collect();
-        let mut enqueued = 0usize;
-        for neighbor in net.neighbors(node) {
-            let buf = self
-                .buffers
-                .get_mut(neighbor)
-                .ok_or_else(|| no_buffer(neighbor))?;
-            buf.extend(sent.iter().cloned());
-            enqueued += sent.len();
+        for &j in &targets {
+            self.buffers[j].extend(sent.iter().cloned());
         }
-        self.states.insert(*node, res.new_state);
-        match res.added {
-            Some(added) => self.added.insert(*node, added),
-            None => self.added.remove(node),
-        };
+        self.states[i] = res.new_state;
+        if res.added.is_some() && self.added.is_empty() {
+            self.added.resize_with(self.nodes.len(), || None);
+        }
+        if let Some(slot) = self.added.get_mut(i) {
+            *slot = res.added;
+        }
         Ok(TransitionRecord {
             node: *node,
             round: 0,
             kind,
             output: res.output,
             sent_facts: sent.len(),
-            enqueued,
+            enqueued: sent.len() * targets.len(),
             state_changed: res.state_changed,
         })
     }
@@ -530,12 +579,12 @@ pub(crate) fn wipe_memory_relations(
 impl fmt::Debug for Configuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "configuration:")?;
-        for (n, st) in &self.states {
+        for ((n, st), buf) in self.nodes.iter().zip(&self.states).zip(&self.buffers) {
             writeln!(
                 f,
                 "  {n}: state {} facts, buffer {} msgs",
                 st.fact_count(),
-                self.buffer(n).len()
+                buf.len()
             )?;
         }
         Ok(())

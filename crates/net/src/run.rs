@@ -372,9 +372,10 @@ pub fn run_from(
     cfg.check_network(net)?;
     let t0 = rtx_obs::counting().then(std::time::Instant::now);
     let arity = transducer.schema().output_arity();
-    let mut outputs_per_node: BTreeMap<NodeId, Relation> =
-        net.nodes().map(|n| (*n, Relation::empty(arity))).collect();
+    // Each node's accumulated output, by network index.
+    let mut outputs_per_node: Vec<Relation> = vec![Relation::empty(arity); net.len()];
     let mut output = Relation::empty(arity);
+    let initial_buffered = cfg.buffered_total();
     let mut steps = 0usize;
     let mut heartbeats = 0usize;
     let mut deliveries = 0usize;
@@ -385,11 +386,22 @@ pub fn run_from(
     // Returns whether the global output grew.
     let absorb = |rec: &TransitionRecord,
                   output: &mut Relation,
-                  outputs_per_node: &mut BTreeMap<NodeId, Relation>|
+                  outputs_per_node: &mut [Relation]|
      -> Result<bool, NetError> {
-        let per = outputs_per_node.get_mut(&rec.node).expect("known node");
-        accumulate(per, &rec.output)?;
+        if let Some(i) = net.index_of(&rec.node) {
+            accumulate(&mut outputs_per_node[i], &rec.output)?;
+        }
         accumulate(output, &rec.output)
+    };
+    // Message conservation, checked in debug builds after every step:
+    // each copy buffered at the start or enqueued since was delivered
+    // or is still buffered.
+    let conserved = |cfg: &Configuration, enqueued: usize, delivered: usize| {
+        debug_assert_eq!(
+            initial_buffered + enqueued,
+            delivered + cfg.buffered_total(),
+            "messages are not conserved (initial + enqueued vs delivered + buffered)"
+        );
     };
 
     'outer: while steps < budget.max_steps {
@@ -404,14 +416,15 @@ pub fn run_from(
             // round is a no-op (and produced no new output), the
             // configuration repeats forever: quiescence.
             let mut all_quiet = true;
-            for n in net.node_set() {
+            for n in net.nodes() {
                 if steps >= budget.max_steps {
                     break 'outer;
                 }
-                let rec = cfg.apply_heartbeat(net, transducer, &n)?;
+                let rec = cfg.apply_heartbeat(net, transducer, n)?;
                 steps += 1;
                 heartbeats += 1;
                 messages_enqueued += rec.enqueued;
+                conserved(&cfg, messages_enqueued, deliveries);
                 let new_out = absorb(&rec, &mut output, &mut outputs_per_node)?;
                 if rec.state_changed || rec.sent_facts > 0 || new_out {
                     all_quiet = false;
@@ -436,6 +449,7 @@ pub fn run_from(
         };
         steps += 1;
         messages_enqueued += rec.enqueued;
+        conserved(&cfg, messages_enqueued, deliveries);
         absorb(&rec, &mut output, &mut outputs_per_node)?;
     }
 
@@ -447,7 +461,7 @@ pub fn run_from(
 
     let out = RunOutcome {
         output,
-        outputs_per_node,
+        outputs_per_node: net.nodes().copied().zip(outputs_per_node).collect(),
         steps,
         heartbeats,
         deliveries,
@@ -496,8 +510,8 @@ pub fn run_heartbeats_only(
     let mut output = Relation::empty(arity);
     for round in 0..max_rounds {
         let mut quiet = true;
-        for n in net.node_set() {
-            let rec = cfg.apply_heartbeat(net, transducer, &n)?;
+        for n in net.nodes() {
+            let rec = cfg.apply_heartbeat(net, transducer, n)?;
             let new_out = accumulate(&mut output, &rec.output)?;
             if rec.state_changed || new_out {
                 quiet = false;

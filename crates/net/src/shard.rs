@@ -54,7 +54,7 @@ use rtx_obs::trace;
 use rtx_relational::{Fact, Instance, Relation};
 use rtx_transducer::{Added, Transducer};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 
 /// How many buffered facts each node may deliver per round.
 ///
@@ -178,6 +178,10 @@ enum JobKind {
 /// A phase job: the target node index plus what to do there.
 type Job = (usize, JobKind);
 
+/// A phase job as a worker shard receives it: its position in the
+/// phase, then the job.
+type ShardJob = (usize, usize, JobKind);
+
 /// Phase execution backends. Both compute, for each job `(idx, rcv)`,
 /// the local transition of node `idx` and update that node's state;
 /// the coordinator merges the results identically for both, which is
@@ -219,7 +223,7 @@ struct ShardedEngine<'scope> {
     /// Shard owning each node index.
     owner: Vec<usize>,
     /// Per-worker job senders.
-    to_workers: Vec<mpsc::Sender<Vec<Job>>>,
+    to_workers: Vec<mpsc::Sender<Vec<ShardJob>>>,
     /// Shared reply channel.
     from_workers: mpsc::Receiver<WorkerReply>,
     /// Scoped worker handles (joined on drop of the scope).
@@ -228,37 +232,44 @@ struct ShardedEngine<'scope> {
 }
 
 enum WorkerReply {
-    /// Phase results, or the failing node's index plus its error.
+    /// Phase results, each with its job's position in the phase, or the
+    /// failing node's index plus its error.
     Phase(Result<Vec<(usize, StepOut)>, (usize, NetError)>),
     Final(Vec<(usize, Instance)>),
 }
 
 impl Engine<'_> {
-    /// Execute one phase. Returns the step results keyed by node index.
-    fn execute(&mut self, jobs: Vec<Job>) -> Result<BTreeMap<usize, StepOut>, NetError> {
+    /// Execute one phase. Returns the step results in job order.
+    fn execute(&mut self, jobs: Vec<Job>) -> Result<Vec<StepOut>, NetError> {
         match self {
             Engine::Serial {
                 states,
                 added,
                 transducer,
             } => {
-                let mut out = BTreeMap::new();
+                let mut out = Vec::with_capacity(jobs.len());
                 for (idx, received) in jobs {
                     let slot = added.get_mut(idx);
-                    let res = step_node(transducer, &mut states[idx], slot, received, idx)?;
-                    out.insert(idx, res);
+                    out.push(step_node(
+                        transducer,
+                        &mut states[idx],
+                        slot,
+                        received,
+                        idx,
+                    )?);
                 }
                 Ok(out)
             }
             Engine::Sharded(sh) => {
-                let mut batches: Vec<Vec<Job>> = vec![Vec::new(); sh.to_workers.len()];
-                for (idx, received) in jobs {
-                    batches[sh.owner[idx]].push((idx, received));
+                let n_jobs = jobs.len();
+                let mut batches: Vec<Vec<ShardJob>> = vec![Vec::new(); sh.to_workers.len()];
+                for (pos, (idx, received)) in jobs.into_iter().enumerate() {
+                    batches[sh.owner[idx]].push((pos, idx, received));
                 }
                 for (tx, batch) in sh.to_workers.iter().zip(batches) {
                     tx.send(batch).map_err(|_| worker_gone())?;
                 }
-                let mut out = BTreeMap::new();
+                let mut out: Vec<Option<StepOut>> = (0..n_jobs).map(|_| None).collect();
                 // Keep the error of the lowest node index, so the
                 // reported error matches the serial engine's (which
                 // fails at the first erroring job in node order)
@@ -267,8 +278,8 @@ impl Engine<'_> {
                 for _ in 0..sh.to_workers.len() {
                     match sh.from_workers.recv().map_err(|_| worker_gone())? {
                         WorkerReply::Phase(Ok(results)) => {
-                            for (idx, res) in results {
-                                out.insert(idx, res);
+                            for (pos, res) in results {
+                                out[pos] = Some(res);
                             }
                         }
                         WorkerReply::Phase(Err((idx, e))) => {
@@ -281,7 +292,7 @@ impl Engine<'_> {
                 }
                 match first_err {
                     Some((_, e)) => Err(e),
-                    None => Ok(out),
+                    None => out.into_iter().map(|r| r.ok_or_else(worker_gone)).collect(),
                 }
             }
         }
@@ -466,32 +477,6 @@ pub(crate) enum Parking {
     WhenQuiet,
 }
 
-/// A configuration decomposed into indexed parallel arrays: node ids,
-/// states, buffers, and adjacency (neighbor indices).
-type Decomposed = (Vec<NodeId>, Vec<Instance>, Vec<Vec<Fact>>, Vec<Vec<usize>>);
-
-/// Validate `cfg` against `net` and decompose it into the indexed shape
-/// the coordinator works on. The adjacency lists are in node-index
-/// order; BTreeSet neighbor order coincides with ascending node order,
-/// matching the serial drivers' enqueue order.
-fn decompose(net: &Network, cfg: Configuration) -> Result<Decomposed, NetError> {
-    cfg.check_network(net)?;
-    let parts = cfg.into_parts();
-    let nodes: Vec<NodeId> = parts.iter().map(|(n, _, _)| *n).collect();
-    let mut states: Vec<Instance> = Vec::with_capacity(parts.len());
-    let mut buffers: Vec<Vec<Fact>> = Vec::with_capacity(parts.len());
-    for (_, st, buf) in parts {
-        states.push(st);
-        buffers.push(buf);
-    }
-    let index: BTreeMap<&NodeId, usize> = nodes.iter().enumerate().map(|(i, n)| (n, i)).collect();
-    let adj: Vec<Vec<usize>> = nodes
-        .iter()
-        .map(|n| net.neighbors(n).map(|m| index[m]).collect())
-        .collect();
-    Ok((nodes, states, buffers, adj))
-}
-
 /// Spawn `threads` worker shards inside `scope`, each owning a
 /// contiguous block of the node order (topology-aware for
 /// line/ring/grid namings, where adjacent nodes tend to be adjacent in
@@ -514,7 +499,7 @@ fn spawn_sharded_engine<'scope, 'env>(
     let mut to_workers = Vec::with_capacity(threads);
     let mut handles = Vec::with_capacity(threads);
     for shard in shard_states {
-        let (job_tx, job_rx) = mpsc::channel::<Vec<Job>>();
+        let (job_tx, job_rx) = mpsc::channel::<Vec<ShardJob>>();
         to_workers.push(job_tx);
         let reply_tx = reply_tx.clone();
         handles.push(scope.spawn(move || worker_loop(transducer, shard, job_rx, reply_tx)));
@@ -527,8 +512,13 @@ fn spawn_sharded_engine<'scope, 'env>(
     })
 }
 
-/// Decompose `cfg`, start the engine `opts.threads` asks for, and drive
-/// the run under `parking`. Every round-based entry point lands here.
+/// Validate `cfg` against `net`, start the engine `opts.threads` asks
+/// for, and drive the run under `parking`. Every round-based entry
+/// point lands here. Configuration and network index their nodes
+/// alike, by name, so the coordinator works on the configuration's
+/// vectors and reads adjacency from the network
+/// ([`Network::neighbor_indices`], ascending — the serial drivers'
+/// enqueue order).
 pub(crate) fn run_rounds(
     net: &Network,
     transducer: &Transducer,
@@ -538,7 +528,8 @@ pub(crate) fn run_rounds(
     faults: Option<&mut dyn FaultHook>,
     parking: Parking,
 ) -> Result<ShardRunOutcome, NetError> {
-    let (nodes, states, buffers, adj) = decompose(net, cfg)?;
+    cfg.check_network(net)?;
+    let (nodes, states, buffers) = cfg.into_vectors();
     let threads = opts.threads.min(nodes.len()).max(1);
     std::thread::scope(|scope| {
         let engine = if threads > 1 {
@@ -551,7 +542,7 @@ pub(crate) fn run_rounds(
                 transducer,
             }
         };
-        let barrier = Barrier::new(transducer, &nodes, &adj, buffers, faults, opts, parking);
+        let barrier = Barrier::new(transducer, net, nodes, buffers, faults, opts, parking);
         drive(barrier, engine, threads, opts, budget, parking)
     })
 }
@@ -562,26 +553,21 @@ pub(crate) fn run_rounds(
 fn worker_loop(
     transducer: &Transducer,
     mut shard: Vec<(usize, Instance)>,
-    jobs: mpsc::Receiver<Vec<Job>>,
+    jobs: mpsc::Receiver<Vec<ShardJob>>,
     replies: mpsc::Sender<WorkerReply>,
 ) {
-    let mut slot: BTreeMap<usize, usize> = shard
-        .iter()
-        .enumerate()
-        .map(|(pos, (idx, _))| (*idx, pos))
-        .collect();
+    // The shard owns a contiguous block of node indices from `first`.
+    let first = shard.first().map_or(0, |(idx, _)| *idx);
     let mut added = AddedSlots::new(transducer, shard.len());
     while let Ok(batch) = jobs.recv() {
         let mut results = Vec::with_capacity(batch.len());
         let mut err = None;
-        for (idx, received) in batch {
-            let pos = match slot.get(&idx) {
-                Some(&p) => p,
-                None => {
-                    err = Some((idx, worker_gone()));
-                    break;
-                }
-            };
+        for (job_pos, idx, received) in batch {
+            let pos = idx.wrapping_sub(first);
+            if shard.get(pos).is_none_or(|(owned, _)| *owned != idx) {
+                err = Some((idx, worker_gone()));
+                break;
+            }
             match step_node(
                 transducer,
                 &mut shard[pos].1,
@@ -589,7 +575,7 @@ fn worker_loop(
                 received,
                 idx,
             ) {
-                Ok(res) => results.push((idx, res)),
+                Ok(res) => results.push((job_pos, res)),
                 Err(e) => {
                     err = Some((idx, e));
                     break;
@@ -604,15 +590,16 @@ fn worker_loop(
             return; // coordinator went away
         }
     }
-    slot.clear();
     let _ = replies.send(WorkerReply::Final(shard));
 }
 
 /// Everything the barrier merge and the fault phase write: buffers,
 /// in-flight copies, the activation tracker, outputs, counters and log.
 struct Barrier<'a, 'f> {
-    nodes: &'a [NodeId],
-    adj: &'a [Vec<usize>],
+    /// The topology, read by index.
+    net: &'a Network,
+    /// The network's nodes, by index.
+    nodes: Arc<[NodeId]>,
     faults: Option<&'f mut dyn FaultHook>,
     buffers: Vec<Vec<Fact>>,
     /// In-flight copies under fault injection: maturity round → the
@@ -624,16 +611,21 @@ struct Barrier<'a, 'f> {
     /// armed.
     act: ActivationSet,
     output: Relation,
-    outputs_per_node: BTreeMap<NodeId, Relation>,
+    /// Each node's accumulated output, by index.
+    outputs_per_node: Vec<Relation>,
     messages_enqueued: usize,
+    /// Message accounting for the conservation check: the copies
+    /// buffered at the start and those a crash's buffer loss discarded.
+    initial_buffered: usize,
+    lost_to_crashes: usize,
     log: Option<TransitionLog>,
 }
 
 impl<'a, 'f> Barrier<'a, 'f> {
     fn new(
         transducer: &Transducer,
-        nodes: &'a [NodeId],
-        adj: &'a [Vec<usize>],
+        net: &'a Network,
+        nodes: Arc<[NodeId]>,
         buffers: Vec<Vec<Fact>>,
         faults: Option<&'f mut dyn FaultHook>,
         opts: &ShardOptions,
@@ -650,19 +642,35 @@ impl<'a, 'f> Barrier<'a, 'f> {
             }
         }
         Barrier {
+            net,
+            outputs_per_node: vec![Relation::empty(arity); nodes.len()],
             nodes,
-            adj,
             faults,
+            initial_buffered: buffers.iter().map(Vec::len).sum(),
             buffers,
             held: BTreeMap::new(),
             act,
             output: Relation::empty(arity),
-            outputs_per_node: nodes
-                .iter()
-                .map(|nd| (*nd, Relation::empty(arity)))
-                .collect(),
             messages_enqueued: 0,
+            lost_to_crashes: 0,
             log: opts.record_log.then(TransitionLog::new),
+        }
+    }
+
+    /// Message conservation, checked in debug builds after every merge
+    /// and fault phase: every copy ever enqueued or buffered at the
+    /// start was delivered (one of `deliveries`), is still buffered, is
+    /// held in flight, or was lost with a crashed node's buffer.
+    fn check_conservation(&self, now: u64, deliveries: usize) {
+        if cfg!(debug_assertions) {
+            let buffered: usize = self.buffers.iter().map(Vec::len).sum();
+            let held: usize = self.held.values().map(Vec::len).sum();
+            assert_eq!(
+                self.initial_buffered + self.messages_enqueued,
+                deliveries + buffered + held + self.lost_to_crashes,
+                "round {now}: messages are not conserved \
+                 (initial + enqueued vs delivered + buffered + held + lost)"
+            );
         }
     }
 
@@ -675,21 +683,20 @@ impl<'a, 'f> Barrier<'a, 'f> {
         &mut self,
         now: u64,
         jobs: Vec<Job>,
-        mut results: BTreeMap<usize, StepOut>,
+        results: Vec<StepOut>,
     ) -> Result<Vec<(usize, bool)>, NetError> {
+        if results.len() != jobs.len() {
+            return Err(worker_gone());
+        }
         let mut quiet = Vec::with_capacity(jobs.len());
-        for (idx, kind) in jobs {
-            let mut res = results.remove(&idx).ok_or_else(worker_gone)?;
+        for ((idx, kind), mut res) in jobs.into_iter().zip(results) {
             trace::splice(std::mem::take(&mut res.events));
             let new_out = accumulate(&mut self.output, &res.output)?;
             quiet.push((idx, !res.state_changed && res.sent.is_empty() && !new_out));
-            let per = self
-                .outputs_per_node
-                .get_mut(&self.nodes[idx])
-                .expect("known node");
-            accumulate(per, &res.output)?;
+            accumulate(&mut self.outputs_per_node[idx], &res.output)?;
             let mut enqueued = 0usize;
-            for &d in &self.adj[idx] {
+            for &d in self.net.neighbor_indices(idx) {
+                let d = d as usize;
                 match self.faults.as_deref_mut() {
                     None => {
                         for f in &res.sent {
@@ -830,6 +837,7 @@ fn drive(
                         *d = true;
                         rtx_obs::event!("net", "fault.crash", "node" => i, "lose_buffer" => lose_buffer as i64);
                         if lose_buffer {
+                            bar.lost_to_crashes += bar.buffers[i].len();
                             bar.buffers[i].clear();
                             bar.act.note_buffer_lost(i);
                         }
@@ -852,11 +860,12 @@ fn drive(
                 // Execute the wipes as their own phase; the StepOuts
                 // carry no outputs or sends by construction, so only
                 // their trace events are kept (in node order).
-                for (_, mut res) in engine.execute(wipes)? {
+                for mut res in engine.execute(wipes)? {
                     trace::splice(std::mem::take(&mut res.events));
                 }
             }
             fault_horizon_passed = now > fh.quiet_after() && bar.held.is_empty();
+            bar.check_conservation(now, deliveries);
         }
 
         // Stability probe. A parking run certifies quiescence in
@@ -902,6 +911,7 @@ fn drive(
         let hb_span = trace::span("net", "phase.heartbeat", &[("jobs", hb_count as i64)]);
         let results = engine.execute(hb_jobs.clone())?;
         let quiet = bar.merge(now, hb_jobs, results)?;
+        bar.check_conservation(now, deliveries);
         if parks {
             let arm_tracing = rtx_obs::tracing();
             for &(idx, q) in &quiet {
@@ -983,6 +993,7 @@ fn drive(
             bar.merge(now, dl_jobs, results)?;
             steps += dl_count;
             deliveries += dl_count;
+            bar.check_conservation(now, deliveries);
             delivered_this_round += dl_count;
         }
         if hb_count == 0 && delivered_this_round == 0 {
@@ -1014,18 +1025,17 @@ fn drive(
     }
 
     let states = engine.finish(n)?;
-    let final_config = Configuration::from_parts(
-        bar.nodes
-            .iter()
-            .cloned()
-            .zip(states)
-            .zip(bar.buffers)
-            .map(|((nd, st), buf)| (nd, st, buf)),
-    );
+    let outputs_per_node = bar
+        .nodes
+        .iter()
+        .copied()
+        .zip(bar.outputs_per_node)
+        .collect();
+    let final_config = Configuration::from_vectors(bar.nodes, states, bar.buffers);
     let out = ShardRunOutcome {
         outcome: RunOutcome {
             output: bar.output,
-            outputs_per_node: bar.outputs_per_node,
+            outputs_per_node,
             steps,
             heartbeats,
             deliveries,

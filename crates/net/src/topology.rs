@@ -3,13 +3,26 @@
 //! A network is a finite, **connected**, undirected graph over a set of
 //! nodes drawn from **dom** (paper, Section 3) — connectivity is what
 //! lets information flow reach every node.
+//!
+//! # Representation
+//!
+//! Nodes are indexed densely by their position in name order, and the
+//! adjacency is stored by index in compressed sparse rows: one offsets
+//! array and one targets array, each node's neighbours ascending. A
+//! node therefore costs its name, one offset and its edges. Names
+//! remain the public identity and the order: [`Network::nodes`] and
+//! [`Network::neighbors`] yield names ascending, exactly as a
+//! name-keyed map would, and the by-name accessors find a node's index
+//! by binary search in the sorted node list. The round coordinator
+//! works on the indices directly.
 
 use crate::error::NetError;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rtx_relational::Value;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 
 /// A node identifier — a plain data element, since the paper stores node
 /// ids in relations (`Id`, `All`).
@@ -18,72 +31,132 @@ pub type NodeId = Value;
 /// A finite connected undirected graph.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Network {
-    adj: BTreeMap<NodeId, BTreeSet<NodeId>>,
+    /// The nodes, strictly ascending by name; a node's index is its
+    /// position. Shared by handle with the configurations built on it.
+    nodes: Arc<[NodeId]>,
+    /// Node `i`'s neighbours are `targets[offsets[i]..offsets[i + 1]]`,
+    /// ascending.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+/// An index in the network's `u32` index space.
+fn index32(i: usize) -> u32 {
+    u32::try_from(i).expect("a network has fewer than 2^32 nodes and edges")
 }
 
 impl Network {
     /// Build from explicit nodes and undirected edges.
     ///
     /// Validates: at least one node, edges reference known nodes, no
-    /// self-loops, and the graph is connected.
+    /// self-loops, and the graph is connected. Repeated nodes and
+    /// repeated edges count once.
     pub fn from_edges(
         nodes: impl IntoIterator<Item = NodeId>,
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Result<Self, NetError> {
-        let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> =
-            nodes.into_iter().map(|n| (n, BTreeSet::new())).collect();
-        if adj.is_empty() {
+        let mut names: Vec<NodeId> = nodes.into_iter().collect();
+        names.sort_unstable();
+        names.dedup();
+        if names.is_empty() {
             return Err(NetError::Topology(
                 "a network needs at least one node".into(),
             ));
         }
+        let mut pairs = Vec::new();
         for (a, b) in edges {
             if a == b {
                 return Err(NetError::Topology(format!("self-loop on node {a}")));
             }
-            if !adj.contains_key(&a) || !adj.contains_key(&b) {
-                return Err(NetError::Topology(format!(
-                    "edge ({a},{b}) references unknown node"
-                )));
+            match (names.binary_search(&a), names.binary_search(&b)) {
+                (Ok(i), Ok(j)) => {
+                    pairs.extend([(index32(i), index32(j)), (index32(j), index32(i))])
+                }
+                _ => {
+                    return Err(NetError::Topology(format!(
+                        "edge ({a},{b}) references unknown node"
+                    )))
+                }
             }
-            adj.get_mut(&a).unwrap().insert(b);
-            adj.get_mut(&b).unwrap().insert(a);
         }
-        let net = Network { adj };
+        let net = Network::from_pairs(names.into(), pairs);
         if !net.is_connected() {
             return Err(NetError::Topology("network is not connected".into()));
         }
         Ok(net)
     }
 
-    /// Build from edges known to form a connected graph by
-    /// construction (the shape generators below): same adjacency
-    /// structure as [`Network::from_edges`] but without the O(N+E) BFS
-    /// connectivity pass and its per-node clones, which keeps
-    /// generation cheap at 10⁵–10⁶ nodes. Connectivity and
-    /// self-loop-freedom are still asserted in debug builds.
-    fn from_edges_unchecked(
-        nodes: impl IntoIterator<Item = NodeId>,
-        edges: impl IntoIterator<Item = (NodeId, NodeId)>,
-    ) -> Self {
-        let mut adj: BTreeMap<NodeId, BTreeSet<NodeId>> =
-            nodes.into_iter().map(|n| (n, BTreeSet::new())).collect();
-        debug_assert!(!adj.is_empty());
+    /// Build from `k` generated node names and edges between their
+    /// generation indices, known to form a connected graph by
+    /// construction (the shape generators below): each name is built
+    /// and interned once, edges are wired by index, and the O(N+E)
+    /// connectivity pass is skipped, which keeps generation cheap at
+    /// 10⁵–10⁶ nodes. Connectivity and self-loop-freedom are still
+    /// asserted in debug builds.
+    fn generated(k: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        debug_assert!(k > 0);
+        // The names with their generation indices, in name order.
+        let mut named: Vec<(NodeId, usize)> = (0..k).map(|g| (Self::node_name(g), g)).collect();
+        named.sort_unstable();
+        let mut position = vec![0u32; k];
+        for (p, &(_, g)) in named.iter().enumerate() {
+            position[g] = index32(p);
+        }
+        let names: Arc<[NodeId]> = named.into_iter().map(|(n, _)| n).collect();
+        let mut pairs = Vec::new();
         for (a, b) in edges {
             debug_assert_ne!(a, b, "generator produced a self-loop");
-            adj.get_mut(&a)
-                .expect("generator names a known node")
-                .insert(b);
-            adj.get_mut(&b)
-                .expect("generator names a known node")
-                .insert(a);
+            let (i, j) = (position[a], position[b]);
+            pairs.extend([(i, j), (j, i)]);
         }
-        let net = Network { adj };
+        let net = Network::from_pairs(names, pairs);
         debug_assert!(
             net.is_connected(),
             "generator produced a disconnected graph"
         );
         net
+    }
+
+    /// The compressed rows of directed index pairs (each undirected edge
+    /// in both directions), by a counting sort into rows; each row is
+    /// then sorted and its repeats collapse.
+    fn from_pairs(nodes: Arc<[NodeId]>, pairs: Vec<(u32, u32)>) -> Self {
+        let n = nodes.len();
+        let mut offsets = vec![0u32; n + 1];
+        for &(i, _) in &pairs {
+            offsets[i as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut targets = vec![0u32; pairs.len()];
+        for (i, j) in pairs {
+            let c = &mut cursor[i as usize];
+            targets[*c as usize] = j;
+            *c += 1;
+        }
+        // Sort each row and compact it left past earlier rows' repeats.
+        let mut len = 0usize;
+        for i in 0..n {
+            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+            targets[start..end].sort_unstable();
+            offsets[i] = index32(len);
+            for r in start..end {
+                if r == start || targets[r] != targets[r - 1] {
+                    targets[len] = targets[r];
+                    len += 1;
+                }
+            }
+        }
+        offsets[n] = index32(len);
+        targets.truncate(len);
+        targets.shrink_to_fit();
+        Network {
+            nodes,
+            offsets,
+            targets,
+        }
     }
 
     fn node_name(i: usize) -> NodeId {
@@ -103,9 +176,7 @@ impl Network {
                 "a network needs at least one node".into(),
             ));
         }
-        let nodes: Vec<NodeId> = (0..k).map(Self::node_name).collect();
-        let edges = (1..k).map(|i| (Self::node_name(i - 1), Self::node_name(i)));
-        Ok(Network::from_edges_unchecked(nodes, edges))
+        Ok(Network::generated(k, (1..k).map(|i| (i - 1, i))))
     }
 
     /// A ring `n0 – n1 – … – n{k-1} – n0` (k ≥ 3).
@@ -113,9 +184,7 @@ impl Network {
         if k < 3 {
             return Err(NetError::Topology("a ring needs at least 3 nodes".into()));
         }
-        let nodes: Vec<NodeId> = (0..k).map(Self::node_name).collect();
-        let edges = (0..k).map(|i| (Self::node_name(i), Self::node_name((i + 1) % k)));
-        Ok(Network::from_edges_unchecked(nodes, edges))
+        Ok(Network::generated(k, (0..k).map(|i| (i, (i + 1) % k))))
     }
 
     /// The 4-ring `1–2–3–4–1` with an added chord `2–4` — the network
@@ -136,9 +205,7 @@ impl Network {
                 "a network needs at least one node".into(),
             ));
         }
-        let nodes: Vec<NodeId> = (0..k).map(Self::node_name).collect();
-        let edges = (1..k).map(|i| (Self::node_name(0), Self::node_name(i)));
-        Ok(Network::from_edges_unchecked(nodes, edges))
+        Ok(Network::generated(k, (1..k).map(|i| (0, i))))
     }
 
     /// The complete graph on `k` nodes.
@@ -163,8 +230,7 @@ impl Network {
                 "a grid needs at least one row and one column".into(),
             ));
         }
-        let at = |x: usize, y: usize| Self::node_name(y * w + x);
-        let nodes: Vec<NodeId> = (0..w * h).map(Self::node_name).collect();
+        let at = |x: usize, y: usize| y * w + x;
         let mut edges = Vec::new();
         for y in 0..h {
             for x in 0..w {
@@ -176,7 +242,7 @@ impl Network {
                 }
             }
         }
-        Ok(Network::from_edges_unchecked(nodes, edges))
+        Ok(Network::generated(w * h, edges))
     }
 
     /// [`Network::random_connected`] from a bare seed — the convenient
@@ -223,63 +289,79 @@ impl Network {
         Network::from_edges(nodes, edges)
     }
 
-    /// The nodes, in deterministic order.
+    /// The nodes, ascending by name.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeId> {
-        self.adj.keys()
+        self.nodes.iter()
     }
 
     /// The node set.
     pub fn node_set(&self) -> BTreeSet<NodeId> {
-        self.adj.keys().cloned().collect()
+        self.nodes.iter().copied().collect()
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.nodes.len()
     }
 
     /// Never true — construction requires at least one node.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.values().map(BTreeSet::len).sum::<usize>() / 2
+        self.targets.len() / 2
     }
 
     /// Does the network contain this node?
     pub fn contains(&self, n: &NodeId) -> bool {
-        self.adj.contains_key(n)
+        self.index_of(n).is_some()
     }
 
-    /// The neighbors of a node.
+    /// The neighbors of a node, ascending by name.
     pub fn neighbors(&self, n: &NodeId) -> impl Iterator<Item = &NodeId> {
-        self.adj.get(n).into_iter().flatten()
+        let row = self
+            .index_of(n)
+            .map_or(&[][..], |i| self.neighbor_indices(i));
+        row.iter().map(|&j| &self.nodes[j as usize])
+    }
+
+    /// The nodes in index order (ascending by name), shared by handle.
+    pub(crate) fn node_list(&self) -> &Arc<[NodeId]> {
+        &self.nodes
+    }
+
+    /// The index of a node: its position in [`Network::nodes`].
+    pub(crate) fn index_of(&self, n: &NodeId) -> Option<usize> {
+        self.nodes.binary_search(n).ok()
+    }
+
+    /// The indices of node `i`'s neighbours, ascending.
+    pub(crate) fn neighbor_indices(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Graph diameter (longest shortest path); `0` for a single node.
     pub fn diameter(&self) -> usize {
-        let mut best = 0;
-        for start in self.adj.keys() {
-            let dist = self.bfs(start);
-            if let Some(&d) = dist.values().max() {
-                best = best.max(d);
-            }
-        }
-        best
+        (0..self.len())
+            .map(|start| self.bfs(start).into_iter().flatten().max().unwrap_or(0))
+            .max()
+            .unwrap_or(0)
     }
 
-    fn bfs(&self, start: &NodeId) -> BTreeMap<NodeId, usize> {
-        let mut dist = BTreeMap::new();
-        dist.insert(*start, 0usize);
-        let mut queue = VecDeque::from([*start]);
-        while let Some(n) = queue.pop_front() {
-            let d = dist[&n];
-            for m in self.neighbors(&n) {
-                if !dist.contains_key(m) {
-                    dist.insert(*m, d + 1);
-                    queue.push_back(*m);
+    /// Hop distances from `start`, by index; `None` where unreachable.
+    fn bfs(&self, start: usize) -> Vec<Option<usize>> {
+        let mut dist = vec![None; self.len()];
+        dist[start] = Some(0);
+        let mut queue = VecDeque::from([start]);
+        while let Some(i) = queue.pop_front() {
+            let d = dist[i].unwrap_or(0) + 1;
+            for &j in self.neighbor_indices(i) {
+                let j = j as usize;
+                if dist[j].is_none() {
+                    dist[j] = Some(d);
+                    queue.push_back(j);
                 }
             }
         }
@@ -287,11 +369,7 @@ impl Network {
     }
 
     fn is_connected(&self) -> bool {
-        let start = match self.adj.keys().next() {
-            Some(s) => s,
-            None => return false,
-        };
-        self.bfs(start).len() == self.adj.len()
+        !self.is_empty() && self.bfs(0).iter().all(Option::is_some)
     }
 }
 
@@ -299,14 +377,14 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Network[{} nodes: ", self.len())?;
         let mut first = true;
-        for (n, nbrs) in &self.adj {
-            for m in nbrs {
-                if n < m {
+        for (i, n) in self.nodes.iter().enumerate() {
+            for &j in self.neighbor_indices(i) {
+                if i < j as usize {
                     if !first {
                         write!(f, ", ")?;
                     }
                     first = false;
-                    write!(f, "{n}–{m}")?;
+                    write!(f, "{n}–{}", self.nodes[j as usize])?;
                 }
             }
         }

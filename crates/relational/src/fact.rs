@@ -8,15 +8,17 @@ use crate::value::Value;
 use std::fmt;
 use std::sync::Arc;
 
-/// An interned relation name.
+/// A relation name.
 ///
-/// Relation names occur in every fact and every schema lookup, so they are
-/// interned (`Arc<str>`) to keep clones cheap and comparisons fast.
+/// Relation names occur in every fact and every schema lookup, so the
+/// text is reference-counted (`Arc<str>`) to keep clones cheap. Names are
+/// not interned: equality and order compare the text.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RelName(Arc<str>);
 
 impl RelName {
-    /// Intern a relation name.
+    /// A relation name over a fresh copy of `name`'s text. Each call
+    /// allocates; build a name used over and over once, and clone it.
     pub fn new(name: impl AsRef<str>) -> Self {
         RelName(Arc::from(name.as_ref()))
     }

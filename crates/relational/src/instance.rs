@@ -7,7 +7,7 @@ use crate::fact::{Fact, RelName};
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// An instance of a database schema.
@@ -16,10 +16,19 @@ use std::fmt;
 /// schema: looking up a declared-but-unpopulated relation yields the empty
 /// relation of the right arity, and inserting an undeclared or ill-sized
 /// fact is an error.
+///
+/// # Representation
+///
+/// The schema is shared by handle (see [`Schema`]). The populated
+/// relations sit in a vector sorted by name, found by binary search and
+/// sized exactly, so an instance costs its populated relations and
+/// nothing per declared name: a network node that holds one relation
+/// pays for one slot.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Instance {
     schema: Schema,
-    relations: BTreeMap<RelName, Relation>,
+    /// The populated relations, sorted by name, one entry per name.
+    relations: Vec<(RelName, Relation)>,
 }
 
 impl Instance {
@@ -27,7 +36,53 @@ impl Instance {
     pub fn empty(schema: Schema) -> Self {
         Instance {
             schema,
-            relations: BTreeMap::new(),
+            relations: Vec::new(),
+        }
+    }
+
+    /// The position of `name` among the populated relations, or where
+    /// it would be inserted.
+    fn position(&self, name: &RelName) -> Result<usize, usize> {
+        self.relations.binary_search_by(|(n, _)| n.cmp(name))
+    }
+
+    fn get(&self, name: &RelName) -> Option<&Relation> {
+        self.position(name).ok().map(|i| &self.relations[i].1)
+    }
+
+    fn get_mut(&mut self, name: &RelName) -> Option<&mut Relation> {
+        self.position(name).ok().map(|i| &mut self.relations[i].1)
+    }
+
+    /// The relation `name`, inserted empty at its sorted position if
+    /// unpopulated. The vector grows by exactly one slot.
+    fn entry(&mut self, name: &RelName, arity: usize) -> &mut Relation {
+        let i = match self.position(name) {
+            Ok(i) => i,
+            Err(i) => {
+                self.relations.reserve_exact(1);
+                self.relations
+                    .insert(i, (name.clone(), Relation::empty(arity)));
+                i
+            }
+        };
+        &mut self.relations[i].1
+    }
+
+    /// Replace (or insert) the relation `name`.
+    fn put(&mut self, name: RelName, rel: Relation) {
+        match self.position(&name) {
+            Ok(i) => self.relations[i].1 = rel,
+            Err(i) => {
+                self.relations.reserve_exact(1);
+                self.relations.insert(i, (name, rel));
+            }
+        }
+    }
+
+    fn remove(&mut self, name: &RelName) {
+        if let Ok(i) = self.position(name) {
+            self.relations.remove(i);
         }
     }
 
@@ -53,7 +108,7 @@ impl Instance {
     /// Declared but unpopulated relations are empty; undeclared names are
     /// an error.
     pub fn relation(&self, name: &RelName) -> Result<Relation, RelError> {
-        match self.relations.get(name) {
+        match self.get(name) {
             Some(r) => Ok(r.clone()),
             None => match self.schema.arity(name) {
                 Some(a) => Ok(Relation::empty(a)),
@@ -65,18 +120,14 @@ impl Instance {
     /// Borrowing lookup: `None` when the relation is unpopulated or
     /// undeclared (use [`Instance::relation`] for the validating form).
     pub fn relation_ref(&self, name: &RelName) -> Option<&Relation> {
-        self.relations.get(name)
+        self.get(name)
     }
 
     /// Insert a fact.
     pub fn insert_fact(&mut self, fact: Fact) -> Result<bool, RelError> {
         self.schema.check_fact(&fact)?;
         let (rel, tuple) = fact.into_parts();
-        let arity = tuple.arity();
-        self.relations
-            .entry(rel)
-            .or_insert_with(|| Relation::empty(arity))
-            .insert(tuple)
+        self.entry(&rel, tuple.arity()).insert(tuple)
     }
 
     /// Insert a whole relation under `name`, replacing the previous value.
@@ -88,14 +139,14 @@ impl Instance {
         let name = name.into();
         self.schema.check_relation(&name, rel.arity())?;
         if rel.is_empty() {
-            self.relations.remove(&name);
+            self.remove(&name);
         } else {
             // The bulk-rebuild point where a query output (landed as a
             // sorted run) or a shrunken relation re-enters the small
             // regime at or below the hysteresis floor.
             let mut rel = rel;
             rel.post_rebuild();
-            self.relations.insert(name, rel);
+            self.put(name, rel);
         }
         Ok(())
     }
@@ -109,18 +160,16 @@ impl Instance {
         if rel.is_empty() {
             return Ok(());
         }
-        match self.relations.get_mut(name) {
+        match self.get_mut(name) {
             Some(mine) => *mine = mine.union(rel)?,
-            None => {
-                self.relations.insert(name.clone(), rel.clone());
-            }
+            None => self.put(name.clone(), rel.clone()),
         }
         Ok(())
     }
 
     /// The populated relations, in name order.
     pub fn relations(&self) -> impl Iterator<Item = (&RelName, &Relation)> {
-        self.relations.iter()
+        self.relations.iter().map(|(n, r)| (n, r))
     }
 
     /// Snapshot the storage counters of every populated relation, in
@@ -146,18 +195,15 @@ impl Instance {
         if run.is_empty() {
             return Ok(0);
         }
-        self.relations
-            .entry(name.clone())
-            .or_insert_with(|| Relation::empty(run.arity()))
-            .absorb_run(run)
+        self.entry(name, run.arity()).absorb_run(run)
     }
 
     /// Remove a fact; `true` if present.
     pub fn remove_fact(&mut self, fact: &Fact) -> bool {
-        if let Some(r) = self.relations.get_mut(fact.rel()) {
+        if let Some(r) = self.get_mut(fact.rel()) {
             let removed = r.remove(fact.tuple());
             if r.is_empty() {
-                self.relations.remove(fact.rel());
+                self.remove(fact.rel());
             }
             removed
         } else {
@@ -167,8 +213,7 @@ impl Instance {
 
     /// Does the instance contain this fact?
     pub fn contains_fact(&self, fact: &Fact) -> bool {
-        self.relations
-            .get(fact.rel())
+        self.get(fact.rel())
             .map(|r| r.contains(fact.tuple()))
             .unwrap_or(false)
     }
@@ -182,17 +227,17 @@ impl Instance {
 
     /// Total number of facts.
     pub fn fact_count(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.iter().map(|(_, r)| r.len()).sum()
     }
 
     /// Is the instance empty (no facts)?
     pub fn is_empty(&self) -> bool {
-        self.relations.values().all(Relation::is_empty)
+        self.relations.iter().all(|(_, r)| r.is_empty())
     }
 
     /// The active domain: all data elements occurring in the instance.
     pub fn adom(&self) -> BTreeSet<Value> {
-        self.relations.values().flat_map(|r| r.adom()).collect()
+        self.relations.iter().flat_map(|(_, r)| r.adom()).collect()
     }
 
     /// Union of two instances (schemas merged compatibly). The paper forms
@@ -212,7 +257,9 @@ impl Instance {
     /// not the fact count.
     pub fn union_in(&self, other: &Instance, schema: Schema) -> Result<Instance, RelError> {
         let mut out = Instance::empty(schema);
-        for (name, rel) in self.relations.iter().chain(&other.relations) {
+        out.relations
+            .reserve_exact(self.relations.len() + other.relations.len());
+        for (name, rel) in self.relations().chain(other.relations()) {
             out.union_relation(name, rel)?;
         }
         Ok(out)
@@ -240,7 +287,7 @@ impl Instance {
                 }
                 Some(_) => {}
             }
-            if let Some(r) = self.relations.get(name) {
+            if let Some(r) = self.get(name) {
                 out.set_relation(name.clone(), r.clone())?;
             }
         }
@@ -268,8 +315,8 @@ impl Instance {
         let mut added = Vec::new();
         let mut removed = Vec::new();
         // Walk both sorted relation maps in lockstep.
-        let mut ours = self.relations.iter().peekable();
-        let mut theirs = from.relations.iter().peekable();
+        let mut ours = self.relations().peekable();
+        let mut theirs = from.relations().peekable();
         loop {
             match (ours.peek(), theirs.peek()) {
                 (None, None) => break,
@@ -344,10 +391,11 @@ impl Instance {
     /// injective map (see [`crate::iso::Iso`]).
     pub fn map_values(&self, mut h: impl FnMut(&Value) -> Value) -> Instance {
         let mut out = Instance::empty(self.schema.clone());
-        for (name, rel) in &self.relations {
-            let mapped = rel.map_values(&mut h);
-            out.relations.insert(name.clone(), mapped);
-        }
+        out.relations = self
+            .relations
+            .iter()
+            .map(|(name, rel)| (name.clone(), rel.map_values(&mut h)))
+            .collect();
         out
     }
 }

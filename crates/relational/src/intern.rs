@@ -17,13 +17,18 @@
 //! # Concurrency
 //!
 //! Interning (the write path) takes one of a fixed set of sharded
-//! mutexes. Resolution (the read path, hit on every symbol compare and
-//! every columnar row materialization) is lock-free: ids index into
+//! mutexes; each shard's forward map is a hash map keyed by the leaked
+//! text, so interning a name costs O(1) however many names came before
+//! (big integers share one hash map under one mutex). The maps are only
+//! ever probed, never iterated, so their order reaches nothing.
+//! Resolution (the read path, hit on every symbol compare and every
+//! columnar row materialization) is lock-free: ids index into
 //! append-only chunked tables whose slots are `OnceLock`s, so a reader
 //! never blocks on a writer.
 
+use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{LazyLock, Mutex, OnceLock};
 
 /// Number of doubling chunks in an append-only table: chunk `k` holds
 /// `64 << k` slots, for a total capacity beyond `2^30` ids.
@@ -79,27 +84,29 @@ impl<T> AppendTable<T> {
 }
 
 /// The global symbol interner: forward maps sharded by string hash,
-/// one shared reverse table indexed by id.
+/// one shared reverse table indexed by id. The maps keep std's
+/// randomly keyed hasher (names come from outside the program), so they
+/// are built on first use.
 struct SymInterner {
-    shards: [Mutex<Vec<(&'static str, u32)>>; SHARDS],
+    shards: LazyLock<[Mutex<HashMap<&'static str, u32>>; SHARDS]>,
     table: AppendTable<&'static str>,
     next: Mutex<u32>,
 }
 
 static SYMS: SymInterner = SymInterner {
-    shards: [const { Mutex::new(Vec::new()) }; SHARDS],
+    shards: LazyLock::new(|| std::array::from_fn(|_| Mutex::new(HashMap::new()))),
     table: AppendTable::new(),
     next: Mutex::new(0),
 };
 
 /// Big integers (outside [`Vid`]'s inline range) interned to ids.
 struct IntInterner {
-    map: Mutex<Vec<(i64, u32)>>,
+    map: LazyLock<Mutex<HashMap<i64, u32>>>,
     table: AppendTable<i64>,
 }
 
 static BIGINTS: IntInterner = IntInterner {
-    map: Mutex::new(Vec::new()),
+    map: LazyLock::new(|| Mutex::new(HashMap::new())),
     table: AppendTable::new(),
 };
 
@@ -130,7 +137,7 @@ impl Symbol {
         let mut shard = SYMS.shards[shard_of(s)]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if let Some(&(_, id)) = shard.iter().find(|(t, _)| *t == s) {
+        if let Some(&id) = shard.get(s) {
             return Symbol(id);
         }
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
@@ -142,7 +149,7 @@ impl Symbol {
             id
         };
         SYMS.table.set(id, leaked);
-        shard.push((leaked, id));
+        shard.insert(leaked, id);
         Symbol(id)
     }
 
@@ -212,13 +219,13 @@ const PAYLOAD: u32 = 0x3FFF_FFFF;
 
 fn intern_big(i: i64) -> u32 {
     let mut map = BIGINTS.map.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(&(_, id)) = map.iter().find(|(v, _)| *v == i) {
+    if let Some(&id) = map.get(&i) {
         return id;
     }
     let id = map.len() as u32;
     assert!(id <= PAYLOAD, "big-int interner exhausted");
     BIGINTS.table.set(id, i);
-    map.push((i, id));
+    map.insert(i, id);
     id
 }
 
@@ -404,6 +411,65 @@ mod tests {
                 assert_eq!(AppendTable::<u8>::locate(expected), (k, off));
                 expected += 1;
             }
+        }
+    }
+
+    /// A fixed-seed xorshift stream, so the tests below need no RNG crate.
+    fn xorshift(mut x: u64) -> impl Iterator<Item = u64> {
+        std::iter::from_fn(move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            Some(x)
+        })
+    }
+
+    #[test]
+    fn interning_twenty_thousand_names_twice_gives_equal_ids() {
+        let names: Vec<String> = (0..20_000).map(|i| format!("bulk-intern-{i}")).collect();
+        let first: Vec<u32> = names.iter().map(|n| Symbol::new(n).id()).collect();
+        let second: Vec<u32> = names.iter().map(|n| Symbol::new(n).id()).collect();
+        assert_eq!(first, second);
+        let distinct: std::collections::HashSet<u32> = first.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "distinct names, distinct ids");
+        for (n, &id) in names.iter().zip(&first) {
+            assert_eq!(Symbol(id).as_str(), n);
+        }
+    }
+
+    #[test]
+    fn symbol_order_is_string_order_on_random_pairs() {
+        let mut rng = xorshift(0x9e37_79b9_7f4a_7c15);
+        let mut word = || {
+            let len = (rng.next().unwrap() % 6) as usize;
+            (0..len)
+                .map(|_| (b'a' + (rng.next().unwrap() % 4) as u8) as char)
+                .collect::<String>()
+        };
+        for _ in 0..2_000 {
+            let (a, b) = (word(), word());
+            // Intern in either order, so ids disagree with string order
+            // about half the time.
+            let (sa, sb) = (Symbol::new(&a), Symbol::new(&b));
+            assert_eq!(sa.cmp(&sb), a.cmp(&b), "{a:?} vs {b:?}");
+            assert_eq!(sa == sb, a == b);
+        }
+    }
+
+    #[test]
+    fn big_integers_round_trip() {
+        let bigs: Vec<i64> = xorshift(42)
+            .take(5_000)
+            .map(|x| (x as i64) | (1 << 40))
+            .chain([i64::MIN, i64::MAX, -(1 << 30) - 1, 1 << 30])
+            .collect();
+        let first: Vec<Vid> = bigs
+            .iter()
+            .map(|&i| Vid::from_value(&Value::int(i)))
+            .collect();
+        for (&i, &v) in bigs.iter().zip(&first) {
+            assert_eq!(v.value(), Value::int(i));
+            assert_eq!(Vid::from_value(&Value::int(i)), v, "re-interning {i}");
         }
     }
 

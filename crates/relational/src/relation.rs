@@ -245,10 +245,12 @@ impl Relation {
     /// The current sorted run. The runs regime folds any pending tails
     /// (cached until the next mutation); the small regime sorts its log
     /// on demand — which **is** the order-demand signal that makes the
-    /// next mutation above the hysteresis floor promote.
+    /// next mutation above the hysteresis floor promote. An empty small
+    /// relation answers a fresh empty run: no cache, no fold, no demand.
     pub fn columnar_run(&self) -> Arc<Run> {
         match &self.store {
             Store::Col(c) => Arc::clone(c.run()),
+            Store::Small(s) if s.is_empty() => Arc::new(Run::empty(self.arity)),
             Store::Small(s) => Arc::clone(s.sorted_run()),
         }
     }
@@ -533,10 +535,11 @@ impl Relation {
 
     /// Iterate over tuples in order. (An order demand: small relations
     /// sort their log on first call and cache it until the next
-    /// mutation.)
+    /// mutation. An empty one has nothing to sort and demands nothing.)
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         match &self.store {
             Store::Col(c) => c.run().rows().iter(),
+            Store::Small(s) if s.is_empty() => [].iter(),
             Store::Small(s) => s.sorted_run().rows().iter(),
         }
     }
@@ -1058,6 +1061,22 @@ mod tests {
         r.insert(tuple![n as i64]).unwrap();
         assert_eq!(r.storage_stats().promotions, 1, "promotion is one-way");
         assert_eq!(r.len(), n + 1);
+    }
+
+    #[test]
+    fn reading_an_empty_relation_builds_no_run() {
+        let mut r = rel(1, vec![tuple![1]]);
+        r.remove(&tuple![1]);
+        for r in [Relation::empty(2), r] {
+            assert_eq!(r.iter().count(), 0);
+            let run = r.columnar_run();
+            assert!(run.is_empty() && run.arity() == r.arity());
+            assert_eq!(r.storage_stats().folds, 0, "no fold for an empty read");
+            match &r.store {
+                Store::Small(s) => assert!(!s.order_demanded(), "no order demand pending"),
+                Store::Col(_) => panic!("an empty relation stays small"),
+            }
+        }
     }
 
     #[test]

@@ -7,11 +7,16 @@ use crate::error::RelError;
 use crate::fact::{Fact, RelName};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A database schema: a finite map from relation names to arities.
+///
+/// The map is shared: a clone is a reference-count bump, so every
+/// instance of a schema (one per node, several per transducer step)
+/// shares one map, and the mutators copy it on write.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Schema {
-    arities: BTreeMap<RelName, usize>,
+    arities: Arc<BTreeMap<RelName, usize>>,
 }
 
 impl Schema {
@@ -44,8 +49,9 @@ impl Schema {
                 expected: a,
                 found: arity,
             }),
-            _ => {
-                self.arities.insert(name, arity);
+            Some(_) => Ok(()),
+            None => {
+                Arc::make_mut(&mut self.arities).insert(name, arity);
                 Ok(())
             }
         }
@@ -100,7 +106,7 @@ impl Schema {
             if out.contains(name) {
                 return Err(RelError::NotDisjoint { rel: name.clone() });
             }
-            out.arities.insert(name.clone(), arity);
+            Arc::make_mut(&mut out.arities).insert(name.clone(), arity);
         }
         Ok(out)
     }

@@ -30,6 +30,10 @@ pub struct TransducerSchema {
     state: Schema,
     /// `S_in ∪ S_sys ∪ S_msg ∪ S_mem`, computed once at construction.
     combined: Schema,
+    /// The names `Id` and `All`, built once: every node's initial state
+    /// uses them.
+    id_name: RelName,
+    all_name: RelName,
 }
 
 impl TransducerSchema {
@@ -54,6 +58,8 @@ impl TransducerSchema {
             output_arity,
             state,
             combined,
+            id_name: RelName::new(SYS_ID),
+            all_name: RelName::new(SYS_ALL),
         })
     }
 
@@ -112,8 +118,8 @@ impl TransducerSchema {
         all: &Relation,
     ) -> Result<Instance, RelError> {
         let mut state = local_input.widen(self.state.clone())?;
-        state.insert_fact(Fact::new(RelName::new(SYS_ID), Tuple::new(vec![*me])))?;
-        state.union_relation(&RelName::new(SYS_ALL), all)?;
+        state.insert_fact(Fact::new(self.id_name.clone(), Tuple::new(vec![*me])))?;
+        state.union_relation(&self.all_name, all)?;
         Ok(state)
     }
 }

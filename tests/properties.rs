@@ -15,17 +15,20 @@
 //!   their reference answer under the random scheduler and the round
 //!   executor;
 //! * Dedalus TM simulation ≡ the direct interpreter on random words, and
-//!   `DedalusRuntime::run` ≡ the reference tick loop of `rtx-ref`.
+//!   `DedalusRuntime::run` ≡ the reference tick loop of `rtx-ref`;
+//! * the densely indexed `Network` ≡ a name-keyed adjacency map built
+//!   from the same edges, for every generator and `from_edges`, and a
+//!   `Configuration` reassembles from its parts in any order.
 
 mod common;
 
 use proptest::prelude::*;
 use rtx::calm::constructions::distribute::distribute_monotone;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx::net::{run, HorizontalPartition, Network, RandomScheduler, RunBudget};
+use rtx::net::{run, Configuration, HorizontalPartition, Network, RandomScheduler, RunBudget};
 use rtx::query::{DatalogQuery, Query, QueryRef};
 use rtx::relational::{fact, Fact, Instance, Iso, Schema, Tuple, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
@@ -1016,4 +1019,269 @@ fn parsers_never_panic_on_mutated_programs() {
         }
     }
     assert!(compared > 4_000, "only {compared} sources compared");
+}
+
+/// A name-keyed adjacency map: the model the densely indexed `Network`
+/// must agree with.
+type Adjacency = BTreeMap<Value, BTreeSet<Value>>;
+
+fn adjacency(nodes: &[Value], edges: &[(Value, Value)]) -> Adjacency {
+    let mut adj: Adjacency = nodes.iter().map(|n| (*n, BTreeSet::new())).collect();
+    for (a, b) in edges {
+        adj.get_mut(a).unwrap().insert(*b);
+        adj.get_mut(b).unwrap().insert(*a);
+    }
+    adj
+}
+
+fn adjacency_diameter(adj: &Adjacency) -> usize {
+    let mut best = 0;
+    for start in adj.keys() {
+        let mut dist = BTreeMap::from([(*start, 0usize)]);
+        let mut queue = VecDeque::from([*start]);
+        while let Some(n) = queue.pop_front() {
+            let d = dist[&n];
+            for m in &adj[&n] {
+                if !dist.contains_key(m) {
+                    dist.insert(*m, d + 1);
+                    queue.push_back(*m);
+                }
+            }
+        }
+        best = best.max(dist.values().copied().max().unwrap_or(0));
+    }
+    best
+}
+
+fn agrees_with_adjacency(net: &Network, adj: &Adjacency) -> Result<(), TestCaseError> {
+    let nodes: Vec<Value> = net.nodes().copied().collect();
+    prop_assert!(
+        nodes.windows(2).all(|w| w[0] < w[1]),
+        "nodes not strictly ascending: {:?}",
+        nodes
+    );
+    prop_assert_eq!(&nodes, &adj.keys().copied().collect::<Vec<_>>());
+    prop_assert_eq!(net.node_set(), adj.keys().copied().collect::<BTreeSet<_>>());
+    prop_assert_eq!(net.len(), adj.len());
+    for (n, nbrs) in adj {
+        prop_assert!(net.contains(n));
+        let mine: Vec<Value> = net.neighbors(n).copied().collect();
+        let model: Vec<Value> = nbrs.iter().copied().collect();
+        prop_assert_eq!(&mine, &model, "neighbors of {}", n);
+        for m in &mine {
+            prop_assert!(net.neighbors(m).any(|x| x == n), "{}–{} is one-way", n, m);
+        }
+    }
+    let absent = Value::sym("absent-node");
+    prop_assert!(!net.contains(&absent));
+    prop_assert_eq!(net.neighbors(&absent).count(), 0);
+    prop_assert_eq!(
+        net.edge_count(),
+        adj.values().map(BTreeSet::len).sum::<usize>() / 2
+    );
+    prop_assert_eq!(net.diameter(), adjacency_diameter(adj));
+    // `Debug` lists each edge once, from its smaller end, in name order.
+    let edges: Vec<String> = adj
+        .iter()
+        .flat_map(|(n, nbrs)| {
+            nbrs.iter()
+                .filter(move |m| n < *m)
+                .map(move |m| format!("{n}–{m}"))
+        })
+        .collect();
+    prop_assert_eq!(
+        format!("{net:?}"),
+        format!("Network[{} nodes: {}]", adj.len(), edges.join(", "))
+    );
+    Ok(())
+}
+
+fn node_name(i: usize) -> Value {
+    Value::sym(format!("n{i}"))
+}
+
+/// A network from one of the generators or from `from_edges`, with the
+/// node list and edge list it is made of.
+fn shaped_network(
+    shape: usize,
+    k: usize,
+    (w, h): (usize, usize),
+    p: f64,
+    seed: u64,
+) -> (Network, Vec<Value>, Vec<(Value, Value)>) {
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let names = |k: usize| (0..k).map(node_name).collect::<Vec<_>>();
+    let pairs = |e: Vec<(usize, usize)>| {
+        e.into_iter()
+            .map(|(a, b)| (node_name(a), node_name(b)))
+            .collect::<Vec<_>>()
+    };
+    match shape {
+        0 => (
+            Network::line(k).unwrap(),
+            names(k),
+            pairs((1..k).map(|i| (i - 1, i)).collect()),
+        ),
+        1 => {
+            let k = k.max(3);
+            let e = (0..k).map(|i| (i, (i + 1) % k)).collect();
+            (Network::ring(k).unwrap(), names(k), pairs(e))
+        }
+        2 => (
+            Network::star(k).unwrap(),
+            names(k),
+            pairs((1..k).map(|i| (0, i)).collect()),
+        ),
+        3 => {
+            let k = k.min(12);
+            let e = (0..k)
+                .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
+                .collect();
+            (Network::clique(k).unwrap(), names(k), pairs(e))
+        }
+        4 => {
+            let mut e = Vec::new();
+            for y in 0..h {
+                for x in 0..w {
+                    if x + 1 < w {
+                        e.push((y * w + x, y * w + x + 1));
+                    }
+                    if y + 1 < h {
+                        e.push((y * w + x, (y + 1) * w + x));
+                    }
+                }
+            }
+            (Network::grid(w, h).unwrap(), names(w * h), pairs(e))
+        }
+        5 => {
+            // The edges `random_connected_seeded` draws: a random spanning
+            // tree, then each other pair with probability `p`.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut order: Vec<usize> = (0..k).collect();
+            order.shuffle(&mut rng);
+            let mut e = Vec::new();
+            for i in 1..k {
+                e.push((order[i], order[rng.gen_range(0..i)]));
+            }
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    if rng.gen_bool(p) {
+                        e.push((i, j));
+                    }
+                }
+            }
+            let net = Network::random_connected_seeded(k, p, seed).unwrap();
+            (net, names(k), pairs(e))
+        }
+        6 => {
+            // `from_edges` on integer and symbol ids, with repeated
+            // nodes and edges given in either orientation, repeats too.
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let ids: Vec<Value> = (0..k)
+                .map(|i| {
+                    if i.is_multiple_of(3) {
+                        Value::int(i as i64 - 5)
+                    } else {
+                        node_name(i)
+                    }
+                })
+                .collect();
+            let mut nodes = ids.clone();
+            nodes.extend(ids.iter().step_by(4).copied());
+            nodes.shuffle(&mut rng);
+            let mut edges = Vec::new();
+            for i in 1..k {
+                let j = rng.gen_range(0..i);
+                edges.push((ids[i], ids[j]));
+                if rng.gen_bool(0.3) {
+                    edges.push((ids[j], ids[i]));
+                }
+            }
+            for _ in 0..k {
+                let (i, j) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                if i != j && rng.gen_bool(p) {
+                    edges.push((ids[i], ids[j]));
+                }
+            }
+            edges.shuffle(&mut rng);
+            let net = Network::from_edges(nodes.clone(), edges.clone()).unwrap();
+            (net, nodes, edges)
+        }
+        _ if k.is_multiple_of(2) => (Network::single(), names(1), Vec::new()),
+        _ => {
+            let mut e: Vec<(usize, usize)> = (0..4).map(|i| (i, (i + 1) % 4)).collect();
+            e.push((1, 3));
+            (Network::ring4_with_chord(), names(4), pairs(e))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The densely indexed `Network` agrees with a name-keyed adjacency
+    /// map built from the same edges, for every generator and for
+    /// `from_edges`; `from_edges` rejects a planted self-loop, unknown
+    /// node or isolated node with the error a name-keyed build gives;
+    /// and a configuration on the network reassembles from its parts in
+    /// any order.
+    #[test]
+    fn dense_network_matches_a_name_keyed_model(
+        shape in 0usize..8,
+        k in 1usize..48,
+        grid in (1usize..9, 1usize..9),
+        p_percent in 0u8..40,
+        seed in 0u64..10_000,
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let p = f64::from(p_percent) / 100.0;
+        let (net, nodes, edges) = shaped_network(shape, k, grid, p, seed);
+        let adj = adjacency(&nodes, &edges);
+        agrees_with_adjacency(&net, &adj)?;
+        prop_assert_eq!(net.clone(), net.clone());
+        let rebuilt = Network::from_edges(nodes.clone(), edges.clone()).unwrap();
+        prop_assert_eq!(&rebuilt, &net, "from_edges of the generator's edges");
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let some = nodes[rng.gen_range(0..nodes.len())];
+        let at = rng.gen_range(0..=edges.len());
+        let topology = |r: Result<Network, rtx::net::NetError>| r.unwrap_err().to_string();
+        let mut looped = edges.clone();
+        looped.insert(at, (some, some));
+        prop_assert_eq!(
+            topology(Network::from_edges(nodes.clone(), looped)),
+            format!("invalid topology: self-loop on node {some}")
+        );
+        let stranger = Value::sym("not-a-node");
+        let mut unknown = edges.clone();
+        unknown.insert(at, (some, stranger));
+        prop_assert_eq!(
+            topology(Network::from_edges(nodes.clone(), unknown)),
+            format!("invalid topology: edge ({some},{stranger}) references unknown node")
+        );
+        let mut isolated = nodes.clone();
+        isolated.push(stranger);
+        prop_assert_eq!(
+            topology(Network::from_edges(isolated, edges.clone())),
+            "invalid topology: network is not connected".to_string()
+        );
+
+        // A configuration with mail reassembles from shuffled parts.
+        let sch = Schema::new().with("S", 1);
+        let input = Instance::from_facts(sch.clone(), vec![fact!("S", 1), fact!("S", 2)]).unwrap();
+        let t = flood_transducer(&sch, FloodMode::Dedup, None).unwrap();
+        let partition = HorizontalPartition::round_robin(&net, &input);
+        let mut cfg = Configuration::initial(&net, &t, &partition).unwrap();
+        for n in nodes.iter().take(3) {
+            cfg.apply_heartbeat(&net, &t, n).unwrap();
+        }
+        let mut parts = cfg.clone().into_parts();
+        prop_assert_eq!(parts.len(), net.len());
+        parts.shuffle(&mut rng);
+        let back = Configuration::from_parts(parts);
+        prop_assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        prop_assert!(back == cfg, "shuffled parts reassemble to a different configuration");
+    }
 }
