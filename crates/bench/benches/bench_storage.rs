@@ -3,12 +3,13 @@
 //! with adoption, delta application (run merge), and membership probes
 //! — plus a `storage-adaptive/threshold-sweep` group that measures
 //! insert/remove/probe/scan at relation sizes straddling the promotion
-//! threshold, the empirical basis for `PROMOTE_LEN = 256`. Bench ids
-//! keep their `-adaptive` suffix so they line up with the recorded
-//! baseline.
+//! threshold, the empirical basis for `PROMOTE_LEN = 256`, and a
+//! `storage-spine` group for a relation that grows in small batches
+//! while it is cloned and probed. Bench ids keep their `-adaptive`
+//! suffix so they line up with the recorded baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtx_relational::{Relation, Tuple, Value};
+use rtx_relational::{Relation, Run, Tuple, Value, Vid};
 
 /// `n` two-column tuples in a shuffled-but-deterministic order, so
 /// bulk construction pays a real sort and tail inserts land mid-run.
@@ -169,5 +170,49 @@ fn bench_threshold_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_storage, bench_threshold_sweep);
+/// The access pattern of dedalus-churn's `t` and tc-distributed's `T`:
+/// 256 steps that each absorb a run of `n / 256` new rows into a
+/// relation of `n` rows, keep a clone (as a Dedalus trace keeps every
+/// tick), and probe the second column — the non-prefix view a join
+/// binds — on every level, skipping removed rows as the join does.
+fn bench_spine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("storage-spine");
+    group.sample_size(10);
+    for n in [1024usize, 8192, 32768] {
+        let row =
+            |i: usize| -> Tuple { vec![Value::Int(i as i64), Value::Int((i % 97) as i64)].into() };
+        let base = Relation::from_tuples(2, (0..n).map(row)).unwrap();
+        let k = n / 256;
+        let batches: Vec<Run> = (0..256)
+            .map(|s| {
+                let rows: Vec<Tuple> = (0..k).map(|j| row(n + s * k + j)).collect();
+                Run::from_sorted(2, rows.iter())
+            })
+            .collect();
+        group.bench_with_input(BenchmarkId::new("append-clone-probe", n), &n, |b, _| {
+            b.iter(|| {
+                let mut r = base.clone();
+                let mut clones = Vec::with_capacity(batches.len());
+                let mut hits = 0usize;
+                for (s, batch) in batches.iter().enumerate() {
+                    r.absorb_run(batch).unwrap();
+                    clones.push(r.clone());
+                    let key = [Vid::from_value(&Value::Int((s % 97) as i64))];
+                    let spine = r.spine();
+                    for level in spine.levels() {
+                        let view = level.view(&[1]);
+                        hits += (view.probe_rows(&key))
+                            .filter(|&i| spine.is_live(level, i))
+                            .count();
+                    }
+                }
+                assert_eq!(r.len(), n + 256 * k);
+                (hits, clones.len())
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_storage, bench_threshold_sweep, bench_spine);
 criterion_main!(benches);

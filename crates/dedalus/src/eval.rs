@@ -183,7 +183,11 @@ impl Default for DedalusOptions {
 #[derive(Clone, Debug)]
 pub struct Trace {
     /// The database at each tick (never holding the runtime's
-    /// [`CLOCK`] fact).
+    /// [`CLOCK`] fact). Consecutive ticks share storage: each tick's
+    /// relations are clones of the maintained fixpoint's, which share
+    /// every sorted run a tick did not write (see
+    /// `rtx_relational::Relation`), so a tick costs O(Δ) rows on top
+    /// of the one before, not a full copy.
     pub ticks: Vec<Instance>,
     /// The first tick from which the database provably repeats forever.
     pub converged_at: Option<u64>,
@@ -322,11 +326,9 @@ impl<'p> DedalusRuntime<'p> {
                 fixpoint.initialize(&base)?.clone()
             };
 
-            // 3. inductive rules → carry to now+1
-            let mut next_carry = Instance::empty(schema.clone());
-            for f in self.inductive.tp_step(&db)?.facts() {
-                next_carry.insert_fact(f)?;
-            }
+            // 3. inductive rules → carry to now+1, the step's relations
+            // taken as they are
+            let next_carry = self.inductive.tp_step(&db)?;
 
             // 4. async rules → pending deliveries, the delays drawn for
             // the heads in sorted fact order

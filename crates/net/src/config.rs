@@ -345,11 +345,20 @@ impl Configuration {
         node: &NodeId,
     ) -> Result<TransitionRecord, NetError> {
         let empty = Instance::empty(transducer.schema().message().clone());
-        self.apply(net, transducer, node, empty, TransitionKind::Heartbeat)
+        self.apply(
+            net,
+            transducer,
+            node,
+            empty,
+            TransitionKind::Heartbeat,
+            None,
+        )
     }
 
     /// Apply a delivery transition at `node`, reading the buffered fact
-    /// at `index` (single-fact delivery, per the paper).
+    /// at `index` (single-fact delivery, per the paper). The fact leaves
+    /// the buffer only when the transition succeeds: a rejected delivery
+    /// leaves the configuration as it was.
     pub fn apply_delivery(
         &mut self,
         net: &Network,
@@ -360,14 +369,12 @@ impl Configuration {
         let i = self
             .position(node)
             .ok_or_else(|| NetError::Topology(format!("unknown node {node}")))?;
-        let buf = &mut self.buffers[i];
-        if index >= buf.len() {
+        let Some(fact) = self.buffers[i].get(index).cloned() else {
             return Err(NetError::Partition(format!(
                 "delivery index {index} out of range for node {node} (buffer has {})",
-                buf.len()
+                self.buffers[i].len()
             )));
-        }
-        let fact = buf.remove(index);
+        };
         let mut received = Instance::empty(transducer.schema().message().clone());
         received.insert_fact(fact.clone()).map_err(NetError::Rel)?;
         self.apply(
@@ -376,9 +383,12 @@ impl Configuration {
             node,
             received,
             TransitionKind::Delivery(fact),
+            Some(index),
         )
     }
 
+    /// Step `node` on `received`. `delivered` is the buffer index of the
+    /// delivered fact, which leaves the buffer once the step succeeded.
     fn apply(
         &mut self,
         net: &Network,
@@ -386,6 +396,7 @@ impl Configuration {
         node: &NodeId,
         received: Instance,
         kind: TransitionKind,
+        delivered: Option<usize>,
     ) -> Result<TransitionRecord, NetError> {
         let i = self
             .position(node)
@@ -407,6 +418,9 @@ impl Configuration {
         let res = transducer
             .step_after(&self.states[i], &received, prev)
             .map_err(NetError::Eval)?;
+        if let Some(index) = delivered {
+            self.buffers[i].remove(index);
+        }
         let sent: Vec<Fact> = res.sent.facts().collect();
         for &j in &targets {
             self.buffers[j].extend(sent.iter().cloned());
@@ -740,6 +754,50 @@ mod tests {
         let err = c.apply_heartbeat(&line2, &t, &n2).unwrap_err();
         assert!(matches!(err, NetError::Topology(_)), "{err:?}");
         assert!(c == cfg3);
+    }
+
+    #[test]
+    fn a_rejected_delivery_keeps_its_fact() {
+        let (line2, t, mut cfg2) = setup();
+        let (n0, n1) = (
+            rtx_relational::Value::sym("n0"),
+            rtx_relational::Value::sym("n1"),
+        );
+        cfg2.apply_heartbeat(&line2, &t, &n0).unwrap(); // M(7) for n1
+        let before = cfg2.buffer(&n1).to_vec();
+        assert_eq!(before.len(), 1);
+        // On line(3), n1's neighbor n2 has no buffer: the step is refused.
+        let line3 = Network::line(3).unwrap();
+        let mut c = cfg2.clone();
+        let err = c.apply_delivery(&line3, &t, &n1, 0).unwrap_err();
+        assert!(matches!(err, NetError::Topology(_)), "{err:?}");
+        assert_eq!(c.buffer(&n1), &before[..]);
+        assert!(
+            c == cfg2,
+            "a rejected delivery leaves the configuration alone"
+        );
+        // A step that fails keeps the fact too.
+        let failing = TransducerBuilder::new("failing")
+            .input_relation("S", 1)
+            .message_relation("M", 1)
+            .memory_relation("T", 1)
+            .output_arity(1)
+            .output(Arc::new(rtx_query::NativeQuery::new(
+                "fails",
+                1,
+                [],
+                |_| Err(rtx_query::EvalError::Other("refused".into())),
+            )))
+            .build()
+            .unwrap();
+        let mut c = cfg2.clone();
+        let err = c.apply_delivery(&line2, &failing, &n1, 0).unwrap_err();
+        assert!(matches!(err, NetError::Eval(_)), "{err:?}");
+        assert_eq!(c.buffer(&n1), &before[..]);
+        assert!(c == cfg2);
+        // The same delivery on its own network consumes the fact.
+        cfg2.apply_delivery(&line2, &t, &n1, 0).unwrap();
+        assert!(cfg2.buffer(&n1).is_empty());
     }
 
     #[test]

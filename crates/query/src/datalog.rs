@@ -118,24 +118,20 @@ impl Rule {
 
     pub(crate) fn cached_plan(&self) -> &FiringPlan {
         self.plan.get_or_init(|| {
-            let atoms: Vec<&Atom> = self.positive().chain([&self.head]).collect();
-            let n = atoms.len() - 1;
-            let copy = match (&self.body[..], &atoms[..n]) {
+            let atoms: Vec<&Atom> = self.positive().collect();
+            let copy = match (&self.body[..], &atoms[..]) {
                 ([_], [a]) => a.terms == self.head.terms && a.vars().len() == a.arity(),
                 _ => false,
             };
-            let mut orders = vec![plan::plan_order(&atoms[..n], None)];
-            orders.extend((0..n).map(|i| plan::plan_order(&atoms[..n], Some(i))));
-            orders.push(plan::plan_order(&atoms, Some(n)));
+            let mut orders = vec![plan::plan_order(&atoms, None)];
+            orders.extend((0..atoms.len()).map(|i| plan::plan_order(&atoms, Some(i))));
             FiringPlan { copy, orders }
         })
     }
 
     /// The cached join order of the positive atoms. `None` joins them
     /// alone; `Some(i)` starts from positive atom `i` (the semi-naive
-    /// delta); `Some(n)`, one past the last positive atom, starts from
-    /// the head atom followed by the whole body, as DRed's
-    /// re-derivation joins the over-deleted facts.
+    /// delta).
     pub(crate) fn plan(&self, pinned: Option<usize>) -> &[usize] {
         &self.cached_plan().orders[pinned.map_or(0, |i| i + 1)]
     }
@@ -293,53 +289,6 @@ impl fmt::Debug for Rule {
             write!(f, "{l:?}")?;
         }
         Ok(())
-    }
-}
-
-/// Disjoint sorted runs in decreasing size order — the fixpoint
-/// loop's write-buffer. New runs merge into the smallest level, and a
-/// level folds into the one below only once it reaches a quarter of
-/// its size, so membership checks touch few runs while no fact is
-/// endlessly re-merged through the big bottom level (the O(rounds ×
-/// total) rebuild a single accumulator run would cost).
-#[derive(Default)]
-struct Levels(Vec<Run>);
-
-impl Levels {
-    /// `run` minus every fact held in the levels.
-    fn subtract(&self, mut run: Run) -> Run {
-        for level in &self.0 {
-            if run.is_empty() {
-                break;
-            }
-            run = run.difference(level);
-        }
-        run
-    }
-
-    fn push(&mut self, run: Run) {
-        if run.is_empty() {
-            return;
-        }
-        match self.0.len() {
-            0 => self.0.push(run),
-            1 if run.len() >= self.0[0].len() => self.0[0] = self.0[0].union(&run),
-            1 => self.0.push(run),
-            _ => {
-                self.0[1] = self.0[1].union(&run);
-                if self.0[1].len() >= self.0[0].len() {
-                    let recent = self.0.pop().expect("two levels");
-                    self.0[0] = self.0[0].union(&recent);
-                }
-            }
-        }
-    }
-
-    /// Union of all levels, draining them. `None` when empty.
-    fn fold(&mut self) -> Option<Run> {
-        let mut runs = self.0.drain(..);
-        let first = runs.next()?;
-        Some(runs.fold(first, |a, b| a.union(&b)))
     }
 }
 
@@ -631,22 +580,22 @@ impl Program {
             .all(|(name, arity)| db.schema().arity(name) == Some(arity))
     }
 
-    /// Derived facts of one firing not already in `total`'s relation.
+    /// Derived facts of one firing not already in `total`'s relation,
+    /// subtracted level by level.
     fn fresh_against(total: &Instance, pred: &RelName, derived: Run) -> Run {
         match total.relation_ref(pred) {
             None => derived,
-            Some(rel) => derived.difference(&rel.columnar_run()),
+            Some(rel) => rel.novel(derived),
         }
     }
 
-    /// Semi-naive fixpoint over runs: per-round deltas are sorted runs,
-    /// novelty checks are run differences, and newly derived facts
-    /// accumulate in LSM-style levelled runs per predicate that are
-    /// folded into `total` lazily — only when a later firing actually
-    /// reads that predicate as a non-delta source (and once at the
-    /// end). Linear-recursive programs like transitive closure never
-    /// re-read the recursive predicate outside the delta position, so
-    /// they skip the O(|total|) per-round rebuild entirely.
+    /// Semi-naive fixpoint over runs: per-round deltas are sorted runs
+    /// and novelty checks subtract `total`'s levels. Round 0 fires every
+    /// rule over `total` as it stood; its fresh facts join `total` when
+    /// the round ends. From then on, each firing's fresh facts join
+    /// `total` at once, as a new level of the predicate's spine, so
+    /// later firings read them in place — each fact is rewritten
+    /// O(log n) times by level merges, never by a per-round rebuild.
     fn run_seminaive(
         &self,
         rules: &[&Rule],
@@ -667,20 +616,6 @@ impl Program {
                 }
             }
         };
-        // Facts derived but not yet folded into `total`, as disjoint
-        // sorted runs with geometrically growing sizes (merged on push,
-        // so each fact takes part in O(log n) merges overall).
-        let mut pending: BTreeMap<RelName, Levels> = BTreeMap::new();
-        let fresh_of = |total: &Instance,
-                        pending: &BTreeMap<RelName, Levels>,
-                        pred: &RelName,
-                        derived: Run| {
-            let vs_total = Self::fresh_against(total, pred, derived);
-            match pending.get(pred) {
-                Some(levels) => levels.subtract(vs_total),
-                None => vs_total,
-            }
-        };
         // Round 0: full evaluation (covers rules without stratum-IDB in
         // the body, and seeds the delta).
         let mut delta: BTreeMap<RelName, Relation> = BTreeMap::new();
@@ -689,10 +624,15 @@ impl Program {
                 continue;
             };
             tally.considered += derived.len() as u64;
-            let fresh = fresh_of(total, &pending, &r.head.pred, derived);
+            let mut fresh = Self::fresh_against(total, &r.head.pred, derived);
+            if let Some(seen) = delta.get(&r.head.pred) {
+                fresh = seen.novel(fresh);
+            }
             tally.derived += fresh.len() as u64;
             push(&mut delta, &r.head.pred, &fresh);
-            pending.entry(r.head.pred.clone()).or_default().push(fresh);
+        }
+        for (p, rel) in &delta {
+            total.absorb_run(p, &rel.columnar_run())?;
         }
         while !delta.is_empty() {
             let mut next: BTreeMap<RelName, Relation> = BTreeMap::new();
@@ -705,35 +645,17 @@ impl Program {
                     let Some(drel) = delta.get(pred) else {
                         continue; // nothing new for this atom this round
                     };
-                    // Non-delta atoms read from `total`: fold any
-                    // pending facts for their predicates first.
-                    for j in 0..r.count_pos() {
-                        if j == i {
-                            continue;
-                        }
-                        let p = r.pos_pred(j).expect("index within positive atoms");
-                        if let Some(levels) = pending.get_mut(p) {
-                            if let Some(run) = levels.fold() {
-                                total.absorb_run(p, &run)?;
-                            }
-                        }
-                    }
                     let Some(derived) = r.fire(total, Some((i, drel)))? else {
                         continue;
                     };
                     tally.considered += derived.len() as u64;
-                    let fresh = fresh_of(total, &pending, &r.head.pred, derived);
+                    let fresh = Self::fresh_against(total, &r.head.pred, derived);
                     tally.derived += fresh.len() as u64;
+                    total.absorb_run(&r.head.pred, &fresh)?;
                     push(&mut next, &r.head.pred, &fresh);
-                    pending.entry(r.head.pred.clone()).or_default().push(fresh);
                 }
             }
             delta = next;
-        }
-        for (p, levels) in &mut pending {
-            if let Some(run) = levels.fold() {
-                total.absorb_run(p, &run)?;
-            }
         }
         Ok(())
     }

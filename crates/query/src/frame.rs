@@ -6,24 +6,24 @@
 //! answer filter all evaluate their conjunctions through it. Its result
 //! is a [`Frame`]: one flat `Vec<Vid>` per bound variable, all the same
 //! length. Joining an atom appends matching rows by copying packed
-//! `u32` ids — no `Tuple` materialization, no tree insert — by probing a
-//! run view for the row range matching the bound columns (or scanning
-//! the run, when it is tiny or nothing is bound). Head projection
-//! gathers variable columns into a fresh [`Run`], so a rule firing goes
-//! from stored runs to a derived run without ever leaving the
-//! interned-id domain.
+//! `u32` ids — no `Tuple` materialization, no tree insert — by probing
+//! each level's run view for the row range matching the bound columns
+//! (or scanning the level, when it is tiny or nothing is bound). Head
+//! projection gathers variable columns into a fresh [`Run`], so a rule
+//! firing goes from stored runs to a derived run without ever leaving
+//! the interned-id domain.
 //!
-//! Every relation hands out its sorted run
-//! (`rtx_relational::Relation::columnar_run`); negated atoms are
-//! probed on their relation by key and never build one.
+//! Every relation hands out its sorted runs in place
+//! (`rtx_relational::Relation::spine`): the join visits each level and
+//! skips the rows the relation removed, folding nothing. Negated atoms
+//! are probed on their relation by key.
 
 use crate::error::EvalError;
 use crate::plan;
 use crate::term::{Atom, Term, Var};
-use rtx_relational::{Instance, Relation, Run, Tuple, Value, Vid};
-use std::sync::Arc;
+use rtx_relational::{Instance, Relation, Run, SpineRef, Tuple, Value, Vid};
 
-/// Runs this small are joined by scan rather than a view probe: the
+/// Levels this small are joined by scan rather than a view probe: the
 /// cutover only changes the access path, never the result.
 const SCAN_THRESHOLD: usize = 16;
 
@@ -55,7 +55,7 @@ pub(crate) fn join_body<'a>(
     let mut frame = Frame::unit();
     for &i in order {
         let (atom, rel) = pos[i];
-        frame = frame.join_atom(atom, &rel.columnar_run());
+        frame = frame.join_atom(atom, rel.spine());
         if frame.is_empty() {
             return Ok(None);
         }
@@ -135,22 +135,42 @@ impl Frame {
         (slots, fresh)
     }
 
-    /// Join the atom against `run`, appending fresh-variable columns.
+    /// Join the atom against the live rows of `spine`, appending
+    /// fresh-variable columns.
     ///
-    /// The access path is a cached run view probed on the
-    /// constant/bound columns, or a full scan of the run per binding
-    /// when no column is bound or the run is tiny. Both enumerate
-    /// candidate rows in run (scan) order, so the output row order —
-    /// and therefore everything downstream — is the same either way.
-    fn join_atom(&self, atom: &Atom, run: &Arc<Run>) -> Frame {
+    /// For each frame row, each level is probed through its cached view
+    /// on the constant/bound columns, or scanned in full when no column
+    /// is bound or the level is tiny; rows the relation removed are
+    /// skipped. Within a level both paths enumerate candidate rows in
+    /// scan order, so the access path never changes the output.
+    fn join_atom(&self, atom: &Atom, spine: SpineRef<'_>) -> Frame {
         let (slots, fresh) = self.slots(atom);
+        let levels = spine.levels();
         // First unconstrained atom against a unit frame: the result is
-        // the run's columns verbatim — copy them wholesale.
+        // the live rows' columns verbatim — copy them level by level.
         if self.vars.is_empty() && self.rows == 1 && fresh.len() == slots.len() {
+            let mut cols: Vec<Vec<Vid>> = vec![Vec::new(); slots.len()];
+            for run in levels {
+                if spine.has_removed() {
+                    for r in (0..run.len()).filter(|&r| spine.is_live(run, r)) {
+                        for (p, col) in cols.iter_mut().enumerate() {
+                            col.push(run.col(p)[r]);
+                        }
+                    }
+                } else {
+                    for (p, col) in cols.iter_mut().enumerate() {
+                        col.extend_from_slice(run.col(p));
+                    }
+                }
+            }
+            let rows = match cols.first() {
+                Some(col) => col.len(),
+                None => levels.len().min(1), // nullary: the empty tuple
+            };
             return Frame {
                 vars: fresh,
-                cols: (0..slots.len()).map(|p| run.col(p).to_vec()).collect(),
-                rows: run.len(),
+                cols,
+                rows,
             };
         }
         let out_vars: Vec<Var> = self.vars.iter().copied().chain(fresh).collect();
@@ -165,11 +185,15 @@ impl Frame {
             .filter(|(_, s)| matches!(s, Slot::Const(_) | Slot::Bound(_)))
             .map(|(p, _)| p)
             .collect();
-        let use_probe = !key_cols.is_empty() && run.len() > SCAN_THRESHOLD;
-        let view = use_probe.then(|| run.view(&key_cols));
+        let views: Vec<_> = levels
+            .iter()
+            .map(|run| {
+                (!key_cols.is_empty() && run.len() > SCAN_THRESHOLD).then(|| run.view(&key_cols))
+            })
+            .collect();
         let mut key: Vec<Vid> = Vec::with_capacity(key_cols.len());
 
-        let emit = |out_cols: &mut Vec<Vec<Vid>>, fi: usize, ri: usize| {
+        let emit = |out_cols: &mut Vec<Vec<Vid>>, fi: usize, run: &Run, ri: usize| {
             for (c, col) in out_cols[..nold].iter_mut().enumerate() {
                 col.push(self.cols[c][fi]);
             }
@@ -183,8 +207,8 @@ impl Frame {
         };
         // Row-level checks the probe key can't cover: repeated fresh
         // variables always; constants and bound variables too on the
-        // scan path.
-        let verify = |fi: usize, ri: usize, probed: bool| -> bool {
+        // scan path; and that the relation did not remove the row.
+        let verify = |fi: usize, run: &Run, ri: usize, probed: bool| -> bool {
             for (p, s) in slots.iter().enumerate() {
                 let ok = match s {
                     Slot::Const(k) => probed || run.col(p)[ri] == *k,
@@ -196,33 +220,37 @@ impl Frame {
                     return false;
                 }
             }
-            true
+            spine.is_live(run, ri)
         };
 
         let mut out_rows = 0usize;
         for fi in 0..self.rows {
-            match &view {
-                Some(view) => {
-                    key.clear();
-                    for &p in &key_cols {
-                        key.push(match &slots[p] {
-                            Slot::Const(k) => *k,
-                            Slot::Bound(c) => self.cols[*c][fi],
-                            _ => unreachable!("key columns are const or bound"),
-                        });
-                    }
-                    for ri in view.probe_rows(&key) {
-                        if verify(fi, ri, true) {
-                            emit(&mut out_cols, fi, ri);
-                            out_rows += 1;
+            if views.iter().any(Option::is_some) {
+                key.clear();
+                for &p in &key_cols {
+                    key.push(match &slots[p] {
+                        Slot::Const(k) => *k,
+                        Slot::Bound(c) => self.cols[*c][fi],
+                        _ => unreachable!("key columns are const or bound"),
+                    });
+                }
+            }
+            for (run, view) in levels.iter().zip(&views) {
+                match view {
+                    Some(view) => {
+                        for ri in view.probe_rows(&key) {
+                            if verify(fi, run, ri, true) {
+                                emit(&mut out_cols, fi, run, ri);
+                                out_rows += 1;
+                            }
                         }
                     }
-                }
-                None => {
-                    for ri in 0..run.len() {
-                        if verify(fi, ri, false) {
-                            emit(&mut out_cols, fi, ri);
-                            out_rows += 1;
+                    None => {
+                        for ri in 0..run.len() {
+                            if verify(fi, run, ri, false) {
+                                emit(&mut out_cols, fi, run, ri);
+                                out_rows += 1;
+                            }
                         }
                     }
                 }
@@ -392,10 +420,6 @@ mod tests {
         Relation::from_tuples(arity, tuples.iter().cloned()).unwrap()
     }
 
-    fn run_of(tuples: &[Tuple]) -> Arc<Run> {
-        rel_of(tuples).columnar_run()
-    }
-
     /// `atoms` joined over `rels` in the written order, no filters.
     fn join(atoms: &[Atom], rels: &[Relation]) -> Option<Frame> {
         let pos: Vec<(&Atom, &Relation)> = atoms.iter().zip(rels).collect();
@@ -436,9 +460,9 @@ mod tests {
         let mut big: Vec<Tuple> = rows.to_vec();
         big.extend((0..2 * SCAN_THRESHOLD as i64).map(|i| tuple![9, i, i + 1]));
         let a = atom!("R"; 1, @"X", @"X");
-        for run in [run_of(&rows), run_of(&big)] {
-            let f = Frame::unit().join_atom(&a, &run);
-            assert_eq!(f.rows, 1, "run of {}", run.len());
+        for rel in [rel_of(&rows), rel_of(&big)] {
+            let f = Frame::unit().join_atom(&a, rel.spine());
+            assert_eq!(f.rows, 1, "relation of {}", rel.len());
             assert_eq!(f.tuple_at(&[Term::var("X")], 0), tuple![2]);
         }
     }
@@ -462,7 +486,7 @@ mod tests {
     fn filters_and_projection() {
         let e = rel_of(&[tuple![1, 1], tuple![1, 2], tuple![2, 3], tuple![3, 3]]);
         let s = rel_of(&[tuple![2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e.columnar_run());
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), e.spine());
         // X ≠ Y drops (1,1) and (3,3)
         f.retain_diseq(&Term::var("X"), &Term::var("Y")).unwrap();
         assert_eq!(f.rows, 2);
@@ -542,7 +566,7 @@ mod tests {
     #[test]
     fn unbound_filter_vars_error() {
         let e = rel_of(&[tuple![1, 2]]);
-        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), &e.columnar_run());
+        let mut f = Frame::unit().join_atom(&atom!("E"; @"X", @"Y"), e.spine());
         assert!(f.retain_diseq(&Term::var("X"), &Term::var("Q")).is_err());
         assert!(f.retain_not_in(&atom!("S"; @"Q"), &e).is_err());
         assert!(f.project(&[Term::var("Q")]).is_err());

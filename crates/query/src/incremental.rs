@@ -43,6 +43,7 @@
 use crate::datalog::{Literal, Program, Rule};
 use crate::error::EvalError;
 use crate::frame::join_body;
+use crate::plan;
 use crate::term::Atom;
 use rtx_relational::{CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
@@ -828,10 +829,14 @@ impl StratumPass<'_> {
                 continue; // some body relation is empty
             };
             // The head joins as one extra atom after the positive
-            // ones, pinned first over the over-deleted facts.
+            // ones, pinned first over the over-deleted facts; ties in
+            // bound columns go to the smaller relation.
             let n = pos.len();
             pos.push((rule.head(), d));
-            frame_count(rule, &pos, Some(n), self.total, &mut fired)?;
+            let atoms: Vec<&Atom> = pos.iter().map(|(a, _)| *a).collect();
+            let sizes: Vec<usize> = pos.iter().map(|(_, r)| r.len()).collect();
+            let order = plan::plan_order_by_size(&atoms, Some(n), &sizes);
+            frame_count(rule, &pos, &order, self.total, &mut fired)?;
         }
         for (p, d) in pinned {
             let mut firings = fired.remove(&p).unwrap_or_default();
@@ -936,24 +941,22 @@ fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Resul
         .map(|a| Some((a, db.relation_ref(&a.pred)?)))
         .collect();
     match sources {
-        Some(pos) => frame_count(rule, &pos, None, db, out),
+        Some(pos) => frame_count(rule, &pos, rule.plan(None), db, out),
         None => Ok(()), // some body relation is empty
     }
 }
 
 /// The firing counter shared by [`expansion`], DRed's re-derivation
 /// and [`count_rule_firings`]: the rule body joined by the crate's one
-/// join executor in the rule's cached plan order (`pinned` as for
-/// [`Rule::plan`]), each atom of `pos` over the relation it is paired
-/// with, and the surviving firings counted per head tuple.
+/// join executor in `order`, each atom of `pos` over the relation it is
+/// paired with, and the surviving firings counted per head tuple.
 fn frame_count(
     rule: &Rule,
     pos: &[(&Atom, &Relation)],
-    pinned: Option<usize>,
+    order: &[usize],
     neg_db: &Instance,
     out: &mut HeadCounts,
 ) -> Result<(), EvalError> {
-    let order = rule.plan(pinned);
     let Some(frame) = join_body(pos, order, rule.negated(), rule.nonequalities(), neg_db)? else {
         return Ok(());
     };
@@ -1027,7 +1030,7 @@ fn expansion(
                 };
                 pos.push((a, r));
             }
-            frame_count(rule, &pos, Some(i), total, out)?;
+            frame_count(rule, &pos, rule.plan(Some(i)), total, out)?;
         }
     }
     Ok(())

@@ -17,6 +17,7 @@
 use crate::error::EvalError;
 use crate::term::{Atom, Term, Var};
 use rtx_relational::{Instance, Relation};
+use std::cmp::Reverse;
 use std::collections::BTreeSet;
 
 /// Order positive atoms greedily by bound-variable coverage.
@@ -28,7 +29,18 @@ use std::collections::BTreeSet;
 /// ties toward fewer unbound variables and then original position, so
 /// the plan is deterministic.
 pub fn plan_order(atoms: &[&Atom], pinned: Option<usize>) -> Vec<usize> {
+    plan_order_by_size(atoms, pinned, &[])
+}
+
+/// [`plan_order`] with one more tie-break before position: toward the
+/// atom whose relation is smaller (`sizes[i]` is atom `i`'s relation
+/// size; missing sizes count as 0). For a join planned against the
+/// data at hand rather than cached, as DRed's re-derivation is: with
+/// the head pinned, `t(X,Y), e(Y,Z)` ties on bound columns, and probing
+/// the small `e(·,z)` first beats walking the large `t(x,·)`.
+pub fn plan_order_by_size(atoms: &[&Atom], pinned: Option<usize>, sizes: &[usize]) -> Vec<usize> {
     let n = atoms.len();
+    let size = |i: usize| sizes.get(i).copied().unwrap_or(0);
     let mut order = Vec::with_capacity(n);
     let mut used = vec![false; n];
     let mut bound: BTreeSet<Var> = BTreeSet::new();
@@ -43,7 +55,10 @@ pub fn plan_order(atoms: &[&Atom], pinned: Option<usize>) -> Vec<usize> {
         bind(atoms[i], &mut bound);
     }
     while order.len() < n {
-        let mut best: Option<(usize, usize, usize)> = None; // (bound, unbound, idx)
+        // Most bound terms, then fewest unbound variables, then the
+        // smaller relation; the first such atom wins.
+        type Rank = (Reverse<usize>, usize, usize);
+        let mut best: Option<(Rank, usize)> = None;
         for (i, a) in atoms.iter().enumerate() {
             if used[i] {
                 continue;
@@ -62,18 +77,12 @@ pub fn plan_order(atoms: &[&Atom], pinned: Option<usize>) -> Vec<usize> {
                     }
                 }
             }
-            let candidate = (bound_terms, unbound_vars.len(), i);
-            let better = match best {
-                None => true,
-                Some((bb, bu, _)) => {
-                    bound_terms > bb || (bound_terms == bb && unbound_vars.len() < bu)
-                }
-            };
-            if better {
-                best = Some(candidate);
+            let key = (Reverse(bound_terms), unbound_vars.len(), size(i));
+            if best.is_none_or(|(k, _)| key < k) {
+                best = Some((key, i));
             }
         }
-        let (_, _, i) = best.expect("unused atom remains");
+        let (_, i) = best.expect("unused atom remains");
         order.push(i);
         used[i] = true;
         bind(atoms[i], &mut bound);
@@ -144,6 +153,33 @@ mod tests {
         let c = atom!("S"; @"X");
         let order = plan_order(&[&a, &b, &c], Some(0));
         assert_eq!(order, vec![0, 2, 1]);
+    }
+
+    #[test]
+    fn sizes_break_ties_before_position() {
+        // DRed's re-derivation of t(X,Z) ← t(X,Y), e(Y,Z): the head binds
+        // X and Z, so both body atoms have one bound term; the smaller
+        // relation goes first, and without sizes position decides.
+        let t = atom!("t"; @"X", @"Y");
+        let e = atom!("e"; @"Y", @"Z");
+        let head = atom!("t"; @"X", @"Z");
+        let atoms = [&t, &e, &head];
+        assert_eq!(plan_order(&atoms, Some(2)), vec![2, 0, 1]);
+        assert_eq!(
+            plan_order_by_size(&atoms, Some(2), &[33_000, 330, 5]),
+            vec![2, 1, 0]
+        );
+        assert_eq!(
+            plan_order_by_size(&atoms, Some(2), &[330, 330, 5]),
+            vec![2, 0, 1]
+        );
+        // Sizes never outrank bound terms or unbound variables.
+        let u = atom!("u"; @"W");
+        assert_eq!(
+            plan_order_by_size(&[&t, &e, &u], Some(0), &[1, 9, 1]),
+            vec![0, 1, 2]
+        );
+        assert_eq!(plan_order_by_size(&[&u, &t], None, &[9, 1]), vec![0, 1]);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! probes it with interned keys ([`Index::probe_rows`]). Indexes are
 //! immutable snapshots, built lazily and cached on the run (per column
 //! subset, per run generation), so holders of an `Arc<Index>` always
-//! see a consistent picture of the run at build time. A fold that makes
-//! the next run generation ([`crate::Run::apply_sorted`]) carries the
-//! cached views across: the new generation's view is merged from the
-//! old one, not re-sorted.
+//! see a consistent picture of the run at build time. A merge that makes
+//! the next run generation (a relation's level merges and folds, and
+//! [`crate::Run::apply_sorted`]) carries the cached views across: the
+//! new generation's view is merged from the old one, not re-sorted.
 //!
 //! An index is a view into a sorted run: when the key columns are a
 //! prefix of the column order the sorted run *is* the index (a probe is

@@ -43,7 +43,7 @@ pub use instance::Instance;
 pub use intern::{Symbol, Vid};
 pub use iso::Iso;
 pub use multiset::FactMultiset;
-pub use relation::{Relation, PROMOTE_LEN, REENTRY_LEN};
+pub use relation::{Relation, SpineRef, PROMOTE_LEN, REENTRY_LEN};
 pub use runs::{Run, SmallTail, StorageStats};
 pub use schema::Schema;
 pub use value::Value;

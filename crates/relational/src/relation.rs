@@ -6,12 +6,36 @@
 //!   ([`SmallTail`]). Inserts, removes, and membership are O(tail)
 //!   linear probes with zero sort/fold cost, exactly the shape of the
 //!   round executors' tiny per-node relations;
-//! * **runs**: an immutable sorted [`Run`] of flat `Vec<Vid>` columns
-//!   plus small sorted add/delete *tails*. Reads that need the full
-//!   sorted view fold the tails into a fresh run once (cached until the
-//!   next mutation), set algebra and delta application are galloping
-//!   merge walks over runs, and indexes are permutation/range views
-//!   into the run.
+//! * **runs**: a *spine* of disjoint sorted [`Run`]s (the *levels*) in
+//!   geometrically decreasing sizes, a sorted run of removed rows that
+//!   reads skip, and a buffer of point writes.
+//!
+//! # The spine
+//!
+//! A bulk write ([`Relation::absorb_run`], [`Relation::apply_delta`])
+//! subtracts its run from the levels and pushes the rest as a new
+//! level; then the newest level merges into the one below while it is
+//! at least half that level's size. So a relation holds O(log n)
+//! levels, and each row is rewritten O(log n) times. A merge drops the
+//! removed rows it covers and carries its inputs' permutation views
+//! (`Run::merge`). Removed rows fold in all at once when they pass a
+//! quarter of the rows the levels hold. Point writes
+//! ([`Relation::insert`], [`Relation::remove`]) collect in the buffer;
+//! the next read seals it into the spine, cached through `&self`, and
+//! the next write adopts the sealed spine.
+//!
+//! Membership probes, the negated-atom probe
+//! ([`Relation::contains_vids`]), the join executor (through
+//! [`Relation::spine`]) and novelty checks ([`Relation::novel`]) read
+//! every level in place, through each level's cached views. Only reads
+//! that need one sorted sequence fold the levels into one run:
+//! [`Relation::iter`], [`Relation::columnar_run`], [`Relation::diff`],
+//! `Ord` and union. The fold is cached, and the next write adopts it as
+//! the single level. A clone copies level pointers only, so consecutive
+//! versions of a relation — the ticks of a Dedalus trace — share every
+//! level they did not write.
+//!
+//! # Regimes
 //!
 //! A relation **promotes** from the small regime to runs when it
 //! reaches [`PROMOTE_LEN`] tuples, when a consumer demands order while
@@ -48,81 +72,436 @@ pub const PROMOTE_LEN: usize = 256;
 /// cannot flap.
 pub const REENTRY_LEN: usize = PROMOTE_LEN / 4;
 
-/// Run store: an immutable sorted base run plus small mutable tails,
-/// folded together on demand.
+/// Removed rows fold into the levels once they pass one in this many of
+/// the rows the levels hold.
+const REMOVED_SHARE: usize = 4;
+
+/// The sorted runs of a relation above the small regime (see the module
+/// docs).
 ///
-/// Invariants: `adds ∩ base = ∅` and `dels ⊆ base` (so `adds` and
-/// `dels` are disjoint and `len = base − dels + adds` exactly); the
-/// `merged` cache, when set, is exactly `(base ∖ dels) ∪ adds` — any
-/// mutation first *adopts* a set `merged` as the new base (advancing
-/// the run generation) and always leaves `merged` unset.
-#[derive(Clone)]
+/// Invariants, checked after every write in debug builds: the levels
+/// are nonempty, sorted and pairwise disjoint, each under half the size
+/// of the one below; every removed row lies in some level; `len` is
+/// Σ|levels| − |removed|. `folded`, when set, is the one run of the
+/// live rows.
+#[derive(Default)]
+struct Spine {
+    levels: Vec<Arc<Run>>,
+    removed: Option<Arc<Run>>,
+    len: usize,
+    folded: OnceLock<Arc<Run>>,
+}
+
+impl Spine {
+    /// The spine of one run.
+    fn of(run: Arc<Run>) -> Spine {
+        Spine {
+            len: run.len(),
+            levels: if run.is_empty() {
+                Vec::new()
+            } else {
+                vec![run]
+            },
+            removed: None,
+            folded: OnceLock::new(),
+        }
+    }
+
+    /// The fold a read cached, when it is a new run rather than the
+    /// spine's one level.
+    fn fold_apart(&self) -> Option<&Arc<Run>> {
+        let run = self.folded.get()?;
+        (self.levels.len() != 1 || !Arc::ptr_eq(run, &self.levels[0])).then_some(run)
+    }
+
+    /// A copy sharing every level — or, when a read folded this spine,
+    /// the fold as its one level, so that a copy never holds both.
+    fn share(&self) -> Spine {
+        match self.fold_apart() {
+            Some(run) => Spine::of(Arc::clone(run)),
+            None => Spine {
+                levels: self.levels.clone(),
+                removed: self.removed.clone(),
+                len: self.len,
+                folded: OnceLock::new(),
+            },
+        }
+    }
+
+    fn view(&self) -> SpineRef<'_> {
+        SpineRef {
+            levels: &self.levels,
+            removed: self.removed.as_deref(),
+        }
+    }
+
+    /// Is `t` a live row?
+    fn contains(&self, t: &Tuple) -> bool {
+        self.levels.iter().any(|l| l.contains(t))
+            && !self.removed.as_ref().is_some_and(|r| r.contains(t))
+    }
+
+    /// The live rows as one sorted run: the only level when nothing is
+    /// removed, else the fold of every level (cached).
+    fn run(&self, arity: usize, stats: &StatCells) -> &Arc<Run> {
+        self.folded
+            .get_or_init(|| match (&self.levels[..], &self.removed) {
+                ([], _) => Arc::new(Run::empty(arity)),
+                ([only], None) => Arc::clone(only),
+                _ => {
+                    stats.note_fold();
+                    Arc::new(self.fold())
+                }
+            })
+    }
+
+    /// Every level merged into one run, smallest first, dropping the
+    /// removed rows.
+    fn fold(&self) -> Run {
+        let drop = self.removed.as_deref();
+        let mut levels = self.levels.iter().rev();
+        let Some(smallest) = levels.next() else {
+            unreachable!("a fold has levels");
+        };
+        let mut acc = match levels.next() {
+            Some(next) => next.merge(smallest, drop).0,
+            None => smallest.merge(&Run::empty(smallest.arity()), drop).0,
+        };
+        for level in levels {
+            acc = level.merge(&acc, drop).0;
+        }
+        acc
+    }
+
+    /// Push `run`, which no level holds, as the newest level; then merge
+    /// the newest level into the one below while it is at least half
+    /// that level's size.
+    fn push(&mut self, run: Run) {
+        if run.is_empty() {
+            return;
+        }
+        self.len += run.len();
+        let levels = &mut self.levels;
+        levels.push(Arc::new(run));
+        while let [.., below, top] = &levels[..] {
+            if 2 * top.len() < below.len() {
+                break;
+            }
+            let (merged, dropped) = below.merge(top, self.removed.as_deref());
+            levels.truncate(levels.len() - 2);
+            // Forget the removed rows the merge dropped.
+            if !dropped.is_empty() {
+                let removed = self.removed.take().expect("dropped rows were removed");
+                let rest = removed.without_rows(&dropped);
+                self.removed = (!rest.is_empty()).then(|| Arc::new(rest));
+            }
+            if !merged.is_empty() {
+                levels.push(Arc::new(merged));
+            }
+        }
+    }
+
+    /// Remove `rows`, live rows of the levels; fold the removed rows
+    /// in once they pass one in [`REMOVED_SHARE`] of the rows held.
+    fn remove(&mut self, rows: Run) {
+        if rows.is_empty() {
+            return;
+        }
+        self.len -= rows.len();
+        let removed = match self.removed.take() {
+            Some(r) => r.union(&rows),
+            None => rows,
+        };
+        let held: usize = self.levels.iter().map(|l| l.len()).sum();
+        let fold_in = removed.len() * REMOVED_SHARE > held;
+        self.removed = Some(Arc::new(removed));
+        if fold_in {
+            *self = Spine::of(Arc::new(self.fold()));
+        }
+    }
+
+    /// Add every row of `run` the spine does not hold live: the removed
+    /// ones come back, the rest become a new level. Returns how many
+    /// rows were added.
+    fn absorb(&mut self, run: &Run) -> usize {
+        let (fresh, back) = self.view().split(run);
+        let added = fresh.len() + back.as_ref().map_or(0, Run::len);
+        if let Some(back) = back {
+            let removed = self
+                .removed
+                .take()
+                .expect("rows come back from the removed set");
+            let rest = removed.difference(&back);
+            self.removed = (!rest.is_empty()).then(|| Arc::new(rest));
+            self.len += back.len();
+        }
+        self.push(fresh);
+        added
+    }
+
+    /// Seal point writes in: remove `dels` (live rows), add `adds` (rows
+    /// not live).
+    fn write(&mut self, adds: &BTreeSet<Tuple>, dels: &BTreeSet<Tuple>) {
+        let Some(arity) = adds.iter().chain(dels).next().map(Tuple::arity) else {
+            return;
+        };
+        self.remove(Run::from_sorted(arity, dels.iter()));
+        self.absorb(&Run::from_sorted(arity, adds.iter()));
+    }
+
+    /// Check the invariants (debug builds only).
+    fn check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut held = 0;
+        for (i, level) in self.levels.iter().enumerate() {
+            assert!(!level.is_empty(), "level {i} is empty");
+            assert!(level.is_strictly_sorted(), "level {i} is not sorted");
+            if let Some(next) = self.levels.get(i + 1) {
+                assert!(2 * next.len() < level.len(), "level {} is too big", i + 1);
+            }
+            for (j, other) in self.levels.iter().enumerate().skip(i + 1) {
+                assert!(
+                    level.intersect(other).is_empty(),
+                    "levels {i} and {j} overlap"
+                );
+            }
+            held += level.len();
+        }
+        let removed = self.removed.as_ref().map_or(0, |r| r.len());
+        if let Some(r) = &self.removed {
+            let stray = (self.levels.iter()).fold(Run::clone(r), |rest, l| rest.difference(l));
+            assert!(
+                stray.is_empty(),
+                "{} removed rows lie in no level",
+                stray.len()
+            );
+        }
+        assert_eq!(self.len, held - removed, "len is not the live row count");
+    }
+}
+
+/// A relation's sorted runs as reads visit them in place: disjoint
+/// levels, and the removed rows that reads skip (see the module docs).
+/// A small relation reads as its one sorted run.
+#[derive(Clone, Copy)]
+pub struct SpineRef<'a> {
+    levels: &'a [Arc<Run>],
+    removed: Option<&'a Run>,
+}
+
+impl<'a> SpineRef<'a> {
+    /// The levels: disjoint sorted runs, largest first.
+    pub fn levels(&self) -> &'a [Arc<Run>] {
+        self.levels
+    }
+
+    /// Do the levels hold removed rows, which reads must skip?
+    pub fn has_removed(&self) -> bool {
+        self.removed.is_some()
+    }
+
+    /// Is row `row` of `level`, one of the levels, live (not removed)?
+    pub fn is_live(&self, level: &Run, row: usize) -> bool {
+        self.removed.is_none_or(|r| !r.contains_row(level, row))
+    }
+
+    /// Membership of an interned full-arity key.
+    fn contains_vids(&self, key: &[Vid]) -> bool {
+        self.levels.iter().any(|l| l.contains_vids(key))
+            && !self.removed.is_some_and(|r| r.contains_vids(key))
+    }
+
+    /// Is every live row of `self` a live row of `other` (same arity)?
+    /// Works a level at a time, folding neither side: a level `other`
+    /// shares is inside it when `other` removed nothing, and any other
+    /// level's rows outside `other` must all be rows `self` removed.
+    fn is_within(&self, other: &SpineRef<'_>) -> bool {
+        let same_removed = match (self.removed, other.removed) {
+            (None, None) => true,
+            (Some(x), Some(y)) => std::ptr::eq(x, y),
+            _ => false,
+        };
+        let shared = |level: &Arc<Run>| {
+            other.removed.is_none() && other.levels.iter().any(|l| Arc::ptr_eq(l, level))
+        };
+        let same_levels = self.levels.len() == other.levels.len()
+            && (self.levels.iter().zip(other.levels)).all(|(x, y)| Arc::ptr_eq(x, y));
+        if same_removed && same_levels {
+            return true;
+        }
+        self.levels.iter().all(|level| {
+            if shared(level) {
+                return true;
+            }
+            if let ([one], None, None) = (other.levels, other.removed, self.removed) {
+                return level.is_subset(one); // gallops, and stops at the first miss
+            }
+            let outside = other.novel(level);
+            outside.is_empty() || self.removed.is_some_and(|r| outside.is_subset(r))
+        })
+    }
+
+    /// `run ∖ self`: the rows of `run` that are not live rows here.
+    fn novel(&self, run: &Run) -> Run {
+        match self.split(run) {
+            (fresh, None) => fresh,
+            (fresh, Some(back)) => fresh.union(&back),
+        }
+    }
+
+    /// Split `run` into the rows no level holds and the rows that sit
+    /// removed in a level (`None` when there are none). Rows held live
+    /// are in neither part.
+    fn split(&self, run: &Run) -> (Run, Option<Run>) {
+        let mut fresh = run.clone();
+        for level in self.levels {
+            if fresh.is_empty() {
+                break;
+            }
+            fresh = fresh.difference(level);
+        }
+        let back = self.removed.map(|r| run.intersect(r));
+        (fresh, back.filter(|b| !b.is_empty()))
+    }
+}
+
+/// The runs regime: a spine plus the point writes made since it was
+/// last written. Every write first adopts what reads built — the sealed
+/// spine, then the spine's fold.
 struct ColStore {
-    base: Arc<Run>,
-    adds: BTreeSet<Tuple>,
-    dels: BTreeSet<Tuple>,
-    merged: OnceLock<Arc<Run>>,
+    spine: Spine,
+    /// `None` when no point write is pending.
+    pending: Option<Box<Pending>>,
     stats: StatCells,
 }
 
-impl ColStore {
-    fn new(base: Arc<Run>, stats: StatCells) -> ColStore {
+/// Point writes since the spine was last written. Invariants: `adds`
+/// holds no live row of the spine, `dels` only live ones (so they are
+/// disjoint, and the length is exact), not both are empty; `sealed`,
+/// when set, is the spine with them written in.
+#[derive(Default)]
+struct Pending {
+    adds: BTreeSet<Tuple>,
+    dels: BTreeSet<Tuple>,
+    sealed: OnceLock<Spine>,
+}
+
+// A clone shares every level of the spine that reads see, and has no
+// point writes pending.
+impl Clone for ColStore {
+    fn clone(&self) -> ColStore {
         ColStore {
-            base,
-            adds: BTreeSet::new(),
-            dels: BTreeSet::new(),
-            merged: OnceLock::new(),
+            spine: self.read().share(),
+            pending: None,
+            stats: self.stats.clone(),
+        }
+    }
+}
+
+impl ColStore {
+    /// The store of one sorted run.
+    fn of(run: Arc<Run>, stats: StatCells) -> ColStore {
+        ColStore {
+            spine: Spine::of(run),
+            pending: None,
             stats,
         }
     }
 
     fn len(&self) -> usize {
-        self.base.len() - self.dels.len() + self.adds.len()
+        match &self.pending {
+            Some(p) => self.spine.len + p.adds.len() - p.dels.len(),
+            None => self.spine.len,
+        }
     }
 
     fn contains(&self, t: &Tuple) -> bool {
-        self.adds.contains(t) || (!self.dels.contains(t) && self.base.contains(t))
-    }
-
-    /// The current sorted run — the base itself when the tails are
-    /// empty, else the cached fold of base and tails.
-    fn run(&self) -> &Arc<Run> {
-        if self.adds.is_empty() && self.dels.is_empty() {
-            &self.base
-        } else {
-            if self.merged.get().is_none() {
-                self.stats.note_fold();
-            }
-            self.merged.get_or_init(|| {
-                let add: Vec<Tuple> = self.adds.iter().cloned().collect();
-                let del: Vec<Tuple> = self.dels.iter().cloned().collect();
-                Arc::new(self.base.apply_sorted(&add, &del))
-            })
+        match &self.pending {
+            Some(p) => p.adds.contains(t) || (!p.dels.contains(t) && self.spine.contains(t)),
+            None => self.spine.contains(t),
         }
     }
 
-    /// If a read has already folded the tails into a run, promote it to
-    /// be the new base (fresh run generation); otherwise just drop the
-    /// stale cache. Called before every mutation.
+    /// The spine reads see: the written one, or with the pending point
+    /// writes sealed in (cached until the next write).
+    fn read(&self) -> &Spine {
+        match &self.pending {
+            None => &self.spine,
+            Some(p) => p.sealed.get_or_init(|| {
+                let mut spine = self.spine.share();
+                spine.write(&p.adds, &p.dels);
+                spine.check();
+                spine
+            }),
+        }
+    }
+
+    /// The live rows as one sorted run (see [`Spine::run`]).
+    fn run(&self, arity: usize) -> &Arc<Run> {
+        self.read().run(arity, &self.stats)
+    }
+
+    /// Adopt what reads built: the sealed spine, then its fold.
     fn adopt(&mut self) {
-        if let Some(m) = self.merged.take() {
-            self.base = m;
-            self.adds.clear();
-            self.dels.clear();
+        if let Some(spine) = self.pending.as_mut().and_then(|p| p.sealed.take()) {
+            self.spine = spine;
+            self.pending = None;
+        }
+        if let Some(run) = self.spine.fold_apart() {
+            self.spine = Spine::of(Arc::clone(run));
+        }
+        self.spine.folded = OnceLock::new();
+    }
+
+    /// Adopt, and seal in the point writes no read has sealed: bulk
+    /// writes start from a spine with nothing pending.
+    fn flush(&mut self) {
+        self.adopt();
+        if let Some(p) = self.pending.take() {
+            self.spine.write(&p.adds, &p.dels);
         }
     }
 
-    /// Replace the contents with a freshly built run (bulk rebuild),
-    /// keeping the counters.
-    fn replace_base(&mut self, run: Run) {
-        self.base = Arc::new(run);
-        self.adds.clear();
-        self.dels.clear();
-        self.merged = OnceLock::new();
+    /// Insert `t`; `true` if it was not held.
+    fn insert(&mut self, t: Tuple) -> bool {
+        self.adopt();
+        let inserted = if self.pending.as_mut().is_some_and(|p| p.dels.remove(&t)) {
+            true // a pending remove; undo it
+        } else if self.spine.contains(&t) {
+            false
+        } else {
+            self.pending.get_or_insert_with(Box::default).adds.insert(t)
+        };
+        self.settle();
+        inserted
     }
 
-    fn note_tail(&self) {
-        self.stats.note_tail_len(self.adds.len() + self.dels.len());
+    /// Remove `t`; `true` if it was held.
+    fn remove(&mut self, t: &Tuple) -> bool {
+        self.adopt();
+        let removed = if self.pending.as_mut().is_some_and(|p| p.adds.remove(t)) {
+            true
+        } else if self.spine.contains(t) {
+            self.pending
+                .get_or_insert_with(Box::default)
+                .dels
+                .insert(t.clone())
+        } else {
+            false
+        };
+        self.settle();
+        removed
+    }
+
+    /// Drop an empty buffer, and note the buffer's size.
+    fn settle(&mut self) {
+        match &self.pending {
+            Some(p) if p.adds.is_empty() && p.dels.is_empty() => self.pending = None,
+            Some(p) => self.stats.note_tail_len(p.adds.len() + p.dels.len()),
+            None => {}
+        }
     }
 }
 
@@ -139,7 +518,7 @@ impl Store {
         if tuples.len() <= REENTRY_LEN {
             Store::Small(SmallTail::from_sorted(arity, tuples))
         } else {
-            Store::Col(ColStore::new(
+            Store::Col(ColStore::of(
                 Arc::new(Run::from_sorted(arity, tuples.iter())),
                 StatCells::default(),
             ))
@@ -153,7 +532,7 @@ impl Store {
         if run.len() <= REENTRY_LEN {
             Store::Small(SmallTail::from_run(Arc::new(run), StatCells::default()))
         } else {
-            Store::Col(ColStore::new(Arc::new(run), StatCells::default()))
+            Store::Col(ColStore::of(Arc::new(run), StatCells::default()))
         }
     }
 }
@@ -162,8 +541,8 @@ impl Store {
 ///
 /// Iteration order is deterministic (sorted) in either regime — the
 /// whole simulator relies on runs being pure functions of their inputs.
-/// Joins probe cached views of the sorted run
-/// ([`Relation::columnar_run`], then [`Run::view`]).
+/// Joins probe the cached views of each level in place
+/// ([`Relation::spine`], then [`Run::view`]).
 #[derive(Clone)]
 pub struct Relation {
     arity: usize,
@@ -219,14 +598,14 @@ impl Relation {
 
     /// Build a relation directly from a sorted run — the zero-copy
     /// landing for join outputs that later joins read. The run becomes
-    /// the base of the runs regime; like any promoted relation, the next
+    /// the one level of the runs regime; like any promoted relation, the next
     /// bulk rebuild that lands at or below [`REENTRY_LEN`] (delta
     /// application, [`crate::Instance::set_relation`]) re-enters the
     /// small regime.
     pub fn from_run(run: Run) -> Relation {
         Relation {
             arity: run.arity(),
-            store: Store::Col(ColStore::new(Arc::new(run), StatCells::default())),
+            store: Store::Col(ColStore::of(Arc::new(run), StatCells::default())),
         }
     }
 
@@ -242,14 +621,15 @@ impl Relation {
         }
     }
 
-    /// The current sorted run. The runs regime folds any pending tails
-    /// (cached until the next mutation); the small regime sorts its log
+    /// The current sorted run. The runs regime folds its levels into
+    /// one run, which the next write adopts (a spine of one level with
+    /// nothing removed is its own run); the small regime sorts its log
     /// on demand — which **is** the order-demand signal that makes the
     /// next mutation above the hysteresis floor promote. An empty small
     /// relation answers a fresh empty run: no cache, no fold, no demand.
     pub fn columnar_run(&self) -> Arc<Run> {
         match &self.store {
-            Store::Col(c) => Arc::clone(c.run()),
+            Store::Col(c) => Arc::clone(c.run(self.arity)),
             Store::Small(s) if s.is_empty() => Arc::new(Run::empty(self.arity)),
             Store::Small(s) => Arc::clone(s.sorted_run()),
         }
@@ -257,12 +637,13 @@ impl Relation {
 
     /// In-place union with a run of the same arity. Small relations
     /// point-insert only while the combined size stays at or below the
-    /// hysteresis floor, else promote first and take the galloping
-    /// merge: absorbing a run is a bulk operation, so the cheap-probe
-    /// argument that lets point inserts ride to the full promotion
-    /// threshold does not apply — repeated O(|tail|·|run|) absorbs are
-    /// exactly the fixpoint inner loop the runs regime wins. Returns
-    /// the number of tuples actually added.
+    /// hysteresis floor, else promote first: absorbing a run is a bulk
+    /// operation, so the cheap-probe argument that lets point inserts
+    /// ride to the full promotion threshold does not apply — repeated
+    /// O(|tail|·|run|) absorbs are exactly the fixpoint inner loop the
+    /// runs regime wins. The runs regime subtracts the run from its
+    /// levels and pushes the rest as a new level (see the module docs).
+    /// Returns the number of tuples actually added.
     pub fn absorb_run(&mut self, run: &Run) -> Result<usize, RelError> {
         if run.arity() != self.arity {
             return Err(RelError::TupleArity {
@@ -279,15 +660,10 @@ impl Relation {
         }
         match &mut self.store {
             Store::Col(c) => {
-                let before = c.len();
-                c.adopt();
-                if c.adds.is_empty() && c.dels.is_empty() {
-                    c.base = Arc::new(c.base.union(run));
-                } else {
-                    let folded = c.run().union(run);
-                    c.replace_base(folded);
-                }
-                Ok(c.len() - before)
+                c.flush();
+                let added = c.spine.absorb(run);
+                c.spine.check();
+                Ok(added)
             }
             Store::Small(s) => {
                 let mut grown = 0usize;
@@ -351,22 +727,50 @@ impl Relation {
     }
 
     /// Membership test on an interned full-arity key — how a join
-    /// probes a negated atom. A run store probes its sorted run (the
-    /// tails folded once, as any read folds them); a small relation
+    /// probes a negated atom. A run store probes each level (pending
+    /// point writes sealed in, as any read seals them); a small relation
     /// scans its log, so the probe neither sorts it nor registers an
     /// order demand.
     pub fn contains_vids(&self, key: &[Vid]) -> bool {
         key.len() == self.arity
             && match &self.store {
-                Store::Col(c) => c.run().contains_vids(key),
+                Store::Col(c) => c.read().view().contains_vids(key),
                 Store::Small(s) => s.contains_vids(key),
             }
     }
 
+    /// The sorted runs a read visits in place: the spine's levels and
+    /// its removed rows, pending point writes sealed in. A small
+    /// relation reads as its sorted log, which is an order demand (as
+    /// [`Relation::columnar_run`] is); an empty one reads as no level.
+    pub fn spine(&self) -> SpineRef<'_> {
+        match &self.store {
+            Store::Col(c) => c.read().view(),
+            Store::Small(s) if s.is_empty() => SpineRef {
+                levels: &[],
+                removed: None,
+            },
+            Store::Small(s) => SpineRef {
+                levels: std::slice::from_ref(s.sorted_run()),
+                removed: None,
+            },
+        }
+    }
+
+    /// The rows of `run` (same arity) this relation does not hold —
+    /// `run ∖ self`, subtracted level by level with no fold.
+    pub fn novel(&self, run: Run) -> Run {
+        debug_assert_eq!(run.arity(), self.arity);
+        if self.is_empty() {
+            return run;
+        }
+        self.spine().novel(&run)
+    }
+
     /// Promote a small relation to sorted runs: adopt the sorted view
-    /// of the log (building it if no consumer has yet) as the base run
-    /// of a tail-less [`ColStore`], carrying the counters across.
-    /// One-way per growth episode.
+    /// of the log (building it if no consumer has yet) as the one level
+    /// of a [`ColStore`], carrying the counters across. One-way per
+    /// growth episode.
     fn promote(&mut self) {
         if let Store::Small(s) = &self.store {
             let base = Arc::clone(s.sorted_run());
@@ -376,7 +780,7 @@ impl Relation {
             if rtx_obs::tracing() {
                 rtx_obs::event!("storage", "promote", "len" => s.len());
             }
-            self.store = Store::Col(ColStore::new(base, stats));
+            self.store = Store::Col(ColStore::of(base, stats));
         }
     }
 
@@ -418,7 +822,7 @@ impl Relation {
                 // cache: a per-tick bulk rebuild that lands small would
                 // otherwise re-sort and rebuild index views on the very
                 // next ordered read, every tick.
-                let run = Arc::clone(c.run());
+                let run = Arc::clone(c.run(self.arity));
                 let stats = c.stats.clone();
                 rtx_obs::registry::add("storage.demotions", 1);
                 if rtx_obs::tracing() {
@@ -439,18 +843,7 @@ impl Relation {
         }
         self.pre_mutation();
         let inserted = match &mut self.store {
-            Store::Col(c) => {
-                c.adopt();
-                if c.dels.remove(&t) {
-                    true // was deleted from base; undelete
-                } else if c.base.contains(&t) {
-                    false
-                } else {
-                    let inserted = c.adds.insert(t);
-                    c.note_tail();
-                    inserted
-                }
-            }
+            Store::Col(c) => c.insert(t),
             Store::Small(s) => s.insert(t),
         };
         self.post_growth();
@@ -464,18 +857,7 @@ impl Relation {
         }
         self.pre_mutation();
         match &mut self.store {
-            Store::Col(c) => {
-                c.adopt();
-                if c.adds.remove(t) {
-                    return true;
-                }
-                if c.base.contains(t) {
-                    let removed = c.dels.insert(t.clone());
-                    c.note_tail();
-                    return removed;
-                }
-                false
-            }
+            Store::Col(c) => c.remove(t),
             Store::Small(s) => s.remove(t),
         }
     }
@@ -499,8 +881,9 @@ impl Relation {
     ///
     /// Small relations apply the delta as point operations — no run
     /// merge — unless the result could outgrow the promotion threshold;
-    /// promoted relations rebuild with one merge and re-enter the small
-    /// regime when the result lands at or below the hysteresis floor.
+    /// promoted relations mark the removed rows and push the added ones
+    /// as a level (see the module docs), and re-enter the small regime
+    /// when the result lands at or below the hysteresis floor.
     pub fn apply_delta(&mut self, delta: &RelationDelta) -> Result<(), RelError> {
         crate::delta::check_arity(self.arity, delta.arity())?;
         if delta.is_empty() {
@@ -515,10 +898,12 @@ impl Relation {
         }
         match &mut self.store {
             Store::Col(c) => {
-                // One three-way merge over the current run instead of
-                // per-fact tree edits.
-                let next = c.run().apply_sorted(delta.added(), delta.removed());
-                c.replace_base(next);
+                c.flush();
+                let live = delta.removed().iter().filter(|t| c.spine.contains(t));
+                c.spine.remove(Run::from_sorted(self.arity, live));
+                c.spine
+                    .absorb(&Run::from_sorted(self.arity, delta.added().iter()));
+                c.spine.check();
             }
             Store::Small(s) => {
                 for t in delta.removed() {
@@ -538,7 +923,7 @@ impl Relation {
     /// mutation. An empty one has nothing to sort and demands nothing.)
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         match &self.store {
-            Store::Col(c) => c.run().rows().iter(),
+            Store::Col(c) => c.run(self.arity).rows().iter(),
             Store::Small(s) if s.is_empty() => [].iter(),
             Store::Small(s) => s.sorted_run().rows().iter(),
         }
@@ -585,9 +970,10 @@ impl Relation {
             v.sort_unstable();
             return Ok(self.with_sorted(v));
         }
-        Ok(Relation::from_result_run(
-            self.columnar_run().intersect(&other.columnar_run()),
-        ))
+        // `self ∖ (self ∖ other)`: `other` is read level by level.
+        let run = self.columnar_run();
+        let outside = other.novel(Run::clone(&run));
+        Ok(Relation::from_result_run(run.difference(&outside)))
     }
 
     /// Set difference `self \ other` (arities must agree).
@@ -603,7 +989,7 @@ impl Relation {
             return Ok(self.with_sorted(v));
         }
         Ok(Relation::from_result_run(
-            self.columnar_run().difference(&other.columnar_run()),
+            other.novel(Run::clone(&self.columnar_run())),
         ))
     }
 
@@ -617,9 +1003,7 @@ impl Relation {
         match (&self.store, &other.store) {
             (Store::Small(s), _) => s.live_tuples().all(|t| other.contains(t)),
             (_, Store::Small(_)) => self.iter().all(|t| other.contains(t)),
-            (Store::Col(a), Store::Col(b)) => {
-                Arc::ptr_eq(a.run(), b.run()) || a.run().is_subset(b.run())
-            }
+            (Store::Col(a), Store::Col(b)) => a.read().view().is_within(&b.read().view()),
         }
     }
 
@@ -662,20 +1046,14 @@ impl PartialEq for Relation {
         if self.arity != other.arity || self.len() != other.len() {
             return false;
         }
-        if let (Store::Col(a), Store::Col(b)) = (&self.store, &other.store) {
-            if Arc::ptr_eq(a.run(), b.run()) {
-                return true;
-            }
-        }
         // With equal cardinalities, set equality is containment — so
-        // a small operand is compared by probing, never by sorting.
-        if let Store::Small(s) = &self.store {
-            return s.live_tuples().all(|t| other.contains(t));
+        // neither side is sorted or folded: spines that hold the same
+        // levels are equal by pointer, others are probed row by row.
+        match (&self.store, &other.store) {
+            (Store::Small(s), _) => s.live_tuples().all(|t| other.contains(t)),
+            (_, Store::Small(s)) => s.live_tuples().all(|t| self.contains(t)),
+            (Store::Col(a), Store::Col(b)) => a.read().view().is_within(&b.read().view()),
         }
-        if let Store::Small(s) = &other.store {
-            return s.live_tuples().all(|t| self.contains(t));
-        }
-        self.iter().eq(other.iter())
     }
 }
 
@@ -1154,6 +1532,73 @@ mod tests {
         r.post_rebuild();
         assert!(r.in_small_regime(), "a small run re-enters on rebuild");
         assert_eq!(r, rel(1, vec![tuple![1], tuple![2]]));
+    }
+
+    /// The runs `r` holds — levels and removed rows — by the address of
+    /// their first column (which clones of a run share) and length, and
+    /// the rows its point-write buffer holds.
+    fn held_runs(r: &Relation) -> (Vec<(*const Vid, usize)>, usize) {
+        match &r.store {
+            Store::Col(c) => {
+                let runs = (c.spine.levels.iter().chain(&c.spine.removed))
+                    .map(|run| (run.col(0).as_ptr(), run.len()))
+                    .collect();
+                let buffered = (c.pending.as_ref()).map_or(0, |p| p.adds.len() + p.dels.len());
+                (runs, buffered)
+            }
+            Store::Small(s) => (Vec::new(), s.len()),
+        }
+    }
+
+    /// A relation that grows in small batches while it is cloned — a
+    /// Dedalus trace keeping every tick — shares its levels with every
+    /// clone: 256 clones hold O(ΣΔ·log n) distinct rows, where whole
+    /// copies would hold Σ|clone|.
+    #[test]
+    fn clones_share_their_levels() {
+        let mut r = Relation::from_run(Run::from_sorted(2, [tuple![0, 0]].iter()));
+        let (mut clones, mut next, mut delta) = (Vec::new(), 0i64, 1usize);
+        for k in 0..256i64 {
+            clones.push(r.clone());
+            let rows: Vec<Tuple> = (0..=k)
+                .map(|_| {
+                    next += 1;
+                    tuple![next, next % 7]
+                })
+                .collect();
+            assert_eq!(
+                r.absorb_run(&Run::from_sorted(2, rows.iter())).unwrap(),
+                rows.len()
+            );
+            delta += rows.len();
+        }
+        clones.push(r);
+        let mut runs = std::collections::BTreeMap::new();
+        let mut held = 0;
+        for c in &clones {
+            let (levels, buffered) = held_runs(c);
+            runs.extend(levels);
+            held += buffered;
+        }
+        held += runs.values().sum::<usize>();
+        let n = clones.last().map_or(0, Relation::len);
+        assert_eq!(n, delta);
+        let copies: usize = clones.iter().map(Relation::len).sum();
+        let log_n = usize::BITS - n.leading_zeros();
+        // 172,663 rows for ΣΔ = 32,897 and n of 16 bits, against
+        // 2,829,313 in copies.
+        assert!(
+            held <= delta * log_n as usize,
+            "{held} rows for ΣΔ = {delta}"
+        );
+        assert!(held * 10 < copies, "{held} rows against {copies} in copies");
+    }
+
+    #[test]
+    fn a_relation_stays_compact() {
+        // A network node holds a few relations each; the spine's
+        // point-write buffer lives behind a box.
+        assert!(std::mem::size_of::<Relation>() <= 112);
     }
 
     #[test]

@@ -7,6 +7,16 @@
 //! exactly the order a `BTreeSet<Tuple>` iterates in, so a relation's
 //! iteration order is deterministic whatever its history.
 //!
+//! A promoted relation is a *spine* of runs (see
+//! [`Relation`](crate::Relation)): disjoint levels in geometrically
+//! decreasing sizes plus a run of removed rows. A write pushes a new
+//! level, and the newest level merges into the one below while it is at
+//! least half that level's size; `Run::merge` is that merge, dropping
+//! the removed rows it meets. Joins, membership probes and novelty
+//! checks read every level in place; only reads that need one sorted
+//! sequence (a scan, a diff, union) fold the levels into one run, with
+//! the same merge.
+//!
 //! Set operations (union, intersection, difference, delta application,
 //! diffing) are merge walks over two runs that compare packed `u32`
 //! ids, bulk-copy exhausted tails column-wise, and *gallop*
@@ -20,9 +30,11 @@
 //! relation. Secondary indexes are *views* into a run — a sorted
 //! permutation, or for key-prefix columns no structure at all — held on
 //! a lock-free append-only chain so the hot read path takes no lock
-//! (see [`Run::view`]). A fold ([`Run::apply_sorted`]) hands every
-//! cached permutation view on to the run it produces, merged rather
-//! than re-sorted.
+//! (see [`Run::view`]). A merge (`Run::merge`, and
+//! [`Run::apply_sorted`] built on it) hands every cached permutation
+//! view of its larger input on to the run it produces, merged with the
+//! other input's rows rather than re-sorted, so a level's views survive
+//! the merges that grow it.
 
 use crate::fact::Tuple;
 use crate::index::Index;
@@ -59,20 +71,6 @@ impl RunData {
     fn row_cmp(&self, i: usize, other: &RunData, j: usize) -> Ordering {
         for c in 0..self.cols.len() {
             match self.cols[c][i].cmp_structural(other.cols[c][j]) {
-                Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        Ordering::Equal
-    }
-
-    /// Structural comparison of row `i` against a tuple of the same
-    /// arity.
-    #[inline]
-    fn row_cmp_tuple(&self, i: usize, t: &Tuple) -> Ordering {
-        let vals = t.values();
-        for (col, v) in self.cols.iter().zip(vals) {
-            match col[i].cmp_value(v) {
                 Ordering::Equal => continue,
                 ord => return ord,
             }
@@ -381,6 +379,13 @@ impl ViewChain {
     /// The cached views, oldest first.
     fn iter(&self) -> impl Iterator<Item = &ViewNode> {
         std::iter::successors(self.head.get(), |node| node.next.get()).map(|node| &**node)
+    }
+
+    /// The cached view on `cols`, if one was built.
+    fn find(&self, cols: &[usize]) -> Option<&Index> {
+        self.iter()
+            .find(|node| &*node.cols == cols)
+            .map(|node| &*node.view)
     }
 
     fn get_or_insert(&self, cols: &[usize], build: impl FnOnce() -> Arc<Index>) -> Arc<Index> {
@@ -800,117 +805,242 @@ impl Run {
         (added, removed)
     }
 
-    /// `(self ∖ del) ∪ add` in a single three-way merge walk — how
-    /// relation tails and [`crate::RelationDelta`]s fold into a new
-    /// base run. `add` and `del` must be strictly sorted and disjoint
-    /// (as every delta in this crate is, by normalization); `add` rows
-    /// already present survive (set semantics), `del` rows not present
-    /// are ignored.
+    /// `(self ∖ del) ∪ add` in a single merge walk — how a
+    /// [`crate::RelationDelta`] folds into a run. `add` and `del` must
+    /// be strictly sorted and disjoint (as every delta in this crate
+    /// is, by normalization); `add` rows already present survive (set
+    /// semantics), `del` rows not present are ignored. Every
+    /// permutation view cached on `self` is carried into the result,
+    /// merged with the added rows in key order rather than re-sorted.
+    pub fn apply_sorted(&self, add: &[Tuple], del: &[Tuple]) -> Run {
+        let arity = self.arity();
+        let del = Run::from_sorted(arity, del.iter());
+        self.merge(&Run::from_sorted(arity, add.iter()), Some(&del))
+            .0
+    }
+
+    /// `(self ∪ other) ∖ drop` in one merge walk (same arity, all three
+    /// sorted): how two levels of a relation's spine merge, and how a
+    /// spine folds into one run. Also returns the rows of `drop` the
+    /// walk met, ascending, so the caller can forget them.
     ///
     /// Every permutation view cached on `self` is carried into the
-    /// result: the walk records where each row lands, and the new view
-    /// is one merge of the old view's surviving rows with the added
-    /// rows sorted by key — O(n + |add| log |add|) instead of the
-    /// O(n log n) re-sort the result's first probe would otherwise pay.
-    pub fn apply_sorted(&self, add: &[Tuple], del: &[Tuple]) -> Run {
-        let a = &*self.data;
+    /// result: the walk records where each input row lands, and the new
+    /// view is one merge of `self`'s view, mapped, with `other`'s rows
+    /// in key order — taken from `other`'s own view on the same columns
+    /// when it has one, else sorted. That costs O(n + |other| log
+    /// |other|) instead of the O(n log n) re-sort the result's first
+    /// probe would otherwise pay.
+    pub(crate) fn merge(&self, other: &Run, drop: Option<&Run>) -> (Run, Vec<u32>) {
+        debug_assert_eq!(self.arity(), other.arity());
         let carry = self.views.iter().any(|node| node.view.perm().is_some());
-        // Where each base row landed (`GONE` if deleted) and the rows
-        // the adds landed at — recorded only when a view needs them.
-        let mut moved: Vec<u32> = Vec::with_capacity(if carry { a.len } else { 0 });
-        let mut fresh: Vec<u32> = Vec::new();
-        let mut out =
-            RunBuilder::with_capacity(a.arity(), a.len.saturating_sub(del.len()) + add.len());
-        let (mut i, mut ai, mut di) = (0usize, 0usize, 0usize);
-        while i < a.len {
-            // Emit pending adds strictly below the current base row.
-            while ai < add.len() {
-                match a.row_cmp_tuple(i, &add[ai]).reverse() {
-                    Ordering::Less => {
-                        if carry {
-                            fresh.push(out.len as u32);
-                        }
-                        out.push_tuple(&add[ai]);
-                        ai += 1;
-                    }
-                    Ordering::Equal => {
-                        ai += 1; // already present in base
-                    }
-                    Ordering::Greater => break,
-                }
-            }
-            // Deleted?
-            let mut dead = false;
-            while di < del.len() {
-                match a.row_cmp_tuple(i, &del[di]) {
-                    Ordering::Greater => di += 1, // del row absent from base
-                    Ordering::Equal => {
-                        dead = true;
-                        di += 1;
-                        break;
-                    }
-                    Ordering::Less => break,
-                }
-            }
-            if carry {
-                moved.push(if dead { GONE } else { out.len as u32 });
-            }
-            if !dead {
-                out.push_row(a, i);
-            }
-            i += 1;
+        let drop = drop.filter(|d| !d.is_empty());
+        if !carry && drop.is_none() {
+            return (self.union(other), Vec::new());
         }
-        for t in &add[ai..] {
-            if carry {
-                fresh.push(out.len as u32);
+        let (a, b) = (&*self.data, &*other.data);
+        let mut walk = MergeWalk::new(carry, a.len, b.len);
+        let packed = match (self.packed_pair(other), drop) {
+            (Some((ka, kb)), Some(d)) => d.data.packed().map(|kd| (ka, kb, kd)),
+            (Some((ka, kb)), None) => Some((ka, kb, &[][..])),
+            (None, _) => None,
+        };
+        let run = match packed {
+            Some((ka, kb, kd)) => {
+                let mut keys = Vec::with_capacity(a.len + b.len);
+                walk.run(
+                    |i, j| ka[i].cmp(&kb[j]),
+                    kd.len(),
+                    |k, from_a, r| kd[k].cmp(if from_a { &ka[r] } else { &kb[r] }),
+                    |from_a, r| keys.push(if from_a { ka[r] } else { kb[r] }),
+                );
+                Run::from_packed(self.arity(), keys)
             }
-            out.push_tuple(t);
-        }
-        let run = out.finish();
+            None => {
+                let d = drop.map(|d| &*d.data);
+                let mut out = RunBuilder::with_capacity(a.arity(), a.len + b.len);
+                walk.run(
+                    |i, j| a.row_cmp(i, b, j),
+                    d.map_or(0, |d| d.len),
+                    |k, from_a, r| {
+                        let d = d.expect("drop rows exist");
+                        d.row_cmp(k, if from_a { a } else { b }, r)
+                    },
+                    |from_a, r| out.push_row(if from_a { a } else { b }, r),
+                );
+                out.finish()
+            }
+        };
         for node in self.views.iter() {
             let Some(old) = node.view.perm() else {
                 continue; // prefix views cost nothing to rebuild
             };
             let cols = &node.cols[..];
+            let data = &run.data;
+            let mut theirs: Vec<u32> = match other.views.find(cols).and_then(|v| v.perm()) {
+                Some(perm) => walk.landed(&walk.moved_b, perm.iter().copied()).collect(),
+                None => {
+                    let mut rows: Vec<u32> = walk.landed(&walk.moved_b, 0..b.len as u32).collect();
+                    rows.sort_unstable_by(|&x, &y| data.perm_cmp(cols, x, y));
+                    rows
+                }
+            };
             run.views.get_or_insert(cols, || {
-                let perm = carry_perm(&run.data, cols, old, &moved, fresh.clone());
-                Arc::new(Index::view_perm(cols, Arc::clone(&run.data), perm))
+                let mut perm = Vec::with_capacity(data.len);
+                let mut rest = theirs.drain(..).peekable();
+                for r in walk.landed(&walk.moved_a, old.iter().copied()) {
+                    while let Some(f) =
+                        rest.next_if(|&f| data.perm_cmp(cols, f, r) == Ordering::Less)
+                    {
+                        perm.push(f);
+                    }
+                    perm.push(r);
+                }
+                perm.extend(rest);
+                Arc::new(Index::view_perm(
+                    cols,
+                    Arc::clone(data),
+                    perm.into_boxed_slice(),
+                ))
             });
         }
-        run
+        (run, walk.dropped)
+    }
+
+    /// Is row `row` of `other` (same arity) a row of this run? A binary
+    /// search comparing rows column-wise, building no key.
+    pub(crate) fn contains_row(&self, other: &Run, row: usize) -> bool {
+        let (a, b) = (&*self.data, &*other.data);
+        let (mut lo, mut hi) = (0usize, a.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match a.row_cmp(mid, b, row) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// This run without the rows at the ascending indices `rows`.
+    pub(crate) fn without_rows(&self, rows: &[u32]) -> Run {
+        let a = &*self.data;
+        let mut out = RunBuilder::with_capacity(a.arity(), a.len - rows.len());
+        let mut from = 0usize;
+        for &r in rows {
+            out.push_range(a, from..r as usize);
+            from = r as usize + 1;
+        }
+        out.push_range(a, from..a.len);
+        out.finish()
+    }
+
+    /// Are the rows strictly increasing? (Every run is built so; the
+    /// relation store's debug checks confirm it.)
+    pub(crate) fn is_strictly_sorted(&self) -> bool {
+        let a = &*self.data;
+        (1..a.len).all(|i| a.row_cmp(i - 1, a, i) == Ordering::Less)
     }
 }
 
-/// [`Run::apply_sorted`]'s mark for a deleted base row.
+/// [`MergeWalk`]'s mark for an input row the merge dropped.
 const GONE: u32 = u32::MAX;
 
-/// The permutation view on `cols` of a folded run `data`, from the same
-/// view `old` of the run it was folded from. `moved` maps old rows to
-/// new ones and preserves their order, so the survivors stay sorted by
-/// key then row; `fresh` (the added rows) is sorted the same way, and
-/// one merge yields exactly the permutation a fresh sort would.
-fn carry_perm(
-    data: &RunData,
-    cols: &[usize],
-    old: &[u32],
-    moved: &[u32],
-    mut fresh: Vec<u32>,
-) -> Box<[u32]> {
-    fresh.sort_unstable_by(|&x, &y| data.perm_cmp(cols, x, y));
-    let mut out = Vec::with_capacity(data.len);
-    let mut fresh = fresh.into_iter().peekable();
-    for r in old
-        .iter()
-        .map(|&r| moved[r as usize])
-        .filter(|&r| r != GONE)
-    {
-        while let Some(f) = fresh.next_if(|&f| data.perm_cmp(cols, f, r) == Ordering::Less) {
-            out.push(f);
+/// The bookkeeping of one [`Run::merge`]: where each input row landed
+/// (`GONE` if dropped), kept only when a view is carried, and which
+/// `drop` rows the walk met.
+struct MergeWalk {
+    carry: bool,
+    alen: usize,
+    blen: usize,
+    moved_a: Vec<u32>,
+    moved_b: Vec<u32>,
+    dropped: Vec<u32>,
+}
+
+impl MergeWalk {
+    fn new(carry: bool, alen: usize, blen: usize) -> MergeWalk {
+        let cap = |n: usize| if carry { n } else { 0 };
+        MergeWalk {
+            carry,
+            alen,
+            blen,
+            moved_a: Vec::with_capacity(cap(alen)),
+            moved_b: Vec::with_capacity(cap(blen)),
+            dropped: Vec::new(),
         }
-        out.push(r);
     }
-    out.extend(fresh);
-    out.into_boxed_slice()
+
+    /// Walk `a` and `b` in row order: `ab(i, j)` compares `a[i]` with
+    /// `b[j]`, `vs_drop(k, from_a, r)` compares drop row `k` with the
+    /// input row, and `emit(from_a, r)` appends a surviving row. A row
+    /// both inputs hold is emitted once.
+    fn run(
+        &mut self,
+        ab: impl Fn(usize, usize) -> Ordering,
+        dlen: usize,
+        vs_drop: impl Fn(usize, bool, usize) -> Ordering,
+        mut emit: impl FnMut(bool, usize),
+    ) {
+        let (mut i, mut j, mut k, mut out) = (0usize, 0usize, 0usize, 0u32);
+        while i < self.alen || j < self.blen {
+            let ord = if i == self.alen {
+                Ordering::Greater
+            } else if j == self.blen {
+                Ordering::Less
+            } else {
+                ab(i, j)
+            };
+            let (from_a, r) = if ord == Ordering::Greater {
+                (false, j)
+            } else {
+                (true, i)
+            };
+            while k < dlen && vs_drop(k, from_a, r) == Ordering::Less {
+                k += 1;
+            }
+            let dead = k < dlen && vs_drop(k, from_a, r) == Ordering::Equal;
+            let slot = if dead {
+                self.dropped.push(k as u32);
+                k += 1;
+                GONE
+            } else {
+                emit(from_a, r);
+                out += 1;
+                out - 1
+            };
+            if self.carry {
+                if from_a {
+                    self.moved_a.push(slot);
+                } else {
+                    self.moved_b.push(slot);
+                }
+                if ord == Ordering::Equal {
+                    self.moved_b.push(GONE); // emitted once, from `a`
+                }
+            }
+            match ord {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+    }
+
+    /// Where the input rows `rows` landed, in the given order, skipping
+    /// dropped ones. Landing preserves each input's row order, so rows
+    /// listed in key order stay in key order.
+    fn landed<'a>(
+        &self,
+        moved: &'a [u32],
+        rows: impl Iterator<Item = u32> + 'a,
+    ) -> impl Iterator<Item = u32> + 'a {
+        rows.map(|r| moved[r as usize]).filter(|&r| r != GONE)
+    }
 }
 
 impl std::fmt::Debug for Run {

@@ -6,8 +6,10 @@
 //! `Instance::union` against a fact-set model — plus random
 //! stratified programs and the incremental fixpoint against the naive
 //! reference semantics in `rtx-ref`, and directed tests pinning the
-//! promotion boundary and hysteresis. Plus index views carried across
-//! a fold, and determinism of the process-wide value interner.
+//! promotion boundary and hysteresis. Plus the spine of sorted runs
+//! under writes, bulk writes and clones that keep being written, index
+//! views carried across a fold, and determinism of the process-wide
+//! value interner.
 
 use proptest::prelude::*;
 use rtx::query::MaintainedFixpoint;
@@ -91,8 +93,162 @@ fn random_program(picks: &[bool]) -> String {
     src
 }
 
+/// One step of a spine schedule, `(kind, a, b, n)`: see
+/// `spine_step`.
+fn spine_op() -> (
+    std::ops::Range<u8>,
+    std::ops::Range<u8>,
+    std::ops::Range<u8>,
+    std::ops::Range<u8>,
+) {
+    (0u8..6, 0u8..40, 0u8..40, 0u8..48)
+}
+
+/// `n` pairs on a stride-7 walk through the 40×40 grid from `(a, b)`:
+/// a batch that lands anywhere in a relation's order.
+fn batch(a: u8, b: u8, n: u8) -> BTreeSet<Tuple> {
+    (0..n as u16)
+        .map(|i| {
+            let k = (a as u16 * 40 + b as u16 + 7 * i) % 1600;
+            tuple2((k / 40) as u8, (k % 40) as u8)
+        })
+        .collect()
+}
+
+/// Apply one spine-schedule step to `rels[n % len]` and its model:
+/// 0 insert `(a, b)`, 1 remove it, 2 absorb a batch as a run, 3 apply
+/// a delta adding one batch and removing another, 4 clone into another
+/// slot (both copies keep being written), 5 a read that seals pending
+/// writes (a negated-atom probe) or folds (a scan).
+fn spine_step(rels: &mut Vec<(Relation, BTreeSet<Tuple>)>, (kind, a, b, n): (u8, u8, u8, u8)) {
+    let i = n as usize % rels.len();
+    let (rel, model) = &mut rels[i];
+    match kind {
+        0 => assert_eq!(
+            rel.insert(tuple2(a, b)).unwrap(),
+            model.insert(tuple2(a, b))
+        ),
+        1 => assert_eq!(rel.remove(&tuple2(a, b)), model.remove(&tuple2(a, b))),
+        2 => {
+            let rows = batch(a, b, n);
+            let added = rows.iter().filter(|t| !model.contains(*t)).count();
+            let run = Run::from_sorted(2, rows.iter());
+            assert_eq!(rel.absorb_run(&run).unwrap(), added);
+            model.extend(rows);
+        }
+        3 => {
+            let gone: BTreeSet<Tuple> = model
+                .iter()
+                .skip(a as usize)
+                .step_by(2)
+                .take(n as usize)
+                .cloned()
+                .collect();
+            let mut to: BTreeSet<Tuple> = model.difference(&gone).cloned().collect();
+            to.extend(batch(a, b, n / 4).into_iter().filter(|t| !gone.contains(t)));
+            // Diffed against a clone, so the target's spine is not folded.
+            let target = Relation::from_tuples(2, to.iter().cloned()).unwrap();
+            let delta = target.diff(&rel.clone()).unwrap();
+            rel.apply_delta(&delta).unwrap();
+            *model = to;
+        }
+        4 => {
+            let copy = (rel.clone(), model.clone());
+            if rels.len() < 4 {
+                rels.push(copy);
+            } else {
+                rels[(i + 1) % 4] = copy;
+            }
+        }
+        _ if a % 2 == 0 => {
+            let key = [
+                Vid::from_value(&Value::Int(a as i64)),
+                Vid::from_value(&Value::Int(b as i64)),
+            ];
+            assert_eq!(rel.contains_vids(&key), model.contains(&tuple2(a, b)));
+        }
+        _ => assert!(rel.iter().eq(model.iter())),
+    }
+    let (rel, model) = &rels[i];
+    assert_eq!(rel.len(), model.len());
+    assert_eq!(rel.contains(&tuple2(a, b)), model.contains(&tuple2(a, b)));
+}
+
+/// Every read path of `rel` against its model: scans, membership by
+/// tuple and by interned key, and a rule firing that probes the second
+/// (non-prefix) column through each level's permutation view. The scan
+/// reads a clone, which shares the levels but folds on its own, so the
+/// schedule keeps its levels and removed rows.
+fn check_reads(rel: &Relation, model: &BTreeSet<Tuple>) {
+    assert_matches(&rel.clone(), model);
+    for t in model.iter().chain(&batch(3, 5, 40)) {
+        let key: Vec<Vid> = t.iter().map(Vid::from_value).collect();
+        assert_eq!(rel.contains(t), model.contains(t), "{t}");
+        assert_eq!(rel.contains_vids(&key), model.contains(t), "{t}");
+    }
+    let program = rtx::query::parser::parse_program("q(X) :- k(Y), r(X,Y).").unwrap();
+    let mut db = Instance::empty(Schema::new().with("r", 2).with("k", 1));
+    db.set_relation("r", rel.clone()).unwrap();
+    let ks = [1i64, 2, 3, 5, 8, 13, 21, 34];
+    for k in ks {
+        db.insert_fact(fact!("k", k)).unwrap();
+    }
+    let q: BTreeSet<Fact> = program
+        .eval(&db)
+        .unwrap()
+        .facts()
+        .filter(|f| f.rel().as_str() == "q")
+        .collect();
+    let want: BTreeSet<Fact> = model
+        .iter()
+        .filter(|t| ks.iter().any(|&k| t.values()[1] == Value::Int(k)))
+        .map(|t| Fact::new("q", Tuple::new(vec![t.values()[0]])))
+        .collect();
+    assert_eq!(q, want);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The spine of sorted runs agrees with a `BTreeSet` model on every
+    /// read path under random interleavings of point writes, run
+    /// absorption, delta application and clones that keep being
+    /// written — batches of up to 47 rows over a relation of up to
+    /// 1,600 cross the level merges, and removals cross the fold of the
+    /// removed rows. Each relation is read after every step and in full
+    /// every eighth step and at the end, and every pair is diffed,
+    /// compared and combined by set algebra against the models.
+    #[test]
+    fn spine_matches_btree_across_clones_and_bulk_writes(
+        ops in proptest::collection::vec(spine_op(), 1..60),
+    ) {
+        let (rel, model) = relation_and_model(&[], true);
+        let mut rels = vec![(rel, model)];
+        for (step, &op) in ops.iter().enumerate() {
+            spine_step(&mut rels, op);
+            if step % 8 == 7 {
+                for (rel, model) in &rels {
+                    check_reads(rel, model);
+                }
+            }
+        }
+        for (rel, model) in &rels {
+            check_reads(rel, model);
+        }
+        for (x, mx) in &rels {
+            for (y, my) in &rels {
+                let delta = x.diff(y).unwrap();
+                prop_assert_eq!(delta.added(), &mx.difference(my).cloned().collect::<Vec<_>>()[..]);
+                prop_assert_eq!(delta.removed(), &my.difference(mx).cloned().collect::<Vec<_>>()[..]);
+                prop_assert_eq!(x == y, mx == my);
+                prop_assert_eq!(x.cmp(y), mx.iter().cmp(my.iter()));
+                assert_matches(&x.union(y).unwrap(), &mx.union(my).cloned().collect());
+                assert_matches(&x.intersect(y).unwrap(), &mx.intersection(my).cloned().collect());
+                assert_matches(&x.difference(y).unwrap(), &mx.difference(my).cloned().collect());
+                prop_assert_eq!(x.is_subset(y), mx.is_subset(my));
+            }
+        }
+    }
 
     /// Relations agree with a `BTreeSet` model tuple-for-tuple under
     /// any interleaving of inserts and deletes, starting small (the
