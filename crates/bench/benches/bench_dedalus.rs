@@ -53,16 +53,18 @@ fn bench_dedalus(c: &mut Criterion) {
 /// `DedalusRuntime::run` maintaining its deductive IDB across ticks
 /// (counting-based DRed) under the tick's base ±. The TC workload is
 /// the maintenance sweet spot — after the arrival ticks the base stops
-/// changing and maintenance is a no-op. The TM workload retracts and
-/// re-derives a few facts every tick (head moves, state flips), so it
-/// measures the DRed path under churn. The rows keep their
-/// `incremental` label.
+/// changing and maintenance is a no-op. A chain of n edges derives
+/// n(n+1)/2 closure facts, so its rows read as a curve of the cost per
+/// derived fact; n = 256 is dedalus-churn's chain. The TM workload
+/// retracts and re-derives a few facts every tick (head moves, state
+/// flips), so it measures the DRed path under churn, on tiny batches.
+/// The rows keep their `incremental` label.
 fn bench_fixpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("dedalus-tc-fixpoint");
     group.sample_size(10);
     let program = tc_program();
     let rt = DedalusRuntime::new(&program).unwrap();
-    for n in [32usize, 64] {
+    for n in [32usize, 64, 128, 256] {
         // One edge arrives per tick: the run spans ~n ticks, each with
         // a one-fact base delta — maintenance touches only the new
         // paths.

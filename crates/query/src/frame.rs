@@ -21,7 +21,7 @@
 use crate::error::EvalError;
 use crate::plan;
 use crate::term::{Atom, Term, Var};
-use rtx_relational::{Instance, Relation, Run, SpineRef, Tuple, Value, Vid};
+use rtx_relational::{Instance, Relation, Run, SpineRef, Value, Vid};
 
 /// Levels this small are joined by scan rather than a view probe: the
 /// cutover only changes the access path, never the result.
@@ -328,56 +328,31 @@ impl Frame {
     /// the derived relation of one rule firing. Errors if a head
     /// variable is unbound.
     pub(crate) fn project(&self, terms: &[Term]) -> Result<Run, EvalError> {
-        let srcs: Vec<Src> = terms
-            .iter()
-            .map(|t| {
-                self.source(t).ok_or_else(|| EvalError::Unsafe {
-                    reason: "head term unbound".into(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let cols: Vec<Vec<Vid>> = srcs
-            .iter()
-            .map(|s| match s {
-                Src::Lit(k) => vec![*k; self.rows],
-                Src::Col(c) => self.cols[*c].clone(),
-            })
-            .collect();
-        Ok(Run::from_cols(self.rows, cols))
+        Ok(Run::from_cols(self.rows, self.head_cols(terms)?))
     }
 
-    /// Group the frame's rows by their instantiation of `terms` and
-    /// return each distinct tuple with its multiplicity — the firing
-    /// counts a counting-maintenance engine needs. Unlike
-    /// [`Frame::project`] nothing is deduplicated away; every row is a
-    /// firing. Errors if a term variable is unbound.
-    pub(crate) fn project_counts(&self, terms: &[Term]) -> Result<Vec<(Tuple, u64)>, EvalError> {
-        let srcs: Vec<Src> = terms
+    /// Group the frame's rows by their instantiation of `terms`: the
+    /// distinct rows as a sorted [`Run`], and beside each its
+    /// multiplicity — the firing counts a counting-maintenance engine
+    /// needs. Unlike [`Frame::project`] nothing is deduplicated away;
+    /// every row is a firing. Errors if a term variable is unbound.
+    pub(crate) fn project_counts(&self, terms: &[Term]) -> Result<(Run, Vec<u64>), EvalError> {
+        Ok(Run::from_cols_counted(self.rows, self.head_cols(terms)?))
+    }
+
+    /// One column per head term: a frame column, or a constant
+    /// repeated on every row.
+    fn head_cols(&self, terms: &[Term]) -> Result<Vec<Vec<Vid>>, EvalError> {
+        terms
             .iter()
-            .map(|t| {
-                self.source(t).ok_or_else(|| EvalError::Unsafe {
+            .map(|t| match self.source(t) {
+                Some(Src::Lit(k)) => Ok(vec![k; self.rows]),
+                Some(Src::Col(c)) => Ok(self.cols[c].clone()),
+                None => Err(EvalError::Unsafe {
                     reason: "head term unbound".into(),
-                })
+                }),
             })
-            .collect::<Result<_, _>>()?;
-        let mut rows: Vec<Vec<Vid>> = (0..self.rows)
-            .map(|r| srcs.iter().map(|s| s.get(&self.cols, r)).collect())
-            .collect();
-        // Group by raw id (equality-compatible with value equality,
-        // since the encoding is canonical).
-        rows.sort_unstable_by(|a, b| a.iter().map(|v| v.raw()).cmp(b.iter().map(|v| v.raw())));
-        let mut out: Vec<(Tuple, u64)> = Vec::new();
-        let mut i = 0;
-        while i < rows.len() {
-            let mut j = i + 1;
-            while j < rows.len() && rows[j] == rows[i] {
-                j += 1;
-            }
-            let t: Tuple = rows[i].iter().map(|v| v.value()).collect();
-            out.push((t, (j - i) as u64));
-            i = j;
-        }
-        Ok(out)
+            .collect()
     }
 
     /// Materialize one row's instantiation of `terms` as a [`Tuple`].
@@ -413,7 +388,8 @@ impl Src {
 mod tests {
     use super::*;
     use crate::atom;
-    use rtx_relational::{fact, tuple, Schema};
+    use rtx_relational::{fact, tuple, Schema, Tuple};
+    use std::collections::BTreeMap;
 
     fn rel_of(tuples: &[Tuple]) -> Relation {
         let arity = tuples.first().map(|t| t.arity()).unwrap_or(0);
@@ -554,13 +530,89 @@ mod tests {
         let e = rel_of(&[tuple![1, 2], tuple![1, 3], tuple![2, 4], tuple![3, 4]]);
         let atoms = [atom!("E"; @"X", @"Y"), atom!("E"; @"Y", @"Z")];
         let f = join(&atoms, &[e.clone(), e]).unwrap();
-        let counts = f.project_counts(&[Term::var("X"), Term::var("Z")]).unwrap();
-        assert_eq!(counts, vec![(tuple![1, 4], 2)]);
+        let (rows, counts) = f.project_counts(&[Term::var("X"), Term::var("Z")]).unwrap();
+        assert_eq!((rows.rows(), &counts[..]), (&[tuple![1, 4]][..], &[2][..]));
         // Projecting onto a constant folds every firing together.
-        let folded = f.project_counts(&[Term::cons(7)]).unwrap();
-        assert_eq!(folded, vec![(tuple![7], 2)]);
+        let (rows, counts) = f.project_counts(&[Term::cons(7)]).unwrap();
+        assert_eq!((rows.rows(), &counts[..]), (&[tuple![7]][..], &[2][..]));
         // Unbound head variables error like the generic path.
         assert!(f.project_counts(&[Term::var("Q")]).is_err());
+    }
+
+    /// `project_counts` against a count of the frame's rows kept in a
+    /// `BTreeMap<Tuple, u64>`: random frames over integer and symbol
+    /// ids, projected onto heads of arity 0–3 that mix constants with
+    /// repeated variables, so both the packed sort (arity ≤ 2, integers
+    /// only) and the row-permutation sort run.
+    #[test]
+    fn project_counts_matches_a_count_model() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let vars = [Var::new("A"), Var::new("B"), Var::new("C")];
+        let (mut packed, mut permuted) = (0, 0);
+        for case in 0..400 {
+            let symbols = case % 2 == 1;
+            let value = |k: u64| match k {
+                0 if symbols => Value::sym("project-counts"),
+                k => Value::int(k as i64 - 2),
+            };
+            let rows = next(48) as usize;
+            let cols: Vec<Vec<Vid>> = (0..vars.len())
+                .map(|_| {
+                    (0..rows)
+                        .map(|_| Vid::from_value(&value(next(4))))
+                        .collect()
+                })
+                .collect();
+            let frame = Frame {
+                vars: vars.to_vec(),
+                cols,
+                rows,
+            };
+            let head: Vec<Term> = (0..next(4))
+                .map(|_| match next(5) {
+                    0 => Term::Const(value(next(4))),
+                    k => Term::Var(vars[(k as usize - 1) % vars.len()]),
+                })
+                .collect();
+            let mut model: BTreeMap<Tuple, u64> = BTreeMap::new();
+            for r in 0..rows {
+                *model.entry(frame.tuple_at(&head, r)).or_insert(0) += 1;
+            }
+            let (run, counts) = frame.project_counts(&head).unwrap();
+            assert_eq!(run.arity(), head.len());
+            assert_eq!(
+                run.rows(),
+                model.keys().cloned().collect::<Vec<_>>(),
+                "{head:?}"
+            );
+            assert_eq!(
+                counts,
+                model.values().copied().collect::<Vec<_>>(),
+                "{head:?}"
+            );
+            if head.len() <= 2
+                && model
+                    .keys()
+                    .flat_map(Tuple::iter)
+                    .all(|v| matches!(v, Value::Int(_)))
+            {
+                packed += 1;
+            } else {
+                permuted += 1;
+            }
+        }
+        assert!(
+            packed > 50 && permuted > 50,
+            "{packed} packed, {permuted} permuted"
+        );
     }
 
     #[test]

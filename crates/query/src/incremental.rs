@@ -32,6 +32,31 @@
 //!   (maintained) inputs — only the affected stratum, never the whole
 //!   program.
 //!
+//! The pass works **a batch at a time**, on sorted runs of interned ids
+//! ([`Run`]); no step builds a `Tuple` per fact:
+//!
+//! * **firing counts**: an expansion's join projects its head rows into
+//!   one sorted run with each row's number of firings beside it, and the
+//!   rules of one expansion merge into one such run per predicate;
+//! * **support counts**: the [`CountedRelation`] adds, subtracts or
+//!   clears a whole run and answers with the rows whose presence
+//!   flipped;
+//! * **worklists**: pending insertions, deletions and over-deleted facts
+//!   are one sorted run per predicate, and a step takes one predicate's
+//!   whole batch, in predicate-name order. The stratum's net change is
+//!   an added and a removed run per predicate, which cancel by run
+//!   intersection and difference;
+//! * **commits**: each elementary step commits its batch to the
+//!   materialized fixpoint as one run ([`Instance::absorb_run`],
+//!   [`Instance::remove_run`]), and so do the base ± at the top of
+//!   [`MaintainedFixpoint::apply`] and the sequential views of changed
+//!   inputs. No point write reaches a relation's spine.
+//!
+//! In debug builds, [`MaintainedFixpoint::initialize`] and every
+//! [`MaintainedFixpoint::apply`] end by checking the support-count
+//! invariant: for each IDB predicate, the rows with positive support
+//! are exactly the fixpoint's rows.
+//!
 //! The per-evaluation cost is `O(changed derivations)` instead of
 //! `O(all derivations)`; strata whose inputs did not change are skipped
 //! entirely. The Dedalus runtime puts this under the tick loop of every
@@ -45,25 +70,77 @@ use crate::error::EvalError;
 use crate::frame::join_body;
 use crate::plan;
 use crate::term::Atom;
-use rtx_relational::{CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Tuple};
-use std::collections::{BTreeMap, BTreeSet};
+use rtx_relational::{
+    CountedRelation, Fact, Instance, InstanceDelta, RelName, Relation, Run, Schema,
+};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 
-/// Per-head-tuple firing counts collected by a delta expansion.
-type HeadCounts = BTreeMap<RelName, BTreeMap<Tuple, u64>>;
+/// Per-predicate firing counts collected by a delta expansion: the
+/// distinct head rows as one sorted run, and beside each row its number
+/// of firings.
+type HeadCounts = BTreeMap<RelName, (Run, Vec<u64>)>;
 
-/// Pending per-predicate tuple batches (deterministic worklist).
-type Worklist = BTreeMap<RelName, BTreeSet<Tuple>>;
+/// Pending per-predicate batches, one sorted run each, taken in
+/// predicate-name order (deterministic worklist).
+type Worklist = BTreeMap<RelName, Run>;
 
-/// A set-level ± change of one predicate.
-#[derive(Clone, Debug, Default)]
+/// A set-level ± change of one predicate: two disjoint sorted runs.
 struct Change {
-    added: BTreeSet<Tuple>,
-    removed: BTreeSet<Tuple>,
+    added: Run,
+    removed: Run,
 }
 
 impl Change {
+    fn empty(arity: usize) -> Change {
+        Change {
+            added: Run::empty(arity),
+            removed: Run::empty(arity),
+        }
+    }
+
     fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
+    }
+
+    /// Record `rows` as added: rows this change removed come back and
+    /// leave no trace, the rest join the added run.
+    fn add(&mut self, rows: &Run) {
+        cancel_into(&mut self.added, &mut self.removed, rows);
+    }
+
+    /// Record `rows` as removed (the mirror of [`Change::add`]).
+    fn remove(&mut self, rows: &Run) {
+        cancel_into(&mut self.removed, &mut self.added, rows);
+    }
+}
+
+/// `*to ∪= rows`, except the rows `undo` holds: those leave `undo`.
+fn cancel_into(to: &mut Run, undo: &mut Run, rows: &Run) {
+    let back = rows.intersect(undo);
+    if back.is_empty() {
+        union_into(to, rows);
+    } else {
+        *undo = undo.difference(&back);
+        union_into(to, &rows.difference(&back));
+    }
+}
+
+/// `*to ∪= rows`, sharing `rows` when `to` is empty.
+fn union_into(to: &mut Run, rows: &Run) {
+    if to.is_empty() {
+        *to = rows.clone();
+    } else if !rows.is_empty() {
+        *to = to.union(rows);
+    }
+}
+
+/// Add `rows` to `p`'s pending batch.
+fn push(work: &mut Worklist, p: &RelName, rows: &Run) {
+    if !rows.is_empty() {
+        let batch = work
+            .entry(p.clone())
+            .or_insert_with(|| Run::empty(rows.arity()));
+        union_into(batch, rows);
     }
 }
 
@@ -306,6 +383,7 @@ impl MaintainedFixpoint {
         // Maintenance counters restart; the per-stratum derivation
         // counters describe the evaluation that just ran.
         self.stats = eval_stats;
+        self.check_support();
         Ok(&self.total)
     }
 
@@ -331,47 +409,46 @@ impl MaintainedFixpoint {
             }
             return Ok(&self.total);
         }
-        let idb = self.program.idb_predicates().clone();
         // Set-filter the delta against the current base: only genuine
         // presence changes act. EDB changes commit to `total` up front
         // (strata reconstruct old versions as needed); IDB changes are
         // seed-support changes routed to the owning stratum.
         let mut changes: BTreeMap<RelName, Change> = BTreeMap::new();
         let mut seeds: BTreeMap<RelName, Change> = BTreeMap::new();
-        for f in delta.removed() {
-            if !self.base.remove_fact(f) {
+        for (p, run) in runs_by_relation(self.base.schema(), delta.removed(), false)? {
+            let gone = held(self.base.relation_ref(&p), &run);
+            if gone.is_empty() {
                 continue;
             }
-            let slot = if idb.contains(f.rel()) {
+            self.base.remove_run(&p, &gone).map_err(EvalError::Rel)?;
+            let slot = if self.program.idb_predicates().contains(&p) {
                 &mut seeds
             } else {
-                self.total.remove_fact(f);
+                self.total.remove_run(&p, &gone).map_err(EvalError::Rel)?;
                 &mut changes
             };
-            slot.entry(f.rel().clone())
-                .or_default()
-                .removed
-                .insert(f.tuple().clone());
+            let arity = gone.arity();
+            slot.entry(p)
+                .or_insert_with(|| Change::empty(arity))
+                .removed = gone;
         }
-        for f in delta.added() {
-            if self.base.contains_fact(f) {
+        for (p, run) in runs_by_relation(self.base.schema(), delta.added(), true)? {
+            let fresh = match self.base.relation_ref(&p) {
+                Some(r) => r.novel(run),
+                None => run,
+            };
+            if fresh.is_empty() {
                 continue;
             }
-            self.base.insert_fact(f.clone()).map_err(EvalError::Rel)?;
-            if idb.contains(f.rel()) {
-                seeds
-                    .entry(f.rel().clone())
-                    .or_default()
-                    .added
-                    .insert(f.tuple().clone());
+            self.base.absorb_run(&p, &fresh).map_err(EvalError::Rel)?;
+            let slot = if self.program.idb_predicates().contains(&p) {
+                &mut seeds
             } else {
-                self.total.insert_fact(f.clone()).map_err(EvalError::Rel)?;
-                changes
-                    .entry(f.rel().clone())
-                    .or_default()
-                    .added
-                    .insert(f.tuple().clone());
-            }
+                self.total.absorb_run(&p, &fresh).map_err(EvalError::Rel)?;
+                &mut changes
+            };
+            let arity = fresh.arity();
+            slot.entry(p).or_insert_with(|| Change::empty(arity)).added = fresh;
         }
         for si in 0..self.strata.len() {
             let info = &self.strata[si];
@@ -431,15 +508,13 @@ impl MaintainedFixpoint {
                     "rederived" => self.stats.facts_rederived - cascade0.1,
                 );
             }
-            for (p, c) in net {
-                let e = changes.entry(p).or_default();
-                e.added.extend(c.added);
-                e.removed.extend(c.removed);
-            }
+            // A stratum's predicates change in no other stratum.
+            changes.extend(net);
         }
         if let Some(earlier) = &stats0 {
             self.stats.publish_delta(earlier);
         }
+        self.check_support();
         Ok(&self.total)
     }
 
@@ -453,43 +528,58 @@ impl MaintainedFixpoint {
         counts: &mut BTreeMap<RelName, CountedRelation>,
         changes: &mut BTreeMap<RelName, Change>,
     ) -> Result<(), EvalError> {
-        let mut old: BTreeMap<RelName, Relation> = BTreeMap::new();
+        let mut old: Vec<(RelName, Relation)> = Vec::new();
         for p in &info.preds {
             let arity = total
                 .schema()
                 .arity(p)
                 .ok_or_else(|| EvalError::Other(format!("stratum predicate `{p}` undeclared")))?;
-            let rel = total
-                .relation_ref(p)
-                .cloned()
-                .unwrap_or_else(|| Relation::empty(arity));
+            let empty = || Relation::empty(arity);
+            old.push((
+                p.clone(),
+                total.relation_ref(p).cloned().unwrap_or_else(empty),
+            ));
+            // The stratum restarts from its seeds.
+            let seeds = base.relation_ref(p).cloned().unwrap_or_else(empty);
             total
-                .set_relation(p.clone(), Relation::empty(arity))
+                .set_relation(p.clone(), seeds)
                 .map_err(EvalError::Rel)?;
             counts.insert(p.clone(), CountedRelation::empty(arity));
-            old.insert(p.clone(), rel);
-        }
-        for f in base.facts() {
-            if info.preds.contains(f.rel()) {
-                total.insert_fact(f).map_err(EvalError::Rel)?;
-            }
         }
         *total = info.sub.eval(total)?;
         recount_into(info.sub.rules(), total, base, &info.preds, counts)?;
         for (p, old_rel) in old {
-            let arity = old_rel.arity();
-            let empty = Relation::empty(arity);
-            let new_rel = total.relation_ref(&p).unwrap_or(&empty);
-            let d = new_rel.diff(&old_rel).map_err(EvalError::Rel)?;
-            let (added, removed) = d.into_parts();
-            if added.is_empty() && removed.is_empty() {
-                continue;
+            let empty = Relation::empty(old_rel.arity());
+            let new = total.relation_ref(&p).unwrap_or(&empty).columnar_run();
+            let old = old_rel.columnar_run();
+            let change = Change {
+                added: new.difference(&old),
+                removed: old.difference(&new),
+            };
+            // A stratum's predicates change in no other stratum.
+            if !change.is_empty() {
+                changes.insert(p, change);
             }
-            let e = changes.entry(p).or_default();
-            e.added.extend(added);
-            e.removed.extend(removed);
         }
         Ok(())
+    }
+
+    /// The support-count invariant, checked in debug builds: for every
+    /// IDB predicate, the rows with positive support are exactly the
+    /// fixpoint's rows, and no count is stored at 0.
+    fn check_support(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for (p, counts) in &self.counts {
+            let empty = Relation::empty(counts.arity());
+            let rel = self.total.relation_ref(p).unwrap_or(&empty);
+            assert!(
+                counts.supports_exactly(rel),
+                "the support counts of `{p}` disagree with its {} fixpoint rows",
+                rel.len()
+            );
+        }
     }
 }
 
@@ -534,21 +624,14 @@ impl StratumPass<'_> {
                 .relation_ref(p)
                 .cloned()
                 .unwrap_or_else(|| Relation::empty(arity));
-            let c = &changes[p];
-            for t in &c.added {
-                old.remove(t);
-            }
-            for t in &c.removed {
-                old.insert(t.clone()).map_err(EvalError::Rel)?;
-            }
+            advance(&mut old, &changes[p].added, StepDir::Remove)?;
+            advance(&mut old, &changes[p].removed, StepDir::Add)?;
             self.views.insert(p.clone(), old);
         }
 
         // ---- deletion phase (seeds, then inputs, then cascades) ----
         for (p, c) in seed_changes {
-            for t in &c.removed {
-                self.lose_seed(p, t)?;
-            }
+            self.lose_seeds(p, &c.removed)?;
         }
         for p in &inputs {
             let removed = &changes[p].removed;
@@ -558,8 +641,8 @@ impl StratumPass<'_> {
             let heads = self.input_step(p, removed, StepDir::Remove)?;
             self.handle_lost(heads)?;
         }
-        while let Some((p, ts)) = pop_first(&mut self.del_work) {
-            let heads = self.stratum_step(&p, &ts, StepDir::Remove)?;
+        while let Some((p, rows)) = self.del_work.pop_first() {
+            let heads = self.stratum_step(&p, &rows, StepDir::Remove)?;
             self.handle_lost(heads)?;
         }
 
@@ -576,12 +659,10 @@ impl StratumPass<'_> {
             self.handle_gained(heads)?;
         }
         for (p, c) in seed_changes {
-            for t in &c.added {
-                self.gain(p, t, 1)?;
-            }
+            self.gain(p, &c.added, &vec![1; c.added.len()])?;
         }
-        while let Some((p, ts)) = pop_first(&mut self.add_work) {
-            let heads = self.stratum_step(&p, &ts, StepDir::Add)?;
+        while let Some((p, rows)) = self.add_work.pop_first() {
+            let heads = self.stratum_step(&p, &rows, StepDir::Add)?;
             self.handle_gained(heads)?;
         }
         self.views.clear();
@@ -594,7 +675,7 @@ impl StratumPass<'_> {
     fn input_step(
         &mut self,
         p: &RelName,
-        tuples: &BTreeSet<Tuple>,
+        rows: &Run,
         dir: StepDir,
     ) -> Result<HeadCounts, EvalError> {
         let mut cur = self
@@ -602,22 +683,10 @@ impl StratumPass<'_> {
             .remove(p)
             .ok_or_else(|| EvalError::Other(format!("no view for changed input `{p}`")))?;
         let pre_copy = self.info.multi.contains(p).then(|| cur.clone());
-        let delta_rel =
-            Relation::from_tuples(cur.arity(), tuples.iter().cloned()).map_err(EvalError::Rel)?;
+        let delta_rel = Relation::from_run(rows.clone());
         // Advance the view to the post-step state before the expansion:
         // `cur` plays "post", the copy plays "pre".
-        match dir {
-            StepDir::Remove => {
-                for t in tuples {
-                    cur.remove(t);
-                }
-            }
-            StepDir::Add => {
-                for t in tuples {
-                    cur.insert(t.clone()).map_err(EvalError::Rel)?;
-                }
-            }
-        }
+        advance(&mut cur, rows, dir)?;
         // `pre_copy` was taken before the mutation, so it is the
         // pre-step state in both directions; `cur` is the post state.
         let versions = match &pre_copy {
@@ -640,40 +709,25 @@ impl StratumPass<'_> {
     }
 
     /// Execute one elementary step of a *stratum* predicate (cascade),
-    /// committing the step to `total` after the expansion.
+    /// committing the step's batch to `total` after the expansion.
     fn stratum_step(
         &mut self,
         p: &RelName,
-        tuples: &BTreeSet<Tuple>,
+        rows: &Run,
         dir: StepDir,
     ) -> Result<HeadCounts, EvalError> {
-        let arity = self
-            .total
-            .schema()
-            .arity(p)
-            .ok_or_else(|| EvalError::Other(format!("stratum predicate `{p}` undeclared")))?;
-        let delta_rel =
-            Relation::from_tuples(arity, tuples.iter().cloned()).map_err(EvalError::Rel)?;
-        let empty = Relation::empty(arity);
+        let delta_rel = Relation::from_run(rows.clone());
+        let empty = Relation::empty(rows.arity());
         let cur = self.total.relation_ref(p).unwrap_or(&empty);
         // `cur` is the pre-step state (removals are still present,
         // additions not yet inserted).
-        let post_copy = self.info.multi.contains(p).then(|| {
-            let mut c = cur.clone();
-            match dir {
-                StepDir::Remove => {
-                    for t in tuples {
-                        c.remove(t);
-                    }
-                }
-                StepDir::Add => {
-                    for t in tuples {
-                        c.insert(t.clone()).expect("tuple arity matches relation");
-                    }
-                }
-            }
-            c
-        });
+        let post_copy = if self.info.multi.contains(p) {
+            let mut post = cur.clone();
+            advance(&mut post, rows, dir)?;
+            Some(post)
+        } else {
+            None
+        };
         let versions = match &post_copy {
             Some(post) => PinnedVersions::Both { pre: cur, post },
             None => PinnedVersions::Unneeded,
@@ -690,75 +744,62 @@ impl StratumPass<'_> {
             &mut heads,
         )?;
         // Commit the step.
-        match post_copy {
-            Some(post) => self
-                .total
-                .set_relation(p.clone(), post)
-                .map_err(EvalError::Rel)?,
-            None => match dir {
-                StepDir::Remove => {
-                    for t in tuples {
-                        self.total.remove_fact(&Fact::new(p.clone(), t.clone()));
-                    }
-                }
-                StepDir::Add => {
-                    for t in tuples {
-                        self.total
-                            .insert_fact(Fact::new(p.clone(), t.clone()))
-                            .map_err(EvalError::Rel)?;
-                    }
-                }
-            },
-        }
+        let committed = match (post_copy, dir) {
+            (Some(post), _) => self.total.set_relation(p.clone(), post).map(drop),
+            (None, StepDir::Remove) => self.total.remove_run(p, rows).map(drop),
+            (None, StepDir::Add) => self.total.absorb_run(p, rows).map(drop),
+        };
+        committed.map_err(EvalError::Rel)?;
         Ok(heads)
     }
 
-    /// A stratum fact lost its seed support.
-    fn lose_seed(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        if self.info.recursive {
-            self.overdelete(p, t)?;
-        } else {
-            let c = count_table(self.counts, p)?;
-            if c.sub(t, 1).map_err(EvalError::Rel)? {
-                self.retract(p, t);
-            }
+    /// Stratum facts lost their seed support.
+    fn lose_seeds(&mut self, p: &RelName, rows: &Run) -> Result<(), EvalError> {
+        if rows.is_empty() {
+            return Ok(());
         }
+        if self.info.recursive {
+            return self.overdelete(p, rows);
+        }
+        let gone = count_table(self.counts, p)?
+            .sub_run(rows, &vec![1; rows.len()])
+            .map_err(EvalError::Rel)?;
+        self.retract(p, &gone);
         Ok(())
     }
 
-    /// Credit `(p, t)` with `k` more firings or seed support. A fact
-    /// whose support rises from zero is inserted and cascades; if DRed
-    /// had over-deleted it, this re-derives it.
-    fn gain(&mut self, p: &RelName, t: &Tuple, k: u64) -> Result<(), EvalError> {
-        if !count_table(self.counts, p)?
-            .add(t.clone(), k)
-            .map_err(EvalError::Rel)?
-        {
+    /// Credit each row of `rows` with its firings or seed support. The
+    /// rows whose support rises from zero are inserted and cascade;
+    /// those DRed had over-deleted are re-derived.
+    fn gain(&mut self, p: &RelName, rows: &Run, firings: &[u64]) -> Result<(), EvalError> {
+        let risen = count_table(self.counts, p)?
+            .add_run(rows, firings)
+            .map_err(EvalError::Rel)?;
+        if risen.is_empty() {
             return Ok(());
         }
-        self.add_work
-            .entry(p.clone())
-            .or_default()
-            .insert(t.clone());
-        net_add(&mut self.net, p, t);
-        if self.overdeleted.get_mut(p).is_some_and(|d| d.remove(t)) {
-            self.stats.facts_rederived += 1;
+        push(&mut self.add_work, p, &risen);
+        net_of(&mut self.net, p, risen.arity()).add(&risen);
+        if let Some(over) = self.overdeleted.get_mut(p) {
+            let back = risen.intersect(over);
+            if !back.is_empty() {
+                *over = over.difference(&back);
+                self.stats.facts_rederived += back.len() as u64;
+            }
         }
         Ok(())
     }
 
     /// Process the lost firings of one elementary removal step.
     fn handle_lost(&mut self, heads: HeadCounts) -> Result<(), EvalError> {
-        for (p, tuples) in heads {
-            for (t, lost) in tuples {
-                if self.info.recursive {
-                    self.overdelete(&p, &t)?;
-                } else {
-                    let c = count_table(self.counts, &p)?;
-                    if c.sub(&t, lost).map_err(EvalError::Rel)? {
-                        self.retract(&p, &t);
-                    }
-                }
+        for (p, (rows, lost)) in heads {
+            if self.info.recursive {
+                self.overdelete(&p, &rows)?;
+            } else {
+                let gone = count_table(self.counts, &p)?
+                    .sub_run(&rows, &lost)
+                    .map_err(EvalError::Rel)?;
+                self.retract(&p, &gone);
             }
         }
         Ok(())
@@ -766,36 +807,40 @@ impl StratumPass<'_> {
 
     /// Process the gained firings of one elementary addition step.
     fn handle_gained(&mut self, heads: HeadCounts) -> Result<(), EvalError> {
-        for (p, tuples) in heads {
-            for (t, gained) in tuples {
-                self.gain(&p, &t, gained)?;
-            }
+        for (p, (rows, gained)) in heads {
+            self.gain(&p, &rows, &gained)?;
         }
         Ok(())
     }
 
-    /// DRed over-deletion: a recursive-stratum fact that lost *any*
-    /// derivation is retracted outright; re-derivation puts survivors
-    /// back.
-    fn overdelete(&mut self, p: &RelName, t: &Tuple) -> Result<(), EvalError> {
-        let d = self.overdeleted.entry(p.clone()).or_default();
-        if !d.insert(t.clone()) {
-            return Ok(()); // already over-deleted this pass
+    /// DRed over-deletion: recursive-stratum facts that lost *any*
+    /// derivation are retracted outright; re-derivation puts survivors
+    /// back. Facts already over-deleted this pass are skipped.
+    fn overdelete(&mut self, p: &RelName, rows: &Run) -> Result<(), EvalError> {
+        let fresh = match self.overdeleted.get(p) {
+            Some(over) => rows.difference(over),
+            None => rows.clone(),
+        };
+        if fresh.is_empty() {
+            return Ok(());
         }
-        count_table(self.counts, p)?.clear_tuple(t);
-        self.retract(p, t);
+        push(&mut self.overdeleted, p, &fresh);
+        count_table(self.counts, p)?
+            .clear_run(&fresh)
+            .map_err(EvalError::Rel)?;
+        self.retract(p, &fresh);
         Ok(())
     }
 
-    /// Record a retraction: enqueue the cascade batch and track the net
-    /// change. (The `total` commit happens when the batch pops.)
-    fn retract(&mut self, p: &RelName, t: &Tuple) {
-        self.del_work
-            .entry(p.clone())
-            .or_default()
-            .insert(t.clone());
-        net_remove(&mut self.net, p, t);
-        self.stats.facts_retracted += 1;
+    /// Record retractions: enqueue the cascade batch and track the net
+    /// change. (The `total` commit happens when the batch is taken.)
+    fn retract(&mut self, p: &RelName, rows: &Run) {
+        if rows.is_empty() {
+            return;
+        }
+        push(&mut self.del_work, p, rows);
+        net_of(&mut self.net, p, rows.arity()).remove(rows);
+        self.stats.facts_retracted += rows.len() as u64;
     }
 
     /// DRed re-derivation, a set at a time. One join per stratum rule,
@@ -808,13 +853,10 @@ impl StratumPass<'_> {
     /// whatever they support without a rescan; whatever is still
     /// over-deleted when the cascade ends is gone for good.
     fn rederive(&mut self, seed_changes: &BTreeMap<RelName, Change>) -> Result<(), EvalError> {
-        let mut pinned: BTreeMap<RelName, Relation> = BTreeMap::new();
-        for (p, ts) in &self.overdeleted {
-            if let Some(t) = ts.first() {
-                let d = Relation::from_tuples(t.arity(), ts.iter().cloned());
-                pinned.insert(p.clone(), d.map_err(EvalError::Rel)?);
-            }
-        }
+        let pinned: BTreeMap<RelName, Relation> = (self.overdeleted.iter())
+            .filter(|(_, over)| !over.is_empty())
+            .map(|(p, over)| (p.clone(), Relation::from_run(over.clone())))
+            .collect();
         let mut fired = HeadCounts::new();
         for &ri in &self.info.rules {
             let rule = &self.program.rules()[ri];
@@ -839,17 +881,16 @@ impl StratumPass<'_> {
             frame_count(rule, &pos, &order, self.total, &mut fired)?;
         }
         for (p, d) in pinned {
-            let mut firings = fired.remove(&p).unwrap_or_default();
-            let seeds = self.base.relation_ref(&p);
-            let fresh = seed_changes.get(&p).map(|c| &c.added);
-            for t in d.iter() {
-                let seeded = seeds.is_some_and(|r| r.contains(t))
-                    && !fresh.is_some_and(|added| added.contains(t));
-                let k = firings.remove(t).unwrap_or(0) + u64::from(seeded);
-                if k > 0 {
-                    self.gain(&p, t, k)?;
-                }
+            let over = d.columnar_run();
+            let (rows, firings) = fired
+                .remove(&p)
+                .unwrap_or_else(|| (Run::empty(over.arity()), Vec::new()));
+            let mut seeded = held(self.base.relation_ref(&p), &over);
+            if let Some(c) = seed_changes.get(&p) {
+                seeded = seeded.difference(&c.added);
             }
+            let (rows, support) = rows.union_counted(&firings, &seeded, &vec![1; seeded.len()]);
+            self.gain(&p, &rows, &support)?;
         }
         Ok(())
     }
@@ -870,13 +911,53 @@ enum StepDir {
     Add,
 }
 
-fn pop_first(work: &mut Worklist) -> Option<(RelName, BTreeSet<Tuple>)> {
-    let p = work.keys().next()?.clone();
-    let ts = work.remove(&p)?;
-    if ts.is_empty() {
-        return pop_first(work);
+/// Advance a relation by one elementary step's batch.
+fn advance(rel: &mut Relation, rows: &Run, dir: StepDir) -> Result<(), EvalError> {
+    let advanced = match dir {
+        StepDir::Remove => rel.remove_run(rows),
+        StepDir::Add => rel.absorb_run(rows),
+    };
+    advanced.map(drop).map_err(EvalError::Rel)
+}
+
+/// The net change of `p` this pass, starting empty.
+fn net_of<'a>(net: &'a mut BTreeMap<RelName, Change>, p: &RelName, arity: usize) -> &'a mut Change {
+    net.entry(p.clone()).or_insert_with(|| Change::empty(arity))
+}
+
+/// The rows of `run` that `rel` holds.
+fn held(rel: Option<&Relation>, run: &Run) -> Run {
+    match rel {
+        Some(rel) => run.difference(&rel.novel(run.clone())),
+        None => Run::empty(run.arity()),
     }
-    Some((p, ts))
+}
+
+/// A delta's facts — sorted, as an [`InstanceDelta`] keeps them — as
+/// one sorted run per relation. A fact the schema does not admit is an
+/// error when `strict`, and is skipped otherwise: inserting it fails,
+/// and removing it changes nothing.
+fn runs_by_relation(
+    schema: &Schema,
+    facts: &[Fact],
+    strict: bool,
+) -> Result<Vec<(RelName, Run)>, EvalError> {
+    let mut out = Vec::new();
+    for group in facts.chunk_by(|a, b| a.rel() == b.rel()) {
+        let mut admitted = Vec::with_capacity(group.len());
+        for f in group {
+            match schema.check_fact(f) {
+                Ok(()) => admitted.push(f.tuple()),
+                Err(e) if strict => return Err(EvalError::Rel(e)),
+                Err(_) => {}
+            }
+        }
+        if let Some(t) = admitted.first() {
+            let run = Run::from_sorted(t.arity(), admitted.iter().copied());
+            out.push((group[0].rel().clone(), run));
+        }
+    }
+    Ok(out)
 }
 
 fn count_table<'a>(
@@ -888,25 +969,12 @@ fn count_table<'a>(
         .ok_or_else(|| EvalError::Other(format!("no count table for IDB `{p}`")))
 }
 
-fn net_add(net: &mut BTreeMap<RelName, Change>, p: &RelName, t: &Tuple) {
-    let c = net.entry(p.clone()).or_default();
-    if !c.removed.remove(t) {
-        c.added.insert(t.clone());
-    }
-}
-
-fn net_remove(net: &mut BTreeMap<RelName, Change>, p: &RelName, t: &Tuple) {
-    let c = net.entry(p.clone()).or_default();
-    if !c.added.remove(t) {
-        c.removed.insert(t.clone());
-    }
-}
-
 /// Build support counts from scratch for the heads of `rules` over
 /// `db`: every rule firing plus +1 seed support per base fact of
-/// `preds`. The single source of truth for both initialization and
-/// negation-triggered stratum rebuilds — the two paths must count
-/// identically or the bookkeeping drifts into `NegativeSupport`.
+/// `preds`, read from `base`'s relation of each. The single source of
+/// truth for both initialization and negation-triggered stratum
+/// rebuilds — the two paths must count identically or the bookkeeping
+/// drifts into `NegativeSupport`.
 fn recount_into(
     rules: &[Rule],
     db: &Instance,
@@ -918,16 +986,16 @@ fn recount_into(
     for r in rules {
         count_rule_firings(r, db, &mut heads)?;
     }
-    for (p, tuples) in heads {
-        let c = count_table(counts, &p)?;
-        for (t, k) in tuples {
-            c.add(t, k).map_err(EvalError::Rel)?;
-        }
+    for (p, (rows, firings)) in heads {
+        count_table(counts, &p)?
+            .add_run(&rows, &firings)
+            .map_err(EvalError::Rel)?;
     }
-    for f in base.facts() {
-        if preds.contains(f.rel()) {
-            count_table(counts, f.rel())?
-                .add(f.tuple().clone(), 1)
+    for p in preds {
+        if let Some(seeds) = base.relation_ref(p) {
+            let seeds = seeds.columnar_run();
+            count_table(counts, p)?
+                .add_run(&seeds, &vec![1; seeds.len()])
                 .map_err(EvalError::Rel)?;
         }
     }
@@ -949,7 +1017,8 @@ fn count_rule_firings(rule: &Rule, db: &Instance, out: &mut HeadCounts) -> Resul
 /// The firing counter shared by [`expansion`], DRed's re-derivation
 /// and [`count_rule_firings`]: the rule body joined by the crate's one
 /// join executor in `order`, each atom of `pos` over the relation it is
-/// paired with, and the surviving firings counted per head tuple.
+/// paired with, and the surviving firings counted per head row, merged
+/// into `out` by a sorted merge that adds multiplicities.
 fn frame_count(
     rule: &Rule,
     pos: &[(&Atom, &Relation)],
@@ -961,9 +1030,16 @@ fn frame_count(
         return Ok(());
     };
     let head = rule.head();
-    let slot = out.entry(head.pred.clone()).or_default();
-    for (t, k) in frame.project_counts(&head.terms)? {
-        *slot.entry(t).or_insert(0) += k;
+    let (rows, firings) = frame.project_counts(&head.terms)?;
+    match out.entry(head.pred.clone()) {
+        Entry::Vacant(slot) => {
+            slot.insert((rows, firings));
+        }
+        Entry::Occupied(mut slot) => {
+            let (had, counted) = slot.get();
+            let merged = had.union_counted(counted, &rows, &firings);
+            slot.insert(merged);
+        }
     }
     Ok(())
 }

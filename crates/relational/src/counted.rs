@@ -5,25 +5,49 @@
 //! support it: retracting one derivation of a doubly-supported fact must
 //! leave the fact in place, while retracting the last one deletes it.
 //! A [`CountedRelation`] is that bookkeeping structure — a finite map
-//! from tuples to positive support counts, with ± delta application.
+//! from rows to positive support counts — updated a batch at a time: a
+//! batch is a sorted [`Run`] of rows with a multiplicity beside each,
+//! and every update returns, as a run, the rows whose presence flipped.
+//!
+//! Counts are keyed by the row's interned ids, never by a [`Tuple`]:
+//! rows of arity ≤ 2 pack into one `u64`, wider rows key by their ids.
+//! The map is hashed, but no result depends on its order — every batch
+//! answers in the order of the run it was given.
 
 use crate::error::RelError;
 use crate::fact::Tuple;
+use crate::intern::Vid;
 use crate::relation::Relation;
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::runs::Run;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 
-/// A `k`-ary relation where every tuple carries a positive support
-/// count (number of derivations currently justifying it).
+/// A `k`-ary relation where every row carries a positive support count
+/// (number of derivations currently justifying it).
 ///
-/// The *set* view of a counted relation is its key set: a tuple is
-/// "present" iff its count is ≥ 1. Counts never go negative —
-/// over-subtracting is reported as an error, since it means the
-/// maintenance bookkeeping lost a derivation.
-#[derive(Clone, PartialEq, Eq, Default)]
+/// A row is "present" iff its count is ≥ 1; no count is ever stored at
+/// 0. Counts never go negative — over-subtracting is reported as
+/// [`RelError::NegativeSupport`], since it means the maintenance
+/// bookkeeping lost a derivation.
 pub struct CountedRelation {
     arity: usize,
-    counts: BTreeMap<Tuple, u64>,
+    counts: Counts,
+}
+
+/// The count table, keyed by interned ids.
+enum Counts {
+    /// Rows of arity ≤ 2, their ids packed into one `u64` (see
+    /// [`pack`]).
+    Packed(HashMap<u64, u64>),
+    /// Wider rows, keyed by their ids.
+    Wide(HashMap<Box<[Vid]>, u64>),
+}
+
+/// The ids of a row of arity ≤ 2 as one `u64`, side by side. Distinct
+/// rows of one arity get distinct keys.
+fn pack(ids: impl Iterator<Item = Vid>) -> u64 {
+    ids.fold(0, |key, v| key << 32 | u64::from(v.raw()))
 }
 
 impl CountedRelation {
@@ -31,7 +55,11 @@ impl CountedRelation {
     pub fn empty(arity: usize) -> Self {
         CountedRelation {
             arity,
-            counts: BTreeMap::new(),
+            counts: if arity <= 2 {
+                Counts::Packed(HashMap::new())
+            } else {
+                Counts::Wide(HashMap::new())
+            },
         }
     }
 
@@ -40,118 +68,148 @@ impl CountedRelation {
         self.arity
     }
 
-    /// Number of distinct tuples with positive support.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Is the relation empty (no supported tuples)?
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
     /// The support count of a tuple (0 when absent).
     pub fn count(&self, t: &Tuple) -> u64 {
-        self.counts.get(t).copied().unwrap_or(0)
-    }
-
-    /// Membership in the set view.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.counts.contains_key(t)
-    }
-
-    /// Add `k` derivations of `t`; `Ok(true)` when the tuple becomes
-    /// newly present (count went 0 → positive). Adding 0 is a no-op.
-    pub fn add(&mut self, t: Tuple, k: u64) -> Result<bool, RelError> {
         if t.arity() != self.arity {
+            return 0;
+        }
+        let ids: Vec<Vid> = t.iter().map(Vid::from_value).collect();
+        match &self.counts {
+            Counts::Packed(map) => map.get(&pack(ids.into_iter())).copied().unwrap_or(0),
+            Counts::Wide(map) => map.get(&ids[..]).copied().unwrap_or(0),
+        }
+    }
+
+    /// Add `firings[i]` derivations to row `i` of `rows`. Returns the
+    /// rows that became present (count 0 → positive).
+    pub fn add_run(&mut self, rows: &Run, firings: &[u64]) -> Result<Run, RelError> {
+        self.update(rows, |have, i| Ok(have + firings[i]))
+    }
+
+    /// Retract `firings[i]` derivations from row `i` of `rows`. Returns
+    /// the rows that vanished (count positive → 0). Retracting more than
+    /// a row has is [`RelError::NegativeSupport`]: the caller's
+    /// derivation accounting has drifted.
+    pub fn sub_run(&mut self, rows: &Run, firings: &[u64]) -> Result<Run, RelError> {
+        self.update(rows, |have, i| {
+            have.checked_sub(firings[i])
+                .ok_or(RelError::NegativeSupport {
+                    have,
+                    retract: firings[i],
+                })
+        })
+    }
+
+    /// Drop the rows of `rows` entirely, whatever their counts — DRed's
+    /// over-deletion, after which re-derivation recounts a fact's
+    /// support from scratch. Returns the rows that were present.
+    pub fn clear_run(&mut self, rows: &Run) -> Result<Run, RelError> {
+        self.update(rows, |_, _| Ok(0))
+    }
+
+    /// Do the present rows equal `rel`'s rows, with no count stored at
+    /// 0? `rel` is probed by interned key, so the check neither folds
+    /// nor sorts it — the invariant the maintenance engine checks in
+    /// debug builds.
+    pub fn supports_exactly(&self, rel: &Relation) -> bool {
+        let held = |ids: &[Vid], &count: &u64| count > 0 && rel.contains_vids(ids);
+        rel.arity() == self.arity
+            && match &self.counts {
+                Counts::Packed(map) => {
+                    map.len() == rel.len()
+                        && map.iter().all(|(&key, count)| {
+                            let ids: Vec<Vid> = (0..self.arity)
+                                .rev()
+                                .map(|c| Vid::from_raw((key >> (32 * c)) as u32))
+                                .collect();
+                            held(&ids, count)
+                        })
+                }
+                Counts::Wide(map) => {
+                    map.len() == rel.len() && map.iter().all(|(ids, count)| held(ids, count))
+                }
+            }
+    }
+
+    /// Set row `i` of `rows` to `next(count, i)` for every `i`, dropping
+    /// rows whose count becomes 0, and return the rows whose presence
+    /// flipped, in the order of `rows`.
+    fn update(
+        &mut self,
+        rows: &Run,
+        mut next: impl FnMut(u64, usize) -> Result<u64, RelError>,
+    ) -> Result<Run, RelError> {
+        if rows.arity() != self.arity {
             return Err(RelError::TupleArity {
                 expected: self.arity,
-                found: t.arity(),
+                found: rows.arity(),
             });
         }
-        if k == 0 {
-            return Ok(false);
-        }
-        match self.counts.entry(t) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(k);
-                Ok(true)
+        // The first error, if any. The batch goes on, so the table ends
+        // partly updated — the accounting has drifted either way.
+        let mut failed = Ok(());
+        let mut flip = |set: Result<bool, RelError>| match set {
+            Ok(flipped) => flipped,
+            Err(e) => {
+                if failed.is_ok() {
+                    failed = Err(e);
+                }
+                false
             }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                *e.get_mut() += k;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Retract `k` derivations of `t`; `Ok(true)` when the tuple
-    /// vanishes (count hit exactly 0). Retracting from an absent tuple
-    /// or below zero is an error — the caller's derivation accounting
-    /// has drifted.
-    pub fn sub(&mut self, t: &Tuple, k: u64) -> Result<bool, RelError> {
-        if k == 0 {
-            return Ok(false);
-        }
-        match self.counts.get_mut(t) {
-            None => Err(RelError::NegativeSupport {
-                have: 0,
-                retract: k,
+        };
+        let flipped = match &mut self.counts {
+            Counts::Packed(map) => rows.select(|i| {
+                let key = pack((0..rows.arity()).map(|c| rows.col(c)[i]));
+                flip(set_count(map, &key, || key, |have| next(have, i)))
             }),
-            Some(c) if *c < k => Err(RelError::NegativeSupport {
-                have: *c,
-                retract: k,
-            }),
-            Some(c) if *c == k => {
-                self.counts.remove(t);
-                Ok(true)
+            Counts::Wide(map) => {
+                let mut ids: Vec<Vid> = Vec::with_capacity(self.arity);
+                rows.select(|i| {
+                    ids.clear();
+                    ids.extend((0..rows.arity()).map(|c| rows.col(c)[i]));
+                    flip(set_count(
+                        map,
+                        &ids[..],
+                        || ids.clone().into(),
+                        |have| next(have, i),
+                    ))
+                })
             }
-            Some(c) => {
-                *c -= k;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Apply a signed delta: positive `k` adds derivations, negative
-    /// retracts them. Returns `true` when the tuple's *presence*
-    /// changed (appeared or vanished).
-    pub fn apply_signed(&mut self, t: &Tuple, k: i64) -> Result<bool, RelError> {
-        match k.cmp(&0) {
-            std::cmp::Ordering::Greater => self.add(t.clone(), k as u64),
-            std::cmp::Ordering::Less => self.sub(t, k.unsigned_abs()),
-            std::cmp::Ordering::Equal => Ok(false),
-        }
-    }
-
-    /// Drop a tuple entirely, whatever its count; returns the dropped
-    /// count (0 when absent). Used by DRed over-deletion, where a
-    /// fact's support is recomputed from scratch at re-derivation.
-    pub fn clear_tuple(&mut self, t: &Tuple) -> u64 {
-        self.counts.remove(t).unwrap_or(0)
-    }
-
-    /// Iterate over `(tuple, count)` pairs in tuple order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Tuple, u64)> {
-        self.counts.iter().map(|(t, &c)| (t, c))
-    }
-
-    /// The set view as a plain [`Relation`].
-    pub fn to_relation(&self) -> Relation {
-        Relation::from_tuples(self.arity, self.counts.keys().cloned())
-            .expect("all stored tuples have the stored arity")
+        };
+        failed.map(|()| flipped)
     }
 }
 
-impl fmt::Debug for CountedRelation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, (t, c)) in self.counts.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
+/// Set the count of `key` to `next(count)` (0 when absent), dropping
+/// the entry at 0; `own` makes the owned key for a new entry. Returns
+/// whether the key's presence flipped.
+fn set_count<K, Q>(
+    map: &mut HashMap<K, u64>,
+    key: &Q,
+    own: impl FnOnce() -> K,
+    next: impl FnOnce(u64) -> Result<u64, RelError>,
+) -> Result<bool, RelError>
+where
+    K: Hash + Eq + Borrow<Q>,
+    Q: Hash + Eq + ?Sized,
+{
+    match map.get_mut(key) {
+        Some(count) => {
+            let n = next(*count)?;
+            if n == 0 {
+                map.remove(key);
+                return Ok(true);
             }
-            write!(f, "{t}×{c}")?;
+            *count = n;
+            Ok(false)
         }
-        write!(f, "}}")
+        None => {
+            let n = next(0)?;
+            if n > 0 {
+                map.insert(own(), n);
+            }
+            Ok(n > 0)
+        }
     }
 }
 
@@ -160,60 +218,91 @@ mod tests {
     use super::*;
     use crate::tuple;
 
+    fn run(arity: usize, ts: &[Tuple]) -> Run {
+        Run::from_sorted(arity, ts.iter())
+    }
+
     #[test]
     fn add_and_sub_track_presence() {
-        let mut r = CountedRelation::empty(1);
-        assert!(r.add(tuple![1], 2).unwrap()); // newly present
-        assert!(!r.add(tuple![1], 1).unwrap()); // just more support
-        assert_eq!(r.count(&tuple![1]), 3);
-        assert!(!r.sub(&tuple![1], 2).unwrap());
-        assert!(r.sub(&tuple![1], 1).unwrap()); // vanished
-        assert!(!r.contains(&tuple![1]));
-        assert!(r.is_empty());
+        for (a, b) in [
+            (tuple![1, 2], tuple![3, 4]),
+            (tuple![1, "x", 2], tuple![1, "y", 2]),
+        ] {
+            let arity = a.arity();
+            let mut r = CountedRelation::empty(arity);
+            let both = run(arity, &[a.clone(), b.clone()]);
+            assert_eq!(r.add_run(&both, &[2, 1]).unwrap().len(), 2); // newly present
+            assert_eq!(
+                r.add_run(&run(arity, std::slice::from_ref(&a)), &[1])
+                    .unwrap()
+                    .len(),
+                0
+            );
+            assert_eq!((r.count(&a), r.count(&b)), (3, 1));
+            let gone = r.sub_run(&both, &[2, 1]).unwrap();
+            assert_eq!(gone.rows(), std::slice::from_ref(&b)); // `a` keeps one firing
+            assert_eq!(r.clear_run(&both).unwrap().rows(), std::slice::from_ref(&a));
+            assert_eq!((r.count(&a), r.count(&b)), (0, 0));
+        }
     }
 
     #[test]
     fn oversubtraction_is_an_error() {
         let mut r = CountedRelation::empty(1);
-        r.add(tuple![1], 1).unwrap();
+        r.add_run(&run(1, &[tuple![1]]), &[1]).unwrap();
         assert!(matches!(
-            r.sub(&tuple![1], 2),
+            r.sub_run(&run(1, &[tuple![1]]), &[2]),
             Err(RelError::NegativeSupport {
                 have: 1,
                 retract: 2
             })
         ));
-        assert!(r.sub(&tuple![9], 1).is_err());
+        assert!(r.sub_run(&run(1, &[tuple![9]]), &[1]).is_err());
     }
 
     #[test]
-    fn signed_application_and_zero_noop() {
+    fn zero_firings_flip_nothing() {
         let mut r = CountedRelation::empty(2);
-        assert!(!r.apply_signed(&tuple![1, 2], 0).unwrap());
-        assert!(r.apply_signed(&tuple![1, 2], 2).unwrap());
-        assert!(!r.apply_signed(&tuple![1, 2], -1).unwrap());
-        assert!(r.apply_signed(&tuple![1, 2], -1).unwrap());
-        assert!(!r.add(tuple![1, 2], 0).unwrap());
-        assert!(!r.sub(&tuple![1, 2], 0).unwrap());
+        let row = run(2, &[tuple![1, 2]]);
+        assert!(r.add_run(&row, &[0]).unwrap().is_empty());
+        assert!(r.sub_run(&row, &[0]).unwrap().is_empty());
+        assert_eq!(r.count(&tuple![1, 2]), 0);
+        r.add_run(&row, &[2]).unwrap();
+        assert!(r.add_run(&row, &[0]).unwrap().is_empty());
+        assert!(r.sub_run(&row, &[0]).unwrap().is_empty());
+        assert_eq!(r.count(&tuple![1, 2]), 2);
+    }
+
+    #[test]
+    fn clear_and_set_view() {
+        let mut r = CountedRelation::empty(1);
+        r.add_run(&run(1, &[tuple![1], tuple![2]]), &[5, 1])
+            .unwrap();
+        let cleared = r.clear_run(&run(1, &[tuple![1], tuple![3]])).unwrap();
+        assert_eq!(cleared.rows(), &[tuple![1]], "only a present row clears");
+        assert_eq!((r.count(&tuple![1]), r.count(&tuple![2])), (0, 1));
+        let set = |ts: &[Tuple]| Relation::from_tuples(1, ts.iter().cloned()).unwrap();
+        assert!(r.supports_exactly(&set(&[tuple![2]])));
+        assert!(!r.supports_exactly(&set(&[tuple![1], tuple![2]])));
+        assert!(!r.supports_exactly(&set(&[])));
     }
 
     #[test]
     fn arity_enforced() {
         let mut r = CountedRelation::empty(2);
-        assert!(r.add(tuple![1], 1).is_err());
+        assert!(r.add_run(&run(1, &[tuple![1]]), &[1]).is_err());
+        assert_eq!(r.count(&tuple![1]), 0);
     }
 
     #[test]
-    fn clear_tuple_and_set_view() {
-        let mut r = CountedRelation::empty(1);
-        r.add(tuple![1], 5).unwrap();
-        r.add(tuple![2], 1).unwrap();
-        assert_eq!(r.clear_tuple(&tuple![1]), 5);
-        assert_eq!(r.clear_tuple(&tuple![1]), 0);
-        let s = r.to_relation();
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&tuple![2]));
-        assert_eq!(r.iter().count(), 1);
-        assert_eq!(r.len(), 1);
+    fn nullary_rows_are_counted() {
+        let mut r = CountedRelation::empty(0);
+        let unit = run(0, &[Tuple::empty()]);
+        assert_eq!(r.add_run(&unit, &[2]).unwrap().len(), 1);
+        assert_eq!(r.count(&Tuple::empty()), 2);
+        assert!(r.supports_exactly(&Relation::nullary_true()));
+        assert!(!r.supports_exactly(&Relation::nullary_false()));
+        assert_eq!(r.sub_run(&unit, &[2]).unwrap().len(), 1);
+        assert!(r.supports_exactly(&Relation::nullary_false()));
     }
 }

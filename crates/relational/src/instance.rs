@@ -198,6 +198,26 @@ impl Instance {
         self.entry(name, run.arity()).absorb_run(run)
     }
 
+    /// Remove a sorted run of tuples from the relation `name` in place
+    /// (see [`Relation::remove_run`]); a relation left empty is
+    /// unpopulated, as [`Instance::remove_fact`] leaves it. Returns the
+    /// number of facts actually removed.
+    pub fn remove_run(
+        &mut self,
+        name: &RelName,
+        run: &crate::runs::Run,
+    ) -> Result<usize, RelError> {
+        self.schema.check_relation(name, run.arity())?;
+        let Some(rel) = self.get_mut(name) else {
+            return Ok(0);
+        };
+        let removed = rel.remove_run(run)?;
+        if rel.is_empty() {
+            self.remove(name);
+        }
+        Ok(removed)
+    }
+
     /// Remove a fact; `true` if present.
     pub fn remove_fact(&mut self, fact: &Fact) -> bool {
         if let Some(r) = self.get_mut(fact.rel()) {

@@ -43,6 +43,8 @@ pub use instance::Instance;
 pub use intern::{Symbol, Vid};
 pub use iso::Iso;
 pub use multiset::FactMultiset;
+#[doc(hidden)]
+pub use relation::runs_point_writes;
 pub use relation::{Relation, SpineRef, PROMOTE_LEN, REENTRY_LEN};
 pub use runs::{Run, SmallTail, StorageStats};
 pub use schema::Schema;

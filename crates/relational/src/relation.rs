@@ -15,8 +15,10 @@
 //! A bulk write ([`Relation::absorb_run`], [`Relation::apply_delta`])
 //! subtracts its run from the levels and pushes the rest as a new
 //! level; then the newest level merges into the one below while it is
-//! at least half that level's size. So a relation holds O(log n)
-//! levels, and each row is rewritten O(log n) times. A merge drops the
+//! at least half that level's size. A bulk removal
+//! ([`Relation::remove_run`], and `apply_delta`'s removed rows) adds
+//! the rows it finds live to the removed run. So a relation holds
+//! O(log n) levels, and each row is rewritten O(log n) times. A merge drops the
 //! removed rows it covers and carries its inputs' permutation views
 //! (`Run::merge`). Removed rows fold in all at once when they pass a
 //! quarter of the rows the levels hold. Point writes
@@ -56,6 +58,7 @@ use crate::fact::Tuple;
 use crate::intern::Vid;
 use crate::runs::{Run, SmallTail, StatCells, StorageStats};
 use crate::value::Value;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -75,6 +78,24 @@ pub const REENTRY_LEN: usize = PROMOTE_LEN / 4;
 /// Removed rows fold into the levels once they pass one in this many of
 /// the rows the levels hold.
 const REMOVED_SHARE: usize = 4;
+
+thread_local! {
+    /// Point writes that reached a runs-regime relation on this thread.
+    static POINT_WRITES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_point_write() {
+    POINT_WRITES.with(|n| n.set(n.get() + 1));
+}
+
+/// How many point inserts and removes reached a runs-regime relation on
+/// this thread so far. Each one probes every level of the spine, so a
+/// bulk writer ([`Relation::absorb_run`], [`Relation::remove_run`])
+/// leaves this count where it was — which tests check.
+#[doc(hidden)]
+pub fn runs_point_writes() -> u64 {
+    POINT_WRITES.with(Cell::get)
+}
 
 /// The sorted runs of a relation above the small regime (see the module
 /// docs).
@@ -466,6 +487,7 @@ impl ColStore {
 
     /// Insert `t`; `true` if it was not held.
     fn insert(&mut self, t: Tuple) -> bool {
+        note_point_write();
         self.adopt();
         let inserted = if self.pending.as_mut().is_some_and(|p| p.dels.remove(&t)) {
             true // a pending remove; undo it
@@ -480,6 +502,7 @@ impl ColStore {
 
     /// Remove `t`; `true` if it was held.
     fn remove(&mut self, t: &Tuple) -> bool {
+        note_point_write();
         self.adopt();
         let removed = if self.pending.as_mut().is_some_and(|p| p.adds.remove(t)) {
             true
@@ -674,6 +697,35 @@ impl Relation {
                 }
                 Ok(grown)
             }
+        }
+    }
+
+    /// In-place difference with a run of the same arity — the mirror of
+    /// [`Relation::absorb_run`]. The runs regime marks the rows it holds
+    /// live as removed in its spine (see the module docs); the small
+    /// regime removes them one by one. Returns the number of tuples
+    /// actually removed.
+    pub fn remove_run(&mut self, run: &Run) -> Result<usize, RelError> {
+        if run.arity() != self.arity {
+            return Err(RelError::TupleArity {
+                expected: self.arity,
+                found: run.arity(),
+            });
+        }
+        if run.is_empty() || self.is_empty() {
+            return Ok(0);
+        }
+        self.pre_mutation();
+        match &mut self.store {
+            Store::Col(c) => {
+                c.flush();
+                let held = run.difference(&c.spine.view().novel(run));
+                let removed = held.len();
+                c.spine.remove(held);
+                c.spine.check();
+                Ok(removed)
+            }
+            Store::Small(s) => Ok(run.rows().iter().filter(|t| s.remove(t)).count()),
         }
     }
 

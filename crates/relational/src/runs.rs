@@ -300,6 +300,31 @@ fn subset_keys(a: &[u64], b: &[u64]) -> bool {
     true
 }
 
+/// Drop the adjacent repeats of a sorted vector, as `Vec::dedup_by`
+/// does; with `counts`, also push how many entries each kept one
+/// stood for.
+fn dedup_counting<T: Copy>(
+    v: &mut Vec<T>,
+    same: impl Fn(&T, &T) -> bool,
+    counts: Option<&mut Vec<u64>>,
+) {
+    let Some(counts) = counts else {
+        v.dedup_by(|a, b| same(a, b));
+        return;
+    };
+    let mut kept = 0;
+    for r in 0..v.len() {
+        if kept > 0 && same(&v[kept - 1], &v[r]) {
+            *counts.last_mut().expect("a kept entry has a count") += 1;
+        } else {
+            v[kept] = v[r];
+            kept += 1;
+            counts.push(1);
+        }
+    }
+    v.truncate(kept);
+}
+
 /// When the remaining portion of one side of a merge is this many times
 /// longer than a single step would cover, gallop instead of stepping.
 const GALLOP_AFTER: usize = 8;
@@ -548,9 +573,27 @@ impl Run {
     /// duplicate rows, and gathers the columns — how columnar join
     /// outputs become relations without ever materializing tuples.
     pub fn from_cols(rows: usize, cols: Vec<Vec<Vid>>) -> Run {
+        Run::sort_cols(rows, cols, None)
+    }
+
+    /// [`Run::from_cols`] that also counts: the distinct rows as a run,
+    /// and beside it how many times each row occurs in the columns — a
+    /// rule firing's head rows with their numbers of firings.
+    pub fn from_cols_counted(rows: usize, cols: Vec<Vec<Vid>>) -> (Run, Vec<u64>) {
+        let mut counts = Vec::new();
+        let run = Run::sort_cols(rows, cols, Some(&mut counts));
+        (run, counts)
+    }
+
+    /// The sort behind [`Run::from_cols`]; pushes each distinct row's
+    /// number of occurrences onto `counts` when given.
+    fn sort_cols(rows: usize, cols: Vec<Vec<Vid>>, counts: Option<&mut Vec<u64>>) -> Run {
         debug_assert!(cols.iter().all(|c| c.len() == rows));
         if cols.is_empty() {
             // Nullary: any row at all is the single empty tuple.
+            if let Some(counts) = counts.filter(|_| rows > 0) {
+                counts.push(rows as u64);
+            }
             return Run::from_parts(usize::from(rows > 0), Vec::new());
         }
         // Arity-≤2 inline-integer rows sort as flat packed keys — no
@@ -566,6 +609,9 @@ impl Run {
                 _ => unreachable!("arity checked above"),
             };
             if keys.windows(2).all(|w| w[0] < w[1]) {
+                if let Some(counts) = counts {
+                    counts.resize(rows, 1);
+                }
                 let run = Run::from_parts(rows, cols);
                 run.data
                     .packed
@@ -574,7 +620,7 @@ impl Run {
                 return run;
             }
             keys.sort_unstable();
-            keys.dedup();
+            dedup_counting(&mut keys, |a, b| a == b, counts);
             return Run::from_packed(cols.len(), keys);
         }
         let row_cmp = |a: u32, b: u32| -> Ordering {
@@ -590,11 +636,14 @@ impl Run {
         // projection that keeps the leading join columns): take the
         // columns as they are instead of permuting a copy.
         if (1..rows as u32).all(|r| row_cmp(r - 1, r) == Ordering::Less) {
+            if let Some(counts) = counts {
+                counts.resize(rows, 1);
+            }
             return Run::from_parts(rows, cols);
         }
         let mut perm: Vec<u32> = (0..rows as u32).collect();
         perm.sort_unstable_by(|&a, &b| row_cmp(a, b));
-        perm.dedup_by(|a, b| row_cmp(*a, *b) == Ordering::Equal);
+        dedup_counting(&mut perm, |a, b| row_cmp(*a, *b) == Ordering::Equal, counts);
         let out: Vec<Vec<Vid>> = cols
             .iter()
             .map(|col| perm.iter().map(|&r| col[r as usize]).collect())
@@ -738,6 +787,59 @@ impl Run {
             }
         }
         out.push_range(a, i..a.len);
+        out.finish()
+    }
+
+    /// `self ∪ other` (same arity) with multiplicities: `mine` and
+    /// `theirs` run beside the rows of `self` and `other`, and each row
+    /// of the result carries the sum of its multiplicities on the sides
+    /// that hold it.
+    pub fn union_counted(&self, mine: &[u64], other: &Run, theirs: &[u64]) -> (Run, Vec<u64>) {
+        debug_assert_eq!(self.arity(), other.arity());
+        debug_assert_eq!((mine.len(), theirs.len()), (self.len(), other.len()));
+        let (a, b) = (&*self.data, &*other.data);
+        let mut out = RunBuilder::with_capacity(a.arity(), a.len + b.len);
+        let mut counts = Vec::with_capacity(a.len + b.len);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len || j < b.len {
+            let ord = if j == b.len {
+                Ordering::Less
+            } else if i == a.len {
+                Ordering::Greater
+            } else {
+                a.row_cmp(i, b, j)
+            };
+            match ord {
+                Ordering::Less => {
+                    out.push_row(a, i);
+                    counts.push(mine[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push_row(b, j);
+                    counts.push(theirs[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push_row(a, i);
+                    counts.push(mine[i] + theirs[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        (out.finish(), counts)
+    }
+
+    /// The rows at which `keep` holds, in order.
+    pub(crate) fn select(&self, mut keep: impl FnMut(usize) -> bool) -> Run {
+        let a = &*self.data;
+        let mut out = RunBuilder::new(a.arity());
+        for i in 0..a.len {
+            if keep(i) {
+                out.push_row(a, i);
+            }
+        }
         out.finish()
     }
 

@@ -325,3 +325,41 @@ fn over_deletion_rederivation_is_handled() {
     assert!(fix.stats().facts_rederived > 0, "{:?}", fix.stats());
     assert!(fix.stats().facts_retracted > 0);
 }
+
+/// Maintenance commits what it derives a batch at a time. A 64-edge
+/// chain maintained edge by edge puts its 2,080 closure facts in `T`,
+/// well inside the runs regime, and retracting edges from the middle
+/// over-deletes and re-derives some of them; through all of it no point
+/// insert or remove reaches a runs-regime relation, where each would
+/// probe every level of the spine.
+#[test]
+fn maintaining_a_closure_writes_no_point_into_a_spine() {
+    let p =
+        rtx::query::parser::parse_program("T(X,Y) :- E(X,Y). T(X,Z) :- T(X,Y), E(Y,Z).").unwrap();
+    let mut base = Instance::empty(Schema::new().with("E", 2).with("T", 2));
+    let mut fix = MaintainedFixpoint::new(&p).unwrap();
+    fix.initialize(&base).unwrap();
+    let point_writes = rtx::relational::runs_point_writes();
+    let mut apply = |fix: &mut MaintainedFixpoint, added: Vec<Fact>, removed: Vec<Fact>| {
+        let delta = InstanceDelta::from_parts(added, removed);
+        base.apply_delta(&delta).unwrap();
+        fix.apply(&delta).unwrap();
+        assert_eq!(fix.current(), &p.eval(&base).unwrap());
+    };
+    for i in 0..64i64 {
+        apply(&mut fix, vec![fact!("E", i, i + 1)], vec![]);
+    }
+    let t = fix.current().relation(&"T".into()).unwrap();
+    assert_eq!(t.len(), 64 * 65 / 2);
+    assert!(!t.in_small_regime());
+    for i in [40i64, 20] {
+        let bypass = fact!("E", i - 1, i + 1);
+        apply(&mut fix, vec![bypass], vec![fact!("E", i, i + 1)]);
+    }
+    assert!(fix.stats().facts_rederived > 0, "{:?}", fix.stats());
+    assert_eq!(
+        rtx::relational::runs_point_writes() - point_writes,
+        0,
+        "point writes reached a runs-regime relation"
+    );
+}

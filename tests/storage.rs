@@ -8,16 +8,17 @@
 //! reference semantics in `rtx-ref`, and directed tests pinning the
 //! promotion boundary and hysteresis. Plus the spine of sorted runs
 //! under writes, bulk writes and clones that keep being written, index
-//! views carried across a fold, and determinism of the process-wide
-//! value interner.
+//! views carried across a fold, determinism of the process-wide value
+//! interner, and the batch updates of `CountedRelation` against a count
+//! model.
 
 use proptest::prelude::*;
 use rtx::query::MaintainedFixpoint;
 use rtx::relational::{
-    fact, Fact, Instance, RelError, Relation, Run, Schema, Tuple, Value, Vid, PROMOTE_LEN,
-    REENTRY_LEN,
+    fact, CountedRelation, Fact, Instance, RelError, Relation, Run, Schema, Tuple, Value, Vid,
+    PROMOTE_LEN, REENTRY_LEN,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn tuple2(a: u8, b: u8) -> Tuple {
     vec![Value::Int(a as i64), Value::Int(b as i64)].into()
@@ -101,7 +102,7 @@ fn spine_op() -> (
     std::ops::Range<u8>,
     std::ops::Range<u8>,
 ) {
-    (0u8..6, 0u8..40, 0u8..40, 0u8..48)
+    (0u8..7, 0u8..40, 0u8..40, 0u8..48)
 }
 
 /// `n` pairs on a stride-7 walk through the 40×40 grid from `(a, b)`:
@@ -118,8 +119,9 @@ fn batch(a: u8, b: u8, n: u8) -> BTreeSet<Tuple> {
 /// Apply one spine-schedule step to `rels[n % len]` and its model:
 /// 0 insert `(a, b)`, 1 remove it, 2 absorb a batch as a run, 3 apply
 /// a delta adding one batch and removing another, 4 clone into another
-/// slot (both copies keep being written), 5 a read that seals pending
-/// writes (a negated-atom probe) or folds (a scan).
+/// slot (both copies keep being written), 5 remove a run of held rows
+/// and rows not held, 6 a read that seals pending writes (a
+/// negated-atom probe) or folds (a scan).
 fn spine_step(rels: &mut Vec<(Relation, BTreeSet<Tuple>)>, (kind, a, b, n): (u8, u8, u8, u8)) {
     let i = n as usize % rels.len();
     let (rel, model) = &mut rels[i];
@@ -159,6 +161,17 @@ fn spine_step(rels: &mut Vec<(Relation, BTreeSet<Tuple>)>, (kind, a, b, n): (u8,
             } else {
                 rels[(i + 1) % 4] = copy;
             }
+        }
+        5 => {
+            let rows: BTreeSet<Tuple> = (model.iter().skip(b as usize).step_by(3))
+                .take(n as usize)
+                .cloned()
+                .chain(batch(a, b, n / 4))
+                .collect();
+            let removed = rows.iter().filter(|t| model.contains(*t)).count();
+            let run = Run::from_sorted(2, rows.iter());
+            assert_eq!(rel.remove_run(&run).unwrap(), removed);
+            model.retain(|t| !rows.contains(t));
         }
         _ if a % 2 == 0 => {
             let key = [
@@ -212,8 +225,8 @@ proptest! {
 
     /// The spine of sorted runs agrees with a `BTreeSet` model on every
     /// read path under random interleavings of point writes, run
-    /// absorption, delta application and clones that keep being
-    /// written — batches of up to 47 rows over a relation of up to
+    /// absorption and removal, delta application and clones that keep
+    /// being written — batches of up to 47 rows over a relation of up to
     /// 1,600 cross the level merges, and removals cross the fold of the
     /// removed rows. Each relation is read after every step and in full
     /// every eighth step and at the end, and every pair is diffed,
@@ -247,6 +260,100 @@ proptest! {
                 assert_matches(&x.difference(y).unwrap(), &mx.difference(my).cloned().collect());
                 prop_assert_eq!(x.is_subset(y), mx.is_subset(my));
             }
+        }
+    }
+
+    /// `CountedRelation`'s batch add, subtract and clear agree with a
+    /// `BTreeMap<Tuple, u64>` model on every count, and each batch
+    /// answers exactly the rows whose presence flipped: 0 → positive on
+    /// add, positive → 0 on subtract and clear. Rows of arity 2 over
+    /// integers key the table packed; rows of arity 3 with a symbol key
+    /// it by ids. A subtraction past a row's support is
+    /// `NegativeSupport`, and ends the schedule.
+    #[test]
+    fn counted_batches_match_a_count_model(
+        ops in proptest::collection::vec(
+            (0u8..8, proptest::collection::vec((0u8..5, 0u8..5, 0u8..3), 0..8)),
+            1..24),
+        wide in any::<bool>(),
+    ) {
+        let row = |a: u8, b: u8| -> Tuple {
+            let mut values = vec![Value::Int(a as i64), Value::Int(b as i64)];
+            if wide {
+                values.push(Value::sym(if a.is_multiple_of(2) { "even" } else { "odd" }));
+            }
+            values.into()
+        };
+        let arity = if wide { 3 } else { 2 };
+        let mut counted = CountedRelation::empty(arity);
+        let mut model: BTreeMap<Tuple, u64> = BTreeMap::new();
+        for (op, batch) in &ops {
+            let kind = match op {
+                0..=2 => "add",
+                3..=5 => "sub",
+                6 => "clear",
+                _ => "overdraw",
+            };
+            let have = |t: &Tuple| model.get(t).copied().unwrap_or(0);
+            // One multiplicity per distinct row: a subtraction keeps
+            // within the row's support, and an overdraw takes one more
+            // than the first row has.
+            let mut rows: BTreeMap<Tuple, u64> = BTreeMap::new();
+            for &(a, b, k) in batch {
+                let t = row(a, b);
+                let k = match kind {
+                    "sub" => u64::from(k).min(have(&t)),
+                    "clear" => 0,
+                    _ => u64::from(k),
+                };
+                rows.insert(t, k);
+            }
+            let overdraw = match (kind, rows.iter_mut().next()) {
+                ("overdraw", Some((t, k))) => {
+                    *k = have(t) + 1;
+                    Some((have(t), *k))
+                }
+                _ => None,
+            };
+            let run = Run::from_sorted(arity, rows.keys());
+            let firings: Vec<u64> = rows.values().copied().collect();
+            let answer = match kind {
+                "add" => counted.add_run(&run, &firings),
+                "clear" => counted.clear_run(&run),
+                _ => counted.sub_run(&run, &firings),
+            };
+            if let Some((have, retract)) = overdraw {
+                prop_assert!(matches!(answer, Err(RelError::NegativeSupport { have: h, retract: r })
+                    if h == have && r == retract));
+                break;
+            }
+            let mut flipped: Vec<Tuple> = Vec::new();
+            for (t, &k) in &rows {
+                let before = model.get(t).copied().unwrap_or(0);
+                let after = match kind {
+                    "add" => before + k,
+                    "clear" => 0,
+                    _ => before - k,
+                };
+                if (before == 0) != (after == 0) {
+                    flipped.push(t.clone());
+                }
+                if after == 0 {
+                    model.remove(t);
+                } else {
+                    model.insert(t.clone(), after);
+                }
+            }
+            let answer = answer.unwrap();
+            prop_assert_eq!(answer.rows(), &flipped[..]);
+            for a in 0..5 {
+                for b in 0..5 {
+                    let t = row(a, b);
+                    prop_assert_eq!(counted.count(&t), model.get(&t).copied().unwrap_or(0));
+                }
+            }
+            let present = Relation::from_tuples(arity, model.keys().cloned()).unwrap();
+            prop_assert!(counted.supports_exactly(&present));
         }
     }
 
