@@ -71,7 +71,7 @@ type FaultedRun = fn(
 ) -> Result<ShardRunOutcome, NetError>;
 
 /// Both round schedules, named for assertion messages: the dense one
-/// and the one that parks quiet nodes.
+/// and the one that skips the heartbeats of parked nodes.
 const SCHEDULES: [(&str, FaultedRun); 2] = [
     ("dense", run_sharded_faulted),
     ("sparse", run_sparse_faulted),

@@ -445,73 +445,95 @@ impl Configuration {
 }
 
 /// Activation tracking for the round coordinator: which node indices
-/// are *armed* (must be offered a heartbeat) and which have *mail* (must
-/// be offered a delivery). The dense schedule seeds it with
-/// [`ActivationSet::all_armed`] and never parks; the sparse schedule
-/// ([`crate::sparse`]) parks quiet nodes.
+/// are *cold* (have not heartbeat yet), which are *armed* (their next
+/// heartbeat must be evaluated) and which have *mail* (must be offered a
+/// delivery). A node that is neither cold nor armed is *parked*. The
+/// dense schedule starts with [`ActivationSet::all_armed`], the sparse
+/// schedule ([`crate::sparse`]) with [`ActivationSet::all_cold`].
 ///
-/// The transitions encode the sparse schedule's re-arming rules:
+/// Both round schedules park by one rule:
 ///
-/// * every node must heartbeat at least once before it may park,
-///   because an initial state can produce output or sends — the sparse
-///   schedule sweeps them through a rate-limited warm-up queue;
-/// * a fact enqueued to a node marks its mail and re-arms it;
-/// * a delivery re-arms the delivering node (its state may have changed,
-///   so its next heartbeat is not provably a no-op);
-/// * a *quiet* heartbeat (no state change, no sends, no new output)
-///   parks the node — unless it still has pending mail;
-/// * a crashed node that loses its buffer drops its mail mark;
-/// * a restarted or partition-healed node is re-armed.
+/// * a cold node may not park before its first heartbeat, because an
+///   initial state can produce output or sends — the sparse schedule
+///   sweeps cold nodes through a rate-limited warm-up;
+/// * a *quiet* heartbeat — no state change, no sends — parks the node,
+///   whether or not it has mail;
+/// * only a transition that changed the node's state, or a restart (or
+///   a healed partition), arms it again ([`ActivationSet::arm`]);
+/// * a fact enqueued to a node marks its mail, and a drained or lost
+///   buffer drops the mark; neither arms the node.
 ///
-/// Parking can never starve a node with undelivered mail: a node leaves
-/// `mail` only when its buffer drains (or is faulted away), and the
-/// executor offers every `mail` node a delivery each round regardless
-/// of `armed`. Dually, quiescence may be certified from `is_quiet`
-/// without waking the whole network: a parked node's heartbeat is a
-/// pure function of its state, which cannot change without a delivery —
-/// and any delivery would have re-armed it.
+/// A heartbeat is a deterministic function of the node's state, so
+/// while a node stays parked every heartbeat repeats the quiet one it
+/// parked on: no state change, no sends, the same output — already
+/// accumulated. The dense schedule answers such a heartbeat without
+/// stepping the node; the sparse schedule skips it. Parking never
+/// starves mail: the executor offers every `mail` node a delivery each
+/// round, armed or parked. Dually, quiescence may be certified from
+/// [`ActivationSet::is_quiet`] without waking the whole network.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ActivationSet {
     armed: BTreeSet<usize>,
     mail: BTreeSet<usize>,
+    /// `warm[i]`: node `i` is not cold.
+    warm: Vec<bool>,
+    /// The lowest cold index; `warm.len()` once no node is cold.
+    cold_from: usize,
 }
 
 impl ActivationSet {
-    /// The initial tracker for `n` nodes: all armed, no mail.
+    /// The tracker for `n` nodes, all armed, no mail.
     pub fn all_armed(n: usize) -> Self {
         ActivationSet {
             armed: (0..n).collect(),
             mail: BTreeSet::new(),
+            warm: vec![true; n],
+            cold_from: n,
         }
     }
 
-    /// A fact was enqueued to `node`: mark mail and re-arm.
-    pub fn note_enqueue(&mut self, node: usize) {
-        self.mail.insert(node);
-        self.armed.insert(node);
+    /// The tracker for `n` nodes, all cold, no mail.
+    pub fn all_cold(n: usize) -> Self {
+        ActivationSet {
+            armed: BTreeSet::new(),
+            mail: BTreeSet::new(),
+            warm: vec![false; n],
+            cold_from: 0,
+        }
     }
 
-    /// `node` heartbeat; `quiet` means no state change, no sends, and
-    /// no new output. A quiet node with no pending mail parks.
+    /// A fact was enqueued to `node`: mark mail.
+    pub fn note_enqueue(&mut self, node: usize) {
+        self.mail.insert(node);
+    }
+
+    /// `node` heartbeat; `quiet` means no state change and no sends. A
+    /// quiet heartbeat parks the node, any other arms it.
     pub fn note_heartbeat(&mut self, node: usize, quiet: bool) {
-        if quiet && !self.mail.contains(&node) {
+        self.warm[node] = true;
+        while self.warm.get(self.cold_from) == Some(&true) {
+            self.cold_from += 1;
+        }
+        if quiet {
             self.armed.remove(&node);
         } else {
             self.armed.insert(node);
         }
     }
 
-    /// `node` delivered a buffered fact; `buffer_now_empty` reports
-    /// whether its buffer drained. Deliveries always re-arm.
+    /// `node` was handed a buffered fact to deliver;
+    /// `buffer_now_empty` reports whether its buffer drained. Whether
+    /// the delivery arms the node depends on its outcome: see
+    /// [`ActivationSet::arm`].
     pub fn note_delivery(&mut self, node: usize, buffer_now_empty: bool) {
-        self.armed.insert(node);
         if buffer_now_empty {
             self.mail.remove(&node);
         }
     }
 
-    /// `node` restarted (or a partition around it healed): re-arm.
-    pub fn note_restart(&mut self, node: usize) {
+    /// Arm `node`: a transition changed its state, or it restarted (or
+    /// a partition around it healed).
+    pub fn arm(&mut self, node: usize) {
         self.armed.insert(node);
     }
 
@@ -525,6 +547,11 @@ impl ActivationSet {
         self.armed.iter().copied()
     }
 
+    /// Cold node indices, ascending (the warm-up queue).
+    pub fn cold_nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.cold_from..self.warm.len()).filter(|&i| !self.warm[i])
+    }
+
     /// Node indices with pending mail, ascending.
     pub fn mail_nodes(&self) -> impl Iterator<Item = usize> + '_ {
         self.mail.iter().copied()
@@ -533,6 +560,11 @@ impl ActivationSet {
     /// Is `node` armed?
     pub fn is_armed(&self, node: usize) -> bool {
         self.armed.contains(&node)
+    }
+
+    /// Is `node` parked: neither cold nor armed?
+    pub fn is_parked(&self, node: usize) -> bool {
+        self.warm.get(node) == Some(&true) && !self.armed.contains(&node)
     }
 
     /// Does `node` have pending mail?
@@ -555,10 +587,10 @@ impl ActivationSet {
         self.armed.union(&self.mail).count()
     }
 
-    /// No node is armed and no node has mail — together with empty
-    /// in-flight state this certifies quiescence.
+    /// No node is cold or armed and no node has mail — together with
+    /// empty in-flight state this certifies quiescence.
     pub fn is_quiet(&self) -> bool {
-        self.armed.is_empty() && self.mail.is_empty()
+        self.cold_from == self.warm.len() && self.armed.is_empty() && self.mail.is_empty()
     }
 }
 
@@ -927,25 +959,48 @@ mod tests {
         act.note_heartbeat(0, true);
         act.note_heartbeat(1, false);
         act.note_heartbeat(2, true);
-        assert!(!act.is_armed(0) && act.is_armed(1) && !act.is_armed(2));
-        // an enqueue re-arms a parked node and marks mail
+        assert!(act.is_parked(0) && act.is_armed(1) && act.is_parked(2));
+        // an enqueue marks mail but leaves the node parked
         act.note_enqueue(2);
-        assert!(act.is_armed(2) && act.has_mail(2));
+        assert!(act.is_parked(2) && act.has_mail(2));
         assert_eq!(act.mail_nodes().collect::<Vec<_>>(), vec![2]);
-        // a quiet heartbeat cannot park a node with pending mail
-        act.note_heartbeat(2, true);
-        assert!(act.is_armed(2), "parking must never starve pending mail");
-        // delivery drains the buffer: mail cleared, still armed
+        // a quiet heartbeat parks a node with pending mail too
+        act.note_heartbeat(1, true);
+        act.note_enqueue(1);
+        assert!(act.is_parked(1) && act.has_mail(1));
+        // a delivery that drains the buffer clears mail; by itself it
+        // arms nothing — a state change does
         act.note_delivery(2, true);
-        assert!(act.is_armed(2) && !act.has_mail(2));
-        // now a quiet heartbeat parks it
-        act.note_heartbeat(2, true);
+        assert!(act.is_parked(2) && !act.has_mail(2));
+        act.note_delivery(1, true);
+        act.arm(1);
+        assert!(act.is_armed(1) && !act.has_mail(1));
+        assert_eq!(act.active_count(), 1);
+        // the armed node's next quiet heartbeat parks it again
         act.note_heartbeat(1, true);
         assert!(act.is_quiet());
-        // restart re-arms
-        act.note_restart(1);
-        assert_eq!(act.armed_nodes().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(act.active_count(), 1);
+        // a restart arms
+        act.arm(0);
+        assert_eq!(act.armed_nodes().collect::<Vec<_>>(), vec![0]);
+    }
+
+    #[test]
+    fn cold_nodes_warm_up_in_index_order() {
+        let mut act = ActivationSet::all_cold(4);
+        assert_eq!(act.cold_nodes().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        assert!(!act.is_quiet() && !act.is_parked(0));
+        // a node armed before its turn warms up when it heartbeats
+        act.arm(2);
+        act.note_heartbeat(2, true);
+        assert!(act.is_parked(2));
+        assert_eq!(act.cold_nodes().collect::<Vec<_>>(), vec![0, 1, 3]);
+        act.note_heartbeat(0, false);
+        act.note_heartbeat(1, true);
+        assert_eq!(act.cold_nodes().collect::<Vec<_>>(), vec![3]);
+        act.note_heartbeat(3, true);
+        act.note_heartbeat(0, true);
+        assert_eq!(act.cold_nodes().count(), 0);
+        assert!(act.is_quiet());
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //!   the per-node steps computed across [`ShardOptions::threads`] worker
 //!   shards; results are bit-identical across thread counts. Under a
 //!   [`FaultHook`] (the `*_faulted` entry points) it is also the one
-//!   driver of faulted runs. Its entry points choose the
-//!   schedule: [`run_sharded`] never parks, so every up node heartbeats
-//!   every round (the FIFO round-synchronous runs of Theorem 16), while
-//!   [`run_sparse`] parks quiescent nodes and schedules only armed or
-//!   mailed ones — same outputs and quiescence verdict on confluent
+//!   driver of faulted runs. Both schedules park a node after a quiet
+//!   heartbeat and arm it again only on a state change or a restart
+//!   ([`ActivationSet`]); the entry points choose what becomes of a
+//!   parked node's heartbeat: [`run_sharded`] heartbeats every up node
+//!   every round (the FIFO round-synchronous runs of Theorem 16) and
+//!   answers the parked ones without stepping them, while
+//!   [`run_sparse`] skips them and schedules only armed, cold or
+//!   mailed nodes — same outputs and quiescence verdict on confluent
 //!   machines, ≥10× fewer node-steps when the active frontier is small
-//!   (see the [`sparse`] module docs for the
-//!   parking/re-arming model).
+//!   (see the [`sparse`] module docs for the parking model).
 
 #![warn(missing_docs)]
 

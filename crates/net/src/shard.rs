@@ -22,15 +22,29 @@
 //!    are independent too and run in parallel; their outboxes merge at
 //!    the next barrier.
 //!
-//! The two round schedules differ only in which nodes a heartbeat phase
-//! schedules and in how quiescence is certified:
+//! Both round schedules park nodes by one rule ([`ActivationSet`]): a
+//! quiet heartbeat — no state change, no sends — parks a node, and only
+//! a transition that changed its state, or a restart, arms it again.
+//! A parked node's heartbeat is a deterministic function of an
+//! unchanged state, so it repeats the quiet heartbeat it parked on. The
+//! schedules differ in what they do with that heartbeat and in how
+//! quiescence is certified:
 //!
-//! * [`run_sharded`] never parks: every up node heartbeats every round —
-//!   the FIFO round-synchronous runs of the proof of Theorem 16.
-//!   Quiescence is a full round of no-op heartbeats on empty buffers.
-//! * [`run_sparse`](crate::run_sparse) parks nodes whose next heartbeat
-//!   is provably a no-op and schedules only armed or mailed nodes;
-//!   quiescence is an empty activation set (see [`crate::sparse`]).
+//! * [`run_sharded`] heartbeats every up node every round — the FIFO
+//!   round-synchronous runs of the proof of Theorem 16. A parked node's
+//!   heartbeat is *answered* at the coordinator from its park record
+//!   (the quiet heartbeat's output), without stepping the node; it is
+//!   still counted, logged and traced like any other step. Quiescence
+//!   is a full round of no-op heartbeats on empty buffers.
+//! * [`run_sparse`](crate::run_sparse) skips a parked node's heartbeat
+//!   and schedules only armed, cold and mailed nodes; quiescence is an
+//!   empty activation set (see [`crate::sparse`]).
+//!
+//! Debug builds check the parking rule when a run ends: every parked
+//! node is stepped once more on its final state, outside the metrics
+//! registry and the trace, and must change nothing, send nothing and
+//! output what its park record holds (in the sparse schedule, which
+//! keeps no records, nothing it has not output already).
 //!
 //! Every such run is a legal run of the paper's semantics (a particular
 //! fair interleaving: deliveries of a round are simply scheduled after
@@ -53,7 +67,7 @@ use crate::topology::{Network, NodeId};
 use rtx_obs::trace;
 use rtx_relational::{Fact, Instance, Relation};
 use rtx_transducer::{Added, Transducer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 
 /// How many buffered facts each node may deliver per round.
@@ -431,7 +445,7 @@ pub fn run_sharded_from(
     opts: &ShardOptions,
     budget: &RunBudget,
 ) -> Result<ShardRunOutcome, NetError> {
-    run_rounds(net, transducer, cfg, opts, budget, None, Parking::Never)
+    run_rounds(net, transducer, cfg, opts, budget, None, Schedule::Dense)
 }
 
 /// [`run_sharded`] under fault injection: every sent copy's fate and
@@ -461,20 +475,22 @@ pub fn run_sharded_faulted_from(
     budget: &RunBudget,
     faults: &mut dyn FaultHook,
 ) -> Result<ShardRunOutcome, NetError> {
-    let parking = Parking::Never;
-    run_rounds(net, transducer, cfg, opts, budget, Some(faults), parking)
+    let schedule = Schedule::Dense;
+    run_rounds(net, transducer, cfg, opts, budget, Some(faults), schedule)
 }
 
-/// Which nodes a heartbeat phase schedules.
+/// Which nodes a heartbeat phase schedules, and what becomes of a
+/// parked node's heartbeat.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Parking {
-    /// Every up node, every round (the dense schedule of
+pub(crate) enum Schedule {
+    /// Every up node, every round; a parked node's heartbeat is
+    /// answered from its park record (the dense schedule of
     /// [`run_sharded`]).
-    Never,
-    /// Only armed nodes: a quiet heartbeat parks a node until mail, a
-    /// delivery or a fault re-arms it (the sparse schedule of
+    Dense,
+    /// Armed nodes and a warm-up chunk of cold ones; a parked node's
+    /// heartbeat is skipped (the sparse schedule of
     /// [`crate::run_sparse`]).
-    WhenQuiet,
+    Sparse,
 }
 
 /// Spawn `threads` worker shards inside `scope`, each owning a
@@ -513,7 +529,7 @@ fn spawn_sharded_engine<'scope, 'env>(
 }
 
 /// Validate `cfg` against `net`, start the engine `opts.threads` asks
-/// for, and drive the run under `parking`. Every round-based entry
+/// for, and drive the run under `schedule`. Every round-based entry
 /// point lands here. Configuration and network index their nodes
 /// alike, by name, so the coordinator works on the configuration's
 /// vectors and reads adjacency from the network
@@ -526,7 +542,7 @@ pub(crate) fn run_rounds(
     opts: &ShardOptions,
     budget: &RunBudget,
     faults: Option<&mut dyn FaultHook>,
-    parking: Parking,
+    schedule: Schedule,
 ) -> Result<ShardRunOutcome, NetError> {
     cfg.check_network(net)?;
     let (nodes, states, buffers) = cfg.into_vectors();
@@ -542,8 +558,8 @@ pub(crate) fn run_rounds(
                 transducer,
             }
         };
-        let barrier = Barrier::new(transducer, net, nodes, buffers, faults, opts, parking);
-        drive(barrier, engine, threads, opts, budget, parking)
+        let barrier = Barrier::new(transducer, net, nodes, buffers, faults, opts, schedule);
+        drive(barrier, engine, threads, opts, budget)
     })
 }
 
@@ -594,25 +610,38 @@ fn worker_loop(
 }
 
 /// Everything the barrier merge and the fault phase write: buffers,
-/// in-flight copies, the activation tracker, outputs, counters and log.
+/// in-flight copies, the activation tracker, park records, outputs,
+/// counters and log.
 struct Barrier<'a, 'f> {
+    transducer: &'a Transducer,
     /// The topology, read by index.
     net: &'a Network,
     /// The network's nodes, by index.
     nodes: Arc<[NodeId]>,
+    schedule: Schedule,
     faults: Option<&'f mut dyn FaultHook>,
     buffers: Vec<Vec<Fact>>,
     /// In-flight copies under fault injection: maturity round → the
     /// copies released into destination buffers at its start, in the
     /// deterministic order the merge produced them.
     held: BTreeMap<u64, Vec<(usize, Fact)>>,
-    /// Armed nodes and nodes with mail. `mail` is exactly the set of
-    /// nonempty buffers; under [`Parking::Never`] every node stays
-    /// armed.
+    /// Cold, armed and parked nodes, and nodes with mail. `mail` is
+    /// exactly the set of nonempty buffers.
     act: ActivationSet,
+    /// Park records of the dense schedule: the output of the quiet
+    /// heartbeat each parked node parked on, kept only when nonempty.
+    /// A parked node's heartbeat is answered from it.
+    parked_output: BTreeMap<usize, Relation>,
     output: Relation,
-    /// Each node's accumulated output, by index.
-    outputs_per_node: Vec<Relation>,
+    /// Each node's accumulated output, by index, kept only once
+    /// nonempty: most nodes of a large network output nothing.
+    node_outputs: BTreeMap<usize, Relation>,
+    /// The outcome's map of every node to its output. It is built,
+    /// every output empty, with the barrier, while the states are
+    /// small — collecting a map of every node briefly holds a second
+    /// copy of its entries — and filled from `node_outputs` when the
+    /// run ends.
+    outputs_per_node: BTreeMap<NodeId, Relation>,
     messages_enqueued: usize,
     /// Message accounting for the conservation check: the copies
     /// buffered at the start and those a crash's buffer loss discarded.
@@ -623,18 +652,18 @@ struct Barrier<'a, 'f> {
 
 impl<'a, 'f> Barrier<'a, 'f> {
     fn new(
-        transducer: &Transducer,
+        transducer: &'a Transducer,
         net: &'a Network,
         nodes: Arc<[NodeId]>,
         buffers: Vec<Vec<Fact>>,
         faults: Option<&'f mut dyn FaultHook>,
         opts: &ShardOptions,
-        parking: Parking,
+        schedule: Schedule,
     ) -> Self {
         let arity = transducer.schema().output_arity();
-        let mut act = match parking {
-            Parking::Never => ActivationSet::all_armed(nodes.len()),
-            Parking::WhenQuiet => ActivationSet::default(),
+        let mut act = match schedule {
+            Schedule::Dense => ActivationSet::all_armed(nodes.len()),
+            Schedule::Sparse => ActivationSet::all_cold(nodes.len()),
         };
         for (i, buf) in buffers.iter().enumerate() {
             if !buf.is_empty() {
@@ -642,14 +671,18 @@ impl<'a, 'f> Barrier<'a, 'f> {
             }
         }
         Barrier {
+            transducer,
             net,
-            outputs_per_node: vec![Relation::empty(arity); nodes.len()],
+            node_outputs: BTreeMap::new(),
+            outputs_per_node: nodes.iter().map(|n| (*n, Relation::empty(arity))).collect(),
             nodes,
+            schedule,
             faults,
             initial_buffered: buffers.iter().map(Vec::len).sum(),
             buffers,
             held: BTreeMap::new(),
             act,
+            parked_output: BTreeMap::new(),
             output: Relation::empty(arity),
             messages_enqueued: 0,
             lost_to_crashes: 0,
@@ -674,26 +707,44 @@ impl<'a, 'f> Barrier<'a, 'f> {
         }
     }
 
-    /// Merge one phase's results at the barrier, in job (= node) order:
-    /// splice trace events, absorb outputs, append outboxes to the
+    /// Merge one phase at the barrier, in job (= node) order. `jobs` is
+    /// every transition of the phase; `results` holds one step per job
+    /// the engine ran, which is every job but the heartbeats of parked
+    /// nodes — the dense schedule answers those here
+    /// ([`Barrier::answer`]). For each step: splice trace events, absorb
+    /// outputs, arm or park the node, append outboxes to the
     /// destination buffers (consulting the fault hook for each copy's
     /// fate), and build the log records. Returns, per job, whether the
-    /// step was quiet: no state change, no sends, no new output.
+    /// step was a no-op: no state change, no sends, no new output.
     fn merge(
         &mut self,
         now: u64,
         jobs: Vec<Job>,
         results: Vec<StepOut>,
     ) -> Result<Vec<(usize, bool)>, NetError> {
-        if results.len() != jobs.len() {
-            return Err(worker_gone());
-        }
+        let mut results = results.into_iter();
         let mut quiet = Vec::with_capacity(jobs.len());
-        for ((idx, kind), mut res) in jobs.into_iter().zip(results) {
+        for (idx, kind) in jobs {
+            let heartbeat = matches!(kind, JobKind::Heartbeat);
+            if heartbeat && self.act.is_parked(idx) {
+                self.answer(now, idx);
+                quiet.push((idx, true));
+                continue;
+            }
+            let mut res = results.next().ok_or_else(worker_gone)?;
             trace::splice(std::mem::take(&mut res.events));
             let new_out = accumulate(&mut self.output, &res.output)?;
             quiet.push((idx, !res.state_changed && res.sent.is_empty() && !new_out));
-            accumulate(&mut self.outputs_per_node[idx], &res.output)?;
+            if !res.output.is_empty() {
+                let acc = (self.node_outputs.entry(idx))
+                    .or_insert_with(|| Relation::empty(res.output.arity()));
+                accumulate(acc, &res.output)?;
+            }
+            if heartbeat {
+                self.note_heartbeat(idx, &res);
+            } else if res.state_changed {
+                self.act.arm(idx);
+            }
             let mut enqueued = 0usize;
             for &d in self.net.neighbor_indices(idx) {
                 let d = d as usize;
@@ -738,19 +789,113 @@ impl<'a, 'f> Barrier<'a, 'f> {
                 });
             }
         }
+        if results.next().is_some() {
+            return Err(worker_gone());
+        }
         Ok(quiet)
+    }
+
+    /// Park or arm `idx` after a heartbeat the engine ran. A quiet one —
+    /// no state change, no sends — parks the node; the dense schedule
+    /// keeps its output as the node's park record.
+    fn note_heartbeat(&mut self, idx: usize, res: &StepOut) {
+        let quiet = !res.state_changed && res.sent.is_empty();
+        self.act.note_heartbeat(idx, quiet);
+        match self.schedule {
+            Schedule::Dense if quiet => {
+                if res.output.is_empty() {
+                    self.parked_output.remove(&idx);
+                } else {
+                    self.parked_output.insert(idx, res.output.clone());
+                }
+            }
+            Schedule::Dense => {}
+            Schedule::Sparse => {
+                if rtx_obs::tracing() {
+                    let name = if quiet { "park" } else { "arm.active" };
+                    trace::instant("sparse", name, &[("node", idx as i64)]);
+                }
+            }
+        }
+    }
+
+    /// Answer a parked node's heartbeat without stepping the node: it
+    /// repeats the quiet heartbeat the node parked on — no state change,
+    /// no sends, the park record's output, which was accumulated then.
+    /// It is traced and logged like a heartbeat the engine ran.
+    fn answer(&mut self, now: u64, idx: usize) {
+        debug_assert_eq!(self.schedule, Schedule::Dense);
+        if rtx_obs::tracing() {
+            trace::begin("net", "step.heartbeat", &[("node", idx as i64)]);
+            trace::end("net", "step.heartbeat");
+        }
+        if let Some(log) = &mut self.log {
+            let output = match self.parked_output.get(&idx) {
+                Some(out) => out.clone(),
+                None => Relation::empty(self.output.arity()),
+            };
+            log.push(TransitionRecord {
+                node: self.nodes[idx],
+                round: now,
+                kind: TransitionKind::Heartbeat,
+                output,
+                sent_facts: 0,
+                enqueued: 0,
+                state_changed: false,
+            });
+        }
+    }
+
+    /// The parking rule, checked in debug builds when a run ends: each
+    /// parked node's heartbeat, stepped once on its final state outside
+    /// the registry and the trace, changes no state, sends nothing and
+    /// outputs its park record — in the sparse schedule, which keeps no
+    /// records, nothing the node has not output already.
+    fn check_parked(&self, states: &[Instance]) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let silence = Instance::empty(self.transducer.schema().message().clone());
+        for (idx, state) in states.iter().enumerate() {
+            if !self.act.is_parked(idx) {
+                continue;
+            }
+            let mark = trace::mark();
+            let res = rtx_obs::registry::uncounted(|| self.transducer.step(state, &silence));
+            drop(trace::take_since(mark));
+            let node = self.nodes[idx];
+            let res = res.unwrap_or_else(|e| panic!("parked node {node}'s heartbeat failed: {e}"));
+            assert!(
+                !res.state_changed,
+                "parked node {node}'s heartbeat changes its state"
+            );
+            assert!(res.sent.is_empty(), "parked node {node}'s heartbeat sends");
+            match self.schedule {
+                Schedule::Dense => {
+                    let record = self.parked_output.get(&idx);
+                    assert!(
+                        record.map_or(res.output.is_empty(), |r| *r == res.output),
+                        "parked node {node}'s heartbeat outputs other than its park record"
+                    );
+                }
+                Schedule::Sparse => assert!(
+                    (self.node_outputs.get(&idx))
+                        .map_or(res.output.is_empty(), |acc| res.output.is_subset(acc)),
+                    "parked node {node}'s heartbeat outputs something new"
+                ),
+            }
+        }
     }
 }
 
 /// Append `fact` to `dst`'s buffer. Only the first fact of an empty
 /// buffer touches the tracker: `mail` is exactly the set of nonempty
-/// buffers, and a node with mail is always armed, so a later copy
-/// would change neither set.
+/// buffers, so a later copy would not change it.
 fn enqueue(buffers: &mut [Vec<Fact>], act: &mut ActivationSet, dst: usize, fact: Fact) {
     if buffers[dst].is_empty() {
         act.note_enqueue(dst);
     }
-    debug_assert!(act.has_mail(dst) && act.is_armed(dst));
+    debug_assert!(act.has_mail(dst));
     buffers[dst].push(fact);
 }
 
@@ -764,11 +909,10 @@ fn drive(
     threads_used: usize,
     opts: &ShardOptions,
     budget: &RunBudget,
-    parking: Parking,
 ) -> Result<ShardRunOutcome, NetError> {
     let n = bar.nodes.len();
     let t0 = rtx_obs::counting().then(std::time::Instant::now);
-    let parks = parking == Parking::WhenQuiet;
+    let sparse = bar.schedule == Schedule::Sparse;
     let mut steps = 0usize;
     let mut heartbeats = 0usize;
     let mut deliveries = 0usize;
@@ -776,20 +920,15 @@ fn drive(
     let mut max_active = 0usize;
     let mut quiescent = false;
     let mut reached_target = false;
-    // A parking run must heartbeat every node once before it may park
-    // (an initial state can produce output or sends). Sweeping them all
-    // in round 1 would schedule the whole network in a single phase, so
-    // the arming sweep is rate-limited to 1% of the network (at least
-    // one node) per round: warm-up still costs exactly n heartbeats in
-    // total, but the scheduled frontier stays bounded by the
-    // event-driven frontier plus the sweep chunk. A node leaves the
-    // sweep only once it actually ran, so budget truncation and
-    // down-phases never skip a node's first heartbeat.
-    let mut warmup: BTreeSet<usize> = if parks {
-        (0..n).collect()
-    } else {
-        BTreeSet::new()
-    };
+    // The sparse schedule must heartbeat every cold node once before it
+    // may park (an initial state can produce output or sends). Sweeping
+    // them all in round 1 would schedule the whole network in a single
+    // phase, so the warm-up is rate-limited to 1% of the network (at
+    // least one node) per round: warm-up still costs exactly n
+    // heartbeats in total, but the scheduled frontier stays bounded by
+    // the event-driven frontier plus the sweep chunk. A node stops
+    // being cold only once it actually heartbeat, so budget truncation
+    // and down-phases never skip a node's first heartbeat.
     let warmup_chunk = n.div_ceil(100);
     // Which nodes are down this round (skip heartbeat and delivery).
     let mut down = vec![false; n];
@@ -826,10 +965,12 @@ fn drive(
             for (i, d) in down.iter_mut().enumerate() {
                 match fh.node_fault(now, i) {
                     NodeFault::Up => {
-                        if *d && parks {
-                            // implicit restart (a heal): re-arm
-                            bar.act.note_restart(i);
-                            rtx_obs::event!("sparse", "arm.heal", "node" => i);
+                        if *d {
+                            // implicit restart (a heal): arm
+                            bar.act.arm(i);
+                            if sparse {
+                                rtx_obs::event!("sparse", "arm.heal", "node" => i);
+                            }
                         }
                         *d = false;
                     }
@@ -845,9 +986,9 @@ fn drive(
                     NodeFault::Down => *d = true,
                     NodeFault::RestartNow { wipe_memory } => {
                         *d = false;
-                        bar.act.note_restart(i);
+                        bar.act.arm(i);
                         rtx_obs::event!("net", "fault.restart", "node" => i, "wipe_memory" => wipe_memory as i64);
-                        if parks {
+                        if sparse {
                             rtx_obs::event!("sparse", "arm.restart", "node" => i);
                         }
                         if wipe_memory {
@@ -868,69 +1009,55 @@ fn drive(
             bar.check_conservation(now, deliveries);
         }
 
-        // Stability probe. A parking run certifies quiescence in
-        // O(active) before the heartbeat phase: nothing armed, no
-        // mail, nothing in flight, no future fault events — parked
+        // Stability probe. The sparse schedule certifies quiescence in
+        // O(active) before the heartbeat phase: nothing cold or armed,
+        // no mail, nothing in flight, no future fault events — parked
         // nodes need not be woken, their heartbeats are provably
         // no-ops (see `crate::sparse`). A dense run needs a whole round
         // of quiet heartbeats on buffers that were empty before it.
-        if parks
-            && warmup.is_empty()
-            && bar.act.is_quiet()
-            && bar.held.is_empty()
-            && fault_horizon_passed
-        {
+        if sparse && bar.act.is_quiet() && bar.held.is_empty() && fault_horizon_passed {
             debug_assert!(bar.buffers.iter().all(Vec::is_empty));
             quiescent = true;
             break;
         }
         let no_mail = bar.act.mail_count() == 0;
 
-        // Heartbeat phase: the armed up nodes plus this round's warm-up
-        // chunk, ascending, truncated at the budget.
-        let mut hb_nodes: Vec<usize> = bar.act.armed_nodes().filter(|&i| !down[i]).collect();
-        let armed = hb_nodes.len();
-        hb_nodes.extend(
-            warmup
-                .iter()
-                .copied()
-                .filter(|&i| !down[i])
-                .take(warmup_chunk),
-        );
-        if hb_nodes.len() > armed {
-            hb_nodes.sort_unstable();
-            hb_nodes.dedup();
-        }
+        // Heartbeat phase, ascending, truncated at the budget. Dense:
+        // every up node, the parked ones answered at the barrier.
+        // Sparse: the armed up nodes plus this round's warm-up chunk.
+        let mut hb_nodes: Vec<usize> = if sparse {
+            let mut hb: Vec<usize> = bar.act.armed_nodes().filter(|&i| !down[i]).collect();
+            let armed = hb.len();
+            let cold = bar.act.cold_nodes().filter(|&i| !down[i]);
+            hb.extend(cold.take(warmup_chunk));
+            if hb.len() > armed {
+                hb.sort_unstable();
+                hb.dedup();
+            }
+            hb
+        } else {
+            (0..n).filter(|&i| !down[i]).collect()
+        };
         hb_nodes.truncate(budget.max_steps - steps);
+        let hb_count = hb_nodes.len();
         let hb_jobs: Vec<Job> = hb_nodes
             .into_iter()
             .map(|i| (i, JobKind::Heartbeat))
             .collect();
-        let hb_count = hb_jobs.len();
+        let run_jobs: Vec<Job> = hb_jobs
+            .iter()
+            .filter(|(i, _)| !bar.act.is_parked(*i))
+            .cloned()
+            .collect();
         max_active = max_active.max(hb_count);
         let hb_span = trace::span("net", "phase.heartbeat", &[("jobs", hb_count as i64)]);
-        let results = engine.execute(hb_jobs.clone())?;
+        let results = engine.execute(run_jobs)?;
         let quiet = bar.merge(now, hb_jobs, results)?;
         bar.check_conservation(now, deliveries);
-        if parks {
-            let arm_tracing = rtx_obs::tracing();
-            for &(idx, q) in &quiet {
-                warmup.remove(&idx);
-                bar.act.note_heartbeat(idx, q);
-                if arm_tracing {
-                    // The arm/park decision for this node: a quiet
-                    // heartbeat parks it until re-armed by mail,
-                    // delivery, or a fault; a productive one keeps it
-                    // armed.
-                    let name = if q { "park" } else { "arm.active" };
-                    trace::instant("sparse", name, &[("node", idx as i64)]);
-                }
-            }
-        }
         drop(hb_span);
         steps += hb_count;
         heartbeats += hb_count;
-        if !parks
+        if !sparse
             && no_mail
             && hb_count == n
             && fault_horizon_passed
@@ -1025,12 +1152,16 @@ fn drive(
     }
 
     let states = engine.finish(n)?;
-    let outputs_per_node = bar
-        .nodes
-        .iter()
-        .copied()
-        .zip(bar.outputs_per_node)
-        .collect();
+    let elapsed = t0.map(|t0| t0.elapsed());
+    bar.check_parked(&states);
+    // The map's keys are the nodes, in index order.
+    let mut outputs_per_node = bar.outputs_per_node;
+    let mut outputs = bar.node_outputs.into_iter().peekable();
+    for (i, slot) in outputs_per_node.values_mut().enumerate() {
+        if let Some((_, out)) = outputs.next_if(|(j, _)| *j == i) {
+            *slot = out;
+        }
+    }
     let final_config = Configuration::from_vectors(bar.nodes, states, bar.buffers);
     let out = ShardRunOutcome {
         outcome: RunOutcome {
@@ -1049,9 +1180,9 @@ fn drive(
         max_active,
         log: bar.log,
     };
-    if let Some(t0) = t0 {
+    if let Some(elapsed) = elapsed {
         out.publish();
-        rtx_obs::registry::record("net.run_ns", t0.elapsed().as_nanos() as u64);
+        rtx_obs::registry::record("net.run_ns", elapsed.as_nanos() as u64);
     }
     Ok(out)
 }

@@ -3,50 +3,55 @@
 //! The dense round schedule ([`crate::run_sharded`]) heartbeats every
 //! node every round. That is faithful and simple, but on a million-node
 //! network with a hundred active nodes it pays 10⁶ steps per round for
-//! 10² steps of progress. The sparse schedule ([`run_sparse`]) runs on
-//! the same round coordinator with **parking**:
-//! quiescent nodes *park*, and only nodes that are *armed* (their next
-//! heartbeat might do something) or have *mail* (undelivered buffered
+//! 10² steps of progress, even though it answers the heartbeats of
+//! parked nodes without stepping them. The sparse schedule
+//! ([`run_sparse`]) runs on the same round coordinator, parks nodes by
+//! the same rule, and skips a parked node's heartbeat altogether: only
+//! nodes that are *armed* (their next heartbeat might do something),
+//! *cold* (have not heartbeat yet) or have *mail* (undelivered buffered
 //! facts) are scheduled.
 //!
-//! The work queue is a deterministic priority queue — the armed and
-//! mail sets of [`ActivationSet`](crate::ActivationSet), ordered by node index — and its jobs
-//! are dispatched to the same worker shards as the dense schedule's, so
-//! thread count still never affects results.
+//! The work queue is a deterministic priority queue — the armed, cold
+//! and mail sets of [`ActivationSet`](crate::ActivationSet), ordered by
+//! node index — and its jobs are dispatched to the same worker shards
+//! as the dense schedule's, so thread count still never affects
+//! results.
 //!
 //! ## Soundness of parking
 //!
 //! A heartbeat is a pure function of the node's own state. If a
-//! heartbeat changed no state, sent nothing, and produced no new
-//! output, then — until that node's state changes — every further
-//! heartbeat is the same no-op, so the node can park. Its state can
-//! only change through one of its own transitions, and the only
-//! transition a parked node can still perform is a delivery; therefore
-//! re-arming on (a) every fact enqueued to a node, (b) every delivery a
-//! node performs, and (c) every fault that touches a node's state
-//! (restart wipe, heal) preserves the invariant:
+//! heartbeat changed no state and sent nothing, then — until that
+//! node's state changes — every further heartbeat repeats it: no state
+//! change, no sends, the same output, which was accumulated the first
+//! time. So the node can park. Its state can only change through one of
+//! its own transitions, or through a fault that wipes its memory;
+//! therefore arming on (a) every transition that changed the node's
+//! state and (b) every restart or heal preserves the invariant:
 //!
 //! > **a parked node's next heartbeat is provably a no-op.**
 //!
-//! Two corollaries drive the schedule:
+//! Mail does not arm a node, and neither does a delivery that leaves
+//! its state as it was. Two corollaries drive the schedule:
 //!
 //! * **No starvation.** Every node with undelivered mail is offered a
 //!   delivery every round, whether parked or not — exactly the fairness
 //!   property the paper's runs require.
-//! * **O(active) quiescence certification.** When no node is armed, no
-//!   node has mail, nothing is in flight, and the fault horizon has
-//!   passed, the configuration repeats forever. The stability probe is
-//!   a set-emptiness check — it never wakes the whole network.
+//! * **O(active) quiescence certification.** When no node is cold or
+//!   armed, no node has mail, nothing is in flight, and the fault
+//!   horizon has passed, the configuration repeats forever. The
+//!   stability probe is a set-emptiness check — it never wakes the
+//!   whole network.
 //!
-//! One wrinkle: every node must heartbeat at least once before it may
-//! park, since an initial state can produce output or sends on its
-//! own. The coordinator schedules this arming sweep through a warm-up
-//! queue rate-limited to 1% of the network per round, so warm-up costs
-//! exactly `n` heartbeats in total but never floods a single phase.
+//! Cold nodes are scheduled by a warm-up sweep: every node must
+//! heartbeat at least once before it may park, since an initial state
+//! can produce output or sends on its own. The coordinator takes the
+//! lowest-index cold up nodes, at most 1% of the network per round, so
+//! warm-up costs exactly `n` heartbeats in total but never floods a
+//! single phase.
 //!
 //! The price is that the sparse schedule is *not* step-for-step
-//! identical to the dense one: it skips the no-op heartbeats the dense
-//! schedule performs, so step counters and transition logs differ.
+//! identical to the dense one: it skips the parked heartbeats the dense
+//! schedule answers, so step counters and transition logs differ.
 //! Outputs, per-node outputs, and the quiescence verdict agree with the
 //! fair serial reference on confluent transducers — property-tested in
 //! `tests/sparse.rs` across random topologies, thread counts, budgets,
@@ -57,7 +62,7 @@ use crate::error::NetError;
 use crate::fault::FaultHook;
 use crate::partition::HorizontalPartition;
 use crate::run::RunBudget;
-use crate::shard::{run_rounds, Parking, ShardOptions, ShardRunOutcome};
+use crate::shard::{run_rounds, Schedule, ShardOptions, ShardRunOutcome};
 use crate::topology::Network;
 use rtx_transducer::Transducer;
 
@@ -89,14 +94,14 @@ pub fn run_sparse_from(
     opts: &ShardOptions,
     budget: &RunBudget,
 ) -> Result<ShardRunOutcome, NetError> {
-    run_rounds(net, transducer, cfg, opts, budget, None, Parking::WhenQuiet)
+    run_rounds(net, transducer, cfg, opts, budget, None, Schedule::Sparse)
 }
 
 /// [`run_sparse`] under fault injection. Fault events feed the
 /// activation tracker: released in-flight copies mark mail, restarted
-/// (and memory-wiped) nodes are re-armed, lost buffers drop their mail
-/// marks — so adversarial fault plans drive the sparse schedule exactly
-/// like the dense one.
+/// (and memory-wiped) and healed nodes are armed, lost buffers drop
+/// their mail marks — so adversarial fault plans drive the sparse
+/// schedule exactly like the dense one.
 pub fn run_sparse_faulted(
     net: &Network,
     transducer: &Transducer,
@@ -118,8 +123,8 @@ pub fn run_sparse_faulted_from(
     budget: &RunBudget,
     faults: &mut dyn FaultHook,
 ) -> Result<ShardRunOutcome, NetError> {
-    let parking = Parking::WhenQuiet;
-    run_rounds(net, transducer, cfg, opts, budget, Some(faults), parking)
+    let schedule = Schedule::Sparse;
+    run_rounds(net, transducer, cfg, opts, budget, Some(faults), schedule)
 }
 
 #[cfg(test)]

@@ -632,7 +632,7 @@ impl Program {
             push(&mut delta, &r.head.pred, &fresh);
         }
         for (p, rel) in &delta {
-            total.absorb_run(p, &rel.columnar_run())?;
+            total.absorb_fresh(p, &rel.columnar_run())?;
         }
         while !delta.is_empty() {
             let mut next: BTreeMap<RelName, Relation> = BTreeMap::new();
@@ -651,7 +651,7 @@ impl Program {
                     tally.considered += derived.len() as u64;
                     let fresh = Self::fresh_against(total, &r.head.pred, derived);
                     tally.derived += fresh.len() as u64;
-                    total.absorb_run(&r.head.pred, &fresh)?;
+                    total.absorb_fresh(&r.head.pred, &fresh)?;
                     push(&mut next, &r.head.pred, &fresh);
                 }
             }

@@ -47,7 +47,8 @@
 //!   an added and a removed run per predicate, which cancel by run
 //!   intersection and difference;
 //! * **commits**: each elementary step commits its batch to the
-//!   materialized fixpoint as one run ([`Instance::absorb_run`],
+//!   materialized fixpoint as one run ([`Instance::absorb_fresh`], whose
+//!   rows the fixpoint cannot hold yet, so no level is subtracted;
 //!   [`Instance::remove_run`]), and so do the base ± at the top of
 //!   [`MaintainedFixpoint::apply`] and the sequential views of changed
 //!   inputs. No point write reaches a relation's spine.
@@ -440,11 +441,13 @@ impl MaintainedFixpoint {
             if fresh.is_empty() {
                 continue;
             }
-            self.base.absorb_run(&p, &fresh).map_err(EvalError::Rel)?;
+            self.base.absorb_fresh(&p, &fresh).map_err(EvalError::Rel)?;
             let slot = if self.program.idb_predicates().contains(&p) {
                 &mut seeds
             } else {
-                self.total.absorb_run(&p, &fresh).map_err(EvalError::Rel)?;
+                self.total
+                    .absorb_fresh(&p, &fresh)
+                    .map_err(EvalError::Rel)?;
                 &mut changes
             };
             let arity = fresh.arity();
@@ -747,7 +750,7 @@ impl StratumPass<'_> {
         let committed = match (post_copy, dir) {
             (Some(post), _) => self.total.set_relation(p.clone(), post).map(drop),
             (None, StepDir::Remove) => self.total.remove_run(p, rows).map(drop),
-            (None, StepDir::Add) => self.total.absorb_run(p, rows).map(drop),
+            (None, StepDir::Add) => self.total.absorb_fresh(p, rows).map(drop),
         };
         committed.map_err(EvalError::Rel)?;
         Ok(heads)

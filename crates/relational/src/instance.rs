@@ -198,6 +198,21 @@ impl Instance {
         self.entry(name, run.arity()).absorb_run(run)
     }
 
+    /// [`Instance::absorb_run`] for a run that holds no fact of `name`
+    /// (see [`Relation::absorb_fresh`]). Returns the number of facts
+    /// added: all of them.
+    pub fn absorb_fresh(
+        &mut self,
+        name: &RelName,
+        run: &crate::runs::Run,
+    ) -> Result<usize, RelError> {
+        self.schema.check_relation(name, run.arity())?;
+        if run.is_empty() {
+            return Ok(0);
+        }
+        self.entry(name, run.arity()).absorb_fresh(run)
+    }
+
     /// Remove a sorted run of tuples from the relation `name` in place
     /// (see [`Relation::remove_run`]); a relation left empty is
     /// unpopulated, as [`Instance::remove_fact`] leaves it. Returns the

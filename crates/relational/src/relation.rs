@@ -14,7 +14,10 @@
 //!
 //! A bulk write ([`Relation::absorb_run`], [`Relation::apply_delta`])
 //! subtracts its run from the levels and pushes the rest as a new
-//! level; then the newest level merges into the one below while it is
+//! level — a writer whose rows are known to be new
+//! ([`Relation::absorb_fresh`]) skips the subtraction, and only looks
+//! its rows up among the removed ones; then the newest level merges
+//! into the one below while it is
 //! at least half that level's size. A bulk removal
 //! ([`Relation::remove_run`], and `apply_delta`'s removed rows) adds
 //! the rows it finds live to the removed run. So a relation holds
@@ -241,21 +244,28 @@ impl Spine {
         }
     }
 
-    /// Add every row of `run` the spine does not hold live: the removed
-    /// ones come back, the rest become a new level. Returns how many
-    /// rows were added.
+    /// Add every row of `run` the spine does not hold live (see
+    /// [`Spine::absorb_fresh`]). Returns how many rows were added.
     fn absorb(&mut self, run: &Run) -> usize {
-        let (fresh, back) = self.view().split(run);
-        let added = fresh.len() + back.as_ref().map_or(0, Run::len);
-        if let Some(back) = back {
-            let removed = self
-                .removed
-                .take()
-                .expect("rows come back from the removed set");
-            let rest = removed.difference(&back);
-            self.removed = (!rest.is_empty()).then(|| Arc::new(rest));
-            self.len += back.len();
-        }
+        self.absorb_fresh(self.view().novel(run))
+    }
+
+    /// Add `run`, which holds no live row: the rows that sit removed in
+    /// a level come back, the rest become a new level. No level is
+    /// subtracted. Returns how many rows were added — all of them.
+    fn absorb_fresh(&mut self, run: Run) -> usize {
+        let added = run.len();
+        let back = self.removed.as_ref().map(|r| run.intersect(r));
+        let fresh = match back.filter(|b| !b.is_empty()) {
+            None => run,
+            Some(back) => {
+                let removed = self.removed.take().expect("rows come back from it");
+                let rest = removed.difference(&back);
+                self.removed = (!rest.is_empty()).then(|| Arc::new(rest));
+                self.len += back.len();
+                run.difference(&back)
+            }
+        };
         self.push(fresh);
         added
     }
@@ -267,7 +277,7 @@ impl Spine {
             return;
         };
         self.remove(Run::from_sorted(arity, dels.iter()));
-        self.absorb(&Run::from_sorted(arity, adds.iter()));
+        self.absorb_fresh(Run::from_sorted(arity, adds.iter()));
     }
 
     /// Check the invariants (debug builds only).
@@ -364,18 +374,9 @@ impl<'a> SpineRef<'a> {
         })
     }
 
-    /// `run ∖ self`: the rows of `run` that are not live rows here.
+    /// `run ∖ self`: the rows of `run` that are not live rows here —
+    /// the rows no level holds, and the rows that sit removed in one.
     fn novel(&self, run: &Run) -> Run {
-        match self.split(run) {
-            (fresh, None) => fresh,
-            (fresh, Some(back)) => fresh.union(&back),
-        }
-    }
-
-    /// Split `run` into the rows no level holds and the rows that sit
-    /// removed in a level (`None` when there are none). Rows held live
-    /// are in neither part.
-    fn split(&self, run: &Run) -> (Run, Option<Run>) {
         let mut fresh = run.clone();
         for level in self.levels {
             if fresh.is_empty() {
@@ -383,8 +384,10 @@ impl<'a> SpineRef<'a> {
             }
             fresh = fresh.difference(level);
         }
-        let back = self.removed.map(|r| run.intersect(r));
-        (fresh, back.filter(|b| !b.is_empty()))
+        match self.removed.map(|r| run.intersect(r)) {
+            Some(back) if !back.is_empty() => fresh.union(&back),
+            _ => fresh,
+        }
     }
 }
 
@@ -668,6 +671,59 @@ impl Relation {
     /// levels and pushes the rest as a new level (see the module docs).
     /// Returns the number of tuples actually added.
     pub fn absorb_run(&mut self, run: &Run) -> Result<usize, RelError> {
+        if !self.prepare_absorb(run)? {
+            return Ok(0);
+        }
+        match &mut self.store {
+            Store::Col(c) => {
+                let added = c.spine.absorb(run);
+                c.spine.check();
+                Ok(added)
+            }
+            Store::Small(s) => Ok(run.rows().iter().filter(|t| s.insert((*t).clone())).count()),
+        }
+    }
+
+    /// [`Relation::absorb_run`] for a run that holds no row this
+    /// relation holds — what a caller that has just taken
+    /// [`Relation::novel`], or that knows every row to be new, writes.
+    /// The runs regime skips the subtraction from its levels: only rows
+    /// that sit removed in a level are looked up, and they come back
+    /// rather than joining a new level. The small regime appends each
+    /// row without probing for it, reviving a tombstoned entry instead
+    /// where it has one. Debug builds check the precondition. Returns
+    /// the number of tuples added: all of them.
+    pub fn absorb_fresh(&mut self, run: &Run) -> Result<usize, RelError> {
+        if !self.prepare_absorb(run)? {
+            return Ok(0);
+        }
+        match &mut self.store {
+            Store::Col(c) => {
+                debug_assert_eq!(
+                    c.spine.view().novel(run).len(),
+                    run.len(),
+                    "absorb_fresh: the run holds live rows"
+                );
+                let added = c.spine.absorb_fresh(Run::clone(run));
+                c.spine.check();
+                Ok(added)
+            }
+            Store::Small(s) => {
+                for t in run.rows() {
+                    s.insert_fresh(t.clone());
+                }
+                Ok(run.len())
+            }
+        }
+    }
+
+    /// Ready this relation for a bulk union with `run`: check the
+    /// arity, then — unless `run` is empty, when this answers `false` —
+    /// promote a small relation the union carries past the hysteresis
+    /// floor, and seal pending point writes into the spine. Small
+    /// relations point-insert only while the combined size stays at or
+    /// below the floor (see [`Relation::absorb_run`]).
+    fn prepare_absorb(&mut self, run: &Run) -> Result<bool, RelError> {
         if run.arity() != self.arity {
             return Err(RelError::TupleArity {
                 expected: self.arity,
@@ -675,29 +731,16 @@ impl Relation {
             });
         }
         if run.is_empty() {
-            return Ok(0);
+            return Ok(false);
         }
         self.pre_mutation();
         if matches!(&self.store, Store::Small(s) if s.len() + run.len() > REENTRY_LEN) {
             self.promote();
         }
-        match &mut self.store {
-            Store::Col(c) => {
-                c.flush();
-                let added = c.spine.absorb(run);
-                c.spine.check();
-                Ok(added)
-            }
-            Store::Small(s) => {
-                let mut grown = 0usize;
-                for t in run.rows() {
-                    if s.insert(t.clone()) {
-                        grown += 1;
-                    }
-                }
-                Ok(grown)
-            }
+        if let Store::Col(c) = &mut self.store {
+            c.flush();
         }
+        Ok(true)
     }
 
     /// In-place difference with a run of the same arity — the mirror of
@@ -1644,6 +1687,58 @@ mod tests {
             "{held} rows for ΣΔ = {delta}"
         );
         assert!(held * 10 < copies, "{held} rows against {copies} in copies");
+    }
+
+    /// `absorb_fresh` subtracts no level, but a row that sits removed in
+    /// a level comes back in place rather than joining a new level, and
+    /// a small relation revives a tombstoned entry rather than logging
+    /// the row twice.
+    #[test]
+    fn absorb_fresh_brings_removed_rows_back() {
+        let rows: Vec<Tuple> = (0..200i64).map(|i| tuple![i, i % 3]).collect();
+        let mut r = Relation::from_run(Run::from_sorted(2, rows.iter()));
+        assert_eq!(
+            r.remove_run(&Run::from_sorted(2, rows[10..20].iter()))
+                .unwrap(),
+            10
+        );
+        let fresh: Vec<Tuple> = (rows[10..15].iter().cloned())
+            .chain((200..205i64).map(|i| tuple![i, 0]))
+            .collect();
+        assert_eq!(
+            r.absorb_fresh(&Run::from_sorted(2, fresh.iter())).unwrap(),
+            10
+        );
+        assert_eq!(r.len(), 200);
+        let Store::Col(c) = &r.store else {
+            panic!("a 200-row relation holds runs")
+        };
+        let held: usize = c.spine.levels.iter().map(|l| l.len()).sum();
+        assert_eq!(held, 205, "only the 5 new rows joined a level");
+        assert_eq!(c.spine.removed.as_ref().map(|r| r.len()), Some(5));
+        assert!(r
+            .iter()
+            .eq(rows[..15].iter().chain(&rows[20..]).chain(&fresh[5..])));
+
+        let mut s = Relation::empty(1);
+        for i in 0..4i64 {
+            s.insert(tuple![i]).unwrap();
+        }
+        s.remove(&tuple![1]);
+        let run = Run::from_sorted(1, [tuple![1], tuple![9]].iter());
+        assert_eq!(s.absorb_fresh(&run).unwrap(), 2);
+        assert!(s.in_small_regime());
+        assert_eq!(s, rel(1, [0, 1, 2, 3, 9].map(|i| tuple![i]).to_vec()));
+        assert_eq!(s.storage_stats().tail_hwm, 5, "the tombstone was revived");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "absorb_fresh")]
+    fn absorb_fresh_checks_its_precondition() {
+        let rows: Vec<Tuple> = (0..100i64).map(|i| tuple![i]).collect();
+        let mut r = Relation::from_run(Run::from_sorted(1, rows.iter()));
+        let _ = r.absorb_fresh(&Run::from_sorted(1, [tuple![7], tuple![100]].iter()));
     }
 
     #[test]

@@ -1413,6 +1413,26 @@ impl SmallTail {
         true
     }
 
+    /// Insert `t`, which is not live, without probing for it: revive its
+    /// tombstoned entry when the log has tombstones and one is `t`'s,
+    /// else append it.
+    pub(crate) fn insert_fresh(&mut self, t: Tuple) {
+        debug_assert_eq!(t.arity(), self.arity);
+        debug_assert!(!self.live_tuples().any(|u| *u == t), "{t:?} is live");
+        self.sorted.take();
+        *self.ordered.get_mut() = false;
+        let tombstones = self.log.len() > self.live;
+        self.live += 1;
+        if tombstones {
+            if let Some((_, alive)) = self.log.iter_mut().find(|(u, alive)| !*alive && *u == t) {
+                *alive = true;
+                return;
+            }
+        }
+        self.log.push((t, true));
+        self.stats.note_tail_len(self.log.len());
+    }
+
     /// Remove; `true` if the tuple was live. Tombstones the entry and
     /// compacts the log when tombstones dominate.
     pub fn remove(&mut self, t: &Tuple) -> bool {

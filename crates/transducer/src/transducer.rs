@@ -261,7 +261,7 @@ impl Transducer {
                 }
             };
             if !added.is_empty() {
-                new_state.absorb_run(rel, &added.columnar_run())?;
+                new_state.absorb_fresh(rel, &added.columnar_run())?;
                 state_changed = true;
                 if let Some(facts) = &mut added_facts {
                     facts.set_relation(rel.clone(), added)?;

@@ -1,21 +1,34 @@
 //! Property tests for the sharded round-synchronous runtime
 //! (`rtx_net::run_sharded`): the determinism invariant — sharded
 //! execution is bit-identical to the serial reference for every thread
-//! count — plus output agreement with the seed drivers, and the pinned
-//! schedules of both round executors.
+//! count — plus output agreement with the seed drivers, the replay of
+//! dense logs as runs of real transitions, and the pinned schedules of
+//! both round executors.
 
 use proptest::prelude::*;
+use rtx::calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
 use rtx::calm::constructions::distribute::distribute_monotone;
 use rtx::calm::constructions::flood::{flood_transducer, FloodMode};
-use rtx::net::{run, FifoRoundRobin, HorizontalPartition, Network, RunBudget, ShardOptions};
+use rtx::net::{
+    run, Configuration, FifoRoundRobin, HorizontalPartition, Network, NodeId, RunBudget,
+    ShardOptions, TransitionKind,
+};
 use rtx::query::{Query, QueryRef};
 use rtx::relational::{fact, Fact, Instance, Schema};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn set_instance(values: &[i64]) -> Instance {
     let sch = Schema::new().with("S", 1);
     let facts: Vec<Fact> = values.iter().map(|&v| fact!("S", v)).collect();
     Instance::from_facts(sch, facts).unwrap()
+}
+
+/// Identity output over the flooded relation, so heartbeats of nodes
+/// that know a fact have output.
+fn identity_out() -> QueryRef {
+    let prog = rtx::query::parser::parse_program("T(X) :- S(X).").unwrap();
+    Arc::new(rtx::query::DatalogQuery::new(prog, "T").unwrap())
 }
 
 fn edge_instance(pairs: &[(u8, u8)]) -> Instance {
@@ -72,6 +85,77 @@ proptest! {
         }
     }
 
+    /// The dense schedule answers a parked node's heartbeat at the
+    /// coordinator instead of stepping the node; its log must still be
+    /// a run of real transitions. On random connected topologies, at 1
+    /// and 3 threads, the log of a Dedup flood with an identity output
+    /// (so parked nodes have output to answer with) and of Theorem
+    /// 6(5)'s distributed transitive closure (whose steps read what the
+    /// node's previous transition added) replays record by record
+    /// through `Transducer::step` from the initial configuration: same
+    /// output, sends and state change at every record, and the replayed
+    /// states are the final configuration.
+    #[test]
+    fn dense_log_is_a_run_of_real_transitions(
+        values in proptest::collection::btree_set(0i64..40, 1..5),
+        pairs in proptest::collection::vec((0u8..6, 0u8..6), 1..8),
+        nodes in 2usize..9,
+        topo_seed in 0u64..500,
+        part_seed in 0u64..500) {
+        use rand::SeedableRng;
+        let net = Network::random_connected_seeded(nodes, 0.2, topo_seed).unwrap();
+        let flood_input = set_instance(&values.iter().copied().collect::<Vec<_>>());
+        let flood =
+            flood_transducer(flood_input.schema(), FloodMode::Dedup, Some(identity_out())).unwrap();
+        let mut tc_input = Instance::empty(Schema::new().with("E", 2));
+        for &(a, b) in &pairs {
+            tc_input.insert_fact(fact!("E", a as i64, b as i64)).unwrap();
+        }
+        let tc = distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Dedup)
+            .unwrap();
+        let mut prng = rand::rngs::StdRng::seed_from_u64(part_seed);
+        for (t, input) in [(&flood, &flood_input), (&tc, &tc_input)] {
+            let p = HorizontalPartition::random(&net, input, 0.1, &mut prng);
+            let initial = Configuration::initial(&net, t, &p).unwrap();
+            for threads in [1usize, 3] {
+                let opts = ShardOptions::sharded(threads).with_log();
+                let out = rtx::net::run_sharded(&net, t, &p, &opts, &RunBudget::steps(500_000))
+                    .unwrap();
+                prop_assert!(out.outcome.quiescent);
+                let log = out.log.as_ref().expect("the log was requested");
+                prop_assert_eq!(log.len(), out.outcome.steps);
+                let silence = Instance::empty(t.schema().message().clone());
+                let mut states: BTreeMap<NodeId, Instance> = net
+                    .nodes()
+                    .map(|n| (*n, initial.state(n).unwrap().clone()))
+                    .collect();
+                for (i, rec) in log.iter().enumerate() {
+                    let received = match &rec.kind {
+                        TransitionKind::Heartbeat => silence.clone(),
+                        TransitionKind::Delivery(f) => {
+                            let mut r = silence.clone();
+                            r.insert_fact(f.clone()).unwrap();
+                            r
+                        }
+                    };
+                    let state = states.get_mut(&rec.node).unwrap();
+                    let res = t.step(state, &received).unwrap();
+                    prop_assert_eq!(&rec.output, &res.output,
+                                    "record {} ({}): output differs from the step", i, t.name());
+                    prop_assert_eq!(rec.sent_facts, res.sent.fact_count(),
+                                    "record {} ({}): sends differ from the step", i, t.name());
+                    prop_assert_eq!(rec.state_changed, res.state_changed,
+                                    "record {} ({}): state change differs from the step", i, t.name());
+                    *state = res.new_state;
+                }
+                for (n, st) in &states {
+                    prop_assert!(out.outcome.final_config.state(n) == Some(st),
+                                 "replayed state of {} differs from the final configuration", n);
+                }
+            }
+        }
+    }
+
     /// Cross-driver agreement: the round-synchronous executor and the
     /// seed's scheduler-driven driver compute the same query answer on
     /// distributed transitive closure.
@@ -120,7 +204,8 @@ fn schedule_of(out: &rtx::net::ShardRunOutcome) -> Schedule {
 
 /// Pins the exact schedules of both round executors — the dense one,
 /// which heartbeats every up node every round, and the sparse one,
-/// which parks quiet nodes — on plain, batched, budget-cut and faulted
+/// which skips the heartbeats of parked nodes — on plain, batched,
+/// budget-cut and faulted
 /// runs (one fair and one crash-faulty plan
 /// drawn from `FaultPlanStrategy`, plus a node crashed forever). Any
 /// change to either schedule's round structure, stopping rule or fault
@@ -176,7 +261,7 @@ fn round_schedules_are_pinned() {
         (
             "sparse plain",
             Box::new(|o| run_sparse(&grid, &t, &p, o, &full).unwrap()),
-            (248, 128, 120, 120, 23, 9, true),
+            (162, 42, 120, 120, 22, 9, true),
         ),
         (
             "dense batch(4)",
@@ -192,7 +277,7 @@ fn round_schedules_are_pinned() {
                 let o = o.clone().with_delivery(DeliveryPolicy::Batch(4));
                 run_sparse(&grid, &t, &p, &o, &full).unwrap()
             }),
-            (160, 40, 120, 120, 8, 9, true),
+            (146, 26, 120, 120, 7, 9, true),
         ),
         (
             "dense cut at 11 steps",
@@ -202,7 +287,7 @@ fn round_schedules_are_pinned() {
         (
             "sparse cut at 11 steps",
             Box::new(|o| run_sparse(&grid, &t, &p, o, &RunBudget::steps(11)).unwrap()),
-            (11, 7, 4, 23, 2, 6, false),
+            (11, 5, 6, 28, 3, 4, false),
         ),
         (
             "dense fair plan",
@@ -212,7 +297,7 @@ fn round_schedules_are_pinned() {
         (
             "sparse fair plan",
             Box::new(|o| run_sparse_faulted(&grid, &t, &p, o, &full, &mut fair.clone()).unwrap()),
-            (483, 248, 235, 235, 43, 9, true),
+            (279, 44, 235, 235, 42, 9, true),
         ),
         (
             "dense crash-faulty plan",
@@ -224,7 +309,7 @@ fn round_schedules_are_pinned() {
         (
             "sparse crash-faulty plan",
             Box::new(|o| run_sparse_faulted(&grid, &t, &p, o, &full, &mut crashy.clone()).unwrap()),
-            (506, 263, 243, 247, 47, 9, true),
+            (290, 45, 245, 247, 47, 9, true),
         ),
         (
             "dense crashed forever",
@@ -240,7 +325,7 @@ fn round_schedules_are_pinned() {
                 let budget = RunBudget::steps(5_000);
                 run_sparse_faulted(&line, &t, &p_line, o, &budget, &mut forever.clone()).unwrap()
             }),
-            (88, 48, 40, 45, 14, 5, false),
+            (62, 22, 40, 45, 14, 5, false),
         ),
     ];
     for (name, run, pinned) in &cases {

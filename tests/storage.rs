@@ -117,7 +117,8 @@ fn batch(a: u8, b: u8, n: u8) -> BTreeSet<Tuple> {
 }
 
 /// Apply one spine-schedule step to `rels[n % len]` and its model:
-/// 0 insert `(a, b)`, 1 remove it, 2 absorb a batch as a run, 3 apply
+/// 0 insert `(a, b)`, 1 remove it, 2 absorb a batch as a run (for odd
+/// `a`, only its rows not held, through `absorb_fresh`), 3 apply
 /// a delta adding one batch and removing another, 4 clone into another
 /// slot (both copies keep being written), 5 remove a run of held rows
 /// and rows not held, 6 a read that seals pending writes (a
@@ -131,11 +132,19 @@ fn spine_step(rels: &mut Vec<(Relation, BTreeSet<Tuple>)>, (kind, a, b, n): (u8,
             model.insert(tuple2(a, b))
         ),
         1 => assert_eq!(rel.remove(&tuple2(a, b)), model.remove(&tuple2(a, b))),
-        2 => {
+        2 if a % 2 == 0 => {
             let rows = batch(a, b, n);
             let added = rows.iter().filter(|t| !model.contains(*t)).count();
             let run = Run::from_sorted(2, rows.iter());
             assert_eq!(rel.absorb_run(&run).unwrap(), added);
+            model.extend(rows);
+        }
+        2 => {
+            let rows: BTreeSet<Tuple> = (batch(a, b, n).into_iter())
+                .filter(|t| !model.contains(t))
+                .collect();
+            let run = Run::from_sorted(2, rows.iter());
+            assert_eq!(rel.absorb_fresh(&run).unwrap(), rows.len());
             model.extend(rows);
         }
         3 => {
