@@ -416,8 +416,9 @@ impl Configuration {
             .collect::<Result<_, _>>()?;
         let prev = self.added.get(i).and_then(Option::as_ref);
         let res = transducer
-            .step_after(&self.states[i], &received, prev)
+            .step_in_place(&mut self.states[i], &received, prev)
             .map_err(NetError::Eval)?;
+        check_stepped_state(transducer, &self.states[i], node);
         if let Some(index) = delivered {
             self.buffers[i].remove(index);
         }
@@ -425,7 +426,6 @@ impl Configuration {
         for &j in &targets {
             self.buffers[j].extend(sent.iter().cloned());
         }
-        self.states[i] = res.new_state;
         if res.added.is_some() && self.added.is_empty() {
             self.added.resize_with(self.nodes.len(), || None);
         }
@@ -591,6 +591,29 @@ impl ActivationSet {
     /// empty in-flight state this certifies quiescence.
     pub fn is_quiet(&self) -> bool {
         self.cold_from == self.warm.len() && self.armed.is_empty() && self.mail.is_empty()
+    }
+}
+
+/// The in-place step's postcondition, checked in debug builds after
+/// every transition either executor makes: the stepped state is still
+/// an instance of the state schema and populates no message relation.
+/// A message relation left in a state would be a stored forged
+/// message, read again by every later transition of the node.
+pub(crate) fn check_stepped_state(
+    transducer: &Transducer,
+    state: &Instance,
+    node: impl fmt::Display,
+) {
+    if cfg!(debug_assertions) {
+        let schema = transducer.schema();
+        assert!(
+            state.schema() == schema.state_schema(),
+            "node {node}: a step left its state under another schema"
+        );
+        if let Some((rel, _)) = (state.relations()).find(|(rel, _)| schema.message().contains(rel))
+        {
+            panic!("node {node}: a step left message relation {rel} in its state");
+        }
     }
 }
 

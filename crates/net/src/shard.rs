@@ -56,8 +56,8 @@
 //! `tests/sharded.rs` and `tests/sparse.rs` (and in this module's tests).
 
 use crate::config::{
-    wipe_memory_relations, ActivationSet, Configuration, TransitionKind, TransitionLog,
-    TransitionRecord,
+    check_stepped_state, wipe_memory_relations, ActivationSet, Configuration, TransitionKind,
+    TransitionLog, TransitionRecord,
 };
 use crate::error::NetError;
 use crate::fault::{FaultHook, NodeFault};
@@ -363,6 +363,7 @@ fn step_node(
         trace::begin("net", span_name, &[("node", idx as i64)]);
     }
     let mut out = step_node_inner(transducer, state, added, kind)?;
+    check_stepped_state(transducer, state, idx);
     if tracing {
         if !out.sent.is_empty() {
             trace::instant(
@@ -404,9 +405,8 @@ fn step_node_inner(
     }
     let prev = added.as_deref().and_then(Option::as_ref);
     let res = transducer
-        .step_after(state, &rcv, prev)
+        .step_in_place(state, &rcv, prev)
         .map_err(NetError::Eval)?;
-    *state = res.new_state;
     if let Some(slot) = added {
         *slot = res.added;
     }
@@ -575,6 +575,7 @@ fn worker_loop(
     // The shard owns a contiguous block of node indices from `first`.
     let first = shard.first().map_or(0, |(idx, _)| *idx);
     let mut added = AddedSlots::new(transducer, shard.len());
+    let _unwinding = ReplyOnPanic(&replies);
     while let Ok(batch) = jobs.recv() {
         let mut results = Vec::with_capacity(batch.len());
         let mut err = None;
@@ -607,6 +608,22 @@ fn worker_loop(
         }
     }
     let _ = replies.send(WorkerReply::Final(shard));
+}
+
+/// Replies for a worker that panics (a debug check, say) while the
+/// coordinator waits for its phase. The other workers keep the reply
+/// channel open, so without this reply the coordinator would wait
+/// forever; with it the run fails and the scope re-raises the panic.
+struct ReplyOnPanic<'a>(&'a mpsc::Sender<WorkerReply>);
+
+impl Drop for ReplyOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self
+                .0
+                .send(WorkerReply::Phase(Err((usize::MAX, worker_gone()))));
+        }
+    }
 }
 
 /// Everything the barrier merge and the fault phase write: buffers,

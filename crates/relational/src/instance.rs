@@ -213,6 +213,20 @@ impl Instance {
         self.entry(name, run.arity()).absorb_fresh(run)
     }
 
+    /// [`Instance::absorb_fresh`] for the tuples of `rows`, which a small
+    /// relation takes by handle (see [`Relation::absorb_fresh_rows`]).
+    pub fn absorb_fresh_rows(
+        &mut self,
+        name: &RelName,
+        rows: &Relation,
+    ) -> Result<usize, RelError> {
+        self.schema.check_relation(name, rows.arity())?;
+        if rows.is_empty() {
+            return Ok(0);
+        }
+        self.entry(name, rows.arity()).absorb_fresh_rows(rows)
+    }
+
     /// Remove a sorted run of tuples from the relation `name` in place
     /// (see [`Relation::remove_run`]); a relation left empty is
     /// unpopulated, as [`Instance::remove_fact`] leaves it. Returns the
@@ -275,29 +289,77 @@ impl Instance {
         self.relations.iter().flat_map(|(_, r)| r.adom()).collect()
     }
 
-    /// Union of two instances (schemas merged compatibly). The paper forms
-    /// `I' = I ∪ I_rcv` where state and message schemas are disjoint, and
-    /// horizontal partitions overlap freely, so shared relations union
-    /// their tuples. A name declared at two arities is an error.
+    /// Union of two instances (schemas merged compatibly). Horizontal
+    /// partitions overlap freely, so shared relations union their
+    /// tuples. A name declared at two arities is an error. The union is
+    /// relation-wise: a relation only one side populates is shared by
+    /// handle (see [`Instance::union_relation`]), and only relations
+    /// both sides populate are merged, so the cost follows the shared
+    /// relations, not the fact count.
     pub fn union(&self, other: &Instance) -> Result<Instance, RelError> {
-        let schema = self.schema.union_compatible(&other.schema)?;
-        self.union_in(other, schema)
-    }
-
-    /// `self ∪ other` under `schema`, which must declare every relation
-    /// either side populates, at its arity. The union is relation-wise:
-    /// a relation only one side populates is shared by handle (see
-    /// [`Instance::union_relation`]), and only relations both sides
-    /// populate are merged, so the cost follows the shared relations,
-    /// not the fact count.
-    pub fn union_in(&self, other: &Instance, schema: Schema) -> Result<Instance, RelError> {
-        let mut out = Instance::empty(schema);
+        let mut out = Instance::empty(self.schema.union_compatible(&other.schema)?);
         out.relations
             .reserve_exact(self.relations.len() + other.relations.len());
         for (name, rel) in self.relations().chain(other.relations()) {
             out.union_relation(name, rel)?;
         }
         Ok(out)
+    }
+
+    /// Answer `read` over `self ∪ other` under `schema` without copying
+    /// `self` — how a transducer step reads `I' = I ∪ I_rcv` from the
+    /// node's own state. `other`'s relations join `self`'s, by handle,
+    /// in `self`, which takes `schema` while `read` runs; then they
+    /// leave and `self` takes its own schema back, whatever `read`
+    /// answered, so its relations are where they were. With `other`
+    /// empty only the schema is swapped.
+    ///
+    /// `schema` must declare every relation `other` populates, at its
+    /// arity, and `self` may populate none of them (the state and
+    /// message schemas are disjoint); either is an error before
+    /// anything moves. `schema` must declare `self`'s relations too,
+    /// which debug builds check.
+    pub fn read_union<R>(
+        &mut self,
+        other: &Instance,
+        schema: &Schema,
+        read: impl FnOnce(&Instance) -> R,
+    ) -> Result<R, RelError> {
+        debug_assert!(
+            (self.relations()).all(|(n, r)| schema.check_relation(n, r.arity()).is_ok()),
+            "read_union: the schema lacks a relation of `self`"
+        );
+        for (name, rel) in other.relations() {
+            schema.check_relation(name, rel.arity())?;
+            if self.get(name).is_some() {
+                return Err(RelError::NotDisjoint { rel: name.clone() });
+            }
+        }
+        let own_schema = std::mem::replace(&mut self.schema, schema.clone());
+        if other.relations.is_empty() {
+            let answer = read(self);
+            self.schema = own_schema;
+            return Ok(answer);
+        }
+        // Both vectors are sorted by name: merge them into a fresh
+        // vector, leaving `own` empty with its allocation for the move
+        // back.
+        let mut own = std::mem::take(&mut self.relations);
+        self.relations
+            .reserve_exact(own.len() + other.relations.len());
+        let mut theirs = other.relations.iter().peekable();
+        for entry in own.drain(..) {
+            while let Some((n, r)) = theirs.next_if(|(n, _)| *n < entry.0) {
+                self.relations.push((n.clone(), r.clone()));
+            }
+            self.relations.push(entry);
+        }
+        (self.relations).extend(theirs.map(|(n, r)| (n.clone(), r.clone())));
+        let answer = read(self);
+        self.schema = own_schema;
+        let union = std::mem::replace(&mut self.relations, own);
+        (self.relations).extend(union.into_iter().filter(|(n, _)| other.get(n).is_none()));
+        Ok(answer)
     }
 
     /// Is `self ⊆ other` as sets of facts (schemas may differ)?
@@ -542,6 +604,37 @@ mod tests {
             &shared.columnar_run()
         ));
         assert_eq!(u.fact_count(), 301);
+    }
+
+    #[test]
+    fn read_union_reads_the_union_and_restores_self() {
+        let mut a =
+            Instance::from_facts(schema_rs(), vec![fact!("R", 1, 2), fact!("S", 4)]).unwrap();
+        let before = a.clone();
+        let m = Instance::from_facts(Schema::new().with("M", 1), vec![fact!("M", 3)]).unwrap();
+        let both = schema_rs().with("M", 1);
+        let seen = a
+            .read_union(&m, &both, |i| (i.schema().clone(), i.facts().collect()))
+            .unwrap();
+        let want: Vec<Fact> = vec![fact!("M", 3), fact!("R", 1, 2), fact!("S", 4)];
+        assert_eq!(seen, (both.clone(), want));
+        assert_eq!(a, before);
+        let silence = Instance::empty(Schema::new().with("M", 1));
+        assert!(a
+            .read_union(&silence, &both, |i| i.schema() == &both)
+            .unwrap());
+        assert_eq!(a, before);
+        // Errors come before anything moves.
+        let dup = a.clone();
+        assert!(matches!(
+            a.read_union(&dup, &both, |_| ()),
+            Err(RelError::NotDisjoint { .. })
+        ));
+        assert!(matches!(
+            a.read_union(&m, &schema_rs(), |_| ()),
+            Err(RelError::UnknownRelation { .. })
+        ));
+        assert_eq!(a, before);
     }
 
     #[test]

@@ -709,12 +709,24 @@ impl Relation {
                 Ok(added)
             }
             Store::Small(s) => {
-                for t in run.rows() {
-                    s.insert_fresh(t.clone());
-                }
+                s.extend_fresh(run.len(), run.rows().iter());
                 Ok(run.len())
             }
         }
+    }
+
+    /// [`Relation::absorb_fresh`] for the tuples of `rows`. A small
+    /// relation that stays at or below the hysteresis floor appends
+    /// `rows`'s tuples by handle when `rows` is small too, with no run
+    /// built in between; otherwise this absorbs `rows`'s sorted run.
+    pub fn absorb_fresh_rows(&mut self, rows: &Relation) -> Result<usize, RelError> {
+        if let (Store::Small(s), Store::Small(r)) = (&mut self.store, &rows.store) {
+            if self.arity == rows.arity && s.len() + r.len() <= REENTRY_LEN {
+                s.extend_fresh(r.len(), r.live_tuples());
+                return Ok(r.len());
+            }
+        }
+        self.absorb_fresh(&rows.columnar_run())
     }
 
     /// Ready this relation for a bulk union with `run`: check the

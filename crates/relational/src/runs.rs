@@ -1407,10 +1407,19 @@ impl SmallTail {
                 return true;
             }
         }
-        self.log.push((t, true));
+        self.push(t);
         self.live += 1;
-        self.stats.note_tail_len(self.log.len());
         true
+    }
+
+    /// Append a live entry. The first allocation holds exactly one
+    /// entry: most small relations never grow past it (a node's `Id`).
+    fn push(&mut self, t: Tuple) {
+        if self.log.capacity() == 0 {
+            self.log.reserve_exact(1);
+        }
+        self.log.push((t, true));
+        self.stats.note_tail_len(self.log.len());
     }
 
     /// Insert `t`, which is not live, without probing for it: revive its
@@ -1429,8 +1438,16 @@ impl SmallTail {
                 return;
             }
         }
-        self.log.push((t, true));
-        self.stats.note_tail_len(self.log.len());
+        self.push(t);
+    }
+
+    /// [`SmallTail::insert_fresh`] each of `tuples`, `n` of them, growing
+    /// the log to fit them exactly.
+    pub(crate) fn extend_fresh<'a>(&mut self, n: usize, tuples: impl Iterator<Item = &'a Tuple>) {
+        self.log.reserve_exact(n);
+        for t in tuples {
+            self.insert_fresh(t.clone());
+        }
     }
 
     /// Remove; `true` if the tuple was live. Tombstones the entry and

@@ -30,7 +30,7 @@ mod transducer;
 pub use builder::TransducerBuilder;
 pub use classify::{Classification, SystemUsage};
 pub use schema::{all_relation, system_schema, TransducerSchema, SYS_ALL, SYS_ID};
-pub use transducer::{Added, StepResult, Transducer};
+pub use transducer::{Added, StepEffects, StepResult, Transducer};
 
 /// Shared owning handle to a transducer, for callers that need to keep
 /// one alive beyond a borrow (e.g. a long-lived scheduler or service).

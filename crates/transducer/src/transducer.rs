@@ -45,11 +45,26 @@ pub struct StepResult {
     pub added: Option<Added>,
 }
 
+/// What [`Transducer::step_in_place`] returns: the transition's
+/// [`StepResult`] without the successor state, which it wrote in place.
+#[derive(Clone, Debug)]
+pub struct StepEffects {
+    /// The sent message instance `J_snd`.
+    pub sent: Instance,
+    /// The output tuples `J_out`.
+    pub output: Relation,
+    /// Did the memory update change the state (`J ≠ I`)?
+    pub state_changed: bool,
+    /// The memory facts this transition added (see
+    /// [`StepResult::added`]).
+    pub added: Option<Added>,
+}
+
 /// The memory facts one transition added, relation by relation: what
 /// the node's next [`Transducer::step_after`] evaluates an eligible
 /// insert query over. Only a step makes one, so it always describes a
 /// real transition.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Added(Instance);
 
 impl Added {
@@ -66,7 +81,7 @@ impl Added {
 
 impl StepResult {
     /// Did the transition change nothing observable (memory unchanged, no
-    /// sends, no output)? Used for heartbeat-fixpoint detection.
+    /// sends, no output)?
     pub fn is_noop(&self) -> bool {
         !self.state_changed && self.sent.is_empty() && self.output.is_empty()
     }
@@ -174,20 +189,8 @@ impl Transducer {
     /// i.e. conflicting insert/deletes are ignored, and an assignment
     /// `R := Q` is expressed by `Q_ins = Q`, `Q_del = R`.
     ///
-    /// The cost follows what changed, not the state's size. `I'` is
-    /// built relation by relation ([`Instance::union_in`]), so every
-    /// relation only one side holds — `All` included — is shared by
-    /// handle. The update is applied to `J` as a delta against `I(R)`:
-    ///
-    /// ```text
-    /// added(R)   = (Q_ins(I') \ Q_del(I')) \ I(R)
-    /// removed(R) = (Q_del(I') \ Q_ins(I')) ∩ I(R)
-    /// ```
-    ///
-    /// which together equal the formula above (`removed` is skipped when
-    /// `Q_del` is empty, as it is for every inflationary transducer).
-    /// [`StepResult::state_changed`] is true exactly when some delta is
-    /// non-empty.
+    /// `J` is `state.clone()` with the transition written into it by
+    /// [`Transducer::step_in_place`], which says what the step costs.
     pub fn step(&self, state: &Instance, received: &Instance) -> Result<StepResult, EvalError> {
         self.step_after(state, received, None)
     }
@@ -211,71 +214,139 @@ impl Transducer {
     /// Built with `debug_assertions`, every delta-evaluated relation is
     /// evaluated in full as well (outside the metrics registry), and
     /// the two additions must agree.
+    ///
+    /// Like `step`, this writes `J` into `state.clone()` through
+    /// [`Transducer::step_in_place`].
     pub fn step_after(
         &self,
         state: &Instance,
         received: &Instance,
         prev: Option<&Added>,
     ) -> Result<StepResult, EvalError> {
-        for (rel, r) in received.relations() {
-            self.schema.message().check_relation(rel, r.arity())?;
-        }
-        // I' = I ∪ I_rcv over the combined schema.
-        let combined = state.union_in(received, self.schema.combined_schema().clone())?;
-
-        // Sends.
-        let mut sent = Instance::empty(self.schema.message().clone());
-        for (rel, q) in &self.snd {
-            sent.set_relation(rel.clone(), q.eval(&combined)?)?;
-        }
-
-        // Output.
-        let output = self.out.eval(&combined)?;
-
-        // Memory update, applied to J as a delta against I(R).
         let mut new_state = state.clone();
-        let mut state_changed = false;
-        let mut added_facts =
-            (!self.delta_rels.is_empty()).then(|| Instance::empty(self.schema.memory().clone()));
-        for (rel, ins_q) in &self.ins {
-            let cur = state.relation_ref(rel);
-            let delta = match prev.filter(|_| self.delta_rels.contains(rel)) {
-                Some(prev) => added_after(ins_q.as_ref(), &combined, cur, prev)?,
-                None => None,
-            };
-            let added = match delta {
-                Some(added) => {
-                    #[cfg(debug_assertions)]
-                    self.check_delta(rel, ins_q.as_ref(), &combined, cur, &added)?;
-                    added
-                }
-                None => {
-                    let (added, removed) = self.full_update(rel, ins_q.as_ref(), &combined, cur)?;
-                    if !removed.is_empty() {
-                        for t in &removed {
-                            new_state.remove_fact(&Fact::new(rel.clone(), t.clone()));
-                        }
-                        state_changed = true;
-                    }
-                    added
-                }
-            };
-            if !added.is_empty() {
-                new_state.absorb_fresh(rel, &added.columnar_run())?;
-                state_changed = true;
-                if let Some(facts) = &mut added_facts {
-                    facts.set_relation(rel.clone(), added)?;
-                }
-            }
-        }
-
+        let StepEffects {
+            sent,
+            output,
+            state_changed,
+            added,
+        } = self.step_in_place(&mut new_state, received, prev)?;
         Ok(StepResult {
             new_state,
             sent,
             output,
             state_changed,
+            added,
+        })
+    }
+
+    /// [`Transducer::step_after`] on the node's own state: `J` is
+    /// written into `state`, and the rest of the transition is
+    /// returned. This is the one implementation of the transition; the
+    /// executors step their nodes' states through it.
+    ///
+    /// The cost follows what changed, not the state's size:
+    ///
+    /// * `I'` borrows `I`: the queries read the state's own relations
+    ///   next to `received`'s ([`Instance::read_union`]), and a
+    ///   heartbeat only swaps in the combined schema. No relation is
+    ///   copied.
+    /// * The update is written into `state` as a delta against `I(R)`:
+    ///
+    ///   ```text
+    ///   added(R)   = (Q_ins(I') \ Q_del(I')) \ I(R)
+    ///   removed(R) = (Q_del(I') \ Q_ins(I')) ∩ I(R)
+    ///   ```
+    ///
+    ///   which together equal the update formula (`removed` is skipped
+    ///   when `Q_del` is empty, as it is for every inflationary
+    ///   transducer). [`StepEffects::state_changed`] is true exactly
+    ///   when some delta is non-empty.
+    ///
+    /// Every send, output, insert and delete query runs on `I'` before
+    /// any delta touches `state`, so a step that fails leaves `state` as
+    /// it was.
+    pub fn step_in_place(
+        &self,
+        state: &mut Instance,
+        received: &Instance,
+        prev: Option<&Added>,
+    ) -> Result<StepEffects, EvalError> {
+        for (rel, r) in received.relations() {
+            self.schema.message().check_relation(rel, r.arity())?;
+        }
+        // A state built by the state schema shares its map, so this is
+        // a pointer check. Any other state may populate only state
+        // relations and must declare every memory relation, which makes
+        // every write below infallible.
+        let state_schema = self.schema.state_schema();
+        if state.schema() != state_schema {
+            for (rel, r) in state.relations() {
+                state_schema.check_relation(rel, r.arity())?;
+            }
+            for (rel, arity) in self.schema.memory().iter() {
+                state.schema().check_relation(rel, arity)?;
+            }
+        }
+        let (sent, output, updates) =
+            state.read_union(received, self.schema.combined_schema(), |combined| {
+                self.evaluate(combined, prev)
+            })??;
+
+        let mut added_facts =
+            (!self.delta_rels.is_empty()).then(|| Instance::empty(self.schema.memory().clone()));
+        let state_changed = !updates.is_empty();
+        for (rel, added, removed) in updates {
+            for t in &removed {
+                state.remove_fact(&Fact::new(rel.clone(), t.clone()));
+            }
+            if !added.is_empty() {
+                state.absorb_fresh_rows(rel, &added)?;
+                if let Some(facts) = &mut added_facts {
+                    facts.set_relation(rel.clone(), added)?;
+                }
+            }
+        }
+        Ok(StepEffects {
+            sent,
+            output,
+            state_changed,
             added: added_facts.map(Added),
         })
+    }
+
+    /// Every query of one transition, over `combined`, which is `I'`:
+    /// the sends, the output, and each memory relation's update that
+    /// changes something, with `I(R)` read from `combined`.
+    fn evaluate(
+        &self,
+        combined: &Instance,
+        prev: Option<&Added>,
+    ) -> Result<(Instance, Relation, Vec<Update<'_>>), EvalError> {
+        let mut sent = Instance::empty(self.schema.message().clone());
+        for (rel, q) in &self.snd {
+            sent.set_relation(rel.clone(), q.eval(combined)?)?;
+        }
+        let output = self.out.eval(combined)?;
+        let mut updates = Vec::new();
+        for (rel, ins_q) in &self.ins {
+            let cur = combined.relation_ref(rel);
+            let delta = match prev.filter(|_| self.delta_rels.contains(rel)) {
+                Some(prev) => added_after(ins_q.as_ref(), combined, cur, prev)?,
+                None => None,
+            };
+            let (added, removed) = match delta {
+                Some(added) => {
+                    #[cfg(debug_assertions)]
+                    self.check_delta(rel, ins_q.as_ref(), combined, cur, &added)?;
+                    (added, Relation::empty(ins_q.arity()))
+                }
+                None => self.full_update(rel, ins_q.as_ref(), combined, cur)?,
+            };
+            if !added.is_empty() || !removed.is_empty() {
+                updates.push((rel, added, removed));
+            }
+        }
+        Ok((sent, output, updates))
     }
 
     /// Evaluate `rel`'s update in full: `(added, removed)` with
@@ -337,37 +408,11 @@ impl Transducer {
         let empty = Instance::empty(self.schema.message().clone());
         self.step(state, &empty)
     }
-
-    /// Run heartbeats until the state stops changing and nothing is sent
-    /// or output, collecting all outputs along the way. Returns the fixed
-    /// state, the accumulated output, and the number of heartbeats taken.
-    /// Each heartbeat after the first reads the previous one's additions
-    /// ([`Transducer::step_after`]).
-    ///
-    /// `max_steps` bounds the loop (local queries are deterministic, so a
-    /// repeated state would loop forever).
-    pub fn run_heartbeats_to_fixpoint(
-        &self,
-        state: &Instance,
-        max_steps: usize,
-    ) -> Result<(Instance, Relation, usize), EvalError> {
-        let empty = Instance::empty(self.schema.message().clone());
-        let mut cur = state.clone();
-        let mut prev: Option<Added> = None;
-        let mut output = Relation::empty(self.schema.output_arity());
-        for step_no in 0..max_steps {
-            let res = self.step_after(&cur, &empty, prev.as_ref())?;
-            let quiet = res.sent.is_empty() && !res.state_changed && res.output.is_subset(&output);
-            output = output.union(&res.output)?;
-            if quiet {
-                return Ok((cur, output, step_no));
-            }
-            cur = res.new_state;
-            prev = res.added;
-        }
-        Err(EvalError::Diverged { fuel: max_steps })
-    }
 }
+
+/// A memory relation's update that changes something:
+/// `(R, added(R), removed(R))`.
+type Update<'t> = (&'t RelName, Relation, Relation);
 
 /// The addition to a delta-evaluated relation (see
 /// [`Transducer::step_after`]): nothing after a transition that added
@@ -661,21 +706,6 @@ mod tests {
         assert!(res.new_state.contains_fact(&fact!("All", "n1")));
     }
 
-    #[test]
-    fn heartbeat_fixpoint_detection() {
-        // store-and-echo with no input sends nothing, outputs nothing:
-        // immediate fixpoint.
-        let t = store_and_echo();
-        let st = mk_state(&t, &[]);
-        let (fixed, out, steps) = t.run_heartbeats_to_fixpoint(&st, 10).unwrap();
-        assert_eq!(fixed, st);
-        assert!(out.is_empty());
-        assert_eq!(steps, 0);
-        // with input {1} every heartbeat sends: never a fixpoint.
-        let st2 = mk_state(&t, &[1]);
-        assert!(t.run_heartbeats_to_fixpoint(&st2, 5).is_err());
-    }
-
     /// Input `S/2`, memory `T/2` with `T := S ∪ T ∘ T`, output `T`, and
     /// optionally `T`'s delete query.
     fn closure(del: Option<QueryRef>) -> Transducer {
@@ -775,6 +805,49 @@ mod tests {
             .unwrap()
             .added
             .is_none());
+    }
+
+    /// A step whose second memory relation's insert query fails
+    /// returns the error and leaves the state exactly as it was, though
+    /// the first relation's insert query succeeded with something to
+    /// add: every query runs before any delta is written.
+    #[test]
+    fn a_failing_step_writes_nothing() {
+        let t = TransducerBuilder::new("fails-second")
+            .input_relation("S", 1)
+            .memory_relation("A", 1)
+            .memory_relation("B", 1)
+            .insert(
+                "A",
+                cq(CqBuilder::head(vec![Term::var("X")])
+                    .when(atom!("S"; @"X"))
+                    .build()
+                    .unwrap()),
+            )
+            .insert(
+                "B",
+                Arc::new(rtx_query::NativeQuery::new(
+                    "fails",
+                    1,
+                    [RelName::new("S")],
+                    |_| Err(EvalError::Other("refused".into())),
+                )),
+            )
+            .build()
+            .unwrap();
+        let input = Instance::from_facts(Schema::new().with("S", 1), vec![fact!("S", 1)]).unwrap();
+        let nodes: BTreeSet<Value> = [Value::sym("n")].into_iter().collect();
+        let mut state = t
+            .schema()
+            .initial_state(&input, &Value::sym("n"), &nodes)
+            .unwrap();
+        let before = state.clone();
+        let silence = Instance::empty(t.schema().message().clone());
+        assert!(matches!(
+            t.step_in_place(&mut state, &silence, None),
+            Err(EvalError::Other(_))
+        ));
+        assert!(state == before, "a failed step wrote {state:?}");
     }
 
     #[test]

@@ -323,11 +323,14 @@ proptest! {
     /// random messages, and memory wipes — from a random state: every
     /// transition goes through `Transducer::step_after` with the
     /// `Added` its predecessor reported, and computes the reference
-    /// step of `rtx-ref` on the same state. A wipe (a crash restart
-    /// under the persistent-EDB semantics) clears the memory relations
-    /// and drops the `Added`, as the executors do. Built with
-    /// `debug_assertions`, `step_after` also checks each delta
-    /// evaluation against the full one.
+    /// step of `rtx-ref` on the same state. A second state is stepped
+    /// through `Transducer::step_in_place` with its own `Added`, never
+    /// cloned between transitions, and must stay equal to both, with
+    /// the same sends, output, `state_changed` and `Added`. A wipe (a
+    /// crash restart under the persistent-EDB semantics) clears the
+    /// memory relations and drops the `Added`, as the executors do.
+    /// Built with `debug_assertions`, `step_after` also checks each
+    /// delta evaluation against the full one.
     #[test]
     fn transducer_step_sequences_match_the_reference_step(
         input in proptest::collection::vec((0usize..4, 0i64..5, 0i64..5), 0..10),
@@ -343,13 +346,17 @@ proptest! {
             for f in random_instance(sch.memory(), &memory).facts() {
                 state.insert_fact(f).unwrap();
             }
+            let mut in_place = state.clone();
             let mut prev: Option<rtx::transducer::Added> = None;
+            let mut prev_in_place: Option<rtx::transducer::Added> = None;
             for &(kind, r, a, b) in &moves {
                 if kind == 0 {
                     for (name, arity) in sch.memory().iter() {
                         state.set_relation(name.clone(), Relation::empty(arity)).unwrap();
+                        in_place.set_relation(name.clone(), Relation::empty(arity)).unwrap();
                     }
                     prev = None;
+                    prev_in_place = None;
                     continue;
                 }
                 let rcv = match kind {
@@ -358,13 +365,21 @@ proptest! {
                 };
                 let got = t.step_after(&state, &rcv, prev.as_ref()).unwrap();
                 let want = rtx_ref::transducer_step(&t, &state, &rcv);
+                let effects = t.step_in_place(&mut in_place, &rcv, prev_in_place.as_ref()).unwrap();
+                prop_assert_eq!(in_place.facts().collect::<BTreeSet<_>>(), want.new_state.clone(), "{}", t.name());
                 prop_assert_eq!(got.new_state.facts().collect::<BTreeSet<_>>(), want.new_state, "{}", t.name());
                 prop_assert_eq!(got.sent.facts().collect::<BTreeSet<_>>(), want.sent, "{}", t.name());
                 prop_assert_eq!(got.output.iter().cloned().collect::<BTreeSet<_>>(), want.output, "{}", t.name());
                 prop_assert_eq!(got.state_changed, got.new_state != state, "{}", t.name());
                 prop_assert_eq!(got.added.is_some(), !t.delta_relations().is_empty(), "{}", t.name());
+                prop_assert_eq!(&in_place, &got.new_state, "{}", t.name());
+                prop_assert_eq!(&effects.sent, &got.sent, "{}", t.name());
+                prop_assert_eq!(&effects.output, &got.output, "{}", t.name());
+                prop_assert_eq!(effects.state_changed, got.state_changed, "{}", t.name());
+                prop_assert_eq!(&effects.added, &got.added, "{}", t.name());
                 state = got.new_state;
                 prev = got.added;
+                prev_in_place = effects.added;
             }
         }
     }
