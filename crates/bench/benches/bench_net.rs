@@ -24,15 +24,14 @@
 //! check `nproc` before reading the numbers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Calibration, Criterion};
-use rtx_bench::set_input;
+use rtx_bench::{fixed_digraph, set_input};
 use rtx_calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
 use rtx_calm::constructions::flood::{flood_transducer, FloodMode};
 use rtx_net::{
     run_sharded, run_sparse_from, Configuration, DeliveryPolicy, HorizontalPartition, Network,
     NodeId, RunBudget, ShardOptions,
 };
-use rtx_relational::{fact, Instance, Schema};
-use std::collections::BTreeSet;
+use rtx_relational::Schema;
 
 /// Rounds of work per iteration: each round is one heartbeat per node
 /// plus up to one delivery per node, so the budget is `2 * ROUNDS * n`.
@@ -246,28 +245,6 @@ fn bench_net_setup(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// `m` distinct directed edges `E(a, b)` over `n` vertices, no
-/// self-loops, drawn from a fixed xorshift stream: the same digraph on
-/// every run.
-fn fixed_digraph(n: u64, m: usize) -> Instance {
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        (x % n) as i64
-    };
-    let mut edges = BTreeSet::new();
-    while edges.len() < m {
-        let (a, b) = (next(), next());
-        if a != b {
-            edges.insert((a, b));
-        }
-    }
-    let facts = edges.into_iter().map(|(a, b)| fact!("E", a, b));
-    Instance::from_facts(Schema::new().with("E", 2), facts.collect::<Vec<_>>()).unwrap()
 }
 
 /// Theorem 6(5)'s distributed transitive closure of a fixed 64-vertex,

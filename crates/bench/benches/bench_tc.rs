@@ -1,8 +1,16 @@
 //! EX-3b / THM-6.2 benchmark: distributed transitive closure —
 //! convergence cost vs input size, topology, and partition skew.
+//!
+//! `distributed-tc/digraph/{32,64,128}` is Theorem 6(5)'s `T_P`
+//! transducer on `fixed_digraph(n, 3n/2)` over a 4-ring, run to
+//! quiescence: every transition outputs the node's whole `T`, so a row
+//! divided by its steps (776, 1,544 and 3,080) is the cost of a
+//! node-step as |T| grows (220, 1,537 and 5,472 pairs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rtx_bench::chain_input;
+use rtx_bench::{chain_input, fixed_digraph};
+use rtx_calm::constructions::datalog_dist::{distribute_datalog, transitive_closure_program};
+use rtx_calm::constructions::flood::FloodMode;
 use rtx_calm::examples::ex3_transitive_closure;
 use rtx_net::{run, FifoRoundRobin, HorizontalPartition, Network, RunBudget};
 
@@ -84,6 +92,28 @@ fn bench_tc(c: &mut Criterion) {
             .steps
         })
     });
+
+    let tp =
+        distribute_datalog(&transitive_closure_program(), &"T".into(), FloodMode::Dedup).unwrap();
+    let ring = Network::ring(4).unwrap();
+    for n in [32u64, 64, 128] {
+        let input = fixed_digraph(n, 3 * n as usize / 2);
+        group.bench_with_input(BenchmarkId::new("digraph", n), &n, |b, _| {
+            b.iter(|| {
+                let p = HorizontalPartition::round_robin(&ring, &input);
+                let out = run(
+                    &ring,
+                    &tp,
+                    &p,
+                    &mut FifoRoundRobin::new(),
+                    &RunBudget::steps(5_000_000),
+                )
+                .unwrap();
+                assert!(out.quiescent);
+                out.steps
+            })
+        });
+    }
     group.finish();
 }
 

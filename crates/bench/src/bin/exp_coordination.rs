@@ -2,12 +2,14 @@
 //! example transducers — who has a communication-free partition?
 
 use rtx_bench::Table;
-use rtx_calm::analysis::{find_coordination_free_partition, CoordinationOptions};
+use rtx_calm::analysis::{
+    find_coordination_free_partition, CoordinationOptions, CoordinationVerdict,
+};
 use rtx_calm::examples;
 use rtx_net::Network;
 use rtx_query::{Query, QueryRef};
 use rtx_relational::{fact, Instance, Relation, Schema};
-use rtx_transducer::Classification;
+use rtx_transducer::{Classification, Transducer};
 use std::sync::Arc;
 
 fn main() {
@@ -29,6 +31,20 @@ fn exp() {
         ("coordination-free", 18),
     ]);
 
+    // (transducer, oblivious, coordination-free) per row, asserted once
+    // the table is out.
+    let mut verdicts = Vec::new();
+    let mut row = |name: &'static str, t: &Transducer, query: &str, v: &CoordinationVerdict| {
+        let oblivious = Classification::of(t).oblivious;
+        tab.row(&[
+            name.into(),
+            oblivious.to_string(),
+            query.into(),
+            v.witness.clone().unwrap_or_else(|| "—".into()),
+            v.coordination_free().to_string(),
+        ]);
+        verdicts.push((name, oblivious, v.coordination_free()));
+    };
     // TC (Example 9: coordination-free)
     {
         let t = examples::ex3_transitive_closure(true).unwrap();
@@ -47,13 +63,7 @@ fn exp() {
         );
         let expected = q.eval(&input).unwrap();
         let v = find_coordination_free_partition(&net, &t, &input, &expected, &opts).unwrap();
-        tab.row(&[
-            "ex3-tc".into(),
-            Classification::of(&t).oblivious.to_string(),
-            "transitive closure".into(),
-            v.witness.clone().unwrap_or_else(|| "—".into()),
-            v.coordination_free().to_string(),
-        ]);
+        row("ex3-tc", &t, "transitive closure", &v);
     }
 
     // A/B nonempty (Section 5's contrived example)
@@ -67,13 +77,7 @@ fn exp() {
         let v =
             find_coordination_free_partition(&net, &t, &input, &Relation::nullary_true(), &opts)
                 .unwrap();
-        tab.row(&[
-            "ex9-ab-nonempty".into(),
-            Classification::of(&t).oblivious.to_string(),
-            "A≠∅ ∨ B≠∅".into(),
-            v.witness.clone().unwrap_or_else(|| "—".into()),
-            v.coordination_free().to_string(),
-        ]);
+        row("ex9-ab-nonempty", &t, "A≠∅ ∨ B≠∅", &v);
     }
 
     // emptiness (Example 10: NOT coordination-free)
@@ -83,13 +87,7 @@ fn exp() {
         let v =
             find_coordination_free_partition(&net, &t, &input, &Relation::nullary_true(), &opts)
                 .unwrap();
-        tab.row(&[
-            "ex10-emptiness".into(),
-            Classification::of(&t).oblivious.to_string(),
-            "S = ∅ (nonmonotone)".into(),
-            v.witness.clone().unwrap_or_else(|| "—".into()),
-            v.coordination_free().to_string(),
-        ]);
+        row("ex10-emptiness", &t, "S = ∅ (nonmonotone)", &v);
     }
 
     // ping (Example 15: NOT coordination-free despite monotone query)
@@ -103,15 +101,29 @@ fn exp() {
             ]))
             .unwrap();
         let v = find_coordination_free_partition(&net, &t, &input, &expected, &opts).unwrap();
-        tab.row(&[
-            "ex15-ping".into(),
-            Classification::of(&t).oblivious.to_string(),
-            "identity (monotone)".into(),
-            v.witness.clone().unwrap_or_else(|| "—".into()),
-            v.coordination_free().to_string(),
-        ]);
+        row("ex15-ping", &t, "identity (monotone)", &v);
     }
     tab.done();
     println!("paper: TC and A/B are coordination-free; emptiness and the All-gated ping are not.");
     println!("PROP-11 check: every oblivious row above is coordination-free.");
+    let free: Vec<(&str, bool)> = verdicts
+        .iter()
+        .map(|&(name, _, free)| (name, free))
+        .collect();
+    assert_eq!(
+        free,
+        [
+            ("ex3-tc", true),
+            ("ex9-ab-nonempty", true),
+            ("ex10-emptiness", false),
+            ("ex15-ping", false)
+        ],
+        "EX-9/10/15: a coordination-freeness verdict differs from the paper's"
+    );
+    for (name, oblivious, free) in verdicts {
+        assert!(
+            !oblivious || free,
+            "PROP-11: {name} is oblivious but not coordination-free"
+        );
+    }
 }

@@ -2,10 +2,10 @@
 //! the R4-ring + chord run-transfer scenario, executably.
 
 use rtx_bench::{set_input, Table};
-use rtx_calm::analysis::thm16_scenario;
+use rtx_calm::analysis::{thm16_scenario, Thm16Outcome};
 use rtx_calm::examples;
 use rtx_relational::{fact, Instance, Schema};
-use rtx_transducer::Classification;
+use rtx_transducer::{Classification, Transducer};
 
 fn main() {
     rtx_bench::exp::run("exp_thm16", exp);
@@ -21,17 +21,23 @@ fn exp() {
         ("Q(I) ⊆ Q(J)", 12),
     ]);
 
-    // Example 15 (no Id): the theorem applies, transfer holds.
-    {
-        let t = examples::ex15_ping().unwrap();
-        let o = thm16_scenario(&t, &set_input(2), &set_input(3), 500_000).unwrap();
+    // Each row's verdict Q(I) ⊆ Q(J), asserted once the table is out.
+    let mut preserved = Vec::new();
+    let mut row = |name: &'static str, t: &Transducer, o: &Thm16Outcome| {
         tab.row(&[
-            "ex15-ping".into(),
-            Classification::of(&t).system_usage.uses_id.to_string(),
+            name.into(),
+            Classification::of(t).system_usage.uses_id.to_string(),
             o.output_on_ring.len().to_string(),
             o.output_on_chord.len().to_string(),
             o.preserved.to_string(),
         ]);
+        preserved.push((name, o.preserved));
+    };
+    // Example 15 (no Id): the theorem applies, transfer holds.
+    {
+        let t = examples::ex15_ping().unwrap();
+        let o = thm16_scenario(&t, &set_input(2), &set_input(3), 500_000).unwrap();
+        row("ex15-ping", &t, &o);
     }
     // TC (oblivious, hence no Id): transfer holds.
     {
@@ -40,28 +46,25 @@ fn exp() {
         let smaller = Instance::from_facts(sch.clone(), vec![fact!("S", 1, 2)]).unwrap();
         let larger = Instance::from_facts(sch, vec![fact!("S", 1, 2), fact!("S", 2, 3)]).unwrap();
         let o = thm16_scenario(&t, &smaller, &larger, 500_000).unwrap();
-        tab.row(&[
-            "ex3-tc".into(),
-            Classification::of(&t).system_usage.uses_id.to_string(),
-            o.output_on_ring.len().to_string(),
-            o.output_on_chord.len().to_string(),
-            o.preserved.to_string(),
-        ]);
+        row("ex3-tc", &t, &o);
     }
     // Emptiness (uses Id): the theorem does NOT apply — and the transfer
     // indeed fails (Q(∅)=true, Q({3})=false).
     {
         let t = examples::ex10_emptiness().unwrap();
         let o = thm16_scenario(&t, &set_input(0), &set_input(1), 500_000).unwrap();
-        tab.row(&[
-            "ex10-emptiness".into(),
-            Classification::of(&t).system_usage.uses_id.to_string(),
-            o.output_on_ring.len().to_string(),
-            o.output_on_chord.len().to_string(),
-            o.preserved.to_string(),
-        ]);
+        row("ex10-emptiness", &t, &o);
     }
     tab.done();
     println!("paper: every query computed without Id is monotone (Theorem 16); with Id the");
     println!("emptiness query breaks the transfer — exactly why it needs the system relations.");
+    assert_eq!(
+        preserved,
+        [
+            ("ex15-ping", true),
+            ("ex3-tc", true),
+            ("ex10-emptiness", false)
+        ],
+        "THM-16: a transfer verdict differs from the paper's"
+    );
 }

@@ -6,6 +6,7 @@
 use rtx_net::{run, FifoRoundRobin, HorizontalPartition, Network, RunBudget, RunOutcome};
 use rtx_relational::{fact, Instance, Schema};
 use rtx_transducer::Transducer;
+use std::collections::BTreeSet;
 
 pub mod exp;
 pub mod experiments;
@@ -124,6 +125,29 @@ pub fn chain_input(rel: &str, n: usize) -> Instance {
             .collect::<Vec<_>>(),
     )
     .expect("valid facts")
+}
+
+/// `m` distinct directed edges `E(a, b)` over `n` vertices, no
+/// self-loops, drawn from a fixed xorshift stream: the same digraph on
+/// every run.
+pub fn fixed_digraph(n: u64, m: usize) -> Instance {
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % n) as i64
+    };
+    let mut edges = BTreeSet::new();
+    while edges.len() < m {
+        let (a, b) = (next(), next());
+        if a != b {
+            edges.insert((a, b));
+        }
+    }
+    let facts = edges.into_iter().map(|(a, b)| fact!("E", a, b));
+    Instance::from_facts(Schema::new().with("E", 2), facts.collect::<Vec<_>>())
+        .expect("valid facts")
 }
 
 /// Run to quiescence with a generous budget and a FIFO scheduler.

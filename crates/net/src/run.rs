@@ -331,21 +331,74 @@ impl RunOutcome {
     }
 }
 
-/// `acc ∪= out` for an output accumulator; `true` when `acc` grew. A
-/// transition usually outputs what the accumulator holds already, or
-/// all of it and more, so neither case builds a merged copy: nothing
-/// changes when `out ⊆ acc`, and `acc` takes `out`'s handle when
-/// `acc ⊆ out`.
-pub(crate) fn accumulate(acc: &mut Relation, out: &Relation) -> Result<bool, NetError> {
-    if out.is_subset(acc) {
+/// Absorb `out`, one transition's output, into the run's output `run`
+/// and, where the executor keeps one, the node's accumulator `node`;
+/// `true` when `run` grew. Every node's accumulator is a subset of the
+/// run's output, so only `fresh = out ∖ node` can be new to the run.
+/// When it is empty — a node outputting what it output before — nothing
+/// grows and `run` is not read; otherwise only `fresh` is probed against
+/// `run`. [`Relation::difference`] skips the levels of `out` that `node`
+/// shares by handle, so a transition costs what it added.
+///
+/// An accumulator that the union leaves equal to `out` takes `out`'s
+/// handle, which counts decide (see `grow`); any other takes the rows it
+/// lacks.
+pub(crate) fn absorb_output(
+    run: &mut Relation,
+    node: Option<&mut Relation>,
+    out: &Relation,
+) -> Result<bool, NetError> {
+    if out.is_empty() {
         return Ok(false);
     }
-    *acc = if acc.is_subset(out) {
-        out.clone()
-    } else {
-        acc.union(out).map_err(NetError::Rel)?
+    let owned;
+    let fresh = match node {
+        Some(node) => {
+            owned = out.difference(node).map_err(NetError::Rel)?;
+            if owned.is_empty() {
+                return Ok(false);
+            }
+            grow(node, &owned, out)?;
+            &owned
+        }
+        None => out,
     };
+    let new = fresh.difference(run).map_err(NetError::Rel)?;
+    if new.is_empty() {
+        return Ok(false);
+    }
+    grow(run, &new, out)?;
     Ok(true)
+}
+
+/// `acc ∪= out`, given `rows = out ∖ acc`. `acc ⊆ out` exactly when
+/// `|acc| + |rows| = |out|`, and then `acc` takes `out`'s handle;
+/// otherwise it absorbs `rows`, which it holds none of.
+fn grow(acc: &mut Relation, rows: &Relation, out: &Relation) -> Result<(), NetError> {
+    if acc.len() + rows.len() == out.len() {
+        *acc = out.clone();
+    } else {
+        acc.absorb_fresh_rows(rows).map_err(NetError::Rel)?;
+    }
+    Ok(())
+}
+
+/// The output accumulators' invariant, checked in debug builds when a
+/// run ends: the run's output is the union of the nodes' outputs.
+pub(crate) fn check_outputs<'a>(run: &Relation, per_node: impl IntoIterator<Item = &'a Relation>) {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    let mut union = Relation::empty(run.arity());
+    for out in per_node {
+        union = union
+            .union(out)
+            .unwrap_or_else(|e| panic!("a node's output: {e}"));
+    }
+    assert!(
+        union == *run,
+        "the run's output is not the union of the nodes' outputs"
+    );
 }
 
 /// Drive a run of `(net, transducer)` from the initial configuration for
@@ -388,10 +441,8 @@ pub fn run_from(
                   output: &mut Relation,
                   outputs_per_node: &mut [Relation]|
      -> Result<bool, NetError> {
-        if let Some(i) = net.index_of(&rec.node) {
-            accumulate(&mut outputs_per_node[i], &rec.output)?;
-        }
-        accumulate(output, &rec.output)
+        let node = net.index_of(&rec.node).map(|i| &mut outputs_per_node[i]);
+        absorb_output(output, node, &rec.output)
     };
     // Message conservation, checked in debug builds after every step:
     // each copy buffered at the start or enqueued since was delivered
@@ -459,6 +510,7 @@ pub fn run_from(
         }
     }
 
+    check_outputs(&output, &outputs_per_node);
     let out = RunOutcome {
         output,
         outputs_per_node: net.nodes().copied().zip(outputs_per_node).collect(),
@@ -512,7 +564,7 @@ pub fn run_heartbeats_only(
         let mut quiet = true;
         for n in net.nodes() {
             let rec = cfg.apply_heartbeat(net, transducer, n)?;
-            let new_out = accumulate(&mut output, &rec.output)?;
+            let new_out = absorb_output(&mut output, None, &rec.output)?;
             if rec.state_changed || new_out {
                 quiet = false;
             }
@@ -874,6 +926,76 @@ mod tests {
         let out = run(&net, &t, &p, &mut sched, &RunBudget::steps(200_000)).unwrap();
         assert!(out.quiescent, "p=0.999 must drain: {} steps", out.steps);
         assert_eq!(out.output.len(), 3);
+    }
+
+    /// The output accumulator against `BTreeSet` models: random call
+    /// sequences over 3 nodes (and calls that keep no node accumulator,
+    /// as the heartbeat probe makes), whose outputs are clones of one
+    /// relation that keeps growing (shared levels, then merges), fresh
+    /// relations in either regime, relations with removed rows, and
+    /// empty ones. After every call both kinds of accumulator and the
+    /// returned flag must be the model's.
+    #[test]
+    fn absorb_output_matches_a_set_model() {
+        use rtx_relational::{Run, Tuple};
+        use std::collections::BTreeSet;
+        let row = |i: i64| tuple![i, i % 5];
+        let rel = |rows: &BTreeSet<Tuple>| Relation::from_tuples(2, rows.iter().cloned()).unwrap();
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut grower = Relation::from_run(Run::from_sorted(2, [row(0)].iter()));
+            let mut next = 0i64;
+            let mut run_acc = Relation::empty(2);
+            let mut nodes = vec![Relation::empty(2); 3];
+            let mut run_model = BTreeSet::new();
+            let mut node_models = vec![BTreeSet::new(); 3];
+            for call in 0..60 {
+                let out = match rng.gen_range(0..5u32) {
+                    0 => Relation::empty(2),
+                    1 | 2 => {
+                        let batch: Vec<Tuple> = (0..rng.gen_range(1..40usize))
+                            .map(|_| {
+                                next += 1;
+                                row(next)
+                            })
+                            .collect();
+                        grower
+                            .absorb_fresh(&Run::from_sorted(2, batch.iter()))
+                            .unwrap();
+                        grower.clone()
+                    }
+                    3 => {
+                        // Small or past the floor, over the grower's rows too.
+                        let n = if rng.gen_bool(0.5) { 8 } else { 120 };
+                        let rows = (0..n).map(|_| row(rng.gen_range(0..=next + 20)));
+                        Relation::from_tuples(2, rows).unwrap()
+                    }
+                    _ => {
+                        let mut out = grower.clone();
+                        let gone: BTreeSet<Tuple> =
+                            (0..4).map(|_| row(rng.gen_range(0..=next))).collect();
+                        out.remove_run(&Run::from_sorted(2, gone.iter())).unwrap();
+                        out
+                    }
+                };
+                let k = rng.gen_range(0..4usize);
+                let grew = absorb_output(&mut run_acc, nodes.get_mut(k), &out).unwrap();
+                // Read after the call: `iter` folds `out`, and a clone of
+                // a folded relation holds the fold, not the shared levels.
+                let rows: BTreeSet<Tuple> = out.iter().cloned().collect();
+                if let Some(model) = node_models.get_mut(k) {
+                    model.extend(rows.iter().cloned());
+                }
+                let before = run_model.len();
+                run_model.extend(rows);
+                let at = format!("seed {seed}, call {call}, node {k}");
+                assert_eq!(grew, run_model.len() > before, "{at}: the flag");
+                assert!(run_acc == rel(&run_model), "{at}: the run's output");
+                for (i, (acc, model)) in nodes.iter().zip(&node_models).enumerate() {
+                    assert!(*acc == rel(model), "{at}: node {i}'s output");
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,7 @@ use crate::config::{
 use crate::error::NetError;
 use crate::fault::{FaultHook, NodeFault};
 use crate::partition::HorizontalPartition;
-use crate::run::{accumulate, RunBudget, RunOutcome};
+use crate::run::{absorb_output, check_outputs, RunBudget, RunOutcome};
 use crate::topology::{Network, NodeId};
 use rtx_obs::trace;
 use rtx_relational::{Fact, Instance, Relation};
@@ -750,13 +750,13 @@ impl<'a, 'f> Barrier<'a, 'f> {
             }
             let mut res = results.next().ok_or_else(worker_gone)?;
             trace::splice(std::mem::take(&mut res.events));
-            let new_out = accumulate(&mut self.output, &res.output)?;
+            // A node's entry is made by its first nonempty output.
+            let node = (!res.output.is_empty()).then(|| {
+                (self.node_outputs.entry(idx))
+                    .or_insert_with(|| Relation::empty(res.output.arity()))
+            });
+            let new_out = absorb_output(&mut self.output, node, &res.output)?;
             quiet.push((idx, !res.state_changed && res.sent.is_empty() && !new_out));
-            if !res.output.is_empty() {
-                let acc = (self.node_outputs.entry(idx))
-                    .or_insert_with(|| Relation::empty(res.output.arity()));
-                accumulate(acc, &res.output)?;
-            }
             if heartbeat {
                 self.note_heartbeat(idx, &res);
             } else if res.state_changed {
@@ -1171,6 +1171,7 @@ fn drive(
     let states = engine.finish(n)?;
     let elapsed = t0.map(|t0| t0.elapsed());
     bar.check_parked(&states);
+    check_outputs(&bar.output, bar.node_outputs.values());
     // The map's keys are the nodes, in index order.
     let mut outputs_per_node = bar.outputs_per_node;
     let mut outputs = bar.node_outputs.into_iter().peekable();

@@ -31,14 +31,15 @@
 //!
 //! Membership probes, the negated-atom probe
 //! ([`Relation::contains_vids`]), the join executor (through
-//! [`Relation::spine`]) and novelty checks ([`Relation::novel`]) read
-//! every level in place, through each level's cached views. Only reads
-//! that need one sorted sequence fold the levels into one run:
-//! [`Relation::iter`], [`Relation::columnar_run`], [`Relation::diff`],
-//! `Ord` and union. The fold is cached, and the next write adopts it as
-//! the single level. A clone copies level pointers only, so consecutive
-//! versions of a relation — the ticks of a Dedalus trace — share every
-//! level they did not write.
+//! [`Relation::spine`]), novelty checks ([`Relation::novel`]) and set
+//! difference read every level in place, through each level's cached
+//! views; a difference skips whole the levels its operands share by
+//! handle. Only reads that need one sorted sequence fold the levels into
+//! one run: [`Relation::iter`], [`Relation::columnar_run`],
+//! [`Relation::diff`], `Ord` and union. The fold is cached, and the next
+//! write adopts it as the single level. A clone copies level pointers
+//! only, so consecutive versions of a relation — the ticks of a Dedalus
+//! trace — share every level they did not write.
 //!
 //! # Regimes
 //!
@@ -354,16 +355,13 @@ impl<'a> SpineRef<'a> {
             (Some(x), Some(y)) => std::ptr::eq(x, y),
             _ => false,
         };
-        let shared = |level: &Arc<Run>| {
-            other.removed.is_none() && other.levels.iter().any(|l| Arc::ptr_eq(l, level))
-        };
         let same_levels = self.levels.len() == other.levels.len()
             && (self.levels.iter().zip(other.levels)).all(|(x, y)| Arc::ptr_eq(x, y));
         if same_removed && same_levels {
             return true;
         }
         self.levels.iter().all(|level| {
-            if shared(level) {
+            if other.holds_whole(level) {
                 return true;
             }
             if let ([one], None, None) = (other.levels, other.removed, self.removed) {
@@ -372,6 +370,12 @@ impl<'a> SpineRef<'a> {
             let outside = other.novel(level);
             outside.is_empty() || self.removed.is_some_and(|r| outside.is_subset(r))
         })
+    }
+
+    /// Does this spine hold every row of `level` by handle — `level` one
+    /// of its levels, and nothing removed?
+    fn holds_whole(&self, level: &Arc<Run>) -> bool {
+        self.removed.is_none() && self.levels.iter().any(|l| Arc::ptr_eq(l, level))
     }
 
     /// `run ∖ self`: the rows of `run` that are not live rows here —
@@ -1084,6 +1088,15 @@ impl Relation {
     }
 
     /// Set difference `self \ other` (arities must agree).
+    ///
+    /// `self` is read a level at a time, and neither operand is folded:
+    /// a level that `other` holds by handle, when `other` has removed
+    /// nothing, is skipped whole; every other level has `other`'s levels
+    /// subtracted in place, as in [`Relation::novel`]. Then `self`'s
+    /// removed rows are dropped, and the parts, disjoint as the levels
+    /// are, land as one run. So `now ∖ earlier`, for an `earlier` clone
+    /// of a relation that grew into `now`, costs only the levels written
+    /// since.
     pub fn difference(&self, other: &Relation) -> Result<Relation, RelError> {
         self.check_same_arity(other)?;
         if let Some((a, b)) = self.small_pair(other) {
@@ -1095,9 +1108,24 @@ impl Relation {
             v.sort_unstable();
             return Ok(self.with_sorted(v));
         }
-        Ok(Relation::from_result_run(
-            other.novel(Run::clone(&self.columnar_run())),
-        ))
+        let (mine, theirs) = (self.spine(), other.spine());
+        let mut rest: Option<Run> = None;
+        for level in mine.levels.iter().rev().filter(|l| !theirs.holds_whole(l)) {
+            let part = theirs.novel(level);
+            if !part.is_empty() {
+                rest = Some(match rest {
+                    Some(acc) => part.union(&acc),
+                    None => part,
+                });
+            }
+        }
+        let Some(mut rest) = rest else {
+            return Ok(Relation::empty(self.arity));
+        };
+        if let Some(removed) = mine.removed {
+            rest = rest.difference(removed);
+        }
+        Ok(Relation::from_result_run(rest))
     }
 
     /// Is `self ⊆ other`?
@@ -1742,6 +1770,63 @@ mod tests {
         assert!(s.in_small_regime());
         assert_eq!(s, rel(1, [0, 1, 2, 3, 9].map(|i| tuple![i]).to_vec()));
         assert_eq!(s.storage_stats().tail_hwm, 5, "the tombstone was revived");
+    }
+
+    /// `grown ∖ earlier`, for an `earlier` clone of a relation that kept
+    /// growing, matches a set model with rows removed on either side
+    /// since the clone, and folds neither operand.
+    #[test]
+    fn difference_across_clones_folds_neither_side() {
+        let row = |i: i64| tuple![i, i % 5];
+        let first: Vec<Tuple> = (0..100).map(row).collect();
+        let mut grown = Relation::from_run(Run::from_sorted(2, first.iter()));
+        let mut model: BTreeSet<Tuple> = first.into_iter().collect();
+        let mut next = 100i64;
+        let remove = |r: &mut Relation, m: &mut BTreeSet<Tuple>, skip: usize| {
+            let gone: Vec<Tuple> = m.iter().skip(skip).step_by(9).take(4).cloned().collect();
+            assert_eq!(r.remove_run(&Run::from_sorted(2, gone.iter())).unwrap(), 4);
+            for t in &gone {
+                m.remove(t);
+            }
+        };
+        for step in 0..48usize {
+            let (mut earlier, mut earlier_model) = (grown.clone(), model.clone());
+            let batch: Vec<Tuple> = (0..(step % 7 + 1) * 3)
+                .map(|_| {
+                    next += 1;
+                    row(next)
+                })
+                .collect();
+            grown
+                .absorb_fresh(&Run::from_sorted(2, batch.iter()))
+                .unwrap();
+            model.extend(batch);
+            if step % 3 == 1 {
+                remove(&mut grown, &mut model, step);
+            }
+            if step % 5 == 2 {
+                remove(&mut earlier, &mut earlier_model, step + 1);
+            }
+            let folds = || (grown.storage_stats().folds, earlier.storage_stats().folds);
+            let before = folds();
+            let new = grown.difference(&earlier).unwrap();
+            let back = earlier.difference(&grown).unwrap();
+            assert!(grown.difference(&grown.clone()).unwrap().is_empty());
+            assert_eq!(folds(), before, "step {step}: an operand was folded");
+            let want = |a: &BTreeSet<Tuple>, b: &BTreeSet<Tuple>| {
+                Relation::from_tuples(2, a.difference(b).cloned()).unwrap()
+            };
+            assert_eq!(
+                new,
+                want(&model, &earlier_model),
+                "step {step}: grown ∖ earlier"
+            );
+            assert_eq!(
+                back,
+                want(&earlier_model, &model),
+                "step {step}: earlier ∖ grown"
+            );
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ use rtx::net::{
     ShardOptions, TransitionKind,
 };
 use rtx::query::{Query, QueryRef};
-use rtx::relational::{fact, Fact, Instance, Schema};
-use std::collections::BTreeMap;
+use rtx::relational::{fact, Fact, Instance, Schema, Tuple};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 fn set_instance(values: &[i64]) -> Instance {
@@ -129,6 +129,8 @@ proptest! {
                     .nodes()
                     .map(|n| (*n, initial.state(n).unwrap().clone()))
                     .collect();
+                // Each node's records' outputs, unioned.
+                let mut outputs: BTreeMap<NodeId, BTreeSet<Tuple>> = BTreeMap::new();
                 for (i, rec) in log.iter().enumerate() {
                     let received = match &rec.kind {
                         TransitionKind::Heartbeat => silence.clone(),
@@ -147,10 +149,19 @@ proptest! {
                     prop_assert_eq!(rec.state_changed, res.state_changed,
                                     "record {} ({}): state change differs from the step", i, t.name());
                     *state = res.new_state;
+                    outputs.entry(rec.node).or_default().extend(rec.output.iter().cloned());
                 }
                 for (n, st) in &states {
                     prop_assert!(out.outcome.final_config.state(n) == Some(st),
                                  "replayed state of {} differs from the final configuration", n);
+                }
+                let all: BTreeSet<&Tuple> = outputs.values().flatten().collect();
+                prop_assert!(out.outcome.output.iter().eq(all),
+                             "the run's output is not the union of the records' outputs");
+                for (n, acc) in &out.outcome.outputs_per_node {
+                    let want = outputs.get(n).cloned().unwrap_or_default();
+                    prop_assert!(acc.iter().eq(&want),
+                                 "{}'s output is not the union of its records' outputs", n);
                 }
             }
         }
